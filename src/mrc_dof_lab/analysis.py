@@ -11,7 +11,7 @@ trials are independent and reproducible in any execution order.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import numpy as np
@@ -109,15 +109,56 @@ def _private_only_or_none(K: int, M: int, N: int) -> Fraction | None:
         return None
 
 
-def _trial_plan(
-    config: NetworkConfig, trial: int, channels: ChannelSet | None = None
-) -> tuple[ChannelSet, SchemePlan]:
-    rng = config.trial_rng(trial)
-    base = channels if channels is not None else generate_channels(config, rng)
-    try:
-        return ssa_nc.design_scheme(config, base, rng)
-    except SchemeDesignError as exc:
-        raise SchemeDesignError(f"trial {trial} (seed {config.seed}): {exc}") from exc
+def _trial_plans(config: NetworkConfig, trials: int, channels: ChannelSet | None = None):
+    """Design each trial's plan once; yields (rng, effective channels, plan).
+
+    The trial generator is left where the design stopped, so the trial's
+    symbol and noise draws follow from it.
+    """
+    for trial in range(trials):
+        rng = config.trial_rng(trial)
+        base = channels if channels is not None else generate_channels(config, rng)
+        try:
+            eff, plan = ssa_nc.design_scheme(config, base, rng)
+        except SchemeDesignError as exc:
+            raise SchemeDesignError(f"trial {trial} (seed {config.seed}): {exc}") from exc
+        yield rng, eff, plan
+
+
+def _noiseless_round_error(config: NetworkConfig, rng, eff: ChannelSet, plan: SchemePlan) -> float:
+    """Worst relative decode error over every user and message of one
+    noiseless round."""
+    K = config.K
+    trace = ssa_nc.run_round(plan, eff, config.P, rng, noise_on=False)
+    worst = 0.0
+    for u in range(K):
+        for idx, v in enumerate(ssa_nc.other_users(K, u)):
+            err = np.linalg.norm(trace.decoded[u][idx] - trace.sent[v])
+            scale = max(np.linalg.norm(trace.sent[v]), 1e-300)
+            worst = max(worst, float(err / scale))
+    return worst
+
+
+def _noiseless_report(
+    config: NetworkConfig, plan: SchemePlan, trials: int, max_err: float, degenerate: int
+) -> DofReport:
+    K = config.K
+    return DofReport(
+        K=K,
+        M=config.M,
+        N=config.N,
+        L=plan.extension_factor,
+        d=plan.d,
+        achieved_streams=K * (K - 1) * plan.d // plan.extension_factor,
+        cutset=bounds.cutset_dof(K, config.M, config.N),
+        private_only=_private_only_or_none(K, config.M, config.N),
+        slope_estimate=None,
+        slope_stderr=None,
+        noiseless_max_error=max_err,
+        trials=trials,
+        degenerate_draws=degenerate,
+        notes="two-way relay degenerate case" if K == 2 else "",
+    )
 
 
 def verify_noiseless(
@@ -131,43 +172,12 @@ def verify_noiseless(
     """
     if trials < 1:
         raise ValueError("trials must be positive")
-    K = config.K
     max_err = 0.0
     degenerate = 0
-    d = L = None
-    for trial in range(trials):
-        rng = config.trial_rng(trial)
-        base = channels if channels is not None else generate_channels(config, rng)
-        try:
-            eff, plan = ssa_nc.design_scheme(config, base, rng)
-        except SchemeDesignError as exc:
-            raise SchemeDesignError(f"trial {trial} (seed {config.seed}): {exc}") from exc
-        d, L = plan.d, plan.extension_factor
+    for rng, eff, plan in _trial_plans(config, trials, channels):
         degenerate += int(plan.degenerate)
-        trace = ssa_nc.run_round(plan, eff, config.P, rng, noise_on=False)
-        for u in range(K):
-            senders = ssa_nc.other_users(K, u)
-            for idx, v in enumerate(senders):
-                err = np.linalg.norm(trace.decoded[u][idx] - trace.sent[v])
-                scale = max(np.linalg.norm(trace.sent[v]), 1e-300)
-                max_err = max(max_err, float(err / scale))
-    streams = K * (K - 1) * d // L
-    return DofReport(
-        K=K,
-        M=config.M,
-        N=config.N,
-        L=L,
-        d=d,
-        achieved_streams=streams,
-        cutset=bounds.cutset_dof(K, config.M, config.N),
-        private_only=_private_only_or_none(K, config.M, config.N),
-        slope_estimate=None,
-        slope_stderr=None,
-        noiseless_max_error=max_err,
-        trials=trials,
-        degenerate_draws=degenerate,
-        notes="two-way relay degenerate case" if K == 2 else "",
-    )
+        max_err = max(max_err, _noiseless_round_error(config, rng, eff, plan))
+    return _noiseless_report(config, plan, trials, max_err, degenerate)
 
 
 @dataclass(frozen=True)
@@ -188,32 +198,24 @@ class StreamSinrs:
         return self.end_to_end.reshape(-1)
 
 
+def _row_power(filters: np.ndarray) -> np.ndarray:
+    return np.real(np.einsum("...ij,...ij->...i", filters, filters.conj()))
+
+
 def stream_sinrs(plan: SchemePlan, P: float) -> StreamSinrs:
     """Signal power over shaped-noise power per stream, both phases.
 
     The forwarded sum carries two unit-power symbol vectors (power 2 per
-    entry); relay noise is shaped by G^{-1} (F has orthonormal columns) and
-    user noise by the inverse downlink gain. Both SINRs are exactly linear
-    in P because the plan's amplitudes are per sqrt(P).
+    entry). Unit-variance noise passes through each receive filter, so a
+    stream's noise power is the squared norm of its filter row. Both SINRs
+    are exactly linear in P because the plan's amplitudes are per sqrt(P).
     """
     if P <= 0:
         raise ValueError("P must be positive")
-    K = plan.num_users
-    pairs = plan.num_pairs
-    d = plan.d
     a2 = plan.power_scale**2 * P
     b2 = plan.bc_scale**2 * P
-    mac = np.empty((pairs, d))
-    for p in range(pairs):
-        g_inv = np.linalg.inv(plan.G[p])
-        noise_diag = np.real(np.einsum("ij,ij->i", g_inv, g_inv.conj()))
-        mac[p] = 2.0 * a2 / noise_diag
-    bc = np.empty((K, pairs, d))
-    for u in range(K):
-        for p in range(pairs):
-            e_inv = np.linalg.inv(plan.user_gain[u][p])
-            noise_diag = np.real(np.einsum("ij,ij->i", e_inv, e_inv.conj()))
-            bc[u, p] = 2.0 * b2 / noise_diag
+    mac = 2.0 * a2 / _row_power(np.stack(plan.relay_filter))
+    bc = 2.0 * b2 / _row_power(np.array(plan.rx_filter))
     end_to_end = np.minimum(bc, mac[np.newaxis, :, :])
     assert np.all(end_to_end <= mac[np.newaxis, :, :] + 1e-12)
     assert np.all(end_to_end <= bc + 1e-12)
@@ -236,32 +238,13 @@ def validate_power_grid(P_grid) -> np.ndarray:
     return grid
 
 
-def estimate_dof_slope(
-    config: NetworkConfig, P_grid, trials: int
-) -> tuple[float, float]:
-    """Least-squares slope of the per-slot sum rate against log2(P).
-
-    Per-stream SINRs are averaged over channel trials before entering the
-    log, which keeps rare badly faded draws from biasing the finite-window
-    slope; the fit keeps the top ceil(2/3) of the grid to avoid low-SNR
-    curvature. The reported stderr is the dispersion of single-trial
-    slopes over sqrt(trials).
-    """
-    grid = validate_power_grid(P_grid)
-    if trials < 1:
-        raise ValueError("trials must be positive")
+def _fit_slope(config: NetworkConfig, grid: np.ndarray, gammas: np.ndarray) -> tuple[float, float]:
+    """Slope and stderr from unit-power stream SINRs, one row per trial."""
+    trials = gammas.shape[0]
+    L = ssa_nc.extension_plan(config.K, config.M, config.N)[1]
     keep = math.ceil(len(grid) * 2 / 3)
     top = grid[-keep:]
     x = np.log2(top)
-    gammas = np.empty((trials, 0))
-    L = 1
-    for trial in range(trials):
-        _, plan = _trial_plan(config, trial)
-        L = plan.extension_factor
-        flat = stream_sinrs(plan, 1.0).flat()
-        if gammas.shape[1] == 0:
-            gammas = np.empty((trials, flat.size))
-        gammas[trial] = flat
     duplex = config.duplex_factor
 
     def rate_curve(gamma: np.ndarray) -> np.ndarray:
@@ -278,55 +261,72 @@ def estimate_dof_slope(
     return slope, stderr
 
 
+def estimate_dof_slope(
+    config: NetworkConfig, P_grid, trials: int
+) -> tuple[float, float]:
+    """Least-squares slope of the per-slot sum rate against log2(P).
+
+    Per-stream SINRs are averaged over channel trials before entering the
+    log, which keeps rare badly faded draws from biasing the finite-window
+    slope; the fit keeps the top ceil(2/3) of the grid to avoid low-SNR
+    curvature. The reported stderr is the dispersion of single-trial
+    slopes over sqrt(trials).
+    """
+    grid = validate_power_grid(P_grid)
+    if trials < 1:
+        raise ValueError("trials must be positive")
+    gammas = [stream_sinrs(plan, 1.0).flat() for _, _, plan in _trial_plans(config, trials)]
+    return _fit_slope(config, grid, np.array(gammas))
+
+
 def decode_mse_sweep(config: NetworkConfig, P_grid, trials: int) -> np.ndarray:
     """Average per-symbol decode MSE at each power level, noise on.
 
-    The per-trial generator is derived from (seed, trial) only, so the same
-    channels, beamformer draws, symbols, and noise realizations are reused
-    at every power level (common random numbers across the grid).
+    Each trial is designed once. Its generator state after the design is
+    restored before every power level, so the same channels, beamformer
+    draws, symbols, and noise realizations are reused at every power level
+    (common random numbers across the grid).
     """
     grid = np.asarray(list(P_grid), dtype=float)
     if np.any(grid <= 0):
         raise ValueError("powers must be positive")
     K = config.K
-    mse = np.zeros(len(grid))
-    for i, P in enumerate(grid):
-        acc = 0.0
-        count = 0
-        for trial in range(trials):
-            rng = config.trial_rng(trial)
-            base = generate_channels(config, rng)
-            eff, plan = ssa_nc.design_scheme(config, base, rng)
+    acc = [0.0] * len(grid)
+    count = [0] * len(grid)
+    for rng, eff, plan in _trial_plans(config, trials):
+        designed_state = rng.bit_generator.state
+        for i, P in enumerate(grid):
+            rng.bit_generator.state = designed_state
             trace = ssa_nc.run_round(plan, eff, float(P), rng, noise_on=True)
             for u in range(K):
                 senders = ssa_nc.other_users(K, u)
                 for idx, v in enumerate(senders):
                     diff = trace.decoded[u][idx] - trace.sent[v]
-                    acc += float(np.sum(np.abs(diff) ** 2))
-                    count += diff.size
-        mse[i] = acc / count
-    return mse
+                    acc[i] += float(np.sum(np.abs(diff) ** 2))
+                    count[i] += diff.size
+    return np.array([a / c for a, c in zip(acc, count)])
 
 
 def simulate_report(config: NetworkConfig, P_grid, trials: int) -> DofReport:
-    """Noiseless audit plus slope estimation in one report."""
-    base = verify_noiseless(config, trials)
-    slope, stderr = estimate_dof_slope(config, P_grid, trials)
-    return DofReport(
-        K=base.K,
-        M=base.M,
-        N=base.N,
-        L=base.L,
-        d=base.d,
-        achieved_streams=base.achieved_streams,
-        cutset=base.cutset,
-        private_only=base.private_only,
+    """Noiseless audit plus slope estimation in one report.
+
+    Both use the same plans, so every trial is designed once.
+    """
+    grid = validate_power_grid(P_grid)
+    if trials < 1:
+        raise ValueError("trials must be positive")
+    max_err = 0.0
+    degenerate = 0
+    gammas = []
+    for rng, eff, plan in _trial_plans(config, trials):
+        degenerate += int(plan.degenerate)
+        max_err = max(max_err, _noiseless_round_error(config, rng, eff, plan))
+        gammas.append(stream_sinrs(plan, 1.0).flat())
+    slope, stderr = _fit_slope(config, grid, np.array(gammas))
+    return replace(
+        _noiseless_report(config, plan, trials, max_err, degenerate),
         slope_estimate=slope,
         slope_stderr=stderr,
-        noiseless_max_error=base.noiseless_max_error,
-        trials=trials,
-        degenerate_draws=base.degenerate_draws,
-        notes=base.notes,
     )
 
 

@@ -1,9 +1,10 @@
 """Complex-matrix kernels shared by the whole simulator.
 
-Everything operates on 2-D ``complex128`` numpy arrays. Rank decisions are
-made on singular values relative to the largest one (scale invariant), and
-all functions return freshly allocated arrays marked read-only so values
-can be shared between concurrent trials without copies.
+Everything operates on 2-D ``complex128`` numpy arrays; the pseudoinverse
+also takes a stack of them. Rank decisions are made on singular values
+relative to the largest one (scale invariant), and all functions return
+freshly allocated arrays marked read-only so values can be shared between
+concurrent trials without copies.
 """
 
 from __future__ import annotations
@@ -58,37 +59,29 @@ def random_gaussian_vector(n: int, rng: np.random.Generator) -> np.ndarray:
     return v
 
 
+def pseudo_inverse_and_rank(A: CMatrix, tol: float = DEFAULT_TOL) -> tuple[CMatrix, np.ndarray]:
+    """Moore-Penrose pseudoinverse and numeric rank from one SVD.
+
+    Takes one matrix or a stack of shape (..., m, n) and decomposes the
+    whole stack in a single call. Singular values at or below
+    ``tol * sigma_max`` of their own matrix are truncated and not counted,
+    so rank-deficient inputs are handled without blow-up. The rank is an
+    int array over the stack (a 0-d array for one matrix).
+    """
+    u, s, vh = np.linalg.svd(np.asarray(A), full_matrices=False)
+    keep = s > tol * s[..., :1]
+    inv = np.divide(1.0, s, out=np.zeros_like(s), where=keep)
+    pinv = (vh.conj().swapaxes(-1, -2) * inv[..., np.newaxis, :]) @ u.conj().swapaxes(-1, -2)
+    return _freeze(pinv), keep.sum(axis=-1)
+
+
 def pseudo_inverse(A: CMatrix, tol: float = DEFAULT_TOL) -> CMatrix:
-    """Moore-Penrose pseudoinverse via SVD.
+    """Moore-Penrose pseudoinverse via SVD, of one matrix or a stack.
 
     Singular values at or below ``tol * sigma_max`` are truncated, so
     rank-deficient inputs are handled without blow-up.
     """
-    A = np.asarray(A)
-    u, s, vh = np.linalg.svd(A, full_matrices=False)
-    cutoff = tol * s[0] if s.size else 0.0
-    keep = s > cutoff
-    inv = np.zeros_like(s)
-    inv[keep] = 1.0 / s[keep]
-    return _freeze((vh.conj().T * inv) @ u.conj().T)
-
-
-def null_space_basis(A: CMatrix, tol: float = DEFAULT_TOL) -> CMatrix:
-    """Orthonormal basis of {x : A x = 0} as a (cols, nullity) matrix.
-
-    The nullity is decided by the relative cutoff ``tol * sigma_max``; a
-    full-rank input yields a (cols, 0) array. A constraint-free input with
-    zero rows yields the identity.
-    """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    A = np.asarray(A)
-    if A.shape[0] == 0:
-        return _freeze(np.eye(A.shape[1], dtype=np.complex128))
-    u, s, vh = np.linalg.svd(A, full_matrices=True)
-    cutoff = tol * s[0] if s.size else 0.0
-    rank = int(np.sum(s > cutoff))
-    return _freeze(vh[rank:].conj().T.copy())
+    return pseudo_inverse_and_rank(A, tol)[0]
 
 
 def numeric_rank(A: CMatrix, tol: float = DEFAULT_TOL) -> int:

@@ -1,18 +1,24 @@
 """Signal-space alignment with network coding for the multi-way relay channel.
 
-User 1 forms a pair with every other user. In the uplink (MAC) slot each
-pair's beamformers are chosen so the two partners' signals arrive at the
-relay inside one shared d-dimensional subspace, and the K-1 pair subspaces
-together fill the whole relay space. The relay zero-forces each pair
-subspace, unmixes it, and obtains the clean network-coded sum of the pair's
-symbol vectors. In the downlink (BC) slot the relay broadcasts every sum
-through its own random precoder; each user zero-forces the precoders it is
-not currently reading and peels the messages apart using its own
-transmitted symbols as side information.
+User 1 forms a pair with every other user. In the uplink (MAC) slot user 1
+sends pair p's stream through a random beamformer V1[p], and partner p+1
+pre-inverts its own uplink, Vj[p] = pinv(H_{p+1}) H_1 V1[p], so both
+partners arrive at the relay inside one shared d-dimensional subspace. The
+K-1 pair subspaces fill the relay space, so A = H_1 [V1[0] ... V1[K-2]] is
+square and invertible, and the relay's receive filter for pair p is the
+p-th d-row block of inv(A): it nulls every other pair and returns the clean
+network-coded sum of the pair's symbol vectors. In the downlink (BC) slot
+the relay broadcasts every sum through its own random precoder T[p]. User u
+separates the sums with the d-row blocks of pinv(D_u [T[0] ... T[K-2]]) and
+peels the messages apart using its own transmitted symbols as side
+information. A trial's design therefore costs one inverse and K
+pseudoinverses, plus the small pseudoinverses of the partners' uplinks.
 
-When the relay has more antennas than a user (N >= M) the surplus relay
+When the relay has more antennas than a user (N > M) the surplus relay
 antennas are shut down; when the relay dimension is not divisible by K-1,
 the channel is extended to a (K-1)-slot block so the streams split evenly.
+Extended channels are kron(I_L, H), and pinv(kron(I_L, H)) =
+kron(I_L, pinv(H)), so only the base block H is ever pseudo-inverted.
 
 Plans are power agnostic: they store amplitudes per sqrt(P), so a single
 plan serves an entire power sweep.
@@ -37,18 +43,17 @@ from .channel import (
 )
 from .linalg import (
     CMatrix,
-    null_space_basis,
-    numeric_rank,
     orthonormal_columns,
     pseudo_inverse,
+    pseudo_inverse_and_rank,
     random_gaussian_matrix,
     random_gaussian_vector,
 )
 
 logger = logging.getLogger("mrc_dof_lab.ssa_nc")
 
-# Plans whose mixing or user-gain matrices are worse conditioned than this
-# are redrawn once and counted as degenerate.
+# Plans with a relay or user filter block worse conditioned than this are
+# redrawn once and counted as degenerate.
 COND_LIMIT = 1e8
 
 
@@ -61,12 +66,17 @@ class SchemePlan:
     """Every designed matrix of one scheme instance.
 
     Pair p (0-based) joins user 0 with user p+1. Per pair: V1[p] and
-    Vj[p] are the two transmit beamformers (user_dim x d), F[p] the relay
-    zero-forcing basis (relay_dim x d), G[p] = F[p]^H H_1 V1[p] the d x d
-    mixing matrix, T[p] the broadcast precoder, and relay_filter[p] =
-    G[p]^{-1} F[p]^H the relay's receive filter. Per user u and pair p:
-    UZF[u][p] is the downlink zero-forcing basis, user_gain[u][p] the d x d
-    effective matrix it sees, rx_filter[u][p] its full receive filter.
+    Vj[p] are the two transmit beamformers (user_dim x d), T[p] the
+    broadcast precoder (relay_dim x d), and relay_filter[p] the relay's
+    receive filter (d x relay_dim), the p-th d-row block of
+    inv(H_0 [V1[0] ... V1[K-2]]). Per user u and pair p, rx_filter[u][p]
+    (d x user_dim) is the p-th d-row block of pinv(D_u [T[0] ... T[K-2]]).
+    Every filter maps its own pair's image to I_d and the other pairs'
+    images to zero.
+
+    g_cond[p] and user_gain_cond[u][p] are the condition numbers of those
+    filter blocks. They equal the condition numbers of the d x d mixing
+    matrices each pair leaves once the other pairs are zero-forced.
 
     power_scale and bc_scale are transmit amplitudes per sqrt(P) for the
     users and the relay; they fold in the extension factor so the power
@@ -79,12 +89,8 @@ class SchemePlan:
     extension_factor: int
     V1: tuple[CMatrix, ...]
     Vj: tuple[CMatrix, ...]
-    F: tuple[CMatrix, ...]
-    G: tuple[CMatrix, ...]
     T: tuple[CMatrix, ...]
-    UZF: tuple[tuple[CMatrix, ...], ...]
     relay_filter: tuple[CMatrix, ...]
-    user_gain: tuple[tuple[CMatrix, ...], ...]
     rx_filter: tuple[tuple[CMatrix, ...], ...]
     g_cond: tuple[float, ...]
     user_gain_cond: tuple[tuple[float, ...], ...]
@@ -94,7 +100,7 @@ class SchemePlan:
 
     @property
     def num_users(self) -> int:
-        return len(self.UZF)
+        return len(self.rx_filter)
 
     @property
     def num_pairs(self) -> int:
@@ -155,19 +161,35 @@ def prepare_scheme(config: NetworkConfig, channels: ChannelSet) -> tuple[Channel
     return eff, d
 
 
+def _row_blocks(a: CMatrix, d: int) -> tuple[CMatrix, ...]:
+    return tuple(a[i : i + d] for i in range(0, a.shape[0], d))
+
+
+def _kron_apply(base: CMatrix, x: CMatrix, L: int) -> CMatrix:
+    """kron(I_L, base) @ x without forming the block-diagonal matrix."""
+    rows, cols = base.shape
+    return (base @ x.reshape(L, cols, -1)).reshape(L * rows, -1)
+
+
 def design_uplink(
     channels: ChannelSet, d: int, rng: np.random.Generator
-) -> tuple[tuple[CMatrix, ...], tuple[CMatrix, ...]]:
-    """Draw user 0's pair beamformers and align every partner onto them.
+) -> tuple[tuple[CMatrix, ...], tuple[CMatrix, ...], tuple[CMatrix, ...]]:
+    """Draw user 0's pair beamformers, align every partner onto them, and
+    build the relay filters.
 
-    V1[p] is random with orthonormal columns; partner p+1 pre-inverts its
-    own uplink so that H_{p+1} Vj[p] = H_0 V1[p] holds exactly (the uplink
-    has full row rank after preparation). The K-1 aligned subspaces must
-    jointly span the relay space; a rank-deficient draw is resampled once.
+    V1[p] is random with orthonormal columns. The K-1 aligned images
+    H_0 V1[p] must jointly span the relay space, so A = H_0 [V1[0] ...] is
+    square and invertible; a rank-deficient draw is resampled once. One SVD
+    of A decides the rank and gives inv(A), whose d-row blocks are the
+    relay filters. Partner p+1 pre-inverts its own uplink so that
+    H_{p+1} Vj[p] = H_0 V1[p] holds exactly (the uplink has full row rank
+    after preparation); under extension only the base block of each uplink
+    is pseudo-inverted. Returns V1, Vj and the relay filters.
     """
     K = channels.num_users
     n_eff = channels.relay_dim
     m_eff = channels.user_dim
+    L = channels.extension_factor
     if (K - 1) * d != n_eff:
         raise ValueError("stream count d must satisfy (K-1) d = relay dimension")
     if n_eff > m_eff:
@@ -175,112 +197,61 @@ def design_uplink(
     h0 = channels.uplink[0]
     for attempt in range(2):
         V1 = tuple(orthonormal_columns(random_gaussian_matrix(m_eff, d, rng)) for _ in range(K - 1))
-        aligned = np.hstack([h0 @ v for v in V1])
-        if numeric_rank(aligned) == n_eff:
+        aligned = h0 @ np.hstack(V1)
+        relay_inv, rank = pseudo_inverse_and_rank(aligned)
+        if rank == n_eff:
             break
         logger.warning("aligned subspaces rank deficient on attempt %d, resampling", attempt)
     else:
         raise SchemeDesignError("aligned pair subspaces stayed rank deficient after resampling")
-    Vj = tuple(pseudo_inverse(channels.uplink[p + 1]) @ (h0 @ V1[p]) for p in range(K - 1))
-    return V1, Vj
-
-
-def design_relay_zf(
-    channels: ChannelSet, V1: tuple[CMatrix, ...]
-) -> tuple[tuple[CMatrix, ...], tuple[CMatrix, ...]]:
-    """Per pair: an orthonormal basis F[p] of the directions free of every
-    other pair's subspace, and the mixing matrix G[p] it sees.
-
-    F depends only on the first user's uplink and beamformers. G[p] must be
-    invertible for the relay to unmix the pair sum.
-    """
-    h0 = channels.uplink[0]
-    n_eff = h0.shape[0]
-    aligned = [h0 @ v for v in V1]
-    d = V1[0].shape[1]
-    F = []
-    G = []
-    for p in range(len(V1)):
-        others = [aligned[i] for i in range(len(V1)) if i != p]
-        if others:
-            stacked = np.hstack(others).conj().T
-        else:
-            stacked = np.zeros((0, n_eff), dtype=np.complex128)
-        basis = null_space_basis(stacked)
-        if basis.shape[1] < d:
-            raise SchemeDesignError(f"pair {p + 2}: interference fills the relay space")
-        if basis.shape[1] > d:
-            # Degenerate surplus: keep the d directions that actually see the pair.
-            basis = basis @ orthonormal_columns(basis.conj().T @ aligned[p])
-        g = basis.conj().T @ aligned[p]
-        if numeric_rank(g) < d:
-            raise SchemeDesignError(f"pair {p + 2}: singular mixing matrix")
-        F.append(basis)
-        G.append(g)
-    return tuple(F), tuple(G)
+    n, m = n_eff // L, m_eff // L
+    partner_pinv = pseudo_inverse(np.stack([h[:n, :m] for h in channels.uplink[1:]]))
+    Vj = tuple(
+        _kron_apply(partner_pinv[p], aligned[:, p * d : (p + 1) * d], L) for p in range(K - 1)
+    )
+    return V1, Vj, _row_blocks(relay_inv, d)
 
 
 def design_downlink(
     channels: ChannelSet, rng: np.random.Generator
 ) -> tuple[tuple[CMatrix, ...], tuple[tuple[CMatrix, ...], ...]]:
-    """Random orthonormal broadcast precoders T[p] plus, for every user and
-    pair, a zero-forcing basis that nulls all other pairs' precoded
-    downlink images.
+    """Random orthonormal broadcast precoders T[p] plus every user's
+    receive filters.
 
-    The basis is aimed inside the null space at the wanted pair's image so
-    the effective d x d matrix stays invertible. Needs user dimension at
-    least the relay dimension, which preparation guarantees.
+    User u sees the stacked downlink images B_u = D_u [T[0] ... T[K-2]];
+    its filter for pair p is the p-th d-row block of pinv(B_u). One batched
+    SVD gives all K pseudoinverses and checks that every B_u has full
+    column rank, which needs user dimension at least the relay dimension
+    (preparation guarantees it).
     """
     K = channels.num_users
     n_eff = channels.relay_dim
-    m_eff = channels.user_dim
     d = n_eff // (K - 1)
     T = tuple(orthonormal_columns(random_gaussian_matrix(n_eff, d, rng)) for _ in range(K - 1))
-    UZF = []
-    for u in range(K):
-        down = channels.downlink[u]
-        images = [down @ t for t in T]
-        per_user = []
-        for p in range(K - 1):
-            others = [images[i] for i in range(K - 1) if i != p]
-            if others:
-                stacked = np.hstack(others).conj().T
-            else:
-                stacked = np.zeros((0, m_eff), dtype=np.complex128)
-            basis = null_space_basis(stacked)
-            if basis.shape[1] < d:
-                raise SchemeDesignError(
-                    f"user {u + 1}: zero-forcing needs user dimension >= relay dimension"
-                )
-            w = basis @ orthonormal_columns(basis.conj().T @ images[p])
-            if w.shape[1] < d or numeric_rank(w.conj().T @ images[p]) < d:
-                raise SchemeDesignError(f"user {u + 1}, pair {p + 2}: singular downlink gain")
-            per_user.append(w)
-        UZF.append(tuple(per_user))
-    return T, tuple(UZF)
+    t_cat = np.hstack(T)
+    images = np.stack([down @ t_cat for down in channels.downlink])
+    user_inv, ranks = pseudo_inverse_and_rank(images)
+    short = np.flatnonzero(ranks < n_eff)
+    if short.size:
+        raise SchemeDesignError(
+            f"user {short[0] + 1}: singular downlink gain "
+            "(zero-forcing needs user dimension >= relay dimension)"
+        )
+    return T, tuple(_row_blocks(inv, d) for inv in user_inv)
 
 
-def _cond(a: CMatrix) -> float:
-    s = np.linalg.svd(np.asarray(a), compute_uv=False)
-    return float(s[0] / s[-1]) if s[-1] > 0 else float("inf")
+def _block_conds(blocks: np.ndarray) -> np.ndarray:
+    """Condition numbers of a stack of filter blocks, in one batched SVD."""
+    s = np.linalg.svd(blocks, compute_uv=False)
+    low = s[..., -1]
+    return np.divide(s[..., 0], low, out=np.full(low.shape, np.inf), where=low > 0)
 
 
 def _assemble_plan(
-    channels: ChannelSet, d: int, V1, Vj, F, G, T, UZF, degenerate: bool
+    channels: ChannelSet, d: int, V1, Vj, relay_filter, T, rx_filter, degenerate: bool
 ) -> SchemePlan:
     K = channels.num_users
     L = channels.extension_factor
-    relay_filter = tuple(np.linalg.solve(g, f.conj().T) for g, f in zip(G, F))
-    user_gain = []
-    rx_filter = []
-    for u in range(K):
-        down = channels.downlink[u]
-        gains = tuple(UZF[u][p].conj().T @ (down @ T[p]) for p in range(K - 1))
-        filters = tuple(
-            np.linalg.solve(gains[p], UZF[u][p].conj().T) for p in range(K - 1)
-        )
-        user_gain.append(gains)
-        rx_filter.append(filters)
     # Users share one amplitude so the relay recovers plain symbol sums; the
     # largest per-user budget binds and transmits exactly P per slot.
     budgets = [float(np.linalg.norm(sum(V1)) ** 2)]
@@ -299,15 +270,11 @@ def _assemble_plan(
         extension_factor=L,
         V1=V1,
         Vj=Vj,
-        F=F,
-        G=G,
         T=T,
-        UZF=UZF,
         relay_filter=relay_filter,
-        user_gain=tuple(user_gain),
-        rx_filter=tuple(rx_filter),
-        g_cond=tuple(_cond(g) for g in G),
-        user_gain_cond=tuple(tuple(_cond(g) for g in gains) for gains in user_gain),
+        rx_filter=rx_filter,
+        g_cond=tuple(_block_conds(np.stack(relay_filter)).tolist()),
+        user_gain_cond=tuple(map(tuple, _block_conds(np.array(rx_filter)).tolist())),
         power_scale=power_scale,
         bc_scale=bc_scale,
         degenerate=degenerate,
@@ -317,20 +284,19 @@ def _assemble_plan(
 def design_scheme(
     config: NetworkConfig, channels: ChannelSet, rng: np.random.Generator
 ) -> tuple[ChannelSet, SchemePlan]:
-    """Full design chain: preparation, uplink alignment, relay zero-forcing,
-    downlink precoding and user zero-forcing, power scales.
+    """Full design chain: preparation, uplink alignment and the relay
+    inverse, downlink precoding and the user pseudoinverses, power scales.
 
-    A plan whose mixing or user-gain matrices exceed the conditioning
+    A plan with a relay or user filter block beyond the conditioning
     guardrail is redrawn once with fresh randomness and flagged degenerate.
     Returns the effective channels together with the plan.
     """
     eff, d = prepare_scheme(config, channels)
     plan = None
     for attempt in range(2):
-        V1, Vj = design_uplink(eff, d, rng)
-        F, G = design_relay_zf(eff, V1)
-        T, UZF = design_downlink(eff, rng)
-        plan = _assemble_plan(eff, d, V1, Vj, F, G, T, UZF, degenerate=attempt > 0)
+        V1, Vj, relay_filter = design_uplink(eff, d, rng)
+        T, rx_filter = design_downlink(eff, rng)
+        plan = _assemble_plan(eff, d, V1, Vj, relay_filter, T, rx_filter, degenerate=attempt > 0)
         worst = max([*plan.g_cond, *(c for row in plan.user_gain_cond for c in row)])
         if worst <= COND_LIMIT:
             break
@@ -477,10 +443,9 @@ def plan_to_json_dict(plan: SchemePlan) -> dict:
         "degenerate": plan.degenerate,
         "V1": [matrix_to_lists(m) for m in plan.V1],
         "Vj": [matrix_to_lists(m) for m in plan.Vj],
-        "F": [matrix_to_lists(m) for m in plan.F],
-        "G": [matrix_to_lists(m) for m in plan.G],
         "T": [matrix_to_lists(m) for m in plan.T],
-        "UZF": [[matrix_to_lists(m) for m in row] for row in plan.UZF],
+        "relay_filter": [matrix_to_lists(m) for m in plan.relay_filter],
+        "rx_filter": [[matrix_to_lists(m) for m in row] for row in plan.rx_filter],
         "g_cond": list(plan.g_cond),
         "user_gain_cond": [list(row) for row in plan.user_gain_cond],
     }
@@ -501,7 +466,6 @@ __all__ = [
     "extension_plan",
     "prepare_scheme",
     "design_uplink",
-    "design_relay_zf",
     "design_downlink",
     "design_scheme",
     "mac_phase",

@@ -19,7 +19,7 @@ from mrc_dof_lab.analysis import (
 )
 from mrc_dof_lab.bounds import cutset_dof
 from mrc_dof_lab.channel import NetworkConfig, generate_channels
-from mrc_dof_lab.ssa_nc import design_scheme
+from mrc_dof_lab.ssa_nc import design_scheme, other_users, run_round
 
 GRID = [1e2, 1e3, 1e4, 1e5, 1e6]
 
@@ -156,6 +156,28 @@ class TestMseSweep:
         mse = decode_mse_sweep(cfg, [1e2, 1e3, 1e4], 20)
         assert np.all(np.diff(mse) < 0)
 
+    @pytest.mark.parametrize("k,m,n", [(3, 3, 2), (3, 4, 3)])
+    def test_equals_redesign_per_power(self, k, m, n):
+        # reference: redesign every trial at every power level from a fresh
+        # trial generator; one design per trial must give the same bits
+        cfg = NetworkConfig(K=k, M=m, N=n, seed=26)
+        grid = [1e2, 1e4, 1e6]
+        expected = np.zeros(len(grid))
+        for i, P in enumerate(grid):
+            acc = 0.0
+            count = 0
+            for trial in range(4):
+                rng = cfg.trial_rng(trial)
+                eff, plan = design_scheme(cfg, generate_channels(cfg, rng), rng)
+                trace = run_round(plan, eff, P, rng, noise_on=True)
+                for u in range(k):
+                    for idx, v in enumerate(other_users(k, u)):
+                        diff = trace.decoded[u][idx] - trace.sent[v]
+                        acc += float(np.sum(np.abs(diff) ** 2))
+                        count += diff.size
+            expected[i] = acc / count
+        assert np.array_equal(decode_mse_sweep(cfg, grid, 4), expected)
+
 
 class TestReports:
     def test_csv_row_and_header(self):
@@ -171,6 +193,13 @@ class TestReports:
         assert rep.noiseless_max_error <= 1e-8
         doc = rep.to_json_dict()
         assert doc["streams"] == 6 and doc["slope"] == rep.slope_estimate
+
+    @pytest.mark.parametrize("k,m,n", [(3, 3, 2), (3, 4, 3)])
+    def test_simulate_slope_equals_estimate(self, k, m, n):
+        cfg = NetworkConfig(K=k, M=m, N=n, seed=27)
+        rep = simulate_report(cfg, GRID, 6)
+        assert (rep.slope_estimate, rep.slope_stderr) == estimate_dof_slope(cfg, GRID, 6)
+        assert rep.noiseless_max_error == verify_noiseless(cfg, 6).noiseless_max_error
 
     def test_report_rejects_stream_excess(self):
         with pytest.raises(ValueError):

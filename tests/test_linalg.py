@@ -5,10 +5,10 @@ import pytest
 
 from mrc_dof_lab.linalg import (
     cmatrix,
-    null_space_basis,
     numeric_rank,
     orthonormal_columns,
     pseudo_inverse,
+    pseudo_inverse_and_rank,
     random_gaussian_matrix,
     subspace_distance,
 )
@@ -92,37 +92,34 @@ class TestPseudoInverse:
         assert np.allclose(a @ p @ a, a, atol=1e-10)
 
 
-class TestNullSpace:
-    def test_full_rank_has_empty_null_space(self):
-        basis = null_space_basis(np.eye(4), 1e-10)
-        assert basis.shape == (4, 0)
+class TestPseudoInverseAndRank:
+    def test_stack_matches_one_at_a_time(self):
+        g = rng(31)
+        for r, c in [(3, 3), (5, 2), (2, 5)]:
+            stack = np.stack([random_gaussian_matrix(r, c, g) for _ in range(4)])
+            pinv, rank = pseudo_inverse_and_rank(stack)
+            assert pinv.shape == (4, c, r) and rank.shape == (4,)
+            for a, p, k in zip(stack, pinv, rank):
+                assert np.allclose(p, pseudo_inverse(a), atol=1e-12)
+                assert k == numeric_rank(a) == min(r, c)
 
-    def test_1x2_by_hand(self):
-        basis = null_space_basis(cmatrix([[1.0, 1.0]]), 1e-10)
-        assert basis.shape == (2, 1)
-        expected = np.array([1.0, -1.0]) / np.sqrt(2.0)
-        # equality up to a unit phase
-        assert abs(abs(expected @ basis[:, 0]) - 1.0) < 1e-12
+    def test_rank_decided_per_matrix(self):
+        # a rank-one member does not change its full-rank neighbours
+        full = random_gaussian_matrix(3, 3, rng(32))
+        col = random_gaussian_matrix(3, 1, rng(33))
+        low = col @ col.conj().T
+        pinv, rank = pseudo_inverse_and_rank(np.stack([full, low, np.zeros((3, 3))]))
+        assert rank.tolist() == [3, 1, 0]
+        assert np.allclose(pinv[0] @ full, np.eye(3), atol=1e-10)
+        assert np.allclose(low @ pinv[1] @ low, low, atol=1e-10)
+        assert np.array_equal(pinv[2], np.zeros((3, 3)))
 
-    def test_generic_nullity(self):
-        a = random_gaussian_matrix(3, 7, rng(5))
-        basis = null_space_basis(a)
-        assert basis.shape == (7, 4)
-        assert np.linalg.norm(a @ basis) <= 1e-9
-        assert np.allclose(basis.conj().T @ basis, np.eye(4), atol=1e-12)
-
-    def test_zero_row_matrix_gives_identity(self):
-        basis = null_space_basis(np.zeros((0, 3), dtype=complex))
-        assert np.allclose(basis, np.eye(3))
-
-    def test_rank_nullity_consistency(self):
-        # rank + nullity = cols over 1000 random matrices of mixed shapes
-        g = rng(777)
-        for _ in range(1000):
-            r = int(g.integers(1, 9))
-            c = int(g.integers(1, 9))
-            a = random_gaussian_matrix(r, c, g)
-            assert numeric_rank(a) + null_space_basis(a).shape[1] == c
+    def test_single_matrix(self):
+        a = random_gaussian_matrix(4, 4, rng(34))
+        pinv, rank = pseudo_inverse_and_rank(a)
+        assert int(rank) == 4
+        assert np.allclose(pinv, np.linalg.inv(a), atol=1e-10)
+        assert not pinv.flags.writeable
 
 
 class TestNumericRank:

@@ -6,12 +6,11 @@ import numpy as np
 import pytest
 
 from mrc_dof_lab.bounds import check_percut_bounds, cutset_dof, total_dof
-from mrc_dof_lab.channel import NetworkConfig, generate_channels
+from mrc_dof_lab.channel import ChannelSet, NetworkConfig, generate_channels
 from mrc_dof_lab.linalg import random_gaussian_vector, subspace_distance
 from mrc_dof_lab.ssa_nc import (
     bc_phase,
     build_allocation,
-    design_relay_zf,
     design_scheme,
     design_uplink,
     extension_plan,
@@ -65,7 +64,7 @@ class TestDesignUplink:
         rng = cfg.rng()
         cs = generate_channels(cfg, rng)
         eff, d = prepare_scheme(cfg, cs)
-        V1, Vj = design_uplink(eff, d, rng)
+        V1, Vj, _ = design_uplink(eff, d, rng)
         for p in range(2):
             dist = subspace_distance(eff.uplink[0] @ V1[p], eff.uplink[p + 1] @ Vj[p])
             assert dist <= 1e-10
@@ -74,7 +73,7 @@ class TestDesignUplink:
         cfg = NetworkConfig(K=3, M=3, N=2, seed=3)
         rng = cfg.rng()
         eff, d = prepare_scheme(cfg, generate_channels(cfg, rng))
-        V1, _ = design_uplink(eff, d, rng)
+        V1, _, _ = design_uplink(eff, d, rng)
         cat = np.hstack([eff.uplink[0] @ v for v in V1])
         assert cat.shape == (2, 2)
         assert np.linalg.matrix_rank(cat) == 2
@@ -83,57 +82,100 @@ class TestDesignUplink:
         cfg = NetworkConfig(K=3, M=4, N=2, seed=4)
         rng = cfg.rng()
         eff, d = prepare_scheme(cfg, generate_channels(cfg, rng))
-        V1, _ = design_uplink(eff, d, rng)
+        V1, _, _ = design_uplink(eff, d, rng)
         c = np.array([[1.7 - 0.3j]])
         assert subspace_distance(eff.uplink[0] @ V1[0], eff.uplink[0] @ (V1[0] @ c)) <= 1e-12
 
 
+def _null_space(a):
+    """Orthonormal basis of {x : a x = 0}, cut at 1e-10 of the top singular value."""
+    _, s, vh = np.linalg.svd(a, full_matrices=True)
+    rank = int(np.sum(s > 1e-10 * s[0]))
+    return vh[rank:].conj().T
+
+
+def _zero_forcing_oracle(images, p):
+    """Receive filter G^{-1} W^H for pair p, and cond(G), built the long way.
+
+    W is an orthonormal basis of the directions free of every other pair's
+    image, aimed at pair p's image; G = W^H image_p is the d x d mixing
+    matrix the pair is left with.
+    """
+    others = [img for i, img in enumerate(images) if i != p]
+    basis = _null_space(np.hstack(others).conj().T)
+    w = basis @ np.linalg.qr(basis.conj().T @ images[p])[0]
+    g = w.conj().T @ images[p]
+    return np.linalg.solve(g, w.conj().T), np.linalg.cond(g)
+
+
 class TestDesignRelayZf:
+    """Relay zero-forcing: the relay filters that design_uplink returns."""
+
     def test_zero_forcing_and_mixing(self):
+        # relay_filter[p] @ H_0 V1[i] = delta_pi I_d: zero-force, then unmix
         cfg = NetworkConfig(K=4, M=5, N=3, seed=5)
         rng = cfg.rng()
         eff, d = prepare_scheme(cfg, generate_channels(cfg, rng))
-        V1, _ = design_uplink(eff, d, rng)
-        F, G = design_relay_zf(eff, V1)
-        aligned = [eff.uplink[0] @ v for v in V1]
+        V1, _, relay_filter = design_uplink(eff, d, rng)
         for p in range(3):
+            assert relay_filter[p].shape == (d, 3)
             for i in range(3):
-                residual = np.linalg.norm(F[p].conj().T @ aligned[i])
-                if i == p:
-                    assert np.allclose(F[p].conj().T @ aligned[p], G[p])
-                else:
-                    assert residual <= 1e-9
-            assert np.linalg.matrix_rank(G[p]) == d
+                target = np.eye(d) if i == p else np.zeros((d, d))
+                got = relay_filter[p] @ eff.uplink[0] @ V1[i]
+                assert np.linalg.norm(got - target) <= 1e-9
 
     def test_k3_unit_vector_structure(self):
-        # with two pairs in a 2-dim relay space, F[0] is the unit vector
-        # orthogonal to the other pair's aligned direction
+        # with two pairs in a 2-dim relay space, relay_filter[0] is one row;
+        # scaled to unit norm it is orthogonal to the other pair's direction
         cfg = NetworkConfig(K=3, M=3, N=2, seed=6)
         rng = cfg.rng()
         eff, d = prepare_scheme(cfg, generate_channels(cfg, rng))
-        V1, _ = design_uplink(eff, d, rng)
-        F, _ = design_relay_zf(eff, V1)
+        V1, _, relay_filter = design_uplink(eff, d, rng)
+        row = relay_filter[0] / np.linalg.norm(relay_filter[0])
         other = eff.uplink[0] @ V1[1]
-        assert F[0].shape == (2, 1)
-        assert np.linalg.norm(F[0]) == pytest.approx(1.0, abs=1e-12)
-        assert abs(F[0].conj().T @ other) <= 1e-12
+        assert row.shape == (1, 2)
+        assert abs(row @ other) <= 1e-12 * np.linalg.norm(other)
 
     def test_independent_of_other_users_channels(self):
-        # F is built from user 1's uplink and beamformers only
+        # the relay filter is built from user 1's uplink and beamformers only
         cfg = NetworkConfig(K=3, M=3, N=2, seed=7)
-        rng = cfg.rng()
-        eff, d = prepare_scheme(cfg, generate_channels(cfg, rng))
-        V1, _ = design_uplink(eff, d, rng)
-        F, G = design_relay_zf(eff, V1)
+        eff, d = prepare_scheme(cfg, generate_channels(cfg, cfg.rng()))
         perturbed_up = list(eff.uplink)
         h2 = perturbed_up[1].copy()
         h2[0, 0] += 0.37
         perturbed_up[1] = h2
-        eff2 = type(eff)(uplink=tuple(perturbed_up), downlink=eff.downlink)
-        F2, G2 = design_relay_zf(eff2, V1)
+        eff2 = ChannelSet(uplink=tuple(perturbed_up), downlink=eff.downlink)
+        _, Vj, relay_filter = design_uplink(eff, d, np.random.default_rng(70))
+        _, Vj2, relay_filter2 = design_uplink(eff2, d, np.random.default_rng(70))
+        assert not np.allclose(Vj[0], Vj2[0])
         for p in range(2):
-            assert np.array_equal(F[p], F2[p])
-            assert np.array_equal(G[p], G2[p])
+            assert np.array_equal(relay_filter[p], relay_filter2[p])
+
+
+class TestFilterOracle:
+    @pytest.mark.parametrize(
+        "k,m,n",
+        [
+            (3, 5, 4),  # plain, d = 2, user null spaces wider than d
+            (3, 4, 6),  # relay antennas shut down to 4, d = 2
+            (4, 4, 4),  # 3-slot extension, 12 x 12 matrices, d = 4
+        ],
+    )
+    def test_filters_equal_null_space_construction(self, k, m, n):
+        cfg, eff, plan, _ = designed(k, m, n, seed=25)
+        aligned = [eff.uplink[0] @ v for v in plan.V1]
+        for p in range(plan.num_pairs):
+            want, cond = _zero_forcing_oracle(aligned, p)
+            got = plan.relay_filter[p]
+            assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
+            assert abs(plan.g_cond[p] - cond) <= 1e-10 * cond
+        for u in range(k):
+            images = [eff.downlink[u] @ t for t in plan.T]
+            for p in range(plan.num_pairs):
+                want, cond = _zero_forcing_oracle(images, p)
+                got = plan.rx_filter[u][p]
+                assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
+                assert abs(plan.user_gain_cond[u][p] - cond) <= 1e-10 * cond
 
 
 class TestMacPhase:
@@ -210,15 +252,15 @@ class TestRelayProcess:
 
 class TestDownlinkAndDecode:
     def test_user_zero_forcing_nullity(self):
+        # rx_filter[u][p] @ D_u T[i] = delta_pi I_d
         cfg, eff, plan, _ = designed(3, 3, 2, seed=13)
         for u in range(3):
             for p in range(2):
-                assert plan.UZF[u][p].shape == (3, 1)
+                assert plan.rx_filter[u][p].shape == (1, 3)
                 for i in range(2):
-                    img = eff.downlink[u] @ plan.T[i]
-                    r = np.linalg.norm(plan.UZF[u][p].conj().T @ img)
-                    if i != p:
-                        assert r <= 1e-9
+                    got = plan.rx_filter[u][p] @ eff.downlink[u] @ plan.T[i]
+                    target = np.eye(1) if i == p else np.zeros((1, 1))
+                    assert np.linalg.norm(got - target) <= 1e-9
 
     def test_rx_depends_only_on_own_pair(self):
         # a single nonzero forwarded vector reaches only its own filter output
@@ -337,6 +379,8 @@ class TestAllocationAndPlan:
         cfg, eff, plan, _ = designed(3, 3, 2, seed=24)
         doc = plan_to_json_dict(plan)
         assert doc["d"] == 1 and doc["extension_factor"] == 1
-        assert len(doc["V1"]) == 2 and len(doc["UZF"]) == 3
+        assert len(doc["V1"]) == 2 and len(doc["relay_filter"]) == 2
+        assert len(doc["rx_filter"]) == 3 and len(doc["rx_filter"][0]) == 2
+        assert not {"F", "G", "UZF"} & doc.keys()
         entry = doc["V1"][0][0][0]
         assert isinstance(entry, list) and len(entry) == 2
