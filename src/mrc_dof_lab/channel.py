@@ -3,8 +3,13 @@
 The uplink channel of user j is an N x M matrix (relay antennas by user
 antennas), the downlink an M x N matrix. Reciprocal operation means the
 downlink is the plain transpose of the uplink. Extension by a factor L
-replaces every matrix by an L-fold block diagonal copy, modelling L
+replaces every matrix H by the block-diagonal kron(I_L, H), modelling L
 consecutive uses of a constant channel as one block channel.
+
+A ``ChannelSet`` holds that structure as an invariant: every stored matrix
+of an extended set is exactly kron(I_L, base) of its top-left base block.
+Since rank(kron(I_L, H)) = L rank(H), the full-rank check runs on the 2K
+base blocks only, in one batched SVD, whatever the extension factor.
 """
 
 from __future__ import annotations
@@ -63,8 +68,13 @@ class ChannelSet:
     """Uplink/downlink matrices for all K users, plus the extension factor.
 
     uplink[j] maps user j's antennas to the relay, downlink[j] the relay's
-    antennas to user j. All matrices must be full rank; with L-fold
-    extension the stored shapes are (L*N, L*M) and (L*M, L*N).
+    antennas to user j. With L-fold extension the stored shapes are
+    (L*N, L*M) and (L*M, L*N), and every stored matrix must equal
+    kron(I_L, base) exactly, where base is its top-left N x M (uplink) or
+    M x N (downlink) block. Every base block must be full rank, which makes
+    every stored matrix full rank. Validation decides all 2K base ranks in
+    one batched SVD (downlink blocks transposed to stack with the uplink
+    ones) and checks the block-diagonal structure by exact comparison.
     """
 
     uplink: tuple[CMatrix, ...]
@@ -76,6 +86,7 @@ class ChannelSet:
             raise ValueError("need matching uplink/downlink matrices for K >= 2 users")
         if self.extension_factor < 1:
             raise ValueError("extension_factor must be positive")
+        L = self.extension_factor
         up_shape = self.uplink[0].shape
         down_shape = (up_shape[1], up_shape[0])
         for h in self.uplink:
@@ -84,11 +95,23 @@ class ChannelSet:
         for h in self.downlink:
             if h.shape != down_shape:
                 raise ValueError("downlink matrices must be transpose-shaped to the uplink")
-        for h in list(self.uplink) + list(self.downlink):
-            if not np.all(np.isfinite(h)):
-                raise ValueError("channel entries must be finite")
-            if numeric_rank(h, _RANK_TOL) != min(h.shape):
-                raise ValueError("channel matrix is rank deficient")
+        if up_shape[0] % L or up_shape[1] % L:
+            raise ValueError("extended matrix shapes must be multiples of the extension factor")
+        uplink = np.stack(self.uplink)
+        downlink = np.stack(self.downlink)
+        if not (np.all(np.isfinite(uplink)) and np.all(np.isfinite(downlink))):
+            raise ValueError("channel entries must be finite")
+        n, m = up_shape[0] // L, up_shape[1] // L
+        up_base = uplink[:, :n, :m]
+        down_base = downlink[:, :m, :n]
+        if L > 1 and not (
+            np.array_equal(uplink, _block_diagonal(up_base, L))
+            and np.array_equal(downlink, _block_diagonal(down_base, L))
+        ):
+            raise ValueError("extended channel matrices must be kron(I_L, base) copies")
+        base = np.concatenate([up_base, down_base.swapaxes(-1, -2)])
+        if np.any(numeric_rank(base, _RANK_TOL) != min(n, m)):
+            raise ValueError("channel matrix is rank deficient")
 
     @property
     def num_users(self) -> int:
@@ -119,6 +142,15 @@ def generate_channels(config: NetworkConfig, rng: np.random.Generator) -> Channe
     return ChannelSet(uplink=uplink, downlink=downlink, extension_factor=1)
 
 
+def _block_diagonal(blocks: np.ndarray, L: int) -> np.ndarray:
+    """kron(I_L, B) for every B of a (K, r, c) stack, in one fill."""
+    K, r, c = blocks.shape
+    out = np.zeros((K, L, r, L, c), dtype=blocks.dtype)
+    diag = np.arange(L)
+    out[:, diag, :, diag, :] = blocks
+    return out.reshape(K, L * r, L * c)
+
+
 def extend_channels(channels: ChannelSet, L: int) -> ChannelSet:
     """Replace every matrix by diag(H, ..., H) with L copies (constant channel).
 
@@ -130,9 +162,8 @@ def extend_channels(channels: ChannelSet, L: int) -> ChannelSet:
         return channels
     if channels.extension_factor != 1:
         raise ValueError("channel set is already extended")
-    eye = np.eye(L)
-    uplink = tuple(np.kron(eye, h) for h in channels.uplink)
-    downlink = tuple(np.kron(eye, h) for h in channels.downlink)
+    uplink = tuple(_block_diagonal(np.stack(channels.uplink), L))
+    downlink = tuple(_block_diagonal(np.stack(channels.downlink), L))
     return ChannelSet(uplink=uplink, downlink=downlink, extension_factor=L)
 
 

@@ -41,6 +41,11 @@ DEFAULT_TRIALS = 100
 DEFAULT_SEED = 42
 DEFAULT_P_GRID = (1e2, 1e3, 1e4, 1e5, 1e6)
 
+# Failures a sweep records in a row's error cell: design, numeric and
+# argument errors (ValueError covers RegimeError and the config checks).
+# Any other exception is a bug and propagates.
+SWEEP_ROW_ERRORS = (SchemeDesignError, np.linalg.LinAlgError, FloatingPointError, ValueError)
+
 CASE4_NOTES = (
     "# case4-note: private-only bracket evaluated as 2N+(4-K)M, the printed form is dimensionally inconsistent",
     "# case4-note: case-4 interval taken as K/2 <= N/M <= (K^2-3K+3)/(K-1), the printed direction is empty for K >= 4",
@@ -276,7 +281,7 @@ def cmd_sweep(args) -> int:
             doc = report.to_json_dict()
             doc["error"] = None
             rows_json.append(doc)
-        except Exception as exc:  # record the failure, keep sweeping
+        except SWEEP_ROW_ERRORS as exc:  # record the failure, keep sweeping
             logger.info("sweep row (%d,%d,%d) failed: %s", k, m, n, exc)
             message = f"{type(exc).__name__}: {exc}".replace(",", ";").replace("\n", " ")
             lines.append(",".join([str(k), str(m), str(n)] + [""] * 10) + "," + message)

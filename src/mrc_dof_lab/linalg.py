@@ -1,7 +1,8 @@
 """Complex-matrix kernels shared by the whole simulator.
 
-Everything operates on 2-D ``complex128`` numpy arrays; the pseudoinverse
-also takes a stack of them. Rank decisions are made on singular values
+Everything operates on 2-D ``complex128`` numpy arrays; the pseudoinverse,
+the numeric rank and the orthonormal basis also take a stack of them and
+decompose it in one LAPACK call. Rank decisions are made on singular values
 relative to the largest one (scale invariant), and all functions return
 freshly allocated arrays marked read-only so values can be shared between
 concurrent trials without copies.
@@ -84,21 +85,27 @@ def pseudo_inverse(A: CMatrix, tol: float = DEFAULT_TOL) -> CMatrix:
     return pseudo_inverse_and_rank(A, tol)[0]
 
 
-def numeric_rank(A: CMatrix, tol: float = DEFAULT_TOL) -> int:
-    """Number of singular values above ``tol * sigma_max``."""
+def numeric_rank(A: CMatrix, tol: float = DEFAULT_TOL) -> int | np.ndarray:
+    """Number of singular values above ``tol * sigma_max``.
+
+    Takes one matrix or a stack of shape (..., m, n), decomposed in one
+    call with the rank rule of ``pseudo_inverse_and_rank``. Returns an int
+    for one matrix and an int array over the stack otherwise.
+    """
     if tol <= 0:
         raise ValueError("tol must be positive")
     A = np.asarray(A)
-    if A.shape[0] == 0 or A.shape[1] == 0:
-        return 0
-    s = np.linalg.svd(A, compute_uv=False)
-    if s.size == 0 or s[0] == 0.0:
-        return 0
-    return int(np.sum(s > tol * s[0]))
+    if A.shape[-2] == 0 or A.shape[-1] == 0:
+        rank = np.zeros(A.shape[:-2], dtype=int)
+    else:
+        s = np.linalg.svd(A, compute_uv=False)
+        rank = np.sum(s > tol * s[..., :1], axis=-1)
+    return int(rank) if A.ndim == 2 else rank
 
 
 def orthonormal_columns(A: CMatrix) -> CMatrix:
-    """Orthonormal basis of the column span (reduced QR).
+    """Orthonormal basis of the column span (reduced QR), of one matrix or
+    of each matrix of a stack, in one call.
 
     The input must have full column rank for the span to be preserved.
     """

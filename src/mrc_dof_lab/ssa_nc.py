@@ -8,17 +8,21 @@ K-1 pair subspaces fill the relay space, so A = H_1 [V1[0] ... V1[K-2]] is
 square and invertible, and the relay's receive filter for pair p is the
 p-th d-row block of inv(A): it nulls every other pair and returns the clean
 network-coded sum of the pair's symbol vectors. In the downlink (BC) slot
-the relay broadcasts every sum through its own random precoder T[p]. User u
-separates the sums with the d-row blocks of pinv(D_u [T[0] ... T[K-2]]) and
-peels the messages apart using its own transmitted symbols as side
-information. A trial's design therefore costs one inverse and K
-pseudoinverses, plus the small pseudoinverses of the partners' uplinks.
+the relay broadcasts every sum through its own random precoder T[p], and
+Tcat = [T[0] ... T[K-2]] is square and invertible. User u separates the
+sums with the d-row blocks of pinv(D_u Tcat) and peels the messages apart
+using its own transmitted symbols as side information. Because D_u has
+full column rank after preparation, pinv(D_u Tcat) = inv(Tcat) pinv(D_u):
+one inverse serves every user.
 
 When the relay has more antennas than a user (N > M) the surplus relay
 antennas are shut down; when the relay dimension is not divisible by K-1,
 the channel is extended to a (K-1)-slot block so the streams split evenly.
 Extended channels are kron(I_L, H), and pinv(kron(I_L, H)) =
-kron(I_L, pinv(H)), so only the base block H is ever pseudo-inverted.
+kron(I_L, pinv(H)), so only base blocks are ever pseudo-inverted. A
+trial's design therefore costs the inverses of A and Tcat plus two
+batched pseudoinverses of base blocks (the partners' uplinks and the K
+downlinks), whatever L is.
 
 Plans are power agnostic: they store amplitudes per sqrt(P), so a single
 plan serves an entire power sweep.
@@ -171,6 +175,18 @@ def _kron_apply(base: CMatrix, x: CMatrix, L: int) -> CMatrix:
     return (base @ x.reshape(L, cols, -1)).reshape(L * rows, -1)
 
 
+def _orthonormal_draws(
+    rows: int, cols: int, count: int, rng: np.random.Generator
+) -> tuple[CMatrix, ...]:
+    """``count`` random rows x cols matrices with orthonormal columns.
+
+    The Gaussian draws are taken one matrix at a time, in order, and
+    orthonormalised together in one stacked QR.
+    """
+    draws = np.stack([random_gaussian_matrix(rows, cols, rng) for _ in range(count)])
+    return tuple(orthonormal_columns(draws))
+
+
 def design_uplink(
     channels: ChannelSet, d: int, rng: np.random.Generator
 ) -> tuple[tuple[CMatrix, ...], tuple[CMatrix, ...], tuple[CMatrix, ...]]:
@@ -196,7 +212,7 @@ def design_uplink(
         raise ValueError("uplink design needs relay dimension <= user dimension")
     h0 = channels.uplink[0]
     for attempt in range(2):
-        V1 = tuple(orthonormal_columns(random_gaussian_matrix(m_eff, d, rng)) for _ in range(K - 1))
+        V1 = _orthonormal_draws(m_eff, d, K - 1, rng)
         aligned = h0 @ np.hstack(V1)
         relay_inv, rank = pseudo_inverse_and_rank(aligned)
         if rank == n_eff:
@@ -218,25 +234,36 @@ def design_downlink(
     """Random orthonormal broadcast precoders T[p] plus every user's
     receive filters.
 
-    User u sees the stacked downlink images B_u = D_u [T[0] ... T[K-2]];
-    its filter for pair p is the p-th d-row block of pinv(B_u). One batched
-    SVD gives all K pseudoinverses and checks that every B_u has full
-    column rank, which needs user dimension at least the relay dimension
-    (preparation guarantees it).
+    User u sees the stacked downlink images D_u Tcat, with
+    Tcat = [T[0] ... T[K-2]] square; its filter for pair p is the p-th
+    d-row block of pinv(D_u Tcat). D_u has full column rank once the user
+    dimension is at least the relay dimension (preparation guarantees it),
+    so pinv(D_u Tcat) = inv(Tcat) pinv(D_u), and under extension
+    pinv(D_u) = kron(I_L, pinv(d_u)) of the base block d_u. One SVD of
+    Tcat decides its rank and gives inv(Tcat), one batched SVD gives the K
+    base-block pseudoinverses, and one broadcast product forms all K user
+    inverses.
     """
     K = channels.num_users
     n_eff = channels.relay_dim
+    m_eff = channels.user_dim
+    L = channels.extension_factor
     d = n_eff // (K - 1)
-    T = tuple(orthonormal_columns(random_gaussian_matrix(n_eff, d, rng)) for _ in range(K - 1))
-    t_cat = np.hstack(T)
-    images = np.stack([down @ t_cat for down in channels.downlink])
-    user_inv, ranks = pseudo_inverse_and_rank(images)
-    short = np.flatnonzero(ranks < n_eff)
-    if short.size:
+    if (K - 1) * d != n_eff:
+        raise ValueError("relay dimension must split evenly over the K-1 pairs")
+    if m_eff < n_eff:
         raise SchemeDesignError(
-            f"user {short[0] + 1}: singular downlink gain "
-            "(zero-forcing needs user dimension >= relay dimension)"
+            f"singular downlink gain: zero-forcing needs user dimension {m_eff} "
+            f">= relay dimension {n_eff}"
         )
+    T = _orthonormal_draws(n_eff, d, K - 1, rng)
+    t_inv, rank = pseudo_inverse_and_rank(np.hstack(T))
+    if rank < n_eff:
+        raise SchemeDesignError("broadcast precoders are rank deficient")
+    n, m = n_eff // L, m_eff // L
+    down_pinv = pseudo_inverse(np.stack([h[:m, :n] for h in channels.downlink]))
+    # inv(Tcat) @ kron(I_L, down_pinv[u]) for every u, without forming the kron
+    user_inv = (t_inv.reshape(n_eff * L, n) @ down_pinv).reshape(K, n_eff, m_eff)
     return T, tuple(_row_blocks(inv, d) for inv in user_inv)
 
 

@@ -116,6 +116,15 @@ class TestShutdown:
 
 
 class TestSerialization:
+    def test_extended_round_trip(self):
+        cs = extend_channels(make(NetworkConfig(K=3, M=4, N=3, seed=14, reciprocal=False)), 2)
+        doc = channels_to_json_dict(cs)
+        assert doc["M"] == 4 and doc["N"] == 3 and doc["L"] == 2
+        back = channels_from_json_dict(doc)
+        assert back.extension_factor == 2
+        for ha, hb in zip(cs.uplink + cs.downlink, back.uplink + back.downlink):
+            assert np.array_equal(ha, hb)
+
     def test_round_trip(self):
         cs = make(NetworkConfig(K=3, M=2, N=3, seed=12, reciprocal=False))
         doc = channels_to_json_dict(cs)
@@ -142,3 +151,38 @@ class TestChannelSetValidation:
         b = np.eye(3, dtype=complex)
         with pytest.raises(ValueError):
             ChannelSet(uplink=(a, b), downlink=(a.T, b.T))
+
+    def test_rejects_extended_set_that_is_not_block_copies(self):
+        ext = extend_channels(make(NetworkConfig(K=3, M=3, N=2, seed=15)), 2)
+        off_block = ext.uplink[1].copy()
+        off_block[0, 3] = 1e-3  # outside the diagonal blocks
+        other_copy = ext.downlink[2].copy()
+        other_copy[3:, 2:] *= 1.0 + 1e-12  # second diagonal block differs from the first
+        with pytest.raises(ValueError, match="kron"):
+            ChannelSet(
+                uplink=(ext.uplink[0], off_block, ext.uplink[2]),
+                downlink=ext.downlink,
+                extension_factor=2,
+            )
+        with pytest.raises(ValueError, match="kron"):
+            ChannelSet(
+                uplink=ext.uplink,
+                downlink=(ext.downlink[0], ext.downlink[1], other_copy),
+                extension_factor=2,
+            )
+
+    def test_rejects_extension_of_rank_deficient_base(self):
+        good = make(NetworkConfig(K=2, M=2, N=2, seed=16))
+        low = np.ones((2, 2), dtype=complex)
+        eye = np.eye(2)
+        with pytest.raises(ValueError, match="rank deficient"):
+            ChannelSet(
+                uplink=(np.kron(eye, good.uplink[0]), np.kron(eye, low)),
+                downlink=tuple(np.kron(eye, h) for h in good.downlink),
+                extension_factor=2,
+            )
+
+    def test_rejects_shape_not_divisible_by_extension(self):
+        h = np.eye(3, dtype=complex)
+        with pytest.raises(ValueError, match="multiples"):
+            ChannelSet(uplink=(h, h), downlink=(h, h), extension_factor=2)

@@ -167,6 +167,37 @@ class TestSweepCommand:
         assert rows == sorted(rows)
 
 
+    def test_design_error_becomes_error_cell(self, tmp_path, capsys, monkeypatch):
+        from mrc_dof_lab.ssa_nc import SchemeDesignError
+
+        def fail(*args, **kwargs):
+            raise SchemeDesignError("trial 0 (seed 1): aligned subspaces, rank deficient")
+
+        monkeypatch.setattr("mrc_dof_lab.analysis.verify_noiseless", fail)
+        path = tmp_path / "fail.csv"
+        code, _, _ = run(
+            capsys, "sweep", "--k", "3", "--m", "2", "--n", "2",
+            "--trials", "1", "--seed", "1", "--out", str(path),
+        )
+        assert code == EXIT_OK
+        cells = path.read_text().strip().splitlines()[2].split(",")
+        assert cells[:3] == ["3", "2", "2"]
+        assert cells[13] == (
+            "SchemeDesignError: trial 0 (seed 1): aligned subspaces; rank deficient"
+        )
+
+    def test_unexpected_error_propagates(self, tmp_path, monkeypatch):
+        def bug(*args, **kwargs):
+            raise TypeError("bug in the chain")
+
+        monkeypatch.setattr("mrc_dof_lab.analysis.verify_noiseless", bug)
+        with pytest.raises(TypeError, match="bug in the chain"):
+            main([
+                "sweep", "--k", "3", "--m", "2", "--n", "2",
+                "--trials", "1", "--out", str(tmp_path / "bug.csv"),
+            ])
+
+
 class TestTable1Command:
     def test_k3_m2_gain_column(self, capsys):
         code, out, _ = run(capsys, "table1", "--k", "3", "--m", "2", "--nmax", "4")

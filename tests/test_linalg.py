@@ -132,6 +132,15 @@ class TestNumericRank:
     def test_generic_wide(self):
         assert numeric_rank(random_gaussian_matrix(4, 7, rng(9)), 1e-10) == 4
 
+    def test_stack_matches_one_at_a_time(self):
+        g = rng(10)
+        full = random_gaussian_matrix(4, 3, g)
+        low = random_gaussian_matrix(4, 1, g) @ random_gaussian_matrix(1, 3, g)
+        stack = np.stack([full, low, np.zeros((4, 3), dtype=complex), full[:, :2] @ full[:2]])
+        ranks = numeric_rank(stack, 1e-10)
+        assert ranks.shape == (4,)
+        assert ranks.tolist() == [numeric_rank(a, 1e-10) for a in stack] == [3, 1, 0, 2]
+
 
 class TestSubspaceDistance:
     def test_span_invariance(self):
@@ -167,3 +176,11 @@ class TestOrthonormalColumns:
         q = orthonormal_columns(a)
         assert np.allclose(q.conj().T @ q, np.eye(3), atol=1e-12)
         assert subspace_distance(a, q) <= 1e-12
+
+    def test_stack_matches_one_at_a_time(self):
+        g = rng(22)
+        stack = np.stack([random_gaussian_matrix(6, 2, g) for _ in range(4)])
+        q = orthonormal_columns(stack)
+        assert q.shape == (4, 6, 2)
+        for qi, a in zip(q, stack):
+            assert np.allclose(qi, orthonormal_columns(a), rtol=0, atol=1e-14)

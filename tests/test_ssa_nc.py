@@ -1,16 +1,24 @@
 """Tests for the alignment scheme design and the two-phase transmission chain."""
 
+import itertools
+import logging
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from mrc_dof_lab import ssa_nc
+from mrc_dof_lab.analysis import verify_noiseless
 from mrc_dof_lab.bounds import check_percut_bounds, cutset_dof, total_dof
 from mrc_dof_lab.channel import ChannelSet, NetworkConfig, generate_channels
 from mrc_dof_lab.linalg import random_gaussian_vector, subspace_distance
 from mrc_dof_lab.ssa_nc import (
+    SchemeDesignError,
     bc_phase,
     build_allocation,
+    design_downlink,
     design_scheme,
     design_uplink,
     extension_plan,
@@ -176,6 +184,110 @@ class TestFilterOracle:
                 got = plan.rx_filter[u][p]
                 assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
                 assert abs(plan.user_gain_cond[u][p] - cond) <= 1e-10 * cond
+
+
+class TestUserFilterOracle:
+    """The factored user inverse inv(Tcat) kron(I_L, pinv(d_u)) against a
+    direct pseudoinverse of the full downlink image D_u Tcat."""
+
+    @pytest.mark.parametrize(
+        "k,m,n",
+        [
+            (3, 5, 4),  # plain, user dimension above the relay dimension
+            (3, 4, 6),  # relay antennas shut down to 4
+            (4, 4, 4),  # 3-slot extension, 12 x 12 matrices
+        ],
+    )
+    def test_rx_filters_are_row_blocks_of_direct_pinv(self, k, m, n):
+        cfg, eff, plan, _ = designed(k, m, n, seed=26)
+        t_cat = np.hstack(plan.T)
+        for u in range(k):
+            want = np.linalg.pinv(eff.downlink[u] @ t_cat)
+            got = np.vstack(plan.rx_filter[u])
+            assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
+
+
+def _stub_design_draws(monkeypatch, degenerate):
+    """Make the design's Gaussian draw number i (counted from 0 over the
+    test) a matrix of ones whenever degenerate(i) holds. The real draw is
+    still taken, so the generator advances as it would."""
+    real = ssa_nc.random_gaussian_matrix
+    calls = itertools.count()
+
+    def draw(rows, cols, rng):
+        a = real(rows, cols, rng)
+        return np.ones((rows, cols), dtype=complex) if degenerate(next(calls)) else a
+
+    monkeypatch.setattr(ssa_nc, "random_gaussian_matrix", draw)
+
+
+def _warnings(caplog, word):
+    return [r for r in caplog.records if r.levelno == logging.WARNING and word in r.getMessage()]
+
+
+class TestDesignFailurePaths:
+    """Fault injection: K=3, M=3, N=2 has d=1, so one design draws two V1
+    columns (draws 0 and 1) and two T columns (draws 2 and 3). Two equal
+    columns make the aligned or the precoder matrix rank deficient."""
+
+    CFG = dict(K=3, M=3, N=2, seed=7)
+
+    def test_rank_deficient_v1_resampled_once(self, monkeypatch, caplog):
+        _stub_design_draws(monkeypatch, lambda i: i < 2)
+        report = verify_noiseless(NetworkConfig(**self.CFG), trials=1)
+        assert len(_warnings(caplog, "resampling")) == 1
+        assert report.noiseless_max_error <= 1e-8
+        assert report.achieved_streams == report.cutset
+        assert report.degenerate_draws == 0
+
+    def test_two_rank_deficient_draws_raise_with_trial_and_seed(self, monkeypatch, caplog):
+        # trial 0 takes draws 0-3; both of trial 1's V1 attempts are degenerate
+        _stub_design_draws(monkeypatch, lambda i: i >= 4)
+        with pytest.raises(SchemeDesignError, match=r"trial 1 \(seed 7\): aligned pair"):
+            verify_noiseless(NetworkConfig(**self.CFG), trials=2)
+        assert len(_warnings(caplog, "resampling")) == 2
+
+    def test_rank_deficient_precoders_raise(self, monkeypatch):
+        cfg = NetworkConfig(**self.CFG)
+        eff, _ = prepare_scheme(cfg, generate_channels(cfg, cfg.rng()))
+        _stub_design_draws(monkeypatch, lambda i: True)
+        with pytest.raises(SchemeDesignError, match="precoders are rank deficient"):
+            design_downlink(eff, cfg.rng())
+
+    def test_downlink_on_unprepared_shutdown_set_raises(self):
+        cfg = NetworkConfig(K=3, M=2, N=4, seed=7)
+        cs = generate_channels(cfg, cfg.rng())
+        with pytest.raises(SchemeDesignError, match="user dimension 2 >= relay dimension 4"):
+            design_downlink(cs, cfg.rng())
+
+    def test_downlink_on_unextended_uneven_set_rejected(self):
+        # relay dimension 3 does not split over K-1 = 2 pairs without extension
+        cfg = NetworkConfig(K=3, M=3, N=3, seed=7)
+        cs = generate_channels(cfg, cfg.rng())
+        with pytest.raises(ValueError, match="split evenly"):
+            design_downlink(cs, cfg.rng())
+
+    def test_conditioning_guardrail_flags_and_counts_degenerate(self, monkeypatch, caplog):
+        # every condition number is at least 1, so each plan is redrawn once
+        # and the redrawn plan exceeds the limit too: two warnings per trial
+        monkeypatch.setattr(ssa_nc, "COND_LIMIT", 0.5)
+        report = verify_noiseless(NetworkConfig(**self.CFG), trials=3)
+        assert report.degenerate_draws == 3
+        assert len(_warnings(caplog, "guardrail")) == 6
+        assert report.noiseless_max_error <= 1e-8
+
+
+@settings(derandomize=True, deadline=None, max_examples=25, database=None)
+@given(
+    k=st.integers(3, 5),
+    m=st.integers(1, 5),
+    n=st.integers(1, 5),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_noiseless_decode_exact_at_cutset(k, m, n, seed):
+    report = verify_noiseless(NetworkConfig(K=k, M=m, N=n, seed=seed), trials=1)
+    assert report.noiseless_max_error <= 1e-8
+    assert report.achieved_streams == report.cutset == cutset_dof(k, m, n)
 
 
 class TestMacPhase:
