@@ -125,18 +125,26 @@ def _trial_plans(config: NetworkConfig, trials: int, channels: ChannelSet | None
         yield rng, eff, plan
 
 
+def _sender_table(K: int) -> np.ndarray:
+    """(K, K-1) table whose row u lists the senders user u decodes, in the
+    order of TransmissionTrace.decoded."""
+    return np.array([ssa_nc.other_users(K, u) for u in range(K)])
+
+
+def _message_sq_errors(trace: ssa_nc.TransmissionTrace, senders: np.ndarray) -> np.ndarray:
+    """Squared decode error of every (user, sender) message of one round,
+    shape (K, K-1)."""
+    return np.sum(np.abs(trace.decoded - trace.sent[senders]) ** 2, axis=-1)
+
+
 def _noiseless_round_error(config: NetworkConfig, rng, eff: ChannelSet, plan: SchemePlan) -> float:
     """Worst relative decode error over every user and message of one
     noiseless round."""
-    K = config.K
     trace = ssa_nc.run_round(plan, eff, config.P, rng, noise_on=False)
-    worst = 0.0
-    for u in range(K):
-        for idx, v in enumerate(ssa_nc.other_users(K, u)):
-            err = np.linalg.norm(trace.decoded[u][idx] - trace.sent[v])
-            scale = max(np.linalg.norm(trace.sent[v]), 1e-300)
-            worst = max(worst, float(err / scale))
-    return worst
+    senders = _sender_table(config.K)
+    sent_norm = np.linalg.norm(trace.sent, axis=-1)[senders]
+    err = np.sqrt(_message_sq_errors(trace, senders))
+    return float(np.max(err / np.maximum(sent_norm, 1e-300)))
 
 
 def _noiseless_report(
@@ -214,8 +222,8 @@ def stream_sinrs(plan: SchemePlan, P: float) -> StreamSinrs:
         raise ValueError("P must be positive")
     a2 = plan.power_scale**2 * P
     b2 = plan.bc_scale**2 * P
-    mac = 2.0 * a2 / _row_power(np.stack(plan.relay_filter))
-    bc = 2.0 * b2 / _row_power(np.array(plan.rx_filter))
+    mac = 2.0 * a2 / _row_power(plan.relay_filter)
+    bc = 2.0 * b2 / _row_power(plan.rx_filter)
     end_to_end = np.minimum(bc, mac[np.newaxis, :, :])
     assert np.all(end_to_end <= mac[np.newaxis, :, :] + 1e-12)
     assert np.all(end_to_end <= bc + 1e-12)
@@ -290,21 +298,17 @@ def decode_mse_sweep(config: NetworkConfig, P_grid, trials: int) -> np.ndarray:
     grid = np.asarray(list(P_grid), dtype=float)
     if np.any(grid <= 0):
         raise ValueError("powers must be positive")
-    K = config.K
-    acc = [0.0] * len(grid)
-    count = [0] * len(grid)
+    if trials < 1:
+        raise ValueError("trials must be positive")
+    senders = _sender_table(config.K)
+    sq_err = np.zeros(len(grid))
     for rng, eff, plan in _trial_plans(config, trials):
         designed_state = rng.bit_generator.state
         for i, P in enumerate(grid):
             rng.bit_generator.state = designed_state
             trace = ssa_nc.run_round(plan, eff, float(P), rng, noise_on=True)
-            for u in range(K):
-                senders = ssa_nc.other_users(K, u)
-                for idx, v in enumerate(senders):
-                    diff = trace.decoded[u][idx] - trace.sent[v]
-                    acc[i] += float(np.sum(np.abs(diff) ** 2))
-                    count[i] += diff.size
-    return np.array([a / c for a, c in zip(acc, count)])
+            sq_err[i] += np.sum(_message_sq_errors(trace, senders))
+    return sq_err / (trials * config.K * (config.K - 1) * plan.d)
 
 
 def simulate_report(config: NetworkConfig, P_grid, trials: int) -> DofReport:

@@ -126,11 +126,15 @@ def _json_text(payload) -> str:
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
-def _network_config(args, cfg) -> NetworkConfig:
+def _kmn(args, cfg) -> tuple[int, int, int]:
+    return tuple(_as_int(_resolve(args, key, cfg, required=True), f"--{key}") for key in "kmn")
+
+
+def _network_config(args, cfg, K: int, M: int, N: int) -> NetworkConfig:
     return NetworkConfig(
-        K=_as_int(_resolve(args, "k", cfg, required=True), "--k"),
-        M=_as_int(_resolve(args, "m", cfg, required=True), "--m"),
-        N=_as_int(_resolve(args, "n", cfg, required=True), "--n"),
+        K=K,
+        M=M,
+        N=N,
         reciprocal=bool(_resolve(args, "reciprocal", cfg, default=True)),
         duplex_factor=0.5 if _resolve(args, "half_duplex", cfg, default=False) else 1.0,
         seed=_as_int(_resolve(args, "seed", cfg, default=DEFAULT_SEED), "--seed"),
@@ -144,9 +148,7 @@ def _bound_row_cells(row: bounds.BoundRow) -> str:
 
 def cmd_bounds(args) -> int:
     cfg = _load_config_file(args.config)
-    k = _as_int(_resolve(args, "k", cfg, required=True), "--k")
-    m = _as_int(_resolve(args, "m", cfg, required=True), "--m")
-    n = _as_int(_resolve(args, "n", cfg, required=True), "--n")
+    k, m, n = _kmn(args, cfg)
     fmt = _resolve(args, "format", cfg, default="csv")
     row = bounds.bound_row(k, m, n)
     if fmt == "json":
@@ -208,7 +210,7 @@ def _loaded_channels(args, config: NetworkConfig):
 
 def cmd_verify(args) -> int:
     cfg = _load_config_file(args.config)
-    config = _network_config(args, cfg)
+    config = _network_config(args, cfg, *_kmn(args, cfg))
     trials = _as_int(_resolve(args, "trials", cfg, default=DEFAULT_TRIALS), "--trials")
     fmt = _resolve(args, "format", cfg, default="csv")
     channels = _loaded_channels(args, config)
@@ -230,7 +232,7 @@ def cmd_verify(args) -> int:
 
 def cmd_simulate(args) -> int:
     cfg = _load_config_file(args.config)
-    config = _network_config(args, cfg)
+    config = _network_config(args, cfg, *_kmn(args, cfg))
     trials = _as_int(_resolve(args, "trials", cfg, default=DEFAULT_TRIALS), "--trials")
     p_grid = _as_float_list(
         _resolve(args, "p_grid", cfg, default=list(DEFAULT_P_GRID)), "--p-grid"
@@ -253,9 +255,6 @@ def cmd_sweep(args) -> int:
     if not (k_list and m_list and n_list):
         raise CliError("sweep lists must be nonempty")
     trials = _as_int(_resolve(args, "trials", cfg, default=DEFAULT_TRIALS), "--trials")
-    seed = _as_int(_resolve(args, "seed", cfg, default=DEFAULT_SEED), "--seed")
-    reciprocal = bool(_resolve(args, "reciprocal", cfg, default=True))
-    half_duplex = bool(_resolve(args, "half_duplex", cfg, default=False))
     raw_grid = _resolve(args, "p_grid", cfg)
     p_grid = _as_float_list(raw_grid, "--p-grid") if raw_grid is not None else None
     fmt = _resolve(args, "format", cfg, default="csv")
@@ -264,14 +263,7 @@ def cmd_sweep(args) -> int:
     lines = [VERSION_COMMENT, REPORT_COLUMNS + ",error"]
     rows_json = []
     for k, m, n in itertools.product(sorted(k_list), sorted(m_list), sorted(n_list)):
-        config = NetworkConfig(
-            K=k,
-            M=m,
-            N=n,
-            reciprocal=reciprocal,
-            duplex_factor=0.5 if half_duplex else 1.0,
-            seed=seed,
-        )
+        config = _network_config(args, cfg, k, m, n)
         try:
             if p_grid is not None:
                 report = analysis.simulate_report(config, p_grid, trials)
@@ -346,7 +338,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--format", choices=["csv", "json"], default=None)
 
 
-def _add_sim_options(parser: argparse.ArgumentParser) -> None:
+def _add_run_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--trials", default=None)
     parser.add_argument("--seed", default=None)
     parser.add_argument("--half-duplex", dest="half_duplex", action="store_true", default=None)
@@ -356,6 +348,9 @@ def _add_sim_options(parser: argparse.ArgumentParser) -> None:
         action=argparse.BooleanOptionalAction,
         default=None,
     )
+
+
+def _add_dump_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--dump-channels", dest="dump_channels", metavar="PATH")
     parser.add_argument("--load-channels", dest="load_channels", metavar="PATH")
     parser.add_argument("--dump-plan", dest="dump_plan", metavar="PATH")
@@ -381,7 +376,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--k", default=None)
     p_verify.add_argument("--m", default=None)
     p_verify.add_argument("--n", default=None)
-    _add_sim_options(p_verify)
+    _add_run_options(p_verify)
+    _add_dump_options(p_verify)
     _add_common(p_verify)
     p_verify.set_defaults(func=cmd_verify)
 
@@ -390,7 +386,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--m", default=None)
     p_sim.add_argument("--n", default=None)
     p_sim.add_argument("--p-grid", dest="p_grid", default=None)
-    _add_sim_options(p_sim)
+    _add_run_options(p_sim)
+    _add_dump_options(p_sim)
     _add_common(p_sim)
     p_sim.set_defaults(func=cmd_simulate)
 
@@ -399,12 +396,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--m", default=None, help="comma-separated list")
     p_sweep.add_argument("--n", default=None, help="comma-separated list")
     p_sweep.add_argument("--p-grid", dest="p_grid", default=None)
-    p_sweep.add_argument("--trials", default=None)
-    p_sweep.add_argument("--seed", default=None)
-    p_sweep.add_argument("--half-duplex", dest="half_duplex", action="store_true", default=None)
-    p_sweep.add_argument(
-        "--reciprocal", dest="reciprocal", action=argparse.BooleanOptionalAction, default=None
-    )
+    _add_run_options(p_sweep)
     _add_common(p_sweep)
     p_sweep.set_defaults(func=cmd_sweep)
 
@@ -426,10 +418,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (CliError, bounds.RegimeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_ARGS
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:  # CliError and RegimeError included
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_ARGS
     except (SchemeDesignError, np.linalg.LinAlgError, FloatingPointError) as exc:

@@ -46,7 +46,6 @@ from .channel import (
     matrix_to_lists,
 )
 from .linalg import (
-    CMatrix,
     orthonormal_columns,
     pseudo_inverse,
     pseudo_inverse_and_rank,
@@ -65,20 +64,25 @@ class SchemeDesignError(RuntimeError):
     """A channel draw admitted no usable beamformer design."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SchemePlan:
-    """Every designed matrix of one scheme instance.
+    """Every designed matrix of one scheme instance, as read-only stacks.
 
     Pair p (0-based) joins user 0 with user p+1. Per pair: V1[p] and
-    Vj[p] are the two transmit beamformers (user_dim x d), T[p] the
-    broadcast precoder (relay_dim x d), and relay_filter[p] the relay's
-    receive filter (d x relay_dim), the p-th d-row block of
-    inv(H_0 [V1[0] ... V1[K-2]]). Per user u and pair p, rx_filter[u][p]
-    (d x user_dim) is the p-th d-row block of pinv(D_u [T[0] ... T[K-2]]).
-    Every filter maps its own pair's image to I_d and the other pairs'
-    images to zero.
+    Vj[p] are the two transmit beamformers, T[p] the broadcast precoder,
+    and relay_filter[p] the relay's receive filter, the p-th d-row block
+    of inv(H_0 [V1[0] ... V1[K-2]]). Per user u and pair p, rx_filter[u, p]
+    is the p-th d-row block of pinv(D_u [T[0] ... T[K-2]]). Every filter
+    maps its own pair's image to I_d and the other pairs' images to zero.
+    Shapes, with K users, relay_dim = effective_N, user_dim = effective_M:
 
-    g_cond[p] and user_gain_cond[u][p] are the condition numbers of those
+    - V1, Vj: (K-1, user_dim, d)
+    - T: (K-1, relay_dim, d)
+    - relay_filter: (K-1, d, relay_dim)
+    - rx_filter: (K, K-1, d, user_dim)
+    - g_cond: (K-1,); user_gain_cond: (K, K-1)
+
+    g_cond[p] and user_gain_cond[u, p] are the condition numbers of those
     filter blocks. They equal the condition numbers of the d x d mixing
     matrices each pair leaves once the other pairs are zero-forced.
 
@@ -91,13 +95,13 @@ class SchemePlan:
     effective_N: int
     effective_M: int
     extension_factor: int
-    V1: tuple[CMatrix, ...]
-    Vj: tuple[CMatrix, ...]
-    T: tuple[CMatrix, ...]
-    relay_filter: tuple[CMatrix, ...]
-    rx_filter: tuple[tuple[CMatrix, ...], ...]
-    g_cond: tuple[float, ...]
-    user_gain_cond: tuple[tuple[float, ...], ...]
+    V1: np.ndarray
+    Vj: np.ndarray
+    T: np.ndarray
+    relay_filter: np.ndarray
+    rx_filter: np.ndarray
+    g_cond: np.ndarray
+    user_gain_cond: np.ndarray
     power_scale: float
     bc_scale: float
     degenerate: bool = False
@@ -119,19 +123,20 @@ class SchemePlan:
         return total // self.extension_factor
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TransmissionTrace:
     """One simulated channel use of the full two-phase chain.
 
-    decoded[u] lists the recovered symbol vectors at user u, ordered by
-    sending user index ascending (user u itself excluded).
+    Shapes: sent (K, d), relay_rx (relay_dim,), relay_fwd (K-1, d),
+    user_rx (K, user_dim), decoded (K, K-1, d). decoded[u, i] is user u's
+    estimate of the symbols of sender other_users(K, u)[i].
     """
 
-    sent: tuple[np.ndarray, ...]
+    sent: np.ndarray
     relay_rx: np.ndarray
-    relay_fwd: tuple[np.ndarray, ...]
-    user_rx: tuple[np.ndarray, ...]
-    decoded: tuple[tuple[np.ndarray, ...], ...]
+    relay_fwd: np.ndarray
+    user_rx: np.ndarray
+    decoded: np.ndarray
     noise_on: bool
 
 
@@ -165,31 +170,28 @@ def prepare_scheme(config: NetworkConfig, channels: ChannelSet) -> tuple[Channel
     return eff, d
 
 
-def _row_blocks(a: CMatrix, d: int) -> tuple[CMatrix, ...]:
-    return tuple(a[i : i + d] for i in range(0, a.shape[0], d))
-
-
-def _kron_apply(base: CMatrix, x: CMatrix, L: int) -> CMatrix:
-    """kron(I_L, base) @ x without forming the block-diagonal matrix."""
-    rows, cols = base.shape
-    return (base @ x.reshape(L, cols, -1)).reshape(L * rows, -1)
-
-
 def _orthonormal_draws(
     rows: int, cols: int, count: int, rng: np.random.Generator
-) -> tuple[CMatrix, ...]:
-    """``count`` random rows x cols matrices with orthonormal columns.
+) -> np.ndarray:
+    """``count`` random rows x cols matrices with orthonormal columns,
+    stacked along the first axis.
 
     The Gaussian draws are taken one matrix at a time, in order, and
     orthonormalised together in one stacked QR.
     """
     draws = np.stack([random_gaussian_matrix(rows, cols, rng) for _ in range(count)])
-    return tuple(orthonormal_columns(draws))
+    return orthonormal_columns(draws)
+
+
+def _gaussian_rows(count: int, n: int, rng: np.random.Generator) -> np.ndarray:
+    """``count`` CN(0, 1) vectors of length n as the rows of one array,
+    drawn one vector after another."""
+    return np.array([random_gaussian_vector(n, rng) for _ in range(count)])
 
 
 def design_uplink(
     channels: ChannelSet, d: int, rng: np.random.Generator
-) -> tuple[tuple[CMatrix, ...], tuple[CMatrix, ...], tuple[CMatrix, ...]]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Draw user 0's pair beamformers, align every partner onto them, and
     build the relay filters.
 
@@ -200,7 +202,8 @@ def design_uplink(
     relay filters. Partner p+1 pre-inverts its own uplink so that
     H_{p+1} Vj[p] = H_0 V1[p] holds exactly (the uplink has full row rank
     after preparation); under extension only the base block of each uplink
-    is pseudo-inverted. Returns V1, Vj and the relay filters.
+    is pseudo-inverted. Returns V1 and Vj, both (K-1, user_dim, d), and the
+    relay filters (K-1, d, relay_dim).
     """
     K = channels.num_users
     n_eff = channels.relay_dim
@@ -217,22 +220,25 @@ def design_uplink(
         relay_inv, rank = pseudo_inverse_and_rank(aligned)
         if rank == n_eff:
             break
-        logger.warning("aligned subspaces rank deficient on attempt %d, resampling", attempt)
+        if attempt == 0:
+            logger.warning("aligned subspaces rank deficient, resampling")
     else:
+        logger.warning("aligned subspaces rank deficient on the second draw too, giving up")
         raise SchemeDesignError("aligned pair subspaces stayed rank deficient after resampling")
     n, m = n_eff // L, m_eff // L
     partner_pinv = pseudo_inverse(np.stack([h[:n, :m] for h in channels.uplink[1:]]))
-    Vj = tuple(
-        _kron_apply(partner_pinv[p], aligned[:, p * d : (p + 1) * d], L) for p in range(K - 1)
-    )
-    return V1, Vj, _row_blocks(relay_inv, d)
+    # kron(I_L, partner_pinv[p]) @ (H_0 V1[p]): each pair's aligned image as
+    # L base-row blocks, so only the base pseudoinverses are applied
+    aligned_blocks = aligned.reshape(L, n, K - 1, d).transpose(2, 0, 1, 3)
+    Vj = (partner_pinv[:, np.newaxis] @ aligned_blocks).reshape(K - 1, m_eff, d)
+    return V1, Vj, relay_inv.reshape(K - 1, d, n_eff)
 
 
 def design_downlink(
     channels: ChannelSet, rng: np.random.Generator
-) -> tuple[tuple[CMatrix, ...], tuple[tuple[CMatrix, ...], ...]]:
-    """Random orthonormal broadcast precoders T[p] plus every user's
-    receive filters.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Random orthonormal broadcast precoders T, (K-1, relay_dim, d), plus
+    every user's receive filters, (K, K-1, d, user_dim).
 
     User u sees the stacked downlink images D_u Tcat, with
     Tcat = [T[0] ... T[K-2]] square; its filter for pair p is the p-th
@@ -264,7 +270,7 @@ def design_downlink(
     down_pinv = pseudo_inverse(np.stack([h[:m, :n] for h in channels.downlink]))
     # inv(Tcat) @ kron(I_L, down_pinv[u]) for every u, without forming the kron
     user_inv = (t_inv.reshape(n_eff * L, n) @ down_pinv).reshape(K, n_eff, m_eff)
-    return T, tuple(_row_blocks(inv, d) for inv in user_inv)
+    return T, user_inv.reshape(K, K - 1, d, m_eff)
 
 
 def _block_conds(blocks: np.ndarray) -> np.ndarray:
@@ -290,6 +296,11 @@ def _assemble_plan(
     w_cov = np.kron(np.ones((K - 1, K - 1)) + np.eye(K - 1), np.eye(d))
     sym_power = float(np.real(np.trace(t_cat @ w_cov @ t_cat.conj().T)))
     bc_scale = float(np.sqrt(L / sym_power))
+    g_cond = _block_conds(relay_filter)
+    user_gain_cond = _block_conds(rx_filter)
+    # one plan serves every power level and trace of a trial: share, never write
+    for a in (V1, Vj, T, relay_filter, rx_filter, g_cond, user_gain_cond):
+        a.setflags(write=False)
     return SchemePlan(
         d=d,
         effective_N=channels.relay_dim,
@@ -300,8 +311,8 @@ def _assemble_plan(
         T=T,
         relay_filter=relay_filter,
         rx_filter=rx_filter,
-        g_cond=tuple(_block_conds(np.stack(relay_filter)).tolist()),
-        user_gain_cond=tuple(map(tuple, _block_conds(np.array(rx_filter)).tolist())),
+        g_cond=g_cond,
+        user_gain_cond=user_gain_cond,
         power_scale=power_scale,
         bc_scale=bc_scale,
         degenerate=degenerate,
@@ -319,24 +330,28 @@ def design_scheme(
     Returns the effective channels together with the plan.
     """
     eff, d = prepare_scheme(config, channels)
-    plan = None
     for attempt in range(2):
         V1, Vj, relay_filter = design_uplink(eff, d, rng)
         T, rx_filter = design_downlink(eff, rng)
         plan = _assemble_plan(eff, d, V1, Vj, relay_filter, T, rx_filter, degenerate=attempt > 0)
-        worst = max([*plan.g_cond, *(c for row in plan.user_gain_cond for c in row)])
+        worst = max(plan.g_cond.max(), plan.user_gain_cond.max())
         if worst <= COND_LIMIT:
             break
-        logger.warning("plan conditioning %.3e exceeds guardrail, redrawing", worst)
+        if attempt == 0:
+            logger.warning("plan conditioning %.3e exceeds guardrail, redrawing", worst)
+    else:
+        logger.warning("plan conditioning %.3e still exceeds guardrail after one redraw", worst)
     return eff, plan
 
 
-def _check_symbols(plan: SchemePlan, symbols) -> None:
-    if len(symbols) != plan.num_users:
-        raise ValueError(f"need {plan.num_users} symbol vectors, got {len(symbols)}")
-    for s in symbols:
-        if np.asarray(s).shape != (plan.d,):
-            raise ValueError(f"each symbol vector must have length {plan.d}")
+def _vector_rows(vectors, count: int, d: int, what: str) -> np.ndarray:
+    """The ``count`` length-d vectors as the rows of one array."""
+    if len(vectors) != count:
+        raise ValueError(f"need {count} {what} vectors, got {len(vectors)}")
+    rows = np.asarray(vectors)
+    if rows.shape != (count, d):
+        raise ValueError(f"each {what} vector must have length {d}")
+    return rows
 
 
 def mac_phase(
@@ -349,23 +364,27 @@ def mac_phase(
 ) -> np.ndarray:
     """Uplink slot: every user beamforms its symbol block with amplitude
     power_scale * sqrt(P); the relay observes the superposition plus
-    unit-variance noise when enabled."""
-    _check_symbols(plan, symbols)
+    unit-variance noise when enabled.
+
+    symbols holds one length-d vector per user, as a (K, d) array or a
+    sequence.
+    """
+    s = _vector_rows(symbols, plan.num_users, plan.d, "symbol")
     a = plan.power_scale * np.sqrt(P)
-    x = [a * (sum(plan.V1) @ np.asarray(symbols[0]))]
-    x += [a * (plan.Vj[u - 1] @ np.asarray(symbols[u])) for u in range(1, plan.num_users)]
-    y_r = sum(channels.uplink[u] @ x[u] for u in range(plan.num_users))
+    # user 0 sends on every pair's beamformer, partner p+1 on its own only
+    x = a * np.vstack([sum(plan.V1) @ s[0], (plan.Vj @ s[1:, :, np.newaxis])[..., 0]])
+    y_r = sum(h @ x_u for h, x_u in zip(channels.uplink, x))
     if noise_on:
         y_r = y_r + random_gaussian_vector(plan.effective_N, rng)
     return y_r
 
 
-def relay_process(plan: SchemePlan, y_r: np.ndarray, P: float) -> tuple[np.ndarray, ...]:
-    """Zero-force, unmix, and rescale: per pair the relay recovers the
-    network-coded sum of the two partners' symbol vectors (exactly, when
+def relay_process(plan: SchemePlan, y_r: np.ndarray, P: float) -> np.ndarray:
+    """Zero-force, unmix, and rescale: row p of the (K-1, d) result is the
+    network-coded sum of pair p's two symbol vectors (exactly, when
     noiseless)."""
     a = plan.power_scale * np.sqrt(P)
-    return tuple(rf @ y_r / a for rf in plan.relay_filter)
+    return plan.relay_filter @ y_r / a
 
 
 def bc_phase(
@@ -375,51 +394,44 @@ def bc_phase(
     P: float,
     rng: np.random.Generator | None = None,
     noise_on: bool = False,
-) -> tuple[np.ndarray, ...]:
+) -> np.ndarray:
     """Downlink slot: the relay broadcasts every pair sum through its
-    precoder with amplitude bc_scale * sqrt(P)."""
-    if len(w) != plan.num_pairs:
-        raise ValueError(f"need {plan.num_pairs} forwarded vectors")
-    for v in w:
-        if np.asarray(v).shape != (plan.d,):
-            raise ValueError(f"each forwarded vector must have length {plan.d}")
+    precoder with amplitude bc_scale * sqrt(P).
+
+    w holds one forwarded length-d vector per pair, as a (K-1, d) array or
+    a sequence. Row u of the (K, user_dim) result is user u's observation.
+    """
+    w = _vector_rows(w, plan.num_pairs, plan.d, "forwarded")
     b = plan.bc_scale * np.sqrt(P)
-    x_r = b * sum(plan.T[p] @ np.asarray(w[p]) for p in range(plan.num_pairs))
-    out = []
-    for u in range(plan.num_users):
-        y = channels.downlink[u] @ x_r
-        if noise_on:
-            y = y + random_gaussian_vector(plan.effective_M, rng)
-        out.append(y)
-    return tuple(out)
+    x_r = b * sum(t @ w_p for t, w_p in zip(plan.T, w))
+    y = np.array([h @ x_r for h in channels.downlink])
+    if noise_on:
+        y = y + _gaussian_rows(plan.num_users, plan.effective_M, rng)
+    return y
 
 
 def user_decode(
     plan: SchemePlan, y_u: np.ndarray, u: int, own_symbols: np.ndarray, P: float
-) -> tuple[np.ndarray, ...]:
+) -> np.ndarray:
     """Recover the other users' symbol vectors at user u.
 
     The user zero-forces each pair, then peels: user 0 subtracts its own
     symbols from every sum; user u >= 1 first recovers user 0's symbols
     from its own pair, then subtracts them from the remaining sums.
-    Returned in sending-user order ascending.
+    Returns a (K-1, d) array whose row i belongs to sender
+    other_users(K, u)[i].
     """
     if not 0 <= u < plan.num_users:
         raise ValueError("user index out of range")
     b = plan.bc_scale * np.sqrt(P)
-    what = [plan.rx_filter[u][p] @ y_u / b for p in range(plan.num_pairs)]
+    # row p: the sum of user 0's and user p+1's symbols
+    what = plan.rx_filter[u] @ y_u / b
     own = np.asarray(own_symbols)
-    decoded: dict[int, np.ndarray] = {}
     if u == 0:
-        for p in range(plan.num_pairs):
-            decoded[p + 1] = what[p] - own
-    else:
-        s0 = what[u - 1] - own
-        decoded[0] = s0
-        for p in range(plan.num_pairs):
-            if p + 1 != u:
-                decoded[p + 1] = what[p] - s0
-    return tuple(decoded[v] for v in other_users(plan.num_users, u))
+        return what - own
+    s0 = what[u - 1] - own
+    rest = what - s0
+    return np.vstack([s0, rest[: u - 1], rest[u:]])
 
 
 def run_round(
@@ -431,12 +443,11 @@ def run_round(
 ) -> TransmissionTrace:
     """Draw fresh unit-power symbols and push them through both phases and
     every user's decoder."""
-    K = plan.num_users
-    sent = tuple(random_gaussian_vector(plan.d, rng) for _ in range(K))
+    sent = _gaussian_rows(plan.num_users, plan.d, rng)
     y_r = mac_phase(plan, channels, sent, P, rng, noise_on)
     w = relay_process(plan, y_r, P)
     user_rx = bc_phase(plan, channels, w, P, rng, noise_on)
-    decoded = tuple(user_decode(plan, user_rx[u], u, sent[u], P) for u in range(K))
+    decoded = np.array([user_decode(plan, user_rx[u], u, sent[u], P) for u in range(len(sent))])
     return TransmissionTrace(
         sent=sent,
         relay_rx=y_r,
@@ -473,8 +484,8 @@ def plan_to_json_dict(plan: SchemePlan) -> dict:
         "T": [matrix_to_lists(m) for m in plan.T],
         "relay_filter": [matrix_to_lists(m) for m in plan.relay_filter],
         "rx_filter": [[matrix_to_lists(m) for m in row] for row in plan.rx_filter],
-        "g_cond": list(plan.g_cond),
-        "user_gain_cond": [list(row) for row in plan.user_gain_cond],
+        "g_cond": plan.g_cond.tolist(),
+        "user_gain_cond": plan.user_gain_cond.tolist(),
     }
 
 

@@ -162,6 +162,7 @@ class TestMseSweep:
         # trial generator; one design per trial must give the same bits
         cfg = NetworkConfig(K=k, M=m, N=n, seed=26)
         grid = [1e2, 1e4, 1e6]
+        senders = np.array([other_users(k, u) for u in range(k)])
         expected = np.zeros(len(grid))
         for i, P in enumerate(grid):
             acc = 0.0
@@ -170,13 +171,15 @@ class TestMseSweep:
                 rng = cfg.trial_rng(trial)
                 eff, plan = design_scheme(cfg, generate_channels(cfg, rng), rng)
                 trace = run_round(plan, eff, P, rng, noise_on=True)
-                for u in range(k):
-                    for idx, v in enumerate(other_users(k, u)):
-                        diff = trace.decoded[u][idx] - trace.sent[v]
-                        acc += float(np.sum(np.abs(diff) ** 2))
-                        count += diff.size
+                diff = trace.decoded - trace.sent[senders]
+                acc += np.sum(np.sum(np.abs(diff) ** 2, axis=-1))
+                count += diff.size
             expected[i] = acc / count
         assert np.array_equal(decode_mse_sweep(cfg, grid, 4), expected)
+
+    def test_rejects_zero_trials(self):
+        with pytest.raises(ValueError, match="trials must be positive"):
+            decode_mse_sweep(NetworkConfig(K=3, M=3, N=2, seed=14), [1e2, 1e3, 1e4], 0)
 
 
 class TestReports:

@@ -1,5 +1,6 @@
 """Tests for the alignment scheme design and the two-phase transmission chain."""
 
+import dataclasses
 import itertools
 import logging
 from fractions import Fraction
@@ -245,7 +246,8 @@ class TestDesignFailurePaths:
         _stub_design_draws(monkeypatch, lambda i: i >= 4)
         with pytest.raises(SchemeDesignError, match=r"trial 1 \(seed 7\): aligned pair"):
             verify_noiseless(NetworkConfig(**self.CFG), trials=2)
-        assert len(_warnings(caplog, "resampling")) == 2
+        assert len(_warnings(caplog, "resampling")) == 1
+        assert len(_warnings(caplog, "giving up")) == 1
 
     def test_rank_deficient_precoders_raise(self, monkeypatch):
         cfg = NetworkConfig(**self.CFG)
@@ -269,11 +271,13 @@ class TestDesignFailurePaths:
 
     def test_conditioning_guardrail_flags_and_counts_degenerate(self, monkeypatch, caplog):
         # every condition number is at least 1, so each plan is redrawn once
-        # and the redrawn plan exceeds the limit too: two warnings per trial
+        # and the redrawn plan exceeds the limit too: two warnings per trial,
+        # of which only the first announces a redraw
         monkeypatch.setattr(ssa_nc, "COND_LIMIT", 0.5)
         report = verify_noiseless(NetworkConfig(**self.CFG), trials=3)
         assert report.degenerate_draws == 3
         assert len(_warnings(caplog, "guardrail")) == 6
+        assert len(_warnings(caplog, "redrawing")) == 3
         assert report.noiseless_max_error <= 1e-8
 
 
@@ -486,6 +490,42 @@ class TestAllocationAndPlan:
         trace = run_round(plan, eff, P=1.0, rng=rng, noise_on=False)
         assert np.allclose(trace.decoded[0][0], trace.sent[1], atol=1e-9)
         assert np.allclose(trace.decoded[1][0], trace.sent[0], atol=1e-9)
+
+    @pytest.mark.parametrize(
+        "k,m,n",
+        [
+            (3, 3, 2),  # d = 1
+            (3, 4, 6),  # shutdown: relay 4, user 4, d = 2
+            (4, 4, 4),  # 3-slot extension: relay 12, user 12, d = 4
+        ],
+    )
+    def test_plan_and_trace_shapes(self, k, m, n):
+        cfg, eff, plan, rng = designed(k, m, n, seed=24)
+        r, u, d = plan.effective_N, plan.effective_M, plan.d
+        assert (r, u) == (eff.relay_dim, eff.user_dim)
+        assert plan.V1.shape == plan.Vj.shape == (k - 1, u, d)
+        assert plan.T.shape == (k - 1, r, d)
+        assert plan.relay_filter.shape == (k - 1, d, r)
+        assert plan.rx_filter.shape == (k, k - 1, d, u)
+        assert plan.g_cond.shape == (k - 1,)
+        assert plan.user_gain_cond.shape == (k, k - 1)
+        trace = run_round(plan, eff, P=10.0, rng=rng, noise_on=True)
+        assert trace.sent.shape == (k, d)
+        assert trace.relay_rx.shape == (r,)
+        assert trace.relay_fwd.shape == (k - 1, d)
+        assert trace.user_rx.shape == (k, u)
+        assert trace.decoded.shape == (k, k - 1, d)
+
+    def test_plan_arrays_read_only(self):
+        cfg, eff, plan, _ = designed(4, 4, 4, seed=24)
+        arrays = {f.name: getattr(plan, f.name) for f in dataclasses.fields(plan)}
+        arrays = {name: a for name, a in arrays.items() if isinstance(a, np.ndarray)}
+        assert set(arrays) == {
+            "V1", "Vj", "T", "relay_filter", "rx_filter", "g_cond", "user_gain_cond"
+        }
+        for name, a in arrays.items():
+            with pytest.raises(ValueError, match="read-only"):
+                a[(0,) * a.ndim] = 0
 
     def test_plan_json_structure(self):
         cfg, eff, plan, _ = designed(3, 3, 2, seed=24)
