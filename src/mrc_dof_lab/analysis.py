@@ -6,6 +6,15 @@ operation, per-stream SINRs follow in closed form from the designed
 filters, and the DoF shows up as the slope of the sum rate against
 log2(P). Per-trial randomness is derived as seed XOR trial index, so
 trials are independent and reproducible in any execution order.
+
+The trials of one configuration are designed and run as stacks along a
+leading trial axis: one ``ssa_nc.design_scheme`` and one
+``ssa_nc.run_round`` call per stack (per stack and power level in the MSE
+sweep) serve all its trials. A stack holds up to STACK_ELEMENTS user
+filter entries, so large extended configurations run one trial per
+stack. Each trial's generator sees the same draws in the same order as
+when the trial runs alone, so every result is independent of the stack
+size.
 """
 
 from __future__ import annotations
@@ -19,6 +28,12 @@ import numpy as np
 from . import bounds, ssa_nc
 from .channel import ChannelSet, NetworkConfig, generate_channels
 from .ssa_nc import SchemeDesignError, SchemePlan
+
+# Trials per stack are capped so that a stack's user filters (rx_filter,
+# K * relay_dim * user_dim complex entries per trial) stay within this many
+# entries, 512 KiB: small configurations fit every trial in one stack,
+# while large extended ones keep their peak memory at one trial.
+STACK_ELEMENTS = 2**15
 
 REPORT_COLUMNS = (
     "K,M,N,L,d,streams,cutset,private_only,slope,slope_stderr,max_err,trials,degenerate"
@@ -109,20 +124,32 @@ def _private_only_or_none(K: int, M: int, N: int) -> Fraction | None:
         return None
 
 
-def _trial_plans(config: NetworkConfig, trials: int, channels: ChannelSet | None = None):
-    """Design each trial's plan once; yields (rng, effective channels, plan).
+def _stack_size(config: NetworkConfig) -> int:
+    """Trials per stack under the STACK_ELEMENTS budget."""
+    base, L, _ = ssa_nc.extension_plan(config.K, config.M, config.N)
+    return max(1, STACK_ELEMENTS // (config.K * base * L * config.M * L))
 
-    The trial generator is left where the design stopped, so the trial's
+
+def _trial_stacks(config: NetworkConfig, trials: int, channels: ChannelSet | None = None):
+    """Design the trials stack by stack; yields (generators, effective
+    channels, plan) per stack, all with a leading trial axis.
+
+    Each trial generator is left where its design stopped, so the trial's
     symbol and noise draws follow from it.
     """
-    for trial in range(trials):
-        rng = config.trial_rng(trial)
-        base = channels if channels is not None else generate_channels(config, rng)
+    size = _stack_size(config)
+    for start in range(0, trials, size):
+        rngs = [config.trial_rng(t) for t in range(start, min(start + size, trials))]
+        if channels is None:
+            base = generate_channels(config, rngs)
+        else:
+            base = channels.stacked().select([0] * len(rngs))
         try:
-            eff, plan = ssa_nc.design_scheme(config, base, rng)
+            eff, plan = ssa_nc.design_scheme(config, base, rngs)
         except SchemeDesignError as exc:
-            raise SchemeDesignError(f"trial {trial} (seed {config.seed}): {exc}") from exc
-        yield rng, eff, plan
+            trial = start + exc.trial
+            raise SchemeDesignError(f"trial {trial} (seed {config.seed}): {exc}", trial) from exc
+        yield rngs, eff, plan
 
 
 def _sender_table(K: int) -> np.ndarray:
@@ -132,19 +159,21 @@ def _sender_table(K: int) -> np.ndarray:
 
 
 def _message_sq_errors(trace: ssa_nc.TransmissionTrace, senders: np.ndarray) -> np.ndarray:
-    """Squared decode error of every (user, sender) message of one round,
-    shape (K, K-1)."""
-    return np.sum(np.abs(trace.decoded - trace.sent[senders]) ** 2, axis=-1)
+    """Squared decode error of every (user, sender) message of a round,
+    shape (..., K, K-1)."""
+    return np.sum(np.abs(trace.decoded - trace.sent[..., senders, :]) ** 2, axis=-1)
 
 
-def _noiseless_round_error(config: NetworkConfig, rng, eff: ChannelSet, plan: SchemePlan) -> float:
-    """Worst relative decode error over every user and message of one
-    noiseless round."""
-    trace = ssa_nc.run_round(plan, eff, config.P, rng, noise_on=False)
+def _noiseless_round_errors(
+    config: NetworkConfig, rngs, eff: ChannelSet, plan: SchemePlan
+) -> np.ndarray:
+    """Each trial's worst relative decode error over every user and message
+    of one noiseless round of the stack."""
+    trace = ssa_nc.run_round(plan, eff, config.P, rngs, noise_on=False)
     senders = _sender_table(config.K)
-    sent_norm = np.linalg.norm(trace.sent, axis=-1)[senders]
+    sent_norm = np.linalg.norm(trace.sent, axis=-1)[..., senders]
     err = np.sqrt(_message_sq_errors(trace, senders))
-    return float(np.max(err / np.maximum(sent_norm, 1e-300)))
+    return np.max(err / np.maximum(sent_norm, 1e-300), axis=(-2, -1))
 
 
 def _noiseless_report(
@@ -180,12 +209,18 @@ def verify_noiseless(
     """
     if trials < 1:
         raise ValueError("trials must be positive")
-    max_err = 0.0
+    errors = []
     degenerate = 0
-    for rng, eff, plan in _trial_plans(config, trials, channels):
-        degenerate += int(plan.degenerate)
-        max_err = max(max_err, _noiseless_round_error(config, rng, eff, plan))
-    return _noiseless_report(config, plan, trials, max_err, degenerate)
+    for rngs, eff, plan in _trial_stacks(config, trials, channels):
+        degenerate += int(np.count_nonzero(plan.degenerate))
+        errors.append(_noiseless_round_errors(config, rngs, eff, plan))
+    return _noiseless_report(config, plan, trials, _max_error(errors), degenerate)
+
+
+def _max_error(errors: list[np.ndarray]) -> float:
+    """Worst per-trial error; np.max propagates NaN, so a round that
+    decoded NaN reports NaN rather than vanishing from the maximum."""
+    return float(np.max(np.concatenate(errors)))
 
 
 @dataclass(frozen=True)
@@ -195,7 +230,7 @@ class StreamSinrs:
     mac[p, t]: relay-side SINR of stream t of pair p after zero-forcing and
     unmixing. bc[u, p, t]: user u's downlink SINR for the same stream.
     end_to_end[u, p, t]: decode-and-forward bottleneck, the minimum of the
-    two phases.
+    two phases. A stacked plan prefixes each array with its trial axis.
     """
 
     mac: np.ndarray
@@ -203,7 +238,9 @@ class StreamSinrs:
     end_to_end: np.ndarray
 
     def flat(self) -> np.ndarray:
-        return self.end_to_end.reshape(-1)
+        """Every stream's end-to-end SINR in one row (one row per trial
+        of a stack)."""
+        return self.end_to_end.reshape(self.end_to_end.shape[:-3] + (-1,))
 
 
 def _row_power(filters: np.ndarray) -> np.ndarray:
@@ -220,12 +257,12 @@ def stream_sinrs(plan: SchemePlan, P: float) -> StreamSinrs:
     """
     if P <= 0:
         raise ValueError("P must be positive")
-    a2 = plan.power_scale**2 * P
-    b2 = plan.bc_scale**2 * P
-    mac = 2.0 * a2 / _row_power(plan.relay_filter)
-    bc = 2.0 * b2 / _row_power(plan.rx_filter)
-    end_to_end = np.minimum(bc, mac[np.newaxis, :, :])
-    assert np.all(end_to_end <= mac[np.newaxis, :, :] + 1e-12)
+    a2 = np.asarray(plan.power_scale) ** 2 * P
+    b2 = np.asarray(plan.bc_scale) ** 2 * P
+    mac = 2.0 * a2[..., np.newaxis, np.newaxis] / _row_power(plan.relay_filter)
+    bc = 2.0 * b2[..., np.newaxis, np.newaxis, np.newaxis] / _row_power(plan.rx_filter)
+    end_to_end = np.minimum(bc, mac[..., np.newaxis, :, :])
+    assert np.all(end_to_end <= mac[..., np.newaxis, :, :] + 1e-12)
     assert np.all(end_to_end <= bc + 1e-12)
     return StreamSinrs(mac=mac, bc=bc, end_to_end=end_to_end)
 
@@ -283,31 +320,42 @@ def estimate_dof_slope(
     grid = validate_power_grid(P_grid)
     if trials < 1:
         raise ValueError("trials must be positive")
-    gammas = [stream_sinrs(plan, 1.0).flat() for _, _, plan in _trial_plans(config, trials)]
-    return _fit_slope(config, grid, np.array(gammas))
+    gammas = [stream_sinrs(plan, 1.0).flat() for _, _, plan in _trial_stacks(config, trials)]
+    return _fit_slope(config, grid, np.concatenate(gammas))
 
 
 def decode_mse_sweep(config: NetworkConfig, P_grid, trials: int) -> np.ndarray:
     """Average per-symbol decode MSE at each power level, noise on.
 
-    Each trial is designed once. Its generator state after the design is
-    restored before every power level, so the same channels, beamformer
-    draws, symbols, and noise realizations are reused at every power level
-    (common random numbers across the grid).
+    Each stack of trials is designed once. Its generators' states after the
+    design are restored before every power level, so the same channels,
+    beamformer draws, symbols, and noise realizations are reused at every
+    power level (common random numbers across the grid), and the stacked
+    round runs once per power level. Trial errors are summed in trial
+    order, as one trial at a time would sum them.
     """
     grid = np.asarray(list(P_grid), dtype=float)
+    if grid.size == 0:
+        raise ValueError("power grid must not be empty")
+    if not np.all(np.isfinite(grid)):
+        raise ValueError("powers must be finite")
     if np.any(grid <= 0):
         raise ValueError("powers must be positive")
     if trials < 1:
         raise ValueError("trials must be positive")
     senders = _sender_table(config.K)
-    sq_err = np.zeros(len(grid))
-    for rng, eff, plan in _trial_plans(config, trials):
-        designed_state = rng.bit_generator.state
-        for i, P in enumerate(grid):
-            rng.bit_generator.state = designed_state
-            trace = ssa_nc.run_round(plan, eff, float(P), rng, noise_on=True)
-            sq_err[i] += np.sum(_message_sq_errors(trace, senders))
+    totals = []
+    for rngs, eff, plan in _trial_stacks(config, trials):
+        designed = [g.bit_generator.state for g in rngs]
+        per_power = []
+        for P in grid:
+            for g, state in zip(rngs, designed):
+                g.bit_generator.state = state
+            trace = ssa_nc.run_round(plan, eff, float(P), rngs, noise_on=True)
+            sq = _message_sq_errors(trace, senders)
+            per_power.append(sq.reshape(len(rngs), -1).sum(axis=-1))
+        totals.append(np.stack(per_power, axis=-1))
+    sq_err = np.add.accumulate(np.concatenate(totals), axis=0)[-1]
     return sq_err / (trials * config.K * (config.K - 1) * plan.d)
 
 
@@ -319,16 +367,16 @@ def simulate_report(config: NetworkConfig, P_grid, trials: int) -> DofReport:
     grid = validate_power_grid(P_grid)
     if trials < 1:
         raise ValueError("trials must be positive")
-    max_err = 0.0
+    errors = []
     degenerate = 0
     gammas = []
-    for rng, eff, plan in _trial_plans(config, trials):
-        degenerate += int(plan.degenerate)
-        max_err = max(max_err, _noiseless_round_error(config, rng, eff, plan))
+    for rngs, eff, plan in _trial_stacks(config, trials):
+        degenerate += int(np.count_nonzero(plan.degenerate))
+        errors.append(_noiseless_round_errors(config, rngs, eff, plan))
         gammas.append(stream_sinrs(plan, 1.0).flat())
-    slope, stderr = _fit_slope(config, grid, np.array(gammas))
+    slope, stderr = _fit_slope(config, grid, np.concatenate(gammas))
     return replace(
-        _noiseless_report(config, plan, trials, max_err, degenerate),
+        _noiseless_report(config, plan, trials, _max_error(errors), degenerate),
         slope_estimate=slope,
         slope_stderr=stderr,
     )
@@ -341,6 +389,7 @@ def reproduce_table1(K: int, M: int, N_list) -> list[bounds.BoundRow]:
 
 
 __all__ = [
+    "STACK_ELEMENTS",
     "REPORT_COLUMNS",
     "DofReport",
     "format_number",

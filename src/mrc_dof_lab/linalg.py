@@ -2,7 +2,8 @@
 
 Everything operates on 2-D ``complex128`` numpy arrays; the pseudoinverse,
 the numeric rank and the orthonormal basis also take a stack of them and
-decompose it in one LAPACK call. Rank decisions are made on singular values
+decompose it in one LAPACK call, and the Gaussian draws fill a whole stack
+with one call per generator. Rank decisions are made on singular values
 relative to the largest one (scale invariant), and all functions return
 freshly allocated arrays marked read-only so values can be shared between
 concurrent trials without copies.
@@ -38,26 +39,43 @@ def cmatrix(entries) -> CMatrix:
     return _freeze(a)
 
 
+def random_gaussian_stack(count: int, shape: tuple[int, ...], rng) -> np.ndarray:
+    """``count`` arrays of i.i.d. CN(0, 1) entries, one draw call per generator.
+
+    ``rng`` is one generator, giving shape (count, *shape), or a sequence
+    of generators, giving (len(rng), count, *shape) with row s drawn from
+    generator s. Each generator fills one standard_normal block of shape
+    (count, 2, *shape): the real then the imaginary part of each array in
+    turn, which is the order of drawing the arrays one after another. Real
+    and imaginary parts are N(0, 1/2), so E|a|^2 = 1.
+    """
+    if count < 1 or any(n < 1 for n in shape):
+        raise ValueError("draw dimensions must be positive")
+    block = (count, 2, *shape)
+    if isinstance(rng, np.random.Generator):
+        z = rng.standard_normal(block)
+    else:
+        rngs = list(rng)
+        z = np.empty((len(rngs), *block))
+        for g, row in zip(rngs, z):
+            g.standard_normal(block, out=row)
+    tail = (slice(None),) * len(shape)
+    re, im = z[(Ellipsis, 0) + tail], z[(Ellipsis, 1) + tail]
+    return _freeze((re + 1j * im) / np.sqrt(2.0))
+
+
 def random_gaussian_matrix(rows: int, cols: int, rng: np.random.Generator) -> CMatrix:
     """Draw a rows x cols matrix of i.i.d. CN(0, 1) entries.
 
     Real and imaginary parts are independent N(0, 1/2), so E|a_ij|^2 = 1.
     Deterministic given the generator state.
     """
-    if rows < 1 or cols < 1:
-        raise ValueError("matrix dimensions must be positive")
-    re = rng.standard_normal((rows, cols))
-    im = rng.standard_normal((rows, cols))
-    return _freeze((re + 1j * im) / np.sqrt(2.0))
+    return random_gaussian_stack(1, (rows, cols), rng)[0]
 
 
 def random_gaussian_vector(n: int, rng: np.random.Generator) -> np.ndarray:
     """Length-n vector of i.i.d. CN(0, 1) entries (unit power per entry)."""
-    re = rng.standard_normal(n)
-    im = rng.standard_normal(n)
-    v = (re + 1j * im) / np.sqrt(2.0)
-    v.setflags(write=False)
-    return v
+    return random_gaussian_stack(1, (n,), rng)[0]
 
 
 def pseudo_inverse_and_rank(A: CMatrix, tol: float = DEFAULT_TOL) -> tuple[CMatrix, np.ndarray]:

@@ -26,6 +26,15 @@ downlinks), whatever L is.
 
 Plans are power agnostic: they store amplitudes per sqrt(P), so a single
 plan serves an entire power sweep.
+
+Every function takes one trial or a stack of trials along a leading trial
+axis: a stacked ChannelSet with a sequence of generators, one per trial,
+in place of one generator, giving plans and traces whose arrays carry the
+same leading axis. Each design and round step is one batched LAPACK or
+matmul call for the whole stack. Each trial draws from its own generator
+exactly what it would draw alone, in the same order, and a resample or
+redraw is redone on the trials that need it only, so a trial's results do
+not depend on the stack it is in. A single trial runs as a stack of one.
 """
 
 from __future__ import annotations
@@ -49,8 +58,7 @@ from .linalg import (
     orthonormal_columns,
     pseudo_inverse,
     pseudo_inverse_and_rank,
-    random_gaussian_matrix,
-    random_gaussian_vector,
+    random_gaussian_stack,
 )
 
 logger = logging.getLogger("mrc_dof_lab.ssa_nc")
@@ -61,7 +69,15 @@ COND_LIMIT = 1e8
 
 
 class SchemeDesignError(RuntimeError):
-    """A channel draw admitted no usable beamformer design."""
+    """A channel draw admitted no usable beamformer design.
+
+    trial is the stack position of the failing trial (0 for one trial):
+    the first trial that failed in the design step that failed.
+    """
+
+    def __init__(self, message: str, trial: int = 0) -> None:
+        super().__init__(message)
+        self.trial = trial
 
 
 @dataclass(frozen=True, eq=False)
@@ -81,6 +97,10 @@ class SchemePlan:
     - relay_filter: (K-1, d, relay_dim)
     - rx_filter: (K, K-1, d, user_dim)
     - g_cond: (K-1,); user_gain_cond: (K, K-1)
+
+    A plan for a stack of S trials prefixes every array with the trial
+    axis, and power_scale, bc_scale and degenerate are (S,) arrays in
+    place of scalars.
 
     g_cond[p] and user_gain_cond[u, p] are the condition numbers of those
     filter blocks. They equal the condition numbers of the d x d mixing
@@ -102,17 +122,22 @@ class SchemePlan:
     rx_filter: np.ndarray
     g_cond: np.ndarray
     user_gain_cond: np.ndarray
-    power_scale: float
-    bc_scale: float
-    degenerate: bool = False
+    power_scale: float | np.ndarray
+    bc_scale: float | np.ndarray
+    degenerate: bool | np.ndarray = False
+
+    @property
+    def stack_shape(self) -> tuple[int, ...]:
+        """() for one trial's plan, (S,) for a stack of S trials."""
+        return self.V1.shape[:-3]
 
     @property
     def num_users(self) -> int:
-        return len(self.rx_filter)
+        return self.rx_filter.shape[-4]
 
     @property
     def num_pairs(self) -> int:
-        return len(self.V1)
+        return self.V1.shape[-3]
 
     @property
     def streams_per_slot(self) -> int:
@@ -128,7 +153,8 @@ class TransmissionTrace:
     """One simulated channel use of the full two-phase chain.
 
     Shapes: sent (K, d), relay_rx (relay_dim,), relay_fwd (K-1, d),
-    user_rx (K, user_dim), decoded (K, K-1, d). decoded[u, i] is user u's
+    user_rx (K, user_dim), decoded (K, K-1, d), each with the plan's
+    leading trial axis for a stack. decoded[..., u, i, :] is user u's
     estimate of the symbols of sender other_users(K, u)[i].
     """
 
@@ -170,40 +196,67 @@ def prepare_scheme(config: NetworkConfig, channels: ChannelSet) -> tuple[Channel
     return eff, d
 
 
-def _orthonormal_draws(
-    rows: int, cols: int, count: int, rng: np.random.Generator
-) -> np.ndarray:
-    """``count`` random rows x cols matrices with orthonormal columns,
-    stacked along the first axis.
+def _generators(rng, stack_shape: tuple[int, ...]) -> list[np.random.Generator]:
+    """The trial generators as a list: one generator for one trial, a
+    sequence of one generator per trial for a stack."""
+    if rng is None:
+        raise ValueError("a random generator (rng) is required")
+    if isinstance(rng, np.random.Generator):
+        rngs, ok = [rng], stack_shape == ()
+    else:
+        rngs = list(rng)
+        ok = stack_shape == (len(rngs),)
+    if not ok:
+        raise ValueError(
+            f"trial stack of shape {stack_shape} needs one generator per trial, "
+            "or one generator for one trial"
+        )
+    return rngs
 
-    The Gaussian draws are taken one matrix at a time, in order, and
-    orthonormalised together in one stacked QR.
-    """
-    draws = np.stack([random_gaussian_matrix(rows, cols, rng) for _ in range(count)])
-    return orthonormal_columns(draws)
+
+def _draws(rngs, stack_shape: tuple[int, ...], count: int, *shape: int) -> np.ndarray:
+    """``count`` CN(0, 1) arrays per trial, shaped stack_shape + (count, *shape)."""
+    return random_gaussian_stack(count, shape, rngs).reshape(stack_shape + (count, *shape))
 
 
-def _gaussian_rows(count: int, n: int, rng: np.random.Generator) -> np.ndarray:
-    """``count`` CN(0, 1) vectors of length n as the rows of one array,
-    drawn one vector after another."""
-    return np.array([random_gaussian_vector(n, rng) for _ in range(count)])
+def _hcat(blocks: np.ndarray) -> np.ndarray:
+    """[B_0 ... B_{P-1}] for the (..., P, r, c) stack of blocks B_p."""
+    *lead, pairs, r, c = blocks.shape
+    return blocks.swapaxes(-3, -2).reshape(*lead, r, pairs * c)
+
+
+def _replaced(a: np.ndarray, rows: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Copy of the stacked array a with the given trials set to values."""
+    out = np.array(a)
+    out[rows] = values
+    return out
+
+
+def _aligned_draw(h0: np.ndarray, pairs: int, d: int, rngs):
+    """Draw user 0's beamformers V1 for every trial of the stack and
+    invert its aligned images A = H_0 [V1[0] ...]: V1, A, pinv(A), rank(A)."""
+    V1 = orthonormal_columns(random_gaussian_stack(pairs, (h0.shape[-1], d), rngs))
+    aligned = h0 @ _hcat(V1)
+    relay_inv, rank = pseudo_inverse_and_rank(aligned)
+    return V1, aligned, relay_inv, rank
 
 
 def design_uplink(
-    channels: ChannelSet, d: int, rng: np.random.Generator
+    channels: ChannelSet, d: int, rng
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Draw user 0's pair beamformers, align every partner onto them, and
     build the relay filters.
 
     V1[p] is random with orthonormal columns. The K-1 aligned images
     H_0 V1[p] must jointly span the relay space, so A = H_0 [V1[0] ...] is
-    square and invertible; a rank-deficient draw is resampled once. One SVD
-    of A decides the rank and gives inv(A), whose d-row blocks are the
-    relay filters. Partner p+1 pre-inverts its own uplink so that
-    H_{p+1} Vj[p] = H_0 V1[p] holds exactly (the uplink has full row rank
-    after preparation); under extension only the base block of each uplink
-    is pseudo-inverted. Returns V1 and Vj, both (K-1, user_dim, d), and the
-    relay filters (K-1, d, relay_dim).
+    square and invertible; the trials with a rank-deficient draw resample
+    it once. One batched SVD of A decides the rank and gives inv(A), whose
+    d-row blocks are the relay filters. Partner p+1 pre-inverts its own
+    uplink so that H_{p+1} Vj[p] = H_0 V1[p] holds exactly (the uplink has
+    full row rank after preparation); under extension only the base block
+    of each uplink is pseudo-inverted. Returns V1 and Vj, both
+    (K-1, user_dim, d), and the relay filters (K-1, d, relay_dim), each
+    with the channels' leading trial axis.
     """
     K = channels.num_users
     n_eff = channels.relay_dim
@@ -213,42 +266,54 @@ def design_uplink(
         raise ValueError("stream count d must satisfy (K-1) d = relay dimension")
     if n_eff > m_eff:
         raise ValueError("uplink design needs relay dimension <= user dimension")
-    h0 = channels.uplink[0]
-    for attempt in range(2):
-        V1 = _orthonormal_draws(m_eff, d, K - 1, rng)
-        aligned = h0 @ np.hstack(V1)
-        relay_inv, rank = pseudo_inverse_and_rank(aligned)
-        if rank == n_eff:
-            break
-        if attempt == 0:
+    rngs = _generators(rng, channels.stack_shape)
+    stack = channels.stacked()
+    h0 = stack.uplink[:, 0]
+    V1, aligned, relay_inv, rank = _aligned_draw(h0, K - 1, d, rngs)
+    redo = np.flatnonzero(rank != n_eff)
+    if redo.size:
+        for _ in redo:
             logger.warning("aligned subspaces rank deficient, resampling")
-    else:
-        logger.warning("aligned subspaces rank deficient on the second draw too, giving up")
-        raise SchemeDesignError("aligned pair subspaces stayed rank deficient after resampling")
+        again = _aligned_draw(h0[redo], K - 1, d, [rngs[i] for i in redo])
+        V1, aligned, relay_inv = (
+            _replaced(a, redo, b) for a, b in zip((V1, aligned, relay_inv), again)
+        )
+        failed = redo[again[3] != n_eff]
+        for _ in failed:
+            logger.warning("aligned subspaces rank deficient on the second draw too, giving up")
+        if failed.size:
+            raise SchemeDesignError(
+                "aligned pair subspaces stayed rank deficient after resampling",
+                trial=int(failed[0]),
+            )
     n, m = n_eff // L, m_eff // L
-    partner_pinv = pseudo_inverse(np.stack([h[:n, :m] for h in channels.uplink[1:]]))
+    partner_pinv = pseudo_inverse(stack.uplink[:, 1:, :n, :m])
     # kron(I_L, partner_pinv[p]) @ (H_0 V1[p]): each pair's aligned image as
     # L base-row blocks, so only the base pseudoinverses are applied
-    aligned_blocks = aligned.reshape(L, n, K - 1, d).transpose(2, 0, 1, 3)
-    Vj = (partner_pinv[:, np.newaxis] @ aligned_blocks).reshape(K - 1, m_eff, d)
-    return V1, Vj, relay_inv.reshape(K - 1, d, n_eff)
+    aligned_blocks = aligned.reshape(-1, L, n, K - 1, d).transpose(0, 3, 1, 2, 4)
+    Vj = partner_pinv[:, :, np.newaxis] @ aligned_blocks
+    lead = channels.stack_shape
+    return (
+        V1.reshape(lead + V1.shape[1:]),
+        Vj.reshape(lead + (K - 1, m_eff, d)),
+        relay_inv.reshape(lead + (K - 1, d, n_eff)),
+    )
 
 
-def design_downlink(
-    channels: ChannelSet, rng: np.random.Generator
-) -> tuple[np.ndarray, np.ndarray]:
+def design_downlink(channels: ChannelSet, rng) -> tuple[np.ndarray, np.ndarray]:
     """Random orthonormal broadcast precoders T, (K-1, relay_dim, d), plus
-    every user's receive filters, (K, K-1, d, user_dim).
+    every user's receive filters, (K, K-1, d, user_dim), each with the
+    channels' leading trial axis.
 
     User u sees the stacked downlink images D_u Tcat, with
     Tcat = [T[0] ... T[K-2]] square; its filter for pair p is the p-th
     d-row block of pinv(D_u Tcat). D_u has full column rank once the user
     dimension is at least the relay dimension (preparation guarantees it),
     so pinv(D_u Tcat) = inv(Tcat) pinv(D_u), and under extension
-    pinv(D_u) = kron(I_L, pinv(d_u)) of the base block d_u. One SVD of
-    Tcat decides its rank and gives inv(Tcat), one batched SVD gives the K
-    base-block pseudoinverses, and one broadcast product forms all K user
-    inverses.
+    pinv(D_u) = kron(I_L, pinv(d_u)) of the base block d_u. One batched
+    SVD of Tcat decides its rank and gives inv(Tcat), one batched SVD
+    gives the K base-block pseudoinverses, and one broadcast product forms
+    all K user inverses.
     """
     K = channels.num_users
     n_eff = channels.relay_dim
@@ -262,15 +327,18 @@ def design_downlink(
             f"singular downlink gain: zero-forcing needs user dimension {m_eff} "
             f">= relay dimension {n_eff}"
         )
-    T = _orthonormal_draws(n_eff, d, K - 1, rng)
-    t_inv, rank = pseudo_inverse_and_rank(np.hstack(T))
-    if rank < n_eff:
-        raise SchemeDesignError("broadcast precoders are rank deficient")
+    rngs = _generators(rng, channels.stack_shape)
+    T = orthonormal_columns(random_gaussian_stack(K - 1, (n_eff, d), rngs))
+    t_inv, rank = pseudo_inverse_and_rank(_hcat(T))
+    failed = np.flatnonzero(rank < n_eff)
+    if failed.size:
+        raise SchemeDesignError("broadcast precoders are rank deficient", trial=int(failed[0]))
     n, m = n_eff // L, m_eff // L
-    down_pinv = pseudo_inverse(np.stack([h[:m, :n] for h in channels.downlink]))
+    down_pinv = pseudo_inverse(channels.stacked().downlink[..., :m, :n])
     # inv(Tcat) @ kron(I_L, down_pinv[u]) for every u, without forming the kron
-    user_inv = (t_inv.reshape(n_eff * L, n) @ down_pinv).reshape(K, n_eff, m_eff)
-    return T, user_inv.reshape(K, K - 1, d, m_eff)
+    user_inv = t_inv.reshape(-1, 1, n_eff * L, n) @ down_pinv
+    lead = channels.stack_shape
+    return T.reshape(lead + T.shape[1:]), user_inv.reshape(lead + (K, K - 1, d, m_eff))
 
 
 def _block_conds(blocks: np.ndarray) -> np.ndarray:
@@ -280,78 +348,115 @@ def _block_conds(blocks: np.ndarray) -> np.ndarray:
     return np.divide(s[..., 0], low, out=np.full(low.shape, np.inf), where=low > 0)
 
 
-def _assemble_plan(
-    channels: ChannelSet, d: int, V1, Vj, relay_filter, T, rx_filter, degenerate: bool
-) -> SchemePlan:
-    K = channels.num_users
-    L = channels.extension_factor
-    # Users share one amplitude so the relay recovers plain symbol sums; the
-    # largest per-user budget binds and transmits exactly P per slot.
-    budgets = [float(np.linalg.norm(sum(V1)) ** 2)]
-    budgets += [float(np.linalg.norm(v) ** 2) for v in Vj]
-    power_scale = float(np.sqrt(L / max(budgets)))
-    # Relay budget is set against the re-encoded symbol covariance of the
-    # forwarded sums: blocks E[w_p w_q^H] = (1 + delta_pq) I_d.
-    t_cat = np.hstack(T)
-    w_cov = np.kron(np.ones((K - 1, K - 1)) + np.eye(K - 1), np.eye(d))
-    sym_power = float(np.real(np.trace(t_cat @ w_cov @ t_cat.conj().T)))
-    bc_scale = float(np.sqrt(L / sym_power))
-    g_cond = _block_conds(relay_filter)
-    user_gain_cond = _block_conds(rx_filter)
-    # one plan serves every power level and trace of a trial: share, never write
-    for a in (V1, Vj, T, relay_filter, rx_filter, g_cond, user_gain_cond):
-        a.setflags(write=False)
-    return SchemePlan(
-        d=d,
-        effective_N=channels.relay_dim,
-        effective_M=channels.user_dim,
-        extension_factor=L,
+def _design_once(stack: ChannelSet, d: int, rngs) -> dict[str, np.ndarray]:
+    """One design draw for every trial of a stack: the plan's arrays by
+    field name, each with the trial axis."""
+    V1, Vj, relay_filter = design_uplink(stack, d, rngs)
+    T, rx_filter = design_downlink(stack, rngs)
+    return dict(
         V1=V1,
         Vj=Vj,
         T=T,
         relay_filter=relay_filter,
         rx_filter=rx_filter,
-        g_cond=g_cond,
-        user_gain_cond=user_gain_cond,
+        g_cond=_block_conds(relay_filter),
+        user_gain_cond=_block_conds(rx_filter),
+    )
+
+
+def _worst_conds(arrays: dict[str, np.ndarray]) -> np.ndarray:
+    """Each trial's worst relay or user filter block condition number."""
+    return np.maximum(
+        arrays["g_cond"].max(axis=-1), arrays["user_gain_cond"].max(axis=(-2, -1))
+    )
+
+
+def _assemble_plan(
+    stack: ChannelSet, d: int, arrays: dict[str, np.ndarray], degenerate: np.ndarray, lead: tuple
+) -> SchemePlan:
+    """The plan of a designed stack, shaped for ``lead``: () keeps only
+    the single trial of a stack of one."""
+    K = stack.num_users
+    L = stack.extension_factor
+    # Users share one amplitude so the relay recovers plain symbol sums; the
+    # largest per-user budget binds and transmits exactly P per slot.
+    V1 = arrays["V1"]
+    tx = np.concatenate([V1.sum(axis=-3, keepdims=True), arrays["Vj"]], axis=-3)
+    budgets = np.sum(tx.real**2 + tx.imag**2, axis=(-2, -1))
+    power_scale = np.sqrt(L / budgets.max(axis=-1))
+    # Relay budget is set against the re-encoded symbol covariance of the
+    # forwarded sums: blocks E[w_p w_q^H] = (1 + delta_pq) I_d.
+    t_cat = _hcat(arrays["T"])
+    w_cov = np.kron(np.ones((K - 1, K - 1)) + np.eye(K - 1), np.eye(d))
+    covariance = t_cat @ w_cov @ t_cat.conj().swapaxes(-1, -2)
+    bc_scale = np.sqrt(L / np.real(np.trace(covariance, axis1=-2, axis2=-1)))
+    fields = {name: a.reshape(lead + a.shape[1:]) for name, a in arrays.items()}
+    # one plan serves every power level and trace of a trial: share, never write
+    for a in fields.values():
+        a.setflags(write=False)
+    if not lead:
+        power_scale, bc_scale = float(power_scale[0]), float(bc_scale[0])
+        degenerate = bool(degenerate[0])
+    return SchemePlan(
+        d=d,
+        effective_N=stack.relay_dim,
+        effective_M=stack.user_dim,
+        extension_factor=L,
         power_scale=power_scale,
         bc_scale=bc_scale,
         degenerate=degenerate,
+        **fields,
     )
 
 
 def design_scheme(
-    config: NetworkConfig, channels: ChannelSet, rng: np.random.Generator
+    config: NetworkConfig, channels: ChannelSet, rng
 ) -> tuple[ChannelSet, SchemePlan]:
     """Full design chain: preparation, uplink alignment and the relay
     inverse, downlink precoding and the user pseudoinverses, power scales.
 
-    A plan with a relay or user filter block beyond the conditioning
-    guardrail is redrawn once with fresh randomness and flagged degenerate.
-    Returns the effective channels together with the plan.
+    Designs one trial (one generator) or a stack (a stacked ChannelSet
+    and one generator per trial). Every trial with a relay or user filter
+    block beyond the conditioning guardrail is redrawn once with fresh
+    randomness from its own generator and flagged degenerate. Returns the
+    effective channels together with the plan.
     """
     eff, d = prepare_scheme(config, channels)
-    for attempt in range(2):
-        V1, Vj, relay_filter = design_uplink(eff, d, rng)
-        T, rx_filter = design_downlink(eff, rng)
-        plan = _assemble_plan(eff, d, V1, Vj, relay_filter, T, rx_filter, degenerate=attempt > 0)
-        worst = max(plan.g_cond.max(), plan.user_gain_cond.max())
-        if worst <= COND_LIMIT:
-            break
-        if attempt == 0:
-            logger.warning("plan conditioning %.3e exceeds guardrail, redrawing", worst)
-    else:
-        logger.warning("plan conditioning %.3e still exceeds guardrail after one redraw", worst)
-    return eff, plan
+    rngs = _generators(rng, eff.stack_shape)
+    stack = eff.stacked()
+    arrays = _design_once(stack, d, rngs)
+    worst = _worst_conds(arrays)
+    redo = np.flatnonzero(~(worst <= COND_LIMIT))
+    for i in redo:
+        logger.warning("plan conditioning %.3e exceeds guardrail, redrawing", worst[i])
+    if redo.size:
+        try:
+            again = _design_once(stack.select(redo), d, [rngs[i] for i in redo])
+        except SchemeDesignError as exc:
+            exc.trial = int(redo[exc.trial])
+            raise
+        arrays = {name: _replaced(a, redo, again[name]) for name, a in arrays.items()}
+        for w in _worst_conds(again):
+            if not w <= COND_LIMIT:
+                logger.warning("plan conditioning %.3e still exceeds guardrail after one redraw", w)
+    degenerate = np.zeros(len(rngs), dtype=bool)
+    degenerate[redo] = True
+    return eff, _assemble_plan(stack, d, arrays, degenerate, eff.stack_shape)
 
 
-def _vector_rows(vectors, count: int, d: int, what: str) -> np.ndarray:
-    """The ``count`` length-d vectors as the rows of one array."""
-    if len(vectors) != count:
-        raise ValueError(f"need {count} {what} vectors, got {len(vectors)}")
+def _vector_rows(vectors, stack_shape: tuple, count: int, d: int, what: str) -> np.ndarray:
+    """The ``count`` length-d vectors of each trial as one array."""
     rows = np.asarray(vectors)
-    if rows.shape != (count, d):
-        raise ValueError(f"each {what} vector must have length {d}")
+    if rows.shape != stack_shape + (count, d):
+        raise ValueError(
+            f"need {count} {what} vectors of length {d} per trial, got shape {rows.shape}"
+        )
     return rows
+
+
+def _amplitude(scale, P: float) -> np.ndarray:
+    """Transmit amplitude scale * sqrt(P), one per trial (0-d for one)."""
+    return np.asarray(scale) * np.sqrt(P)
 
 
 def mac_phase(
@@ -359,23 +464,25 @@ def mac_phase(
     channels: ChannelSet,
     symbols,
     P: float,
-    rng: np.random.Generator | None = None,
+    rng=None,
     noise_on: bool = False,
 ) -> np.ndarray:
     """Uplink slot: every user beamforms its symbol block with amplitude
     power_scale * sqrt(P); the relay observes the superposition plus
-    unit-variance noise when enabled.
+    unit-variance noise when enabled, which needs rng.
 
     symbols holds one length-d vector per user, as a (K, d) array or a
-    sequence.
+    sequence, or a (S, K, d) array for a stacked plan.
     """
-    s = _vector_rows(symbols, plan.num_users, plan.d, "symbol")
-    a = plan.power_scale * np.sqrt(P)
+    rngs = _generators(rng, plan.stack_shape) if noise_on else None
+    s = _vector_rows(symbols, plan.stack_shape, plan.num_users, plan.d, "symbol")
+    a = _amplitude(plan.power_scale, P)[..., np.newaxis, np.newaxis, np.newaxis]
     # user 0 sends on every pair's beamformer, partner p+1 on its own only
-    x = a * np.vstack([sum(plan.V1) @ s[0], (plan.Vj @ s[1:, :, np.newaxis])[..., 0]])
-    y_r = sum(h @ x_u for h, x_u in zip(channels.uplink, x))
+    x0 = plan.V1.sum(axis=-3, keepdims=True) @ s[..., :1, :, np.newaxis]
+    x = a * np.concatenate([x0, plan.Vj @ s[..., 1:, :, np.newaxis]], axis=-3)
+    y_r = np.sum(channels.uplink @ x, axis=-3)[..., 0]
     if noise_on:
-        y_r = y_r + random_gaussian_vector(plan.effective_N, rng)
+        y_r = y_r + _draws(rngs, plan.stack_shape, 1, plan.effective_N)[..., 0, :]
     return y_r
 
 
@@ -383,8 +490,8 @@ def relay_process(plan: SchemePlan, y_r: np.ndarray, P: float) -> np.ndarray:
     """Zero-force, unmix, and rescale: row p of the (K-1, d) result is the
     network-coded sum of pair p's two symbol vectors (exactly, when
     noiseless)."""
-    a = plan.power_scale * np.sqrt(P)
-    return plan.relay_filter @ y_r / a
+    a = _amplitude(plan.power_scale, P)[..., np.newaxis, np.newaxis]
+    return (plan.relay_filter @ y_r[..., np.newaxis, :, np.newaxis])[..., 0] / a
 
 
 def bc_phase(
@@ -392,21 +499,24 @@ def bc_phase(
     channels: ChannelSet,
     w,
     P: float,
-    rng: np.random.Generator | None = None,
+    rng=None,
     noise_on: bool = False,
 ) -> np.ndarray:
     """Downlink slot: the relay broadcasts every pair sum through its
-    precoder with amplitude bc_scale * sqrt(P).
+    precoder with amplitude bc_scale * sqrt(P); noise, when enabled,
+    needs rng.
 
     w holds one forwarded length-d vector per pair, as a (K-1, d) array or
-    a sequence. Row u of the (K, user_dim) result is user u's observation.
+    a sequence, or a (S, K-1, d) array for a stacked plan. Row u of the
+    (K, user_dim) result is user u's observation.
     """
-    w = _vector_rows(w, plan.num_pairs, plan.d, "forwarded")
-    b = plan.bc_scale * np.sqrt(P)
-    x_r = b * sum(t @ w_p for t, w_p in zip(plan.T, w))
-    y = np.array([h @ x_r for h in channels.downlink])
+    rngs = _generators(rng, plan.stack_shape) if noise_on else None
+    w = _vector_rows(w, plan.stack_shape, plan.num_pairs, plan.d, "forwarded")
+    b = _amplitude(plan.bc_scale, P)[..., np.newaxis]
+    x_r = b * np.sum(plan.T @ w[..., np.newaxis], axis=-3)[..., 0]
+    y = (channels.downlink @ x_r[..., np.newaxis, :, np.newaxis])[..., 0]
     if noise_on:
-        y = y + _gaussian_rows(plan.num_users, plan.effective_M, rng)
+        y = y + _draws(rngs, plan.stack_shape, plan.num_users, plan.effective_M)
     return y
 
 
@@ -418,36 +528,44 @@ def user_decode(
     The user zero-forces each pair, then peels: user 0 subtracts its own
     symbols from every sum; user u >= 1 first recovers user 0's symbols
     from its own pair, then subtracts them from the remaining sums.
-    Returns a (K-1, d) array whose row i belongs to sender
-    other_users(K, u)[i].
+    Returns a (K-1, d) array (with the plan's trial axis) whose row i
+    belongs to sender other_users(K, u)[i].
     """
     if not 0 <= u < plan.num_users:
         raise ValueError("user index out of range")
-    b = plan.bc_scale * np.sqrt(P)
+    b = _amplitude(plan.bc_scale, P)[..., np.newaxis, np.newaxis]
     # row p: the sum of user 0's and user p+1's symbols
-    what = plan.rx_filter[u] @ y_u / b
-    own = np.asarray(own_symbols)
+    what = (plan.rx_filter[..., u, :, :, :] @ np.asarray(y_u)[..., np.newaxis, :, np.newaxis])
+    what = what[..., 0] / b
+    own = np.asarray(own_symbols)[..., np.newaxis, :]
     if u == 0:
         return what - own
-    s0 = what[u - 1] - own
+    s0 = what[..., u - 1 : u, :] - own
     rest = what - s0
-    return np.vstack([s0, rest[: u - 1], rest[u:]])
+    return np.concatenate([s0, rest[..., : u - 1, :], rest[..., u:, :]], axis=-2)
 
 
 def run_round(
     plan: SchemePlan,
     channels: ChannelSet,
     P: float,
-    rng: np.random.Generator,
+    rng,
     noise_on: bool,
 ) -> TransmissionTrace:
     """Draw fresh unit-power symbols and push them through both phases and
-    every user's decoder."""
-    sent = _gaussian_rows(plan.num_users, plan.d, rng)
+    every user's decoder, for one trial or every trial of a stacked plan."""
+    stack = plan.stack_shape
+    sent = _draws(_generators(rng, stack), stack, plan.num_users, plan.d)
     y_r = mac_phase(plan, channels, sent, P, rng, noise_on)
     w = relay_process(plan, y_r, P)
     user_rx = bc_phase(plan, channels, w, P, rng, noise_on)
-    decoded = np.array([user_decode(plan, user_rx[u], u, sent[u], P) for u in range(len(sent))])
+    decoded = np.stack(
+        [
+            user_decode(plan, user_rx[..., u, :], u, sent[..., u, :], P)
+            for u in range(plan.num_users)
+        ],
+        axis=-3,
+    )
     return TransmissionTrace(
         sent=sent,
         relay_rx=y_r,
@@ -470,7 +588,10 @@ def build_allocation(plan: SchemePlan, K: int) -> DofAllocation:
 
 
 def plan_to_json_dict(plan: SchemePlan) -> dict:
-    """JSON encoding of every designed matrix, for dumping a specific draw."""
+    """JSON encoding of every designed matrix of one trial's plan, for
+    dumping a specific draw."""
+    if plan.stack_shape:
+        raise ValueError("only one trial's plan can be encoded")
     return {
         "d": plan.d,
         "effective_N": plan.effective_N,

@@ -1,5 +1,6 @@
 """Tests for noiseless verification, SINR computation, and slope estimation."""
 
+import dataclasses
 from fractions import Fraction
 
 import numpy as np
@@ -19,9 +20,21 @@ from mrc_dof_lab.analysis import (
 )
 from mrc_dof_lab.bounds import cutset_dof
 from mrc_dof_lab.channel import NetworkConfig, generate_channels
+from mrc_dof_lab import ssa_nc
 from mrc_dof_lab.ssa_nc import design_scheme, other_users, run_round
 
 GRID = [1e2, 1e3, 1e4, 1e5, 1e6]
+
+
+def nan_rounds(monkeypatch):
+    """Make every round decode NaN symbols."""
+    real = ssa_nc.run_round
+
+    def nan_round(*args, **kwargs):
+        trace = real(*args, **kwargs)
+        return dataclasses.replace(trace, decoded=np.full_like(trace.decoded, np.nan))
+
+    monkeypatch.setattr(ssa_nc, "run_round", nan_round)
 
 
 def plan_for(k, m, n, seed=0):
@@ -61,6 +74,11 @@ class TestVerifyNoiseless:
         cs = generate_channels(cfg, cfg.rng())
         rep = verify_noiseless(cfg, 5, channels=cs)
         assert rep.noiseless_max_error <= 1e-8
+
+    def test_nan_round_reports_nan(self, monkeypatch):
+        nan_rounds(monkeypatch)
+        rep = verify_noiseless(NetworkConfig(K=3, M=3, N=2, seed=5), 3)
+        assert np.isnan(rep.noiseless_max_error)
 
 
 class TestStreamSinrs:
@@ -180,6 +198,23 @@ class TestMseSweep:
     def test_rejects_zero_trials(self):
         with pytest.raises(ValueError, match="trials must be positive"):
             decode_mse_sweep(NetworkConfig(K=3, M=3, N=2, seed=14), [1e2, 1e3, 1e4], 0)
+
+    @pytest.mark.parametrize(
+        "grid,message",
+        [
+            ([], "empty"),
+            ([float("nan"), 1e3, 1e4], "finite"),
+            ([1e2, float("inf")], "finite"),
+            ([1e2, 0.0, 1e4], "positive"),
+        ],
+    )
+    def test_rejects_bad_grid_before_any_design(self, monkeypatch, grid, message):
+        def no_design(*args, **kwargs):
+            raise AssertionError("designed before the grid was checked")
+
+        monkeypatch.setattr(ssa_nc, "design_scheme", no_design)
+        with pytest.raises(ValueError, match=message):
+            decode_mse_sweep(NetworkConfig(K=3, M=3, N=2, seed=14), grid, 2)
 
 
 class TestReports:

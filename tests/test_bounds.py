@@ -3,6 +3,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mrc_dof_lab.bounds import (
     DofAllocation,
@@ -195,3 +197,30 @@ class TestBoundRow:
         assert row.private_only == 4
         assert row.cutset == 8
         assert row.gain == 4
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(k=st.integers(3, 8), m=st.integers(1, 40), n=st.integers(1, 40))
+def test_private_only_never_beats_cutset(k, m, n):
+    assert private_only_dof(k, m, n) <= cutset_dof(k, m, n)
+    assert common_gain(k, m, n) >= 0
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(k=st.integers(3, 8), boundary=st.integers(0, 3), scale=st.integers(1, 6))
+def test_case_formulas_meet_at_every_threshold(k, boundary, scale):
+    # at N/M = threshold, the case formulas below and above it agree (2N,
+    # 4K(K-1)M/(K^2-K+2) or KM), and private_only_dof, which picks one
+    # side, returns that common value
+    ratio = regime_thresholds(k)[boundary]
+    m = scale * ratio.denominator
+    n = scale * ratio.numerator
+    denom = k * k - k + 2
+    formulas = {
+        1: Fraction(2 * n),
+        2: Fraction(2 * n),
+        3: Fraction(4 * k * (k - 1) * m, denom),
+        4: Fraction(k * (k - 1) * (2 * n + (4 - k) * m), denom),
+        5: Fraction(k * m),
+    }
+    assert formulas[boundary + 1] == formulas[boundary + 2] == private_only_dof(k, m, n)

@@ -27,6 +27,8 @@ class TestNetworkConfig:
             dict(K=3, M=0, N=2),
             dict(K=3, M=2, N=0),
             dict(K=3, M=2, N=2, P=0.0),
+            dict(K=3, M=2, N=2, P=float("inf")),
+            dict(K=3, M=2, N=2, P=float("nan")),
             dict(K=3, M=2, N=2, duplex_factor=0.7),
             dict(K=3, M=2, N=2, seed=-1),
         ],
@@ -59,7 +61,7 @@ class TestGenerateChannels:
     def test_same_seed_same_channels(self):
         a = make(NetworkConfig(K=3, M=2, N=2, seed=5))
         b = make(NetworkConfig(K=3, M=2, N=2, seed=5))
-        for ha, hb in zip(a.uplink + a.downlink, b.uplink + b.downlink):
+        for ha, hb in zip([*a.uplink, *a.downlink], [*b.uplink, *b.downlink]):
             assert np.array_equal(ha, hb)
 
     def test_uplink_identical_across_reciprocity_modes(self):
@@ -122,7 +124,7 @@ class TestSerialization:
         assert doc["M"] == 4 and doc["N"] == 3 and doc["L"] == 2
         back = channels_from_json_dict(doc)
         assert back.extension_factor == 2
-        for ha, hb in zip(cs.uplink + cs.downlink, back.uplink + back.downlink):
+        for ha, hb in zip([*cs.uplink, *cs.downlink], [*back.uplink, *back.downlink]):
             assert np.array_equal(ha, hb)
 
     def test_round_trip(self):
@@ -130,7 +132,7 @@ class TestSerialization:
         doc = channels_to_json_dict(cs)
         assert doc["K"] == 3 and doc["M"] == 2 and doc["N"] == 3 and doc["L"] == 1
         back = channels_from_json_dict(doc)
-        for ha, hb in zip(cs.uplink + cs.downlink, back.uplink + back.downlink):
+        for ha, hb in zip([*cs.uplink, *cs.downlink], [*back.uplink, *back.downlink]):
             assert np.array_equal(ha, hb)
 
     def test_entry_encoding(self):
@@ -145,6 +147,15 @@ class TestChannelSetValidation:
         h = np.ones((2, 2), dtype=complex)
         with pytest.raises(ValueError):
             ChannelSet(uplink=(h, h), downlink=(h.T, h.T))
+
+    def test_rejects_rank_deficient_trial_of_a_stack(self):
+        cfg = NetworkConfig(K=3, M=2, N=2, seed=15)
+        stack = generate_channels(cfg, [cfg.trial_rng(t) for t in range(3)])
+        assert stack.stack_shape == (3,) and stack.num_users == 3
+        uplink = stack.uplink.copy()
+        uplink[1, 2] = np.ones((2, 2))
+        with pytest.raises(ValueError, match="rank deficient"):
+            ChannelSet(uplink=uplink, downlink=stack.downlink)
 
     def test_rejects_shape_mismatch(self):
         a = np.eye(2, dtype=complex)

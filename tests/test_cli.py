@@ -1,7 +1,9 @@
 """Tests for the command-line interface."""
 
+import dataclasses
 import json
 
+import numpy as np
 import pytest
 
 from mrc_dof_lab import __version__
@@ -56,6 +58,23 @@ class TestVerifyCommand:
         lines = out.strip().splitlines()
         row = lines[2].split(",")
         assert row[:7] == ["3", "3", "2", "1", "1", "6", "6"]
+
+    def test_nan_round_fails(self, capsys, monkeypatch):
+        from mrc_dof_lab import ssa_nc
+
+        real = ssa_nc.run_round
+
+        def nan_round(*args, **kwargs):
+            trace = real(*args, **kwargs)
+            return dataclasses.replace(trace, decoded=np.full_like(trace.decoded, np.nan))
+
+        monkeypatch.setattr(ssa_nc, "run_round", nan_round)
+        code, out, err = run(
+            capsys, "verify", "--k", "3", "--m", "3", "--n", "2", "--trials", "2",
+        )
+        assert code == EXIT_VERIFY_FAILED
+        assert out.strip().splitlines()[2].split(",")[10] == "nan"
+        assert "max_err=nan" in err
 
     def test_extension_case_reported(self, capsys):
         code, out, _ = run(

@@ -10,6 +10,8 @@ from mrc_dof_lab.linalg import (
     pseudo_inverse,
     pseudo_inverse_and_rank,
     random_gaussian_matrix,
+    random_gaussian_stack,
+    random_gaussian_vector,
     subspace_distance,
 )
 
@@ -41,6 +43,22 @@ class TestRandomGaussian:
     def test_bad_dimensions(self):
         with pytest.raises(ValueError):
             random_gaussian_matrix(0, 3, rng())
+
+    def test_stack_equals_draws_one_after_another(self):
+        # one standard_normal call per generator gives the bits of drawing
+        # each array's real and imaginary part in turn, and row s of a
+        # stack comes from generator s alone
+        got = random_gaussian_stack(3, (2, 4), [rng(5), rng(6)])
+        assert got.shape == (2, 3, 2, 4)
+        for s, seed in enumerate((5, 6)):
+            g = rng(seed)
+            for i in range(3):
+                re = g.standard_normal((2, 4))
+                im = g.standard_normal((2, 4))
+                assert np.array_equal(got[s, i], (re + 1j * im) / np.sqrt(2.0))
+        vectors = random_gaussian_stack(2, (3,), rng(7))
+        g = rng(7)
+        assert np.array_equal(vectors, [random_gaussian_vector(3, g) for _ in range(2)])
 
 
 class TestCmatrix:

@@ -10,8 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mrc_dof_lab import ssa_nc
-from mrc_dof_lab.analysis import verify_noiseless
+from mrc_dof_lab import linalg, ssa_nc
+from mrc_dof_lab.analysis import stream_sinrs, verify_noiseless
 from mrc_dof_lab.bounds import check_percut_bounds, cutset_dof, total_dof
 from mrc_dof_lab.channel import ChannelSet, NetworkConfig, generate_channels
 from mrc_dof_lab.linalg import random_gaussian_vector, subspace_distance
@@ -209,17 +209,26 @@ class TestUserFilterOracle:
 
 
 def _stub_design_draws(monkeypatch, degenerate):
-    """Make the design's Gaussian draw number i (counted from 0 over the
-    test) a matrix of ones whenever degenerate(i) holds. The real draw is
-    still taken, so the generator advances as it would."""
-    real = ssa_nc.random_gaussian_matrix
-    calls = itertools.count()
+    """Make matrix i of a trial's Gaussian draws in the scheme (counted
+    from 0 per trial generator, trials numbered in the order their
+    generators first draw) a matrix of ones whenever degenerate(trial, i)
+    holds. Counts are per generator because a stacked design interleaves
+    the trials' draws. The real draws are still taken, so every generator
+    advances as it would."""
+    trials = {}
+    taken = {}
 
-    def draw(rows, cols, rng):
-        a = real(rows, cols, rng)
-        return np.ones((rows, cols), dtype=complex) if degenerate(next(calls)) else a
+    def draw(count, shape, rngs):
+        out = np.array(linalg.random_gaussian_stack(count, shape, rngs))
+        for row, g in zip(out, rngs):
+            trial = trials.setdefault(g, len(trials))
+            for j in range(count):
+                if degenerate(trial, taken.get(g, 0) + j):
+                    row[j] = 1.0
+            taken[g] = taken.get(g, 0) + count
+        return out
 
-    monkeypatch.setattr(ssa_nc, "random_gaussian_matrix", draw)
+    monkeypatch.setattr(ssa_nc, "random_gaussian_stack", draw)
 
 
 def _warnings(caplog, word):
@@ -234,7 +243,7 @@ class TestDesignFailurePaths:
     CFG = dict(K=3, M=3, N=2, seed=7)
 
     def test_rank_deficient_v1_resampled_once(self, monkeypatch, caplog):
-        _stub_design_draws(monkeypatch, lambda i: i < 2)
+        _stub_design_draws(monkeypatch, lambda trial, i: i < 2)
         report = verify_noiseless(NetworkConfig(**self.CFG), trials=1)
         assert len(_warnings(caplog, "resampling")) == 1
         assert report.noiseless_max_error <= 1e-8
@@ -242,8 +251,8 @@ class TestDesignFailurePaths:
         assert report.degenerate_draws == 0
 
     def test_two_rank_deficient_draws_raise_with_trial_and_seed(self, monkeypatch, caplog):
-        # trial 0 takes draws 0-3; both of trial 1's V1 attempts are degenerate
-        _stub_design_draws(monkeypatch, lambda i: i >= 4)
+        # both of trial 1's V1 attempts (its draws 0-3) are degenerate
+        _stub_design_draws(monkeypatch, lambda trial, i: trial == 1 and i < 4)
         with pytest.raises(SchemeDesignError, match=r"trial 1 \(seed 7\): aligned pair"):
             verify_noiseless(NetworkConfig(**self.CFG), trials=2)
         assert len(_warnings(caplog, "resampling")) == 1
@@ -252,7 +261,7 @@ class TestDesignFailurePaths:
     def test_rank_deficient_precoders_raise(self, monkeypatch):
         cfg = NetworkConfig(**self.CFG)
         eff, _ = prepare_scheme(cfg, generate_channels(cfg, cfg.rng()))
-        _stub_design_draws(monkeypatch, lambda i: True)
+        _stub_design_draws(monkeypatch, lambda trial, i: True)
         with pytest.raises(SchemeDesignError, match="precoders are rank deficient"):
             design_downlink(eff, cfg.rng())
 
@@ -279,6 +288,87 @@ class TestDesignFailurePaths:
         assert len(_warnings(caplog, "guardrail")) == 6
         assert len(_warnings(caplog, "redrawing")) == 3
         assert report.noiseless_max_error <= 1e-8
+
+
+PLAN_FIELDS = (
+    "V1", "Vj", "T", "relay_filter", "rx_filter", "g_cond", "user_gain_cond",
+    "power_scale", "bc_scale", "degenerate",
+)
+TRACE_FIELDS = ("sent", "relay_rx", "relay_fwd", "user_rx", "decoded")
+SINR_FIELDS = ("mac", "bc", "end_to_end")
+
+
+def _single_runs(cfg, trials):
+    """(plan, noisy trace, SINRs) of each trial designed and run alone."""
+    runs = []
+    for trial in range(trials):
+        rng = cfg.trial_rng(trial)
+        eff, plan = design_scheme(cfg, generate_channels(cfg, rng), rng)
+        trace = run_round(plan, eff, 10.0, rng, noise_on=True)
+        runs.append((plan, trace, stream_sinrs(plan, 3.0)))
+    return runs
+
+
+def _stacked_run(cfg, trials):
+    """(plan, noisy trace, SINRs) of the trials designed and run as one stack."""
+    rngs = [cfg.trial_rng(trial) for trial in range(trials)]
+    eff, plan = design_scheme(cfg, generate_channels(cfg, rngs), rngs)
+    trace = run_round(plan, eff, 10.0, rngs, noise_on=True)
+    return plan, trace, stream_sinrs(plan, 3.0)
+
+
+def _assert_stack_matches(stacked, singles):
+    for t, single in enumerate(singles):
+        for fields, whole, one in zip((PLAN_FIELDS, TRACE_FIELDS, SINR_FIELDS), stacked, single):
+            for name in fields:
+                got = np.asarray(getattr(whole, name))[t]
+                assert np.array_equal(got, getattr(one, name)), (t, name)
+
+
+class TestTrialStacks:
+    """A stack designs and runs every trial bit for bit as it runs alone."""
+
+    @pytest.mark.parametrize(
+        "k,m,n",
+        list(itertools.product((3, 4, 5), (2, 3, 4), (2, 3, 4))) + [(4, 4, 3), (6, 6, 5), (3, 5, 4)],
+    )
+    def test_stack_equals_single_trials(self, k, m, n):
+        cfg = NetworkConfig(K=k, M=m, N=n, seed=7)
+        plan, trace, _ = stacked = _stacked_run(cfg, 3)
+        assert plan.stack_shape == (3,) and trace.decoded.shape[0] == 3
+        _assert_stack_matches(stacked, _single_runs(cfg, 3))
+
+    def test_resample_and_redraw_touch_only_their_trials(self, monkeypatch, caplog):
+        # trial 2's first V1 draw is degenerate and resampled; at this limit
+        # only trial 3's first plan (worst condition number 11.5, the others
+        # at most 9.9) exceeds the guardrail and is redrawn
+        cfg = NetworkConfig(K=3, M=4, N=3, seed=7)
+        monkeypatch.setattr(ssa_nc, "COND_LIMIT", 10.5)
+        _stub_design_draws(monkeypatch, lambda trial, i: trial == 2 and i < 2)
+        singles = _single_runs(cfg, 4)
+        assert [plan.degenerate for plan, _, _ in singles] == [False, False, False, True]
+        _stub_design_draws(monkeypatch, lambda trial, i: trial == 2 and i < 2)
+        stacked = _stacked_run(cfg, 4)
+        assert len(_warnings(caplog, "resampling")) == 2
+        assert len(_warnings(caplog, "redrawing")) == 2
+        _assert_stack_matches(stacked, singles)
+
+    def test_design_error_names_stack_position(self, monkeypatch):
+        _stub_design_draws(monkeypatch, lambda trial, i: trial == 2 and i < 4)
+        cfg = NetworkConfig(K=3, M=3, N=2, seed=7)
+        rngs = [cfg.trial_rng(trial) for trial in range(4)]
+        with pytest.raises(SchemeDesignError) as err:
+            design_scheme(cfg, generate_channels(cfg, rngs), rngs)
+        assert err.value.trial == 2
+
+    def test_generator_count_must_match_stack(self):
+        cfg = NetworkConfig(K=3, M=3, N=2, seed=7)
+        rngs = [cfg.trial_rng(trial) for trial in range(3)]
+        channels = generate_channels(cfg, rngs)
+        with pytest.raises(ValueError, match="one generator per trial"):
+            design_scheme(cfg, channels, rngs[:2])
+        with pytest.raises(ValueError, match="one generator per trial"):
+            design_scheme(cfg, channels, rngs[0])
 
 
 @settings(derandomize=True, deadline=None, max_examples=25, database=None)
@@ -333,6 +423,14 @@ class TestMacPhase:
         bad = [np.zeros(plan.d + 1, dtype=complex)] * 3
         with pytest.raises(ValueError):
             mac_phase(plan, eff, bad, P=1.0, rng=rng, noise_on=False)
+
+    def test_noise_without_generator_rejected(self):
+        cfg, eff, plan, _ = designed(3, 3, 2)
+        zeros = np.zeros((3, plan.d), dtype=complex)
+        with pytest.raises(ValueError, match="generator"):
+            mac_phase(plan, eff, zeros, 1.0, noise_on=True)
+        with pytest.raises(ValueError, match="generator"):
+            bc_phase(plan, eff, zeros[:2], 1.0, noise_on=True)
 
 
 class TestRelayProcess:
