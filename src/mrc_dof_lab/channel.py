@@ -144,12 +144,12 @@ class ChannelSet:
         """The given trials of a stack, as a stack."""
         return self._view(self.uplink[trials], self.downlink[trials])
 
-    def _view(self, uplink: np.ndarray, downlink: np.ndarray) -> ChannelSet:
-        # trials of a validated set are valid: skip the re-validation
+    def _view(self, uplink: np.ndarray, downlink: np.ndarray, extension_factor=None) -> ChannelSet:
+        # trials and extensions of a validated set are valid: skip validation
         view = object.__new__(ChannelSet)
         object.__setattr__(view, "uplink", uplink)
         object.__setattr__(view, "downlink", downlink)
-        object.__setattr__(view, "extension_factor", self.extension_factor)
+        object.__setattr__(view, "extension_factor", extension_factor or self.extension_factor)
         return view
 
 
@@ -183,6 +183,7 @@ def extend_channels(channels: ChannelSet, L: int) -> ChannelSet:
     """Replace every matrix by diag(H, ..., H) with L copies (constant channel).
 
     Only unextended sets can be extended; L = 1 returns the input unchanged.
+    Not validated again: the input is, and the fill is exactly kron(I_L, H).
     """
     if L < 1:
         raise ValueError("extension factor must be positive")
@@ -190,10 +191,8 @@ def extend_channels(channels: ChannelSet, L: int) -> ChannelSet:
         return channels
     if channels.extension_factor != 1:
         raise ValueError("channel set is already extended")
-    return ChannelSet(
-        uplink=_block_diagonal(channels.uplink, L),
-        downlink=_block_diagonal(channels.downlink, L),
-        extension_factor=L,
+    return channels._view(
+        _block_diagonal(channels.uplink, L), _block_diagonal(channels.downlink, L), L
     )
 
 
@@ -201,7 +200,8 @@ def shutdown_relay_antennas(channels: ChannelSet, keep: int) -> ChannelSet:
     """Drop all but the first ``keep`` relay antennas.
 
     Removes trailing rows of every uplink matrix and trailing columns of
-    every downlink matrix. Only meaningful before extension.
+    every downlink matrix. Only meaningful before extension. Validated, as
+    dropping rows can lose rank.
     """
     if channels.extension_factor != 1:
         raise ValueError("shut down antennas before extending the channel")

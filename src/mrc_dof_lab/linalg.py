@@ -78,20 +78,21 @@ def random_gaussian_vector(n: int, rng: np.random.Generator) -> np.ndarray:
     return random_gaussian_stack(1, (n,), rng)[0]
 
 
-def pseudo_inverse_and_rank(A: CMatrix, tol: float = DEFAULT_TOL) -> tuple[CMatrix, np.ndarray]:
-    """Moore-Penrose pseudoinverse and numeric rank from one SVD.
+def pseudo_inverse_and_rank(A: CMatrix, tol: float = DEFAULT_TOL) -> tuple[np.ndarray, ...]:
+    """Moore-Penrose pseudoinverse, numeric rank and condition number from one SVD.
 
     Takes one matrix or a stack of shape (..., m, n) and decomposes the
     whole stack in a single call. Singular values at or below
     ``tol * sigma_max`` of their own matrix are truncated and not counted,
-    so rank-deficient inputs are handled without blow-up. The rank is an
-    int array over the stack (a 0-d array for one matrix).
+    so rank-deficient inputs are handled without blow-up. Rank and condition
+    number sigma_max / sigma_min (inf if rank deficient) are arrays over the stack.
     """
     u, s, vh = np.linalg.svd(np.asarray(A), full_matrices=False)
     keep = s > tol * s[..., :1]
     inv = np.divide(1.0, s, out=np.zeros_like(s), where=keep)
     pinv = (vh.conj().swapaxes(-1, -2) * inv[..., np.newaxis, :]) @ u.conj().swapaxes(-1, -2)
-    return _freeze(pinv), keep.sum(axis=-1)
+    cond = np.divide(s[..., 0], s[..., -1], out=np.full(s.shape[:-1], np.inf), where=keep[..., -1])
+    return _freeze(pinv), keep.sum(axis=-1), cond
 
 
 def pseudo_inverse(A: CMatrix, tol: float = DEFAULT_TOL) -> CMatrix:

@@ -63,8 +63,8 @@ from .linalg import (
 
 logger = logging.getLogger("mrc_dof_lab.ssa_nc")
 
-# Plans with a relay or user filter block worse conditioned than this are
-# redrawn once and counted as degenerate.
+# Plans with a relay or user conditioning guard above this are redrawn once
+# and counted as degenerate; a redrawn plan still above it is a design error.
 COND_LIMIT = 1e8
 
 
@@ -96,15 +96,16 @@ class SchemePlan:
     - T: (K-1, relay_dim, d)
     - relay_filter: (K-1, d, relay_dim)
     - rx_filter: (K, K-1, d, user_dim)
-    - g_cond: (K-1,); user_gain_cond: (K, K-1)
+    - g_cond: (); user_gain_cond: (K,)
 
     A plan for a stack of S trials prefixes every array with the trial
     axis, and power_scale, bc_scale and degenerate are (S,) arrays in
     place of scalars.
 
-    g_cond[p] and user_gain_cond[u, p] are the condition numbers of those
-    filter blocks. They equal the condition numbers of the d x d mixing
-    matrices each pair leaves once the other pairs are zero-forced.
+    g_cond is cond(A) of the relay inverse A = H_0 [V1[0] ... V1[K-2]] and
+    user_gain_cond[u] is cond(Tcat) cond(d_u) >= cond(D_u Tcat), d_u user
+    u's downlink base block, both from the design's SVDs; each bounds the
+    condition numbers of the filter blocks and d x d mixing matrices it guards.
 
     power_scale and bc_scale are transmit amplitudes per sqrt(P) for the
     users and the relay; they fold in the extension factor so the power
@@ -234,29 +235,29 @@ def _replaced(a: np.ndarray, rows: np.ndarray, values: np.ndarray) -> np.ndarray
 
 def _aligned_draw(h0: np.ndarray, pairs: int, d: int, rngs):
     """Draw user 0's beamformers V1 for every trial of the stack and
-    invert its aligned images A = H_0 [V1[0] ...]: V1, A, pinv(A), rank(A)."""
+    invert its aligned images A = H_0 [V1[0] ...]: V1, A, pinv(A), cond(A), rank(A)."""
     V1 = orthonormal_columns(random_gaussian_stack(pairs, (h0.shape[-1], d), rngs))
     aligned = h0 @ _hcat(V1)
-    relay_inv, rank = pseudo_inverse_and_rank(aligned)
-    return V1, aligned, relay_inv, rank
+    relay_inv, rank, cond = pseudo_inverse_and_rank(aligned)
+    return V1, aligned, relay_inv, cond, rank
 
 
 def design_uplink(
     channels: ChannelSet, d: int, rng
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Draw user 0's pair beamformers, align every partner onto them, and
     build the relay filters.
 
     V1[p] is random with orthonormal columns. The K-1 aligned images
     H_0 V1[p] must jointly span the relay space, so A = H_0 [V1[0] ...] is
     square and invertible; the trials with a rank-deficient draw resample
-    it once. One batched SVD of A decides the rank and gives inv(A), whose
-    d-row blocks are the relay filters. Partner p+1 pre-inverts its own
-    uplink so that H_{p+1} Vj[p] = H_0 V1[p] holds exactly (the uplink has
-    full row rank after preparation); under extension only the base block
-    of each uplink is pseudo-inverted. Returns V1 and Vj, both
-    (K-1, user_dim, d), and the relay filters (K-1, d, relay_dim), each
-    with the channels' leading trial axis.
+    it once. One batched SVD of A decides the rank and gives cond(A) and
+    inv(A), whose d-row blocks are the relay filters. Partner p+1 pre-inverts
+    its own uplink so that H_{p+1} Vj[p] = H_0 V1[p] holds exactly (the
+    uplink has full row rank after preparation); under extension only the
+    base block of each uplink is pseudo-inverted. Returns V1 and Vj, both
+    (K-1, user_dim, d), the relay filters (K-1, d, relay_dim) and cond(A),
+    each with the channels' leading trial axis.
     """
     K = channels.num_users
     n_eff = channels.relay_dim
@@ -269,16 +270,16 @@ def design_uplink(
     rngs = _generators(rng, channels.stack_shape)
     stack = channels.stacked()
     h0 = stack.uplink[:, 0]
-    V1, aligned, relay_inv, rank = _aligned_draw(h0, K - 1, d, rngs)
+    V1, aligned, relay_inv, g_cond, rank = _aligned_draw(h0, K - 1, d, rngs)
     redo = np.flatnonzero(rank != n_eff)
     if redo.size:
         for _ in redo:
             logger.warning("aligned subspaces rank deficient, resampling")
         again = _aligned_draw(h0[redo], K - 1, d, [rngs[i] for i in redo])
-        V1, aligned, relay_inv = (
-            _replaced(a, redo, b) for a, b in zip((V1, aligned, relay_inv), again)
+        V1, aligned, relay_inv, g_cond = (
+            _replaced(a, redo, b) for a, b in zip((V1, aligned, relay_inv, g_cond), again)
         )
-        failed = redo[again[3] != n_eff]
+        failed = redo[again[4] != n_eff]
         for _ in failed:
             logger.warning("aligned subspaces rank deficient on the second draw too, giving up")
         if failed.size:
@@ -297,13 +298,14 @@ def design_uplink(
         V1.reshape(lead + V1.shape[1:]),
         Vj.reshape(lead + (K - 1, m_eff, d)),
         relay_inv.reshape(lead + (K - 1, d, n_eff)),
+        g_cond.reshape(lead),
     )
 
 
-def design_downlink(channels: ChannelSet, rng) -> tuple[np.ndarray, np.ndarray]:
-    """Random orthonormal broadcast precoders T, (K-1, relay_dim, d), plus
-    every user's receive filters, (K, K-1, d, user_dim), each with the
-    channels' leading trial axis.
+def design_downlink(channels: ChannelSet, rng) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Random orthonormal broadcast precoders T, (K-1, relay_dim, d), every
+    user's receive filters, (K, K-1, d, user_dim), and every user's guard
+    cond(Tcat) cond(d_u), (K,), each with the channels' leading trial axis.
 
     User u sees the stacked downlink images D_u Tcat, with
     Tcat = [T[0] ... T[K-2]] square; its filter for pair p is the p-th
@@ -313,7 +315,7 @@ def design_downlink(channels: ChannelSet, rng) -> tuple[np.ndarray, np.ndarray]:
     pinv(D_u) = kron(I_L, pinv(d_u)) of the base block d_u. One batched
     SVD of Tcat decides its rank and gives inv(Tcat), one batched SVD
     gives the K base-block pseudoinverses, and one broadcast product forms
-    all K user inverses.
+    all K user inverses; the two SVDs also give cond(Tcat) and cond(d_u).
     """
     K = channels.num_users
     n_eff = channels.relay_dim
@@ -329,46 +331,38 @@ def design_downlink(channels: ChannelSet, rng) -> tuple[np.ndarray, np.ndarray]:
         )
     rngs = _generators(rng, channels.stack_shape)
     T = orthonormal_columns(random_gaussian_stack(K - 1, (n_eff, d), rngs))
-    t_inv, rank = pseudo_inverse_and_rank(_hcat(T))
+    t_inv, rank, t_cond = pseudo_inverse_and_rank(_hcat(T))
     failed = np.flatnonzero(rank < n_eff)
     if failed.size:
         raise SchemeDesignError("broadcast precoders are rank deficient", trial=int(failed[0]))
     n, m = n_eff // L, m_eff // L
-    down_pinv = pseudo_inverse(channels.stacked().downlink[..., :m, :n])
+    down_pinv, _, down_cond = pseudo_inverse_and_rank(channels.stacked().downlink[..., :m, :n])
     # inv(Tcat) @ kron(I_L, down_pinv[u]) for every u, without forming the kron
     user_inv = t_inv.reshape(-1, 1, n_eff * L, n) @ down_pinv
     lead = channels.stack_shape
-    return T.reshape(lead + T.shape[1:]), user_inv.reshape(lead + (K, K - 1, d, m_eff))
-
-
-def _block_conds(blocks: np.ndarray) -> np.ndarray:
-    """Condition numbers of a stack of filter blocks, in one batched SVD."""
-    s = np.linalg.svd(blocks, compute_uv=False)
-    low = s[..., -1]
-    return np.divide(s[..., 0], low, out=np.full(low.shape, np.inf), where=low > 0)
+    user_cond = (t_cond[:, np.newaxis] * down_cond).reshape(lead + (K,))
+    return T.reshape(lead + T.shape[1:]), user_inv.reshape(lead + (K, K - 1, d, m_eff)), user_cond
 
 
 def _design_once(stack: ChannelSet, d: int, rngs) -> dict[str, np.ndarray]:
     """One design draw for every trial of a stack: the plan's arrays by
     field name, each with the trial axis."""
-    V1, Vj, relay_filter = design_uplink(stack, d, rngs)
-    T, rx_filter = design_downlink(stack, rngs)
+    V1, Vj, relay_filter, g_cond = design_uplink(stack, d, rngs)
+    T, rx_filter, user_gain_cond = design_downlink(stack, rngs)
     return dict(
         V1=V1,
         Vj=Vj,
         T=T,
         relay_filter=relay_filter,
         rx_filter=rx_filter,
-        g_cond=_block_conds(relay_filter),
-        user_gain_cond=_block_conds(rx_filter),
+        g_cond=g_cond,
+        user_gain_cond=user_gain_cond,
     )
 
 
 def _worst_conds(arrays: dict[str, np.ndarray]) -> np.ndarray:
-    """Each trial's worst relay or user filter block condition number."""
-    return np.maximum(
-        arrays["g_cond"].max(axis=-1), arrays["user_gain_cond"].max(axis=(-2, -1))
-    )
+    """Each trial's worst relay or user conditioning guard."""
+    return np.maximum(arrays["g_cond"], arrays["user_gain_cond"].max(axis=-1))
 
 
 def _assemble_plan(
@@ -416,9 +410,10 @@ def design_scheme(
     inverse, downlink precoding and the user pseudoinverses, power scales.
 
     Designs one trial (one generator) or a stack (a stacked ChannelSet
-    and one generator per trial). Every trial with a relay or user filter
-    block beyond the conditioning guardrail is redrawn once with fresh
-    randomness from its own generator and flagged degenerate. Returns the
+    and one generator per trial). Every trial whose relay or user
+    conditioning guard exceeds COND_LIMIT is redrawn once with fresh
+    randomness from its own generator and flagged degenerate; a redrawn
+    trial that exceeds it again raises SchemeDesignError. Returns the
     effective channels together with the plan.
     """
     eff, d = prepare_scheme(config, channels)
@@ -435,10 +430,14 @@ def design_scheme(
         except SchemeDesignError as exc:
             exc.trial = int(redo[exc.trial])
             raise
+        worst = _worst_conds(again)
+        failed = np.flatnonzero(~(worst <= COND_LIMIT))
+        for w in worst[failed]:
+            logger.warning("plan conditioning %.3e exceeds guardrail again, giving up", w)
+        if failed.size:
+            msg = "plan conditioning still exceeds the guardrail after one redraw"
+            raise SchemeDesignError(msg, trial=int(redo[failed[0]]))
         arrays = {name: _replaced(a, redo, again[name]) for name, a in arrays.items()}
-        for w in _worst_conds(again):
-            if not w <= COND_LIMIT:
-                logger.warning("plan conditioning %.3e still exceeds guardrail after one redraw", w)
     degenerate = np.zeros(len(rngs), dtype=bool)
     degenerate[redo] = True
     return eff, _assemble_plan(stack, d, arrays, degenerate, eff.stack_shape)

@@ -98,6 +98,15 @@ class TestExtendChannels:
         for h, he in zip(cs.uplink, ext.uplink):
             assert numeric_rank(he, 1e-10) == 2 * numeric_rank(h, 1e-10)
 
+    def test_unvalidated_result_passes_validation(self):
+        # extend_channels skips re-validation; the validating constructor
+        # accepts what it builds, for a stack and independent downlinks
+        cfg = NetworkConfig(K=3, M=4, N=3, seed=16, reciprocal=False)
+        ext = extend_channels(generate_channels(cfg, [cfg.trial_rng(t) for t in range(3)]), 2)
+        checked = ChannelSet(ext.uplink, ext.downlink, extension_factor=2)
+        assert np.array_equal(checked.uplink, ext.uplink)
+        assert np.array_equal(checked.downlink, ext.downlink)
+
     def test_double_extension_rejected(self):
         cs = extend_channels(make(NetworkConfig(K=3, M=2, N=2, seed=3)), 2)
         with pytest.raises(ValueError):
@@ -111,6 +120,16 @@ class TestShutdown:
         assert cut.relay_dim == 2
         assert np.array_equal(cut.uplink[1], cs.uplink[1][:2, :])
         assert np.array_equal(cut.downlink[1], cs.downlink[1][:, :2])
+
+    def test_rank_deficient_kept_rows_rejected(self):
+        # a full-column-rank 4 x 2 uplink whose first two rows are parallel:
+        # dropping rows can lose rank, so the shutdown result is validated
+        uplink = np.array(make(NetworkConfig(K=2, M=2, N=4, seed=11)).uplink)
+        uplink[0, 1] = 2.0 * uplink[0, 0]
+        cs = ChannelSet(uplink=uplink, downlink=uplink.swapaxes(-1, -2))
+        assert numeric_rank(uplink[0], 1e-10) == 2
+        with pytest.raises(ValueError, match="rank deficient"):
+            shutdown_relay_antennas(cs, 2)
 
     def test_noop_when_keeping_all(self):
         cs = make(NetworkConfig(K=3, M=2, N=2, seed=10))

@@ -1,5 +1,7 @@
 """Tests for the complex-matrix kernels."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -115,27 +117,34 @@ class TestPseudoInverseAndRank:
         g = rng(31)
         for r, c in [(3, 3), (5, 2), (2, 5)]:
             stack = np.stack([random_gaussian_matrix(r, c, g) for _ in range(4)])
-            pinv, rank = pseudo_inverse_and_rank(stack)
-            assert pinv.shape == (4, c, r) and rank.shape == (4,)
-            for a, p, k in zip(stack, pinv, rank):
+            pinv, rank, cond = pseudo_inverse_and_rank(stack)
+            assert pinv.shape == (4, c, r) and rank.shape == cond.shape == (4,)
+            for a, p, k, kappa in zip(stack, pinv, rank, cond):
                 assert np.allclose(p, pseudo_inverse(a), atol=1e-12)
                 assert k == numeric_rank(a) == min(r, c)
+                assert abs(kappa - np.linalg.cond(a)) <= 1e-10 * kappa
 
     def test_rank_decided_per_matrix(self):
         # a rank-one member does not change its full-rank neighbours
         full = random_gaussian_matrix(3, 3, rng(32))
         col = random_gaussian_matrix(3, 1, rng(33))
         low = col @ col.conj().T
-        pinv, rank = pseudo_inverse_and_rank(np.stack([full, low, np.zeros((3, 3))]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            pinv, rank, cond = pseudo_inverse_and_rank(np.stack([full, low, np.zeros((3, 3))]))
         assert rank.tolist() == [3, 1, 0]
+        # rank-deficient and zero matrices are infinitely ill conditioned
+        assert cond[0] == pytest.approx(np.linalg.cond(full), rel=1e-10)
+        assert cond[1] == cond[2] == np.inf
         assert np.allclose(pinv[0] @ full, np.eye(3), atol=1e-10)
         assert np.allclose(low @ pinv[1] @ low, low, atol=1e-10)
         assert np.array_equal(pinv[2], np.zeros((3, 3)))
 
     def test_single_matrix(self):
         a = random_gaussian_matrix(4, 4, rng(34))
-        pinv, rank = pseudo_inverse_and_rank(a)
-        assert int(rank) == 4
+        pinv, rank, cond = pseudo_inverse_and_rank(a)
+        assert int(rank) == 4 and rank.shape == cond.shape == ()
+        assert cond == pytest.approx(np.linalg.cond(a), rel=1e-10)
         assert np.allclose(pinv, np.linalg.inv(a), atol=1e-10)
         assert not pinv.flags.writeable
 
