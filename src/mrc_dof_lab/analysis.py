@@ -177,7 +177,7 @@ def _noiseless_round_errors(
 
 
 def _noiseless_report(
-    config: NetworkConfig, plan: SchemePlan, trials: int, max_err: float, degenerate: int
+    config: NetworkConfig, plan: SchemePlan, trials: int, max_err: float
 ) -> DofReport:
     K = config.K
     return DofReport(
@@ -193,7 +193,8 @@ def _noiseless_report(
         slope_stderr=None,
         noiseless_max_error=max_err,
         trials=trials,
-        degenerate_draws=degenerate,
+        # the relay-side draws are unitary, so no trial is ever redrawn
+        degenerate_draws=0,
         notes="two-way relay degenerate case" if K == 2 else "",
     )
 
@@ -210,11 +211,9 @@ def verify_noiseless(
     if trials < 1:
         raise ValueError("trials must be positive")
     errors = []
-    degenerate = 0
     for rngs, eff, plan in _trial_stacks(config, trials, channels):
-        degenerate += int(np.count_nonzero(plan.degenerate))
         errors.append(_noiseless_round_errors(config, rngs, eff, plan))
-    return _noiseless_report(config, plan, trials, _max_error(errors), degenerate)
+    return _noiseless_report(config, plan, trials, _max_error(errors))
 
 
 def _max_error(errors: list[np.ndarray]) -> float:
@@ -267,11 +266,6 @@ def stream_sinrs(plan: SchemePlan, P: float) -> StreamSinrs:
     return StreamSinrs(mac=mac, bc=bc, end_to_end=end_to_end)
 
 
-def _ols_slope(x: np.ndarray, y: np.ndarray) -> float:
-    xc = x - x.mean()
-    return float(np.dot(xc, y) / np.dot(xc, xc))
-
-
 def validate_power_grid(P_grid) -> np.ndarray:
     grid = np.asarray(list(P_grid), dtype=float)
     if grid.size < 3:
@@ -284,26 +278,22 @@ def validate_power_grid(P_grid) -> np.ndarray:
 
 
 def _fit_slope(config: NetworkConfig, grid: np.ndarray, gammas: np.ndarray) -> tuple[float, float]:
-    """Slope and stderr from unit-power stream SINRs, one row per trial."""
+    """Slope and stderr from unit-power stream SINRs, one row per trial.
+
+    The rate curves of the trial-averaged SINRs (row 0) and of every trial
+    are one broadcast log2(1 + gamma p) over (curves, powers, streams),
+    and every least-squares slope is one product with the centred x.
+    """
     trials = gammas.shape[0]
     L = ssa_nc.extension_plan(config.K, config.M, config.N)[1]
     keep = math.ceil(len(grid) * 2 / 3)
     top = grid[-keep:]
-    x = np.log2(top)
-    duplex = config.duplex_factor
-
-    def rate_curve(gamma: np.ndarray) -> np.ndarray:
-        return np.array(
-            [duplex * float(np.sum(np.log2(1.0 + gamma * p))) / L for p in top]
-        )
-
-    slope = _ols_slope(x, rate_curve(gammas.mean(axis=0)))
-    if trials > 1:
-        per_trial = np.array([_ols_slope(x, rate_curve(g)) for g in gammas])
-        stderr = float(np.std(per_trial, ddof=1) / np.sqrt(trials))
-    else:
-        stderr = 0.0
-    return slope, stderr
+    xc = np.log2(top) - np.log2(top).mean()
+    g = np.concatenate([gammas.mean(axis=0, keepdims=True), gammas])
+    rates = config.duplex_factor * np.log2(1.0 + g[:, np.newaxis, :] * top[:, np.newaxis])
+    slopes = (rates.sum(axis=-1) / L) @ xc / (xc @ xc)
+    stderr = float(np.std(slopes[1:], ddof=1) / np.sqrt(trials)) if trials > 1 else 0.0
+    return float(slopes[0]), stderr
 
 
 def estimate_dof_slope(
@@ -368,15 +358,13 @@ def simulate_report(config: NetworkConfig, P_grid, trials: int) -> DofReport:
     if trials < 1:
         raise ValueError("trials must be positive")
     errors = []
-    degenerate = 0
     gammas = []
     for rngs, eff, plan in _trial_stacks(config, trials):
-        degenerate += int(np.count_nonzero(plan.degenerate))
         errors.append(_noiseless_round_errors(config, rngs, eff, plan))
         gammas.append(stream_sinrs(plan, 1.0).flat())
     slope, stderr = _fit_slope(config, grid, np.concatenate(gammas))
     return replace(
-        _noiseless_report(config, plan, trials, _max_error(errors), degenerate),
+        _noiseless_report(config, plan, trials, _max_error(errors)),
         slope_estimate=slope,
         slope_stderr=stderr,
     )

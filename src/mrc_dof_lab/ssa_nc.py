@@ -1,28 +1,31 @@
 """Signal-space alignment with network coding for the multi-way relay channel.
 
-User 1 forms a pair with every other user. In the uplink (MAC) slot user 1
-sends pair p's stream through a random beamformer V1[p], and partner p+1
-pre-inverts its own uplink, Vj[p] = pinv(H_{p+1}) H_1 V1[p], so both
-partners arrive at the relay inside one shared d-dimensional subspace. The
-K-1 pair subspaces fill the relay space, so A = H_1 [V1[0] ... V1[K-2]] is
-square and invertible, and the relay's receive filter for pair p is the
-p-th d-row block of inv(A): it nulls every other pair and returns the clean
-network-coded sum of the pair's symbol vectors. In the downlink (BC) slot
-the relay broadcasts every sum through its own random precoder T[p], and
-Tcat = [T[0] ... T[K-2]] is square and invertible. User u separates the
-sums with the d-row blocks of pinv(D_u Tcat) and peels the messages apart
-using its own transmitted symbols as side information. Because D_u has
-full column rank after preparation, pinv(D_u Tcat) = inv(Tcat) pinv(D_u):
-one inverse serves every user.
+User 1 forms a pair with every other user. The scheme needs only that the
+two users of a pair align at the relay in the uplink (MAC) slot and that
+the broadcast zero-forces in the downlink (BC) slot, so any full-rank
+choice of the relay-side subspaces works, and the relay draws both as
+random unitaries. In the MAC slot the relay's aligned directions are the
+d-column blocks U[p] of one random unitary U, and every user pre-inverts
+its own uplink onto them: user 1 sends pair p's stream through
+V1[p] = pinv(H_1) U[p] and partner p+1 through Vj[p] = pinv(H_{p+1}) U[p],
+so both partners arrive at the relay inside U[p] (signal-space alignment
+for network coding, Lee, Lim and Chun, IEEE Trans. IT 56(6), 2010). The
+relay's receive filter for pair p is the p-th d-row block of U^H: it nulls
+every other pair and returns the clean network-coded sum of the pair's
+symbol vectors. In the BC slot the relay broadcasts every sum through the
+d-column blocks T[p] of a second random unitary Tcat. User u separates
+the sums with the d-row blocks of pinv(D_u Tcat) = Tcat^H pinv(D_u) (D_u
+has full column rank after preparation) and peels the messages apart
+using its own transmitted symbols as side information.
 
 When the relay has more antennas than a user (N > M) the surplus relay
 antennas are shut down; when the relay dimension is not divisible by K-1,
 the channel is extended to a (K-1)-slot block so the streams split evenly.
 Extended channels are kron(I_L, H), and pinv(kron(I_L, H)) =
 kron(I_L, pinv(H)), so only base blocks are ever pseudo-inverted. A
-trial's design therefore costs the inverses of A and Tcat plus two
-batched pseudoinverses of base blocks (the partners' uplinks and the K
-downlinks), whatever L is.
+trial's design therefore costs two QR draws (U and Tcat) and two batched
+SVDs of the K uplink and the K downlink base blocks, whatever L is, and
+its conditioning is that of the channel alone.
 
 Plans are power agnostic: they store amplitudes per sqrt(P), so a single
 plan serves an entire power sweep.
@@ -32,15 +35,13 @@ axis: a stacked ChannelSet with a sequence of generators, one per trial,
 in place of one generator, giving plans and traces whose arrays carry the
 same leading axis. Each design and round step is one batched LAPACK or
 matmul call for the whole stack. Each trial draws from its own generator
-exactly what it would draw alone, in the same order, and a resample or
-redraw is redone on the trials that need it only, so a trial's results do
-not depend on the stack it is in. A single trial runs as a stack of one.
+exactly what it would draw alone, in the same order, so a trial's results
+do not depend on the stack it is in. A single trial runs as a stack of one.
 """
 
 from __future__ import annotations
 
 import json
-import logging
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -54,17 +55,11 @@ from .channel import (
     shutdown_relay_antennas,
     matrix_to_lists,
 )
-from .linalg import (
-    orthonormal_columns,
-    pseudo_inverse,
-    pseudo_inverse_and_rank,
-    random_gaussian_stack,
-)
+from .linalg import orthonormal_columns, pseudo_inverse_and_rank, random_gaussian_stack
 
-logger = logging.getLogger("mrc_dof_lab.ssa_nc")
-
-# Plans with a relay or user conditioning guard above this are redrawn once
-# and counted as degenerate; a redrawn plan still above it is a design error.
+# A trial whose uplink or downlink base block has a condition number above
+# this is a design error. The relay-side subspaces are unitary, so the
+# plan's conditioning is the channel's and a redraw could not lower it.
 COND_LIMIT = 1e8
 
 
@@ -86,26 +81,29 @@ class SchemePlan:
 
     Pair p (0-based) joins user 0 with user p+1. Per pair: V1[p] and
     Vj[p] are the two transmit beamformers, T[p] the broadcast precoder,
-    and relay_filter[p] the relay's receive filter, the p-th d-row block
-    of inv(H_0 [V1[0] ... V1[K-2]]). Per user u and pair p, rx_filter[u, p]
-    is the p-th d-row block of pinv(D_u [T[0] ... T[K-2]]). Every filter
-    maps its own pair's image to I_d and the other pairs' images to zero.
-    Shapes, with K users, relay_dim = effective_N, user_dim = effective_M:
+    and relay_filter[p] the relay's receive filter. The relay-side
+    subspaces are random unitaries: H_0 V1[p] = H_{p+1} Vj[p] = U[p], the
+    p-th d-column block of U, so relay_filter[p] is the p-th d-row block
+    of U^H, and Tcat = [T[0] ... T[K-2]] is unitary. Per user u and pair
+    p, rx_filter[u, p] is the p-th d-row block of pinv(D_u Tcat). Every
+    filter maps its own pair's image to I_d and the other pairs' images
+    to zero. Shapes, with K users, relay_dim = effective_N,
+    user_dim = effective_M:
 
     - V1, Vj: (K-1, user_dim, d)
     - T: (K-1, relay_dim, d)
     - relay_filter: (K-1, d, relay_dim)
     - rx_filter: (K, K-1, d, user_dim)
-    - g_cond: (); user_gain_cond: (K,)
+    - uplink_cond, downlink_cond: (K,)
 
     A plan for a stack of S trials prefixes every array with the trial
-    axis, and power_scale, bc_scale and degenerate are (S,) arrays in
-    place of scalars.
+    axis, and power_scale and bc_scale are (S,) arrays in place of scalars.
 
-    g_cond is cond(A) of the relay inverse A = H_0 [V1[0] ... V1[K-2]] and
-    user_gain_cond[u] is cond(Tcat) cond(d_u) >= cond(D_u Tcat), d_u user
-    u's downlink base block, both from the design's SVDs; each bounds the
-    condition numbers of the filter blocks and d x d mixing matrices it guards.
+    uplink_cond[u] and downlink_cond[u] are the condition numbers of user
+    u's uplink and downlink base blocks h_u and d_u, from the design's two
+    SVDs. Since U and Tcat are unitary they are the plan's whole
+    conditioning: cond(pinv(D_u Tcat)) = downlink_cond[u], and each
+    beamformer block has a condition number of at most uplink_cond[u].
 
     power_scale and bc_scale are transmit amplitudes per sqrt(P) for the
     users and the relay; they fold in the extension factor so the power
@@ -121,11 +119,10 @@ class SchemePlan:
     T: np.ndarray
     relay_filter: np.ndarray
     rx_filter: np.ndarray
-    g_cond: np.ndarray
-    user_gain_cond: np.ndarray
+    uplink_cond: np.ndarray
+    downlink_cond: np.ndarray
     power_scale: float | np.ndarray
     bc_scale: float | np.ndarray
-    degenerate: bool | np.ndarray = False
 
     @property
     def stack_shape(self) -> tuple[int, ...]:
@@ -220,44 +217,29 @@ def _draws(rngs, stack_shape: tuple[int, ...], count: int, *shape: int) -> np.nd
     return random_gaussian_stack(count, shape, rngs).reshape(stack_shape + (count, *shape))
 
 
-def _hcat(blocks: np.ndarray) -> np.ndarray:
-    """[B_0 ... B_{P-1}] for the (..., P, r, c) stack of blocks B_p."""
-    *lead, pairs, r, c = blocks.shape
-    return blocks.swapaxes(-3, -2).reshape(*lead, r, pairs * c)
-
-
-def _replaced(a: np.ndarray, rows: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """Copy of the stacked array a with the given trials set to values."""
-    out = np.array(a)
-    out[rows] = values
-    return out
-
-
-def _aligned_draw(h0: np.ndarray, pairs: int, d: int, rngs):
-    """Draw user 0's beamformers V1 for every trial of the stack and
-    invert its aligned images A = H_0 [V1[0] ...]: V1, A, pinv(A), cond(A), rank(A)."""
-    V1 = orthonormal_columns(random_gaussian_stack(pairs, (h0.shape[-1], d), rngs))
-    aligned = h0 @ _hcat(V1)
-    relay_inv, rank, cond = pseudo_inverse_and_rank(aligned)
-    return V1, aligned, relay_inv, cond, rank
+def _unitary_draw(rngs, n: int) -> np.ndarray:
+    """One random n x n unitary per trial, (S, n, n): the Householder Q
+    factor of one CN(0, 1) draw, which is unitary whatever the draw."""
+    return orthonormal_columns(random_gaussian_stack(1, (n, n), rngs)[:, 0])
 
 
 def design_uplink(
     channels: ChannelSet, d: int, rng
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Draw user 0's pair beamformers, align every partner onto them, and
-    build the relay filters.
+    """Draw the relay's aligned directions, pre-invert every user's uplink
+    onto them, and build the relay filters.
 
-    V1[p] is random with orthonormal columns. The K-1 aligned images
-    H_0 V1[p] must jointly span the relay space, so A = H_0 [V1[0] ...] is
-    square and invertible; the trials with a rank-deficient draw resample
-    it once. One batched SVD of A decides the rank and gives cond(A) and
-    inv(A), whose d-row blocks are the relay filters. Partner p+1 pre-inverts
-    its own uplink so that H_{p+1} Vj[p] = H_0 V1[p] holds exactly (the
-    uplink has full row rank after preparation); under extension only the
-    base block of each uplink is pseudo-inverted. Returns V1 and Vj, both
-    (K-1, user_dim, d), the relay filters (K-1, d, relay_dim) and cond(A),
-    each with the channels' leading trial axis.
+    The directions are one random relay_dim x relay_dim unitary U per
+    trial; pair p's is its p-th d-column block U[p]. Each uplink has full
+    row rank after preparation, so user 0 sends pair p through
+    V1[p] = pinv(H_0) U[p] and partner p+1 through
+    Vj[p] = pinv(H_{p+1}) U[p], and H_0 V1[p] = H_{p+1} Vj[p] = U[p]
+    exactly. Under extension pinv(H_u) = kron(I_L, pinv(h_u)) of the base
+    block h_u, and one batched SVD gives all K base pseudoinverses and
+    cond(h_u). The relay filters are the d-row blocks of inv(U) = U^H.
+    Returns V1 and Vj, both (K-1, user_dim, d), the relay filters
+    (K-1, d, relay_dim) and cond(h_u), (K,), each with the channels'
+    leading trial axis.
     """
     K = channels.num_users
     n_eff = channels.relay_dim
@@ -267,55 +249,38 @@ def design_uplink(
         raise ValueError("stream count d must satisfy (K-1) d = relay dimension")
     if n_eff > m_eff:
         raise ValueError("uplink design needs relay dimension <= user dimension")
-    rngs = _generators(rng, channels.stack_shape)
-    stack = channels.stacked()
-    h0 = stack.uplink[:, 0]
-    V1, aligned, relay_inv, g_cond, rank = _aligned_draw(h0, K - 1, d, rngs)
-    redo = np.flatnonzero(rank != n_eff)
-    if redo.size:
-        for _ in redo:
-            logger.warning("aligned subspaces rank deficient, resampling")
-        again = _aligned_draw(h0[redo], K - 1, d, [rngs[i] for i in redo])
-        V1, aligned, relay_inv, g_cond = (
-            _replaced(a, redo, b) for a, b in zip((V1, aligned, relay_inv, g_cond), again)
-        )
-        failed = redo[again[4] != n_eff]
-        for _ in failed:
-            logger.warning("aligned subspaces rank deficient on the second draw too, giving up")
-        if failed.size:
-            raise SchemeDesignError(
-                "aligned pair subspaces stayed rank deficient after resampling",
-                trial=int(failed[0]),
-            )
+    U = _unitary_draw(_generators(rng, channels.stack_shape), n_eff)
     n, m = n_eff // L, m_eff // L
-    partner_pinv = pseudo_inverse(stack.uplink[:, 1:, :n, :m])
-    # kron(I_L, partner_pinv[p]) @ (H_0 V1[p]): each pair's aligned image as
-    # L base-row blocks, so only the base pseudoinverses are applied
-    aligned_blocks = aligned.reshape(-1, L, n, K - 1, d).transpose(0, 3, 1, 2, 4)
-    Vj = partner_pinv[:, :, np.newaxis] @ aligned_blocks
+    up_pinv, _, up_cond = pseudo_inverse_and_rank(channels.stacked().uplink[..., :n, :m])
+    # kron(I_L, up_pinv[u]) @ U[p]: each pair's direction as L base-row
+    # blocks, so only the base pseudoinverses are applied
+    blocks = U.reshape(-1, L, n, K - 1, d).transpose(0, 3, 1, 2, 4)
+    V1 = up_pinv[:, :1, np.newaxis] @ blocks
+    Vj = up_pinv[:, 1:, np.newaxis] @ blocks
     lead = channels.stack_shape
     return (
-        V1.reshape(lead + V1.shape[1:]),
+        V1.reshape(lead + (K - 1, m_eff, d)),
         Vj.reshape(lead + (K - 1, m_eff, d)),
-        relay_inv.reshape(lead + (K - 1, d, n_eff)),
-        g_cond.reshape(lead),
+        U.conj().swapaxes(-1, -2).reshape(lead + (K - 1, d, n_eff)),
+        up_cond.reshape(lead + (K,)),
     )
 
 
 def design_downlink(channels: ChannelSet, rng) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Random orthonormal broadcast precoders T, (K-1, relay_dim, d), every
-    user's receive filters, (K, K-1, d, user_dim), and every user's guard
-    cond(Tcat) cond(d_u), (K,), each with the channels' leading trial axis.
+    """Random unitary broadcast precoders T, (K-1, relay_dim, d), every
+    user's receive filters, (K, K-1, d, user_dim), and every user's
+    downlink conditioning cond(d_u), (K,), each with the channels' leading
+    trial axis.
 
-    User u sees the stacked downlink images D_u Tcat, with
-    Tcat = [T[0] ... T[K-2]] square; its filter for pair p is the p-th
-    d-row block of pinv(D_u Tcat). D_u has full column rank once the user
-    dimension is at least the relay dimension (preparation guarantees it),
-    so pinv(D_u Tcat) = inv(Tcat) pinv(D_u), and under extension
-    pinv(D_u) = kron(I_L, pinv(d_u)) of the base block d_u. One batched
-    SVD of Tcat decides its rank and gives inv(Tcat), one batched SVD
-    gives the K base-block pseudoinverses, and one broadcast product forms
-    all K user inverses; the two SVDs also give cond(Tcat) and cond(d_u).
+    Tcat = [T[0] ... T[K-2]] is one random relay_dim x relay_dim unitary
+    per trial. User u sees the stacked downlink images D_u Tcat; its filter
+    for pair p is the p-th d-row block of pinv(D_u Tcat). D_u has full
+    column rank once the user dimension is at least the relay dimension
+    (preparation guarantees it), so pinv(D_u Tcat) = Tcat^H pinv(D_u), and
+    under extension pinv(D_u) = kron(I_L, pinv(d_u)) of the base block d_u.
+    One batched SVD gives the K base-block pseudoinverses and cond(d_u),
+    which is also cond(pinv(D_u Tcat)), and one broadcast product forms all
+    K user inverses.
     """
     K = channels.num_users
     n_eff = channels.relay_dim
@@ -329,48 +294,26 @@ def design_downlink(channels: ChannelSet, rng) -> tuple[np.ndarray, np.ndarray, 
             f"singular downlink gain: zero-forcing needs user dimension {m_eff} "
             f">= relay dimension {n_eff}"
         )
-    rngs = _generators(rng, channels.stack_shape)
-    T = orthonormal_columns(random_gaussian_stack(K - 1, (n_eff, d), rngs))
-    t_inv, rank, t_cond = pseudo_inverse_and_rank(_hcat(T))
-    failed = np.flatnonzero(rank < n_eff)
-    if failed.size:
-        raise SchemeDesignError("broadcast precoders are rank deficient", trial=int(failed[0]))
+    t_cat = _unitary_draw(_generators(rng, channels.stack_shape), n_eff)
     n, m = n_eff // L, m_eff // L
     down_pinv, _, down_cond = pseudo_inverse_and_rank(channels.stacked().downlink[..., :m, :n])
-    # inv(Tcat) @ kron(I_L, down_pinv[u]) for every u, without forming the kron
+    # Tcat^H @ kron(I_L, down_pinv[u]) for every u, without forming the kron
+    t_inv = t_cat.conj().swapaxes(-1, -2)
     user_inv = t_inv.reshape(-1, 1, n_eff * L, n) @ down_pinv
+    T = t_cat.reshape(-1, n_eff, K - 1, d).swapaxes(-3, -2)
     lead = channels.stack_shape
-    user_cond = (t_cond[:, np.newaxis] * down_cond).reshape(lead + (K,))
-    return T.reshape(lead + T.shape[1:]), user_inv.reshape(lead + (K, K - 1, d, m_eff)), user_cond
-
-
-def _design_once(stack: ChannelSet, d: int, rngs) -> dict[str, np.ndarray]:
-    """One design draw for every trial of a stack: the plan's arrays by
-    field name, each with the trial axis."""
-    V1, Vj, relay_filter, g_cond = design_uplink(stack, d, rngs)
-    T, rx_filter, user_gain_cond = design_downlink(stack, rngs)
-    return dict(
-        V1=V1,
-        Vj=Vj,
-        T=T,
-        relay_filter=relay_filter,
-        rx_filter=rx_filter,
-        g_cond=g_cond,
-        user_gain_cond=user_gain_cond,
+    return (
+        T.reshape(lead + (K - 1, n_eff, d)),
+        user_inv.reshape(lead + (K, K - 1, d, m_eff)),
+        down_cond.reshape(lead + (K,)),
     )
 
 
-def _worst_conds(arrays: dict[str, np.ndarray]) -> np.ndarray:
-    """Each trial's worst relay or user conditioning guard."""
-    return np.maximum(arrays["g_cond"], arrays["user_gain_cond"].max(axis=-1))
-
-
 def _assemble_plan(
-    stack: ChannelSet, d: int, arrays: dict[str, np.ndarray], degenerate: np.ndarray, lead: tuple
+    stack: ChannelSet, d: int, arrays: dict[str, np.ndarray], lead: tuple
 ) -> SchemePlan:
     """The plan of a designed stack, shaped for ``lead``: () keeps only
     the single trial of a stack of one."""
-    K = stack.num_users
     L = stack.extension_factor
     # Users share one amplitude so the relay recovers plain symbol sums; the
     # largest per-user budget binds and transmits exactly P per slot.
@@ -378,19 +321,16 @@ def _assemble_plan(
     tx = np.concatenate([V1.sum(axis=-3, keepdims=True), arrays["Vj"]], axis=-3)
     budgets = np.sum(tx.real**2 + tx.imag**2, axis=(-2, -1))
     power_scale = np.sqrt(L / budgets.max(axis=-1))
-    # Relay budget is set against the re-encoded symbol covariance of the
-    # forwarded sums: blocks E[w_p w_q^H] = (1 + delta_pq) I_d.
-    t_cat = _hcat(arrays["T"])
-    w_cov = np.kron(np.ones((K - 1, K - 1)) + np.eye(K - 1), np.eye(d))
-    covariance = t_cat @ w_cov @ t_cat.conj().swapaxes(-1, -2)
-    bc_scale = np.sqrt(L / np.real(np.trace(covariance, axis1=-2, axis2=-1)))
+    # The forwarded sums have symbol covariance blocks E[w_p w_q^H] =
+    # (1 + delta_pq) I_d and Tcat is unitary, so the relay's transmit power
+    # trace(Tcat W Tcat^H) = trace(W) = 2 relay_dim in every trial.
+    bc_scale = np.full(power_scale.shape, np.sqrt(L / (2 * stack.relay_dim)))
     fields = {name: a.reshape(lead + a.shape[1:]) for name, a in arrays.items()}
     # one plan serves every power level and trace of a trial: share, never write
     for a in fields.values():
         a.setflags(write=False)
     if not lead:
         power_scale, bc_scale = float(power_scale[0]), float(bc_scale[0])
-        degenerate = bool(degenerate[0])
     return SchemePlan(
         d=d,
         effective_N=stack.relay_dim,
@@ -398,7 +338,6 @@ def _assemble_plan(
         extension_factor=L,
         power_scale=power_scale,
         bc_scale=bc_scale,
-        degenerate=degenerate,
         **fields,
     )
 
@@ -406,41 +345,38 @@ def _assemble_plan(
 def design_scheme(
     config: NetworkConfig, channels: ChannelSet, rng
 ) -> tuple[ChannelSet, SchemePlan]:
-    """Full design chain: preparation, uplink alignment and the relay
-    inverse, downlink precoding and the user pseudoinverses, power scales.
+    """Full design chain: preparation, the unitary relay-side draws and the
+    users' base-block pseudoinverses in both phases, power scales.
 
     Designs one trial (one generator) or a stack (a stacked ChannelSet
-    and one generator per trial). Every trial whose relay or user
-    conditioning guard exceeds COND_LIMIT is redrawn once with fresh
-    randomness from its own generator and flagged degenerate; a redrawn
-    trial that exceeds it again raises SchemeDesignError. Returns the
-    effective channels together with the plan.
+    and one generator per trial). A trial whose uplink or downlink base
+    block has a condition number above COND_LIMIT raises
+    SchemeDesignError naming its stack position: the relay-side draws are
+    unitary, so the plan's conditioning is the channel's and no redraw
+    could lower it. Returns the effective channels together with the plan.
     """
     eff, d = prepare_scheme(config, channels)
     rngs = _generators(rng, eff.stack_shape)
     stack = eff.stacked()
-    arrays = _design_once(stack, d, rngs)
-    worst = _worst_conds(arrays)
-    redo = np.flatnonzero(~(worst <= COND_LIMIT))
-    for i in redo:
-        logger.warning("plan conditioning %.3e exceeds guardrail, redrawing", worst[i])
-    if redo.size:
-        try:
-            again = _design_once(stack.select(redo), d, [rngs[i] for i in redo])
-        except SchemeDesignError as exc:
-            exc.trial = int(redo[exc.trial])
-            raise
-        worst = _worst_conds(again)
-        failed = np.flatnonzero(~(worst <= COND_LIMIT))
-        for w in worst[failed]:
-            logger.warning("plan conditioning %.3e exceeds guardrail again, giving up", w)
-        if failed.size:
-            msg = "plan conditioning still exceeds the guardrail after one redraw"
-            raise SchemeDesignError(msg, trial=int(redo[failed[0]]))
-        arrays = {name: _replaced(a, redo, again[name]) for name, a in arrays.items()}
-    degenerate = np.zeros(len(rngs), dtype=bool)
-    degenerate[redo] = True
-    return eff, _assemble_plan(stack, d, arrays, degenerate, eff.stack_shape)
+    V1, Vj, relay_filter, uplink_cond = design_uplink(stack, d, rngs)
+    T, rx_filter, downlink_cond = design_downlink(stack, rngs)
+    worst = np.maximum(uplink_cond.max(axis=-1), downlink_cond.max(axis=-1))
+    failed = np.flatnonzero(~(worst <= COND_LIMIT))
+    if failed.size:
+        raise SchemeDesignError(
+            f"channel conditioning {worst[failed[0]]:.3e} exceeds the guardrail {COND_LIMIT:.3e}",
+            trial=int(failed[0]),
+        )
+    arrays = dict(
+        V1=V1,
+        Vj=Vj,
+        T=T,
+        relay_filter=relay_filter,
+        rx_filter=rx_filter,
+        uplink_cond=uplink_cond,
+        downlink_cond=downlink_cond,
+    )
+    return eff, _assemble_plan(stack, d, arrays, eff.stack_shape)
 
 
 def _vector_rows(vectors, stack_shape: tuple, count: int, d: int, what: str) -> np.ndarray:
@@ -598,14 +534,13 @@ def plan_to_json_dict(plan: SchemePlan) -> dict:
         "extension_factor": plan.extension_factor,
         "power_scale": plan.power_scale,
         "bc_scale": plan.bc_scale,
-        "degenerate": plan.degenerate,
         "V1": [matrix_to_lists(m) for m in plan.V1],
         "Vj": [matrix_to_lists(m) for m in plan.Vj],
         "T": [matrix_to_lists(m) for m in plan.T],
         "relay_filter": [matrix_to_lists(m) for m in plan.relay_filter],
         "rx_filter": [[matrix_to_lists(m) for m in row] for row in plan.rx_filter],
-        "g_cond": plan.g_cond.tolist(),
-        "user_gain_cond": plan.user_gain_cond.tolist(),
+        "uplink_cond": plan.uplink_cond.tolist(),
+        "downlink_cond": plan.downlink_cond.tolist(),
     }
 
 

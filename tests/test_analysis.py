@@ -20,7 +20,7 @@ from mrc_dof_lab.analysis import (
 )
 from mrc_dof_lab.bounds import cutset_dof
 from mrc_dof_lab.channel import NetworkConfig, generate_channels
-from mrc_dof_lab import ssa_nc
+from mrc_dof_lab import analysis, ssa_nc
 from mrc_dof_lab.ssa_nc import design_scheme, other_users, run_round
 
 GRID = [1e2, 1e3, 1e4, 1e5, 1e6]
@@ -166,6 +166,44 @@ class TestSlopeEstimation:
             cfg = NetworkConfig(K=k, M=m, N=n, seed=13)
             slope, _ = estimate_dof_slope(cfg, GRID, 20)
             assert slope <= cutset_dof(k, m, n) * 1.05
+
+    @pytest.mark.parametrize("k,m,n", [(4, 8, 8), (8, 8, 8)])
+    def test_large_configs_reach_cutset(self, k, m, n):
+        # with unitary relay-side subspaces the plan's conditioning is the
+        # channel's, and the finite-grid slope meets the cut-set within 3%
+        # even where the affine power offset is largest
+        slope, _ = estimate_dof_slope(NetworkConfig(K=k, M=m, N=n, seed=42), GRID, 20)
+        cutset = cutset_dof(k, m, n)
+        assert abs(slope - cutset) <= 0.03 * cutset
+
+    @pytest.mark.parametrize(
+        "k,m,n,duplex,trials",
+        [(4, 4, 3, 1.0, 7), (3, 4, 3, 0.5, 5), (4, 2, 5, 1.0, 1)],
+    )
+    def test_fit_equals_loop_reference(self, k, m, n, duplex, trials):
+        # the broadcast fit against the per-trial, per-power loops it replaced
+        cfg = NetworkConfig(K=k, M=m, N=n, seed=28, duplex_factor=duplex)
+        gammas = np.concatenate(
+            [stream_sinrs(plan, 1.0).flat() for _, _, plan in analysis._trial_stacks(cfg, trials)]
+        )
+        grid = np.asarray(GRID)
+        top = grid[-4:]
+        x = np.log2(top)
+        L = ssa_nc.extension_plan(k, m, n)[1]
+
+        def ols(y):
+            xc = x - x.mean()
+            return float(np.dot(xc, y) / np.dot(xc, xc))
+
+        def curve(gamma):
+            return np.array([duplex * float(np.sum(np.log2(1.0 + gamma * p))) / L for p in top])
+
+        want = ols(curve(gammas.mean(axis=0)))
+        per_trial = [ols(curve(g)) for g in gammas]
+        want_err = float(np.std(per_trial, ddof=1) / np.sqrt(trials)) if trials > 1 else 0.0
+        slope, stderr = analysis._fit_slope(cfg, grid, gammas)
+        assert abs(slope - want) <= 1e-12 * abs(want)
+        assert abs(stderr - want_err) <= 1e-12 * want_err
 
 
 class TestMseSweep:

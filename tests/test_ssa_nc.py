@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mrc_dof_lab import linalg, ssa_nc
+from mrc_dof_lab import analysis, linalg, ssa_nc
 from mrc_dof_lab.analysis import stream_sinrs, verify_noiseless
 from mrc_dof_lab.bounds import check_percut_bounds, cutset_dof, total_dof
 from mrc_dof_lab.channel import ChannelSet, NetworkConfig, generate_channels
@@ -33,8 +33,8 @@ from mrc_dof_lab.ssa_nc import (
 )
 
 
-def designed(k, m, n, seed=0, trial=0):
-    cfg = NetworkConfig(K=k, M=m, N=n, seed=seed)
+def designed(k, m, n, seed=0, trial=0, **config):
+    cfg = NetworkConfig(K=k, M=m, N=n, seed=seed, **config)
     rng = cfg.trial_rng(trial)
     cs = generate_channels(cfg, rng)
     eff, plan = design_scheme(cfg, cs, rng)
@@ -186,26 +186,36 @@ class TestFilterOracle:
 
     @pytest.mark.parametrize("k,m,n", [(3, 5, 4), (3, 4, 6), (4, 4, 4)])
     def test_guard_equals_inverse_conds_and_bounds_every_block(self, k, m, n):
-        # g_cond = cond(H_0 V1cat) and user_gain_cond[u] = cond(Tcat) cond(d_u),
-        # each at least the condition number of every filter block it guards
-        cfg, eff, plan, _ = designed(k, m, n, seed=25)
+        # U = H_0 V1cat and Tcat are unitary, so the relay inverse is U^H and
+        # the guard is the base blocks' own conditioning: uplink_cond[u]
+        # bounds user u's beamformer blocks, downlink_cond[u] equals
+        # cond(pinv(D_u Tcat)) and bounds every user filter block; the
+        # channels are not reciprocal, so the two guards differ
+        cfg, eff, plan, _ = designed(k, m, n, seed=25, reciprocal=False)
+        eye = np.eye(eff.relay_dim)
+        relay_inv = np.vstack(plan.relay_filter)
+        assert np.linalg.norm(relay_inv @ relay_inv.conj().T - eye) <= 1e-12
         aligned = [eff.uplink[0] @ v for v in plan.V1]
-        want = np.linalg.cond(np.hstack(aligned))
-        assert abs(plan.g_cond - want) <= 1e-10 * want
-        for p in range(plan.num_pairs):
-            assert _zero_forcing_oracle(aligned, p)[1] <= plan.g_cond * (1 + 1e-10)
+        assert np.linalg.norm(np.hstack(aligned) - relay_inv.conj().T) <= 1e-10
         t_cat = np.hstack(plan.T)
+        assert np.linalg.norm(t_cat.conj().T @ t_cat - eye) <= 1e-12
+        for p in range(plan.num_pairs):
+            assert _zero_forcing_oracle(aligned, p)[1] <= 1 + 1e-10
         L = eff.extension_factor
         base_m, base_n = eff.user_dim // L, eff.relay_dim // L
         for u in range(k):
-            guard = plan.user_gain_cond[u]
-            want = np.linalg.cond(t_cat) * np.linalg.cond(eff.downlink[u][:base_m, :base_n])
-            assert abs(guard - want) <= 1e-10 * want
+            up = np.linalg.cond(eff.uplink[u][:base_n, :base_m])
+            down = np.linalg.cond(eff.downlink[u][:base_m, :base_n])
+            assert abs(plan.uplink_cond[u] - up) <= 1e-10 * up
+            assert abs(plan.downlink_cond[u] - down) <= 1e-10 * down
+            beams = plan.V1 if u == 0 else [plan.Vj[u - 1]]
+            for v in beams:
+                assert np.linalg.cond(v) <= plan.uplink_cond[u] * (1 + 1e-10)
             user_inv = np.linalg.pinv(eff.downlink[u] @ t_cat)
-            assert np.linalg.cond(user_inv) <= guard * (1 + 1e-10)
+            assert abs(np.linalg.cond(user_inv) - down) <= 1e-10 * down
             images = [eff.downlink[u] @ t for t in plan.T]
             for p in range(plan.num_pairs):
-                assert _zero_forcing_oracle(images, p)[1] <= guard * (1 + 1e-10)
+                assert _zero_forcing_oracle(images, p)[1] <= plan.downlink_cond[u] * (1 + 1e-10)
 
 
 class TestUserFilterOracle:
@@ -252,39 +262,40 @@ def _stub_design_draws(monkeypatch, degenerate):
     monkeypatch.setattr(ssa_nc, "random_gaussian_stack", draw)
 
 
-def _warnings(caplog, word):
-    return [r for r in caplog.records if r.levelno == logging.WARNING and word in r.getMessage()]
+def _stacked_plan(cfg, trials):
+    rngs = [cfg.trial_rng(t) for t in trials]
+    return design_scheme(cfg, generate_channels(cfg, rngs), rngs)[1]
+
+
+# K=3, M=3, N=2 at seed 7: the guards of trials 0-7 are 2.05, 1.93, 3.29,
+# 2.37, 2.39, 5.72, 3.15 and 5.69 (measured; a redraw cannot change them).
+GUARD_CFG = dict(K=3, M=3, N=2, seed=7)
 
 
 class TestDesignFailurePaths:
-    """Fault injection: K=3, M=3, N=2 has d=1, so one design draws two V1
-    columns (draws 0 and 1) and two T columns (draws 2 and 3). Two equal
-    columns make the aligned or the precoder matrix rank deficient."""
+    """Fault injection at K=3, M=3, N=2, d=1: a design draws U (draw 0)
+    and then Tcat (draw 1), each one 2 x 2 Gaussian matrix."""
 
-    CFG = dict(K=3, M=3, N=2, seed=7)
+    CFG = GUARD_CFG
 
-    def test_rank_deficient_v1_resampled_once(self, monkeypatch, caplog):
+    def test_degenerate_draws_still_give_unitary_subspaces(self, monkeypatch):
+        # all-ones draws have rank one, but their Householder Q is unitary,
+        # so the scheme needs no rank check, resample or failure path
+        cfg = NetworkConfig(**self.CFG)
         _stub_design_draws(monkeypatch, lambda trial, i: i < 2)
-        report = verify_noiseless(NetworkConfig(**self.CFG), trials=1)
-        assert len(_warnings(caplog, "resampling")) == 1
+        plan = _stacked_plan(cfg, range(2))
+        eye = np.eye(2)
+        for t in range(2):
+            U = np.vstack(plan.relay_filter[t]).conj().T
+            t_cat = np.hstack(plan.T[t])
+            for q in (U, t_cat):
+                assert np.allclose(np.abs(q[:, 0]), np.sqrt(0.5), rtol=0, atol=1e-15)
+                assert np.linalg.norm(q.conj().T @ q - eye) <= 1e-12
+                assert np.linalg.norm(q @ q.conj().T - eye) <= 1e-12
+        _stub_design_draws(monkeypatch, lambda trial, i: i < 2)
+        report = verify_noiseless(cfg, trials=2)
         assert report.noiseless_max_error <= 1e-8
         assert report.achieved_streams == report.cutset
-        assert report.degenerate_draws == 0
-
-    def test_two_rank_deficient_draws_raise_with_trial_and_seed(self, monkeypatch, caplog):
-        # both of trial 1's V1 attempts (its draws 0-3) are degenerate
-        _stub_design_draws(monkeypatch, lambda trial, i: trial == 1 and i < 4)
-        with pytest.raises(SchemeDesignError, match=r"trial 1 \(seed 7\): aligned pair"):
-            verify_noiseless(NetworkConfig(**self.CFG), trials=2)
-        assert len(_warnings(caplog, "resampling")) == 1
-        assert len(_warnings(caplog, "giving up")) == 1
-
-    def test_rank_deficient_precoders_raise(self, monkeypatch):
-        cfg = NetworkConfig(**self.CFG)
-        eff, _ = prepare_scheme(cfg, generate_channels(cfg, cfg.rng()))
-        _stub_design_draws(monkeypatch, lambda trial, i: True)
-        with pytest.raises(SchemeDesignError, match="precoders are rank deficient"):
-            design_downlink(eff, cfg.rng())
 
     def test_downlink_on_unprepared_shutdown_set_raises(self):
         cfg = NetworkConfig(K=3, M=2, N=4, seed=7)
@@ -299,45 +310,53 @@ class TestDesignFailurePaths:
         with pytest.raises(ValueError, match="split evenly"):
             design_downlink(cs, cfg.rng())
 
-    def test_conditioning_guardrail_raises_when_redraw_still_exceeds(self, monkeypatch, caplog):
-        # every condition number is at least 1, so each plan is redrawn once
-        # and the redrawn plan exceeds the limit too: two warnings per trial,
-        # of which only the first announces a redraw, then the design fails
-        # naming the first trial
+    def test_conditioning_guardrail_raises_without_redraw(self, monkeypatch, caplog):
+        # every condition number is at least 1, so the first trial fails at
+        # once: nothing is redrawn or logged
         monkeypatch.setattr(ssa_nc, "COND_LIMIT", 0.5)
-        with pytest.raises(SchemeDesignError, match=r"trial 0 \(seed 7\): plan conditioning"):
+        with pytest.raises(SchemeDesignError, match=r"trial 0 \(seed 7\): channel conditioning"):
             verify_noiseless(NetworkConfig(**self.CFG), trials=3)
-        assert len(_warnings(caplog, "guardrail")) == 6
-        assert len(_warnings(caplog, "redrawing")) == 3
-        assert len(_warnings(caplog, "giving up")) == 3
+        assert not [r for r in caplog.records if r.levelno >= logging.WARNING]
+
+    def test_guard_reads_both_directions(self, monkeypatch):
+        # without reciprocity the downlink guards of trials 0-7 are 2.86,
+        # 2.51, 4.46, 2.47, 3.30, 1.92, 2.82 and 3.45 (measured), while the
+        # uplink ones are those of GUARD_CFG: at 4.0 only trial 2's downlink
+        # exceeds the limit before trial 5's uplink does, at 5.0 only the
+        # uplinks of trials 5 and 7 exceed it
+        cfg = NetworkConfig(**GUARD_CFG, reciprocal=False)
+        plan = _stacked_plan(cfg, range(8))
+        assert np.flatnonzero(plan.downlink_cond.max(axis=-1) > 4.0).tolist() == [2]
+        assert np.flatnonzero(plan.uplink_cond.max(axis=-1) > 4.0).tolist() == [5, 7]
+        for limit, trial in ((4.0, 2), (5.0, 5)):
+            monkeypatch.setattr(ssa_nc, "COND_LIMIT", limit)
+            with pytest.raises(SchemeDesignError) as err:
+                _stacked_plan(cfg, range(8))
+            assert err.value.trial == trial
 
     def test_guardrail_fires_at_one_stream_per_pair(self, monkeypatch):
-        # d = 1: every filter block is one row, of condition number 1, so
-        # only the inverses' own conditioning can trip the guard. At seed 7
-        # the worst guards of 8 trials are 7.4-11.0, except cond(A) = 12.9
-        # (trial 1) and 16.4 (trial 6); their redraws come in at most 7.5.
+        # d = 1, where every filter block is one row: the limit sits between
+        # the measured guards, so trials 5 and 7 exceed it, and the first of
+        # them is named by its global index whatever the stack size
         cfg = NetworkConfig(**self.CFG)
-        rngs = [cfg.trial_rng(t) for t in range(8)]
-        _, first = design_scheme(cfg, generate_channels(cfg, rngs), rngs)
-        assert first.d == 1 and not first.degenerate.any()
-        worst = np.maximum(first.g_cond, first.user_gain_cond.max(axis=-1))
-        limit = 12.0
-        assert np.flatnonzero(worst > limit).tolist() == [1, 6]
-        assert np.array_equal(worst > limit, first.g_cond > limit)
+        limit = 5.0
+        plan = _stacked_plan(cfg, range(8))
+        assert plan.d == 1
+        worst = np.maximum(plan.uplink_cond.max(axis=-1), plan.downlink_cond.max(axis=-1))
+        assert np.flatnonzero(worst > limit).tolist() == [5, 7]
         monkeypatch.setattr(ssa_nc, "COND_LIMIT", limit)
-        rngs = [cfg.trial_rng(t) for t in range(8)]
-        _, plan = design_scheme(cfg, generate_channels(cfg, rngs), rngs)
-        assert np.flatnonzero(plan.degenerate).tolist() == [1, 6]
-        kept = ~plan.degenerate
-        assert np.array_equal(plan.V1[kept], first.V1[kept])
-        assert not np.array_equal(plan.V1[1], first.V1[1])
-        assert np.all(np.maximum(plan.g_cond, plan.user_gain_cond.max(axis=-1)) <= limit)
-        assert verify_noiseless(cfg, trials=8).degenerate_draws == 2
+        assert verify_noiseless(cfg, trials=5).degenerate_draws == 0
+        with pytest.raises(SchemeDesignError, match=r"^trial 5 \(seed 7\): channel"):
+            verify_noiseless(cfg, trials=8)
+        monkeypatch.setattr(analysis, "STACK_ELEMENTS", 2 * 3 * 2 * 3)
+        assert analysis._stack_size(cfg) == 2
+        with pytest.raises(SchemeDesignError, match=r"^trial 5 \(seed 7\): channel"):
+            verify_noiseless(cfg, trials=8)
 
 
 PLAN_FIELDS = (
-    "V1", "Vj", "T", "relay_filter", "rx_filter", "g_cond", "user_gain_cond",
-    "power_scale", "bc_scale", "degenerate",
+    "V1", "Vj", "T", "relay_filter", "rx_filter", "uplink_cond", "downlink_cond",
+    "power_scale", "bc_scale",
 )
 TRACE_FIELDS = ("sent", "relay_rx", "relay_fwd", "user_rx", "decoded")
 SINR_FIELDS = ("mac", "bc", "end_to_end")
@@ -346,7 +365,7 @@ SINR_FIELDS = ("mac", "bc", "end_to_end")
 def _single_runs(cfg, trials):
     """(plan, noisy trace, SINRs) of each trial designed and run alone."""
     runs = []
-    for trial in range(trials):
+    for trial in trials:
         rng = cfg.trial_rng(trial)
         eff, plan = design_scheme(cfg, generate_channels(cfg, rng), rng)
         trace = run_round(plan, eff, 10.0, rng, noise_on=True)
@@ -356,7 +375,7 @@ def _single_runs(cfg, trials):
 
 def _stacked_run(cfg, trials):
     """(plan, noisy trace, SINRs) of the trials designed and run as one stack."""
-    rngs = [cfg.trial_rng(trial) for trial in range(trials)]
+    rngs = [cfg.trial_rng(trial) for trial in trials]
     eff, plan = design_scheme(cfg, generate_channels(cfg, rngs), rngs)
     trace = run_round(plan, eff, 10.0, rngs, noise_on=True)
     return plan, trace, stream_sinrs(plan, 3.0)
@@ -379,32 +398,34 @@ class TestTrialStacks:
     )
     def test_stack_equals_single_trials(self, k, m, n):
         cfg = NetworkConfig(K=k, M=m, N=n, seed=7)
-        plan, trace, _ = stacked = _stacked_run(cfg, 3)
+        plan, trace, _ = stacked = _stacked_run(cfg, range(3))
         assert plan.stack_shape == (3,) and trace.decoded.shape[0] == 3
-        _assert_stack_matches(stacked, _single_runs(cfg, 3))
+        _assert_stack_matches(stacked, _single_runs(cfg, range(3)))
 
-    def test_resample_and_redraw_touch_only_their_trials(self, monkeypatch, caplog):
-        # trial 2's first V1 draw is degenerate and resampled; at this limit
-        # only trial 3's first plan (worst guard 55.6, the others at most
-        # 32.0) exceeds the guardrail and is redrawn, to 47.4
-        cfg = NetworkConfig(K=3, M=4, N=3, seed=7)
-        monkeypatch.setattr(ssa_nc, "COND_LIMIT", 50.0)
-        _stub_design_draws(monkeypatch, lambda trial, i: trial == 2 and i < 2)
-        singles = _single_runs(cfg, 4)
-        assert [plan.degenerate for plan, _, _ in singles] == [False, False, False, True]
-        _stub_design_draws(monkeypatch, lambda trial, i: trial == 2 and i < 2)
-        stacked = _stacked_run(cfg, 4)
-        assert len(_warnings(caplog, "resampling")) == 2
-        assert len(_warnings(caplog, "redrawing")) == 2
-        _assert_stack_matches(stacked, singles)
+    def test_raised_trial_leaves_the_others_unchanged(self, monkeypatch):
+        # at this limit only trial 2 (guard 3.29) of trials 0-3 exceeds the
+        # guardrail: it raises alone and in the stack, and the stack of the
+        # other three designs and runs each of them as it runs alone
+        cfg = NetworkConfig(**GUARD_CFG)
+        monkeypatch.setattr(ssa_nc, "COND_LIMIT", 3.0)
+        kept = [0, 1, 3]
+        with pytest.raises(SchemeDesignError) as err:
+            _single_runs(cfg, [2])
+        assert err.value.trial == 0
+        with pytest.raises(SchemeDesignError) as err:
+            _stacked_run(cfg, range(4))
+        assert err.value.trial == 2
+        _assert_stack_matches(_stacked_run(cfg, kept), _single_runs(cfg, kept))
 
     def test_design_error_names_stack_position(self, monkeypatch):
-        _stub_design_draws(monkeypatch, lambda trial, i: trial == 2 and i < 4)
-        cfg = NetworkConfig(K=3, M=3, N=2, seed=7)
-        rngs = [cfg.trial_rng(trial) for trial in range(4)]
-        with pytest.raises(SchemeDesignError) as err:
-            design_scheme(cfg, generate_channels(cfg, rngs), rngs)
-        assert err.value.trial == 2
+        # trials 5 and 7 exceed this limit: the error names the first of them
+        # by its position in the stack that was designed
+        cfg = NetworkConfig(**GUARD_CFG)
+        monkeypatch.setattr(ssa_nc, "COND_LIMIT", 5.0)
+        for trials, position in ((range(8), 5), ([6, 7], 1), ([7, 5], 0)):
+            with pytest.raises(SchemeDesignError) as err:
+                _stacked_plan(cfg, trials)
+            assert err.value.trial == position
 
     def test_generator_count_must_match_stack(self):
         cfg = NetworkConfig(K=3, M=3, N=2, seed=7)
@@ -417,11 +438,10 @@ class TestTrialStacks:
 
 
 class TestLapackBudget:
-    """One stacked design takes four SVDs (the relay inverse, the partner
-    and downlink base pseudoinverses, the precoder inverse) and two QRs
-    (V1, T), whatever the extension factor; the channels are validated
-    again, with one more SVD, only after a relay shutdown, which can lose
-    rank."""
+    """One stacked design takes two SVDs (the uplink and the downlink base
+    pseudoinverses) and two QRs (U and Tcat), whatever the extension
+    factor; the channels are validated again, with one more SVD, only
+    after a relay shutdown, which can lose rank."""
 
     @pytest.mark.parametrize(
         "k,m,n,validations",
@@ -450,8 +470,8 @@ class TestLapackBudget:
             ChannelSet, "__post_init__", counted("validate", ChannelSet.__post_init__)
         )
         _, plan = design_scheme(cfg, channels, rngs)
-        assert not plan.degenerate.any()
-        assert calls == {"svd": 4 + validations, "qr": 2, "validate": validations}
+        assert plan.stack_shape == (2,)
+        assert calls == {"svd": 2 + validations, "qr": 2, "validate": validations}
 
 
 @settings(derandomize=True, deadline=None, max_examples=25, database=None)
@@ -688,8 +708,7 @@ class TestAllocationAndPlan:
         assert plan.T.shape == (k - 1, r, d)
         assert plan.relay_filter.shape == (k - 1, d, r)
         assert plan.rx_filter.shape == (k, k - 1, d, u)
-        assert plan.g_cond.shape == ()
-        assert plan.user_gain_cond.shape == (k,)
+        assert plan.uplink_cond.shape == plan.downlink_cond.shape == (k,)
         trace = run_round(plan, eff, P=10.0, rng=rng, noise_on=True)
         assert trace.sent.shape == (k, d)
         assert trace.relay_rx.shape == (r,)
@@ -702,7 +721,7 @@ class TestAllocationAndPlan:
         arrays = {f.name: getattr(plan, f.name) for f in dataclasses.fields(plan)}
         arrays = {name: a for name, a in arrays.items() if isinstance(a, np.ndarray)}
         assert set(arrays) == {
-            "V1", "Vj", "T", "relay_filter", "rx_filter", "g_cond", "user_gain_cond"
+            "V1", "Vj", "T", "relay_filter", "rx_filter", "uplink_cond", "downlink_cond"
         }
         for name, a in arrays.items():
             with pytest.raises(ValueError, match="read-only"):
@@ -714,6 +733,7 @@ class TestAllocationAndPlan:
         assert doc["d"] == 1 and doc["extension_factor"] == 1
         assert len(doc["V1"]) == 2 and len(doc["relay_filter"]) == 2
         assert len(doc["rx_filter"]) == 3 and len(doc["rx_filter"][0]) == 2
-        assert not {"F", "G", "UZF"} & doc.keys()
+        assert len(doc["uplink_cond"]) == len(doc["downlink_cond"]) == 3
+        assert not {"F", "G", "UZF", "g_cond", "user_gain_cond", "degenerate"} & doc.keys()
         entry = doc["V1"][0][0][0]
         assert isinstance(entry, list) and len(entry) == 2
