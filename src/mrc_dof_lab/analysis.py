@@ -4,13 +4,14 @@ Noiseless runs certify interference-freeness (every decoded symbol must
 reproduce its transmitted value to near machine precision). For noisy
 operation, per-stream SINRs follow in closed form from the designed
 filters, and the DoF shows up as the slope of the sum rate against
-log2(P). Per-trial randomness is derived as seed XOR trial index, so
-trials are independent and reproducible in any execution order.
+log2(P); the chain is linear, so power only scales a unit-power round.
+Per-trial randomness is derived as seed XOR trial index, so trials are
+independent and reproducible in any execution order.
 
 The trials of one configuration are designed and run as stacks along a
 leading trial axis: one ``ssa_nc.design_scheme`` and one
-``ssa_nc.run_round`` call per stack (per stack and power level in the MSE
-sweep) serve all its trials. A stack holds up to STACK_ELEMENTS user
+``ssa_nc.run_round`` call per stack serve all its trials, whatever the
+length of the power grid. A stack holds up to STACK_ELEMENTS user
 filter entries, so large extended configurations run one trial per
 stack. Each trial's generator sees the same draws in the same order as
 when the trial runs alone, so every result is independent of the stack
@@ -169,7 +170,7 @@ def _noiseless_round_errors(
 ) -> np.ndarray:
     """Each trial's worst relative decode error over every user and message
     of one noiseless round of the stack."""
-    trace = ssa_nc.run_round(plan, eff, config.P, rngs, noise_on=False)
+    trace = ssa_nc.run_round(plan, eff, 1.0, rngs, noise_on=False)
     senders = _sender_table(config.K)
     sent_norm = np.linalg.norm(trace.sent, axis=-1)[..., senders]
     err = np.sqrt(_message_sq_errors(trace, senders))
@@ -229,7 +230,8 @@ class StreamSinrs:
     mac[p, t]: relay-side SINR of stream t of pair p after zero-forcing and
     unmixing. bc[u, p, t]: user u's downlink SINR for the same stream.
     end_to_end[u, p, t]: decode-and-forward bottleneck, the minimum of the
-    two phases. A stacked plan prefixes each array with its trial axis.
+    two phases (run_round forwards the relay's noisy estimate, so its noise
+    adds over both hops). A stacked plan prefixes each with its trial axis.
     """
 
     mac: np.ndarray
@@ -247,7 +249,7 @@ def _row_power(filters: np.ndarray) -> np.ndarray:
 
 
 def stream_sinrs(plan: SchemePlan, P: float) -> StreamSinrs:
-    """Signal power over shaped-noise power per stream, both phases.
+    """Per-stream SINRs of both phases and their decode-and-forward minimum.
 
     The forwarded sum carries two unit-power symbol vectors (power 2 per
     entry). Unit-variance noise passes through each receive filter, so a
@@ -266,12 +268,24 @@ def stream_sinrs(plan: SchemePlan, P: float) -> StreamSinrs:
     return StreamSinrs(mac=mac, bc=bc, end_to_end=end_to_end)
 
 
-def validate_power_grid(P_grid) -> np.ndarray:
+def _power_levels(P_grid) -> np.ndarray:
+    """The powers as a float array: non-empty, finite and positive."""
     grid = np.asarray(list(P_grid), dtype=float)
+    if grid.size == 0:
+        raise ValueError("power grid must not be empty")
+    if not np.all(np.isfinite(grid)):
+        raise ValueError("powers must be finite")
+    if np.any(grid <= 0):
+        raise ValueError("powers must be positive")
+    return grid
+
+
+def validate_power_grid(P_grid) -> np.ndarray:
+    grid = _power_levels(P_grid)
     if grid.size < 3:
         raise ValueError("power grid needs at least 3 points")
-    if np.any(np.diff(grid) <= 0) or np.any(grid <= 0):
-        raise ValueError("power grid must be positive and strictly increasing")
+    if np.any(np.diff(grid) <= 0):
+        raise ValueError("power grid must be strictly increasing")
     if grid[-1] / grid[0] < 1e3:
         raise ValueError("power grid must span at least three decades")
     return grid
@@ -317,36 +331,22 @@ def estimate_dof_slope(
 def decode_mse_sweep(config: NetworkConfig, P_grid, trials: int) -> np.ndarray:
     """Average per-symbol decode MSE at each power level, noise on.
 
-    Each stack of trials is designed once. Its generators' states after the
-    design are restored before every power level, so the same channels,
-    beamformer draws, symbols, and noise realizations are reused at every
-    power level (common random numbers across the grid), and the stacked
-    round runs once per power level. Trial errors are summed in trial
-    order, as one trial at a time would sum them.
+    The chain is linear and plans store amplitudes per sqrt(P), so a
+    round's error at P is its unit-power error over sqrt(P): each stack
+    runs one unit-power noisy round and the MSE at P is its MSE over P.
+    Trial errors are summed in trial order, as one trial at a time would
+    sum them.
     """
-    grid = np.asarray(list(P_grid), dtype=float)
-    if grid.size == 0:
-        raise ValueError("power grid must not be empty")
-    if not np.all(np.isfinite(grid)):
-        raise ValueError("powers must be finite")
-    if np.any(grid <= 0):
-        raise ValueError("powers must be positive")
+    grid = _power_levels(P_grid)
     if trials < 1:
         raise ValueError("trials must be positive")
     senders = _sender_table(config.K)
     totals = []
     for rngs, eff, plan in _trial_stacks(config, trials):
-        designed = [g.bit_generator.state for g in rngs]
-        per_power = []
-        for P in grid:
-            for g, state in zip(rngs, designed):
-                g.bit_generator.state = state
-            trace = ssa_nc.run_round(plan, eff, float(P), rngs, noise_on=True)
-            sq = _message_sq_errors(trace, senders)
-            per_power.append(sq.reshape(len(rngs), -1).sum(axis=-1))
-        totals.append(np.stack(per_power, axis=-1))
-    sq_err = np.add.accumulate(np.concatenate(totals), axis=0)[-1]
-    return sq_err / (trials * config.K * (config.K - 1) * plan.d)
+        trace = ssa_nc.run_round(plan, eff, 1.0, rngs, noise_on=True)
+        totals.append(_message_sq_errors(trace, senders).reshape(len(rngs), -1).sum(axis=-1))
+    sq_err = np.add.accumulate(np.concatenate(totals))[-1]
+    return sq_err / (trials * config.K * (config.K - 1) * plan.d) / grid
 
 
 def simulate_report(config: NetworkConfig, P_grid, trials: int) -> DofReport:

@@ -29,18 +29,16 @@ _SEED_MASK = (1 << 64) - 1
 
 @dataclass(frozen=True)
 class NetworkConfig:
-    """Antenna and power configuration of the K-user multi-way relay network.
+    """Antenna configuration of the K-user multi-way relay network.
 
     K users with M antennas each exchange messages through an N-antenna
-    relay; there are no direct user-to-user links. P is the per-node
-    transmit power budget on a linear scale. duplex_factor 0.5 rescales
-    reported rates for half-duplex operation, 1.0 is full duplex.
+    relay; there are no direct user-to-user links. duplex_factor 0.5
+    rescales reported rates for half-duplex operation, 1.0 is full duplex.
     """
 
     K: int
     M: int
     N: int
-    P: float = 1.0
     reciprocal: bool = True
     duplex_factor: float = 1.0
     seed: int = 42
@@ -50,8 +48,6 @@ class NetworkConfig:
             raise ValueError("K must be at least 2")
         if self.M < 1 or self.N < 1:
             raise ValueError("antenna counts must be positive")
-        if not (self.P > 0 and np.isfinite(self.P)):
-            raise ValueError("P must be positive and finite")
         if self.duplex_factor not in (1.0, 0.5):
             raise ValueError("duplex_factor must be 1.0 or 0.5")
         if not 0 <= self.seed <= _SEED_MASK:

@@ -259,6 +259,11 @@ def cmd_sweep(args) -> int:
     p_grid = _as_float_list(raw_grid, "--p-grid") if raw_grid is not None else None
     fmt = _resolve(args, "format", cfg, default="csv")
     out = _resolve(args, "out", cfg, required=True)
+    # run-wide arguments fail the whole sweep once, not every row
+    if trials < 1:
+        raise CliError("--trials must be positive")
+    if p_grid is not None:
+        analysis.validate_power_grid(p_grid)
 
     lines = [VERSION_COMMENT, REPORT_COLUMNS + ",error"]
     rows_json = []

@@ -161,7 +161,6 @@ class TransmissionTrace:
     relay_fwd: np.ndarray
     user_rx: np.ndarray
     decoded: np.ndarray
-    noise_on: bool
 
 
 def other_users(K: int, u: int) -> list[int]:
@@ -507,7 +506,6 @@ def run_round(
         relay_fwd=w,
         user_rx=user_rx,
         decoded=decoded,
-        noise_on=noise_on,
     )
 
 

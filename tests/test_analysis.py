@@ -37,6 +37,24 @@ def nan_rounds(monkeypatch):
     monkeypatch.setattr(ssa_nc, "run_round", nan_round)
 
 
+def redesigned_mse(cfg, trials, P):
+    """Per-symbol decode MSE of one noisy round at power P per trial, each
+    trial designed alone from a fresh trial generator, summed in trial
+    order."""
+    k = cfg.K
+    senders = np.array([other_users(k, u) for u in range(k)])
+    acc = 0.0
+    count = 0
+    for trial in range(trials):
+        rng = cfg.trial_rng(trial)
+        eff, plan = design_scheme(cfg, generate_channels(cfg, rng), rng)
+        trace = run_round(plan, eff, P, rng, noise_on=True)
+        diff = trace.decoded - trace.sent[senders]
+        acc += np.sum(np.sum(np.abs(diff) ** 2, axis=-1))
+        count += diff.size
+    return acc / count
+
+
 def plan_for(k, m, n, seed=0):
     cfg = NetworkConfig(K=k, M=m, N=n, seed=seed)
     rng = cfg.trial_rng(0)
@@ -63,11 +81,16 @@ class TestVerifyNoiseless:
         assert "degenerate" in rep.notes
 
     def test_error_invariant_to_power(self):
-        cfg_lo = NetworkConfig(K=3, M=3, N=2, P=1.0, seed=4)
-        cfg_hi = NetworkConfig(K=3, M=3, N=2, P=1e6, seed=4)
-        a = verify_noiseless(cfg_lo, 5).noiseless_max_error
-        b = verify_noiseless(cfg_hi, 5).noiseless_max_error
-        assert a == pytest.approx(b, rel=1e-6)
+        # the audit runs at unit power; the same symbols through the same
+        # plan decode as exactly at any other power
+        eff, plan = plan_for(3, 3, 2, seed=4)
+        senders = analysis._sender_table(3)
+
+        def worst_error(P):
+            trace = run_round(plan, eff, P, np.random.default_rng(4), noise_on=False)
+            return float(np.max(np.abs(trace.decoded - trace.sent[senders])))
+
+        assert worst_error(1.0) == pytest.approx(worst_error(1e6), rel=1e-6)
 
     def test_fixed_channels_reused(self):
         cfg = NetworkConfig(K=3, M=3, N=2, seed=5)
@@ -148,6 +171,13 @@ class TestSlopeEstimation:
         with pytest.raises(ValueError):
             validate_power_grid([1.0, 5.0, 10.0])
 
+    @pytest.mark.parametrize(
+        "grid", [[1e2, float("nan"), 1e6], [1e2, 1e4, float("inf")]], ids=["nan", "inf"]
+    )
+    def test_non_finite_grid_rejected(self, grid):
+        with pytest.raises(ValueError, match="powers must be finite"):
+            estimate_dof_slope(NetworkConfig(K=3, M=3, N=2, seed=11), grid, 3)
+
     def test_two_way_relay_slope(self):
         cfg = NetworkConfig(K=2, M=1, N=1, seed=11)
         slope, stderr = estimate_dof_slope(cfg, GRID, 50)
@@ -214,24 +244,35 @@ class TestMseSweep:
 
     @pytest.mark.parametrize("k,m,n", [(3, 3, 2), (3, 4, 3)])
     def test_equals_redesign_per_power(self, k, m, n):
-        # reference: redesign every trial at every power level from a fresh
-        # trial generator; one design per trial must give the same bits
-        cfg = NetworkConfig(K=k, M=m, N=n, seed=26)
+        # reference: redesign every trial from a fresh trial generator and
+        # scale its unit-power round by 1/P; one design per trial must give
+        # the same bits
         grid = [1e2, 1e4, 1e6]
-        senders = np.array([other_users(k, u) for u in range(k)])
-        expected = np.zeros(len(grid))
-        for i, P in enumerate(grid):
-            acc = 0.0
-            count = 0
-            for trial in range(4):
-                rng = cfg.trial_rng(trial)
-                eff, plan = design_scheme(cfg, generate_channels(cfg, rng), rng)
-                trace = run_round(plan, eff, P, rng, noise_on=True)
-                diff = trace.decoded - trace.sent[senders]
-                acc += np.sum(np.sum(np.abs(diff) ** 2, axis=-1))
-                count += diff.size
-            expected[i] = acc / count
+        cfg = NetworkConfig(K=k, M=m, N=n, seed=26)
+        expected = np.array([redesigned_mse(cfg, 4, 1.0) / P for P in grid])
         assert np.array_equal(decode_mse_sweep(cfg, grid, 4), expected)
+
+    @pytest.mark.parametrize("k,m,n", [(3, 3, 2), (3, 4, 3), (4, 2, 5)])
+    def test_equals_rounds_at_each_power(self, k, m, n):
+        # the scaled unit-power round against a noisy round run at each P
+        grid = [1e2, 1e3, 1e4, 1e5, 1e6]
+        cfg = NetworkConfig(K=k, M=m, N=n, seed=26)
+        expected = np.array([redesigned_mse(cfg, 4, P) for P in grid])
+        assert np.allclose(decode_mse_sweep(cfg, grid, 4), expected, rtol=1e-12, atol=0.0)
+
+    def test_one_round_per_stack(self, monkeypatch):
+        # 3/3/2 holds 18 user filter entries per trial: three trials per stack
+        monkeypatch.setattr(analysis, "STACK_ELEMENTS", 54)
+        real = ssa_nc.run_round
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(kwargs["noise_on"])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(ssa_nc, "run_round", counted)
+        decode_mse_sweep(NetworkConfig(K=3, M=3, N=2, seed=14), GRID, 5)
+        assert calls == [True, True]
 
     def test_rejects_zero_trials(self):
         with pytest.raises(ValueError, match="trials must be positive"):
@@ -253,6 +294,57 @@ class TestMseSweep:
         monkeypatch.setattr(ssa_nc, "design_scheme", no_design)
         with pytest.raises(ValueError, match=message):
             decode_mse_sweep(NetworkConfig(K=3, M=3, N=2, seed=14), grid, 2)
+
+
+def decode_error_map(plan):
+    """Per trial, the linear map from the joint noise [n_r; n_0; ...; n_{K-1}]
+    of one unit-power round to every decoded error, rows ordered as
+    TransmissionTrace.decoded: (S, K (K-1) d, relay_dim + K user_dim).
+
+    The relay forwards its estimate of pair p's sum with error F_p n_r, and
+    user u's filter adds G_{u,p} n_u. User 0 subtracts its own symbols from
+    every sum; user u >= 1 peels sender 0 from pair q = u-1, so that pair's
+    error reaches every other message it decodes.
+    """
+    K, d, n, m = plan.num_users, plan.d, plan.effective_N, plan.effective_M
+    F = plan.relay_filter / plan.power_scale[:, None, None, None]
+    G = plan.rx_filter / plan.bc_scale[:, None, None, None, None]
+    rows = []
+    for u in range(K):
+        q = u - 1
+        for sender in other_users(K, u):
+            p = sender - 1
+            if u == 0:
+                relay, user = F[:, p], G[:, 0, p]
+            elif sender == 0:
+                relay, user = F[:, q], G[:, u, q]
+            else:
+                relay, user = F[:, p] - F[:, q], G[:, u, p] - G[:, u, q]
+            row = np.zeros((len(F), d, n + K * m), dtype=complex)
+            row[:, :, :n] = relay
+            row[:, :, n + u * m : n + (u + 1) * m] = user
+            rows.append(row)
+    return np.concatenate(rows, axis=1)
+
+
+class TestClosedFormMse:
+    @pytest.mark.parametrize("k,m,n", [(3, 3, 2), (4, 4, 3), (4, 2, 5), (3, 4, 3)])
+    def test_monte_carlo_matches_closed_form(self, k, m, n):
+        # with C = A A^H for a trial's error map A and CN(0, I) noise, the
+        # trial's squared decode error has mean tr C and variance ||C||_F^2;
+        # the relay noise is shared by every user, so A is built jointly
+        trials = 400
+        cfg = NetworkConfig(K=k, M=m, N=n, seed=29)
+        mean = 0.0
+        var = 0.0
+        for _, _, plan in analysis._trial_stacks(cfg, trials):
+            A = decode_error_map(plan)
+            C = A @ A.conj().swapaxes(-1, -2)
+            mean += float(np.sum(np.real(np.trace(C, axis1=-2, axis2=-1))))
+            var += float(np.sum(np.abs(C) ** 2))
+        symbols = trials * k * (k - 1) * plan.d
+        mse = decode_mse_sweep(cfg, [1.0], trials)[0]
+        assert abs(mse - mean / symbols) <= 5.0 * np.sqrt(var) / symbols
 
 
 class TestReports:

@@ -146,6 +146,16 @@ class TestSimulateCommand:
         assert doc["streams"] == 6
         assert 5.0 < doc["slope"] < 6.5
 
+    @pytest.mark.parametrize("grid", ["1e2,nan,1e6", "1e2,1e4,inf"], ids=["nan", "inf"])
+    def test_non_finite_grid_is_bad_args(self, capsys, grid):
+        code, out, err = run(
+            capsys, "simulate", "--k", "3", "--m", "3", "--n", "2",
+            "--trials", "3", "--p-grid", grid,
+        )
+        assert code == EXIT_BAD_ARGS
+        assert out == ""
+        assert "powers must be finite" in err
+
 
 class TestSweepCommand:
     def test_product_rows_and_determinism(self, tmp_path, capsys):
@@ -184,6 +194,24 @@ class TestSweepCommand:
         rows = [tuple(map(int, line.split(",")[:3]))
                 for line in path.read_text().strip().splitlines()[2:]]
         assert rows == sorted(rows)
+
+    @pytest.mark.parametrize(
+        "flags,message",
+        [
+            (["--trials", "0"], "--trials must be positive"),
+            (["--trials", "2", "--p-grid", "1,2"], "at least 3 points"),
+        ],
+        ids=["zero-trials", "short-grid"],
+    )
+    def test_run_wide_argument_error_fails_once(self, tmp_path, capsys, flags, message):
+        path = tmp_path / "bad.csv"
+        code, _, err = run(
+            capsys, "sweep", "--k", "3,4", "--m", "2,3", "--n", "2",
+            "--out", str(path), *flags,
+        )
+        assert code == EXIT_BAD_ARGS
+        assert message in err
+        assert not path.exists()
 
 
     def test_design_error_becomes_error_cell(self, tmp_path, capsys, monkeypatch):
