@@ -26,6 +26,9 @@ class TestNetworkConfig:
             dict(K=1, M=2, N=2),
             dict(K=3, M=0, N=2),
             dict(K=3, M=2, N=0),
+            dict(K=3, M=-1, N=2),
+            dict(K=3, M=2, N=2, duplex_factor=float("nan")),
+            dict(K=3, M=2, N=2, seed=1 << 64),
             dict(K=3, M=2, N=2, duplex_factor=0.7),
             dict(K=3, M=2, N=2, seed=-1),
         ],
