@@ -1,17 +1,14 @@
-"""Network configuration, random channel generation, and symbol extension.
+"""Network configuration and random channel generation.
 
 The uplink channel of user j is an N x M matrix (relay antennas by user
 antennas), the downlink an M x N matrix. Reciprocal operation means the
-downlink is the plain transpose of the uplink. Extension by a factor L
-replaces every matrix H by the block-diagonal kron(I_L, H), modelling L
-consecutive uses of a constant channel as one block channel.
+downlink is the plain transpose of the uplink.
 
-A ``ChannelSet`` holds one trial's channels as (K, N, M) / (K, M, N)
-arrays, or a stack of trials with a leading trial axis. Every stored
-matrix of an extended set is exactly kron(I_L, base) of its top-left base
-block. Since rank(kron(I_L, H)) = L rank(H), the full-rank check runs on
-the base blocks only, in one batched SVD for the whole stack, whatever the
-extension factor.
+A ``ChannelSet`` holds one trial's physical channels as (K, N, M) /
+(K, M, N) arrays, or a stack of trials with a leading trial axis. Symbol
+extension is part of the scheme, not of the channel: ``ssa_nc`` applies
+kron(I_L, H) implicitly, so a set never stores extended matrices. The
+full-rank check runs on every matrix of the whole stack in one batched SVD.
 """
 
 from __future__ import annotations
@@ -63,24 +60,19 @@ class NetworkConfig:
 
 @dataclass(frozen=True, eq=False)
 class ChannelSet:
-    """Uplink/downlink matrices for all K users, plus the extension factor.
+    """Physical uplink/downlink matrices for all K users.
 
     uplink[..., j, :, :] maps user j's antennas to the relay and
     downlink[..., j, :, :] the relay's antennas to user j. One trial is
     stored as (K, N, M) and (K, M, N) arrays, a stack of S trials as
     (S, K, N, M) and (S, K, M, N); the constructor also takes a sequence
-    of K matrices for one trial. With L-fold extension N and M read L*N
-    and L*M, and every stored matrix must equal kron(I_L, base) exactly,
-    where base is its top-left N x M (uplink) or M x N (downlink) block.
-    Every base block must be full rank, which makes every stored matrix
-    full rank. Validation decides all base ranks of the whole stack in one
-    batched SVD (downlink blocks transposed to stack with the uplink ones)
-    and checks the block-diagonal structure by exact comparison.
+    of K matrices for one trial. Every matrix must be full rank.
+    Validation decides all ranks of the whole stack in one batched SVD
+    (downlink matrices transposed to stack with the uplink ones).
     """
 
     uplink: np.ndarray
     downlink: np.ndarray
-    extension_factor: int = 1
 
     def __post_init__(self) -> None:
         try:
@@ -93,23 +85,10 @@ class ChannelSet:
         up_shape = uplink.shape[-2:]
         if downlink.shape != uplink.shape[:-2] + up_shape[::-1]:
             raise ValueError("downlink matrices must be transpose-shaped to the uplink")
-        if self.extension_factor < 1:
-            raise ValueError("extension_factor must be positive")
-        L = self.extension_factor
-        if up_shape[0] % L or up_shape[1] % L:
-            raise ValueError("extended matrix shapes must be multiples of the extension factor")
         if not (np.all(np.isfinite(uplink)) and np.all(np.isfinite(downlink))):
             raise ValueError("channel entries must be finite")
-        n, m = up_shape[0] // L, up_shape[1] // L
-        up_base = uplink[..., :n, :m]
-        down_base = downlink[..., :m, :n]
-        if L > 1 and not (
-            np.array_equal(uplink, _block_diagonal(up_base, L))
-            and np.array_equal(downlink, _block_diagonal(down_base, L))
-        ):
-            raise ValueError("extended channel matrices must be kron(I_L, base) copies")
-        base = np.concatenate([up_base, down_base.swapaxes(-1, -2)], axis=-3)
-        if np.any(numeric_rank(base, _RANK_TOL) != min(n, m)):
+        both = np.concatenate([uplink, downlink.swapaxes(-1, -2)], axis=-3)
+        if np.any(numeric_rank(both, _RANK_TOL) != min(up_shape)):
             raise ValueError("channel matrix is rank deficient")
         object.__setattr__(self, "uplink", uplink)
         object.__setattr__(self, "downlink", downlink)
@@ -125,7 +104,7 @@ class ChannelSet:
 
     @property
     def relay_dim(self) -> int:
-        """Relay-side dimension of the stored (possibly extended) matrices."""
+        """Relay antennas N (after any shutdown)."""
         return self.uplink.shape[-2]
 
     @property
@@ -140,12 +119,11 @@ class ChannelSet:
         """The given trials of a stack, as a stack."""
         return self._view(self.uplink[trials], self.downlink[trials])
 
-    def _view(self, uplink: np.ndarray, downlink: np.ndarray, extension_factor=None) -> ChannelSet:
-        # trials and extensions of a validated set are valid: skip validation
+    def _view(self, uplink: np.ndarray, downlink: np.ndarray) -> ChannelSet:
+        # trials of a validated set are valid: skip validation
         view = object.__new__(ChannelSet)
         object.__setattr__(view, "uplink", uplink)
         object.__setattr__(view, "downlink", downlink)
-        object.__setattr__(view, "extension_factor", extension_factor or self.extension_factor)
         return view
 
 
@@ -163,44 +141,15 @@ def generate_channels(config: NetworkConfig, rng) -> ChannelSet:
         downlink = uplink.swapaxes(-1, -2).copy()
     else:
         downlink = random_gaussian_stack(config.K, (config.M, config.N), rng)
-    return ChannelSet(uplink=uplink, downlink=downlink, extension_factor=1)
-
-
-def _block_diagonal(blocks: np.ndarray, L: int) -> np.ndarray:
-    """kron(I_L, B) for every B of a (..., r, c) stack, in one fill."""
-    *lead, r, c = blocks.shape
-    out = np.zeros((*lead, L, r, L, c), dtype=blocks.dtype)
-    diag = np.arange(L)
-    out[..., diag, :, diag, :] = blocks
-    return out.reshape(*lead, L * r, L * c)
-
-
-def extend_channels(channels: ChannelSet, L: int) -> ChannelSet:
-    """Replace every matrix by diag(H, ..., H) with L copies (constant channel).
-
-    Only unextended sets can be extended; L = 1 returns the input unchanged.
-    Not validated again: the input is, and the fill is exactly kron(I_L, H).
-    """
-    if L < 1:
-        raise ValueError("extension factor must be positive")
-    if L == 1:
-        return channels
-    if channels.extension_factor != 1:
-        raise ValueError("channel set is already extended")
-    return channels._view(
-        _block_diagonal(channels.uplink, L), _block_diagonal(channels.downlink, L), L
-    )
+    return ChannelSet(uplink=uplink, downlink=downlink)
 
 
 def shutdown_relay_antennas(channels: ChannelSet, keep: int) -> ChannelSet:
     """Drop all but the first ``keep`` relay antennas.
 
     Removes trailing rows of every uplink matrix and trailing columns of
-    every downlink matrix. Only meaningful before extension. Validated, as
-    dropping rows can lose rank.
+    every downlink matrix. Validated, as dropping rows can lose rank.
     """
-    if channels.extension_factor != 1:
-        raise ValueError("shut down antennas before extending the channel")
     if not 1 <= keep <= channels.relay_dim:
         raise ValueError("keep must be between 1 and the relay dimension")
     if keep == channels.relay_dim:
@@ -208,7 +157,6 @@ def shutdown_relay_antennas(channels: ChannelSet, keep: int) -> ChannelSet:
     return ChannelSet(
         uplink=channels.uplink[..., :keep, :].copy(),
         downlink=channels.downlink[..., :, :keep].copy(),
-        extension_factor=1,
     )
 
 
@@ -221,25 +169,29 @@ def matrix_from_lists(rows) -> np.ndarray:
 
 
 def channels_to_json_dict(channels: ChannelSet) -> dict:
-    """JSON-friendly encoding of one trial's set: per-slot K/M/N/L plus
-    [re, im] entry pairs."""
+    """JSON-friendly encoding of one trial's set: K/M/N, the extension
+    factor L (always 1: a set holds the physical channels) and [re, im]
+    entry pairs."""
     if channels.stack_shape:
         raise ValueError("only one trial's channel set can be encoded")
-    L = channels.extension_factor
     return {
         "K": channels.num_users,
-        "M": channels.user_dim // L,
-        "N": channels.relay_dim // L,
-        "L": L,
+        "M": channels.user_dim,
+        "N": channels.relay_dim,
+        "L": 1,
         "uplink": [matrix_to_lists(h) for h in channels.uplink],
         "downlink": [matrix_to_lists(h) for h in channels.downlink],
     }
 
 
 def channels_from_json_dict(doc: dict) -> ChannelSet:
+    """Decode and validate one trial's set; documents with L other than 1
+    hold extended matrices, which a set never stores, and are rejected."""
+    if int(doc["L"]) != 1:
+        raise ValueError(f"channel documents must be unextended (L = 1), not L = {doc['L']}")
     uplink = [matrix_from_lists(m) for m in doc["uplink"]]
     downlink = [matrix_from_lists(m) for m in doc["downlink"]]
-    return ChannelSet(uplink=uplink, downlink=downlink, extension_factor=int(doc["L"]))
+    return ChannelSet(uplink=uplink, downlink=downlink)
 
 
 def save_channels(channels: ChannelSet, path: str) -> None:
@@ -259,7 +211,6 @@ __all__ = [
     "matrix_from_lists",
     "ChannelSet",
     "generate_channels",
-    "extend_channels",
     "shutdown_relay_antennas",
     "channels_to_json_dict",
     "channels_from_json_dict",

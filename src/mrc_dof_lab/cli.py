@@ -42,8 +42,10 @@ DEFAULT_SEED = 42
 DEFAULT_P_GRID = (1e2, 1e3, 1e4, 1e5, 1e6)
 
 # Failures a sweep records in a row's error cell: design, numeric and
-# argument errors (ValueError covers RegimeError and the config checks).
-# Any other exception is a bug and propagates.
+# argument errors of one configuration (ValueError covers RegimeError).
+# Every row's NetworkConfig is built before the loop, so an invalid K, M
+# or N fails the whole sweep instead. Any other exception is a bug and
+# propagates.
 SWEEP_ROW_ERRORS = (SchemeDesignError, np.linalg.LinAlgError, FloatingPointError, ValueError)
 
 CASE4_NOTES = (
@@ -194,8 +196,6 @@ def _loaded_channels(args, config: NetworkConfig):
     if not args.load_channels:
         return None
     loaded = load_channels(args.load_channels)
-    if loaded.extension_factor != 1:
-        raise CliError("loaded channel sets must be unextended")
     if (
         loaded.num_users != config.K
         or loaded.user_dim != config.M
@@ -259,16 +259,20 @@ def cmd_sweep(args) -> int:
     p_grid = _as_float_list(raw_grid, "--p-grid") if raw_grid is not None else None
     fmt = _resolve(args, "format", cfg, default="csv")
     out = _resolve(args, "out", cfg, required=True)
-    # run-wide arguments fail the whole sweep once, not every row
+    # run-wide arguments and every row's config fail the whole sweep once
     if trials < 1:
         raise CliError("--trials must be positive")
     if p_grid is not None:
         analysis.validate_power_grid(p_grid)
+    configs = [
+        _network_config(args, cfg, k, m, n)
+        for k, m, n in itertools.product(sorted(k_list), sorted(m_list), sorted(n_list))
+    ]
 
     lines = [VERSION_COMMENT, REPORT_COLUMNS + ",error"]
     rows_json = []
-    for k, m, n in itertools.product(sorted(k_list), sorted(m_list), sorted(n_list)):
-        config = _network_config(args, cfg, k, m, n)
+    for config in configs:
+        k, m, n = config.K, config.M, config.N
         try:
             if p_grid is not None:
                 report = analysis.simulate_report(config, p_grid, trials)

@@ -25,20 +25,6 @@ def _freeze(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def cmatrix(entries) -> CMatrix:
-    """Coerce nested rows (or an array) into a validated read-only matrix.
-
-    Raises ValueError unless the result is 2-D with positive dimensions and
-    every entry is finite.
-    """
-    a = np.array(entries, dtype=np.complex128, order="C")
-    if a.ndim != 2 or a.shape[0] < 1 or a.shape[1] < 1:
-        raise ValueError(f"expected a 2-D matrix with positive dimensions, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
-        raise ValueError("matrix entries must be finite")
-    return _freeze(a)
-
-
 def random_gaussian_stack(count: int, shape: tuple[int, ...], rng) -> np.ndarray:
     """``count`` arrays of i.i.d. CN(0, 1) entries, one draw call per generator.
 
@@ -93,15 +79,6 @@ def pseudo_inverse_and_rank(A: CMatrix, tol: float = DEFAULT_TOL) -> tuple[np.nd
     pinv = (vh.conj().swapaxes(-1, -2) * inv[..., np.newaxis, :]) @ u.conj().swapaxes(-1, -2)
     cond = np.divide(s[..., 0], s[..., -1], out=np.full(s.shape[:-1], np.inf), where=keep[..., -1])
     return _freeze(pinv), keep.sum(axis=-1), cond
-
-
-def pseudo_inverse(A: CMatrix, tol: float = DEFAULT_TOL) -> CMatrix:
-    """Moore-Penrose pseudoinverse via SVD, of one matrix or a stack.
-
-    Singular values at or below ``tol * sigma_max`` are truncated, so
-    rank-deficient inputs are handled without blow-up.
-    """
-    return pseudo_inverse_and_rank(A, tol)[0]
 
 
 def numeric_rank(A: CMatrix, tol: float = DEFAULT_TOL) -> int | np.ndarray:

@@ -20,12 +20,17 @@ using its own transmitted symbols as side information.
 
 When the relay has more antennas than a user (N > M) the surplus relay
 antennas are shut down; when the relay dimension is not divisible by K-1,
-the channel is extended to a (K-1)-slot block so the streams split evenly.
-Extended channels are kron(I_L, H), and pinv(kron(I_L, H)) =
-kron(I_L, pinv(H)), so only base blocks are ever pseudo-inverted. A
+the scheme runs over a (K-1)-slot symbol extension so the streams split
+evenly. The extension belongs to the scheme, not to the channel:
+``extension_plan`` alone decides L, channel sets hold only the physical
+matrices H, and the scheme applies the block channel kron(I_L, H)
+implicitly. The designed matrices are built in the extended block, and
+pinv(kron(I_L, H)) = kron(I_L, pinv(H)), so only the physical matrices
+are ever pseudo-inverted; the MAC and BC phases split each transmit
+vector into L slots and multiply every slot by H in one batched matmul. A
 trial's design therefore costs two QR draws (U and Tcat) and two batched
-SVDs of the K uplink and the K downlink base blocks, whatever L is, and
-its conditioning is that of the channel alone.
+SVDs of the K uplink and the K downlink matrices, whatever L is, and its
+conditioning is that of the channel alone.
 
 Plans are power agnostic: they store amplitudes per sqrt(P), so a single
 plan serves an entire power sweep.
@@ -48,16 +53,10 @@ from fractions import Fraction
 import numpy as np
 
 from .bounds import DofAllocation, common_only_allocation
-from .channel import (
-    ChannelSet,
-    NetworkConfig,
-    extend_channels,
-    shutdown_relay_antennas,
-    matrix_to_lists,
-)
+from .channel import ChannelSet, NetworkConfig, matrix_to_lists, shutdown_relay_antennas
 from .linalg import orthonormal_columns, pseudo_inverse_and_rank, random_gaussian_stack
 
-# A trial whose uplink or downlink base block has a condition number above
+# A trial whose uplink or downlink matrix has a condition number above
 # this is a design error. The relay-side subspaces are unitary, so the
 # plan's conditioning is the channel's and a redraw could not lower it.
 COND_LIMIT = 1e8
@@ -87,8 +86,9 @@ class SchemePlan:
     of U^H, and Tcat = [T[0] ... T[K-2]] is unitary. Per user u and pair
     p, rx_filter[u, p] is the p-th d-row block of pinv(D_u Tcat). Every
     filter maps its own pair's image to I_d and the other pairs' images
-    to zero. Shapes, with K users, relay_dim = effective_N,
-    user_dim = effective_M:
+    to zero. Shapes, with K users and the extended dimensions
+    relay_dim = effective_N and user_dim = effective_M, L times those of
+    the channel set:
 
     - V1, Vj: (K-1, user_dim, d)
     - T: (K-1, relay_dim, d)
@@ -100,8 +100,8 @@ class SchemePlan:
     axis, and power_scale and bc_scale are (S,) arrays in place of scalars.
 
     uplink_cond[u] and downlink_cond[u] are the condition numbers of user
-    u's uplink and downlink base blocks h_u and d_u, from the design's two
-    SVDs. Since U and Tcat are unitary they are the plan's whole
+    u's physical uplink and downlink matrices h_u and d_u, from the
+    design's two SVDs. Since U and Tcat are unitary they are the plan's whole
     conditioning: cond(pinv(D_u Tcat)) = downlink_cond[u], and each
     beamformer block has a condition number of at most uplink_cond[u].
 
@@ -179,17 +179,13 @@ def extension_plan(K: int, M: int, N: int) -> tuple[int, int, int]:
 
 
 def prepare_scheme(config: NetworkConfig, channels: ChannelSet) -> tuple[ChannelSet, int]:
-    """Shut down surplus relay antennas and extend until the relay
-    dimension splits evenly over the K-1 pairs.
+    """Shut down surplus relay antennas, down to min(N, M).
 
-    Returns the effective channel set and the per-pair stream count d.
+    Returns the effective channel set and the per-pair stream count d of
+    the (possibly extended) block.
     """
-    if channels.extension_factor != 1:
-        raise ValueError("prepare_scheme expects unextended channels")
-    base, L, d = extension_plan(config.K, config.M, config.N)
+    base, _, d = extension_plan(config.K, config.M, config.N)
     eff = shutdown_relay_antennas(channels, base) if config.N > config.M else channels
-    if L > 1:
-        eff = extend_channels(eff, L)
     return eff, d
 
 
@@ -211,6 +207,14 @@ def _generators(rng, stack_shape: tuple[int, ...]) -> list[np.random.Generator]:
     return rngs
 
 
+def _kron_apply(h: np.ndarray, x: np.ndarray, L: int) -> np.ndarray:
+    """kron(I_L, h) @ x for a stack of h (..., r, c) and x (..., L c),
+    without forming the kron: x splits into L slots of length c, and one
+    batched matmul applies h to every slot. Returns (..., L r)."""
+    y = h[..., np.newaxis, :, :] @ x.reshape(x.shape[:-1] + (L, h.shape[-1], 1))
+    return y.reshape(y.shape[:-3] + (-1,))
+
+
 def _draws(rngs, stack_shape: tuple[int, ...], count: int, *shape: int) -> np.ndarray:
     """``count`` CN(0, 1) arrays per trial, shaped stack_shape + (count, *shape)."""
     return random_gaussian_stack(count, shape, rngs).reshape(stack_shape + (count, *shape))
@@ -228,31 +232,30 @@ def design_uplink(
     """Draw the relay's aligned directions, pre-invert every user's uplink
     onto them, and build the relay filters.
 
-    The directions are one random relay_dim x relay_dim unitary U per
-    trial; pair p's is its p-th d-column block U[p]. Each uplink has full
-    row rank after preparation, so user 0 sends pair p through
+    The directions are one random n_eff x n_eff unitary U per trial,
+    n_eff = L relay_dim; pair p's is its p-th d-column block U[p]. Each
+    uplink has full row rank after preparation, so user 0 sends pair p through
     V1[p] = pinv(H_0) U[p] and partner p+1 through
     Vj[p] = pinv(H_{p+1}) U[p], and H_0 V1[p] = H_{p+1} Vj[p] = U[p]
-    exactly. Under extension pinv(H_u) = kron(I_L, pinv(h_u)) of the base
-    block h_u, and one batched SVD gives all K base pseudoinverses and
-    cond(h_u). The relay filters are the d-row blocks of inv(U) = U^H.
-    Returns V1 and Vj, both (K-1, user_dim, d), the relay filters
-    (K-1, d, relay_dim) and cond(h_u), (K,), each with the channels'
-    leading trial axis.
+    exactly. H_u is kron(I_L, h_u) of the stored physical matrix h_u, with
+    L from extension_plan, so pinv(H_u) = kron(I_L, pinv(h_u)), and one
+    batched SVD gives all K physical pseudoinverses and cond(h_u). The
+    relay filters are the d-row blocks of inv(U) = U^H. Returns V1 and Vj,
+    both (K-1, L user_dim, d), the relay filters (K-1, d, L relay_dim) and
+    cond(h_u), (K,), each with the channels' leading trial axis.
     """
     K = channels.num_users
-    n_eff = channels.relay_dim
-    m_eff = channels.user_dim
-    L = channels.extension_factor
-    if (K - 1) * d != n_eff:
-        raise ValueError("stream count d must satisfy (K-1) d = relay dimension")
-    if n_eff > m_eff:
+    n, m = channels.relay_dim, channels.user_dim
+    if n > m:
         raise ValueError("uplink design needs relay dimension <= user dimension")
+    _, L, _ = extension_plan(K, m, n)
+    n_eff, m_eff = L * n, L * m
+    if (K - 1) * d != n_eff:
+        raise ValueError("stream count d must satisfy (K-1) d = extended relay dimension")
     U = _unitary_draw(_generators(rng, channels.stack_shape), n_eff)
-    n, m = n_eff // L, m_eff // L
-    up_pinv, _, up_cond = pseudo_inverse_and_rank(channels.stacked().uplink[..., :n, :m])
-    # kron(I_L, up_pinv[u]) @ U[p]: each pair's direction as L base-row
-    # blocks, so only the base pseudoinverses are applied
+    up_pinv, _, up_cond = pseudo_inverse_and_rank(channels.stacked().uplink)
+    # kron(I_L, up_pinv[u]) @ U[p]: each pair's direction as L row blocks
+    # of the physical size, so only the physical pseudoinverses are applied
     blocks = U.reshape(-1, L, n, K - 1, d).transpose(0, 3, 1, 2, 4)
     V1 = up_pinv[:, :1, np.newaxis] @ blocks
     Vj = up_pinv[:, 1:, np.newaxis] @ blocks
@@ -266,36 +269,34 @@ def design_uplink(
 
 
 def design_downlink(channels: ChannelSet, rng) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Random unitary broadcast precoders T, (K-1, relay_dim, d), every
-    user's receive filters, (K, K-1, d, user_dim), and every user's
+    """Random unitary broadcast precoders T, (K-1, L relay_dim, d), every
+    user's receive filters, (K, K-1, d, L user_dim), and every user's
     downlink conditioning cond(d_u), (K,), each with the channels' leading
     trial axis.
 
-    Tcat = [T[0] ... T[K-2]] is one random relay_dim x relay_dim unitary
-    per trial. User u sees the stacked downlink images D_u Tcat; its filter
-    for pair p is the p-th d-row block of pinv(D_u Tcat). D_u has full
+    Tcat = [T[0] ... T[K-2]] is one random n_eff x n_eff unitary per
+    trial, n_eff = L relay_dim. User u sees the stacked downlink images
+    D_u Tcat; its filter for pair p is the p-th d-row block of
+    pinv(D_u Tcat). D_u has full
     column rank once the user dimension is at least the relay dimension
     (preparation guarantees it), so pinv(D_u Tcat) = Tcat^H pinv(D_u), and
-    under extension pinv(D_u) = kron(I_L, pinv(d_u)) of the base block d_u.
-    One batched SVD gives the K base-block pseudoinverses and cond(d_u),
-    which is also cond(pinv(D_u Tcat)), and one broadcast product forms all
-    K user inverses.
+    D_u = kron(I_L, d_u) of the stored physical matrix d_u, with L and d
+    from extension_plan, so pinv(D_u) = kron(I_L, pinv(d_u)). One batched
+    SVD gives the K physical pseudoinverses and cond(d_u), which is also
+    cond(pinv(D_u Tcat)), and one broadcast product forms all K user
+    inverses.
     """
     K = channels.num_users
-    n_eff = channels.relay_dim
-    m_eff = channels.user_dim
-    L = channels.extension_factor
-    d = n_eff // (K - 1)
-    if (K - 1) * d != n_eff:
-        raise ValueError("relay dimension must split evenly over the K-1 pairs")
-    if m_eff < n_eff:
+    n, m = channels.relay_dim, channels.user_dim
+    if m < n:
         raise SchemeDesignError(
-            f"singular downlink gain: zero-forcing needs user dimension {m_eff} "
-            f">= relay dimension {n_eff}"
+            f"singular downlink gain: zero-forcing needs user dimension {m} "
+            f">= relay dimension {n}"
         )
+    _, L, d = extension_plan(K, m, n)
+    n_eff, m_eff = L * n, L * m
     t_cat = _unitary_draw(_generators(rng, channels.stack_shape), n_eff)
-    n, m = n_eff // L, m_eff // L
-    down_pinv, _, down_cond = pseudo_inverse_and_rank(channels.stacked().downlink[..., :m, :n])
+    down_pinv, _, down_cond = pseudo_inverse_and_rank(channels.stacked().downlink)
     # Tcat^H @ kron(I_L, down_pinv[u]) for every u, without forming the kron
     t_inv = t_cat.conj().swapaxes(-1, -2)
     user_inv = t_inv.reshape(-1, 1, n_eff * L, n) @ down_pinv
@@ -308,12 +309,11 @@ def design_downlink(channels: ChannelSet, rng) -> tuple[np.ndarray, np.ndarray, 
     )
 
 
-def _assemble_plan(
-    stack: ChannelSet, d: int, arrays: dict[str, np.ndarray], lead: tuple
-) -> SchemePlan:
+def _assemble_plan(stack: ChannelSet, arrays: dict[str, np.ndarray], lead: tuple) -> SchemePlan:
     """The plan of a designed stack, shaped for ``lead``: () keeps only
     the single trial of a stack of one."""
-    L = stack.extension_factor
+    _, L, d = extension_plan(stack.num_users, stack.user_dim, stack.relay_dim)
+    n_eff = L * stack.relay_dim
     # Users share one amplitude so the relay recovers plain symbol sums; the
     # largest per-user budget binds and transmits exactly P per slot.
     V1 = arrays["V1"]
@@ -323,7 +323,7 @@ def _assemble_plan(
     # The forwarded sums have symbol covariance blocks E[w_p w_q^H] =
     # (1 + delta_pq) I_d and Tcat is unitary, so the relay's transmit power
     # trace(Tcat W Tcat^H) = trace(W) = 2 relay_dim in every trial.
-    bc_scale = np.full(power_scale.shape, np.sqrt(L / (2 * stack.relay_dim)))
+    bc_scale = np.full(power_scale.shape, np.sqrt(L / (2 * n_eff)))
     fields = {name: a.reshape(lead + a.shape[1:]) for name, a in arrays.items()}
     # one plan serves every power level and trace of a trial: share, never write
     for a in fields.values():
@@ -332,8 +332,8 @@ def _assemble_plan(
         power_scale, bc_scale = float(power_scale[0]), float(bc_scale[0])
     return SchemePlan(
         d=d,
-        effective_N=stack.relay_dim,
-        effective_M=stack.user_dim,
+        effective_N=n_eff,
+        effective_M=L * stack.user_dim,
         extension_factor=L,
         power_scale=power_scale,
         bc_scale=bc_scale,
@@ -345,14 +345,15 @@ def design_scheme(
     config: NetworkConfig, channels: ChannelSet, rng
 ) -> tuple[ChannelSet, SchemePlan]:
     """Full design chain: preparation, the unitary relay-side draws and the
-    users' base-block pseudoinverses in both phases, power scales.
+    users' channel pseudoinverses in both phases, power scales.
 
     Designs one trial (one generator) or a stack (a stacked ChannelSet
-    and one generator per trial). A trial whose uplink or downlink base
-    block has a condition number above COND_LIMIT raises
+    and one generator per trial). A trial whose uplink or downlink
+    matrix has a condition number above COND_LIMIT raises
     SchemeDesignError naming its stack position: the relay-side draws are
     unitary, so the plan's conditioning is the channel's and no redraw
-    could lower it. Returns the effective channels together with the plan.
+    could lower it. Returns the effective channels (after any antenna
+    shutdown, never extended) together with the plan.
     """
     eff, d = prepare_scheme(config, channels)
     rngs = _generators(rng, eff.stack_shape)
@@ -375,7 +376,7 @@ def design_scheme(
         uplink_cond=uplink_cond,
         downlink_cond=downlink_cond,
     )
-    return eff, _assemble_plan(stack, d, arrays, eff.stack_shape)
+    return eff, _assemble_plan(stack, arrays, eff.stack_shape)
 
 
 def _vector_rows(vectors, stack_shape: tuple, count: int, d: int, what: str) -> np.ndarray:
@@ -402,8 +403,9 @@ def mac_phase(
     noise_on: bool = False,
 ) -> np.ndarray:
     """Uplink slot: every user beamforms its symbol block with amplitude
-    power_scale * sqrt(P); the relay observes the superposition plus
-    unit-variance noise when enabled, which needs rng.
+    power_scale * sqrt(P) through kron(I_L, h_u) of its physical uplink
+    h_u, L = plan.extension_factor; the relay observes the superposition
+    plus unit-variance noise when enabled, which needs rng.
 
     symbols holds one length-d vector per user, as a (K, d) array or a
     sequence, or a (S, K, d) array for a stacked plan.
@@ -414,7 +416,7 @@ def mac_phase(
     # user 0 sends on every pair's beamformer, partner p+1 on its own only
     x0 = plan.V1.sum(axis=-3, keepdims=True) @ s[..., :1, :, np.newaxis]
     x = a * np.concatenate([x0, plan.Vj @ s[..., 1:, :, np.newaxis]], axis=-3)
-    y_r = np.sum(channels.uplink @ x, axis=-3)[..., 0]
+    y_r = np.sum(_kron_apply(channels.uplink, x[..., 0], plan.extension_factor), axis=-2)
     if noise_on:
         y_r = y_r + _draws(rngs, plan.stack_shape, 1, plan.effective_N)[..., 0, :]
     return y_r
@@ -437,8 +439,9 @@ def bc_phase(
     noise_on: bool = False,
 ) -> np.ndarray:
     """Downlink slot: the relay broadcasts every pair sum through its
-    precoder with amplitude bc_scale * sqrt(P); noise, when enabled,
-    needs rng.
+    precoder with amplitude bc_scale * sqrt(P), and user u receives it
+    through kron(I_L, d_u) of its physical downlink d_u; noise, when
+    enabled, needs rng.
 
     w holds one forwarded length-d vector per pair, as a (K-1, d) array or
     a sequence, or a (S, K-1, d) array for a stacked plan. Row u of the
@@ -448,7 +451,7 @@ def bc_phase(
     w = _vector_rows(w, plan.stack_shape, plan.num_pairs, plan.d, "forwarded")
     b = _amplitude(plan.bc_scale, P)[..., np.newaxis]
     x_r = b * np.sum(plan.T @ w[..., np.newaxis], axis=-3)[..., 0]
-    y = (channels.downlink @ x_r[..., np.newaxis, :, np.newaxis])[..., 0]
+    y = _kron_apply(channels.downlink, x_r[..., np.newaxis, :], plan.extension_factor)
     if noise_on:
         y = y + _draws(rngs, plan.stack_shape, plan.num_users, plan.effective_M)
     return y

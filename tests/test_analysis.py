@@ -82,7 +82,7 @@ class TestVerifyNoiseless:
 
     def test_error_invariant_to_power(self):
         # the audit runs at unit power; the same symbols through the same
-        # plan decode as exactly at any other power
+        # plan decode exactly, to the rounding floor, at any other power
         eff, plan = plan_for(3, 3, 2, seed=4)
         senders = analysis._sender_table(3)
 
@@ -90,7 +90,8 @@ class TestVerifyNoiseless:
             trace = run_round(plan, eff, P, np.random.default_rng(4), noise_on=False)
             return float(np.max(np.abs(trace.decoded - trace.sent[senders])))
 
-        assert worst_error(1.0) == pytest.approx(worst_error(1e6), rel=1e-6)
+        assert worst_error(1.0) <= 1e-12
+        assert worst_error(1e6) <= 1e-12
 
     def test_fixed_channels_reused(self):
         cfg = NetworkConfig(K=3, M=3, N=2, seed=5)

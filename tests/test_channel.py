@@ -8,7 +8,6 @@ from mrc_dof_lab.channel import (
     NetworkConfig,
     channels_from_json_dict,
     channels_to_json_dict,
-    extend_channels,
     generate_channels,
     shutdown_relay_antennas,
 )
@@ -73,46 +72,6 @@ class TestGenerateChannels:
         assert not np.array_equal(ind.downlink[0], rec.downlink[0])
 
 
-class TestExtendChannels:
-    def test_l1_is_identity(self):
-        cs = make(NetworkConfig(K=3, M=2, N=2, seed=3))
-        assert extend_channels(cs, 1) is cs
-
-    def test_block_diagonal_structure(self):
-        cs = make(NetworkConfig(K=2, M=4, N=3, seed=4))
-        ext = extend_channels(cs, 2)
-        h = cs.uplink[0]
-        he = ext.uplink[0]
-        assert he.shape == (6, 8)
-        assert np.array_equal(he[:3, :4], h)
-        assert np.array_equal(he[3:, 4:], h)
-        assert np.all(he[:3, 4:] == 0)
-        assert np.all(he[3:, :4] == 0)
-        assert numeric_rank(he, 1e-10) == 6
-
-    def test_rank_scales_with_extension(self):
-        cs = make(NetworkConfig(K=3, M=4, N=3, seed=8))
-        ext = extend_channels(cs, 2)
-        assert ext.relay_dim == 6
-        assert ext.relay_dim % 2 == 0  # divisible by K - 1
-        for h, he in zip(cs.uplink, ext.uplink):
-            assert numeric_rank(he, 1e-10) == 2 * numeric_rank(h, 1e-10)
-
-    def test_unvalidated_result_passes_validation(self):
-        # extend_channels skips re-validation; the validating constructor
-        # accepts what it builds, for a stack and independent downlinks
-        cfg = NetworkConfig(K=3, M=4, N=3, seed=16, reciprocal=False)
-        ext = extend_channels(generate_channels(cfg, [cfg.trial_rng(t) for t in range(3)]), 2)
-        checked = ChannelSet(ext.uplink, ext.downlink, extension_factor=2)
-        assert np.array_equal(checked.uplink, ext.uplink)
-        assert np.array_equal(checked.downlink, ext.downlink)
-
-    def test_double_extension_rejected(self):
-        cs = extend_channels(make(NetworkConfig(K=3, M=2, N=2, seed=3)), 2)
-        with pytest.raises(ValueError):
-            extend_channels(cs, 2)
-
-
 class TestShutdown:
     def test_drops_trailing_relay_antennas(self):
         cs = make(NetworkConfig(K=3, M=2, N=5, seed=10))
@@ -137,15 +96,6 @@ class TestShutdown:
 
 
 class TestSerialization:
-    def test_extended_round_trip(self):
-        cs = extend_channels(make(NetworkConfig(K=3, M=4, N=3, seed=14, reciprocal=False)), 2)
-        doc = channels_to_json_dict(cs)
-        assert doc["M"] == 4 and doc["N"] == 3 and doc["L"] == 2
-        back = channels_from_json_dict(doc)
-        assert back.extension_factor == 2
-        for ha, hb in zip([*cs.uplink, *cs.downlink], [*back.uplink, *back.downlink]):
-            assert np.array_equal(ha, hb)
-
     def test_round_trip(self):
         cs = make(NetworkConfig(K=3, M=2, N=3, seed=12, reciprocal=False))
         doc = channels_to_json_dict(cs)
@@ -153,6 +103,13 @@ class TestSerialization:
         back = channels_from_json_dict(doc)
         for ha, hb in zip([*cs.uplink, *cs.downlink], [*back.uplink, *back.downlink]):
             assert np.array_equal(ha, hb)
+
+    def test_extended_document_rejected(self):
+        # a set holds the physical channels only: L is always 1 on disk
+        doc = channels_to_json_dict(make(NetworkConfig(K=3, M=2, N=2, seed=14)))
+        doc["L"] = 2
+        with pytest.raises(ValueError, match="L = 1"):
+            channels_from_json_dict(doc)
 
     def test_entry_encoding(self):
         cs = make(NetworkConfig(K=2, M=1, N=1, seed=13))
@@ -181,38 +138,3 @@ class TestChannelSetValidation:
         b = np.eye(3, dtype=complex)
         with pytest.raises(ValueError):
             ChannelSet(uplink=(a, b), downlink=(a.T, b.T))
-
-    def test_rejects_extended_set_that_is_not_block_copies(self):
-        ext = extend_channels(make(NetworkConfig(K=3, M=3, N=2, seed=15)), 2)
-        off_block = ext.uplink[1].copy()
-        off_block[0, 3] = 1e-3  # outside the diagonal blocks
-        other_copy = ext.downlink[2].copy()
-        other_copy[3:, 2:] *= 1.0 + 1e-12  # second diagonal block differs from the first
-        with pytest.raises(ValueError, match="kron"):
-            ChannelSet(
-                uplink=(ext.uplink[0], off_block, ext.uplink[2]),
-                downlink=ext.downlink,
-                extension_factor=2,
-            )
-        with pytest.raises(ValueError, match="kron"):
-            ChannelSet(
-                uplink=ext.uplink,
-                downlink=(ext.downlink[0], ext.downlink[1], other_copy),
-                extension_factor=2,
-            )
-
-    def test_rejects_extension_of_rank_deficient_base(self):
-        good = make(NetworkConfig(K=2, M=2, N=2, seed=16))
-        low = np.ones((2, 2), dtype=complex)
-        eye = np.eye(2)
-        with pytest.raises(ValueError, match="rank deficient"):
-            ChannelSet(
-                uplink=(np.kron(eye, good.uplink[0]), np.kron(eye, low)),
-                downlink=tuple(np.kron(eye, h) for h in good.downlink),
-                extension_factor=2,
-            )
-
-    def test_rejects_shape_not_divisible_by_extension(self):
-        h = np.eye(3, dtype=complex)
-        with pytest.raises(ValueError, match="multiples"):
-            ChannelSet(uplink=(h, h), downlink=(h, h), extension_factor=2)

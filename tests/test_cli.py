@@ -123,6 +123,22 @@ class TestVerifyCommand:
         )
         assert code == EXIT_BAD_ARGS
 
+    def test_load_extended_channels_rejected(self, tmp_path, capsys):
+        dump = tmp_path / "channels.json"
+        run(
+            capsys, "verify", "--k", "3", "--m", "3", "--n", "2",
+            "--trials", "2", "--seed", "5", "--dump-channels", str(dump),
+        )
+        doc = json.loads(dump.read_text())
+        doc["L"] = 2
+        dump.write_text(json.dumps(doc))
+        code, _, err = run(
+            capsys, "verify", "--k", "3", "--m", "3", "--n", "2",
+            "--trials", "2", "--load-channels", str(dump),
+        )
+        assert code == EXIT_BAD_ARGS
+        assert "L = 1" in err
+
     def test_dump_plan(self, tmp_path, capsys):
         dump = tmp_path / "plan.json"
         code, _, _ = run(
@@ -213,6 +229,29 @@ class TestSweepCommand:
         assert message in err
         assert not path.exists()
 
+    @pytest.mark.parametrize(
+        "lists,message",
+        [
+            (["--k", "1,3", "--m", "2", "--n", "2"], "K must be at least 2"),
+            (["--k", "3", "--m", "2", "--n", "0,2"], "antenna counts must be positive"),
+        ],
+        ids=["k1", "n0"],
+    )
+    def test_invalid_config_fails_before_any_row(
+        self, tmp_path, capsys, monkeypatch, lists, message
+    ):
+        # every row's config is checked before the first row runs
+        def no_row(*args, **kwargs):
+            raise AssertionError("a row ran before every config was checked")
+
+        monkeypatch.setattr("mrc_dof_lab.analysis.verify_noiseless", no_row)
+        path = tmp_path / "bad.csv"
+        code, _, err = run(
+            capsys, "sweep", *lists, "--trials", "2", "--out", str(path),
+        )
+        assert code == EXIT_BAD_ARGS
+        assert message in err
+        assert not path.exists()
 
     def test_design_error_becomes_error_cell(self, tmp_path, capsys, monkeypatch):
         from mrc_dof_lab.ssa_nc import SchemeDesignError

@@ -41,6 +41,15 @@ def designed(k, m, n, seed=0, trial=0, **config):
     return cfg, eff, plan, rng
 
 
+def extended(plan, matrices):
+    """np.kron(I_L, h) of every physical matrix h of a (..., r, c) stack,
+    with the plan's extension factor L."""
+    h = np.asarray(matrices)
+    eye = np.eye(plan.extension_factor)
+    out = np.array([np.kron(eye, m) for m in h.reshape((-1,) + h.shape[-2:])])
+    return out.reshape(h.shape[:-2] + out.shape[-2:])
+
+
 class TestPrepareScheme:
     @pytest.mark.parametrize(
         "k,m,n,base,L,d",
@@ -56,9 +65,11 @@ class TestPrepareScheme:
         cs = generate_channels(cfg, cfg.rng())
         eff, got_d = prepare_scheme(cfg, cs)
         assert got_d == d
-        assert eff.extension_factor == L
-        assert eff.relay_dim == base * L
-        assert eff.relay_dim == (k - 1) * d
+        # the set stays physical: the scheme extends it implicitly
+        assert (eff.relay_dim, eff.user_dim) == (base, m)
+        block = np.kron(np.eye(L), eff.uplink[0])
+        assert block.shape == ((k - 1) * d, L * m)
+        assert np.linalg.matrix_rank(block) == (k - 1) * d
 
     def test_shutdown_keeps_user_antennas(self):
         cfg = NetworkConfig(K=4, M=3, N=6, seed=1)
@@ -172,13 +183,14 @@ class TestFilterOracle:
     )
     def test_filters_equal_null_space_construction(self, k, m, n):
         cfg, eff, plan, _ = designed(k, m, n, seed=25)
-        aligned = [eff.uplink[0] @ v for v in plan.V1]
+        up, down = extended(plan, eff.uplink), extended(plan, eff.downlink)
+        aligned = [up[0] @ v for v in plan.V1]
         for p in range(plan.num_pairs):
             want, _ = _zero_forcing_oracle(aligned, p)
             got = plan.relay_filter[p]
             assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
         for u in range(k):
-            images = [eff.downlink[u] @ t for t in plan.T]
+            images = [down[u] @ t for t in plan.T]
             for p in range(plan.num_pairs):
                 want, _ = _zero_forcing_oracle(images, p)
                 got = plan.rx_filter[u][p]
@@ -192,28 +204,27 @@ class TestFilterOracle:
         # cond(pinv(D_u Tcat)) and bounds every user filter block; the
         # channels are not reciprocal, so the two guards differ
         cfg, eff, plan, _ = designed(k, m, n, seed=25, reciprocal=False)
-        eye = np.eye(eff.relay_dim)
+        up, down = extended(plan, eff.uplink), extended(plan, eff.downlink)
+        eye = np.eye(plan.effective_N)
         relay_inv = np.vstack(plan.relay_filter)
         assert np.linalg.norm(relay_inv @ relay_inv.conj().T - eye) <= 1e-12
-        aligned = [eff.uplink[0] @ v for v in plan.V1]
+        aligned = [up[0] @ v for v in plan.V1]
         assert np.linalg.norm(np.hstack(aligned) - relay_inv.conj().T) <= 1e-10
         t_cat = np.hstack(plan.T)
         assert np.linalg.norm(t_cat.conj().T @ t_cat - eye) <= 1e-12
         for p in range(plan.num_pairs):
             assert _zero_forcing_oracle(aligned, p)[1] <= 1 + 1e-10
-        L = eff.extension_factor
-        base_m, base_n = eff.user_dim // L, eff.relay_dim // L
         for u in range(k):
-            up = np.linalg.cond(eff.uplink[u][:base_n, :base_m])
-            down = np.linalg.cond(eff.downlink[u][:base_m, :base_n])
-            assert abs(plan.uplink_cond[u] - up) <= 1e-10 * up
-            assert abs(plan.downlink_cond[u] - down) <= 1e-10 * down
+            up_cond = np.linalg.cond(eff.uplink[u])
+            down_cond = np.linalg.cond(eff.downlink[u])
+            assert abs(plan.uplink_cond[u] - up_cond) <= 1e-10 * up_cond
+            assert abs(plan.downlink_cond[u] - down_cond) <= 1e-10 * down_cond
             beams = plan.V1 if u == 0 else [plan.Vj[u - 1]]
             for v in beams:
                 assert np.linalg.cond(v) <= plan.uplink_cond[u] * (1 + 1e-10)
-            user_inv = np.linalg.pinv(eff.downlink[u] @ t_cat)
-            assert abs(np.linalg.cond(user_inv) - down) <= 1e-10 * down
-            images = [eff.downlink[u] @ t for t in plan.T]
+            user_inv = np.linalg.pinv(down[u] @ t_cat)
+            assert abs(np.linalg.cond(user_inv) - down_cond) <= 1e-10 * down_cond
+            images = [down[u] @ t for t in plan.T]
             for p in range(plan.num_pairs):
                 assert _zero_forcing_oracle(images, p)[1] <= plan.downlink_cond[u] * (1 + 1e-10)
 
@@ -232,9 +243,10 @@ class TestUserFilterOracle:
     )
     def test_rx_filters_are_row_blocks_of_direct_pinv(self, k, m, n):
         cfg, eff, plan, _ = designed(k, m, n, seed=26)
+        down = extended(plan, eff.downlink)
         t_cat = np.hstack(plan.T)
         for u in range(k):
-            want = np.linalg.pinv(eff.downlink[u] @ t_cat)
+            want = np.linalg.pinv(down[u] @ t_cat)
             got = np.vstack(plan.rx_filter[u])
             assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
 
@@ -301,13 +313,6 @@ class TestDesignFailurePaths:
         cfg = NetworkConfig(K=3, M=2, N=4, seed=7)
         cs = generate_channels(cfg, cfg.rng())
         with pytest.raises(SchemeDesignError, match="user dimension 2 >= relay dimension 4"):
-            design_downlink(cs, cfg.rng())
-
-    def test_downlink_on_unextended_uneven_set_rejected(self):
-        # relay dimension 3 does not split over K-1 = 2 pairs without extension
-        cfg = NetworkConfig(K=3, M=3, N=3, seed=7)
-        cs = generate_channels(cfg, cfg.rng())
-        with pytest.raises(ValueError, match="split evenly"):
             design_downlink(cs, cfg.rng())
 
     def test_conditioning_guardrail_raises_without_redraw(self, monkeypatch, caplog):
@@ -438,10 +443,10 @@ class TestTrialStacks:
 
 
 class TestLapackBudget:
-    """One stacked design takes two SVDs (the uplink and the downlink base
-    pseudoinverses) and two QRs (U and Tcat), whatever the extension
-    factor; the channels are validated again, with one more SVD, only
-    after a relay shutdown, which can lose rank."""
+    """One stacked design takes two SVDs (the uplink and the downlink
+    physical pseudoinverses) and two QRs (U and Tcat), whatever the
+    extension factor; the channels are validated again, with one more SVD,
+    only after a relay shutdown, which can lose rank."""
 
     @pytest.mark.parametrize(
         "k,m,n,validations",
@@ -656,6 +661,43 @@ class TestDownlinkAndDecode:
         assert abs(slope + 1.0) <= 0.1
 
 
+class TestImplicitExtension:
+    """The MAC and BC phases apply kron(I_L, H) of the physical channels
+    without forming it: a round's receive signals equal explicit np.kron
+    products of the plan, the physical channels and the sent symbols."""
+
+    @pytest.mark.parametrize(
+        "k,m,n,L",
+        [
+            (3, 4, 3, 2),  # extension only
+            (4, 2, 5, 3),  # relay shut down to 2, then 3-slot extension
+            (8, 8, 8, 7),  # 56 x 56 blocks
+        ],
+    )
+    @pytest.mark.parametrize("trials", [None, 3], ids=["single", "stacked"])
+    def test_round_equals_explicit_kron_products(self, k, m, n, L, trials):
+        cfg = NetworkConfig(K=k, M=m, N=n, seed=31)
+        rng = cfg.trial_rng(0) if trials is None else [cfg.trial_rng(t) for t in range(trials)]
+        eff, plan = design_scheme(cfg, generate_channels(cfg, rng), rng)
+        assert plan.extension_factor == L
+        P = 4.0
+        trace = run_round(plan, eff, P, rng, noise_on=False)
+        up, down = extended(plan, eff.uplink), extended(plan, eff.downlink)
+        for i in [()] if trials is None else [(t,) for t in range(trials)]:
+            a = np.asarray(plan.power_scale)[i] * np.sqrt(P)
+            b = np.asarray(plan.bc_scale)[i] * np.sqrt(P)
+            s, V1, Vj = trace.sent[i], plan.V1[i], plan.Vj[i]
+            tx = [sum(V1) @ s[0]] + [Vj[p] @ s[p + 1] for p in range(k - 1)]
+            want = a * sum(up[i][u] @ tx[u] for u in range(k))
+            got = trace.relay_rx[i]
+            assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+            x_r = b * sum(plan.T[i][p] @ trace.relay_fwd[i][p] for p in range(k - 1))
+            for u in range(k):
+                want = down[i][u] @ x_r
+                got = trace.user_rx[i][u]
+                assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+
 class TestAllocationAndPlan:
     @pytest.mark.parametrize(
         "k,m,n,per_user,total",
@@ -703,7 +745,7 @@ class TestAllocationAndPlan:
     def test_plan_and_trace_shapes(self, k, m, n):
         cfg, eff, plan, rng = designed(k, m, n, seed=24)
         r, u, d = plan.effective_N, plan.effective_M, plan.d
-        assert (r, u) == (eff.relay_dim, eff.user_dim)
+        assert extended(plan, eff.uplink).shape == (k, r, u)
         assert plan.V1.shape == plan.Vj.shape == (k - 1, u, d)
         assert plan.T.shape == (k - 1, r, d)
         assert plan.relay_filter.shape == (k - 1, d, r)
