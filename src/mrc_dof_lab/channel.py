@@ -7,18 +7,21 @@ downlink is the plain transpose of the uplink.
 A ``ChannelSet`` holds one trial's physical channels as (K, N, M) /
 (K, M, N) arrays, or a stack of trials with a leading trial axis. Symbol
 extension is part of the scheme, not of the channel: ``ssa_nc`` applies
-kron(I_L, H) implicitly, so a set never stores extended matrices. The
-full-rank check runs on every matrix of the whole stack in one batched SVD.
+kron(I_L, H) implicitly, so a set never stores extended matrices.
+Validation is the only place a channel matrix is decomposed: one batched
+SVD of the uplink stack and one of the downlink stack decide every rank
+and leave the pseudoinverses and condition numbers that the scheme's
+design reads.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .linalg import CMatrix, numeric_rank, random_gaussian_stack
+from .linalg import CMatrix, pseudo_inverse_and_rank, random_gaussian_stack
 
 _RANK_TOL = 1e-10
 _SEED_MASK = (1 << 64) - 1
@@ -60,19 +63,31 @@ class NetworkConfig:
 
 @dataclass(frozen=True, eq=False)
 class ChannelSet:
-    """Physical uplink/downlink matrices for all K users.
+    """Physical uplink/downlink matrices for all K users, with their
+    pseudoinverses and condition numbers.
 
     uplink[..., j, :, :] maps user j's antennas to the relay and
     downlink[..., j, :, :] the relay's antennas to user j. One trial is
     stored as (K, N, M) and (K, M, N) arrays, a stack of S trials as
     (S, K, N, M) and (S, K, M, N); the constructor also takes a sequence
     of K matrices for one trial. Every matrix must be full rank.
-    Validation decides all ranks of the whole stack in one batched SVD
-    (downlink matrices transposed to stack with the uplink ones).
+
+    Validation decomposes the uplink stack and the downlink stack with one
+    batched SVD each (``pseudo_inverse_and_rank``), decides every rank from
+    them and keeps the rest: uplink_pinv[..., j] = pinv(h_j), (..., K, M, N),
+    downlink_pinv[..., j] = pinv(d_j), (..., K, N, M), and uplink_cond and
+    downlink_cond, the condition numbers of h_j and d_j, (..., K). Every
+    field is read-only: the set marks the complex128 matrices it is given
+    read-only too, so its stored decomposition stays theirs. Pass arrays
+    the set may own; marking a view read-only leaves its base writable.
     """
 
     uplink: np.ndarray
     downlink: np.ndarray
+    uplink_pinv: np.ndarray = field(init=False, repr=False)
+    downlink_pinv: np.ndarray = field(init=False, repr=False)
+    uplink_cond: np.ndarray = field(init=False, repr=False)
+    downlink_cond: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         try:
@@ -83,15 +98,30 @@ class ChannelSet:
         if uplink.ndim not in (3, 4) or uplink.shape[-3] < 2:
             raise ValueError("need uplink matrices for K >= 2 users, one trial or a stack")
         up_shape = uplink.shape[-2:]
+        if min(up_shape) < 1:
+            raise ValueError("channel matrices must have at least one row and one column")
         if downlink.shape != uplink.shape[:-2] + up_shape[::-1]:
             raise ValueError("downlink matrices must be transpose-shaped to the uplink")
         if not (np.all(np.isfinite(uplink)) and np.all(np.isfinite(downlink))):
             raise ValueError("channel entries must be finite")
-        both = np.concatenate([uplink, downlink.swapaxes(-1, -2)], axis=-3)
-        if np.any(numeric_rank(both, _RANK_TOL) != min(up_shape)):
+        up_pinv, up_rank, up_cond = pseudo_inverse_and_rank(uplink, _RANK_TOL)
+        down_pinv, down_rank, down_cond = pseudo_inverse_and_rank(downlink, _RANK_TOL)
+        if np.any(up_rank != min(up_shape)) or np.any(down_rank != min(up_shape)):
             raise ValueError("channel matrix is rank deficient")
-        object.__setattr__(self, "uplink", uplink)
-        object.__setattr__(self, "downlink", downlink)
+        self._store(
+            uplink=uplink,
+            downlink=downlink,
+            uplink_pinv=up_pinv,
+            downlink_pinv=down_pinv,
+            uplink_cond=up_cond,
+            downlink_cond=down_cond,
+        )
+
+    def _store(self, **arrays: np.ndarray) -> None:
+        """Set the given fields, read-only."""
+        for name, a in arrays.items():
+            a.setflags(write=False)
+            object.__setattr__(self, name, a)
 
     @property
     def stack_shape(self) -> tuple[int, ...]:
@@ -113,17 +143,18 @@ class ChannelSet:
 
     def stacked(self) -> ChannelSet:
         """The set as a stack: itself if stacked, else a stack of one."""
-        return self if self.stack_shape else self._view(self.uplink[None], self.downlink[None])
+        return self if self.stack_shape else self._view(np.newaxis)
 
     def select(self, trials) -> ChannelSet:
         """The given trials of a stack, as a stack."""
-        return self._view(self.uplink[trials], self.downlink[trials])
+        return self._view(trials)
 
-    def _view(self, uplink: np.ndarray, downlink: np.ndarray) -> ChannelSet:
-        # trials of a validated set are valid: skip validation
+    def _view(self, index) -> ChannelSet:
+        """The set indexed along its leading axis, every field alike.
+        Trials of a validated set are valid, and their decomposition is
+        theirs: skip validation."""
         view = object.__new__(ChannelSet)
-        object.__setattr__(view, "uplink", uplink)
-        object.__setattr__(view, "downlink", downlink)
+        view._store(**{f.name: getattr(self, f.name)[index] for f in fields(self)})
         return view
 
 
@@ -186,11 +217,25 @@ def channels_to_json_dict(channels: ChannelSet) -> dict:
 
 def channels_from_json_dict(doc: dict) -> ChannelSet:
     """Decode and validate one trial's set; documents with L other than 1
-    hold extended matrices, which a set never stores, and are rejected."""
-    if int(doc["L"]) != 1:
+    hold extended matrices, which a set never stores, and are rejected.
+    A document that lacks a key or holds an entry other than an [re, im]
+    pair of numbers raises ValueError."""
+    if not isinstance(doc, dict):
+        raise ValueError("a channel document must be a JSON object")
+    missing = [key for key in ("L", "uplink", "downlink") if key not in doc]
+    if missing:
+        raise ValueError(f"channel document has no {', '.join(map(repr, missing))} entry")
+    try:
+        extended = int(doc["L"]) != 1
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"channel document L must be an integer, not {doc['L']!r}") from exc
+    if extended:
         raise ValueError(f"channel documents must be unextended (L = 1), not L = {doc['L']}")
-    uplink = [matrix_from_lists(m) for m in doc["uplink"]]
-    downlink = [matrix_from_lists(m) for m in doc["downlink"]]
+    try:
+        uplink = [matrix_from_lists(m) for m in doc["uplink"]]
+        downlink = [matrix_from_lists(m) for m in doc["downlink"]]
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"channel entries must be [re, im] pairs of numbers: {exc}") from exc
     return ChannelSet(uplink=uplink, downlink=downlink)
 
 

@@ -1,12 +1,13 @@
 """Complex-matrix kernels shared by the whole simulator.
 
-Everything operates on 2-D ``complex128`` numpy arrays; the pseudoinverse,
-the numeric rank and the orthonormal basis also take a stack of them and
-decompose it in one LAPACK call, and the Gaussian draws fill a whole stack
-with one call per generator. Rank decisions are made on singular values
-relative to the largest one (scale invariant), and all functions return
-freshly allocated arrays marked read-only so values can be shared between
-concurrent trials without copies.
+Everything operates on 2-D ``complex128`` numpy arrays; the pseudoinverse
+(with its numeric rank and condition number) and the orthonormal basis
+also take a stack of them and decompose it in one LAPACK call, and the
+Gaussian draws fill a whole stack with one call per generator. Rank
+decisions are made on singular values relative to the largest one (scale
+invariant), and all functions return freshly allocated arrays marked
+read-only so values can be shared between concurrent trials without
+copies.
 """
 
 from __future__ import annotations
@@ -79,24 +80,6 @@ def pseudo_inverse_and_rank(A: CMatrix, tol: float = DEFAULT_TOL) -> tuple[np.nd
     pinv = (vh.conj().swapaxes(-1, -2) * inv[..., np.newaxis, :]) @ u.conj().swapaxes(-1, -2)
     cond = np.divide(s[..., 0], s[..., -1], out=np.full(s.shape[:-1], np.inf), where=keep[..., -1])
     return _freeze(pinv), keep.sum(axis=-1), cond
-
-
-def numeric_rank(A: CMatrix, tol: float = DEFAULT_TOL) -> int | np.ndarray:
-    """Number of singular values above ``tol * sigma_max``.
-
-    Takes one matrix or a stack of shape (..., m, n), decomposed in one
-    call with the rank rule of ``pseudo_inverse_and_rank``. Returns an int
-    for one matrix and an int array over the stack otherwise.
-    """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    A = np.asarray(A)
-    if A.shape[-2] == 0 or A.shape[-1] == 0:
-        rank = np.zeros(A.shape[:-2], dtype=int)
-    else:
-        s = np.linalg.svd(A, compute_uv=False)
-        rank = np.sum(s > tol * s[..., :1], axis=-1)
-    return int(rank) if A.ndim == 2 else rank
 
 
 def orthonormal_columns(A: CMatrix) -> CMatrix:

@@ -27,10 +27,11 @@ matrices H, and the scheme applies the block channel kron(I_L, H)
 implicitly. The designed matrices are built in the extended block, and
 pinv(kron(I_L, H)) = kron(I_L, pinv(H)), so only the physical matrices
 are ever pseudo-inverted; the MAC and BC phases split each transmit
-vector into L slots and multiply every slot by H in one batched matmul. A
-trial's design therefore costs two QR draws (U and Tcat) and two batched
-SVDs of the K uplink and the K downlink matrices, whatever L is, and its
-conditioning is that of the channel alone.
+vector into L slots and multiply every slot by H in one batched matmul.
+The channel set already holds those pseudoinverses and their condition
+numbers, from the SVDs that validated it, so the design makes no SVD of
+its own: a trial's design costs two QR draws (U and Tcat), whatever L is,
+and its conditioning is that of the channel alone.
 
 Plans are power agnostic: they store amplitudes per sqrt(P), so a single
 plan serves an entire power sweep.
@@ -54,7 +55,7 @@ import numpy as np
 
 from .bounds import DofAllocation, common_only_allocation
 from .channel import ChannelSet, NetworkConfig, matrix_to_lists, shutdown_relay_antennas
-from .linalg import orthonormal_columns, pseudo_inverse_and_rank, random_gaussian_stack
+from .linalg import orthonormal_columns, random_gaussian_stack
 
 # A trial whose uplink or downlink matrix has a condition number above
 # this is a design error. The relay-side subspaces are unitary, so the
@@ -100,10 +101,11 @@ class SchemePlan:
     axis, and power_scale and bc_scale are (S,) arrays in place of scalars.
 
     uplink_cond[u] and downlink_cond[u] are the condition numbers of user
-    u's physical uplink and downlink matrices h_u and d_u, from the
-    design's two SVDs. Since U and Tcat are unitary they are the plan's whole
-    conditioning: cond(pinv(D_u Tcat)) = downlink_cond[u], and each
-    beamformer block has a condition number of at most uplink_cond[u].
+    u's physical uplink and downlink matrices h_u and d_u, read from the
+    channel set's decomposition. Since U and Tcat are unitary they are the
+    plan's whole conditioning: cond(pinv(D_u Tcat)) = downlink_cond[u],
+    and each beamformer block has a condition number of at most
+    uplink_cond[u].
 
     power_scale and bc_scale are transmit amplitudes per sqrt(P) for the
     users and the relay; they fold in the extension factor so the power
@@ -238,10 +240,11 @@ def design_uplink(
     V1[p] = pinv(H_0) U[p] and partner p+1 through
     Vj[p] = pinv(H_{p+1}) U[p], and H_0 V1[p] = H_{p+1} Vj[p] = U[p]
     exactly. H_u is kron(I_L, h_u) of the stored physical matrix h_u, with
-    L from extension_plan, so pinv(H_u) = kron(I_L, pinv(h_u)), and one
-    batched SVD gives all K physical pseudoinverses and cond(h_u). The
-    relay filters are the d-row blocks of inv(U) = U^H. Returns V1 and Vj,
-    both (K-1, L user_dim, d), the relay filters (K-1, d, L relay_dim) and
+    L from extension_plan, so pinv(H_u) = kron(I_L, pinv(h_u)); all K
+    physical pseudoinverses and cond(h_u) are read from the channel set,
+    which decomposed them when it was validated. The relay filters are
+    the d-row blocks of inv(U) = U^H. Returns V1 and Vj, both
+    (K-1, L user_dim, d), the relay filters (K-1, d, L relay_dim) and
     cond(h_u), (K,), each with the channels' leading trial axis.
     """
     K = channels.num_users
@@ -253,7 +256,8 @@ def design_uplink(
     if (K - 1) * d != n_eff:
         raise ValueError("stream count d must satisfy (K-1) d = extended relay dimension")
     U = _unitary_draw(_generators(rng, channels.stack_shape), n_eff)
-    up_pinv, _, up_cond = pseudo_inverse_and_rank(channels.stacked().uplink)
+    stack = channels.stacked()
+    up_pinv, up_cond = stack.uplink_pinv, stack.uplink_cond
     # kron(I_L, up_pinv[u]) @ U[p]: each pair's direction as L row blocks
     # of the physical size, so only the physical pseudoinverses are applied
     blocks = U.reshape(-1, L, n, K - 1, d).transpose(0, 3, 1, 2, 4)
@@ -281,10 +285,10 @@ def design_downlink(channels: ChannelSet, rng) -> tuple[np.ndarray, np.ndarray, 
     column rank once the user dimension is at least the relay dimension
     (preparation guarantees it), so pinv(D_u Tcat) = Tcat^H pinv(D_u), and
     D_u = kron(I_L, d_u) of the stored physical matrix d_u, with L and d
-    from extension_plan, so pinv(D_u) = kron(I_L, pinv(d_u)). One batched
-    SVD gives the K physical pseudoinverses and cond(d_u), which is also
-    cond(pinv(D_u Tcat)), and one broadcast product forms all K user
-    inverses.
+    from extension_plan, so pinv(D_u) = kron(I_L, pinv(d_u)). The K
+    physical pseudoinverses and cond(d_u), which is also
+    cond(pinv(D_u Tcat)), are read from the channel set's decomposition,
+    and one broadcast product forms all K user inverses.
     """
     K = channels.num_users
     n, m = channels.relay_dim, channels.user_dim
@@ -296,7 +300,8 @@ def design_downlink(channels: ChannelSet, rng) -> tuple[np.ndarray, np.ndarray, 
     _, L, d = extension_plan(K, m, n)
     n_eff, m_eff = L * n, L * m
     t_cat = _unitary_draw(_generators(rng, channels.stack_shape), n_eff)
-    down_pinv, _, down_cond = pseudo_inverse_and_rank(channels.stacked().downlink)
+    stack = channels.stacked()
+    down_pinv, down_cond = stack.downlink_pinv, stack.downlink_cond
     # Tcat^H @ kron(I_L, down_pinv[u]) for every u, without forming the kron
     t_inv = t_cat.conj().swapaxes(-1, -2)
     user_inv = t_inv.reshape(-1, 1, n_eff * L, n) @ down_pinv

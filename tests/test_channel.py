@@ -1,5 +1,7 @@
 """Tests for network configuration and channel generation."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -11,7 +13,7 @@ from mrc_dof_lab.channel import (
     generate_channels,
     shutdown_relay_antennas,
 )
-from mrc_dof_lab.linalg import numeric_rank
+from mrc_dof_lab.linalg import pseudo_inverse_and_rank
 
 
 def make(config):
@@ -53,7 +55,7 @@ class TestGenerateChannels:
         assert len(cs.uplink) == 4
         for h in cs.uplink:
             assert h.shape == (3, 4)
-            assert numeric_rank(h, 1e-10) == 3
+            assert pseudo_inverse_and_rank(h)[1] == 3
         for h in cs.downlink:
             assert h.shape == (4, 3)
 
@@ -86,7 +88,7 @@ class TestShutdown:
         uplink = np.array(make(NetworkConfig(K=2, M=2, N=4, seed=11)).uplink)
         uplink[0, 1] = 2.0 * uplink[0, 0]
         cs = ChannelSet(uplink=uplink, downlink=uplink.swapaxes(-1, -2))
-        assert numeric_rank(uplink[0], 1e-10) == 2
+        assert pseudo_inverse_and_rank(uplink[0])[1] == 2
         with pytest.raises(ValueError, match="rank deficient"):
             shutdown_relay_antennas(cs, 2)
 
@@ -111,6 +113,23 @@ class TestSerialization:
         with pytest.raises(ValueError, match="L = 1"):
             channels_from_json_dict(doc)
 
+    @pytest.mark.parametrize(
+        "damage,message",
+        [
+            (lambda doc: [doc], "JSON object"),
+            (lambda doc: {k: v for k, v in doc.items() if k != "downlink"}, "'downlink'"),
+            (lambda doc: {**doc, "L": [1]}, "L must be an integer"),
+            (lambda doc: {**doc, "uplink": 3.0}, "[re, im] pairs"),
+            (lambda doc: {**doc, "uplink": [[[[1.0, 0.0, 2.0]]]] * 3}, "[re, im] pairs"),
+        ],
+        ids=["not-an-object", "no-downlink", "list-L", "bare-number-link", "triple-entry"],
+    )
+    def test_malformed_document_rejected(self, damage, message):
+        # a channel file is outside input: every defect is a ValueError
+        doc = channels_to_json_dict(make(NetworkConfig(K=3, M=1, N=1, seed=14)))
+        with pytest.raises(ValueError, match=re.escape(message)):
+            channels_from_json_dict(damage(doc))
+
     def test_entry_encoding(self):
         cs = make(NetworkConfig(K=2, M=1, N=1, seed=13))
         doc = channels_to_json_dict(cs)
@@ -121,8 +140,22 @@ class TestSerialization:
 class TestChannelSetValidation:
     def test_rejects_rank_deficient(self):
         h = np.ones((2, 2), dtype=complex)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="rank deficient"):
             ChannelSet(uplink=(h, h), downlink=(h.T, h.T))
+
+    def test_rejects_rank_deficient_downlink_alone(self):
+        # without reciprocity the downlink is decomposed on its own: a
+        # full-rank uplink does not vouch for a rank-one downlink
+        cs = make(NetworkConfig(K=3, M=3, N=2, seed=16, reciprocal=False))
+        downlink = np.array(cs.downlink)
+        downlink[2, :, 1] = 3.0 * downlink[2, :, 0]
+        assert (pseudo_inverse_and_rank(cs.uplink)[1] == 2).all()
+        with pytest.raises(ValueError, match="rank deficient"):
+            ChannelSet(uplink=cs.uplink, downlink=downlink)
+
+    def test_rejects_empty_matrices(self):
+        with pytest.raises(ValueError, match="at least one row"):
+            ChannelSet(uplink=np.zeros((3, 0, 2)), downlink=np.zeros((3, 2, 0)))
 
     def test_rejects_rank_deficient_trial_of_a_stack(self):
         cfg = NetworkConfig(K=3, M=2, N=2, seed=15)
@@ -138,3 +171,70 @@ class TestChannelSetValidation:
         b = np.eye(3, dtype=complex)
         with pytest.raises(ValueError):
             ChannelSet(uplink=(a, b), downlink=(a.T, b.T))
+
+
+def _assert_fresh_decomposition(cs):
+    """The set's stored decomposition is bit for bit a fresh one of its
+    stored matrices, and no field can be written."""
+    up_pinv, _, up_cond = pseudo_inverse_and_rank(cs.uplink)
+    down_pinv, _, down_cond = pseudo_inverse_and_rank(cs.downlink)
+    stored = dict(
+        uplink_pinv=up_pinv,
+        downlink_pinv=down_pinv,
+        uplink_cond=up_cond,
+        downlink_cond=down_cond,
+    )
+    for name, fresh in stored.items():
+        assert np.array_equal(getattr(cs, name), fresh), name
+    for name in ("uplink", "downlink", *stored):
+        assert not getattr(cs, name).flags.writeable, name
+
+
+class TestStoredDecomposition:
+    """Validation's SVDs are the only decomposition of a set's matrices:
+    the pseudoinverses and condition numbers it keeps must be those of its
+    matrices however the set was made."""
+
+    CFG = NetworkConfig(K=4, M=4, N=3, seed=17, reciprocal=False)
+
+    def stack(self):
+        return generate_channels(self.CFG, [self.CFG.trial_rng(t) for t in range(3)])
+
+    def test_one_trial(self):
+        cs = make(self.CFG)
+        assert cs.uplink_pinv.shape == (4, 4, 3) and cs.downlink_pinv.shape == (4, 3, 4)
+        assert cs.uplink_cond.shape == cs.downlink_cond.shape == (4,)
+        _assert_fresh_decomposition(cs)
+
+    def test_stack(self):
+        cs = self.stack()
+        assert cs.uplink_pinv.shape == (3, 4, 4, 3) and cs.downlink_cond.shape == (3, 4)
+        _assert_fresh_decomposition(cs)
+
+    def test_stacked_one_trial(self):
+        cs = make(self.CFG).stacked()
+        assert cs.stack_shape == (1,)
+        _assert_fresh_decomposition(cs)
+
+    @pytest.mark.parametrize("trials", [[2, 0], [0] * 3])
+    def test_select(self, trials):
+        # [0] * 3 repeats a loaded trial across a stack, as --load-channels does
+        cs = self.stack().select(trials)
+        assert cs.stack_shape == (len(trials),)
+        _assert_fresh_decomposition(cs)
+
+    def test_shutdown(self):
+        cfg = NetworkConfig(K=3, M=4, N=6, seed=18)
+        cs = shutdown_relay_antennas(generate_channels(cfg, cfg.rng()), 4)
+        assert cs.uplink_pinv.shape == (3, 4, 4)
+        _assert_fresh_decomposition(cs)
+
+    def test_given_matrices_are_frozen(self):
+        # the set keeps the arrays it is given and marks them read-only, so
+        # no later write can put the matrices and their stored
+        # decomposition out of step
+        uplink = np.array(make(self.CFG).uplink)
+        cs = ChannelSet(uplink=uplink, downlink=uplink.swapaxes(-1, -2))
+        with pytest.raises(ValueError, match="read-only"):
+            uplink[0] = 0.0
+        _assert_fresh_decomposition(cs)

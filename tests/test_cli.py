@@ -139,6 +139,32 @@ class TestVerifyCommand:
         assert code == EXIT_BAD_ARGS
         assert "L = 1" in err
 
+    @pytest.mark.parametrize(
+        "damage,message",
+        [
+            (lambda doc: doc.pop("uplink"), "no 'uplink' entry"),
+            (lambda doc: doc["uplink"][1][0].__setitem__(1, 0.5), "[re, im] pairs"),
+        ],
+        ids=["missing-uplink", "bare-number-entry"],
+    )
+    def test_malformed_channel_file_is_an_argument_error(self, tmp_path, capsys, damage, message):
+        # a bad file is bad input (exit 2, one error line), not a failed
+        # verification (exit 1) or a traceback
+        dump = tmp_path / "channels.json"
+        run(
+            capsys, "verify", "--k", "3", "--m", "2", "--n", "2",
+            "--trials", "2", "--seed", "5", "--dump-channels", str(dump),
+        )
+        doc = json.loads(dump.read_text())
+        damage(doc)
+        dump.write_text(json.dumps(doc))
+        code, _, err = run(
+            capsys, "verify", "--k", "3", "--m", "2", "--n", "2",
+            "--trials", "2", "--load-channels", str(dump),
+        )
+        assert code == EXIT_BAD_ARGS
+        assert message in err and "Traceback" not in err
+
     def test_dump_plan(self, tmp_path, capsys):
         dump = tmp_path / "plan.json"
         code, _, _ = run(

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from mrc_dof_lab.linalg import (
-    numeric_rank,
     orthonormal_columns,
     pseudo_inverse_and_rank,
     random_gaussian_matrix,
@@ -33,7 +32,7 @@ class TestRandomGaussian:
 
     def test_square_draw_is_full_rank(self):
         a = random_gaussian_matrix(5, 5, rng(7))
-        assert numeric_rank(a, 1e-10) == 5
+        assert pseudo_inverse_and_rank(a)[1] == 5
 
     def test_unit_power_entries(self):
         # law of large numbers over 1e5 draws: E|a_ij|^2 = 1
@@ -105,7 +104,7 @@ class TestPseudoInverseAndRank:
             assert pinv.shape == (4, c, r) and rank.shape == cond.shape == (4,)
             for a, p, k, kappa in zip(stack, pinv, rank, cond):
                 assert np.allclose(p, pseudo_inverse_and_rank(a)[0], atol=1e-12)
-                assert k == numeric_rank(a) == min(r, c)
+                assert k == pseudo_inverse_and_rank(a)[1] == min(r, c)
                 assert abs(kappa - np.linalg.cond(a)) <= 1e-10 * kappa
 
     def test_rank_decided_per_matrix(self):
@@ -131,26 +130,6 @@ class TestPseudoInverseAndRank:
         assert cond == pytest.approx(np.linalg.cond(a), rel=1e-10)
         assert np.allclose(pinv, np.linalg.inv(a), atol=1e-10)
         assert not pinv.flags.writeable
-
-
-class TestNumericRank:
-    def test_zero_matrix(self):
-        assert numeric_rank(np.zeros((3, 4), dtype=complex), 1e-10) == 0
-
-    def test_identity(self):
-        assert numeric_rank(np.eye(5), 1e-10) == 5
-
-    def test_generic_wide(self):
-        assert numeric_rank(random_gaussian_matrix(4, 7, rng(9)), 1e-10) == 4
-
-    def test_stack_matches_one_at_a_time(self):
-        g = rng(10)
-        full = random_gaussian_matrix(4, 3, g)
-        low = random_gaussian_matrix(4, 1, g) @ random_gaussian_matrix(1, 3, g)
-        stack = np.stack([full, low, np.zeros((4, 3), dtype=complex), full[:, :2] @ full[:2]])
-        ranks = numeric_rank(stack, 1e-10)
-        assert ranks.shape == (4,)
-        assert ranks.tolist() == [numeric_rank(a, 1e-10) for a in stack] == [3, 1, 0, 2]
 
 
 class TestSubspaceDistance:

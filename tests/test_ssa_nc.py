@@ -443,23 +443,21 @@ class TestTrialStacks:
 
 
 class TestLapackBudget:
-    """One stacked design takes two SVDs (the uplink and the downlink
-    physical pseudoinverses) and two QRs (U and Tcat), whatever the
-    extension factor; the channels are validated again, with one more SVD,
-    only after a relay shutdown, which can lose rank."""
+    """Channel validation is the only place a channel matrix is decomposed:
+    one SVD of the uplink and one of the downlink stack, whose
+    pseudoinverses and condition numbers the design reads. One stacked
+    design therefore takes no SVD and two QRs (U and Tcat), whatever the
+    extension factor; the channels are validated again, with two more
+    SVDs, only after a relay shutdown, which can lose rank."""
 
-    @pytest.mark.parametrize(
-        "k,m,n,validations",
-        [
-            (4, 4, 3, 0),  # plain
-            (8, 8, 8, 0),  # 7-slot extension, 56 x 56 matrices
-            (3, 4, 6, 1),  # relay antennas shut down to 4
-        ],
-    )
-    def test_calls_per_design(self, monkeypatch, k, m, n, validations):
-        cfg = NetworkConfig(K=k, M=m, N=n, seed=7)
-        rngs = [cfg.trial_rng(t) for t in range(2)]
-        channels = generate_channels(cfg, rngs)
+    CASES = [
+        (4, 4, 3, 0),  # plain
+        (8, 8, 8, 0),  # 7-slot extension, 56 x 56 matrices
+        (3, 4, 6, 1),  # relay antennas shut down to 4
+    ]
+
+    @staticmethod
+    def count_calls(monkeypatch):
         calls = {"svd": 0, "qr": 0, "validate": 0}
 
         def counted(name, fn):
@@ -474,9 +472,29 @@ class TestLapackBudget:
         monkeypatch.setattr(
             ChannelSet, "__post_init__", counted("validate", ChannelSet.__post_init__)
         )
+        return calls
+
+    @pytest.mark.parametrize("k,m,n,validations", CASES)
+    def test_calls_per_design(self, monkeypatch, k, m, n, validations):
+        cfg = NetworkConfig(K=k, M=m, N=n, seed=7)
+        rngs = [cfg.trial_rng(t) for t in range(2)]
+        channels = generate_channels(cfg, rngs)
+        calls = self.count_calls(monkeypatch)
         _, plan = design_scheme(cfg, channels, rngs)
         assert plan.stack_shape == (2,)
-        assert calls == {"svd": 2 + validations, "qr": 2, "validate": validations}
+        assert calls == {"svd": 2 * validations, "qr": 2, "validate": validations}
+
+    @pytest.mark.parametrize("k,m,n,validations", CASES)
+    def test_calls_per_trial_path(self, monkeypatch, k, m, n, validations):
+        # a stack's whole path, draw to decoded round: the draw's
+        # validation is its only decomposition, unless a shutdown validates
+        # the cut set again
+        cfg = NetworkConfig(K=k, M=m, N=n, seed=7)
+        rngs = [cfg.trial_rng(t) for t in range(2)]
+        calls = self.count_calls(monkeypatch)
+        eff, plan = design_scheme(cfg, generate_channels(cfg, rngs), rngs)
+        run_round(plan, eff, 10.0, rngs, noise_on=True)
+        assert calls == {"svd": 2 + 2 * validations, "qr": 2, "validate": 1 + validations}
 
 
 @settings(derandomize=True, deadline=None, max_examples=25, database=None)
