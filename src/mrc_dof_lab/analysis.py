@@ -135,7 +135,8 @@ def _trial_stacks(config: NetworkConfig, trials: int, channels: ChannelSet | Non
     """Design the trials stack by stack; yields (generators, effective
     channels, plan) per stack, all with a leading trial axis.
 
-    Each trial generator is left where its design stopped, so the trial's
+    The design draws nothing, so each trial generator is left where its
+    channel draw stopped (untouched for a given set), and the trial's
     symbol and noise draws follow from it.
     """
     size = _stack_size(config)
@@ -146,7 +147,7 @@ def _trial_stacks(config: NetworkConfig, trials: int, channels: ChannelSet | Non
         else:
             base = channels.stacked().select([0] * len(rngs))
         try:
-            eff, plan = ssa_nc.design_scheme(config, base, rngs)
+            eff, plan = ssa_nc.design_scheme(config, base)
         except SchemeDesignError as exc:
             trial = start + exc.trial
             raise SchemeDesignError(f"trial {trial} (seed {config.seed}): {exc}", trial) from exc
@@ -194,7 +195,7 @@ def _noiseless_report(
         slope_stderr=None,
         noiseless_max_error=max_err,
         trials=trials,
-        # the relay-side draws are unitary, so no trial is ever redrawn
+        # the design draws nothing and no trial is ever redrawn
         degenerate_draws=0,
         notes="two-way relay degenerate case" if K == 2 else "",
     )
@@ -206,8 +207,8 @@ def verify_noiseless(
     """Run the full chain noise-free over fresh channel draws and record the
     worst relative decode error across all trials, users, and messages.
 
-    Passing a fixed ChannelSet reuses it for every trial (beamformer and
-    symbol draws still vary per trial).
+    Passing a fixed ChannelSet reuses it for every trial: every trial
+    then has the same plan, and only the symbol draws vary per trial.
     """
     if trials < 1:
         raise ValueError("trials must be positive")

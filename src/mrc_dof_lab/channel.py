@@ -218,11 +218,12 @@ def channels_to_json_dict(channels: ChannelSet) -> dict:
 def channels_from_json_dict(doc: dict) -> ChannelSet:
     """Decode and validate one trial's set; documents with L other than 1
     hold extended matrices, which a set never stores, and are rejected.
-    A document that lacks a key or holds an entry other than an [re, im]
-    pair of numbers raises ValueError."""
+    A document that lacks a key, holds an entry other than an [re, im]
+    pair of numbers, or whose K, M and N disagree with its matrices raises
+    ValueError."""
     if not isinstance(doc, dict):
         raise ValueError("a channel document must be a JSON object")
-    missing = [key for key in ("L", "uplink", "downlink") if key not in doc]
+    missing = [key for key in ("K", "M", "N", "L", "uplink", "downlink") if key not in doc]
     if missing:
         raise ValueError(f"channel document has no {', '.join(map(repr, missing))} entry")
     try:
@@ -236,7 +237,13 @@ def channels_from_json_dict(doc: dict) -> ChannelSet:
         downlink = [matrix_from_lists(m) for m in doc["downlink"]]
     except (TypeError, ValueError) as exc:
         raise ValueError(f"channel entries must be [re, im] pairs of numbers: {exc}") from exc
-    return ChannelSet(uplink=uplink, downlink=downlink)
+    channels = ChannelSet(uplink=uplink, downlink=downlink)
+    decoded = {"K": channels.num_users, "M": channels.user_dim, "N": channels.relay_dim}
+    if any(doc[key] != value for key, value in decoded.items()):
+        header = ", ".join(f"{key}={doc[key]!r}" for key in decoded)
+        matrices = ", ".join(f"{key}={value}" for key, value in decoded.items())
+        raise ValueError(f"channel document header {header} disagrees with its matrices {matrices}")
+    return channels
 
 
 def save_channels(channels: ChannelSet, path: str) -> None:

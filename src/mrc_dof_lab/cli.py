@@ -183,12 +183,11 @@ def _dump_trial_artifacts(config: NetworkConfig, channels, args) -> None:
     """Write trial 0's channels and/or plan when the dump flags are set."""
     if not (args.dump_channels or args.dump_plan):
         return
-    rng = config.trial_rng(0)
-    base = channels if channels is not None else generate_channels(config, rng)
+    base = channels if channels is not None else generate_channels(config, config.trial_rng(0))
     if args.dump_channels:
         save_channels(base, args.dump_channels)
     if args.dump_plan:
-        _, plan = ssa_nc.design_scheme(config, base, rng)
+        _, plan = ssa_nc.design_scheme(config, base)
         ssa_nc.save_plan(plan, args.dump_plan)
 
 

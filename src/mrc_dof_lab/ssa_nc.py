@@ -1,22 +1,21 @@
 """Signal-space alignment with network coding for the multi-way relay channel.
 
-User 1 forms a pair with every other user. The scheme needs only that the
+User 0 forms a pair with every other user. The scheme needs only that the
 two users of a pair align at the relay in the uplink (MAC) slot and that
 the broadcast zero-forces in the downlink (BC) slot, so any full-rank
-choice of the relay-side subspaces works, and the relay draws both as
-random unitaries. In the MAC slot the relay's aligned directions are the
-d-column blocks U[p] of one random unitary U, and every user pre-inverts
-its own uplink onto them: user 1 sends pair p's stream through
-V1[p] = pinv(H_1) U[p] and partner p+1 through Vj[p] = pinv(H_{p+1}) U[p],
-so both partners arrive at the relay inside U[p] (signal-space alignment
-for network coding, Lee, Lim and Chun, IEEE Trans. IT 56(6), 2010). The
-relay's receive filter for pair p is the p-th d-row block of U^H: it nulls
-every other pair and returns the clean network-coded sum of the pair's
-symbol vectors. In the BC slot the relay broadcasts every sum through the
-d-column blocks T[p] of a second random unitary Tcat. User u separates
-the sums with the d-row blocks of pinv(D_u Tcat) = Tcat^H pinv(D_u) (D_u
-has full column rank after preparation) and peels the messages apart
-using its own transmitted symbols as side information.
+choice of the relay-side subspaces works, and the scheme takes the
+identity for both. In the MAC slot pair p owns relay streams
+[p d, (p+1) d), and every user pre-inverts its own uplink onto them:
+user 0 sends pair p's stream through V1[p], the p-th d-column block of
+pinv(H_0), and partner p+1 through Vj[p], the p-th d-column block of
+pinv(H_{p+1}), so both partners arrive at the relay on the pair's own
+streams (signal-space alignment for network coding, Lee, Lim and Chun,
+IEEE Trans. IT 56(6), 2010). The relay reads pair p's network-coded sum
+of symbol vectors straight off those streams. In the BC slot the relay
+broadcasts the sums on the same streams, and user u separates them with
+the d-row blocks of pinv(D_u) (D_u has full column rank after
+preparation), then peels the messages apart using its own transmitted
+symbols as side information.
 
 When the relay has more antennas than a user (N > M) the surplus relay
 antennas are shut down; when the relay dimension is not divisible by K-1,
@@ -28,21 +27,25 @@ implicitly. The designed matrices are built in the extended block, and
 pinv(kron(I_L, H)) = kron(I_L, pinv(H)), so only the physical matrices
 are ever pseudo-inverted; the MAC and BC phases split each transmit
 vector into L slots and multiply every slot by H in one batched matmul.
-The channel set already holds those pseudoinverses and their condition
-numbers, from the SVDs that validated it, so the design makes no SVD of
-its own: a trial's design costs two QR draws (U and Tcat), whatever L is,
-and its conditioning is that of the channel alone.
+With an extension, L = K-1 and d = min(N, M), so pair p's streams are
+exactly slot p: each slot is one two-way relay exchange between user 0
+and user p+1, with user 0 repeating its common message in all K-1 slots.
 
-Plans are power agnostic: they store amplitudes per sqrt(P), so a single
-plan serves an entire power sweep.
+The channel set already holds the physical pseudoinverses and their
+condition numbers, from the SVDs that validated it, so the design is
+slicing only: it draws nothing and makes no LAPACK call, and a plan's
+conditioning is that of the channel alone. Plans are power agnostic:
+they store amplitudes per sqrt(P), so a single plan serves an entire
+power sweep.
 
 Every function takes one trial or a stack of trials along a leading trial
-axis: a stacked ChannelSet with a sequence of generators, one per trial,
-in place of one generator, giving plans and traces whose arrays carry the
-same leading axis. Each design and round step is one batched LAPACK or
-matmul call for the whole stack. Each trial draws from its own generator
-exactly what it would draw alone, in the same order, so a trial's results
-do not depend on the stack it is in. A single trial runs as a stack of one.
+axis: a stacked ChannelSet, with a sequence of generators, one per trial,
+in place of one generator for the functions that draw symbols or noise,
+giving plans and traces whose arrays carry the same leading axis. Each
+design and round step is one batched call for the whole stack. Each trial
+draws from its own generator exactly what it would draw alone, in the
+same order, so a trial's results do not depend on the stack it is in. A
+single trial runs as a stack of one.
 """
 
 from __future__ import annotations
@@ -55,11 +58,11 @@ import numpy as np
 
 from .bounds import DofAllocation, common_only_allocation
 from .channel import ChannelSet, NetworkConfig, matrix_to_lists, shutdown_relay_antennas
-from .linalg import orthonormal_columns, random_gaussian_stack
+from .linalg import random_gaussian_stack
 
 # A trial whose uplink or downlink matrix has a condition number above
-# this is a design error. The relay-side subspaces are unitary, so the
-# plan's conditioning is the channel's and a redraw could not lower it.
+# this is a design error. The relay-side subspaces are the identity, so
+# the plan's conditioning is the channel's and nothing could lower it.
 COND_LIMIT = 1e8
 
 
@@ -79,15 +82,16 @@ class SchemeDesignError(RuntimeError):
 class SchemePlan:
     """Every designed matrix of one scheme instance, as read-only stacks.
 
-    Pair p (0-based) joins user 0 with user p+1. Per pair: V1[p] and
-    Vj[p] are the two transmit beamformers, T[p] the broadcast precoder,
-    and relay_filter[p] the relay's receive filter. The relay-side
-    subspaces are random unitaries: H_0 V1[p] = H_{p+1} Vj[p] = U[p], the
-    p-th d-column block of U, so relay_filter[p] is the p-th d-row block
-    of U^H, and Tcat = [T[0] ... T[K-2]] is unitary. Per user u and pair
-    p, rx_filter[u, p] is the p-th d-row block of pinv(D_u Tcat). Every
-    filter maps its own pair's image to I_d and the other pairs' images
-    to zero. Shapes, with K users and the extended dimensions
+    Pair p (0-based) joins user 0 with user p+1 on relay streams
+    [p d, (p+1) d). Per pair: V1[p] and Vj[p] are the two transmit
+    beamformers, the p-th d-column blocks of pinv(H_0) and pinv(H_{p+1}),
+    so H_0 V1[p] = H_{p+1} Vj[p] = E[p], the p-th d-column block of the
+    identity. Per user u and pair p, rx_filter[u, p] is the p-th d-row
+    block of pinv(D_u). The broadcast precoder T[p] = E[p] and the relay
+    filter relay_filter[p] = E[p]^T are derived, not stored: read-only
+    broadcast views of identity blocks, kept for readers of the filters.
+    Every filter maps its own pair's image to I_d and the other pairs'
+    images to zero. Shapes, with K users and the extended dimensions
     relay_dim = effective_N and user_dim = effective_M, L times those of
     the channel set:
 
@@ -102,10 +106,9 @@ class SchemePlan:
 
     uplink_cond[u] and downlink_cond[u] are the condition numbers of user
     u's physical uplink and downlink matrices h_u and d_u, read from the
-    channel set's decomposition. Since U and Tcat are unitary they are the
-    plan's whole conditioning: cond(pinv(D_u Tcat)) = downlink_cond[u],
-    and each beamformer block has a condition number of at most
-    uplink_cond[u].
+    channel set's decomposition. They are the plan's whole conditioning:
+    cond(pinv(D_u)) = downlink_cond[u], and each beamformer block has a
+    condition number of at most uplink_cond[u].
 
     power_scale and bc_scale are transmit amplitudes per sqrt(P) for the
     users and the relay; they fold in the extension factor so the power
@@ -118,13 +121,22 @@ class SchemePlan:
     extension_factor: int
     V1: np.ndarray
     Vj: np.ndarray
-    T: np.ndarray
-    relay_filter: np.ndarray
     rx_filter: np.ndarray
     uplink_cond: np.ndarray
     downlink_cond: np.ndarray
     power_scale: float | np.ndarray
     bc_scale: float | np.ndarray
+
+    @property
+    def relay_filter(self) -> np.ndarray:
+        """Relay receive filters, (..., K-1, d, relay_dim): E[p]^T."""
+        blocks = np.eye(self.effective_N, dtype=complex).reshape(-1, self.d, self.effective_N)
+        return np.broadcast_to(blocks, self.stack_shape + blocks.shape)
+
+    @property
+    def T(self) -> np.ndarray:
+        """Broadcast precoders, (..., K-1, relay_dim, d): T[p] = E[p]."""
+        return self.relay_filter.swapaxes(-1, -2)
 
     @property
     def stack_shape(self) -> tuple[int, ...]:
@@ -217,34 +229,36 @@ def _kron_apply(h: np.ndarray, x: np.ndarray, L: int) -> np.ndarray:
     return y.reshape(y.shape[:-3] + (-1,))
 
 
+def _kron_eye(h: np.ndarray, L: int) -> np.ndarray:
+    """kron(I_L, h) for a stack of h (..., r, c): h in every diagonal
+    block, exact zeros elsewhere. Returns (..., L r, L c). Built by hand:
+    np.kron's axis bookkeeping keeps ~140 KB of small allocations alive
+    per process (numpy 2.4), which showed in peak RSS."""
+    r, c = h.shape[-2:]
+    out = np.zeros(h.shape[:-2] + (L, r, L, c), dtype=h.dtype)
+    for slot in range(L):
+        out[..., slot, :, slot, :] = h
+    return out.reshape(h.shape[:-2] + (L * r, L * c))
+
+
 def _draws(rngs, stack_shape: tuple[int, ...], count: int, *shape: int) -> np.ndarray:
     """``count`` CN(0, 1) arrays per trial, shaped stack_shape + (count, *shape)."""
     return random_gaussian_stack(count, shape, rngs).reshape(stack_shape + (count, *shape))
 
 
-def _unitary_draw(rngs, n: int) -> np.ndarray:
-    """One random n x n unitary per trial, (S, n, n): the Householder Q
-    factor of one CN(0, 1) draw, which is unitary whatever the draw."""
-    return orthonormal_columns(random_gaussian_stack(1, (n, n), rngs)[:, 0])
+def design_uplink(channels: ChannelSet, d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Pre-invert every user's uplink onto its pairs' relay streams.
 
-
-def design_uplink(
-    channels: ChannelSet, d: int, rng
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Draw the relay's aligned directions, pre-invert every user's uplink
-    onto them, and build the relay filters.
-
-    The directions are one random n_eff x n_eff unitary U per trial,
-    n_eff = L relay_dim; pair p's is its p-th d-column block U[p]. Each
-    uplink has full row rank after preparation, so user 0 sends pair p through
-    V1[p] = pinv(H_0) U[p] and partner p+1 through
-    Vj[p] = pinv(H_{p+1}) U[p], and H_0 V1[p] = H_{p+1} Vj[p] = U[p]
-    exactly. H_u is kron(I_L, h_u) of the stored physical matrix h_u, with
-    L from extension_plan, so pinv(H_u) = kron(I_L, pinv(h_u)); all K
-    physical pseudoinverses and cond(h_u) are read from the channel set,
-    which decomposed them when it was validated. The relay filters are
-    the d-row blocks of inv(U) = U^H. Returns V1 and Vj, both
-    (K-1, L user_dim, d), the relay filters (K-1, d, L relay_dim) and
+    Pair p owns relay streams [p d, (p+1) d) of the n_eff = L relay_dim =
+    (K-1) d extended ones. Each uplink has full row rank after
+    preparation, so user 0 sends pair p through V1[p], the p-th d-column
+    block of pinv(H_0), and partner p+1 through Vj[p], the p-th d-column
+    block of pinv(H_{p+1}); then H_0 V1[p] = H_{p+1} Vj[p] is the p-th
+    d-column block of the identity. H_u is kron(I_L, h_u) of the stored
+    physical matrix h_u, with L from extension_plan, so
+    pinv(H_u) = kron(I_L, pinv(h_u)); all K physical pseudoinverses and
+    cond(h_u) are read from the channel set, which decomposed them when it
+    was validated. Returns V1 and Vj, both (K-1, L user_dim, d), and
     cond(h_u), (K,), each with the channels' leading trial axis.
     """
     K = channels.num_users
@@ -252,43 +266,29 @@ def design_uplink(
     if n > m:
         raise ValueError("uplink design needs relay dimension <= user dimension")
     _, L, _ = extension_plan(K, m, n)
-    n_eff, m_eff = L * n, L * m
-    if (K - 1) * d != n_eff:
+    if (K - 1) * d != L * n:
         raise ValueError("stream count d must satisfy (K-1) d = extended relay dimension")
-    U = _unitary_draw(_generators(rng, channels.stack_shape), n_eff)
-    stack = channels.stacked()
-    up_pinv, up_cond = stack.uplink_pinv, stack.uplink_cond
-    # kron(I_L, up_pinv[u]) @ U[p]: each pair's direction as L row blocks
-    # of the physical size, so only the physical pseudoinverses are applied
-    blocks = U.reshape(-1, L, n, K - 1, d).transpose(0, 3, 1, 2, 4)
-    V1 = up_pinv[:, :1, np.newaxis] @ blocks
-    Vj = up_pinv[:, 1:, np.newaxis] @ blocks
-    lead = channels.stack_shape
-    return (
-        V1.reshape(lead + (K - 1, m_eff, d)),
-        Vj.reshape(lead + (K - 1, m_eff, d)),
-        U.conj().swapaxes(-1, -2).reshape(lead + (K - 1, d, n_eff)),
-        up_cond.reshape(lead + (K,)),
-    )
+    up = _kron_eye(channels.uplink_pinv, L)
+    # user u's d-column block for pair p: cols[..., u, p, :, :]
+    cols = up.reshape(channels.stack_shape + (K, L * m, K - 1, d)).swapaxes(-3, -2)
+    pairs = np.arange(K - 1)
+    V1, Vj = cols[..., 0 * pairs, pairs, :, :], cols[..., pairs + 1, pairs, :, :]
+    return V1, Vj, channels.uplink_cond
 
 
-def design_downlink(channels: ChannelSet, rng) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Random unitary broadcast precoders T, (K-1, L relay_dim, d), every
-    user's receive filters, (K, K-1, d, L user_dim), and every user's
-    downlink conditioning cond(d_u), (K,), each with the channels' leading
-    trial axis.
+def design_downlink(channels: ChannelSet) -> tuple[np.ndarray, np.ndarray]:
+    """Every user's receive filters, (K, K-1, d, L user_dim), and every
+    user's downlink conditioning cond(d_u), (K,), each with the channels'
+    leading trial axis.
 
-    Tcat = [T[0] ... T[K-2]] is one random n_eff x n_eff unitary per
-    trial, n_eff = L relay_dim. User u sees the stacked downlink images
-    D_u Tcat; its filter for pair p is the p-th d-row block of
-    pinv(D_u Tcat). D_u has full
-    column rank once the user dimension is at least the relay dimension
-    (preparation guarantees it), so pinv(D_u Tcat) = Tcat^H pinv(D_u), and
-    D_u = kron(I_L, d_u) of the stored physical matrix d_u, with L and d
-    from extension_plan, so pinv(D_u) = kron(I_L, pinv(d_u)). The K
-    physical pseudoinverses and cond(d_u), which is also
-    cond(pinv(D_u Tcat)), are read from the channel set's decomposition,
-    and one broadcast product forms all K user inverses.
+    The relay broadcasts pair p's sum on its own streams [p d, (p+1) d),
+    so user u's filter for pair p is the p-th d-row block of pinv(D_u).
+    D_u has full column rank once the user dimension is at least the relay
+    dimension (preparation guarantees it), and D_u = kron(I_L, d_u) of the
+    stored physical matrix d_u, with L and d from extension_plan, so
+    pinv(D_u) = kron(I_L, pinv(d_u)). The K physical pseudoinverses and
+    cond(d_u), which is also cond(pinv(D_u)), are read from the channel
+    set's decomposition.
     """
     K = channels.num_users
     n, m = channels.relay_dim, channels.user_dim
@@ -298,20 +298,8 @@ def design_downlink(channels: ChannelSet, rng) -> tuple[np.ndarray, np.ndarray, 
             f">= relay dimension {n}"
         )
     _, L, d = extension_plan(K, m, n)
-    n_eff, m_eff = L * n, L * m
-    t_cat = _unitary_draw(_generators(rng, channels.stack_shape), n_eff)
-    stack = channels.stacked()
-    down_pinv, down_cond = stack.downlink_pinv, stack.downlink_cond
-    # Tcat^H @ kron(I_L, down_pinv[u]) for every u, without forming the kron
-    t_inv = t_cat.conj().swapaxes(-1, -2)
-    user_inv = t_inv.reshape(-1, 1, n_eff * L, n) @ down_pinv
-    T = t_cat.reshape(-1, n_eff, K - 1, d).swapaxes(-3, -2)
-    lead = channels.stack_shape
-    return (
-        T.reshape(lead + (K - 1, n_eff, d)),
-        user_inv.reshape(lead + (K, K - 1, d, m_eff)),
-        down_cond.reshape(lead + (K,)),
-    )
+    down = _kron_eye(channels.downlink_pinv, L)
+    return down.reshape(channels.stack_shape + (K, K - 1, d, L * m)), channels.downlink_cond
 
 
 def _assemble_plan(stack: ChannelSet, arrays: dict[str, np.ndarray], lead: tuple) -> SchemePlan:
@@ -325,9 +313,9 @@ def _assemble_plan(stack: ChannelSet, arrays: dict[str, np.ndarray], lead: tuple
     tx = np.concatenate([V1.sum(axis=-3, keepdims=True), arrays["Vj"]], axis=-3)
     budgets = np.sum(tx.real**2 + tx.imag**2, axis=(-2, -1))
     power_scale = np.sqrt(L / budgets.max(axis=-1))
-    # The forwarded sums have symbol covariance blocks E[w_p w_q^H] =
-    # (1 + delta_pq) I_d and Tcat is unitary, so the relay's transmit power
-    # trace(Tcat W Tcat^H) = trace(W) = 2 relay_dim in every trial.
+    # The relay sends the forwarded sums themselves, whose symbol covariance
+    # blocks are E[w_p w_q^H] = (1 + delta_pq) I_d, so its transmit power
+    # trace(W) = 2 relay_dim in every trial.
     bc_scale = np.full(power_scale.shape, np.sqrt(L / (2 * n_eff)))
     fields = {name: a.reshape(lead + a.shape[1:]) for name, a in arrays.items()}
     # one plan serves every power level and trace of a trial: share, never write
@@ -346,25 +334,21 @@ def _assemble_plan(stack: ChannelSet, arrays: dict[str, np.ndarray], lead: tuple
     )
 
 
-def design_scheme(
-    config: NetworkConfig, channels: ChannelSet, rng
-) -> tuple[ChannelSet, SchemePlan]:
-    """Full design chain: preparation, the unitary relay-side draws and the
-    users' channel pseudoinverses in both phases, power scales.
+def design_scheme(config: NetworkConfig, channels: ChannelSet) -> tuple[ChannelSet, SchemePlan]:
+    """Full design chain: preparation, the users' channel pseudoinverses
+    in both phases, power scales.
 
-    Designs one trial (one generator) or a stack (a stacked ChannelSet
-    and one generator per trial). A trial whose uplink or downlink
-    matrix has a condition number above COND_LIMIT raises
-    SchemeDesignError naming its stack position: the relay-side draws are
-    unitary, so the plan's conditioning is the channel's and no redraw
-    could lower it. Returns the effective channels (after any antenna
-    shutdown, never extended) together with the plan.
+    Designs one trial or a stack (a stacked ChannelSet), drawing nothing.
+    A trial whose uplink or downlink matrix has a condition number above
+    COND_LIMIT raises SchemeDesignError naming its stack position: the
+    plan's conditioning is the channel's, so nothing could lower it.
+    Returns the effective channels (after any antenna shutdown, never
+    extended) together with the plan.
     """
     eff, d = prepare_scheme(config, channels)
-    rngs = _generators(rng, eff.stack_shape)
     stack = eff.stacked()
-    V1, Vj, relay_filter, uplink_cond = design_uplink(stack, d, rngs)
-    T, rx_filter, downlink_cond = design_downlink(stack, rngs)
+    V1, Vj, uplink_cond = design_uplink(stack, d)
+    rx_filter, downlink_cond = design_downlink(stack)
     worst = np.maximum(uplink_cond.max(axis=-1), downlink_cond.max(axis=-1))
     failed = np.flatnonzero(~(worst <= COND_LIMIT))
     if failed.size:
@@ -375,8 +359,6 @@ def design_scheme(
     arrays = dict(
         V1=V1,
         Vj=Vj,
-        T=T,
-        relay_filter=relay_filter,
         rx_filter=rx_filter,
         uplink_cond=uplink_cond,
         downlink_cond=downlink_cond,
@@ -428,11 +410,12 @@ def mac_phase(
 
 
 def relay_process(plan: SchemePlan, y_r: np.ndarray, P: float) -> np.ndarray:
-    """Zero-force, unmix, and rescale: row p of the (K-1, d) result is the
-    network-coded sum of pair p's two symbol vectors (exactly, when
-    noiseless)."""
+    """Split the relay streams by pair and rescale: row p of the (K-1, d)
+    result is streams [p d, (p+1) d), the network-coded sum of pair p's
+    two symbol vectors (up to rounding, when noiseless). This is
+    relay_filter @ y_r, bit for bit."""
     a = _amplitude(plan.power_scale, P)[..., np.newaxis, np.newaxis]
-    return (plan.relay_filter @ y_r[..., np.newaxis, :, np.newaxis])[..., 0] / a
+    return y_r.reshape(y_r.shape[:-1] + (plan.num_pairs, plan.d)) / a
 
 
 def bc_phase(
@@ -443,8 +426,8 @@ def bc_phase(
     rng=None,
     noise_on: bool = False,
 ) -> np.ndarray:
-    """Downlink slot: the relay broadcasts every pair sum through its
-    precoder with amplitude bc_scale * sqrt(P), and user u receives it
+    """Downlink slot: the relay broadcasts every pair sum on the pair's
+    relay streams with amplitude bc_scale * sqrt(P), and user u receives it
     through kron(I_L, d_u) of its physical downlink d_u; noise, when
     enabled, needs rng.
 
@@ -455,7 +438,8 @@ def bc_phase(
     rngs = _generators(rng, plan.stack_shape) if noise_on else None
     w = _vector_rows(w, plan.stack_shape, plan.num_pairs, plan.d, "forwarded")
     b = _amplitude(plan.bc_scale, P)[..., np.newaxis]
-    x_r = b * np.sum(plan.T @ w[..., np.newaxis], axis=-3)[..., 0]
+    # pair p's sum on relay streams [p d, (p+1) d): sum_p T[p] w[p], bit for bit
+    x_r = b * w.reshape(w.shape[:-2] + (plan.effective_N,))
     y = _kron_apply(channels.downlink, x_r[..., np.newaxis, :], plan.extension_factor)
     if noise_on:
         y = y + _draws(rngs, plan.stack_shape, plan.num_users, plan.effective_M)

@@ -19,7 +19,7 @@ from mrc_dof_lab.analysis import (
     verify_noiseless,
 )
 from mrc_dof_lab.bounds import cutset_dof
-from mrc_dof_lab.channel import NetworkConfig, generate_channels
+from mrc_dof_lab.channel import NetworkConfig, generate_channels, load_channels, save_channels
 from mrc_dof_lab import analysis, ssa_nc
 from mrc_dof_lab.ssa_nc import design_scheme, other_users, run_round
 
@@ -47,7 +47,7 @@ def redesigned_mse(cfg, trials, P):
     count = 0
     for trial in range(trials):
         rng = cfg.trial_rng(trial)
-        eff, plan = design_scheme(cfg, generate_channels(cfg, rng), rng)
+        eff, plan = design_scheme(cfg, generate_channels(cfg, rng))
         trace = run_round(plan, eff, P, rng, noise_on=True)
         diff = trace.decoded - trace.sent[senders]
         acc += np.sum(np.sum(np.abs(diff) ** 2, axis=-1))
@@ -59,7 +59,7 @@ def plan_for(k, m, n, seed=0):
     cfg = NetworkConfig(K=k, M=m, N=n, seed=seed)
     rng = cfg.trial_rng(0)
     cs = generate_channels(cfg, rng)
-    return design_scheme(cfg, cs, rng)
+    return design_scheme(cfg, cs)
 
 
 class TestVerifyNoiseless:
@@ -98,6 +98,21 @@ class TestVerifyNoiseless:
         cs = generate_channels(cfg, cfg.rng())
         rep = verify_noiseless(cfg, 5, channels=cs)
         assert rep.noiseless_max_error <= 1e-8
+
+    def test_loaded_channels_give_every_trial_one_plan(self, tmp_path):
+        # the design draws nothing, so a fixed set designs the same plan in
+        # every trial of a stack; only the symbol draws differ
+        cfg = NetworkConfig(K=4, M=4, N=3, seed=5)
+        path = str(tmp_path / "channels.json")
+        save_channels(generate_channels(cfg, cfg.rng()), path)
+        [(rngs, eff, plan)] = analysis._trial_stacks(cfg, 4, load_channels(path))
+        assert plan.stack_shape == (4,)
+        for name in ("V1", "Vj", "T", "relay_filter", "rx_filter", "uplink_cond",
+                     "downlink_cond", "power_scale", "bc_scale"):
+            arrays = np.asarray(getattr(plan, name))
+            assert all(np.array_equal(a, arrays[0]) for a in arrays[1:]), name
+        sent = ssa_nc.run_round(plan, eff, 1.0, rngs, noise_on=False).sent
+        assert not any(np.array_equal(s, sent[0]) for s in sent[1:])
 
     def test_nan_round_reports_nan(self, monkeypatch):
         nan_rounds(monkeypatch)
@@ -200,7 +215,7 @@ class TestSlopeEstimation:
 
     @pytest.mark.parametrize("k,m,n", [(4, 8, 8), (8, 8, 8)])
     def test_large_configs_reach_cutset(self, k, m, n):
-        # with unitary relay-side subspaces the plan's conditioning is the
+        # with identity relay-side subspaces the plan's conditioning is the
         # channel's, and the finite-grid slope meets the cut-set within 3%
         # even where the affine power offset is largest
         slope, _ = estimate_dof_slope(NetworkConfig(K=k, M=m, N=n, seed=42), GRID, 20)

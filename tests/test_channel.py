@@ -121,8 +121,14 @@ class TestSerialization:
             (lambda doc: {**doc, "L": [1]}, "L must be an integer"),
             (lambda doc: {**doc, "uplink": 3.0}, "[re, im] pairs"),
             (lambda doc: {**doc, "uplink": [[[[1.0, 0.0, 2.0]]]] * 3}, "[re, im] pairs"),
+            (lambda doc: {k: v for k, v in doc.items() if k != "N"}, "'N'"),
+            (lambda doc: {**doc, "K": 9, "M": 2}, "header K=9, M=2, N=1 disagrees"),
+            (lambda doc: {**doc, "N": "1"}, "N='1'"),
         ],
-        ids=["not-an-object", "no-downlink", "list-L", "bare-number-link", "triple-entry"],
+        ids=[
+            "not-an-object", "no-downlink", "list-L", "bare-number-link", "triple-entry",
+            "no-N", "wrong-K-and-M", "string-N",
+        ],
     )
     def test_malformed_document_rejected(self, damage, message):
         # a channel file is outside input: every defect is a ValueError

@@ -139,6 +139,23 @@ class TestVerifyCommand:
         assert code == EXIT_BAD_ARGS
         assert "L = 1" in err
 
+    def test_channel_file_header_must_match_its_matrices(self, tmp_path, capsys):
+        # a 4/4/3 dump whose header claims K=9, M=1 is bad input, even
+        # though its matrices match the flags
+        dump = tmp_path / "channels.json"
+        args = ["verify", "--k", "4", "--m", "4", "--n", "3", "--trials", "2"]
+        code, _, _ = run(capsys, *args, "--seed", "5", "--dump-channels", str(dump))
+        assert code == EXIT_OK
+        code, _, _ = run(capsys, *args, "--load-channels", str(dump))
+        assert code == EXIT_OK
+        doc = json.loads(dump.read_text())
+        doc.update(K=9, M=1)
+        dump.write_text(json.dumps(doc))
+        code, out, err = run(capsys, *args, "--load-channels", str(dump))
+        assert code == EXIT_BAD_ARGS and out == ""
+        assert "header K=9, M=1, N=3 disagrees with its matrices K=4, M=4, N=3" in err
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize(
         "damage,message",
         [

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mrc_dof_lab import analysis, linalg, ssa_nc
+from mrc_dof_lab import analysis, ssa_nc
 from mrc_dof_lab.analysis import stream_sinrs, verify_noiseless
 from mrc_dof_lab.bounds import check_percut_bounds, cutset_dof, total_dof
 from mrc_dof_lab.channel import ChannelSet, NetworkConfig, generate_channels
@@ -37,7 +37,7 @@ def designed(k, m, n, seed=0, trial=0, **config):
     cfg = NetworkConfig(K=k, M=m, N=n, seed=seed, **config)
     rng = cfg.trial_rng(trial)
     cs = generate_channels(cfg, rng)
-    eff, plan = design_scheme(cfg, cs, rng)
+    eff, plan = design_scheme(cfg, cs)
     return cfg, eff, plan, rng
 
 
@@ -84,7 +84,7 @@ class TestDesignUplink:
         rng = cfg.rng()
         cs = generate_channels(cfg, rng)
         eff, d = prepare_scheme(cfg, cs)
-        V1, Vj, _, _ = design_uplink(eff, d, rng)
+        V1, Vj, _ = design_uplink(eff, d)
         for p in range(2):
             dist = subspace_distance(eff.uplink[0] @ V1[p], eff.uplink[p + 1] @ Vj[p])
             assert dist <= 1e-10
@@ -93,7 +93,7 @@ class TestDesignUplink:
         cfg = NetworkConfig(K=3, M=3, N=2, seed=3)
         rng = cfg.rng()
         eff, d = prepare_scheme(cfg, generate_channels(cfg, rng))
-        V1, _, _, _ = design_uplink(eff, d, rng)
+        V1, _, _ = design_uplink(eff, d)
         cat = np.hstack([eff.uplink[0] @ v for v in V1])
         assert cat.shape == (2, 2)
         assert np.linalg.matrix_rank(cat) == 2
@@ -102,7 +102,7 @@ class TestDesignUplink:
         cfg = NetworkConfig(K=3, M=4, N=2, seed=4)
         rng = cfg.rng()
         eff, d = prepare_scheme(cfg, generate_channels(cfg, rng))
-        V1, _, _, _ = design_uplink(eff, d, rng)
+        V1, _, _ = design_uplink(eff, d)
         c = np.array([[1.7 - 0.3j]])
         assert subspace_distance(eff.uplink[0] @ V1[0], eff.uplink[0] @ (V1[0] @ c)) <= 1e-12
 
@@ -129,47 +129,42 @@ def _zero_forcing_oracle(images, p):
 
 
 class TestDesignRelayZf:
-    """Relay zero-forcing: the relay filters that design_uplink returns."""
+    """Relay zero-forcing: the plan's relay filters, rows of the identity."""
 
     def test_zero_forcing_and_mixing(self):
         # relay_filter[p] @ H_0 V1[i] = delta_pi I_d: zero-force, then unmix
-        cfg = NetworkConfig(K=4, M=5, N=3, seed=5)
-        rng = cfg.rng()
-        eff, d = prepare_scheme(cfg, generate_channels(cfg, rng))
-        V1, _, relay_filter, _ = design_uplink(eff, d, rng)
+        cfg, eff, plan, _ = designed(4, 5, 3, seed=5)
+        d = plan.d
         for p in range(3):
-            assert relay_filter[p].shape == (d, 3)
+            assert plan.relay_filter[p].shape == (d, 3)
             for i in range(3):
                 target = np.eye(d) if i == p else np.zeros((d, d))
-                got = relay_filter[p] @ eff.uplink[0] @ V1[i]
+                got = plan.relay_filter[p] @ eff.uplink[0] @ plan.V1[i]
                 assert np.linalg.norm(got - target) <= 1e-9
 
     def test_k3_unit_vector_structure(self):
         # with two pairs in a 2-dim relay space, relay_filter[0] is one row;
         # scaled to unit norm it is orthogonal to the other pair's direction
-        cfg = NetworkConfig(K=3, M=3, N=2, seed=6)
-        rng = cfg.rng()
-        eff, d = prepare_scheme(cfg, generate_channels(cfg, rng))
-        V1, _, relay_filter, _ = design_uplink(eff, d, rng)
-        row = relay_filter[0] / np.linalg.norm(relay_filter[0])
-        other = eff.uplink[0] @ V1[1]
+        cfg, eff, plan, _ = designed(3, 3, 2, seed=6)
+        row = plan.relay_filter[0] / np.linalg.norm(plan.relay_filter[0])
+        other = eff.uplink[0] @ plan.V1[1]
         assert row.shape == (1, 2)
         assert abs(row @ other) <= 1e-12 * np.linalg.norm(other)
 
     def test_independent_of_other_users_channels(self):
-        # the relay filter is built from user 1's uplink and beamformers only
+        # user 1's beamformers and the relay filters never read user 2's uplink
         cfg = NetworkConfig(K=3, M=3, N=2, seed=7)
-        eff, d = prepare_scheme(cfg, generate_channels(cfg, cfg.rng()))
+        eff, _ = prepare_scheme(cfg, generate_channels(cfg, cfg.rng()))
         perturbed_up = list(eff.uplink)
         h2 = perturbed_up[1].copy()
         h2[0, 0] += 0.37
         perturbed_up[1] = h2
         eff2 = ChannelSet(uplink=tuple(perturbed_up), downlink=eff.downlink)
-        _, Vj, relay_filter, _ = design_uplink(eff, d, np.random.default_rng(70))
-        _, Vj2, relay_filter2, _ = design_uplink(eff2, d, np.random.default_rng(70))
-        assert not np.allclose(Vj[0], Vj2[0])
-        for p in range(2):
-            assert np.array_equal(relay_filter[p], relay_filter2[p])
+        _, plan = design_scheme(cfg, eff)
+        _, plan2 = design_scheme(cfg, eff2)
+        assert not np.allclose(plan.Vj[0], plan2.Vj[0])
+        assert np.array_equal(plan.V1, plan2.V1)
+        assert np.array_equal(plan.relay_filter, plan2.relay_filter)
 
 
 class TestFilterOracle:
@@ -198,9 +193,9 @@ class TestFilterOracle:
 
     @pytest.mark.parametrize("k,m,n", [(3, 5, 4), (3, 4, 6), (4, 4, 4)])
     def test_guard_equals_inverse_conds_and_bounds_every_block(self, k, m, n):
-        # U = H_0 V1cat and Tcat are unitary, so the relay inverse is U^H and
-        # the guard is the base blocks' own conditioning: uplink_cond[u]
-        # bounds user u's beamformer blocks, downlink_cond[u] equals
+        # H_0 V1cat = I and Tcat = I, so the relay inverse is I and the
+        # guard is the base blocks' own conditioning: uplink_cond[u] bounds
+        # user u's beamformer blocks, downlink_cond[u] equals
         # cond(pinv(D_u Tcat)) and bounds every user filter block; the
         # channels are not reciprocal, so the two guards differ
         cfg, eff, plan, _ = designed(k, m, n, seed=25, reciprocal=False)
@@ -230,8 +225,8 @@ class TestFilterOracle:
 
 
 class TestUserFilterOracle:
-    """The factored user inverse inv(Tcat) kron(I_L, pinv(d_u)) against a
-    direct pseudoinverse of the full downlink image D_u Tcat."""
+    """The sliced user inverse kron(I_L, pinv(d_u)) against a direct
+    pseudoinverse of the full downlink image D_u Tcat, Tcat = I."""
 
     @pytest.mark.parametrize(
         "k,m,n",
@@ -251,32 +246,76 @@ class TestUserFilterOracle:
             assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
 
 
-def _stub_design_draws(monkeypatch, degenerate):
-    """Make matrix i of a trial's Gaussian draws in the scheme (counted
-    from 0 per trial generator, trials numbered in the order their
-    generators first draw) a matrix of ones whenever degenerate(trial, i)
-    holds. Counts are per generator because a stacked design interleaves
-    the trials' draws. The real draws are still taken, so every generator
-    advances as it would."""
-    trials = {}
-    taken = {}
+class TestIdentitySubspaces:
+    """With U = Tcat = I the plan is slices of the channel set's stored
+    pseudoinverses, and the relay is a per-stream rescale: every identity
+    below holds bit for bit."""
 
-    def draw(count, shape, rngs):
-        out = np.array(linalg.random_gaussian_stack(count, shape, rngs))
-        for row, g in zip(out, rngs):
-            trial = trials.setdefault(g, len(trials))
-            for j in range(count):
-                if degenerate(trial, taken.get(g, 0) + j):
-                    row[j] = 1.0
-            taken[g] = taken.get(g, 0) + count
-        return out
+    CASES = [
+        (4, 4, 3),  # plain, d = 1
+        (8, 8, 8),  # 7-slot extension, 56 x 56 matrices
+        (3, 4, 6),  # relay antennas shut down to 4
+    ]
 
-    monkeypatch.setattr(ssa_nc, "random_gaussian_stack", draw)
+    @pytest.mark.parametrize("k,m,n", CASES)
+    @pytest.mark.parametrize("trials", [None, 2], ids=["single", "stacked"])
+    def test_plan_is_pinv_blocks_and_identity_blocks(self, k, m, n, trials):
+        cfg = NetworkConfig(K=k, M=m, N=n, seed=7, reciprocal=False)
+        rng = cfg.trial_rng(0) if trials is None else [cfg.trial_rng(t) for t in range(trials)]
+        eff, plan = design_scheme(cfg, generate_channels(cfg, rng))
+        d, n_eff = plan.d, plan.effective_N
+        eye = np.eye(n_eff)
+        for i in [()] if trials is None else [(t,) for t in range(trials)]:
+            up = extended(plan, eff.uplink_pinv[i])
+            down = extended(plan, eff.downlink_pinv[i])
+            for p in range(k - 1):
+                cols = slice(p * d, (p + 1) * d)
+                assert np.array_equal(plan.V1[i][p], up[0][:, cols])
+                assert np.array_equal(plan.Vj[i][p], up[p + 1][:, cols])
+                assert np.array_equal(plan.T[i][p], eye[:, cols])
+                assert np.array_equal(plan.relay_filter[i][p], eye[cols])
+                for u in range(k):
+                    assert np.array_equal(plan.rx_filter[i][u, p], down[u][cols])
+
+    @pytest.mark.parametrize("k,m,n", CASES)
+    def test_relay_and_broadcast_equal_identity_products(self, k, m, n):
+        cfg = NetworkConfig(K=k, M=m, N=n, seed=8)
+        rngs = [cfg.trial_rng(t) for t in range(2)]
+        eff, plan = design_scheme(cfg, generate_channels(cfg, rngs))
+        P = 3.0
+        s = random_gaussian_vector(2 * k * plan.d, rngs[0]).reshape(2, k, plan.d)
+        y_r = mac_phase(plan, eff, s, P, rngs, noise_on=True)
+        a = plan.power_scale[:, None, None] * np.sqrt(P)
+        want = (plan.relay_filter @ y_r[:, None, :, None])[..., 0] / a
+        w = relay_process(plan, y_r, P)
+        assert np.array_equal(w, want)
+        b = plan.bc_scale[:, None] * np.sqrt(P)
+        x_r = b * np.sum(plan.T @ w[..., None], axis=-3)[..., 0]
+        want = ssa_nc._kron_apply(eff.downlink, x_r[:, None, :], plan.extension_factor)
+        assert np.array_equal(bc_phase(plan, eff, w, P), want)
+
+    def test_each_slot_is_one_pair_at_full_extension(self):
+        # L = K-1 and d = min(N, M): pair p's streams are exactly slot p, so
+        # its beamformers and filters are zero outside it and hold the
+        # physical pseudoinverse inside it
+        cfg, eff, plan, _ = designed(4, 4, 4, seed=9)
+        assert (plan.extension_factor, plan.d) == (3, 4)
+        m = eff.user_dim
+        for p in range(3):
+            slot = slice(p * m, (p + 1) * m)
+            rest = np.ones(plan.effective_M, dtype=bool)
+            rest[slot] = False
+            assert np.array_equal(plan.V1[p][slot], eff.uplink_pinv[0])
+            assert np.array_equal(plan.Vj[p][slot], eff.uplink_pinv[p + 1])
+            assert not plan.V1[p][rest].any() and not plan.Vj[p][rest].any()
+            for u in range(4):
+                assert np.array_equal(plan.rx_filter[u, p][:, slot], eff.downlink_pinv[u])
+                assert not plan.rx_filter[u, p][:, rest].any()
 
 
 def _stacked_plan(cfg, trials):
     rngs = [cfg.trial_rng(t) for t in trials]
-    return design_scheme(cfg, generate_channels(cfg, rngs), rngs)[1]
+    return design_scheme(cfg, generate_channels(cfg, rngs))[1]
 
 
 # K=3, M=3, N=2 at seed 7: the guards of trials 0-7 are 2.05, 1.93, 3.29,
@@ -285,35 +324,16 @@ GUARD_CFG = dict(K=3, M=3, N=2, seed=7)
 
 
 class TestDesignFailurePaths:
-    """Fault injection at K=3, M=3, N=2, d=1: a design draws U (draw 0)
-    and then Tcat (draw 1), each one 2 x 2 Gaussian matrix."""
+    """Failure paths at K=3, M=3, N=2, d=1: the design draws nothing, so
+    only the channel's conditioning and an unprepared set can fail it."""
 
     CFG = GUARD_CFG
-
-    def test_degenerate_draws_still_give_unitary_subspaces(self, monkeypatch):
-        # all-ones draws have rank one, but their Householder Q is unitary,
-        # so the scheme needs no rank check, resample or failure path
-        cfg = NetworkConfig(**self.CFG)
-        _stub_design_draws(monkeypatch, lambda trial, i: i < 2)
-        plan = _stacked_plan(cfg, range(2))
-        eye = np.eye(2)
-        for t in range(2):
-            U = np.vstack(plan.relay_filter[t]).conj().T
-            t_cat = np.hstack(plan.T[t])
-            for q in (U, t_cat):
-                assert np.allclose(np.abs(q[:, 0]), np.sqrt(0.5), rtol=0, atol=1e-15)
-                assert np.linalg.norm(q.conj().T @ q - eye) <= 1e-12
-                assert np.linalg.norm(q @ q.conj().T - eye) <= 1e-12
-        _stub_design_draws(monkeypatch, lambda trial, i: i < 2)
-        report = verify_noiseless(cfg, trials=2)
-        assert report.noiseless_max_error <= 1e-8
-        assert report.achieved_streams == report.cutset
 
     def test_downlink_on_unprepared_shutdown_set_raises(self):
         cfg = NetworkConfig(K=3, M=2, N=4, seed=7)
         cs = generate_channels(cfg, cfg.rng())
         with pytest.raises(SchemeDesignError, match="user dimension 2 >= relay dimension 4"):
-            design_downlink(cs, cfg.rng())
+            design_downlink(cs)
 
     def test_conditioning_guardrail_raises_without_redraw(self, monkeypatch, caplog):
         # every condition number is at least 1, so the first trial fails at
@@ -372,7 +392,7 @@ def _single_runs(cfg, trials):
     runs = []
     for trial in trials:
         rng = cfg.trial_rng(trial)
-        eff, plan = design_scheme(cfg, generate_channels(cfg, rng), rng)
+        eff, plan = design_scheme(cfg, generate_channels(cfg, rng))
         trace = run_round(plan, eff, 10.0, rng, noise_on=True)
         runs.append((plan, trace, stream_sinrs(plan, 3.0)))
     return runs
@@ -381,7 +401,7 @@ def _single_runs(cfg, trials):
 def _stacked_run(cfg, trials):
     """(plan, noisy trace, SINRs) of the trials designed and run as one stack."""
     rngs = [cfg.trial_rng(trial) for trial in trials]
-    eff, plan = design_scheme(cfg, generate_channels(cfg, rngs), rngs)
+    eff, plan = design_scheme(cfg, generate_channels(cfg, rngs))
     trace = run_round(plan, eff, 10.0, rngs, noise_on=True)
     return plan, trace, stream_sinrs(plan, 3.0)
 
@@ -435,20 +455,19 @@ class TestTrialStacks:
     def test_generator_count_must_match_stack(self):
         cfg = NetworkConfig(K=3, M=3, N=2, seed=7)
         rngs = [cfg.trial_rng(trial) for trial in range(3)]
-        channels = generate_channels(cfg, rngs)
-        with pytest.raises(ValueError, match="one generator per trial"):
-            design_scheme(cfg, channels, rngs[:2])
-        with pytest.raises(ValueError, match="one generator per trial"):
-            design_scheme(cfg, channels, rngs[0])
+        eff, plan = design_scheme(cfg, generate_channels(cfg, rngs))
+        for wrong in (rngs[:2], rngs[0]):
+            with pytest.raises(ValueError, match="one generator per trial"):
+                run_round(plan, eff, 1.0, wrong, noise_on=False)
 
 
 class TestLapackBudget:
     """Channel validation is the only place a channel matrix is decomposed:
     one SVD of the uplink and one of the downlink stack, whose
-    pseudoinverses and condition numbers the design reads. One stacked
-    design therefore takes no SVD and two QRs (U and Tcat), whatever the
-    extension factor; the channels are validated again, with two more
-    SVDs, only after a relay shutdown, which can lose rank."""
+    pseudoinverses and condition numbers the design slices. One stacked
+    design therefore takes no SVD and no QR, whatever the extension
+    factor; the channels are validated again, with two more SVDs, only
+    after a relay shutdown, which can lose rank."""
 
     CASES = [
         (4, 4, 3, 0),  # plain
@@ -480,9 +499,9 @@ class TestLapackBudget:
         rngs = [cfg.trial_rng(t) for t in range(2)]
         channels = generate_channels(cfg, rngs)
         calls = self.count_calls(monkeypatch)
-        _, plan = design_scheme(cfg, channels, rngs)
+        _, plan = design_scheme(cfg, channels)
         assert plan.stack_shape == (2,)
-        assert calls == {"svd": 2 * validations, "qr": 2, "validate": validations}
+        assert calls == {"svd": 2 * validations, "qr": 0, "validate": validations}
 
     @pytest.mark.parametrize("k,m,n,validations", CASES)
     def test_calls_per_trial_path(self, monkeypatch, k, m, n, validations):
@@ -492,9 +511,19 @@ class TestLapackBudget:
         cfg = NetworkConfig(K=k, M=m, N=n, seed=7)
         rngs = [cfg.trial_rng(t) for t in range(2)]
         calls = self.count_calls(monkeypatch)
-        eff, plan = design_scheme(cfg, generate_channels(cfg, rngs), rngs)
+        eff, plan = design_scheme(cfg, generate_channels(cfg, rngs))
         run_round(plan, eff, 10.0, rngs, noise_on=True)
-        assert calls == {"svd": 2 + 2 * validations, "qr": 2, "validate": 1 + validations}
+        assert calls == {"svd": 2 + 2 * validations, "qr": 0, "validate": 1 + validations}
+
+    @pytest.mark.parametrize("k,m,n,validations", CASES)
+    def test_design_draws_nothing(self, k, m, n, validations):
+        cfg = NetworkConfig(K=k, M=m, N=n, seed=7)
+        rngs = [cfg.trial_rng(t) for t in range(2)]
+        channels = generate_channels(cfg, rngs)
+        before = [g.bit_generator.state for g in rngs]
+        design_scheme(cfg, channels)
+        design_scheme(cfg, channels.select([1]))
+        assert [g.bit_generator.state for g in rngs] == before
 
 
 @settings(derandomize=True, deadline=None, max_examples=25, database=None)
@@ -696,7 +725,7 @@ class TestImplicitExtension:
     def test_round_equals_explicit_kron_products(self, k, m, n, L, trials):
         cfg = NetworkConfig(K=k, M=m, N=n, seed=31)
         rng = cfg.trial_rng(0) if trials is None else [cfg.trial_rng(t) for t in range(trials)]
-        eff, plan = design_scheme(cfg, generate_channels(cfg, rng), rng)
+        eff, plan = design_scheme(cfg, generate_channels(cfg, rng))
         assert plan.extension_factor == L
         P = 4.0
         trace = run_round(plan, eff, P, rng, noise_on=False)
@@ -777,12 +806,12 @@ class TestAllocationAndPlan:
         assert trace.decoded.shape == (k, k - 1, d)
 
     def test_plan_arrays_read_only(self):
+        # T and relay_filter are derived identity blocks, not stored
         cfg, eff, plan, _ = designed(4, 4, 4, seed=24)
         arrays = {f.name: getattr(plan, f.name) for f in dataclasses.fields(plan)}
         arrays = {name: a for name, a in arrays.items() if isinstance(a, np.ndarray)}
-        assert set(arrays) == {
-            "V1", "Vj", "T", "relay_filter", "rx_filter", "uplink_cond", "downlink_cond"
-        }
+        assert set(arrays) == {"V1", "Vj", "rx_filter", "uplink_cond", "downlink_cond"}
+        arrays.update(T=plan.T, relay_filter=plan.relay_filter)
         for name, a in arrays.items():
             with pytest.raises(ValueError, match="read-only"):
                 a[(0,) * a.ndim] = 0
