@@ -11,11 +11,13 @@ independent and reproducible in any execution order.
 The trials of one configuration are designed and run as stacks along a
 leading trial axis: one ``ssa_nc.design_scheme`` and one
 ``ssa_nc.run_round`` call per stack serve all its trials, whatever the
-length of the power grid. A stack holds up to STACK_ELEMENTS user
-filter entries, so large extended configurations run one trial per
-stack. Each trial's generator sees the same draws in the same order as
-when the trial runs alone, so every result is independent of the stack
-size.
+length of the power grid. Plans are stored at physical size, and a
+stack holds up to STACK_ELEMENTS entries of each of its plan's stored
+pseudoinverses, so K = 8, M = N = 8 (56 x 56 after extension) runs 64
+trials per stack. Each trial's generator sees the same draws in the
+same order as when the trial runs alone, so every result is independent
+of the stack size. A fixed channel set is designed once, and every stack
+reads that one plan through read-only broadcast views.
 """
 
 from __future__ import annotations
@@ -30,10 +32,10 @@ from . import bounds, ssa_nc
 from .channel import ChannelSet, NetworkConfig, generate_channels
 from .ssa_nc import SchemeDesignError, SchemePlan
 
-# Trials per stack are capped so that a stack's user filters (rx_filter,
-# K * relay_dim * user_dim complex entries per trial) stay within this many
-# entries, 512 KiB: small configurations fit every trial in one stack,
-# while large extended ones keep their peak memory at one trial.
+# Trials per stack are capped so that each of a stack's stored physical
+# pseudoinverses (K * min(N, M) * M complex entries per trial) stays within
+# this many entries, 512 KiB: every benchmarked configuration fits a whole
+# pass in one stack, K = 8, M = N = 8 included (64 trials per stack).
 STACK_ELEMENTS = 2**15
 
 REPORT_COLUMNS = (
@@ -127,8 +129,18 @@ def _private_only_or_none(K: int, M: int, N: int) -> Fraction | None:
 
 def _stack_size(config: NetworkConfig) -> int:
     """Trials per stack under the STACK_ELEMENTS budget."""
-    base, L, _ = ssa_nc.extension_plan(config.K, config.M, config.N)
-    return max(1, STACK_ELEMENTS // (config.K * base * L * config.M * L))
+    base = min(config.N, config.M)
+    return max(1, STACK_ELEMENTS // (config.K * base * config.M))
+
+
+def _designed(config: NetworkConfig, channels: ChannelSet, start: int):
+    """design_scheme on a stack whose first trial has global index start;
+    a design error names its trial by that index and the seed."""
+    try:
+        return ssa_nc.design_scheme(config, channels)
+    except SchemeDesignError as exc:
+        trial = start + exc.trial
+        raise SchemeDesignError(f"trial {trial} (seed {config.seed}): {exc}", trial) from exc
 
 
 def _trial_stacks(config: NetworkConfig, trials: int, channels: ChannelSet | None = None):
@@ -137,20 +149,18 @@ def _trial_stacks(config: NetworkConfig, trials: int, channels: ChannelSet | Non
 
     The design draws nothing, so each trial generator is left where its
     channel draw stopped (untouched for a given set), and the trial's
-    symbol and noise draws follow from it.
+    symbol and noise draws follow from it. A given set (one trial) is
+    designed once, and every stack repeats its effective channels and plan
+    as read-only broadcast views.
     """
     size = _stack_size(config)
+    fixed = None if channels is None else _designed(config, channels, 0)
     for start in range(0, trials, size):
         rngs = [config.trial_rng(t) for t in range(start, min(start + size, trials))]
-        if channels is None:
-            base = generate_channels(config, rngs)
+        if fixed is None:
+            eff, plan = _designed(config, generate_channels(config, rngs), start)
         else:
-            base = channels.stacked().select([0] * len(rngs))
-        try:
-            eff, plan = ssa_nc.design_scheme(config, base)
-        except SchemeDesignError as exc:
-            trial = start + exc.trial
-            raise SchemeDesignError(f"trial {trial} (seed {config.seed}): {exc}", trial) from exc
+            eff, plan = (part.repeated(len(rngs)) for part in fixed)
         yield rngs, eff, plan
 
 
@@ -207,8 +217,9 @@ def verify_noiseless(
     """Run the full chain noise-free over fresh channel draws and record the
     worst relative decode error across all trials, users, and messages.
 
-    Passing a fixed ChannelSet reuses it for every trial: every trial
-    then has the same plan, and only the symbol draws vary per trial.
+    Passing a fixed ChannelSet (one trial) reuses it for every trial: it
+    is designed once, every trial shares that plan, and only the symbol
+    draws vary per trial.
     """
     if trials < 1:
         raise ValueError("trials must be positive")
@@ -254,15 +265,22 @@ def stream_sinrs(plan: SchemePlan, P: float) -> StreamSinrs:
 
     The forwarded sum carries two unit-power symbol vectors (power 2 per
     entry). Unit-variance noise passes through each receive filter, so a
-    stream's noise power is the squared norm of its filter row. Both SINRs
-    are exactly linear in P because the plan's amplitudes are per sqrt(P).
+    stream's noise power is the squared norm of its filter row. The relay
+    filters are identity rows, so the MAC SINR is 2 a^2 P for every
+    stream. User u's filter row for stream t of pair p is row
+    (p d + t) mod n of pinv(d_u), n the relay dimension, placed in one
+    slot. Both SINRs are
+    exactly linear in P because the plan's amplitudes are per sqrt(P).
     """
     if P <= 0:
         raise ValueError("P must be positive")
+    K, L, d = plan.num_users, plan.extension_factor, plan.d
     a2 = np.asarray(plan.power_scale) ** 2 * P
     b2 = np.asarray(plan.bc_scale) ** 2 * P
-    mac = 2.0 * a2[..., np.newaxis, np.newaxis] / _row_power(plan.relay_filter)
-    bc = 2.0 * b2[..., np.newaxis, np.newaxis, np.newaxis] / _row_power(plan.rx_filter)
+    lead = plan.stack_shape
+    mac = np.broadcast_to(2.0 * a2[..., np.newaxis, np.newaxis], lead + (K - 1, d))
+    noise = np.tile(_row_power(plan.downlink_pinv), L).reshape(lead + (K, K - 1, d))
+    bc = 2.0 * b2[..., np.newaxis, np.newaxis, np.newaxis] / noise
     end_to_end = np.minimum(bc, mac[..., np.newaxis, :, :])
     assert np.all(end_to_end <= mac[..., np.newaxis, :, :] + 1e-12)
     assert np.all(end_to_end <= bc + 1e-12)

@@ -143,18 +143,25 @@ class ChannelSet:
 
     def stacked(self) -> ChannelSet:
         """The set as a stack: itself if stacked, else a stack of one."""
-        return self if self.stack_shape else self._view(np.newaxis)
+        return self if self.stack_shape else self._view(lambda a: a[np.newaxis])
 
     def select(self, trials) -> ChannelSet:
         """The given trials of a stack, as a stack."""
-        return self._view(trials)
+        return self._view(lambda a: a[trials])
 
-    def _view(self, index) -> ChannelSet:
-        """The set indexed along its leading axis, every field alike.
-        Trials of a validated set are valid, and their decomposition is
-        theirs: skip validation."""
+    def repeated(self, count: int) -> ChannelSet:
+        """One trial's set as a stack of ``count`` identical trials: every
+        field a read-only broadcast view of this set's, nothing copied."""
+        if self.stack_shape:
+            raise ValueError("only one trial's set can be repeated")
+        return self._view(lambda a: np.broadcast_to(a, (count,) + a.shape))
+
+    def _view(self, transform) -> ChannelSet:
+        """The set with every field transformed alike along its leading
+        axis. Trials of a validated set are valid, and their decomposition
+        is theirs: skip validation."""
         view = object.__new__(ChannelSet)
-        view._store(**{f.name: getattr(self, f.name)[index] for f in fields(self)})
+        view._store(**{f.name: transform(getattr(self, f.name)) for f in fields(self)})
         return view
 
 

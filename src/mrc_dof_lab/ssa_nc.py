@@ -21,20 +21,23 @@ When the relay has more antennas than a user (N > M) the surplus relay
 antennas are shut down; when the relay dimension is not divisible by K-1,
 the scheme runs over a (K-1)-slot symbol extension so the streams split
 evenly. The extension belongs to the scheme, not to the channel:
-``extension_plan`` alone decides L, channel sets hold only the physical
-matrices H, and the scheme applies the block channel kron(I_L, H)
-implicitly. The designed matrices are built in the extended block, and
-pinv(kron(I_L, H)) = kron(I_L, pinv(H)), so only the physical matrices
-are ever pseudo-inverted; the MAC and BC phases split each transmit
-vector into L slots and multiply every slot by H in one batched matmul.
-With an extension, L = K-1 and d = min(N, M), so pair p's streams are
+``extension_plan`` alone decides L, and the block channel kron(I_L, H) is
+never formed. Since pinv(kron(I_L, H)) = kron(I_L, pinv(H)), the
+extension is a slot schedule: relay stream block p (d streams) sits in
+slot p // c at block p % c of the n physical relay streams, c = n / d
+blocks per slot. Without an extension c = K-1 and every pair shares the
+one slot; with one, L = K-1 and d = min(N, M), so pair p's streams are
 exactly slot p: each slot is one two-way relay exchange between user 0
 and user p+1, with user 0 repeating its common message in all K-1 slots.
+Every phase applies the physical matrices slot by slot.
 
-The channel set already holds the physical pseudoinverses and their
-condition numbers, from the SVDs that validated it, so the design is
-slicing only: it draws nothing and makes no LAPACK call, and a plan's
-conditioning is that of the channel alone. Plans are power agnostic:
+A plan is stored at physical size: the channel set's own pseudoinverses
+and condition numbers, from the SVDs that validated it, shared and not
+copied, plus d, L and the two power scales. The design is bookkeeping
+only: it draws nothing and makes no LAPACK call, and a plan's
+conditioning is that of the channel alone. The extended filters V1, Vj,
+T, relay_filter and rx_filter are derived on demand for readers and
+dumps; no round or analysis step builds them. Plans are power agnostic:
 they store amplitudes per sqrt(P), so a single plan serves an entire
 power sweep.
 
@@ -51,14 +54,14 @@ single trial runs as a stack of one.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import numpy as np
 
 from .bounds import DofAllocation, common_only_allocation
 from .channel import ChannelSet, NetworkConfig, matrix_to_lists, shutdown_relay_antennas
-from .linalg import random_gaussian_stack
+from .linalg import _freeze, random_gaussian_stack
 
 # A trial whose uplink or downlink matrix has a condition number above
 # this is a design error. The relay-side subspaces are the identity, so
@@ -80,52 +83,81 @@ class SchemeDesignError(RuntimeError):
 
 @dataclass(frozen=True, eq=False)
 class SchemePlan:
-    """Every designed matrix of one scheme instance, as read-only stacks.
+    """One scheme instance at physical size, as read-only stacks.
 
-    Pair p (0-based) joins user 0 with user p+1 on relay streams
-    [p d, (p+1) d). Per pair: V1[p] and Vj[p] are the two transmit
-    beamformers, the p-th d-column blocks of pinv(H_0) and pinv(H_{p+1}),
-    so H_0 V1[p] = H_{p+1} Vj[p] = E[p], the p-th d-column block of the
-    identity. Per user u and pair p, rx_filter[u, p] is the p-th d-row
-    block of pinv(D_u). The broadcast precoder T[p] = E[p] and the relay
-    filter relay_filter[p] = E[p]^T are derived, not stored: read-only
-    broadcast views of identity blocks, kept for readers of the filters.
+    Stored, with K users, n = relay_dim and m = user_dim of the effective
+    channel set (after any shutdown, never extended):
+
+    - uplink_pinv: (K, m, n), pinv(h_u) of every user's physical uplink
+    - downlink_pinv: (K, n, m), pinv(d_u) of every physical downlink
+    - uplink_cond, downlink_cond: (K,), cond(h_u) and cond(d_u)
+    - d, extension_factor L, power_scale and bc_scale
+
+    The four arrays are the channel set's own read-only fields, shared and
+    not copied. uplink_cond and downlink_cond are the plan's whole
+    conditioning: cond(pinv(D_u)) = downlink_cond[u], and each beamformer
+    block has a condition number of at most uplink_cond[u].
+
+    Derived on demand, read-only, in the extended block of
+    effective_N = L n relay and effective_M = L m user dimensions, where
+    pinv(H_u) = kron(I_L, pinv(h_u)) and pair p (0-based) joins user 0
+    with user p+1 on relay streams [p d, (p+1) d):
+
+    - V1, Vj: (K-1, effective_M, d), the p-th d-column blocks of pinv(H_0)
+      and pinv(H_{p+1}), so H_0 V1[p] = H_{p+1} Vj[p] = E[p], the p-th
+      d-column block of the identity
+    - T: (K-1, effective_N, d), the broadcast precoders T[p] = E[p]
+    - relay_filter: (K-1, d, effective_N), relay_filter[p] = E[p]^T
+    - rx_filter: (K, K-1, d, effective_M), rx_filter[u, p] the p-th d-row
+      block of pinv(D_u)
+
     Every filter maps its own pair's image to I_d and the other pairs'
-    images to zero. Shapes, with K users and the extended dimensions
-    relay_dim = effective_N and user_dim = effective_M, L times those of
-    the channel set:
-
-    - V1, Vj: (K-1, user_dim, d)
-    - T: (K-1, relay_dim, d)
-    - relay_filter: (K-1, d, relay_dim)
-    - rx_filter: (K, K-1, d, user_dim)
-    - uplink_cond, downlink_cond: (K,)
+    images to zero. The rounds, the SINRs and the analysis read only the
+    stored fields; the derived ones serve dumps and readers.
 
     A plan for a stack of S trials prefixes every array with the trial
     axis, and power_scale and bc_scale are (S,) arrays in place of scalars.
-
-    uplink_cond[u] and downlink_cond[u] are the condition numbers of user
-    u's physical uplink and downlink matrices h_u and d_u, read from the
-    channel set's decomposition. They are the plan's whole conditioning:
-    cond(pinv(D_u)) = downlink_cond[u], and each beamformer block has a
-    condition number of at most uplink_cond[u].
-
     power_scale and bc_scale are transmit amplitudes per sqrt(P) for the
     users and the relay; they fold in the extension factor so the power
     budget is met per original time slot.
     """
 
     d: int
-    effective_N: int
-    effective_M: int
     extension_factor: int
-    V1: np.ndarray
-    Vj: np.ndarray
-    rx_filter: np.ndarray
+    uplink_pinv: np.ndarray
+    downlink_pinv: np.ndarray
     uplink_cond: np.ndarray
     downlink_cond: np.ndarray
     power_scale: float | np.ndarray
     bc_scale: float | np.ndarray
+
+    @property
+    def effective_N(self) -> int:
+        """Relay dimension of the extended block, L n."""
+        return self.extension_factor * self.uplink_pinv.shape[-1]
+
+    @property
+    def effective_M(self) -> int:
+        """User dimension of the extended block, L m."""
+        return self.extension_factor * self.uplink_pinv.shape[-2]
+
+    @property
+    def V1(self) -> np.ndarray:
+        """User 0's extended beamformers, (..., K-1, effective_M, d)."""
+        return _freeze(self._extended_columns()[..., 0, :, :, :])
+
+    @property
+    def Vj(self) -> np.ndarray:
+        """Partner p+1's extended beamformer for pair p, (..., K-1, effective_M, d)."""
+        pairs = np.arange(self.num_pairs)
+        return _freeze(self._extended_columns()[..., pairs + 1, pairs, :, :])
+
+    @property
+    def rx_filter(self) -> np.ndarray:
+        """Extended user filters, (..., K, K-1, d, effective_M)."""
+        rows = _kron_eye(self.downlink_pinv, self.extension_factor)
+        shape = (self.num_users, self.num_pairs, self.d, self.effective_M)
+        return _freeze(rows.reshape(self.stack_shape + shape))
 
     @property
     def relay_filter(self) -> np.ndarray:
@@ -138,18 +170,38 @@ class SchemePlan:
         """Broadcast precoders, (..., K-1, relay_dim, d): T[p] = E[p]."""
         return self.relay_filter.swapaxes(-1, -2)
 
+    def _extended_columns(self) -> np.ndarray:
+        """kron(I_L, pinv(h_u)) split into its pairs' d-column blocks,
+        (..., K, K-1, effective_M, d)."""
+        cols = _kron_eye(self.uplink_pinv, self.extension_factor)
+        shape = (self.num_users, self.effective_M, self.num_pairs, self.d)
+        return cols.reshape(self.stack_shape + shape).swapaxes(-3, -2)
+
+    def repeated(self, count: int) -> SchemePlan:
+        """One trial's plan as a stack of ``count`` identical trials: every
+        array a read-only broadcast view of this plan's, nothing copied."""
+        if self.stack_shape:
+            raise ValueError("only one trial's plan can be repeated")
+        names = ("uplink_pinv", "downlink_pinv", "uplink_cond", "downlink_cond",
+                 "power_scale", "bc_scale")
+        views = {}
+        for name in names:
+            a = np.asarray(getattr(self, name))
+            views[name] = np.broadcast_to(a, (count,) + a.shape)
+        return replace(self, **views)
+
     @property
     def stack_shape(self) -> tuple[int, ...]:
         """() for one trial's plan, (S,) for a stack of S trials."""
-        return self.V1.shape[:-3]
+        return self.uplink_pinv.shape[:-3]
 
     @property
     def num_users(self) -> int:
-        return self.rx_filter.shape[-4]
+        return self.uplink_pinv.shape[-3]
 
     @property
     def num_pairs(self) -> int:
-        return self.V1.shape[-3]
+        return self.num_users - 1
 
     @property
     def streams_per_slot(self) -> int:
@@ -233,7 +285,8 @@ def _kron_eye(h: np.ndarray, L: int) -> np.ndarray:
     """kron(I_L, h) for a stack of h (..., r, c): h in every diagonal
     block, exact zeros elsewhere. Returns (..., L r, L c). Built by hand:
     np.kron's axis bookkeeping keeps ~140 KB of small allocations alive
-    per process (numpy 2.4), which showed in peak RSS."""
+    per process (numpy 2.4), which showed in peak RSS. Only the plan's
+    derived extended filters use it."""
     r, c = h.shape[-2:]
     out = np.zeros(h.shape[:-2] + (L, r, L, c), dtype=h.dtype)
     for slot in range(L):
@@ -246,20 +299,38 @@ def _draws(rngs, stack_shape: tuple[int, ...], count: int, *shape: int) -> np.nd
     return random_gaussian_stack(count, shape, rngs).reshape(stack_shape + (count, *shape))
 
 
-def design_uplink(channels: ChannelSet, d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Pre-invert every user's uplink onto its pairs' relay streams.
+def _slot_schedule(K: int, L: int) -> tuple[np.ndarray, np.ndarray]:
+    """Where each pair's d relay streams sit: pair p in slot p // c at
+    block p % c of the slot's c = (K-1) / L blocks. Returns (slot, block)."""
+    pairs = np.arange(K - 1)
+    return pairs // ((K - 1) // L), pairs % ((K - 1) // L)
+
+
+def _beamformers(uplink_pinv: np.ndarray, L: int, d: int) -> np.ndarray:
+    """Every user's physical beamformer, (..., K, m, d): what it sends in
+    one slot. Partner p+1 sends its pair's d-column block of pinv(h_{p+1})
+    in its pair's slot; user 0 sends every pair of a slot at once, in every
+    slot, so its beamformer is the sum of the blocks of pinv(h_0)."""
+    K, m, n = uplink_pinv.shape[-3:]
+    blocks = uplink_pinv.reshape(uplink_pinv.shape[:-1] + (n // d, d)).swapaxes(-3, -2)
+    _, block = _slot_schedule(K, L)
+    own = np.ascontiguousarray(blocks[..., 0, :, :, :]).sum(axis=-3, keepdims=True)
+    return np.concatenate([own, blocks[..., np.arange(1, K), block, :, :]], axis=-3)
+
+
+def design_uplink(channels: ChannelSet, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """Check the uplink dimensions and return what the uplink design is:
+    every user's physical pseudoinverse pinv(h_u), (K, M, N), and cond(h_u),
+    (K,), each with the channels' leading trial axis.
 
     Pair p owns relay streams [p d, (p+1) d) of the n_eff = L relay_dim =
     (K-1) d extended ones. Each uplink has full row rank after
-    preparation, so user 0 sends pair p through V1[p], the p-th d-column
-    block of pinv(H_0), and partner p+1 through Vj[p], the p-th d-column
-    block of pinv(H_{p+1}); then H_0 V1[p] = H_{p+1} Vj[p] is the p-th
-    d-column block of the identity. H_u is kron(I_L, h_u) of the stored
-    physical matrix h_u, with L from extension_plan, so
-    pinv(H_u) = kron(I_L, pinv(h_u)); all K physical pseudoinverses and
-    cond(h_u) are read from the channel set, which decomposed them when it
-    was validated. Returns V1 and Vj, both (K-1, L user_dim, d), and
-    cond(h_u), (K,), each with the channels' leading trial axis.
+    preparation, so user 0 sends pair p through the p-th d-column block of
+    pinv(H_0), and partner p+1 through that of pinv(H_{p+1}); then both
+    arrive on the p-th d-column block of the identity. H_u is
+    kron(I_L, h_u) of the stored physical matrix h_u, with L from
+    extension_plan, so pinv(H_u) = kron(I_L, pinv(h_u)), and the channel
+    set's own decomposition is the whole design.
     """
     K = channels.num_users
     n, m = channels.relay_dim, channels.user_dim
@@ -268,70 +339,55 @@ def design_uplink(channels: ChannelSet, d: int) -> tuple[np.ndarray, np.ndarray,
     _, L, _ = extension_plan(K, m, n)
     if (K - 1) * d != L * n:
         raise ValueError("stream count d must satisfy (K-1) d = extended relay dimension")
-    up = _kron_eye(channels.uplink_pinv, L)
-    # user u's d-column block for pair p: cols[..., u, p, :, :]
-    cols = up.reshape(channels.stack_shape + (K, L * m, K - 1, d)).swapaxes(-3, -2)
-    pairs = np.arange(K - 1)
-    V1, Vj = cols[..., 0 * pairs, pairs, :, :], cols[..., pairs + 1, pairs, :, :]
-    return V1, Vj, channels.uplink_cond
+    return channels.uplink_pinv, channels.uplink_cond
 
 
 def design_downlink(channels: ChannelSet) -> tuple[np.ndarray, np.ndarray]:
-    """Every user's receive filters, (K, K-1, d, L user_dim), and every
-    user's downlink conditioning cond(d_u), (K,), each with the channels'
-    leading trial axis.
+    """Check the downlink dimensions and return every user's physical
+    pseudoinverse pinv(d_u), (K, N, M), and cond(d_u), (K,), each with the
+    channels' leading trial axis.
 
     The relay broadcasts pair p's sum on its own streams [p d, (p+1) d),
     so user u's filter for pair p is the p-th d-row block of pinv(D_u).
     D_u has full column rank once the user dimension is at least the relay
-    dimension (preparation guarantees it), and D_u = kron(I_L, d_u) of the
-    stored physical matrix d_u, with L and d from extension_plan, so
-    pinv(D_u) = kron(I_L, pinv(d_u)). The K physical pseudoinverses and
-    cond(d_u), which is also cond(pinv(D_u)), are read from the channel
-    set's decomposition.
+    dimension (preparation guarantees it), and D_u = kron(I_L, d_u), so
+    pinv(D_u) = kron(I_L, pinv(d_u)) and cond(pinv(D_u)) = cond(d_u).
     """
-    K = channels.num_users
     n, m = channels.relay_dim, channels.user_dim
     if m < n:
         raise SchemeDesignError(
             f"singular downlink gain: zero-forcing needs user dimension {m} "
             f">= relay dimension {n}"
         )
-    _, L, d = extension_plan(K, m, n)
-    down = _kron_eye(channels.downlink_pinv, L)
-    return down.reshape(channels.stack_shape + (K, K - 1, d, L * m)), channels.downlink_cond
+    return channels.downlink_pinv, channels.downlink_cond
 
 
-def _assemble_plan(stack: ChannelSet, arrays: dict[str, np.ndarray], lead: tuple) -> SchemePlan:
-    """The plan of a designed stack, shaped for ``lead``: () keeps only
-    the single trial of a stack of one."""
-    _, L, d = extension_plan(stack.num_users, stack.user_dim, stack.relay_dim)
-    n_eff = L * stack.relay_dim
-    # Users share one amplitude so the relay recovers plain symbol sums; the
-    # largest per-user budget binds and transmits exactly P per slot.
-    V1 = arrays["V1"]
-    tx = np.concatenate([V1.sum(axis=-3, keepdims=True), arrays["Vj"]], axis=-3)
-    budgets = np.sum(tx.real**2 + tx.imag**2, axis=(-2, -1))
-    power_scale = np.sqrt(L / budgets.max(axis=-1))
-    # The relay sends the forwarded sums themselves, whose symbol covariance
-    # blocks are E[w_p w_q^H] = (1 + delta_pq) I_d, so its transmit power
-    # trace(W) = 2 relay_dim in every trial.
-    bc_scale = np.full(power_scale.shape, np.sqrt(L / (2 * n_eff)))
-    fields = {name: a.reshape(lead + a.shape[1:]) for name, a in arrays.items()}
-    # one plan serves every power level and trace of a trial: share, never write
-    for a in fields.values():
-        a.setflags(write=False)
-    if not lead:
-        power_scale, bc_scale = float(power_scale[0]), float(bc_scale[0])
-    return SchemePlan(
-        d=d,
-        effective_N=n_eff,
-        effective_M=L * stack.user_dim,
-        extension_factor=L,
-        power_scale=power_scale,
-        bc_scale=bc_scale,
-        **fields,
-    )
+def _by_slot(per_user: np.ndarray, L: int) -> np.ndarray:
+    """Spread each user's row of a (..., K, e) array over the L slots,
+    (..., K, L, e): user 0's in every slot, partner p+1's in its pair's
+    slot only, exact zeros elsewhere."""
+    K = per_user.shape[-2]
+    slot, _ = _slot_schedule(K, L)
+    out = np.zeros(per_user.shape[:-1] + (L,) + per_user.shape[-1:], dtype=per_user.dtype)
+    out[..., 0, :, :] = per_user[..., :1, :]
+    out[..., np.arange(1, K), slot, :] = per_user[..., 1:, :]
+    return out
+
+
+def _power_scale(uplink_pinv: np.ndarray, L: int, d: int) -> np.ndarray:
+    """User transmit amplitude per sqrt(P), one per trial.
+
+    Users share one amplitude so the relay recovers plain symbol sums; the
+    largest per-user budget binds and transmits exactly P per slot. Each
+    user's squared beamformer entries are spread over the slots as in its
+    extended beamformer, so each budget is summed in that matrix's order
+    and the amplitude is the extended design's, bit for bit.
+    """
+    beams = _beamformers(uplink_pinv, L, d)
+    power = beams.real**2 + beams.imag**2
+    spread = _by_slot(power.reshape(power.shape[:-2] + (-1,)), L)
+    budgets = spread.reshape(spread.shape[:-2] + (-1,)).sum(axis=-1)
+    return np.sqrt(L / budgets.max(axis=-1))
 
 
 def design_scheme(config: NetworkConfig, channels: ChannelSet) -> tuple[ChannelSet, SchemePlan]:
@@ -343,27 +399,37 @@ def design_scheme(config: NetworkConfig, channels: ChannelSet) -> tuple[ChannelS
     COND_LIMIT raises SchemeDesignError naming its stack position: the
     plan's conditioning is the channel's, so nothing could lower it.
     Returns the effective channels (after any antenna shutdown, never
-    extended) together with the plan.
+    extended) together with the plan, which shares their pseudoinverses.
     """
     eff, d = prepare_scheme(config, channels)
-    stack = eff.stacked()
-    V1, Vj, uplink_cond = design_uplink(stack, d)
-    rx_filter, downlink_cond = design_downlink(stack)
-    worst = np.maximum(uplink_cond.max(axis=-1), downlink_cond.max(axis=-1))
+    uplink_pinv, uplink_cond = design_uplink(eff, d)
+    downlink_pinv, downlink_cond = design_downlink(eff)
+    worst = np.ravel(np.maximum(uplink_cond.max(axis=-1), downlink_cond.max(axis=-1)))
     failed = np.flatnonzero(~(worst <= COND_LIMIT))
     if failed.size:
         raise SchemeDesignError(
             f"channel conditioning {worst[failed[0]]:.3e} exceeds the guardrail {COND_LIMIT:.3e}",
             trial=int(failed[0]),
         )
-    arrays = dict(
-        V1=V1,
-        Vj=Vj,
-        rx_filter=rx_filter,
+    _, L, _ = extension_plan(eff.num_users, eff.user_dim, eff.relay_dim)
+    power_scale = _power_scale(uplink_pinv, L, d)
+    # The relay sends the forwarded sums themselves, whose symbol covariance
+    # blocks are E[w_p w_q^H] = (1 + delta_pq) I_d, so its transmit power
+    # trace(W) = 2 relay_dim in every trial.
+    bc_scale = np.full(power_scale.shape, np.sqrt(1 / (2 * eff.relay_dim)))
+    if not eff.stack_shape:
+        power_scale, bc_scale = float(power_scale), float(bc_scale)
+    plan = SchemePlan(
+        d=d,
+        extension_factor=L,
+        uplink_pinv=uplink_pinv,
+        downlink_pinv=downlink_pinv,
         uplink_cond=uplink_cond,
         downlink_cond=downlink_cond,
+        power_scale=power_scale,
+        bc_scale=bc_scale,
     )
-    return eff, _assemble_plan(stack, arrays, eff.stack_shape)
+    return eff, plan
 
 
 def _vector_rows(vectors, stack_shape: tuple, count: int, d: int, what: str) -> np.ndarray:
@@ -389,21 +455,24 @@ def mac_phase(
     rng=None,
     noise_on: bool = False,
 ) -> np.ndarray:
-    """Uplink slot: every user beamforms its symbol block with amplitude
-    power_scale * sqrt(P) through kron(I_L, h_u) of its physical uplink
-    h_u, L = plan.extension_factor; the relay observes the superposition
-    plus unit-variance noise when enabled, which needs rng.
+    """Uplink slot: every user sends its symbol block with amplitude
+    power_scale * sqrt(P) through its physical beamformer and uplink h_u
+    in each slot its pairs use, user 0 in all L = plan.extension_factor
+    slots and partner p+1 in its pair's slot: kron(I_L, h_u) applied slot
+    by slot. The relay observes the superposition plus unit-variance noise
+    when enabled, which needs rng.
 
     symbols holds one length-d vector per user, as a (K, d) array or a
     sequence, or a (S, K, d) array for a stacked plan.
     """
     rngs = _generators(rng, plan.stack_shape) if noise_on else None
     s = _vector_rows(symbols, plan.stack_shape, plan.num_users, plan.d, "symbol")
+    L = plan.extension_factor
     a = _amplitude(plan.power_scale, P)[..., np.newaxis, np.newaxis, np.newaxis]
-    # user 0 sends on every pair's beamformer, partner p+1 on its own only
-    x0 = plan.V1.sum(axis=-3, keepdims=True) @ s[..., :1, :, np.newaxis]
-    x = a * np.concatenate([x0, plan.Vj @ s[..., 1:, :, np.newaxis]], axis=-3)
-    y_r = np.sum(_kron_apply(channels.uplink, x[..., 0], plan.extension_factor), axis=-2)
+    x = a * (_beamformers(plan.uplink_pinv, L, plan.d) @ s[..., np.newaxis])
+    # each user's image at the relay, the same in every slot it sends in
+    images = (channels.uplink @ x)[..., 0]
+    y_r = _by_slot(images, L).sum(axis=-3).reshape(plan.stack_shape + (plan.effective_N,))
     if noise_on:
         y_r = y_r + _draws(rngs, plan.stack_shape, 1, plan.effective_N)[..., 0, :]
     return y_r
@@ -428,8 +497,8 @@ def bc_phase(
 ) -> np.ndarray:
     """Downlink slot: the relay broadcasts every pair sum on the pair's
     relay streams with amplitude bc_scale * sqrt(P), and user u receives it
-    through kron(I_L, d_u) of its physical downlink d_u; noise, when
-    enabled, needs rng.
+    through kron(I_L, d_u) of its physical downlink d_u, slot by slot;
+    noise, when enabled, needs rng.
 
     w holds one forwarded length-d vector per pair, as a (K-1, d) array or
     a sequence, or a (S, K-1, d) array for a stacked plan. Row u of the
@@ -451,18 +520,23 @@ def user_decode(
 ) -> np.ndarray:
     """Recover the other users' symbol vectors at user u.
 
-    The user zero-forces each pair, then peels: user 0 subtracts its own
-    symbols from every sum; user u >= 1 first recovers user 0's symbols
-    from its own pair, then subtracts them from the remaining sums.
-    Returns a (K-1, d) array (with the plan's trial axis) whose row i
-    belongs to sender other_users(K, u)[i].
+    The user zero-forces every slot with the pair blocks of pinv(d_u),
+    then peels: user 0 subtracts its own symbols from
+    every sum; user u >= 1 first recovers user 0's symbols from its own
+    pair, then subtracts them from the remaining sums. Returns a (K-1, d)
+    array (with the plan's trial axis) whose row i belongs to sender
+    other_users(K, u)[i].
     """
     if not 0 <= u < plan.num_users:
         raise ValueError("user index out of range")
     b = _amplitude(plan.bc_scale, P)[..., np.newaxis, np.newaxis]
+    # each slot's pair blocks of d rows of pinv(d_u), applied to that slot;
     # row p: the sum of user 0's and user p+1's symbols
-    what = (plan.rx_filter[..., u, :, :, :] @ np.asarray(y_u)[..., np.newaxis, :, np.newaxis])
-    what = what[..., 0] / b
+    rows = plan.downlink_pinv[..., u, :, :]
+    blocks = rows.reshape(rows.shape[:-2] + (1, -1, plan.d, rows.shape[-1]))
+    y = np.asarray(y_u)
+    streams = blocks @ y.reshape(y.shape[:-1] + (plan.extension_factor, 1, -1, 1))
+    what = streams.reshape(streams.shape[:-4] + (plan.num_pairs, plan.d)) / b
     own = np.asarray(own_symbols)[..., np.newaxis, :]
     if u == 0:
         return what - own

@@ -19,7 +19,13 @@ from mrc_dof_lab.analysis import (
     verify_noiseless,
 )
 from mrc_dof_lab.bounds import cutset_dof
-from mrc_dof_lab.channel import NetworkConfig, generate_channels, load_channels, save_channels
+from mrc_dof_lab.channel import (
+    ChannelSet,
+    NetworkConfig,
+    generate_channels,
+    load_channels,
+    save_channels,
+)
 from mrc_dof_lab import analysis, ssa_nc
 from mrc_dof_lab.ssa_nc import design_scheme, other_users, run_round
 
@@ -119,6 +125,41 @@ class TestVerifyNoiseless:
         rep = verify_noiseless(NetworkConfig(K=3, M=3, N=2, seed=5), 3)
         assert np.isnan(rep.noiseless_max_error)
 
+    def test_loaded_channels_are_designed_once(self, monkeypatch, tmp_path):
+        # a loaded 3/4/6 set loses two relay antennas: one design and one
+        # validation of that single trial serve all 100 trials, and every
+        # stack reads the plan through broadcast views of it
+        cfg = NetworkConfig(K=3, M=4, N=6, seed=5)
+        path = str(tmp_path / "channels.json")
+        save_channels(generate_channels(cfg, cfg.rng()), path)
+        loaded = load_channels(path)
+        designs, validations = [], []
+        design, validate = ssa_nc.design_scheme, ChannelSet.__post_init__
+
+        def counted_design(config, channels):
+            designs.append(channels.stack_shape)
+            return design(config, channels)
+
+        def counted_validate(cs):
+            validate(cs)
+            validations.append(cs.stack_shape)
+
+        monkeypatch.setattr(ssa_nc, "design_scheme", counted_design)
+        monkeypatch.setattr(ChannelSet, "__post_init__", counted_validate)
+        # 3 * 4 * 4 stored entries per trial: 30 trials per stack
+        monkeypatch.setattr(analysis, "STACK_ELEMENTS", 48 * 30)
+        assert verify_noiseless(cfg, 100, channels=loaded).noiseless_max_error <= 1e-8
+        assert designs == [()] and validations == [()]
+        stacks = list(analysis._trial_stacks(cfg, 100, loaded))
+        assert [len(rngs) for rngs, _, _ in stacks] == [30, 30, 30, 10]
+        first = stacks[0][2].uplink_pinv
+        for _, eff, plan in stacks:
+            for a in (eff.uplink, eff.downlink_pinv, plan.uplink_pinv, plan.downlink_pinv,
+                      plan.uplink_cond, plan.power_scale):
+                assert a.strides[0] == 0 and not a.flags.writeable
+            assert np.shares_memory(plan.uplink_pinv, first)
+            assert np.shares_memory(plan.downlink_pinv, eff.downlink_pinv)
+
 
 class TestStreamSinrs:
     def test_shapes(self):
@@ -142,6 +183,23 @@ class TestStreamSinrs:
         s10 = stream_sinrs(plan, 30.0)
         assert np.allclose(s10.mac, 10.0 * s1.mac, rtol=1e-14, atol=0.0)
         assert np.allclose(s10.bc, 10.0 * s1.bc, rtol=1e-14, atol=0.0)
+
+    @pytest.mark.parametrize("k,m,n", [(4, 4, 3), (3, 4, 6), (8, 8, 8)])
+    @pytest.mark.parametrize("trials", [None, 3], ids=["single", "stacked"])
+    def test_equals_extended_filter_rows(self, k, m, n, trials):
+        # the physical row norms give the extended filters' noise powers,
+        # bit for bit: every relay filter row is an identity row, every user
+        # filter row a row of pinv(d_u) placed in one slot
+        cfg = NetworkConfig(K=k, M=m, N=n, seed=11)
+        rng = cfg.trial_rng(0) if trials is None else [cfg.trial_rng(t) for t in range(trials)]
+        _, plan = design_scheme(cfg, generate_channels(cfg, rng))
+        P = 7.0
+        a2 = np.asarray(plan.power_scale) ** 2 * P
+        b2 = np.asarray(plan.bc_scale) ** 2 * P
+        mac = 2.0 * a2[..., None, None] / analysis._row_power(plan.relay_filter)
+        bc = 2.0 * b2[..., None, None, None] / analysis._row_power(plan.rx_filter)
+        got = stream_sinrs(plan, P)
+        assert np.array_equal(got.mac, mac) and np.array_equal(got.bc, bc)
 
     def test_vanishes_with_power(self):
         eff, plan = plan_for(3, 3, 2, seed=9)
@@ -310,6 +368,48 @@ class TestMseSweep:
         monkeypatch.setattr(ssa_nc, "design_scheme", no_design)
         with pytest.raises(ValueError, match=message):
             decode_mse_sweep(NetworkConfig(K=3, M=3, N=2, seed=14), grid, 2)
+
+
+class TestPhysicalTrialPath:
+    """Rounds, SINRs and stacks read the plan at physical size: nothing on
+    the trial path builds an extended filter."""
+
+    @pytest.mark.parametrize("k,m,n", [(8, 8, 8), (4, 4, 3)])
+    def test_runs_without_extended_filters(self, monkeypatch, k, m, n):
+        def refuse(*args):
+            raise AssertionError("extended filter built on the trial path")
+
+        monkeypatch.setattr(ssa_nc, "_kron_eye", refuse)
+        for name in ("V1", "Vj", "T", "relay_filter", "rx_filter"):
+            monkeypatch.setattr(ssa_nc.SchemePlan, name, property(refuse))
+        cfg = NetworkConfig(K=k, M=m, N=n, seed=12)
+        assert verify_noiseless(cfg, 3).noiseless_max_error <= 1e-8
+        assert simulate_report(cfg, GRID, 3).noiseless_max_error <= 1e-8
+        assert np.all(np.isfinite(decode_mse_sweep(cfg, GRID, 3)))
+        _, plan = design_scheme(cfg, generate_channels(cfg, cfg.rng()))
+        with pytest.raises(AssertionError, match="extended filter"):
+            plan.rx_filter
+
+    def test_batch_invariant_at_full_extension(self, monkeypatch):
+        # L = K-1 at 8/8/8: one trial per stack and the default stack give
+        # the same per-trial errors and MSE, bit for bit
+        cfg = NetworkConfig(K=8, M=8, N=8, seed=13)
+
+        def run():
+            stacks = analysis._trial_stacks(cfg, 6)
+            errors = [analysis._noiseless_round_errors(cfg, *stack) for stack in stacks]
+            return np.concatenate(errors), decode_mse_sweep(cfg, GRID, 6)
+
+        errors, mse = run()
+        monkeypatch.setattr(analysis, "STACK_ELEMENTS", 1)
+        assert analysis._stack_size(cfg) == 1
+        one_errors, one_mse = run()
+        assert np.array_equal(errors, one_errors) and np.array_equal(mse, one_mse)
+
+    def test_stack_size_counts_stored_entries(self):
+        # K * min(N, M) * M stored entries per trial, whatever the extension
+        assert analysis._stack_size(NetworkConfig(K=8, M=8, N=8)) == 64
+        assert analysis._stack_size(NetworkConfig(K=3, M=4, N=6)) == 2**15 // 48
 
 
 def decode_error_map(plan):

@@ -1,5 +1,6 @@
 """Tests for network configuration and channel generation."""
 
+import dataclasses
 import re
 
 import numpy as np
@@ -224,10 +225,23 @@ class TestStoredDecomposition:
 
     @pytest.mark.parametrize("trials", [[2, 0], [0] * 3])
     def test_select(self, trials):
-        # [0] * 3 repeats a loaded trial across a stack, as --load-channels does
         cs = self.stack().select(trials)
         assert cs.stack_shape == (len(trials),)
         _assert_fresh_decomposition(cs)
+
+    def test_repeated(self):
+        # a loaded trial repeated across a stack, as --load-channels runs
+        # it: read-only broadcast views of the one set, nothing copied
+        one = make(self.CFG)
+        cs = one.repeated(3)
+        assert cs.stack_shape == (3,)
+        for f in dataclasses.fields(cs):
+            a = getattr(cs, f.name)
+            assert a.strides[0] == 0 and not a.flags.writeable, f.name
+            assert np.shares_memory(a, getattr(one, f.name)), f.name
+        _assert_fresh_decomposition(cs)
+        with pytest.raises(ValueError, match="one trial"):
+            cs.repeated(2)
 
     def test_shutdown(self):
         cfg = NetworkConfig(K=3, M=4, N=6, seed=18)

@@ -78,31 +78,35 @@ class TestPrepareScheme:
         assert eff.relay_dim == 3 and eff.user_dim == 3 and d == 1
 
 
+def _uplink_beamformers(cfg):
+    """The effective channels and the plan's extended V1 and Vj."""
+    eff, plan = design_scheme(cfg, generate_channels(cfg, cfg.rng()))
+    return eff, plan.V1, plan.Vj
+
+
 class TestDesignUplink:
+    def test_returns_the_sets_own_decomposition(self):
+        cfg = NetworkConfig(K=3, M=4, N=3, seed=2)
+        eff, d = prepare_scheme(cfg, generate_channels(cfg, cfg.rng()))
+        pinv, cond = design_uplink(eff, d)
+        assert pinv is eff.uplink_pinv and cond is eff.uplink_cond
+        with pytest.raises(ValueError, match="stream count d"):
+            design_uplink(eff, d + 1)
+
     def test_alignment_distance(self):
-        cfg = NetworkConfig(K=3, M=3, N=2, seed=2)
-        rng = cfg.rng()
-        cs = generate_channels(cfg, rng)
-        eff, d = prepare_scheme(cfg, cs)
-        V1, Vj, _ = design_uplink(eff, d)
+        eff, V1, Vj = _uplink_beamformers(NetworkConfig(K=3, M=3, N=2, seed=2))
         for p in range(2):
             dist = subspace_distance(eff.uplink[0] @ V1[p], eff.uplink[p + 1] @ Vj[p])
             assert dist <= 1e-10
 
     def test_aligned_directions_fill_relay_space(self):
-        cfg = NetworkConfig(K=3, M=3, N=2, seed=3)
-        rng = cfg.rng()
-        eff, d = prepare_scheme(cfg, generate_channels(cfg, rng))
-        V1, _, _ = design_uplink(eff, d)
+        eff, V1, _ = _uplink_beamformers(NetworkConfig(K=3, M=3, N=2, seed=3))
         cat = np.hstack([eff.uplink[0] @ v for v in V1])
         assert cat.shape == (2, 2)
         assert np.linalg.matrix_rank(cat) == 2
 
     def test_span_invariant_to_mixing(self):
-        cfg = NetworkConfig(K=3, M=4, N=2, seed=4)
-        rng = cfg.rng()
-        eff, d = prepare_scheme(cfg, generate_channels(cfg, rng))
-        V1, _, _ = design_uplink(eff, d)
+        eff, V1, _ = _uplink_beamformers(NetworkConfig(K=3, M=4, N=2, seed=4))
         c = np.array([[1.7 - 0.3j]])
         assert subspace_distance(eff.uplink[0] @ V1[0], eff.uplink[0] @ (V1[0] @ c)) <= 1e-12
 
@@ -293,6 +297,19 @@ class TestIdentitySubspaces:
         x_r = b * np.sum(plan.T @ w[..., None], axis=-3)[..., 0]
         want = ssa_nc._kron_apply(eff.downlink, x_r[:, None, :], plan.extension_factor)
         assert np.array_equal(bc_phase(plan, eff, w, P), want)
+
+    @pytest.mark.parametrize("k,m,n", CASES + [(4, 2, 5), (3, 4, 3), (5, 4, 4), (6, 6, 5)])
+    def test_power_scale_equals_extended_budget(self, k, m, n):
+        # each user's budget is the squared norm of its extended transmit
+        # matrix, user 0's summed over its pairs from contiguous V1 blocks;
+        # the physical computation gives the same bits
+        cfg = NetworkConfig(K=k, M=m, N=n, seed=10)
+        _, plan = design_scheme(cfg, generate_channels(cfg, [cfg.trial_rng(t) for t in range(40)]))
+        own = np.ascontiguousarray(plan.V1).sum(axis=-3, keepdims=True)
+        tx = np.concatenate([own, plan.Vj], axis=-3)
+        budgets = np.sum(tx.real**2 + tx.imag**2, axis=(-2, -1))
+        want = np.sqrt(plan.extension_factor / budgets.max(axis=-1))
+        assert np.array_equal(plan.power_scale, want)
 
     def test_each_slot_is_one_pair_at_full_extension(self):
         # L = K-1 and d = min(N, M): pair p's streams are exactly slot p, so
@@ -806,15 +823,31 @@ class TestAllocationAndPlan:
         assert trace.decoded.shape == (k, k - 1, d)
 
     def test_plan_arrays_read_only(self):
-        # T and relay_filter are derived identity blocks, not stored
+        # the plan stores the effective set's own physical decomposition;
+        # the extended filters are derived, read-only too
         cfg, eff, plan, _ = designed(4, 4, 4, seed=24)
         arrays = {f.name: getattr(plan, f.name) for f in dataclasses.fields(plan)}
         arrays = {name: a for name, a in arrays.items() if isinstance(a, np.ndarray)}
-        assert set(arrays) == {"V1", "Vj", "rx_filter", "uplink_cond", "downlink_cond"}
-        arrays.update(T=plan.T, relay_filter=plan.relay_filter)
+        assert set(arrays) == {"uplink_pinv", "downlink_pinv", "uplink_cond", "downlink_cond"}
+        for name in arrays:
+            assert np.shares_memory(arrays[name], getattr(eff, name)), name
+        arrays.update({name: getattr(plan, name) for name in ("V1", "Vj", "T", "relay_filter",
+                                                              "rx_filter")})
         for name, a in arrays.items():
             with pytest.raises(ValueError, match="read-only"):
                 a[(0,) * a.ndim] = 0
+
+    def test_repeated_plan_is_broadcast_views(self):
+        cfg, eff, plan, _ = designed(4, 2, 5, seed=24)
+        stack = plan.repeated(3)
+        assert stack.stack_shape == (3,) and stack.power_scale.shape == (3,)
+        for name in PLAN_FIELDS:
+            got = getattr(stack, name)
+            assert not got.flags.writeable, name
+            assert all(np.array_equal(g, getattr(plan, name)) for g in got), name
+        assert np.shares_memory(stack.uplink_pinv, eff.uplink_pinv)
+        with pytest.raises(ValueError, match="one trial"):
+            stack.repeated(2)
 
     def test_plan_json_structure(self):
         cfg, eff, plan, _ = designed(3, 3, 2, seed=24)
