@@ -144,24 +144,25 @@ def _designed(config: NetworkConfig, channels: ChannelSet, start: int):
 
 
 def _trial_stacks(config: NetworkConfig, trials: int, channels: ChannelSet | None = None):
-    """Design the trials stack by stack; yields (generators, effective
-    channels, plan) per stack, all with a leading trial axis.
+    """Design the trials stack by stack; yields (generators, plan) per
+    stack, the plan, its effective channels included, with a leading
+    trial axis.
 
     The design draws nothing, so each trial generator is left where its
     channel draw stopped (untouched for a given set), and the trial's
     symbol and noise draws follow from it. A given set (one trial) is
-    designed once, and every stack repeats its effective channels and plan
-    as read-only broadcast views.
+    designed once, and every stack repeats its plan as read-only
+    broadcast views.
     """
     size = _stack_size(config)
     fixed = None if channels is None else _designed(config, channels, 0)
     for start in range(0, trials, size):
         rngs = [config.trial_rng(t) for t in range(start, min(start + size, trials))]
         if fixed is None:
-            eff, plan = _designed(config, generate_channels(config, rngs), start)
+            plan = _designed(config, generate_channels(config, rngs), start)
         else:
-            eff, plan = (part.repeated(len(rngs)) for part in fixed)
-        yield rngs, eff, plan
+            plan = fixed.repeated(len(rngs))
+        yield rngs, plan
 
 
 def _sender_table(K: int) -> np.ndarray:
@@ -176,12 +177,10 @@ def _message_sq_errors(trace: ssa_nc.TransmissionTrace, senders: np.ndarray) -> 
     return np.sum(np.abs(trace.decoded - trace.sent[..., senders, :]) ** 2, axis=-1)
 
 
-def _noiseless_round_errors(
-    config: NetworkConfig, rngs, eff: ChannelSet, plan: SchemePlan
-) -> np.ndarray:
+def _noiseless_round_errors(config: NetworkConfig, rngs, plan: SchemePlan) -> np.ndarray:
     """Each trial's worst relative decode error over every user and message
     of one noiseless round of the stack."""
-    trace = ssa_nc.run_round(plan, eff, 1.0, rngs, noise_on=False)
+    trace = ssa_nc.run_round(plan, 1.0, rngs, noise_on=False)
     senders = _sender_table(config.K)
     sent_norm = np.linalg.norm(trace.sent, axis=-1)[..., senders]
     err = np.sqrt(_message_sq_errors(trace, senders))
@@ -198,7 +197,7 @@ def _noiseless_report(
         N=config.N,
         L=plan.extension_factor,
         d=plan.d,
-        achieved_streams=K * (K - 1) * plan.d // plan.extension_factor,
+        achieved_streams=plan.streams_per_slot,
         cutset=bounds.cutset_dof(K, config.M, config.N),
         private_only=_private_only_or_none(K, config.M, config.N),
         slope_estimate=None,
@@ -224,8 +223,8 @@ def verify_noiseless(
     if trials < 1:
         raise ValueError("trials must be positive")
     errors = []
-    for rngs, eff, plan in _trial_stacks(config, trials, channels):
-        errors.append(_noiseless_round_errors(config, rngs, eff, plan))
+    for rngs, plan in _trial_stacks(config, trials, channels):
+        errors.append(_noiseless_round_errors(config, rngs, plan))
     return _noiseless_report(config, plan, trials, _max_error(errors))
 
 
@@ -279,7 +278,7 @@ def stream_sinrs(plan: SchemePlan, P: float) -> StreamSinrs:
     b2 = np.asarray(plan.bc_scale) ** 2 * P
     lead = plan.stack_shape
     mac = np.broadcast_to(2.0 * a2[..., np.newaxis, np.newaxis], lead + (K - 1, d))
-    noise = np.tile(_row_power(plan.downlink_pinv), L).reshape(lead + (K, K - 1, d))
+    noise = np.tile(_row_power(plan.channels.downlink_pinv), L).reshape(lead + (K, K - 1, d))
     bc = 2.0 * b2[..., np.newaxis, np.newaxis, np.newaxis] / noise
     end_to_end = np.minimum(bc, mac[..., np.newaxis, :, :])
     assert np.all(end_to_end <= mac[..., np.newaxis, :, :] + 1e-12)
@@ -343,7 +342,7 @@ def estimate_dof_slope(
     grid = validate_power_grid(P_grid)
     if trials < 1:
         raise ValueError("trials must be positive")
-    gammas = [stream_sinrs(plan, 1.0).flat() for _, _, plan in _trial_stacks(config, trials)]
+    gammas = [stream_sinrs(plan, 1.0).flat() for _, plan in _trial_stacks(config, trials)]
     return _fit_slope(config, grid, np.concatenate(gammas))
 
 
@@ -361,8 +360,8 @@ def decode_mse_sweep(config: NetworkConfig, P_grid, trials: int) -> np.ndarray:
         raise ValueError("trials must be positive")
     senders = _sender_table(config.K)
     totals = []
-    for rngs, eff, plan in _trial_stacks(config, trials):
-        trace = ssa_nc.run_round(plan, eff, 1.0, rngs, noise_on=True)
+    for rngs, plan in _trial_stacks(config, trials):
+        trace = ssa_nc.run_round(plan, 1.0, rngs, noise_on=True)
         totals.append(_message_sq_errors(trace, senders).reshape(len(rngs), -1).sum(axis=-1))
     sq_err = np.add.accumulate(np.concatenate(totals))[-1]
     return sq_err / (trials * config.K * (config.K - 1) * plan.d) / grid
@@ -378,8 +377,8 @@ def simulate_report(config: NetworkConfig, P_grid, trials: int) -> DofReport:
         raise ValueError("trials must be positive")
     errors = []
     gammas = []
-    for rngs, eff, plan in _trial_stacks(config, trials):
-        errors.append(_noiseless_round_errors(config, rngs, eff, plan))
+    for rngs, plan in _trial_stacks(config, trials):
+        errors.append(_noiseless_round_errors(config, rngs, plan))
         gammas.append(stream_sinrs(plan, 1.0).flat())
     slope, stderr = _fit_slope(config, grid, np.concatenate(gammas))
     return replace(

@@ -187,24 +187,8 @@ def _dump_trial_artifacts(config: NetworkConfig, channels, args) -> None:
     if args.dump_channels:
         save_channels(base, args.dump_channels)
     if args.dump_plan:
-        _, plan = ssa_nc.design_scheme(config, base)
+        plan = ssa_nc.design_scheme(config, base)
         ssa_nc.save_plan(plan, args.dump_plan)
-
-
-def _loaded_channels(args, config: NetworkConfig):
-    if not args.load_channels:
-        return None
-    loaded = load_channels(args.load_channels)
-    if (
-        loaded.num_users != config.K
-        or loaded.user_dim != config.M
-        or loaded.relay_dim != config.N
-    ):
-        raise CliError(
-            f"loaded channels are K={loaded.num_users}, M={loaded.user_dim}, "
-            f"N={loaded.relay_dim}; flags disagree"
-        )
-    return loaded
 
 
 def cmd_verify(args) -> int:
@@ -212,7 +196,8 @@ def cmd_verify(args) -> int:
     config = _network_config(args, cfg, *_kmn(args, cfg))
     trials = _as_int(_resolve(args, "trials", cfg, default=DEFAULT_TRIALS), "--trials")
     fmt = _resolve(args, "format", cfg, default="csv")
-    channels = _loaded_channels(args, config)
+    # the design checks a loaded set's dimensions against the flags
+    channels = load_channels(args.load_channels) if args.load_channels else None
     report = analysis.verify_noiseless(config, trials, channels=channels)
     _dump_trial_artifacts(config, channels, args)
     _emit(_report_text(report, fmt), args.out)
@@ -237,8 +222,7 @@ def cmd_simulate(args) -> int:
         _resolve(args, "p_grid", cfg, default=list(DEFAULT_P_GRID)), "--p-grid"
     )
     fmt = _resolve(args, "format", cfg, default="csv")
-    channels = _loaded_channels(args, config)
-    if channels is not None:
+    if args.load_channels:
         raise CliError("simulate does not support --load-channels; use verify")
     report = analysis.simulate_report(config, p_grid, trials)
     _dump_trial_artifacts(config, None, args)

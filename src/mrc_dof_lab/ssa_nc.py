@@ -13,8 +13,8 @@ streams (signal-space alignment for network coding, Lee, Lim and Chun,
 IEEE Trans. IT 56(6), 2010). The relay reads pair p's network-coded sum
 of symbol vectors straight off those streams. In the BC slot the relay
 broadcasts the sums on the same streams, and user u separates them with
-the d-row blocks of pinv(D_u) (D_u has full column rank after
-preparation), then peels the messages apart using its own transmitted
+the d-row blocks of pinv(D_u) (D_u has full column rank after the
+relay shutdown), then peels the messages apart using its own transmitted
 symbols as side information.
 
 When the relay has more antennas than a user (N > M) the surplus relay
@@ -31,23 +31,24 @@ exactly slot p: each slot is one two-way relay exchange between user 0
 and user p+1, with user 0 repeating its common message in all K-1 slots.
 Every phase applies the physical matrices slot by slot.
 
-A plan is stored at physical size: the channel set's own pseudoinverses
-and condition numbers, from the SVDs that validated it, shared and not
-copied, plus d, L and the two power scales. The design is bookkeeping
-only: it draws nothing and makes no LAPACK call, and a plan's
-conditioning is that of the channel alone. The extended filters V1, Vj,
-T, relay_filter and rx_filter are derived on demand for readers and
-dumps; no round or analysis step builds them. Plans are power agnostic:
-they store amplitudes per sqrt(P), so a single plan serves an entire
-power sweep.
+A plan is stored at physical size: it holds the effective channel set
+itself, whose pseudoinverses and condition numbers, from the SVDs that
+validated it, are the whole design, plus d, L, the two power scales and
+each user's physical beamformer. The design is bookkeeping only: it
+draws nothing and makes no LAPACK call, and a plan's conditioning is
+that of the channel alone. The extended filters V1, Vj, T, relay_filter
+and rx_filter are derived on demand for readers and dumps; no round or
+analysis step builds them. Plans are power agnostic: they store
+amplitudes per sqrt(P), so a single plan serves an entire power sweep.
 
 Every function takes one trial or a stack of trials along a leading trial
-axis: a stacked ChannelSet, with a sequence of generators, one per trial,
-in place of one generator for the functions that draw symbols or noise,
-giving plans and traces whose arrays carry the same leading axis. Each
-design and round step is one batched call for the whole stack. Each trial
-draws from its own generator exactly what it would draw alone, in the
-same order, so a trial's results do not depend on the stack it is in. A
+axis. The design takes a stacked ChannelSet and gives a plan whose arrays
+carry the same axis; the round functions take that plan, which carries
+its channels, and a sequence of generators, one per trial, in place of
+one generator for the functions that draw symbols or noise. Each design
+and round step is one batched call for the whole stack. Each trial draws
+from its own generator exactly what it would draw alone, in the same
+order, so a trial's results do not depend on the stack it is in. A
 single trial runs as a stack of one.
 """
 
@@ -86,15 +87,16 @@ class SchemePlan:
     """One scheme instance at physical size, as read-only stacks.
 
     Stored, with K users, n = relay_dim and m = user_dim of the effective
-    channel set (after any shutdown, never extended):
+    channel set:
 
-    - uplink_pinv: (K, m, n), pinv(h_u) of every user's physical uplink
-    - downlink_pinv: (K, n, m), pinv(d_u) of every physical downlink
-    - uplink_cond, downlink_cond: (K,), cond(h_u) and cond(d_u)
+    - channels: the effective ChannelSet (after any shutdown, never
+      extended), whose own read-only uplink_pinv (K, m, n), downlink_pinv
+      (K, n, m), uplink_cond and downlink_cond (K,) are the whole design
     - d, extension_factor L, power_scale and bc_scale
+    - beamformers: (K, m, d), what each user sends in one slot (see
+      ``_beamformers``)
 
-    The four arrays are the channel set's own read-only fields, shared and
-    not copied. uplink_cond and downlink_cond are the plan's whole
+    channels.uplink_cond and channels.downlink_cond are the plan's whole
     conditioning: cond(pinv(D_u)) = downlink_cond[u], and each beamformer
     block has a condition number of at most uplink_cond[u].
 
@@ -115,31 +117,29 @@ class SchemePlan:
     images to zero. The rounds, the SINRs and the analysis read only the
     stored fields; the derived ones serve dumps and readers.
 
-    A plan for a stack of S trials prefixes every array with the trial
-    axis, and power_scale and bc_scale are (S,) arrays in place of scalars.
-    power_scale and bc_scale are transmit amplitudes per sqrt(P) for the
-    users and the relay; they fold in the extension factor so the power
-    budget is met per original time slot.
+    A plan for a stack of S trials holds a stacked channel set, prefixes
+    beamformers with the trial axis, and power_scale and bc_scale are (S,)
+    arrays in place of scalars. power_scale and bc_scale are transmit
+    amplitudes per sqrt(P) for the users and the relay; they fold in the
+    extension factor so the power budget is met per original time slot.
     """
 
+    channels: ChannelSet
     d: int
     extension_factor: int
-    uplink_pinv: np.ndarray
-    downlink_pinv: np.ndarray
-    uplink_cond: np.ndarray
-    downlink_cond: np.ndarray
     power_scale: float | np.ndarray
     bc_scale: float | np.ndarray
+    beamformers: np.ndarray
 
     @property
     def effective_N(self) -> int:
         """Relay dimension of the extended block, L n."""
-        return self.extension_factor * self.uplink_pinv.shape[-1]
+        return self.extension_factor * self.channels.relay_dim
 
     @property
     def effective_M(self) -> int:
         """User dimension of the extended block, L m."""
-        return self.extension_factor * self.uplink_pinv.shape[-2]
+        return self.extension_factor * self.channels.user_dim
 
     @property
     def V1(self) -> np.ndarray:
@@ -155,7 +155,7 @@ class SchemePlan:
     @property
     def rx_filter(self) -> np.ndarray:
         """Extended user filters, (..., K, K-1, d, effective_M)."""
-        rows = _kron_eye(self.downlink_pinv, self.extension_factor)
+        rows = _kron_eye(self.channels.downlink_pinv, self.extension_factor)
         shape = (self.num_users, self.num_pairs, self.d, self.effective_M)
         return _freeze(rows.reshape(self.stack_shape + shape))
 
@@ -173,19 +173,15 @@ class SchemePlan:
     def _extended_columns(self) -> np.ndarray:
         """kron(I_L, pinv(h_u)) split into its pairs' d-column blocks,
         (..., K, K-1, effective_M, d)."""
-        cols = _kron_eye(self.uplink_pinv, self.extension_factor)
+        cols = _kron_eye(self.channels.uplink_pinv, self.extension_factor)
         shape = (self.num_users, self.effective_M, self.num_pairs, self.d)
         return cols.reshape(self.stack_shape + shape).swapaxes(-3, -2)
 
     def repeated(self, count: int) -> SchemePlan:
         """One trial's plan as a stack of ``count`` identical trials: every
         array a read-only broadcast view of this plan's, nothing copied."""
-        if self.stack_shape:
-            raise ValueError("only one trial's plan can be repeated")
-        names = ("uplink_pinv", "downlink_pinv", "uplink_cond", "downlink_cond",
-                 "power_scale", "bc_scale")
-        views = {}
-        for name in names:
+        views = {"channels": self.channels.repeated(count)}
+        for name in ("power_scale", "bc_scale", "beamformers"):
             a = np.asarray(getattr(self, name))
             views[name] = np.broadcast_to(a, (count,) + a.shape)
         return replace(self, **views)
@@ -193,11 +189,11 @@ class SchemePlan:
     @property
     def stack_shape(self) -> tuple[int, ...]:
         """() for one trial's plan, (S,) for a stack of S trials."""
-        return self.uplink_pinv.shape[:-3]
+        return self.channels.stack_shape
 
     @property
     def num_users(self) -> int:
-        return self.uplink_pinv.shape[-3]
+        return self.channels.num_users
 
     @property
     def num_pairs(self) -> int:
@@ -242,17 +238,6 @@ def extension_plan(K: int, M: int, N: int) -> tuple[int, int, int]:
     if base % (K - 1) == 0:
         return base, 1, base // (K - 1)
     return base, K - 1, base
-
-
-def prepare_scheme(config: NetworkConfig, channels: ChannelSet) -> tuple[ChannelSet, int]:
-    """Shut down surplus relay antennas, down to min(N, M).
-
-    Returns the effective channel set and the per-pair stream count d of
-    the (possibly extended) block.
-    """
-    base, _, d = extension_plan(config.K, config.M, config.N)
-    eff = shutdown_relay_antennas(channels, base) if config.N > config.M else channels
-    return eff, d
 
 
 def _generators(rng, stack_shape: tuple[int, ...]) -> list[np.random.Generator]:
@@ -318,50 +303,6 @@ def _beamformers(uplink_pinv: np.ndarray, L: int, d: int) -> np.ndarray:
     return np.concatenate([own, blocks[..., np.arange(1, K), block, :, :]], axis=-3)
 
 
-def design_uplink(channels: ChannelSet, d: int) -> tuple[np.ndarray, np.ndarray]:
-    """Check the uplink dimensions and return what the uplink design is:
-    every user's physical pseudoinverse pinv(h_u), (K, M, N), and cond(h_u),
-    (K,), each with the channels' leading trial axis.
-
-    Pair p owns relay streams [p d, (p+1) d) of the n_eff = L relay_dim =
-    (K-1) d extended ones. Each uplink has full row rank after
-    preparation, so user 0 sends pair p through the p-th d-column block of
-    pinv(H_0), and partner p+1 through that of pinv(H_{p+1}); then both
-    arrive on the p-th d-column block of the identity. H_u is
-    kron(I_L, h_u) of the stored physical matrix h_u, with L from
-    extension_plan, so pinv(H_u) = kron(I_L, pinv(h_u)), and the channel
-    set's own decomposition is the whole design.
-    """
-    K = channels.num_users
-    n, m = channels.relay_dim, channels.user_dim
-    if n > m:
-        raise ValueError("uplink design needs relay dimension <= user dimension")
-    _, L, _ = extension_plan(K, m, n)
-    if (K - 1) * d != L * n:
-        raise ValueError("stream count d must satisfy (K-1) d = extended relay dimension")
-    return channels.uplink_pinv, channels.uplink_cond
-
-
-def design_downlink(channels: ChannelSet) -> tuple[np.ndarray, np.ndarray]:
-    """Check the downlink dimensions and return every user's physical
-    pseudoinverse pinv(d_u), (K, N, M), and cond(d_u), (K,), each with the
-    channels' leading trial axis.
-
-    The relay broadcasts pair p's sum on its own streams [p d, (p+1) d),
-    so user u's filter for pair p is the p-th d-row block of pinv(D_u).
-    D_u has full column rank once the user dimension is at least the relay
-    dimension (preparation guarantees it), and D_u = kron(I_L, d_u), so
-    pinv(D_u) = kron(I_L, pinv(d_u)) and cond(pinv(D_u)) = cond(d_u).
-    """
-    n, m = channels.relay_dim, channels.user_dim
-    if m < n:
-        raise SchemeDesignError(
-            f"singular downlink gain: zero-forcing needs user dimension {m} "
-            f">= relay dimension {n}"
-        )
-    return channels.downlink_pinv, channels.downlink_cond
-
-
 def _by_slot(per_user: np.ndarray, L: int) -> np.ndarray:
     """Spread each user's row of a (..., K, e) array over the L slots,
     (..., K, L, e): user 0's in every slot, partner p+1's in its pair's
@@ -374,7 +315,7 @@ def _by_slot(per_user: np.ndarray, L: int) -> np.ndarray:
     return out
 
 
-def _power_scale(uplink_pinv: np.ndarray, L: int, d: int) -> np.ndarray:
+def _power_scale(beams: np.ndarray, L: int) -> np.ndarray:
     """User transmit amplitude per sqrt(P), one per trial.
 
     Users share one amplitude so the relay recovers plain symbol sums; the
@@ -383,53 +324,55 @@ def _power_scale(uplink_pinv: np.ndarray, L: int, d: int) -> np.ndarray:
     extended beamformer, so each budget is summed in that matrix's order
     and the amplitude is the extended design's, bit for bit.
     """
-    beams = _beamformers(uplink_pinv, L, d)
     power = beams.real**2 + beams.imag**2
     spread = _by_slot(power.reshape(power.shape[:-2] + (-1,)), L)
     budgets = spread.reshape(spread.shape[:-2] + (-1,)).sum(axis=-1)
     return np.sqrt(L / budgets.max(axis=-1))
 
 
-def design_scheme(config: NetworkConfig, channels: ChannelSet) -> tuple[ChannelSet, SchemePlan]:
-    """Full design chain: preparation, the users' channel pseudoinverses
-    in both phases, power scales.
+def design_scheme(config: NetworkConfig, channels: ChannelSet) -> SchemePlan:
+    """Full design chain: surplus relay antennas shut down to min(N, M),
+    the users' beamformers, power scales.
 
     Designs one trial or a stack (a stacked ChannelSet), drawing nothing.
-    A trial whose uplink or downlink matrix has a condition number above
+    A set whose K, M or N disagrees with the config raises ValueError. A
+    trial whose uplink or downlink matrix has a condition number above
     COND_LIMIT raises SchemeDesignError naming its stack position: the
     plan's conditioning is the channel's, so nothing could lower it.
-    Returns the effective channels (after any antenna shutdown, never
-    extended) together with the plan, which shares their pseudoinverses.
+    Returns the plan, which holds the effective channels (after any
+    antenna shutdown, never extended) and reads their pseudoinverses.
     """
-    eff, d = prepare_scheme(config, channels)
-    uplink_pinv, uplink_cond = design_uplink(eff, d)
-    downlink_pinv, downlink_cond = design_downlink(eff)
-    worst = np.ravel(np.maximum(uplink_cond.max(axis=-1), downlink_cond.max(axis=-1)))
+    K, M, N = config.K, config.M, config.N
+    if (channels.num_users, channels.user_dim, channels.relay_dim) != (K, M, N):
+        raise ValueError(
+            f"channel set is K={channels.num_users}, M={channels.user_dim}, "
+            f"N={channels.relay_dim}; the configuration is K={K}, M={M}, N={N}"
+        )
+    base, L, d = extension_plan(K, M, N)
+    eff = shutdown_relay_antennas(channels, base)
+    worst = np.ravel(np.maximum(eff.uplink_cond.max(axis=-1), eff.downlink_cond.max(axis=-1)))
     failed = np.flatnonzero(~(worst <= COND_LIMIT))
     if failed.size:
         raise SchemeDesignError(
             f"channel conditioning {worst[failed[0]]:.3e} exceeds the guardrail {COND_LIMIT:.3e}",
             trial=int(failed[0]),
         )
-    _, L, _ = extension_plan(eff.num_users, eff.user_dim, eff.relay_dim)
-    power_scale = _power_scale(uplink_pinv, L, d)
+    beams = _freeze(_beamformers(eff.uplink_pinv, L, d))
+    power_scale = _power_scale(beams, L)
     # The relay sends the forwarded sums themselves, whose symbol covariance
     # blocks are E[w_p w_q^H] = (1 + delta_pq) I_d, so its transmit power
     # trace(W) = 2 relay_dim in every trial.
     bc_scale = np.full(power_scale.shape, np.sqrt(1 / (2 * eff.relay_dim)))
     if not eff.stack_shape:
         power_scale, bc_scale = float(power_scale), float(bc_scale)
-    plan = SchemePlan(
+    return SchemePlan(
+        channels=eff,
         d=d,
         extension_factor=L,
-        uplink_pinv=uplink_pinv,
-        downlink_pinv=downlink_pinv,
-        uplink_cond=uplink_cond,
-        downlink_cond=downlink_cond,
         power_scale=power_scale,
         bc_scale=bc_scale,
+        beamformers=beams,
     )
-    return eff, plan
 
 
 def _vector_rows(vectors, stack_shape: tuple, count: int, d: int, what: str) -> np.ndarray:
@@ -449,7 +392,6 @@ def _amplitude(scale, P: float) -> np.ndarray:
 
 def mac_phase(
     plan: SchemePlan,
-    channels: ChannelSet,
     symbols,
     P: float,
     rng=None,
@@ -469,9 +411,9 @@ def mac_phase(
     s = _vector_rows(symbols, plan.stack_shape, plan.num_users, plan.d, "symbol")
     L = plan.extension_factor
     a = _amplitude(plan.power_scale, P)[..., np.newaxis, np.newaxis, np.newaxis]
-    x = a * (_beamformers(plan.uplink_pinv, L, plan.d) @ s[..., np.newaxis])
+    x = a * (plan.beamformers @ s[..., np.newaxis])
     # each user's image at the relay, the same in every slot it sends in
-    images = (channels.uplink @ x)[..., 0]
+    images = (plan.channels.uplink @ x)[..., 0]
     y_r = _by_slot(images, L).sum(axis=-3).reshape(plan.stack_shape + (plan.effective_N,))
     if noise_on:
         y_r = y_r + _draws(rngs, plan.stack_shape, 1, plan.effective_N)[..., 0, :]
@@ -489,7 +431,6 @@ def relay_process(plan: SchemePlan, y_r: np.ndarray, P: float) -> np.ndarray:
 
 def bc_phase(
     plan: SchemePlan,
-    channels: ChannelSet,
     w,
     P: float,
     rng=None,
@@ -509,7 +450,7 @@ def bc_phase(
     b = _amplitude(plan.bc_scale, P)[..., np.newaxis]
     # pair p's sum on relay streams [p d, (p+1) d): sum_p T[p] w[p], bit for bit
     x_r = b * w.reshape(w.shape[:-2] + (plan.effective_N,))
-    y = _kron_apply(channels.downlink, x_r[..., np.newaxis, :], plan.extension_factor)
+    y = _kron_apply(plan.channels.downlink, x_r[..., np.newaxis, :], plan.extension_factor)
     if noise_on:
         y = y + _draws(rngs, plan.stack_shape, plan.num_users, plan.effective_M)
     return y
@@ -532,7 +473,7 @@ def user_decode(
     b = _amplitude(plan.bc_scale, P)[..., np.newaxis, np.newaxis]
     # each slot's pair blocks of d rows of pinv(d_u), applied to that slot;
     # row p: the sum of user 0's and user p+1's symbols
-    rows = plan.downlink_pinv[..., u, :, :]
+    rows = plan.channels.downlink_pinv[..., u, :, :]
     blocks = rows.reshape(rows.shape[:-2] + (1, -1, plan.d, rows.shape[-1]))
     y = np.asarray(y_u)
     streams = blocks @ y.reshape(y.shape[:-1] + (plan.extension_factor, 1, -1, 1))
@@ -545,20 +486,14 @@ def user_decode(
     return np.concatenate([s0, rest[..., : u - 1, :], rest[..., u:, :]], axis=-2)
 
 
-def run_round(
-    plan: SchemePlan,
-    channels: ChannelSet,
-    P: float,
-    rng,
-    noise_on: bool,
-) -> TransmissionTrace:
+def run_round(plan: SchemePlan, P: float, rng, noise_on: bool) -> TransmissionTrace:
     """Draw fresh unit-power symbols and push them through both phases and
     every user's decoder, for one trial or every trial of a stacked plan."""
     stack = plan.stack_shape
     sent = _draws(_generators(rng, stack), stack, plan.num_users, plan.d)
-    y_r = mac_phase(plan, channels, sent, P, rng, noise_on)
+    y_r = mac_phase(plan, sent, P, rng, noise_on)
     w = relay_process(plan, y_r, P)
-    user_rx = bc_phase(plan, channels, w, P, rng, noise_on)
+    user_rx = bc_phase(plan, w, P, rng, noise_on)
     decoded = np.stack(
         [
             user_decode(plan, user_rx[..., u, :], u, sent[..., u, :], P)
@@ -603,8 +538,8 @@ def plan_to_json_dict(plan: SchemePlan) -> dict:
         "T": [matrix_to_lists(m) for m in plan.T],
         "relay_filter": [matrix_to_lists(m) for m in plan.relay_filter],
         "rx_filter": [[matrix_to_lists(m) for m in row] for row in plan.rx_filter],
-        "uplink_cond": plan.uplink_cond.tolist(),
-        "downlink_cond": plan.downlink_cond.tolist(),
+        "uplink_cond": plan.channels.uplink_cond.tolist(),
+        "downlink_cond": plan.channels.downlink_cond.tolist(),
     }
 
 
@@ -621,9 +556,6 @@ __all__ = [
     "TransmissionTrace",
     "other_users",
     "extension_plan",
-    "prepare_scheme",
-    "design_uplink",
-    "design_downlink",
     "design_scheme",
     "mac_phase",
     "relay_process",

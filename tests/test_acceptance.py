@@ -78,7 +78,8 @@ def test_criterion_4_alignment_and_zero_forcing():
         for trial in range(plans):
             rng = cfg.trial_rng(trial)
             cs = generate_channels(cfg, rng)
-            eff, plan = ssa_nc.design_scheme(cfg, cs)
+            plan = ssa_nc.design_scheme(cfg, cs)
+            eff = plan.channels
             aligned = [eff.uplink[0] @ v for v in plan.V1]
             for p in range(plan.num_pairs):
                 dist = subspace_distance(aligned[p], eff.uplink[p + 1] @ plan.Vj[p])

@@ -2,6 +2,7 @@
 
 import dataclasses
 from fractions import Fraction
+from operator import attrgetter
 
 import numpy as np
 import pytest
@@ -53,8 +54,8 @@ def redesigned_mse(cfg, trials, P):
     count = 0
     for trial in range(trials):
         rng = cfg.trial_rng(trial)
-        eff, plan = design_scheme(cfg, generate_channels(cfg, rng))
-        trace = run_round(plan, eff, P, rng, noise_on=True)
+        plan = design_scheme(cfg, generate_channels(cfg, rng))
+        trace = run_round(plan, P, rng, noise_on=True)
         diff = trace.decoded - trace.sent[senders]
         acc += np.sum(np.sum(np.abs(diff) ** 2, axis=-1))
         count += diff.size
@@ -89,11 +90,11 @@ class TestVerifyNoiseless:
     def test_error_invariant_to_power(self):
         # the audit runs at unit power; the same symbols through the same
         # plan decode exactly, to the rounding floor, at any other power
-        eff, plan = plan_for(3, 3, 2, seed=4)
+        plan = plan_for(3, 3, 2, seed=4)
         senders = analysis._sender_table(3)
 
         def worst_error(P):
-            trace = run_round(plan, eff, P, np.random.default_rng(4), noise_on=False)
+            trace = run_round(plan, P, np.random.default_rng(4), noise_on=False)
             return float(np.max(np.abs(trace.decoded - trace.sent[senders])))
 
         assert worst_error(1.0) <= 1e-12
@@ -111,13 +112,13 @@ class TestVerifyNoiseless:
         cfg = NetworkConfig(K=4, M=4, N=3, seed=5)
         path = str(tmp_path / "channels.json")
         save_channels(generate_channels(cfg, cfg.rng()), path)
-        [(rngs, eff, plan)] = analysis._trial_stacks(cfg, 4, load_channels(path))
+        [(rngs, plan)] = analysis._trial_stacks(cfg, 4, load_channels(path))
         assert plan.stack_shape == (4,)
-        for name in ("V1", "Vj", "T", "relay_filter", "rx_filter", "uplink_cond",
-                     "downlink_cond", "power_scale", "bc_scale"):
-            arrays = np.asarray(getattr(plan, name))
+        for name in ("V1", "Vj", "T", "relay_filter", "rx_filter", "channels.uplink_cond",
+                     "channels.downlink_cond", "power_scale", "bc_scale", "beamformers"):
+            arrays = np.asarray(attrgetter(name)(plan))
             assert all(np.array_equal(a, arrays[0]) for a in arrays[1:]), name
-        sent = ssa_nc.run_round(plan, eff, 1.0, rngs, noise_on=False).sent
+        sent = ssa_nc.run_round(plan, 1.0, rngs, noise_on=False).sent
         assert not any(np.array_equal(s, sent[0]) for s in sent[1:])
 
     def test_nan_round_reports_nan(self, monkeypatch):
@@ -151,19 +152,19 @@ class TestVerifyNoiseless:
         assert verify_noiseless(cfg, 100, channels=loaded).noiseless_max_error <= 1e-8
         assert designs == [()] and validations == [()]
         stacks = list(analysis._trial_stacks(cfg, 100, loaded))
-        assert [len(rngs) for rngs, _, _ in stacks] == [30, 30, 30, 10]
-        first = stacks[0][2].uplink_pinv
-        for _, eff, plan in stacks:
-            for a in (eff.uplink, eff.downlink_pinv, plan.uplink_pinv, plan.downlink_pinv,
-                      plan.uplink_cond, plan.power_scale):
+        assert [len(rngs) for rngs, _ in stacks] == [30, 30, 30, 10]
+        first = stacks[0][1].channels.uplink_pinv
+        for _, plan in stacks:
+            eff = plan.channels
+            for a in (eff.uplink, eff.uplink_pinv, eff.downlink_pinv, eff.uplink_cond,
+                      plan.power_scale, plan.beamformers):
                 assert a.strides[0] == 0 and not a.flags.writeable
-            assert np.shares_memory(plan.uplink_pinv, first)
-            assert np.shares_memory(plan.downlink_pinv, eff.downlink_pinv)
+            assert np.shares_memory(eff.uplink_pinv, first)
 
 
 class TestStreamSinrs:
     def test_shapes(self):
-        eff, plan = plan_for(4, 4, 3, seed=6)
+        plan = plan_for(4, 4, 3, seed=6)
         s = stream_sinrs(plan, 10.0)
         assert s.mac.shape == (3, 1)
         assert s.bc.shape == (4, 3, 1)
@@ -171,14 +172,14 @@ class TestStreamSinrs:
         assert s.flat().size == 12
 
     def test_min_of_phases(self):
-        eff, plan = plan_for(3, 3, 2, seed=7)
+        plan = plan_for(3, 3, 2, seed=7)
         s = stream_sinrs(plan, 5.0)
         assert np.all(s.end_to_end <= s.bc + 1e-12)
         for u in range(3):
             assert np.all(s.end_to_end[u] <= s.mac + 1e-12)
 
     def test_exact_homogeneity_in_power(self):
-        eff, plan = plan_for(3, 3, 2, seed=8)
+        plan = plan_for(3, 3, 2, seed=8)
         s1 = stream_sinrs(plan, 3.0)
         s10 = stream_sinrs(plan, 30.0)
         assert np.allclose(s10.mac, 10.0 * s1.mac, rtol=1e-14, atol=0.0)
@@ -192,7 +193,7 @@ class TestStreamSinrs:
         # filter row a row of pinv(d_u) placed in one slot
         cfg = NetworkConfig(K=k, M=m, N=n, seed=11)
         rng = cfg.trial_rng(0) if trials is None else [cfg.trial_rng(t) for t in range(trials)]
-        _, plan = design_scheme(cfg, generate_channels(cfg, rng))
+        plan = design_scheme(cfg, generate_channels(cfg, rng))
         P = 7.0
         a2 = np.asarray(plan.power_scale) ** 2 * P
         b2 = np.asarray(plan.bc_scale) ** 2 * P
@@ -202,13 +203,13 @@ class TestStreamSinrs:
         assert np.array_equal(got.mac, mac) and np.array_equal(got.bc, bc)
 
     def test_vanishes_with_power(self):
-        eff, plan = plan_for(3, 3, 2, seed=9)
+        plan = plan_for(3, 3, 2, seed=9)
         assert float(stream_sinrs(plan, 1e-12).flat().max()) < 1e-6
 
     def test_matches_monte_carlo(self):
         # brute-force noise-draw oracle: empirical signal power over
         # empirical shaped-noise power, 1e5 draws, within 5 percent
-        eff, plan = plan_for(3, 3, 2, seed=10)
+        plan = plan_for(3, 3, 2, seed=10)
         P = 10.0
         cf = stream_sinrs(plan, P)
         g = np.random.default_rng(99)
@@ -288,7 +289,7 @@ class TestSlopeEstimation:
         # the broadcast fit against the per-trial, per-power loops it replaced
         cfg = NetworkConfig(K=k, M=m, N=n, seed=28, duplex_factor=duplex)
         gammas = np.concatenate(
-            [stream_sinrs(plan, 1.0).flat() for _, _, plan in analysis._trial_stacks(cfg, trials)]
+            [stream_sinrs(plan, 1.0).flat() for _, plan in analysis._trial_stacks(cfg, trials)]
         )
         grid = np.asarray(GRID)
         top = grid[-4:]
@@ -386,7 +387,7 @@ class TestPhysicalTrialPath:
         assert verify_noiseless(cfg, 3).noiseless_max_error <= 1e-8
         assert simulate_report(cfg, GRID, 3).noiseless_max_error <= 1e-8
         assert np.all(np.isfinite(decode_mse_sweep(cfg, GRID, 3)))
-        _, plan = design_scheme(cfg, generate_channels(cfg, cfg.rng()))
+        plan = design_scheme(cfg, generate_channels(cfg, cfg.rng()))
         with pytest.raises(AssertionError, match="extended filter"):
             plan.rx_filter
 
@@ -453,7 +454,7 @@ class TestClosedFormMse:
         cfg = NetworkConfig(K=k, M=m, N=n, seed=29)
         mean = 0.0
         var = 0.0
-        for _, _, plan in analysis._trial_stacks(cfg, trials):
+        for _, plan in analysis._trial_stacks(cfg, trials):
             A = decode_error_map(plan)
             C = A @ A.conj().swapaxes(-1, -2)
             mean += float(np.sum(np.real(np.trace(C, axis1=-2, axis2=-1))))

@@ -4,6 +4,7 @@ import dataclasses
 import itertools
 import logging
 from fractions import Fraction
+from operator import attrgetter
 
 import numpy as np
 import pytest
@@ -19,14 +20,11 @@ from mrc_dof_lab.ssa_nc import (
     SchemeDesignError,
     bc_phase,
     build_allocation,
-    design_downlink,
     design_scheme,
-    design_uplink,
     extension_plan,
     mac_phase,
     other_users,
     plan_to_json_dict,
-    prepare_scheme,
     relay_process,
     run_round,
     user_decode,
@@ -37,8 +35,8 @@ def designed(k, m, n, seed=0, trial=0, **config):
     cfg = NetworkConfig(K=k, M=m, N=n, seed=seed, **config)
     rng = cfg.trial_rng(trial)
     cs = generate_channels(cfg, rng)
-    eff, plan = design_scheme(cfg, cs)
-    return cfg, eff, plan, rng
+    plan = design_scheme(cfg, cs)
+    return cfg, plan.channels, plan, rng
 
 
 def extended(plan, matrices):
@@ -62,9 +60,9 @@ class TestPrepareScheme:
     def test_bookkeeping(self, k, m, n, base, L, d):
         assert extension_plan(k, m, n) == (base, L, d)
         cfg = NetworkConfig(K=k, M=m, N=n, seed=1)
-        cs = generate_channels(cfg, cfg.rng())
-        eff, got_d = prepare_scheme(cfg, cs)
-        assert got_d == d
+        plan = design_scheme(cfg, generate_channels(cfg, cfg.rng()))
+        eff = plan.channels
+        assert (plan.d, plan.extension_factor) == (d, L)
         # the set stays physical: the scheme extends it implicitly
         assert (eff.relay_dim, eff.user_dim) == (base, m)
         block = np.kron(np.eye(L), eff.uplink[0])
@@ -73,26 +71,18 @@ class TestPrepareScheme:
 
     def test_shutdown_keeps_user_antennas(self):
         cfg = NetworkConfig(K=4, M=3, N=6, seed=1)
-        cs = generate_channels(cfg, cfg.rng())
-        eff, d = prepare_scheme(cfg, cs)
-        assert eff.relay_dim == 3 and eff.user_dim == 3 and d == 1
+        plan = design_scheme(cfg, generate_channels(cfg, cfg.rng()))
+        eff = plan.channels
+        assert eff.relay_dim == 3 and eff.user_dim == 3 and plan.d == 1
 
 
 def _uplink_beamformers(cfg):
     """The effective channels and the plan's extended V1 and Vj."""
-    eff, plan = design_scheme(cfg, generate_channels(cfg, cfg.rng()))
-    return eff, plan.V1, plan.Vj
+    plan = design_scheme(cfg, generate_channels(cfg, cfg.rng()))
+    return plan.channels, plan.V1, plan.Vj
 
 
 class TestDesignUplink:
-    def test_returns_the_sets_own_decomposition(self):
-        cfg = NetworkConfig(K=3, M=4, N=3, seed=2)
-        eff, d = prepare_scheme(cfg, generate_channels(cfg, cfg.rng()))
-        pinv, cond = design_uplink(eff, d)
-        assert pinv is eff.uplink_pinv and cond is eff.uplink_cond
-        with pytest.raises(ValueError, match="stream count d"):
-            design_uplink(eff, d + 1)
-
     def test_alignment_distance(self):
         eff, V1, Vj = _uplink_beamformers(NetworkConfig(K=3, M=3, N=2, seed=2))
         for p in range(2):
@@ -158,14 +148,14 @@ class TestDesignRelayZf:
     def test_independent_of_other_users_channels(self):
         # user 1's beamformers and the relay filters never read user 2's uplink
         cfg = NetworkConfig(K=3, M=3, N=2, seed=7)
-        eff, _ = prepare_scheme(cfg, generate_channels(cfg, cfg.rng()))
+        eff = generate_channels(cfg, cfg.rng())
         perturbed_up = list(eff.uplink)
         h2 = perturbed_up[1].copy()
         h2[0, 0] += 0.37
         perturbed_up[1] = h2
         eff2 = ChannelSet(uplink=tuple(perturbed_up), downlink=eff.downlink)
-        _, plan = design_scheme(cfg, eff)
-        _, plan2 = design_scheme(cfg, eff2)
+        plan = design_scheme(cfg, eff)
+        plan2 = design_scheme(cfg, eff2)
         assert not np.allclose(plan.Vj[0], plan2.Vj[0])
         assert np.array_equal(plan.V1, plan2.V1)
         assert np.array_equal(plan.relay_filter, plan2.relay_filter)
@@ -216,16 +206,17 @@ class TestFilterOracle:
         for u in range(k):
             up_cond = np.linalg.cond(eff.uplink[u])
             down_cond = np.linalg.cond(eff.downlink[u])
-            assert abs(plan.uplink_cond[u] - up_cond) <= 1e-10 * up_cond
-            assert abs(plan.downlink_cond[u] - down_cond) <= 1e-10 * down_cond
+            assert abs(plan.channels.uplink_cond[u] - up_cond) <= 1e-10 * up_cond
+            assert abs(plan.channels.downlink_cond[u] - down_cond) <= 1e-10 * down_cond
             beams = plan.V1 if u == 0 else [plan.Vj[u - 1]]
             for v in beams:
-                assert np.linalg.cond(v) <= plan.uplink_cond[u] * (1 + 1e-10)
+                assert np.linalg.cond(v) <= plan.channels.uplink_cond[u] * (1 + 1e-10)
             user_inv = np.linalg.pinv(down[u] @ t_cat)
             assert abs(np.linalg.cond(user_inv) - down_cond) <= 1e-10 * down_cond
             images = [down[u] @ t for t in plan.T]
             for p in range(plan.num_pairs):
-                assert _zero_forcing_oracle(images, p)[1] <= plan.downlink_cond[u] * (1 + 1e-10)
+                bound = plan.channels.downlink_cond[u] * (1 + 1e-10)
+                assert _zero_forcing_oracle(images, p)[1] <= bound
 
 
 class TestUserFilterOracle:
@@ -266,7 +257,8 @@ class TestIdentitySubspaces:
     def test_plan_is_pinv_blocks_and_identity_blocks(self, k, m, n, trials):
         cfg = NetworkConfig(K=k, M=m, N=n, seed=7, reciprocal=False)
         rng = cfg.trial_rng(0) if trials is None else [cfg.trial_rng(t) for t in range(trials)]
-        eff, plan = design_scheme(cfg, generate_channels(cfg, rng))
+        plan = design_scheme(cfg, generate_channels(cfg, rng))
+        eff = plan.channels
         d, n_eff = plan.d, plan.effective_N
         eye = np.eye(n_eff)
         for i in [()] if trials is None else [(t,) for t in range(trials)]:
@@ -285,10 +277,11 @@ class TestIdentitySubspaces:
     def test_relay_and_broadcast_equal_identity_products(self, k, m, n):
         cfg = NetworkConfig(K=k, M=m, N=n, seed=8)
         rngs = [cfg.trial_rng(t) for t in range(2)]
-        eff, plan = design_scheme(cfg, generate_channels(cfg, rngs))
+        plan = design_scheme(cfg, generate_channels(cfg, rngs))
+        eff = plan.channels
         P = 3.0
         s = random_gaussian_vector(2 * k * plan.d, rngs[0]).reshape(2, k, plan.d)
-        y_r = mac_phase(plan, eff, s, P, rngs, noise_on=True)
+        y_r = mac_phase(plan, s, P, rngs, noise_on=True)
         a = plan.power_scale[:, None, None] * np.sqrt(P)
         want = (plan.relay_filter @ y_r[:, None, :, None])[..., 0] / a
         w = relay_process(plan, y_r, P)
@@ -296,7 +289,7 @@ class TestIdentitySubspaces:
         b = plan.bc_scale[:, None] * np.sqrt(P)
         x_r = b * np.sum(plan.T @ w[..., None], axis=-3)[..., 0]
         want = ssa_nc._kron_apply(eff.downlink, x_r[:, None, :], plan.extension_factor)
-        assert np.array_equal(bc_phase(plan, eff, w, P), want)
+        assert np.array_equal(bc_phase(plan, w, P), want)
 
     @pytest.mark.parametrize("k,m,n", CASES + [(4, 2, 5), (3, 4, 3), (5, 4, 4), (6, 6, 5)])
     def test_power_scale_equals_extended_budget(self, k, m, n):
@@ -304,7 +297,7 @@ class TestIdentitySubspaces:
         # matrix, user 0's summed over its pairs from contiguous V1 blocks;
         # the physical computation gives the same bits
         cfg = NetworkConfig(K=k, M=m, N=n, seed=10)
-        _, plan = design_scheme(cfg, generate_channels(cfg, [cfg.trial_rng(t) for t in range(40)]))
+        plan = design_scheme(cfg, generate_channels(cfg, [cfg.trial_rng(t) for t in range(40)]))
         own = np.ascontiguousarray(plan.V1).sum(axis=-3, keepdims=True)
         tx = np.concatenate([own, plan.Vj], axis=-3)
         budgets = np.sum(tx.real**2 + tx.imag**2, axis=(-2, -1))
@@ -332,7 +325,7 @@ class TestIdentitySubspaces:
 
 def _stacked_plan(cfg, trials):
     rngs = [cfg.trial_rng(t) for t in trials]
-    return design_scheme(cfg, generate_channels(cfg, rngs))[1]
+    return design_scheme(cfg, generate_channels(cfg, rngs))
 
 
 # K=3, M=3, N=2 at seed 7: the guards of trials 0-7 are 2.05, 1.93, 3.29,
@@ -342,15 +335,30 @@ GUARD_CFG = dict(K=3, M=3, N=2, seed=7)
 
 class TestDesignFailurePaths:
     """Failure paths at K=3, M=3, N=2, d=1: the design draws nothing, so
-    only the channel's conditioning and an unprepared set can fail it."""
+    only the channel's conditioning and a set of other dimensions than the
+    configuration's can fail it."""
 
     CFG = GUARD_CFG
 
-    def test_downlink_on_unprepared_shutdown_set_raises(self):
-        cfg = NetworkConfig(K=3, M=2, N=4, seed=7)
-        cs = generate_channels(cfg, cfg.rng())
-        with pytest.raises(SchemeDesignError, match="user dimension 2 >= relay dimension 4"):
-            design_downlink(cs)
+    @pytest.mark.parametrize(
+        "config,given",
+        [
+            ((3, 4, 3), (3, 4, 5)),  # one relay antenna too many
+            ((3, 3, 2), (3, 4, 2)),  # one user antenna too many
+            ((3, 4, 6), (3, 4, 5)),  # one relay antenna short of a shutdown
+            ((4, 4, 3), (3, 4, 3)),  # one user short
+        ],
+        ids=["N", "M", "N-shutdown", "K"],
+    )
+    def test_dimension_mismatch_raises(self, config, given):
+        cfg = NetworkConfig(*config, seed=7)
+        wrong = NetworkConfig(*given, seed=7)
+        cs = generate_channels(wrong, wrong.rng())
+        want = "K={}, M={}, N={}; the configuration is K={}, M={}, N={}".format(*given, *config)
+        with pytest.raises(ValueError, match=want):
+            design_scheme(cfg, cs)
+        with pytest.raises(ValueError, match=want):
+            verify_noiseless(cfg, 2, channels=cs)
 
     def test_conditioning_guardrail_raises_without_redraw(self, monkeypatch, caplog):
         # every condition number is at least 1, so the first trial fails at
@@ -368,8 +376,8 @@ class TestDesignFailurePaths:
         # uplinks of trials 5 and 7 exceed it
         cfg = NetworkConfig(**GUARD_CFG, reciprocal=False)
         plan = _stacked_plan(cfg, range(8))
-        assert np.flatnonzero(plan.downlink_cond.max(axis=-1) > 4.0).tolist() == [2]
-        assert np.flatnonzero(plan.uplink_cond.max(axis=-1) > 4.0).tolist() == [5, 7]
+        assert np.flatnonzero(plan.channels.downlink_cond.max(axis=-1) > 4.0).tolist() == [2]
+        assert np.flatnonzero(plan.channels.uplink_cond.max(axis=-1) > 4.0).tolist() == [5, 7]
         for limit, trial in ((4.0, 2), (5.0, 5)):
             monkeypatch.setattr(ssa_nc, "COND_LIMIT", limit)
             with pytest.raises(SchemeDesignError) as err:
@@ -384,7 +392,8 @@ class TestDesignFailurePaths:
         limit = 5.0
         plan = _stacked_plan(cfg, range(8))
         assert plan.d == 1
-        worst = np.maximum(plan.uplink_cond.max(axis=-1), plan.downlink_cond.max(axis=-1))
+        eff = plan.channels
+        worst = np.maximum(eff.uplink_cond.max(axis=-1), eff.downlink_cond.max(axis=-1))
         assert np.flatnonzero(worst > limit).tolist() == [5, 7]
         monkeypatch.setattr(ssa_nc, "COND_LIMIT", limit)
         assert verify_noiseless(cfg, trials=5).degenerate_draws == 0
@@ -397,8 +406,8 @@ class TestDesignFailurePaths:
 
 
 PLAN_FIELDS = (
-    "V1", "Vj", "T", "relay_filter", "rx_filter", "uplink_cond", "downlink_cond",
-    "power_scale", "bc_scale",
+    "V1", "Vj", "T", "relay_filter", "rx_filter", "channels.uplink_cond",
+    "channels.downlink_cond", "power_scale", "bc_scale", "beamformers",
 )
 TRACE_FIELDS = ("sent", "relay_rx", "relay_fwd", "user_rx", "decoded")
 SINR_FIELDS = ("mac", "bc", "end_to_end")
@@ -409,8 +418,8 @@ def _single_runs(cfg, trials):
     runs = []
     for trial in trials:
         rng = cfg.trial_rng(trial)
-        eff, plan = design_scheme(cfg, generate_channels(cfg, rng))
-        trace = run_round(plan, eff, 10.0, rng, noise_on=True)
+        plan = design_scheme(cfg, generate_channels(cfg, rng))
+        trace = run_round(plan, 10.0, rng, noise_on=True)
         runs.append((plan, trace, stream_sinrs(plan, 3.0)))
     return runs
 
@@ -418,8 +427,8 @@ def _single_runs(cfg, trials):
 def _stacked_run(cfg, trials):
     """(plan, noisy trace, SINRs) of the trials designed and run as one stack."""
     rngs = [cfg.trial_rng(trial) for trial in trials]
-    eff, plan = design_scheme(cfg, generate_channels(cfg, rngs))
-    trace = run_round(plan, eff, 10.0, rngs, noise_on=True)
+    plan = design_scheme(cfg, generate_channels(cfg, rngs))
+    trace = run_round(plan, 10.0, rngs, noise_on=True)
     return plan, trace, stream_sinrs(plan, 3.0)
 
 
@@ -427,8 +436,8 @@ def _assert_stack_matches(stacked, singles):
     for t, single in enumerate(singles):
         for fields, whole, one in zip((PLAN_FIELDS, TRACE_FIELDS, SINR_FIELDS), stacked, single):
             for name in fields:
-                got = np.asarray(getattr(whole, name))[t]
-                assert np.array_equal(got, getattr(one, name)), (t, name)
+                got = np.asarray(attrgetter(name)(whole))[t]
+                assert np.array_equal(got, attrgetter(name)(one)), (t, name)
 
 
 class TestTrialStacks:
@@ -472,10 +481,10 @@ class TestTrialStacks:
     def test_generator_count_must_match_stack(self):
         cfg = NetworkConfig(K=3, M=3, N=2, seed=7)
         rngs = [cfg.trial_rng(trial) for trial in range(3)]
-        eff, plan = design_scheme(cfg, generate_channels(cfg, rngs))
+        plan = design_scheme(cfg, generate_channels(cfg, rngs))
         for wrong in (rngs[:2], rngs[0]):
             with pytest.raises(ValueError, match="one generator per trial"):
-                run_round(plan, eff, 1.0, wrong, noise_on=False)
+                run_round(plan, 1.0, wrong, noise_on=False)
 
 
 class TestLapackBudget:
@@ -516,7 +525,7 @@ class TestLapackBudget:
         rngs = [cfg.trial_rng(t) for t in range(2)]
         channels = generate_channels(cfg, rngs)
         calls = self.count_calls(monkeypatch)
-        _, plan = design_scheme(cfg, channels)
+        plan = design_scheme(cfg, channels)
         assert plan.stack_shape == (2,)
         assert calls == {"svd": 2 * validations, "qr": 0, "validate": validations}
 
@@ -528,8 +537,8 @@ class TestLapackBudget:
         cfg = NetworkConfig(K=k, M=m, N=n, seed=7)
         rngs = [cfg.trial_rng(t) for t in range(2)]
         calls = self.count_calls(monkeypatch)
-        eff, plan = design_scheme(cfg, generate_channels(cfg, rngs))
-        run_round(plan, eff, 10.0, rngs, noise_on=True)
+        plan = design_scheme(cfg, generate_channels(cfg, rngs))
+        run_round(plan, 10.0, rngs, noise_on=True)
         assert calls == {"svd": 2 + 2 * validations, "qr": 0, "validate": 1 + validations}
 
     @pytest.mark.parametrize("k,m,n,validations", CASES)
@@ -560,14 +569,14 @@ class TestMacPhase:
     def test_zero_symbols_zero_output(self):
         cfg, eff, plan, rng = designed(3, 3, 2)
         zeros = [np.zeros(plan.d, dtype=complex)] * 3
-        y = mac_phase(plan, eff, zeros, P=1.0, rng=rng, noise_on=False)
+        y = mac_phase(plan, zeros, P=1.0, rng=rng, noise_on=False)
         assert np.linalg.norm(y) == 0.0
 
     def test_aligned_superposition_identity(self):
         # noiseless relay input equals the pair-sum form through user 1's channel
         cfg, eff, plan, rng = designed(3, 3, 2, seed=8)
         s = [random_gaussian_vector(plan.d, rng) for _ in range(3)]
-        y = mac_phase(plan, eff, s, P=4.0, rng=rng, noise_on=False)
+        y = mac_phase(plan, s, P=4.0, rng=rng, noise_on=False)
         a = plan.power_scale * 2.0
         h0 = eff.uplink[0]
         expected = a * sum(h0 @ plan.V1[p] @ (s[0] + s[p + 1]) for p in range(2))
@@ -594,22 +603,22 @@ class TestMacPhase:
         cfg, eff, plan, rng = designed(3, 3, 2)
         bad = [np.zeros(plan.d + 1, dtype=complex)] * 3
         with pytest.raises(ValueError):
-            mac_phase(plan, eff, bad, P=1.0, rng=rng, noise_on=False)
+            mac_phase(plan, bad, P=1.0, rng=rng, noise_on=False)
 
     def test_noise_without_generator_rejected(self):
         cfg, eff, plan, _ = designed(3, 3, 2)
         zeros = np.zeros((3, plan.d), dtype=complex)
         with pytest.raises(ValueError, match="generator"):
-            mac_phase(plan, eff, zeros, 1.0, noise_on=True)
+            mac_phase(plan, zeros, 1.0, noise_on=True)
         with pytest.raises(ValueError, match="generator"):
-            bc_phase(plan, eff, zeros[:2], 1.0, noise_on=True)
+            bc_phase(plan, zeros[:2], 1.0, noise_on=True)
 
 
 class TestRelayProcess:
     def test_recovers_pair_sums(self):
         cfg, eff, plan, rng = designed(4, 4, 3, seed=10)
         s = [random_gaussian_vector(plan.d, rng) for _ in range(4)]
-        y = mac_phase(plan, eff, s, P=2.0, rng=rng, noise_on=False)
+        y = mac_phase(plan, s, P=2.0, rng=rng, noise_on=False)
         w = relay_process(plan, y, P=2.0)
         for p in range(3):
             assert np.linalg.norm(w[p] - (s[0] + s[p + 1])) <= 1e-10
@@ -618,7 +627,7 @@ class TestRelayProcess:
         cfg, eff, plan, rng = designed(3, 3, 2, seed=11)
         s1 = random_gaussian_vector(plan.d, rng)
         s = [s1, -s1, random_gaussian_vector(plan.d, rng)]
-        y = mac_phase(plan, eff, s, P=1.0, rng=rng, noise_on=False)
+        y = mac_phase(plan, s, P=1.0, rng=rng, noise_on=False)
         w = relay_process(plan, y, P=1.0)
         assert np.linalg.norm(w[0]) <= 1e-10
 
@@ -629,7 +638,7 @@ class TestRelayProcess:
         residuals = []
         for P in (1e2, 1e4, 1e6):
             rng = np.random.default_rng(77)
-            y = mac_phase(plan, eff, s, P=P, rng=rng, noise_on=True)
+            y = mac_phase(plan, s, P=P, rng=rng, noise_on=True)
             w = relay_process(plan, y, P=P)
             residuals.append(np.linalg.norm(np.concatenate(w)))
         assert residuals[0] / residuals[1] == pytest.approx(10.0, rel=1e-9)
@@ -653,7 +662,7 @@ class TestDownlinkAndDecode:
         cfg, eff, plan, rng = designed(4, 4, 3, seed=14)
         w = [np.zeros(plan.d, dtype=complex) for _ in range(3)]
         w[1] = random_gaussian_vector(plan.d, rng)
-        y = bc_phase(plan, eff, w, P=3.0, rng=rng, noise_on=False)
+        y = bc_phase(plan, w, P=3.0, rng=rng, noise_on=False)
         b = plan.bc_scale * np.sqrt(3.0)
         for u in range(4):
             est = [plan.rx_filter[u][p] @ y[u] / b for p in range(3)]
@@ -664,14 +673,14 @@ class TestDownlinkAndDecode:
     def test_bc_zero_forward_zero_output(self):
         cfg, eff, plan, rng = designed(3, 3, 2)
         w = [np.zeros(plan.d, dtype=complex)] * 2
-        y = bc_phase(plan, eff, w, P=1.0, rng=rng, noise_on=False)
+        y = bc_phase(plan, w, P=1.0, rng=rng, noise_on=False)
         assert all(np.linalg.norm(v) == 0.0 for v in y)
 
     def test_single_pair_output_in_precoder_span(self):
         cfg, eff, plan, rng = designed(3, 3, 2, seed=15)
         w = [np.zeros(plan.d, dtype=complex)] * 2
         w[0] = random_gaussian_vector(plan.d, rng)
-        y = bc_phase(plan, eff, w, P=1.0, rng=rng, noise_on=False)
+        y = bc_phase(plan, w, P=1.0, rng=rng, noise_on=False)
         img = eff.downlink[1] @ plan.T[0]
         assert subspace_distance(y[1].reshape(-1, 1), img) <= 1e-9
 
@@ -691,7 +700,7 @@ class TestDownlinkAndDecode:
 
     def test_noiseless_decode_exact(self):
         cfg, eff, plan, rng = designed(4, 5, 3, seed=17)
-        trace = run_round(plan, eff, P=1.0, rng=rng, noise_on=False)
+        trace = run_round(plan, P=1.0, rng=rng, noise_on=False)
         for u in range(4):
             for idx, v in enumerate(other_users(4, u)):
                 err = np.linalg.norm(trace.decoded[u][idx] - trace.sent[v])
@@ -702,9 +711,9 @@ class TestDownlinkAndDecode:
         cfg, eff, plan, rng = designed(3, 3, 2, seed=18)
         s = [random_gaussian_vector(plan.d, rng) for _ in range(3)]
         s[1] = np.zeros(plan.d, dtype=complex)
-        y_r = mac_phase(plan, eff, s, P=1.0, rng=rng, noise_on=False)
+        y_r = mac_phase(plan, s, P=1.0, rng=rng, noise_on=False)
         w = relay_process(plan, y_r, P=1.0)
-        y = bc_phase(plan, eff, w, P=1.0, rng=rng, noise_on=False)
+        y = bc_phase(plan, w, P=1.0, rng=rng, noise_on=False)
         decoded = user_decode(plan, y[1], 1, s[1], P=1.0)
         b = plan.bc_scale
         what = plan.rx_filter[1][0] @ y[1] / b
@@ -742,10 +751,11 @@ class TestImplicitExtension:
     def test_round_equals_explicit_kron_products(self, k, m, n, L, trials):
         cfg = NetworkConfig(K=k, M=m, N=n, seed=31)
         rng = cfg.trial_rng(0) if trials is None else [cfg.trial_rng(t) for t in range(trials)]
-        eff, plan = design_scheme(cfg, generate_channels(cfg, rng))
+        plan = design_scheme(cfg, generate_channels(cfg, rng))
+        eff = plan.channels
         assert plan.extension_factor == L
         P = 4.0
-        trace = run_round(plan, eff, P, rng, noise_on=False)
+        trace = run_round(plan, P, rng, noise_on=False)
         up, down = extended(plan, eff.uplink), extended(plan, eff.downlink)
         for i in [()] if trials is None else [(t,) for t in range(trials)]:
             a = np.asarray(plan.power_scale)[i] * np.sqrt(P)
@@ -794,7 +804,7 @@ class TestAllocationAndPlan:
     def test_k2_degenerates_to_two_way_relay(self):
         cfg, eff, plan, rng = designed(2, 2, 1, seed=23)
         assert plan.num_pairs == 1 and plan.d == 1
-        trace = run_round(plan, eff, P=1.0, rng=rng, noise_on=False)
+        trace = run_round(plan, P=1.0, rng=rng, noise_on=False)
         assert np.allclose(trace.decoded[0][0], trace.sent[1], atol=1e-9)
         assert np.allclose(trace.decoded[1][0], trace.sent[0], atol=1e-9)
 
@@ -814,8 +824,8 @@ class TestAllocationAndPlan:
         assert plan.T.shape == (k - 1, r, d)
         assert plan.relay_filter.shape == (k - 1, d, r)
         assert plan.rx_filter.shape == (k, k - 1, d, u)
-        assert plan.uplink_cond.shape == plan.downlink_cond.shape == (k,)
-        trace = run_round(plan, eff, P=10.0, rng=rng, noise_on=True)
+        assert plan.channels.uplink_cond.shape == plan.channels.downlink_cond.shape == (k,)
+        trace = run_round(plan, P=10.0, rng=rng, noise_on=True)
         assert trace.sent.shape == (k, d)
         assert trace.relay_rx.shape == (r,)
         assert trace.relay_fwd.shape == (k - 1, d)
@@ -823,29 +833,39 @@ class TestAllocationAndPlan:
         assert trace.decoded.shape == (k, k - 1, d)
 
     def test_plan_arrays_read_only(self):
-        # the plan stores the effective set's own physical decomposition;
-        # the extended filters are derived, read-only too
-        cfg, eff, plan, _ = designed(4, 4, 4, seed=24)
-        arrays = {f.name: getattr(plan, f.name) for f in dataclasses.fields(plan)}
-        arrays = {name: a for name, a in arrays.items() if isinstance(a, np.ndarray)}
-        assert set(arrays) == {"uplink_pinv", "downlink_pinv", "uplink_cond", "downlink_cond"}
-        for name in arrays:
-            assert np.shares_memory(arrays[name], getattr(eff, name)), name
-        arrays.update({name: getattr(plan, name) for name in ("V1", "Vj", "T", "relay_filter",
-                                                              "rx_filter")})
-        for name, a in arrays.items():
-            with pytest.raises(ValueError, match="read-only"):
-                a[(0,) * a.ndim] = 0
+        # the plan stores the effective set itself, at 3/4/6 shut down to
+        # relay dimension 4, and the beamformers; the set's arrays and the
+        # derived extended filters are read-only too
+        for k, m, n in ((4, 4, 4), (3, 4, 6)):
+            cfg, eff, plan, _ = designed(k, m, n, seed=24)
+            assert (eff.relay_dim, eff.user_dim) == (4, 4)
+            assert [f.name for f in dataclasses.fields(plan)] == [
+                "channels", "d", "extension_factor", "power_scale", "bc_scale", "beamformers",
+            ]
+            arrays = {f.name: getattr(eff, f.name) for f in dataclasses.fields(eff)}
+            for name in ("beamformers", "V1", "Vj", "T", "relay_filter", "rx_filter"):
+                arrays[name] = getattr(plan, name)
+            for name, a in arrays.items():
+                with pytest.raises(ValueError, match="read-only"):
+                    a[(0,) * a.ndim] = 0
 
     def test_repeated_plan_is_broadcast_views(self):
         cfg, eff, plan, _ = designed(4, 2, 5, seed=24)
         stack = plan.repeated(3)
-        assert stack.stack_shape == (3,) and stack.power_scale.shape == (3,)
-        for name in PLAN_FIELDS:
-            got = getattr(stack, name)
+        assert stack.stack_shape == stack.channels.stack_shape == (3,)
+        assert stack.power_scale.shape == stack.bc_scale.shape == (3,)
+        stored = ("power_scale", "bc_scale", "beamformers") + tuple(
+            f"channels.{f.name}" for f in dataclasses.fields(eff)
+        )
+        for name in PLAN_FIELDS + stored:
+            got = attrgetter(name)(stack)
             assert not got.flags.writeable, name
-            assert all(np.array_equal(g, getattr(plan, name)) for g in got), name
-        assert np.shares_memory(stack.uplink_pinv, eff.uplink_pinv)
+            assert all(np.array_equal(g, attrgetter(name)(plan)) for g in got), name
+        for name in stored:
+            assert attrgetter(name)(stack).strides[0] == 0, name
+        for name in ("uplink", "uplink_pinv", "downlink_pinv"):
+            assert np.shares_memory(getattr(stack.channels, name), getattr(eff, name)), name
+        assert np.shares_memory(stack.beamformers, plan.beamformers)
         with pytest.raises(ValueError, match="one trial"):
             stack.repeated(2)
 
