@@ -8,10 +8,10 @@ A ``ChannelSet`` holds one trial's physical channels as (K, N, M) /
 (K, M, N) arrays, or a stack of trials with a leading trial axis. Symbol
 extension is part of the scheme, not of the channel: ``ssa_nc`` applies
 kron(I_L, H) implicitly, so a set never stores extended matrices.
-Validation is the only place a channel matrix is decomposed: one batched
-SVD of the uplink stack and one of the downlink stack decide every rank
-and leave the pseudoinverses and condition numbers that the scheme's
-design reads.
+Validation is the only place a channel matrix is decomposed: a reciprocal
+set takes one batched SVD, of its uplink stack, and any other set takes
+two, one per link. They decide every rank and leave the pseudoinverses
+and condition numbers that the scheme's design reads.
 """
 
 from __future__ import annotations
@@ -72,9 +72,14 @@ class ChannelSet:
     (S, K, N, M) and (S, K, M, N); the constructor also takes a sequence
     of K matrices for one trial. Every matrix must be full rank.
 
-    Validation decomposes the uplink stack and the downlink stack with one
-    batched SVD each (``pseudo_inverse_and_rank``), decides every rank from
-    them and keeps the rest: uplink_pinv[..., j] = pinv(h_j), (..., K, M, N),
+    Validation decomposes the uplink stack with one batched SVD
+    (``pseudo_inverse_and_rank``). A reciprocal set, whose downlink is
+    exactly the plain transpose of its uplink, takes no second SVD: d_j =
+    h_j^T has h_j's singular values, so its pseudoinverse is pinv(h_j)^T
+    and its rank and condition number are h_j's. Any other set decomposes
+    its downlink stack with a second batched SVD. Reciprocity is read from
+    the matrices alone. Validation decides every rank from these and keeps
+    the rest: uplink_pinv[..., j] = pinv(h_j), (..., K, M, N),
     downlink_pinv[..., j] = pinv(d_j), (..., K, N, M), and uplink_cond and
     downlink_cond, the condition numbers of h_j and d_j, (..., K). Every
     field is read-only: the set marks the complex128 matrices it is given
@@ -105,7 +110,12 @@ class ChannelSet:
         if not (np.all(np.isfinite(uplink)) and np.all(np.isfinite(downlink))):
             raise ValueError("channel entries must be finite")
         up_pinv, up_rank, up_cond = pseudo_inverse_and_rank(uplink, _RANK_TOL)
-        down_pinv, down_rank, down_cond = pseudo_inverse_and_rank(downlink, _RANK_TOL)
+        if np.array_equal(downlink, uplink.swapaxes(-1, -2)):
+            # d = h^T shares h's singular values, and pinv(h^T) = pinv(h)^T
+            down_pinv = up_pinv.swapaxes(-1, -2).copy()
+            down_rank, down_cond = up_rank, up_cond
+        else:
+            down_pinv, down_rank, down_cond = pseudo_inverse_and_rank(downlink, _RANK_TOL)
         if np.any(up_rank != min(up_shape)) or np.any(down_rank != min(up_shape)):
             raise ValueError("channel matrix is rank deficient")
         self._store(
@@ -172,7 +182,7 @@ def generate_channels(config: NetworkConfig, rng) -> ChannelSet:
     for a stack with one trial per generator. All K uplink matrices are
     drawn first so that the uplink realization at a given seed does not
     depend on the reciprocity mode; reciprocal downlinks are exact
-    transposes and consume no draws.
+    transposes and consume no draws and no decomposition.
     """
     uplink = random_gaussian_stack(config.K, (config.N, config.M), rng)
     if config.reciprocal:

@@ -12,6 +12,8 @@ from mrc_dof_lab.channel import (
     channels_from_json_dict,
     channels_to_json_dict,
     generate_channels,
+    load_channels,
+    save_channels,
     shutdown_relay_antennas,
 )
 from mrc_dof_lab.linalg import pseudo_inverse_and_rank
@@ -180,81 +182,160 @@ class TestChannelSetValidation:
             ChannelSet(uplink=(a, b), downlink=(a.T, b.T))
 
 
-def _assert_fresh_decomposition(cs):
-    """The set's stored decomposition is bit for bit a fresh one of its
-    stored matrices, and no field can be written."""
+# A reciprocal set's downlink decomposition is the uplink's transposed,
+# which differs from a fresh SVD of the downlink at the rounding floor.
+# Measured over 8-trial stacks for K in {2, 3, 4, 5, 8} and every M, N in
+# 1..8: at most 4.7e-14 of the matrix's largest pseudoinverse entry, and
+# 4.7e-14 relative for the condition number.
+RECIPROCAL_RTOL = 1e-12
+
+
+def _assert_fresh_decomposition(cs, reciprocal):
+    """The set's stored decomposition is that of its stored matrices, and
+    no field can be written. The uplink side is bit for bit a fresh SVD. A
+    reciprocal set's downlink side is exactly the uplink's transposed and
+    within RECIPROCAL_RTOL of a fresh SVD; any other set's is bit for bit
+    a fresh SVD."""
     up_pinv, _, up_cond = pseudo_inverse_and_rank(cs.uplink)
     down_pinv, _, down_cond = pseudo_inverse_and_rank(cs.downlink)
-    stored = dict(
-        uplink_pinv=up_pinv,
-        downlink_pinv=down_pinv,
-        uplink_cond=up_cond,
-        downlink_cond=down_cond,
-    )
-    for name, fresh in stored.items():
-        assert np.array_equal(getattr(cs, name), fresh), name
-    for name in ("uplink", "downlink", *stored):
-        assert not getattr(cs, name).flags.writeable, name
+    assert np.array_equal(cs.uplink_pinv, up_pinv)
+    assert np.array_equal(cs.uplink_cond, up_cond)
+    if reciprocal:
+        assert np.array_equal(cs.downlink_pinv, cs.uplink_pinv.swapaxes(-1, -2))
+        assert np.array_equal(cs.downlink_cond, cs.uplink_cond)
+        scale = np.abs(down_pinv).max(axis=(-1, -2), keepdims=True)
+        assert np.all(np.abs(cs.downlink_pinv - down_pinv) <= RECIPROCAL_RTOL * scale)
+        np.testing.assert_allclose(cs.downlink_cond, down_cond, rtol=RECIPROCAL_RTOL, atol=0)
+    else:
+        assert np.array_equal(cs.downlink_pinv, down_pinv)
+        assert np.array_equal(cs.downlink_cond, down_cond)
+    for f in dataclasses.fields(cs):
+        assert not getattr(cs, f.name).flags.writeable, f.name
 
 
 class TestStoredDecomposition:
     """Validation's SVDs are the only decomposition of a set's matrices:
     the pseudoinverses and condition numbers it keeps must be those of its
-    matrices however the set was made."""
+    matrices however the set was made. These cases draw independent
+    downlinks; TestStoredDecompositionReciprocal runs them on reciprocal
+    ones."""
 
-    CFG = NetworkConfig(K=4, M=4, N=3, seed=17, reciprocal=False)
+    RECIPROCAL = False
+
+    @property
+    def cfg(self):
+        return NetworkConfig(K=4, M=4, N=3, seed=17, reciprocal=self.RECIPROCAL)
 
     def stack(self):
-        return generate_channels(self.CFG, [self.CFG.trial_rng(t) for t in range(3)])
+        return generate_channels(self.cfg, [self.cfg.trial_rng(t) for t in range(3)])
 
     def test_one_trial(self):
-        cs = make(self.CFG)
+        cs = make(self.cfg)
         assert cs.uplink_pinv.shape == (4, 4, 3) and cs.downlink_pinv.shape == (4, 3, 4)
         assert cs.uplink_cond.shape == cs.downlink_cond.shape == (4,)
-        _assert_fresh_decomposition(cs)
+        _assert_fresh_decomposition(cs, self.RECIPROCAL)
 
     def test_stack(self):
         cs = self.stack()
         assert cs.uplink_pinv.shape == (3, 4, 4, 3) and cs.downlink_cond.shape == (3, 4)
-        _assert_fresh_decomposition(cs)
+        _assert_fresh_decomposition(cs, self.RECIPROCAL)
 
     def test_stacked_one_trial(self):
-        cs = make(self.CFG).stacked()
+        cs = make(self.cfg).stacked()
         assert cs.stack_shape == (1,)
-        _assert_fresh_decomposition(cs)
+        _assert_fresh_decomposition(cs, self.RECIPROCAL)
 
     @pytest.mark.parametrize("trials", [[2, 0], [0] * 3])
     def test_select(self, trials):
         cs = self.stack().select(trials)
         assert cs.stack_shape == (len(trials),)
-        _assert_fresh_decomposition(cs)
+        _assert_fresh_decomposition(cs, self.RECIPROCAL)
 
     def test_repeated(self):
         # a loaded trial repeated across a stack, as --load-channels runs
         # it: read-only broadcast views of the one set, nothing copied
-        one = make(self.CFG)
+        one = make(self.cfg)
         cs = one.repeated(3)
         assert cs.stack_shape == (3,)
         for f in dataclasses.fields(cs):
             a = getattr(cs, f.name)
             assert a.strides[0] == 0 and not a.flags.writeable, f.name
             assert np.shares_memory(a, getattr(one, f.name)), f.name
-        _assert_fresh_decomposition(cs)
+        _assert_fresh_decomposition(cs, self.RECIPROCAL)
         with pytest.raises(ValueError, match="one trial"):
             cs.repeated(2)
 
     def test_shutdown(self):
-        cfg = NetworkConfig(K=3, M=4, N=6, seed=18)
+        cfg = NetworkConfig(K=3, M=4, N=6, seed=18, reciprocal=self.RECIPROCAL)
         cs = shutdown_relay_antennas(generate_channels(cfg, cfg.rng()), 4)
         assert cs.uplink_pinv.shape == (3, 4, 4)
-        _assert_fresh_decomposition(cs)
+        _assert_fresh_decomposition(cs, self.RECIPROCAL)
 
     def test_given_matrices_are_frozen(self):
         # the set keeps the arrays it is given and marks them read-only, so
         # no later write can put the matrices and their stored
         # decomposition out of step
-        uplink = np.array(make(self.CFG).uplink)
-        cs = ChannelSet(uplink=uplink, downlink=uplink.swapaxes(-1, -2))
-        with pytest.raises(ValueError, match="read-only"):
-            uplink[0] = 0.0
-        _assert_fresh_decomposition(cs)
+        drawn = make(self.cfg)
+        uplink, downlink = np.array(drawn.uplink), np.array(drawn.downlink)
+        cs = ChannelSet(uplink=uplink, downlink=downlink)
+        for given in (uplink, downlink):
+            with pytest.raises(ValueError, match="read-only"):
+                given[0] = 0.0
+        _assert_fresh_decomposition(cs, self.RECIPROCAL)
+
+
+class TestStoredDecompositionReciprocal(TestStoredDecomposition):
+    """The same cases on reciprocal sets, which take one SVD."""
+
+    RECIPROCAL = True
+
+
+class TestReciprocalShortcut:
+    """Reciprocity is read from the matrices alone: only a downlink that is
+    exactly the plain transpose of the uplink skips its own SVD."""
+
+    CFG = NetworkConfig(K=3, M=4, N=3, seed=19)
+
+    def stack(self):
+        return generate_channels(self.CFG, [self.CFG.trial_rng(t) for t in range(2)])
+
+    def test_reciprocal_stack_takes_one_svd(self, svd_calls):
+        cs = self.stack()
+        assert svd_calls == [(2, 3, 3, 4)]
+        _assert_fresh_decomposition(cs, reciprocal=True)
+
+    def test_conjugate_transpose_is_not_reciprocal(self, svd_calls):
+        uplink = self.stack().uplink
+        cs = ChannelSet(uplink=uplink, downlink=uplink.conj().swapaxes(-1, -2))
+        assert svd_calls == [(2, 3, 3, 4), (2, 3, 3, 4), (2, 3, 4, 3)]
+        _assert_fresh_decomposition(cs, reciprocal=False)
+
+    def test_one_changed_downlink_entry_is_not_reciprocal(self, svd_calls):
+        drawn = self.stack()
+        downlink = np.array(drawn.downlink)
+        downlink[1, 2, 3, 0] += 1e-3
+        cs = ChannelSet(uplink=drawn.uplink, downlink=downlink)
+        assert svd_calls == [(2, 3, 3, 4), (2, 3, 3, 4), (2, 3, 4, 3)]
+        _assert_fresh_decomposition(cs, reciprocal=False)
+
+    def test_rank_deficient_reciprocal_set_rejected(self, svd_calls):
+        uplink = np.array(self.stack().uplink)
+        uplink[1, 0, 2] = 2.0 * uplink[1, 0, 0]
+        with pytest.raises(ValueError, match="rank deficient"):
+            ChannelSet(uplink=uplink, downlink=uplink.swapaxes(-1, -2).copy())
+        assert len(svd_calls) == 2
+
+    def test_non_finite_reciprocal_set_rejected(self, svd_calls):
+        uplink = np.array(self.stack().uplink)
+        uplink[0, 1, 0, 0] = np.nan
+        with pytest.raises(ValueError, match="finite"):
+            ChannelSet(uplink=uplink, downlink=uplink.swapaxes(-1, -2).copy())
+        assert len(svd_calls) == 1
+
+    def test_reloaded_reciprocal_file_takes_one_svd(self, tmp_path, svd_calls):
+        path = str(tmp_path / "channels.json")
+        save_channels(make(self.CFG), path)
+        del svd_calls[:]
+        cs = load_channels(path)
+        assert svd_calls == [(3, 3, 4)]
+        _assert_fresh_decomposition(cs, reciprocal=True)

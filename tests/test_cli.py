@@ -6,8 +6,8 @@ import json
 import numpy as np
 import pytest
 
-from mrc_dof_lab import __version__
-from mrc_dof_lab.channel import load_channels
+from mrc_dof_lab import __version__, analysis
+from mrc_dof_lab.channel import NetworkConfig, load_channels
 from mrc_dof_lab.cli import EXIT_BAD_ARGS, EXIT_OK, EXIT_VERIFY_FAILED, main
 
 
@@ -413,3 +413,33 @@ class TestFailurePaths:
         code, out, _ = run(capsys, "bounds", "--k", "3", "--m", "2", "--n", "3")
         assert code == EXIT_OK
         assert out.strip().splitlines()[-1] == "3,2,3,5,6,6,0"
+
+
+class TestEntryPointSvdBudget:
+    """SVDs per call of the entry points perfbench/ drives, on its inputs:
+    its linalg.svd_calls_per_trial is these counts over the call's trials.
+    Every draw is reciprocal, so each validation takes one SVD, and a draw
+    is validated again only after a relay shutdown."""
+
+    def test_verify_with_extension(self, svd_calls):
+        # extension_large: one stack of 5 trials at 8/8/8
+        report = analysis.verify_noiseless(NetworkConfig(K=8, M=8, N=8, seed=7), 5)
+        assert report.achieved_streams == report.cutset
+        assert svd_calls == [(5, 8, 8, 8)]
+
+    def test_noisy_power_sweep(self, svd_calls):
+        # noisy_power_sweep: one stack of 25 trials per call at 4/4/3
+        config = NetworkConfig(K=4, M=4, N=3, seed=7)
+        grid = (1e2, 1e3, 1e4, 1e5, 1e6)
+        analysis.simulate_report(config, grid, 25)
+        analysis.decode_mse_sweep(config, grid, 25)
+        assert svd_calls == [(25, 4, 3, 4)] * 2
+
+    def test_sweep_grid(self, tmp_path, capsys, svd_calls):
+        # sweep_grid: 27 rows of 5 trials, 9 of them (N > M) shut down
+        code, _, _ = run(
+            capsys, "sweep", "--k", "3,4,5", "--m", "2,3,4", "--n", "2,3,4",
+            "--trials", "5", "--seed", "7", "--out", str(tmp_path / "grid.csv"),
+        )
+        assert code == EXIT_OK
+        assert len(svd_calls) == 27 + 9

@@ -489,11 +489,16 @@ class TestTrialStacks:
 
 class TestLapackBudget:
     """Channel validation is the only place a channel matrix is decomposed:
-    one SVD of the uplink and one of the downlink stack, whose
-    pseudoinverses and condition numbers the design slices. One stacked
-    design therefore takes no SVD and no QR, whatever the extension
-    factor; the channels are validated again, with two more SVDs, only
-    after a relay shutdown, which can lose rank."""
+    one SVD of a reciprocal set's uplink stack, whose pseudoinverses
+    transposed are the downlink's, and two for any other set, one per link.
+    The design slices their pseudoinverses and condition numbers, so one
+    stacked design takes no SVD and no QR, whatever the extension factor;
+    the channels are validated again only after a relay shutdown, which
+    can lose rank. These cases draw reciprocal channels;
+    TestLapackBudgetIndependent draws independent downlinks."""
+
+    RECIPROCAL = True
+    SVDS_PER_VALIDATION = 1
 
     CASES = [
         (4, 4, 3, 0),  # plain
@@ -519,37 +524,49 @@ class TestLapackBudget:
         )
         return calls
 
+    def config(self, k, m, n):
+        return NetworkConfig(K=k, M=m, N=n, seed=7, reciprocal=self.RECIPROCAL)
+
     @pytest.mark.parametrize("k,m,n,validations", CASES)
     def test_calls_per_design(self, monkeypatch, k, m, n, validations):
-        cfg = NetworkConfig(K=k, M=m, N=n, seed=7)
+        cfg = self.config(k, m, n)
         rngs = [cfg.trial_rng(t) for t in range(2)]
         channels = generate_channels(cfg, rngs)
         calls = self.count_calls(monkeypatch)
         plan = design_scheme(cfg, channels)
         assert plan.stack_shape == (2,)
-        assert calls == {"svd": 2 * validations, "qr": 0, "validate": validations}
+        svds = self.SVDS_PER_VALIDATION * validations
+        assert calls == {"svd": svds, "qr": 0, "validate": validations}
 
     @pytest.mark.parametrize("k,m,n,validations", CASES)
     def test_calls_per_trial_path(self, monkeypatch, k, m, n, validations):
         # a stack's whole path, draw to decoded round: the draw's
         # validation is its only decomposition, unless a shutdown validates
         # the cut set again
-        cfg = NetworkConfig(K=k, M=m, N=n, seed=7)
+        cfg = self.config(k, m, n)
         rngs = [cfg.trial_rng(t) for t in range(2)]
         calls = self.count_calls(monkeypatch)
         plan = design_scheme(cfg, generate_channels(cfg, rngs))
         run_round(plan, 10.0, rngs, noise_on=True)
-        assert calls == {"svd": 2 + 2 * validations, "qr": 0, "validate": 1 + validations}
+        svds = self.SVDS_PER_VALIDATION * (1 + validations)
+        assert calls == {"svd": svds, "qr": 0, "validate": 1 + validations}
 
     @pytest.mark.parametrize("k,m,n,validations", CASES)
     def test_design_draws_nothing(self, k, m, n, validations):
-        cfg = NetworkConfig(K=k, M=m, N=n, seed=7)
+        cfg = self.config(k, m, n)
         rngs = [cfg.trial_rng(t) for t in range(2)]
         channels = generate_channels(cfg, rngs)
         before = [g.bit_generator.state for g in rngs]
         design_scheme(cfg, channels)
         design_scheme(cfg, channels.select([1]))
         assert [g.bit_generator.state for g in rngs] == before
+
+
+class TestLapackBudgetIndependent(TestLapackBudget):
+    """The same budget with independent downlinks: two SVDs per validation."""
+
+    RECIPROCAL = False
+    SVDS_PER_VALIDATION = 2
 
 
 @settings(derandomize=True, deadline=None, max_examples=25, database=None)
