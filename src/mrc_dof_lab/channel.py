@@ -8,20 +8,29 @@ A ``ChannelSet`` holds one trial's physical channels as (K, N, M) /
 (K, M, N) arrays, or a stack of trials with a leading trial axis. Symbol
 extension is part of the scheme, not of the channel: ``ssa_nc`` applies
 kron(I_L, H) implicitly, so a set never stores extended matrices.
-Validation is the only place a channel matrix is decomposed: a reciprocal
-set takes one batched SVD, of its uplink stack, and any other set takes
-two, one per link. They decide every rank and leave the pseudoinverses
-and condition numbers that the scheme's design reads.
+Validation is the only place a channel matrix is factored: a reciprocal
+set takes one batched LU or QR factorization, of its uplink stack, and
+any other set takes two, one per link. They decide every rank, with an
+SVD only for a matrix their condition bound cannot decide, and leave the
+pseudoinverses and condition bounds that the scheme's design reads. The
+exact condition numbers are computed by an SVD on first read.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field, fields
+from functools import cached_property
 
 import numpy as np
 
-from .linalg import CMatrix, pseudo_inverse_and_rank, random_gaussian_stack
+from .linalg import (
+    CMatrix,
+    _freeze,
+    pseudo_inverse_and_bound,
+    pseudo_inverse_and_rank,
+    random_gaussian_stack,
+)
 
 _RANK_TOL = 1e-10
 _SEED_MASK = (1 << 64) - 1
@@ -72,17 +81,24 @@ class ChannelSet:
     (S, K, N, M) and (S, K, M, N); the constructor also takes a sequence
     of K matrices for one trial. Every matrix must be full rank.
 
-    Validation decomposes the uplink stack with one batched SVD
-    (``pseudo_inverse_and_rank``). A reciprocal set, whose downlink is
-    exactly the plain transpose of its uplink, takes no second SVD: d_j =
-    h_j^T has h_j's singular values, so its pseudoinverse is pinv(h_j)^T
-    and its rank and condition number are h_j's. Any other set decomposes
-    its downlink stack with a second batched SVD. Reciprocity is read from
-    the matrices alone. Validation decides every rank from these and keeps
-    the rest: uplink_pinv[..., j] = pinv(h_j), (..., K, M, N),
-    downlink_pinv[..., j] = pinv(d_j), (..., K, N, M), and uplink_cond and
-    downlink_cond, the condition numbers of h_j and d_j, (..., K). Every
-    field is read-only: the set marks the complex128 matrices it is given
+    Validation factors the uplink stack once with
+    ``pseudo_inverse_and_bound``: an LU inverse when N = M, a QR
+    pseudoinverse otherwise. A reciprocal set, whose downlink is exactly
+    the plain transpose of its uplink, takes no second factorization: d_j
+    = h_j^T has pseudoinverse pinv(h_j)^T and the same Frobenius norms.
+    Any other set factors its downlink stack as well. Reciprocity is read
+    from the matrices alone. Each matrix's condition bound ||h||_F
+    ||pinv(h)||_F certifies its full rank; a matrix it cannot certify is
+    decided, and inverted, by an SVD, exactly as
+    ``pseudo_inverse_and_rank`` decides it, and its condition number is
+    then its bound. Validation keeps uplink_pinv[..., j] = pinv(h_j),
+    (..., K, M, N), downlink_pinv[..., j] = pinv(d_j), (..., K, N, M), and
+    the bounds uplink_cond_bound and downlink_cond_bound, (..., K), each at
+    least the matrix's condition number and at most min(N, M) times it.
+    uplink_cond and downlink_cond, the condition numbers of h_j and d_j,
+    (..., K), are computed by ``pseudo_inverse_and_rank`` on first read (a
+    reciprocal set's downlink_cond is its uplink_cond) and cached. Every
+    array is read-only: the set marks the complex128 matrices it is given
     read-only too, so its stored decomposition stays theirs. Pass arrays
     the set may own; marking a view read-only leaves its base writable.
     """
@@ -91,8 +107,8 @@ class ChannelSet:
     downlink: np.ndarray
     uplink_pinv: np.ndarray = field(init=False, repr=False)
     downlink_pinv: np.ndarray = field(init=False, repr=False)
-    uplink_cond: np.ndarray = field(init=False, repr=False)
-    downlink_cond: np.ndarray = field(init=False, repr=False)
+    uplink_cond_bound: np.ndarray = field(init=False, repr=False)
+    downlink_cond_bound: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         try:
@@ -109,13 +125,13 @@ class ChannelSet:
             raise ValueError("downlink matrices must be transpose-shaped to the uplink")
         if not (np.all(np.isfinite(uplink)) and np.all(np.isfinite(downlink))):
             raise ValueError("channel entries must be finite")
-        up_pinv, up_rank, up_cond = pseudo_inverse_and_rank(uplink, _RANK_TOL)
-        if np.array_equal(downlink, uplink.swapaxes(-1, -2)):
+        up_pinv, up_rank, up_bound = pseudo_inverse_and_bound(uplink, _RANK_TOL)
+        if _is_reciprocal(uplink, downlink):
             # d = h^T shares h's singular values, and pinv(h^T) = pinv(h)^T
             down_pinv = up_pinv.swapaxes(-1, -2).copy()
-            down_rank, down_cond = up_rank, up_cond
+            down_rank, down_bound = up_rank, up_bound
         else:
-            down_pinv, down_rank, down_cond = pseudo_inverse_and_rank(downlink, _RANK_TOL)
+            down_pinv, down_rank, down_bound = pseudo_inverse_and_bound(downlink, _RANK_TOL)
         if np.any(up_rank != min(up_shape)) or np.any(down_rank != min(up_shape)):
             raise ValueError("channel matrix is rank deficient")
         self._store(
@@ -123,9 +139,34 @@ class ChannelSet:
             downlink=downlink,
             uplink_pinv=up_pinv,
             downlink_pinv=down_pinv,
-            uplink_cond=up_cond,
-            downlink_cond=down_cond,
+            uplink_cond_bound=up_bound,
+            downlink_cond_bound=down_bound,
         )
+
+    @property
+    def uplink_cond(self) -> np.ndarray:
+        """Condition numbers of the uplink matrices, (..., K)."""
+        return self._exact_cond[0]
+
+    @property
+    def downlink_cond(self) -> np.ndarray:
+        """Condition numbers of the downlink matrices, (..., K)."""
+        return self._exact_cond[1]
+
+    @cached_property
+    def _exact_cond(self) -> tuple[np.ndarray, np.ndarray]:
+        """Both links' condition numbers, computed on first read: a view's
+        are its source's, transformed alike; a validated set's come from
+        one SVD per link stack, and a reciprocal set's downlink shares its
+        uplink's, as validation took them."""
+        source = self.__dict__.get("_view_of")
+        if source is not None:
+            parent, transform = source
+            return tuple(_freeze(transform(c)) for c in parent._exact_cond)
+        up = _freeze(pseudo_inverse_and_rank(self.uplink, _RANK_TOL)[2])
+        if _is_reciprocal(self.uplink, self.downlink):
+            return up, up
+        return up, _freeze(pseudo_inverse_and_rank(self.downlink, _RANK_TOL)[2])
 
     def _store(self, **arrays: np.ndarray) -> None:
         """Set the given fields, read-only."""
@@ -156,23 +197,34 @@ class ChannelSet:
         return self if self.stack_shape else self._view(lambda a: a[np.newaxis])
 
     def select(self, trials) -> ChannelSet:
-        """The given trials of a stack, as a stack."""
-        return self._view(lambda a: a[trials])
+        """The given trials of a stack, as a stack. Its condition numbers
+        are computed for these trials alone, on first read."""
+        return self._view(lambda a: a[trials], shares_cond=False)
 
     def repeated(self, count: int) -> ChannelSet:
         """One trial's set as a stack of ``count`` identical trials: every
-        field a read-only broadcast view of this set's, nothing copied."""
+        array a read-only broadcast view of this set's, nothing copied."""
         if self.stack_shape:
             raise ValueError("only one trial's set can be repeated")
         return self._view(lambda a: np.broadcast_to(a, (count,) + a.shape))
 
-    def _view(self, transform) -> ChannelSet:
+    def _view(self, transform, shares_cond: bool = True) -> ChannelSet:
         """The set with every field transformed alike along its leading
         axis. Trials of a validated set are valid, and their decomposition
-        is theirs: skip validation."""
+        is theirs: skip validation. With shares_cond, the view's condition
+        numbers are this set's transformed alike; without, the view
+        computes its own, which are the same bits, since an SVD's values
+        for a matrix do not depend on the stack it is in."""
         view = object.__new__(ChannelSet)
         view._store(**{f.name: transform(getattr(self, f.name)) for f in fields(self)})
+        if shares_cond:
+            view.__dict__["_view_of"] = (self, transform)
         return view
+
+
+def _is_reciprocal(uplink: np.ndarray, downlink: np.ndarray) -> bool:
+    """Whether every downlink matrix is exactly its uplink's plain transpose."""
+    return np.array_equal(downlink, uplink.swapaxes(-1, -2))
 
 
 def generate_channels(config: NetworkConfig, rng) -> ChannelSet:

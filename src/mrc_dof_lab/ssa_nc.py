@@ -32,11 +32,13 @@ and user p+1, with user 0 repeating its common message in all K-1 slots.
 Every phase applies the physical matrices slot by slot.
 
 A plan is stored at physical size: it holds the effective channel set
-itself, whose pseudoinverses and condition numbers, from the SVDs that
-validated it, are the whole design, plus d, L, the two power scales and
-each user's physical beamformer. The design is bookkeeping only: it
-draws nothing and makes no LAPACK call, and a plan's conditioning is
-that of the channel alone. The extended filters V1, Vj, T, relay_filter
+itself, whose pseudoinverses, from the factorizations that validated it,
+are the whole design, plus d, L, the two power scales and each user's
+physical beamformer. The design is bookkeeping only: it draws nothing,
+and a plan's conditioning is that of the channel alone. Its guard reads
+the condition bounds validation left and makes no LAPACK call unless a
+trial's bound cannot decide it, when that trial's exact condition
+numbers are read. The extended filters V1, Vj, T, relay_filter
 and rx_filter are derived on demand for readers and dumps; no round or
 analysis step builds them. Plans are power agnostic: they store
 amplitudes per sqrt(P), so a single plan serves an entire power sweep.
@@ -62,7 +64,7 @@ import numpy as np
 
 from .bounds import DofAllocation, common_only_allocation
 from .channel import ChannelSet, NetworkConfig, matrix_to_lists, shutdown_relay_antennas
-from .linalg import _freeze, random_gaussian_stack
+from .linalg import BOUND_MARGIN, _freeze, random_gaussian_stack
 
 # A trial whose uplink or downlink matrix has a condition number above
 # this is a design error. The relay-side subspaces are the identity, so
@@ -90,15 +92,17 @@ class SchemePlan:
     channel set:
 
     - channels: the effective ChannelSet (after any shutdown, never
-      extended), whose own read-only uplink_pinv (K, m, n), downlink_pinv
-      (K, n, m), uplink_cond and downlink_cond (K,) are the whole design
+      extended), whose own read-only uplink_pinv (K, m, n) and
+      downlink_pinv (K, n, m), from the factorizations that validated it,
+      are the whole design
     - d, extension_factor L, power_scale and bc_scale
     - beamformers: (K, m, d), what each user sends in one slot (see
       ``_beamformers``)
 
-    channels.uplink_cond and channels.downlink_cond are the plan's whole
-    conditioning: cond(pinv(D_u)) = downlink_cond[u], and each beamformer
-    block has a condition number of at most uplink_cond[u].
+    channels.uplink_cond and channels.downlink_cond (K,), computed on
+    first read, are the plan's whole conditioning: cond(pinv(D_u)) =
+    downlink_cond[u], and each beamformer block has a condition number of
+    at most uplink_cond[u].
 
     Derived on demand, read-only, in the extended block of
     effective_N = L n relay and effective_M = L m user dimensions, where
@@ -330,6 +334,30 @@ def _power_scale(beams: np.ndarray, L: int) -> np.ndarray:
     return np.sqrt(L / budgets.max(axis=-1))
 
 
+def _check_conditioning(eff: ChannelSet) -> None:
+    """Raise SchemeDesignError for the first trial whose worst uplink or
+    downlink condition number exceeds COND_LIMIT.
+
+    A trial whose condition bounds are all at most COND_LIMIT /
+    BOUND_MARGIN passes: the bound is at least the condition number, with
+    the margin to spare for rounding. Only the trials the bounds cannot
+    decide read their exact condition numbers, so a stack of
+    well-conditioned trials takes no SVD here.
+    """
+    bound = np.maximum(eff.uplink_cond_bound.max(axis=-1), eff.downlink_cond_bound.max(axis=-1))
+    unsure = np.flatnonzero(~(np.ravel(bound) <= COND_LIMIT / BOUND_MARGIN))
+    if not unsure.size:
+        return
+    exact = eff.stacked().select(unsure)
+    worst = np.maximum(exact.uplink_cond.max(axis=-1), exact.downlink_cond.max(axis=-1))
+    failed = np.flatnonzero(~(worst <= COND_LIMIT))
+    if failed.size:
+        raise SchemeDesignError(
+            f"channel conditioning {worst[failed[0]]:.3e} exceeds the guardrail {COND_LIMIT:.3e}",
+            trial=int(unsure[failed[0]]),
+        )
+
+
 def design_scheme(config: NetworkConfig, channels: ChannelSet) -> SchemePlan:
     """Full design chain: surplus relay antennas shut down to min(N, M),
     the users' beamformers, power scales.
@@ -338,7 +366,9 @@ def design_scheme(config: NetworkConfig, channels: ChannelSet) -> SchemePlan:
     A set whose K, M or N disagrees with the config raises ValueError. A
     trial whose uplink or downlink matrix has a condition number above
     COND_LIMIT raises SchemeDesignError naming its stack position: the
-    plan's conditioning is the channel's, so nothing could lower it.
+    plan's conditioning is the channel's, so nothing could lower it. The
+    condition bounds decide that for every trial they can (see
+    ``_check_conditioning``).
     Returns the plan, which holds the effective channels (after any
     antenna shutdown, never extended) and reads their pseudoinverses.
     """
@@ -350,13 +380,7 @@ def design_scheme(config: NetworkConfig, channels: ChannelSet) -> SchemePlan:
         )
     base, L, d = extension_plan(K, M, N)
     eff = shutdown_relay_antennas(channels, base)
-    worst = np.ravel(np.maximum(eff.uplink_cond.max(axis=-1), eff.downlink_cond.max(axis=-1)))
-    failed = np.flatnonzero(~(worst <= COND_LIMIT))
-    if failed.size:
-        raise SchemeDesignError(
-            f"channel conditioning {worst[failed[0]]:.3e} exceeds the guardrail {COND_LIMIT:.3e}",
-            trial=int(failed[0]),
-        )
+    _check_conditioning(eff)
     beams = _freeze(_beamformers(eff.uplink_pinv, L, d))
     power_scale = _power_scale(beams, L)
     # The relay sends the forwarded sums themselves, whose symbol covariance

@@ -3,16 +3,22 @@
 import numpy as np
 import pytest
 
+LAPACK_KERNELS = ("svd", "qr", "inv", "solve")
+
 
 @pytest.fixture
-def svd_calls(monkeypatch):
-    """The shapes passed to np.linalg.svd from here on, one per call."""
+def lapack_calls(monkeypatch):
+    """The (kernel, shape of the first argument) of each np.linalg.svd,
+    qr, inv and solve call from here on, in call order."""
     calls = []
-    svd = np.linalg.svd
 
-    def counted(*args, **kwargs):
-        calls.append(np.shape(args[0]))
-        return svd(*args, **kwargs)
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls.append((name, np.shape(args[0])))
+            return fn(*args, **kwargs)
 
-    monkeypatch.setattr(np.linalg, "svd", counted)
+        return wrapper
+
+    for name in LAPACK_KERNELS:
+        monkeypatch.setattr(np.linalg, name, counted(name, getattr(np.linalg, name)))
     return calls

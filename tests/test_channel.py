@@ -16,7 +16,8 @@ from mrc_dof_lab.channel import (
     save_channels,
     shutdown_relay_antennas,
 )
-from mrc_dof_lab.linalg import pseudo_inverse_and_rank
+from mrc_dof_lab.linalg import pseudo_inverse_and_bound, pseudo_inverse_and_rank
+from mrc_dof_lab.ssa_nc import SchemeDesignError, design_scheme
 
 
 def make(config):
@@ -183,39 +184,50 @@ class TestChannelSetValidation:
 
 
 # A reciprocal set's downlink decomposition is the uplink's transposed,
-# which differs from a fresh SVD of the downlink at the rounding floor.
-# Measured over 8-trial stacks for K in {2, 3, 4, 5, 8} and every M, N in
-# 1..8: at most 4.7e-14 of the matrix's largest pseudoinverse entry, and
-# 4.7e-14 relative for the condition number.
+# which differs from a fresh factorization or SVD of the downlink at the
+# rounding floor. Measured over 8-trial stacks at seed 7 for K in
+# {2, 3, 4, 5, 8} and every M, N in 1..8: at most 6.3e-15 of the matrix's
+# largest pseudoinverse entry and 3.2e-15 relative for the condition bound,
+# against a fresh factorization, and 1.1e-14 relative for the condition
+# number against a fresh SVD.
 RECIPROCAL_RTOL = 1e-12
 
 
 def _assert_fresh_decomposition(cs, reciprocal):
     """The set's stored decomposition is that of its stored matrices, and
-    no field can be written. The uplink side is bit for bit a fresh SVD. A
-    reciprocal set's downlink side is exactly the uplink's transposed and
-    within RECIPROCAL_RTOL of a fresh SVD; any other set's is bit for bit
-    a fresh SVD."""
-    up_pinv, _, up_cond = pseudo_inverse_and_rank(cs.uplink)
-    down_pinv, _, down_cond = pseudo_inverse_and_rank(cs.downlink)
+    nothing it holds can be written. The uplink side is bit for bit a
+    fresh pseudo_inverse_and_bound, and its condition numbers a fresh
+    pseudo_inverse_and_rank. A reciprocal set's downlink side is exactly
+    the uplink's transposed and within RECIPROCAL_RTOL of fresh calls; any
+    other set's is bit for bit fresh calls."""
+    up_pinv, _, up_bound = pseudo_inverse_and_bound(cs.uplink)
+    down_pinv, _, down_bound = pseudo_inverse_and_bound(cs.downlink)
+    up_cond = pseudo_inverse_and_rank(cs.uplink)[2]
+    down_cond = pseudo_inverse_and_rank(cs.downlink)[2]
     assert np.array_equal(cs.uplink_pinv, up_pinv)
+    assert np.array_equal(cs.uplink_cond_bound, up_bound)
     assert np.array_equal(cs.uplink_cond, up_cond)
     if reciprocal:
         assert np.array_equal(cs.downlink_pinv, cs.uplink_pinv.swapaxes(-1, -2))
+        assert np.array_equal(cs.downlink_cond_bound, cs.uplink_cond_bound)
         assert np.array_equal(cs.downlink_cond, cs.uplink_cond)
         scale = np.abs(down_pinv).max(axis=(-1, -2), keepdims=True)
         assert np.all(np.abs(cs.downlink_pinv - down_pinv) <= RECIPROCAL_RTOL * scale)
-        np.testing.assert_allclose(cs.downlink_cond, down_cond, rtol=RECIPROCAL_RTOL, atol=0)
+        for stored, fresh in ((cs.downlink_cond_bound, down_bound), (cs.downlink_cond, down_cond)):
+            np.testing.assert_allclose(stored, fresh, rtol=RECIPROCAL_RTOL, atol=0)
     else:
         assert np.array_equal(cs.downlink_pinv, down_pinv)
+        assert np.array_equal(cs.downlink_cond_bound, down_bound)
         assert np.array_equal(cs.downlink_cond, down_cond)
-    for f in dataclasses.fields(cs):
-        assert not getattr(cs, f.name).flags.writeable, f.name
+    names = [f.name for f in dataclasses.fields(cs)] + ["uplink_cond", "downlink_cond"]
+    for name in names:
+        assert not getattr(cs, name).flags.writeable, name
 
 
 class TestStoredDecomposition:
-    """Validation's SVDs are the only decomposition of a set's matrices:
-    the pseudoinverses and condition numbers it keeps must be those of its
+    """Validation's factorizations are the only decomposition of a set's
+    matrices: the pseudoinverses and condition bounds it keeps, and the
+    condition numbers it computes on first read, must be those of its
     matrices however the set was made. These cases draw independent
     downlinks; TestStoredDecompositionReciprocal runs them on reciprocal
     ones."""
@@ -257,10 +269,10 @@ class TestStoredDecomposition:
         one = make(self.cfg)
         cs = one.repeated(3)
         assert cs.stack_shape == (3,)
-        for f in dataclasses.fields(cs):
-            a = getattr(cs, f.name)
-            assert a.strides[0] == 0 and not a.flags.writeable, f.name
-            assert np.shares_memory(a, getattr(one, f.name)), f.name
+        for name in [f.name for f in dataclasses.fields(cs)] + ["uplink_cond", "downlink_cond"]:
+            a = getattr(cs, name)
+            assert a.strides[0] == 0 and not a.flags.writeable, name
+            assert np.shares_memory(a, getattr(one, name)), name
         _assert_fresh_decomposition(cs, self.RECIPROCAL)
         with pytest.raises(ValueError, match="one trial"):
             cs.repeated(2)
@@ -285,57 +297,136 @@ class TestStoredDecomposition:
 
 
 class TestStoredDecompositionReciprocal(TestStoredDecomposition):
-    """The same cases on reciprocal sets, which take one SVD."""
+    """The same cases on reciprocal sets, which factor their uplink only."""
 
     RECIPROCAL = True
 
 
 class TestReciprocalShortcut:
     """Reciprocity is read from the matrices alone: only a downlink that is
-    exactly the plain transpose of the uplink skips its own SVD."""
+    exactly the plain transpose of the uplink skips its own factorization.
+    The uplinks are 3 x 4, so each link stack takes one QR (of the 4 x 3
+    conjugate transposes)."""
 
     CFG = NetworkConfig(K=3, M=4, N=3, seed=19)
 
     def stack(self):
         return generate_channels(self.CFG, [self.CFG.trial_rng(t) for t in range(2)])
 
-    def test_reciprocal_stack_takes_one_svd(self, svd_calls):
+    def test_reciprocal_stack_factors_uplink_only(self, lapack_calls):
         cs = self.stack()
-        assert svd_calls == [(2, 3, 3, 4)]
+        assert lapack_calls == [("qr", (2, 3, 4, 3))]
         _assert_fresh_decomposition(cs, reciprocal=True)
 
-    def test_conjugate_transpose_is_not_reciprocal(self, svd_calls):
+    def test_conjugate_transpose_is_not_reciprocal(self, lapack_calls):
         uplink = self.stack().uplink
         cs = ChannelSet(uplink=uplink, downlink=uplink.conj().swapaxes(-1, -2))
-        assert svd_calls == [(2, 3, 3, 4), (2, 3, 3, 4), (2, 3, 4, 3)]
+        assert lapack_calls == [("qr", (2, 3, 4, 3))] * 3
         _assert_fresh_decomposition(cs, reciprocal=False)
 
-    def test_one_changed_downlink_entry_is_not_reciprocal(self, svd_calls):
+    def test_one_changed_downlink_entry_is_not_reciprocal(self, lapack_calls):
         drawn = self.stack()
         downlink = np.array(drawn.downlink)
         downlink[1, 2, 3, 0] += 1e-3
         cs = ChannelSet(uplink=drawn.uplink, downlink=downlink)
-        assert svd_calls == [(2, 3, 3, 4), (2, 3, 3, 4), (2, 3, 4, 3)]
+        assert lapack_calls == [("qr", (2, 3, 4, 3))] * 3
         _assert_fresh_decomposition(cs, reciprocal=False)
 
-    def test_rank_deficient_reciprocal_set_rejected(self, svd_calls):
+    def test_rank_deficient_reciprocal_set_rejected(self, lapack_calls):
+        # the rank-one-short matrix alone is decided by an SVD
         uplink = np.array(self.stack().uplink)
         uplink[1, 0, 2] = 2.0 * uplink[1, 0, 0]
         with pytest.raises(ValueError, match="rank deficient"):
             ChannelSet(uplink=uplink, downlink=uplink.swapaxes(-1, -2).copy())
-        assert len(svd_calls) == 2
+        assert lapack_calls == [("qr", (2, 3, 4, 3))] * 2 + [("svd", (1, 3, 4))]
 
-    def test_non_finite_reciprocal_set_rejected(self, svd_calls):
+    def test_non_finite_reciprocal_set_rejected(self, lapack_calls):
         uplink = np.array(self.stack().uplink)
         uplink[0, 1, 0, 0] = np.nan
         with pytest.raises(ValueError, match="finite"):
             ChannelSet(uplink=uplink, downlink=uplink.swapaxes(-1, -2).copy())
-        assert len(svd_calls) == 1
+        assert lapack_calls == [("qr", (2, 3, 4, 3))]
 
-    def test_reloaded_reciprocal_file_takes_one_svd(self, tmp_path, svd_calls):
+    def test_reloaded_reciprocal_file_factors_uplink_only(self, tmp_path, lapack_calls):
         path = str(tmp_path / "channels.json")
         save_channels(make(self.CFG), path)
-        del svd_calls[:]
+        del lapack_calls[:]
         cs = load_channels(path)
-        assert svd_calls == [(3, 3, 4)]
+        assert lapack_calls == [("qr", (3, 4, 3))]
         _assert_fresh_decomposition(cs, reciprocal=True)
+
+
+def _with_singular_values(h, values):
+    """h with its singular values replaced by ``values``, largest first."""
+    u, _, vh = np.linalg.svd(h, full_matrices=False)
+    return (u * values) @ vh
+
+
+class TestBoundFallback:
+    """A matrix the condition bound cannot decide is decided, and
+    inverted, by an SVD of that matrix alone; its stack-mates keep the
+    results they have in any other stack."""
+
+    CFG = NetworkConfig(K=3, M=3, N=3, seed=20)
+    # kappa_2 = 4e9: above COND_LIMIT, below the rank tolerance's 1e10, and
+    # kappa_F = 5.7e9 is too close to 1e10 for the bound to certify full rank
+    ILL = np.array([1.0, 1.0, 2.5e-10])
+
+    def drawn(self):
+        return generate_channels(self.CFG, [self.CFG.trial_rng(t) for t in range(3)])
+
+    def with_ill_matrix(self):
+        """The drawn stack with trial 1's user 2 ill conditioned, reciprocal."""
+        uplink = np.array(self.drawn().uplink)
+        uplink[1, 2] = _with_singular_values(uplink[1, 2], self.ILL)
+        return uplink, uplink.swapaxes(-1, -2).copy()
+
+    def test_only_the_ill_matrix_takes_an_svd(self, lapack_calls):
+        uplink, downlink = self.with_ill_matrix()
+        del lapack_calls[:]
+        cs = ChannelSet(uplink=uplink, downlink=downlink)
+        assert lapack_calls == [("inv", (3, 3, 3, 3)), ("svd", (1, 3, 3))]
+        alone = pseudo_inverse_and_rank(uplink[1, 2])
+        assert np.array_equal(cs.uplink_pinv[1, 2], alone[0])
+        assert np.array_equal(cs.downlink_pinv[1, 2], alone[0].T)
+        # the SVD's condition number is the matrix's bound
+        assert cs.uplink_cond_bound[1, 2] == cs.uplink_cond[1, 2] == alone[2]
+        assert alone[2] == pytest.approx(4e9, rel=1e-6)
+        assert np.array_equal(cs.uplink_pinv, pseudo_inverse_and_bound(uplink)[0])
+        with pytest.raises(SchemeDesignError, match="guardrail") as info:
+            design_scheme(self.CFG, cs)
+        assert info.value.trial == 1
+
+    def test_stack_mates_do_not_depend_on_the_fallback(self):
+        # the route is chosen per matrix: the well-conditioned trials'
+        # pseudoinverses and plans are the same bits with or without an
+        # ill-conditioned stack-mate, and as one trial alone
+        clean = self.drawn()
+        mixed = ChannelSet(*self.with_ill_matrix())
+        for t in (0, 2):
+            alone = ChannelSet(uplink=clean.uplink[t].copy(), downlink=clean.downlink[t].copy())
+            for name in ("uplink_pinv", "downlink_pinv", "uplink_cond_bound"):
+                assert np.array_equal(getattr(mixed, name)[t], getattr(clean, name)[t]), name
+                assert np.array_equal(getattr(alone, name), getattr(clean, name)[t]), name
+        plans = [design_scheme(self.CFG, cs.select([0, 2])) for cs in (clean, mixed)]
+        for name in ("beamformers", "power_scale", "bc_scale"):
+            assert np.array_equal(getattr(plans[0], name), getattr(plans[1], name)), name
+        assert np.array_equal(plans[0].rx_filter, plans[1].rx_filter)
+
+    @pytest.mark.parametrize("shape", [(3, 3), (4, 2), (2, 4)])
+    @pytest.mark.parametrize("kind", ["dependent", "zero"])
+    def test_exactly_singular_matrix_rejected(self, shape, kind):
+        # square, tall and wide: the failed factorization is caught, and
+        # the SVD finds the lost rank
+        rows, cols = shape
+        g = np.random.default_rng(21)
+        uplink = g.standard_normal((2, rows, cols)) + 1j * g.standard_normal((2, rows, cols))
+        if kind == "zero":
+            uplink[1] = 0.0
+        elif rows >= cols:
+            uplink[1, :, 1] = uplink[1, :, 0]
+        else:
+            uplink[1, 1] = uplink[1, 0]
+        for downlink in (uplink.swapaxes(-1, -2).copy(), uplink.conj().swapaxes(-1, -2)):
+            with pytest.raises(ValueError, match="rank deficient"):
+                ChannelSet(uplink=uplink, downlink=downlink)

@@ -2,11 +2,12 @@
 
 import dataclasses
 import json
+from collections import Counter
 
 import numpy as np
 import pytest
 
-from mrc_dof_lab import __version__, analysis
+from mrc_dof_lab import __version__, analysis, cli
 from mrc_dof_lab.channel import NetworkConfig, load_channels
 from mrc_dof_lab.cli import EXIT_BAD_ARGS, EXIT_OK, EXIT_VERIFY_FAILED, main
 
@@ -394,6 +395,38 @@ class TestArgumentErrors:
         assert code == EXIT_BAD_ARGS
 
 
+class TestParserBuiltOnce:
+    ARGVS = (
+        ("bounds", "--k", "3", "--m", "2", "--n", "3"),
+        ("table1", "--k", "3", "--m", "2", "--nmax", "4"),
+        ("verify", "--k", "3", "--m", "2", "--n", "2", "--trials", "2", "--format", "json"),
+    )
+
+    def test_one_parser_serves_every_subcommand(self, capsys, monkeypatch):
+        # each call with a fresh parser, then every call with one cached
+        # parser: the same exit codes and outputs, and one build
+        fresh = []
+        for argv in self.ARGVS:
+            cli._parser.cache_clear()
+            fresh.append(run(capsys, *argv))
+        built = []
+        build = cli.build_parser
+        monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build())
+        cli._parser.cache_clear()
+        assert [run(capsys, *argv) for argv in self.ARGVS] == fresh
+        assert len(built) == 1 and all(code == EXIT_OK for code, _, _ in fresh)
+
+    def test_command_function_is_looked_up_per_call(self, capsys, monkeypatch):
+        # a command function wrapped after the parser was built still runs
+        run(capsys, "bounds", "--k", "3", "--m", "2", "--n", "3")
+        called = []
+        bounds = cli.cmd_bounds
+        monkeypatch.setattr(cli, "cmd_bounds", lambda args: called.append(1) or bounds(args))
+        code, out, _ = run(capsys, "bounds", "--k", "3", "--m", "2", "--n", "3")
+        assert code == EXIT_OK and called == [1]
+        assert out.strip().splitlines()[-1] == "3,2,3,5,6,6,0"
+
+
 class TestFailurePaths:
     def test_numeric_failure_exit_code(self, capsys, monkeypatch):
         from mrc_dof_lab.cli import EXIT_NUMERIC
@@ -416,30 +449,36 @@ class TestFailurePaths:
 
 
 class TestEntryPointSvdBudget:
-    """SVDs per call of the entry points perfbench/ drives, on its inputs:
-    its linalg.svd_calls_per_trial is these counts over the call's trials.
-    Every draw is reciprocal, so each validation takes one SVD, and a draw
-    is validated again only after a relay shutdown."""
+    """LAPACK calls per call of the entry points perfbench/ drives, on its
+    inputs: its linalg.*_calls_per_trial are these counts over the call's
+    trials. No path takes an SVD. Every draw is reciprocal, so each
+    validation factors its uplink stack alone: one inv when it is square,
+    one qr when it is not (of the conjugate transposes, when wide). A draw
+    is validated again only after a relay shutdown, which leaves square
+    matrices."""
 
-    def test_verify_with_extension(self, svd_calls):
+    def test_verify_with_extension(self, lapack_calls):
         # extension_large: one stack of 5 trials at 8/8/8
         report = analysis.verify_noiseless(NetworkConfig(K=8, M=8, N=8, seed=7), 5)
         assert report.achieved_streams == report.cutset
-        assert svd_calls == [(5, 8, 8, 8)]
+        assert lapack_calls == [("inv", (5, 8, 8, 8))]
 
-    def test_noisy_power_sweep(self, svd_calls):
-        # noisy_power_sweep: one stack of 25 trials per call at 4/4/3
+    def test_noisy_power_sweep(self, lapack_calls):
+        # noisy_power_sweep: one stack of 25 trials per call at 4/4/3,
+        # whose 3 x 4 uplinks take one QR of their 4 x 3 transposes
         config = NetworkConfig(K=4, M=4, N=3, seed=7)
         grid = (1e2, 1e3, 1e4, 1e5, 1e6)
         analysis.simulate_report(config, grid, 25)
         analysis.decode_mse_sweep(config, grid, 25)
-        assert svd_calls == [(25, 4, 3, 4)] * 2
+        assert lapack_calls == [("qr", (25, 4, 4, 3))] * 2
 
-    def test_sweep_grid(self, tmp_path, capsys, svd_calls):
-        # sweep_grid: 27 rows of 5 trials, 9 of them (N > M) shut down
+    def test_sweep_grid(self, tmp_path, capsys, lapack_calls):
+        # sweep_grid: 27 rows of 5 trials; per K, 3 rows with N = M take
+        # one inv, 6 with N != M one qr, and the 3 with N > M a second
+        # validation, an inv, after the shutdown
         code, _, _ = run(
             capsys, "sweep", "--k", "3,4,5", "--m", "2,3,4", "--n", "2,3,4",
             "--trials", "5", "--seed", "7", "--out", str(tmp_path / "grid.csv"),
         )
         assert code == EXIT_OK
-        assert len(svd_calls) == 27 + 9
+        assert Counter(kernel for kernel, _ in lapack_calls) == {"inv": 18, "qr": 18}

@@ -15,8 +15,9 @@ from mrc_dof_lab import analysis, ssa_nc
 from mrc_dof_lab.analysis import stream_sinrs, verify_noiseless
 from mrc_dof_lab.bounds import check_percut_bounds, cutset_dof, total_dof
 from mrc_dof_lab.channel import ChannelSet, NetworkConfig, generate_channels
-from mrc_dof_lab.linalg import random_gaussian_vector, subspace_distance
+from mrc_dof_lab.linalg import BOUND_MARGIN, random_gaussian_vector, subspace_distance
 from mrc_dof_lab.ssa_nc import (
+    COND_LIMIT,
     SchemeDesignError,
     bc_phase,
     build_allocation,
@@ -405,6 +406,60 @@ class TestDesignFailurePaths:
             verify_noiseless(cfg, trials=8)
 
 
+class TestConditionGuard:
+    """The guard decides every trial as the SVD's condition numbers do. A
+    trial passes on its condition bounds alone when they are at most
+    COND_LIMIT / BOUND_MARGIN; only the others are read exactly, with one
+    SVD of those trials. The 2 x 2 matrices here are the bound's tightest
+    case, kappa_F = kappa_2 + 1 / kappa_2, so only the margin separates the
+    two at the limit."""
+
+    CFG = NetworkConfig(K=2, M=2, N=2, seed=23)
+    # user 1's uplink condition number in each trial: across the band the
+    # bound leaves to the SVD, and within 1e-3 relative of the limit
+    KAPPAS = np.concatenate(
+        [np.geomspace(1e7, 1e9, 11), COND_LIMIT * (1 + np.linspace(-1e-3, 1e-3, 9))]
+    )
+
+    def channels(self):
+        rngs = [self.CFG.trial_rng(t) for t in range(len(self.KAPPAS))]
+        drawn = generate_channels(self.CFG, rngs)
+        uplink = np.array(drawn.uplink)
+        for t, kappa in enumerate(self.KAPPAS):
+            u, _, vh = np.linalg.svd(uplink[t, 1])
+            uplink[t, 1] = (u * [1.0, 1.0 / kappa]) @ vh
+        return ChannelSet(uplink=uplink, downlink=uplink.swapaxes(-1, -2).copy())
+
+    def test_decisions_equal_the_svd(self):
+        cs = self.channels()
+        worst = np.maximum(cs.uplink_cond.max(axis=-1), cs.downlink_cond.max(axis=-1))
+        fails = worst > COND_LIMIT
+        assert fails.any() and not fails.all()
+        for t in range(len(self.KAPPAS)):
+            one = ChannelSet(uplink=cs.uplink[t].copy(), downlink=cs.downlink[t].copy())
+            if fails[t]:
+                with pytest.raises(SchemeDesignError, match="guardrail"):
+                    design_scheme(self.CFG, one)
+            else:
+                design_scheme(self.CFG, one)
+
+    def test_only_undecided_trials_are_read_exactly(self, lapack_calls):
+        cs = self.channels()
+        worst = np.maximum(cs.uplink_cond.max(axis=-1), cs.downlink_cond.max(axis=-1))
+        bound = np.maximum(cs.uplink_cond_bound.max(axis=-1), cs.downlink_cond_bound.max(axis=-1))
+        undecided = np.flatnonzero(bound > COND_LIMIT / BOUND_MARGIN)
+        assert 0 < undecided.size < len(self.KAPPAS)
+        del lapack_calls[:]
+        with pytest.raises(SchemeDesignError) as err:
+            design_scheme(self.CFG, cs)
+        assert err.value.trial == np.flatnonzero(worst > COND_LIMIT)[0]
+        assert lapack_calls == [("svd", (undecided.size, 2, 2, 2))]
+        del lapack_calls[:]
+        kept = np.flatnonzero(worst <= COND_LIMIT)
+        design_scheme(self.CFG, cs.select(kept))
+        assert lapack_calls == [("svd", (np.isin(kept, undecided).sum(), 2, 2, 2))]
+
+
 PLAN_FIELDS = (
     "V1", "Vj", "T", "relay_filter", "rx_filter", "channels.uplink_cond",
     "channels.downlink_cond", "power_scale", "bc_scale", "beamformers",
@@ -488,27 +543,29 @@ class TestTrialStacks:
 
 
 class TestLapackBudget:
-    """Channel validation is the only place a channel matrix is decomposed:
-    one SVD of a reciprocal set's uplink stack, whose pseudoinverses
-    transposed are the downlink's, and two for any other set, one per link.
-    The design slices their pseudoinverses and condition numbers, so one
-    stacked design takes no SVD and no QR, whatever the extension factor;
-    the channels are validated again only after a relay shutdown, which
-    can lose rank. These cases draw reciprocal channels;
-    TestLapackBudgetIndependent draws independent downlinks."""
+    """Channel validation is the only place a channel matrix is factored,
+    and no trial path takes an SVD: each validation factors a reciprocal
+    set's uplink stack alone, whose pseudoinverses transposed are the
+    downlink's, and both link stacks of any other set, each with one inv
+    when its matrices are square and one qr when they are not. The design
+    slices their pseudoinverses and reads their condition bounds, so one
+    stacked design factors nothing, whatever the extension factor; the
+    channels are validated again only after a relay shutdown, which can
+    lose rank and leaves square matrices. These cases draw reciprocal
+    channels; TestLapackBudgetIndependent draws independent downlinks."""
 
     RECIPROCAL = True
-    SVDS_PER_VALIDATION = 1
+    LINKS_FACTORED = 1
 
     CASES = [
-        (4, 4, 3, 0),  # plain
+        (4, 4, 3, 0),  # plain, 3 x 4 uplinks
         (8, 8, 8, 0),  # 7-slot extension, 56 x 56 matrices
-        (3, 4, 6, 1),  # relay antennas shut down to 4
+        (3, 4, 6, 1),  # 6 x 4 uplinks, relay antennas shut down to 4
     ]
 
     @staticmethod
     def count_calls(monkeypatch):
-        calls = {"svd": 0, "qr": 0, "validate": 0}
+        calls = {"svd": 0, "qr": 0, "inv": 0, "solve": 0, "validate": 0}
 
         def counted(name, fn):
             def wrapper(*args, **kwargs):
@@ -517,11 +574,19 @@ class TestLapackBudget:
 
             return wrapper
 
-        monkeypatch.setattr(np.linalg, "svd", counted("svd", np.linalg.svd))
-        monkeypatch.setattr(np.linalg, "qr", counted("qr", np.linalg.qr))
+        for name in ("svd", "qr", "inv", "solve"):
+            monkeypatch.setattr(np.linalg, name, counted(name, getattr(np.linalg, name)))
         monkeypatch.setattr(
             ChannelSet, "__post_init__", counted("validate", ChannelSet.__post_init__)
         )
+        return calls
+
+    def budget(self, validated):
+        """The exact calls for validations of the given (rows, columns)
+        uplink shapes."""
+        calls = {"svd": 0, "qr": 0, "inv": 0, "solve": 0, "validate": len(validated)}
+        for rows, cols in validated:
+            calls["inv" if rows == cols else "qr"] += self.LINKS_FACTORED
         return calls
 
     def config(self, k, m, n):
@@ -535,21 +600,19 @@ class TestLapackBudget:
         calls = self.count_calls(monkeypatch)
         plan = design_scheme(cfg, channels)
         assert plan.stack_shape == (2,)
-        svds = self.SVDS_PER_VALIDATION * validations
-        assert calls == {"svd": svds, "qr": 0, "validate": validations}
+        assert calls == self.budget([(m, m)] * validations)
 
     @pytest.mark.parametrize("k,m,n,validations", CASES)
     def test_calls_per_trial_path(self, monkeypatch, k, m, n, validations):
         # a stack's whole path, draw to decoded round: the draw's
-        # validation is its only decomposition, unless a shutdown validates
-        # the cut set again
+        # validation is its only factorization, unless a shutdown
+        # validates the cut set again
         cfg = self.config(k, m, n)
         rngs = [cfg.trial_rng(t) for t in range(2)]
         calls = self.count_calls(monkeypatch)
         plan = design_scheme(cfg, generate_channels(cfg, rngs))
         run_round(plan, 10.0, rngs, noise_on=True)
-        svds = self.SVDS_PER_VALIDATION * (1 + validations)
-        assert calls == {"svd": svds, "qr": 0, "validate": 1 + validations}
+        assert calls == self.budget([(n, m)] + [(m, m)] * validations)
 
     @pytest.mark.parametrize("k,m,n,validations", CASES)
     def test_design_draws_nothing(self, k, m, n, validations):
@@ -563,10 +626,11 @@ class TestLapackBudget:
 
 
 class TestLapackBudgetIndependent(TestLapackBudget):
-    """The same budget with independent downlinks: two SVDs per validation."""
+    """The same budget with independent downlinks: both link stacks are
+    factored in each validation."""
 
     RECIPROCAL = False
-    SVDS_PER_VALIDATION = 2
+    LINKS_FACTORED = 2
 
 
 @settings(derandomize=True, deadline=None, max_examples=25, database=None)
