@@ -165,23 +165,17 @@ def _trial_stacks(config: NetworkConfig, trials: int, channels: ChannelSet | Non
         yield rngs, plan
 
 
-def _sender_table(K: int) -> np.ndarray:
-    """(K, K-1) table whose row u lists the senders user u decodes, in the
-    order of TransmissionTrace.decoded."""
-    return np.array([ssa_nc.other_users(K, u) for u in range(K)])
-
-
 def _message_sq_errors(trace: ssa_nc.TransmissionTrace, senders: np.ndarray) -> np.ndarray:
     """Squared decode error of every (user, sender) message of a round,
     shape (..., K, K-1)."""
     return np.sum(np.abs(trace.decoded - trace.sent[..., senders, :]) ** 2, axis=-1)
 
 
-def _noiseless_round_errors(config: NetworkConfig, rngs, plan: SchemePlan) -> np.ndarray:
+def _noiseless_round_errors(rngs, plan: SchemePlan) -> np.ndarray:
     """Each trial's worst relative decode error over every user and message
     of one noiseless round of the stack."""
     trace = ssa_nc.run_round(plan, 1.0, rngs, noise_on=False)
-    senders = _sender_table(config.K)
+    senders = ssa_nc.sender_table(plan.num_users)
     sent_norm = np.linalg.norm(trace.sent, axis=-1)[..., senders]
     err = np.sqrt(_message_sq_errors(trace, senders))
     return np.max(err / np.maximum(sent_norm, 1e-300), axis=(-2, -1))
@@ -224,7 +218,7 @@ def verify_noiseless(
         raise ValueError("trials must be positive")
     errors = []
     for rngs, plan in _trial_stacks(config, trials, channels):
-        errors.append(_noiseless_round_errors(config, rngs, plan))
+        errors.append(_noiseless_round_errors(rngs, plan))
     return _noiseless_report(config, plan, trials, _max_error(errors))
 
 
@@ -358,7 +352,7 @@ def decode_mse_sweep(config: NetworkConfig, P_grid, trials: int) -> np.ndarray:
     grid = _power_levels(P_grid)
     if trials < 1:
         raise ValueError("trials must be positive")
-    senders = _sender_table(config.K)
+    senders = ssa_nc.sender_table(config.K)
     totals = []
     for rngs, plan in _trial_stacks(config, trials):
         trace = ssa_nc.run_round(plan, 1.0, rngs, noise_on=True)
@@ -378,7 +372,7 @@ def simulate_report(config: NetworkConfig, P_grid, trials: int) -> DofReport:
     errors = []
     gammas = []
     for rngs, plan in _trial_stacks(config, trials):
-        errors.append(_noiseless_round_errors(config, rngs, plan))
+        errors.append(_noiseless_round_errors(rngs, plan))
         gammas.append(stream_sinrs(plan, 1.0).flat())
     slope, stderr = _fit_slope(config, grid, np.concatenate(gammas))
     return replace(

@@ -97,7 +97,8 @@ class ChannelSet:
     least the matrix's condition number and at most min(N, M) times it.
     uplink_cond and downlink_cond, the condition numbers of h_j and d_j,
     (..., K), are computed by ``pseudo_inverse_and_rank`` on first read (a
-    reciprocal set's downlink_cond is its uplink_cond) and cached. Every
+    reciprocal set's downlink_cond is its uplink_cond) and cached; a view
+    made by ``stacked``, ``select`` or ``repeated`` computes its own. Every
     array is read-only: the set marks the complex128 matrices it is given
     read-only too, so its stored decomposition stays theirs. Pass arrays
     the set may own; marking a view read-only leaves its base writable.
@@ -155,14 +156,9 @@ class ChannelSet:
 
     @cached_property
     def _exact_cond(self) -> tuple[np.ndarray, np.ndarray]:
-        """Both links' condition numbers, computed on first read: a view's
-        are its source's, transformed alike; a validated set's come from
-        one SVD per link stack, and a reciprocal set's downlink shares its
-        uplink's, as validation took them."""
-        source = self.__dict__.get("_view_of")
-        if source is not None:
-            parent, transform = source
-            return tuple(_freeze(transform(c)) for c in parent._exact_cond)
+        """Both links' condition numbers, computed on first read by one SVD
+        per link stack; a reciprocal set's downlink shares its uplink's, as
+        validation took them."""
         up = _freeze(pseudo_inverse_and_rank(self.uplink, _RANK_TOL)[2])
         if _is_reciprocal(self.uplink, self.downlink):
             return up, up
@@ -197,9 +193,8 @@ class ChannelSet:
         return self if self.stack_shape else self._view(lambda a: a[np.newaxis])
 
     def select(self, trials) -> ChannelSet:
-        """The given trials of a stack, as a stack. Its condition numbers
-        are computed for these trials alone, on first read."""
-        return self._view(lambda a: a[trials], shares_cond=False)
+        """The given trials of a stack, as a stack."""
+        return self._view(lambda a: a[trials])
 
     def repeated(self, count: int) -> ChannelSet:
         """One trial's set as a stack of ``count`` identical trials: every
@@ -208,17 +203,14 @@ class ChannelSet:
             raise ValueError("only one trial's set can be repeated")
         return self._view(lambda a: np.broadcast_to(a, (count,) + a.shape))
 
-    def _view(self, transform, shares_cond: bool = True) -> ChannelSet:
+    def _view(self, transform) -> ChannelSet:
         """The set with every field transformed alike along its leading
         axis. Trials of a validated set are valid, and their decomposition
-        is theirs: skip validation. With shares_cond, the view's condition
-        numbers are this set's transformed alike; without, the view
-        computes its own, which are the same bits, since an SVD's values
-        for a matrix do not depend on the stack it is in."""
+        is theirs: skip validation. The view computes its own condition
+        numbers on first read, which are the same bits, since an SVD's
+        values for a matrix do not depend on the stack it is in."""
         view = object.__new__(ChannelSet)
         view._store(**{f.name: transform(getattr(self, f.name)) for f in fields(self)})
-        if shares_cond:
-            view.__dict__["_view_of"] = (self, transform)
         return view
 
 

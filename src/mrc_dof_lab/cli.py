@@ -318,8 +318,7 @@ def cmd_table1(args) -> int:
         lines.append("K,M,N,case_index,private_only,common_private,gain,flags")
         for r in rows:
             flags = "case4-reading" if r.case_index == 4 else ""
-            cells = [r.K, r.M, r.N, r.case_index, r.private_only, r.cutset, r.gain]
-            lines.append(",".join(format_number(c) for c in cells) + f",{flags}")
+            lines.append(f"{_bound_row_cells(r)},{flags}")
         text = "\n".join(lines) + "\n"
     _emit(text, args.out)
     return EXIT_OK

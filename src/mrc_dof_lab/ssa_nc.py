@@ -15,7 +15,8 @@ of symbol vectors straight off those streams. In the BC slot the relay
 broadcasts the sums on the same streams, and user u separates them with
 the d-row blocks of pinv(D_u) (D_u has full column rank after the
 relay shutdown), then peels the messages apart using its own transmitted
-symbols as side information.
+symbols as side information. All K users decode in one batched call, and
+``sender_table`` alone orders each user's decoded messages.
 
 When the relay has more antennas than a user (N > M) the surplus relay
 antennas are shut down; when the relay dimension is not divisible by K-1,
@@ -219,7 +220,7 @@ class TransmissionTrace:
     Shapes: sent (K, d), relay_rx (relay_dim,), relay_fwd (K-1, d),
     user_rx (K, user_dim), decoded (K, K-1, d), each with the plan's
     leading trial axis for a stack. decoded[..., u, i, :] is user u's
-    estimate of the symbols of sender other_users(K, u)[i].
+    estimate of the symbols of sender sender_table(K)[u, i].
     """
 
     sent: np.ndarray
@@ -232,6 +233,12 @@ class TransmissionTrace:
 def other_users(K: int, u: int) -> list[int]:
     """Sending users whose messages user u decodes, ascending."""
     return [v for v in range(K) if v != u]
+
+
+def sender_table(K: int) -> np.ndarray:
+    """(K, K-1) table whose row u is other_users(K, u): the order of the
+    rows of every user's decoded symbols."""
+    return np.array([other_users(K, u) for u in range(K)])
 
 
 def extension_plan(K: int, M: int, N: int) -> tuple[int, int, int]:
@@ -480,34 +487,38 @@ def bc_phase(
     return y
 
 
-def user_decode(
-    plan: SchemePlan, y_u: np.ndarray, u: int, own_symbols: np.ndarray, P: float
-) -> np.ndarray:
-    """Recover the other users' symbol vectors at user u.
+def user_decode(plan: SchemePlan, user_rx, sent, P: float) -> np.ndarray:
+    """Recover every user's estimates of the other users' symbol vectors.
 
-    The user zero-forces every slot with the pair blocks of pinv(d_u),
-    then peels: user 0 subtracts its own symbols from
-    every sum; user u >= 1 first recovers user 0's symbols from its own
-    pair, then subtracts them from the remaining sums. Returns a (K-1, d)
-    array (with the plan's trial axis) whose row i belongs to sender
-    other_users(K, u)[i].
+    Each user zero-forces every slot with the pair blocks of pinv(d_u),
+    which gives pair p's sum of user 0's and user p+1's symbols, then
+    peels with its own symbols as side information: its copy of user 0's
+    symbols is its own for u = 0, and its own pair's sum less its own
+    symbols for u >= 1, and that copy is subtracted from every sum.
+
+    user_rx holds each user's observation, (K, effective_M), and sent
+    each user's own symbols, (K, d), with the plan's trial axis for a
+    stack. Returns (K, K-1, d), C-contiguous, whose row u follows
+    sender_table(K)[u].
     """
-    if not 0 <= u < plan.num_users:
-        raise ValueError("user index out of range")
-    b = _amplitude(plan.bc_scale, P)[..., np.newaxis, np.newaxis]
+    K, d = plan.num_users, plan.d
+    y = _vector_rows(user_rx, plan.stack_shape, K, plan.effective_M, "received")
+    own = _vector_rows(sent, plan.stack_shape, K, d, "symbol")
+    b = _amplitude(plan.bc_scale, P)[..., np.newaxis, np.newaxis, np.newaxis]
     # each slot's pair blocks of d rows of pinv(d_u), applied to that slot;
-    # row p: the sum of user 0's and user p+1's symbols
-    rows = plan.channels.downlink_pinv[..., u, :, :]
-    blocks = rows.reshape(rows.shape[:-2] + (1, -1, plan.d, rows.shape[-1]))
-    y = np.asarray(y_u)
+    # what[u, p]: user u's copy of the sum of user 0's and user p+1's symbols
+    rows = plan.channels.downlink_pinv
+    blocks = rows.reshape(rows.shape[:-2] + (1, -1, d, rows.shape[-1]))
     streams = blocks @ y.reshape(y.shape[:-1] + (plan.extension_factor, 1, -1, 1))
-    what = streams.reshape(streams.shape[:-4] + (plan.num_pairs, plan.d)) / b
-    own = np.asarray(own_symbols)[..., np.newaxis, :]
-    if u == 0:
-        return what - own
-    s0 = what[..., u - 1 : u, :] - own
-    rest = what - s0
-    return np.concatenate([s0, rest[..., : u - 1, :], rest[..., u:, :]], axis=-2)
+    what = streams.reshape(streams.shape[:-4] + (K - 1, d)) / b
+    # s0[u]: user u's copy of user 0's symbols, from its own pair for u >= 1
+    pairs = np.arange(K - 1)
+    s0 = np.concatenate(
+        [own[..., :1, :], what[..., pairs + 1, pairs, :] - own[..., 1:, :]], axis=-2
+    )
+    # heard[u, v]: user u's estimate of user v's symbols
+    heard = np.concatenate([s0[..., np.newaxis, :], what - s0[..., np.newaxis, :]], axis=-2)
+    return np.ascontiguousarray(heard[..., np.arange(K)[:, np.newaxis], sender_table(K), :])
 
 
 def run_round(plan: SchemePlan, P: float, rng, noise_on: bool) -> TransmissionTrace:
@@ -518,31 +529,22 @@ def run_round(plan: SchemePlan, P: float, rng, noise_on: bool) -> TransmissionTr
     y_r = mac_phase(plan, sent, P, rng, noise_on)
     w = relay_process(plan, y_r, P)
     user_rx = bc_phase(plan, w, P, rng, noise_on)
-    decoded = np.stack(
-        [
-            user_decode(plan, user_rx[..., u, :], u, sent[..., u, :], P)
-            for u in range(plan.num_users)
-        ],
-        axis=-3,
-    )
     return TransmissionTrace(
         sent=sent,
         relay_rx=y_r,
         relay_fwd=w,
         user_rx=user_rx,
-        decoded=decoded,
+        decoded=user_decode(plan, user_rx, sent, P),
     )
 
 
-def build_allocation(plan: SchemePlan, K: int) -> DofAllocation:
+def build_allocation(plan: SchemePlan) -> DofAllocation:
     """Per-slot stream allocation the scheme realizes: d/L common streams
     per user, nothing private."""
-    if K != plan.num_users:
-        raise ValueError("K does not match the plan")
     per_user = Fraction(plan.d, plan.extension_factor)
     if per_user.denominator == 1:
         per_user = int(per_user)
-    return common_only_allocation(K, per_user)
+    return common_only_allocation(plan.num_users, per_user)
 
 
 def plan_to_json_dict(plan: SchemePlan) -> dict:
@@ -579,6 +581,7 @@ __all__ = [
     "SchemePlan",
     "TransmissionTrace",
     "other_users",
+    "sender_table",
     "extension_plan",
     "design_scheme",
     "mac_phase",

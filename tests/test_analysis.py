@@ -91,7 +91,7 @@ class TestVerifyNoiseless:
         # the audit runs at unit power; the same symbols through the same
         # plan decode exactly, to the rounding floor, at any other power
         plan = plan_for(3, 3, 2, seed=4)
-        senders = analysis._sender_table(3)
+        senders = ssa_nc.sender_table(3)
 
         def worst_error(P):
             trace = run_round(plan, P, np.random.default_rng(4), noise_on=False)
@@ -156,7 +156,7 @@ class TestVerifyNoiseless:
         first = stacks[0][1].channels.uplink_pinv
         for _, plan in stacks:
             eff = plan.channels
-            for a in (eff.uplink, eff.uplink_pinv, eff.downlink_pinv, eff.uplink_cond,
+            for a in (eff.uplink, eff.uplink_pinv, eff.downlink_pinv,
                       plan.power_scale, plan.beamformers):
                 assert a.strides[0] == 0 and not a.flags.writeable
             assert np.shares_memory(eff.uplink_pinv, first)
@@ -398,7 +398,7 @@ class TestPhysicalTrialPath:
 
         def run():
             stacks = analysis._trial_stacks(cfg, 6)
-            errors = [analysis._noiseless_round_errors(cfg, *stack) for stack in stacks]
+            errors = [analysis._noiseless_round_errors(*stack) for stack in stacks]
             return np.concatenate(errors), decode_mse_sweep(cfg, GRID, 6)
 
         errors, mse = run()

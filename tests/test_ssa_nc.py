@@ -787,6 +787,39 @@ class TestDownlinkAndDecode:
                 err = np.linalg.norm(trace.decoded[u][idx] - trace.sent[v])
                 assert err <= 1e-8 * np.linalg.norm(trace.sent[v])
 
+    def test_round_decodes_every_user_in_one_call(self, monkeypatch):
+        cfg = NetworkConfig(K=4, M=4, N=3, seed=17)
+        rngs = [cfg.trial_rng(t) for t in range(3)]
+        plan = design_scheme(cfg, generate_channels(cfg, rngs))
+        calls = []
+        real = ssa_nc.user_decode
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(ssa_nc, "user_decode", counted)
+        run_round(plan, P=1.0, rng=rngs, noise_on=False)
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("k", [2, 3, 5])
+    def test_sender_table_rows_are_other_users(self, k):
+        table = ssa_nc.sender_table(k)
+        assert table.shape == (k, k - 1)
+        for u in range(k):
+            assert table[u].tolist() == other_users(k, u)
+
+    @pytest.mark.parametrize("which", ["user_rx", "sent"])
+    def test_decode_shape_mismatch(self, which):
+        cfg, eff, plan, rng = designed(3, 3, 2)
+        good = {
+            "user_rx": np.zeros((3, plan.effective_M), dtype=complex),
+            "sent": np.zeros((3, plan.d), dtype=complex),
+        }
+        good[which] = good[which][:2]
+        with pytest.raises(ValueError, match="per trial"):
+            user_decode(plan, good["user_rx"], good["sent"], P=1.0)
+
     def test_zero_side_information(self):
         # a user with all-zero own symbols reads user 1's message directly
         cfg, eff, plan, rng = designed(3, 3, 2, seed=18)
@@ -795,7 +828,7 @@ class TestDownlinkAndDecode:
         y_r = mac_phase(plan, s, P=1.0, rng=rng, noise_on=False)
         w = relay_process(plan, y_r, P=1.0)
         y = bc_phase(plan, w, P=1.0, rng=rng, noise_on=False)
-        decoded = user_decode(plan, y[1], 1, s[1], P=1.0)
+        decoded = user_decode(plan, y, s, P=1.0)[1]
         b = plan.bc_scale
         what = plan.rx_filter[1][0] @ y[1] / b
         assert np.allclose(decoded[0], what, atol=1e-12)
@@ -864,13 +897,13 @@ class TestAllocationAndPlan:
     )
     def test_build_allocation(self, k, m, n, per_user, total):
         cfg, eff, plan, _ = designed(k, m, n, seed=20)
-        alloc = build_allocation(plan, k)
+        alloc = build_allocation(plan)
         assert all(c == per_user for c in alloc.common)
         assert total_dof(alloc, k) == total == cutset_dof(k, m, n)
 
     def test_allocation_saturates_every_cut(self):
         cfg, eff, plan, _ = designed(4, 2, 5, seed=21)
-        alloc = build_allocation(plan, 4)
+        alloc = build_allocation(plan)
         ok, _ = check_percut_bounds(alloc, 4, 2, 5)
         assert ok
         limit = min(2, 5)
@@ -912,6 +945,12 @@ class TestAllocationAndPlan:
         assert trace.relay_fwd.shape == (k - 1, d)
         assert trace.user_rx.shape == (k, u)
         assert trace.decoded.shape == (k, k - 1, d)
+        assert trace.decoded.flags.c_contiguous
+        rngs = [cfg.trial_rng(t) for t in range(2)]
+        plans = design_scheme(cfg, generate_channels(cfg, rngs))
+        stacked = run_round(plans, P=10.0, rng=rngs, noise_on=True)
+        assert stacked.decoded.shape == (2, k, k - 1, d)
+        assert stacked.decoded.flags.c_contiguous
 
     def test_plan_arrays_read_only(self):
         # the plan stores the effective set itself, at 3/4/6 shut down to
