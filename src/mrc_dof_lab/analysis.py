@@ -5,8 +5,10 @@ reproduce its transmitted value to near machine precision). For noisy
 operation, per-stream SINRs follow in closed form from the designed
 filters, and the DoF shows up as the slope of the sum rate against
 log2(P); the chain is linear, so power only scales a unit-power round.
-Per-trial randomness is derived as seed XOR trial index, so trials are
-independent and reproducible in any execution order.
+Per-trial randomness is derived as seed XOR trial index, so every trial
+is reproducible and independent of the execution order. The streams of
+different seeds overlap (seed 42 trial 1 is seed 43 trial 0); ROADMAP
+Open item 1 replaces the XOR.
 
 The trials of one configuration are designed and run as stacks along a
 leading trial axis: one ``ssa_nc.design_scheme`` and one
@@ -91,6 +93,8 @@ def format_number(x) -> str:
     """Deterministic scalar formatting for CSV cells; empty for missing."""
     if x is None:
         return ""
+    if type(x) is int:  # most cells, ahead of the slower isinstance checks
+        return str(x)
     if isinstance(x, bool):
         return str(int(x))
     if isinstance(x, Fraction):
@@ -165,20 +169,27 @@ def _trial_stacks(config: NetworkConfig, trials: int, channels: ChannelSet | Non
         yield rngs, plan
 
 
-def _message_sq_errors(trace: ssa_nc.TransmissionTrace, senders: np.ndarray) -> np.ndarray:
+def _message_sq_errors(trace: ssa_nc.TransmissionTrace, messages: np.ndarray) -> np.ndarray:
     """Squared decode error of every (user, sender) message of a round,
-    shape (..., K, K-1)."""
-    return np.sum(np.abs(trace.decoded - trace.sent[..., senders, :]) ** 2, axis=-1)
+    shape (..., K, K-1), given the sent messages gathered in the order of
+    ``trace.decoded``."""
+    return np.add.reduce(np.abs(trace.decoded - messages) ** 2, axis=-1)
+
+
+def _sent_messages(trace: ssa_nc.TransmissionTrace) -> np.ndarray:
+    """The sent symbols in the order of ``trace.decoded``, (..., K, K-1, d)."""
+    return trace.sent[..., ssa_nc.sender_table(trace.sent.shape[-2]), :]
 
 
 def _noiseless_round_errors(rngs, plan: SchemePlan) -> np.ndarray:
     """Each trial's worst relative decode error over every user and message
     of one noiseless round of the stack."""
     trace = ssa_nc.run_round(plan, 1.0, rngs, noise_on=False)
-    senders = ssa_nc.sender_table(plan.num_users)
-    sent_norm = np.linalg.norm(trace.sent, axis=-1)[..., senders]
-    err = np.sqrt(_message_sq_errors(trace, senders))
-    return np.max(err / np.maximum(sent_norm, 1e-300), axis=(-2, -1))
+    messages = _sent_messages(trace)
+    # np.linalg.norm(messages, axis=-1), bit for bit
+    sent_norm = np.sqrt(np.add.reduce((messages.conj() * messages).real, axis=-1))
+    err = np.sqrt(_message_sq_errors(trace, messages))
+    return (err / np.maximum(sent_norm, 1e-300)).max(axis=(-2, -1))
 
 
 def _noiseless_report(
@@ -225,7 +236,7 @@ def verify_noiseless(
 def _max_error(errors: list[np.ndarray]) -> float:
     """Worst per-trial error; np.max propagates NaN, so a round that
     decoded NaN reports NaN rather than vanishing from the maximum."""
-    return float(np.max(np.concatenate(errors)))
+    return float(np.concatenate(errors).max())
 
 
 @dataclass(frozen=True)
@@ -352,11 +363,11 @@ def decode_mse_sweep(config: NetworkConfig, P_grid, trials: int) -> np.ndarray:
     grid = _power_levels(P_grid)
     if trials < 1:
         raise ValueError("trials must be positive")
-    senders = ssa_nc.sender_table(config.K)
     totals = []
     for rngs, plan in _trial_stacks(config, trials):
         trace = ssa_nc.run_round(plan, 1.0, rngs, noise_on=True)
-        totals.append(_message_sq_errors(trace, senders).reshape(len(rngs), -1).sum(axis=-1))
+        sq_err = _message_sq_errors(trace, _sent_messages(trace))
+        totals.append(sq_err.reshape(len(rngs), -1).sum(axis=-1))
     sq_err = np.add.accumulate(np.concatenate(totals))[-1]
     return sq_err / (trials * config.K * (config.K - 1) * plan.d) / grid
 

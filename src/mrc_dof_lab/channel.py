@@ -66,8 +66,12 @@ class NetworkConfig:
         return np.random.default_rng(self.seed)
 
     def trial_rng(self, trial: int) -> np.random.Generator:
-        """Independent stream for one trial: seed XOR trial index."""
-        return np.random.default_rng((self.seed ^ trial) & _SEED_MASK)
+        """The stream of one trial, seeded with seed XOR trial index: it
+        is reproducible and does not depend on the order trials run in. It
+        is not independent of other seeds' streams: for even s and t, seed s
+        trial t+1 is seed s+1 trial t (ROADMAP Open item 1). The generator
+        is default_rng's for that seed, built without its argument checks."""
+        return np.random.Generator(np.random.PCG64((self.seed ^ trial) & _SEED_MASK))
 
 
 @dataclass(frozen=True, eq=False)
@@ -84,9 +88,10 @@ class ChannelSet:
     Validation factors the uplink stack once with
     ``pseudo_inverse_and_bound``: an LU inverse when N = M, a QR
     pseudoinverse otherwise. A reciprocal set, whose downlink is exactly
-    the plain transpose of its uplink, takes no second factorization: d_j
-    = h_j^T has pseudoinverse pinv(h_j)^T and the same Frobenius norms.
-    Any other set factors its downlink stack as well. Reciprocity is read
+    the plain transpose of its uplink, takes no second factorization and
+    no second finite or rank check: d_j = h_j^T has h_j's entries,
+    pseudoinverse pinv(h_j)^T and the same Frobenius norms. Any other set
+    checks and factors its downlink stack as well. Reciprocity is read
     from the matrices alone. Each matrix's condition bound ||h||_F
     ||pinv(h)||_F certifies its full rank; a matrix it cannot certify is
     decided, and inverted, by an SVD, exactly as
@@ -124,17 +129,20 @@ class ChannelSet:
             raise ValueError("channel matrices must have at least one row and one column")
         if downlink.shape != uplink.shape[:-2] + up_shape[::-1]:
             raise ValueError("downlink matrices must be transpose-shaped to the uplink")
-        if not (np.all(np.isfinite(uplink)) and np.all(np.isfinite(downlink))):
-            raise ValueError("channel entries must be finite")
+        _check_finite(uplink)
+        reciprocal = _is_reciprocal(uplink, downlink)
+        # a reciprocal downlink holds the uplink's entries and shares its
+        # rank, so only another downlink is checked and factored
+        if not reciprocal:
+            _check_finite(downlink)
         up_pinv, up_rank, up_bound = pseudo_inverse_and_bound(uplink, _RANK_TOL)
-        if _is_reciprocal(uplink, downlink):
+        _check_rank(up_rank, min(up_shape))
+        if reciprocal:
             # d = h^T shares h's singular values, and pinv(h^T) = pinv(h)^T
-            down_pinv = up_pinv.swapaxes(-1, -2).copy()
-            down_rank, down_bound = up_rank, up_bound
+            down_pinv, down_bound = up_pinv.swapaxes(-1, -2).copy(), up_bound
         else:
             down_pinv, down_rank, down_bound = pseudo_inverse_and_bound(downlink, _RANK_TOL)
-        if np.any(up_rank != min(up_shape)) or np.any(down_rank != min(up_shape)):
-            raise ValueError("channel matrix is rank deficient")
+            _check_rank(down_rank, min(up_shape))
         self._store(
             uplink=uplink,
             downlink=downlink,
@@ -215,8 +223,19 @@ class ChannelSet:
 
 
 def _is_reciprocal(uplink: np.ndarray, downlink: np.ndarray) -> bool:
-    """Whether every downlink matrix is exactly its uplink's plain transpose."""
-    return np.array_equal(downlink, uplink.swapaxes(-1, -2))
+    """Whether every downlink matrix is exactly its uplink's plain
+    transpose; the two stacks must be transpose-shaped."""
+    return bool((downlink == uplink.swapaxes(-1, -2)).all())
+
+
+def _check_finite(matrices: np.ndarray) -> None:
+    if not np.isfinite(matrices).all():
+        raise ValueError("channel entries must be finite")
+
+
+def _check_rank(rank: np.ndarray, full: int) -> None:
+    if (rank != full).any():
+        raise ValueError("channel matrix is rank deficient")
 
 
 def generate_channels(config: NetworkConfig, rng) -> ChannelSet:

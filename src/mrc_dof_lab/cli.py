@@ -262,15 +262,17 @@ def cmd_sweep(args) -> int:
                 report = analysis.simulate_report(config, p_grid, trials)
             else:
                 report = analysis.verify_noiseless(config, trials)
-            lines.append(report_csv_row(report) + ",")
-            doc = report.to_json_dict()
-            doc["error"] = None
-            rows_json.append(doc)
+            if fmt == "json":
+                rows_json.append({**report.to_json_dict(), "error": None})
+            else:
+                lines.append(report_csv_row(report) + ",")
         except SWEEP_ROW_ERRORS as exc:  # record the failure, keep sweeping
             logger.info("sweep row (%d,%d,%d) failed: %s", k, m, n, exc)
             message = f"{type(exc).__name__}: {exc}".replace(",", ";").replace("\n", " ")
-            lines.append(",".join([str(k), str(m), str(n)] + [""] * 10) + "," + message)
-            rows_json.append({"K": k, "M": m, "N": n, "error": message})
+            if fmt == "json":
+                rows_json.append({"K": k, "M": m, "N": n, "error": message})
+            else:
+                lines.append(",".join([str(k), str(m), str(n)] + [""] * 10) + "," + message)
     text = _json_text(rows_json) if fmt == "json" else "\n".join(lines) + "\n"
     _emit(text, out)
     return EXIT_OK

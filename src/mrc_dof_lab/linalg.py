@@ -60,7 +60,13 @@ def random_gaussian_stack(count: int, shape: tuple[int, ...], rng) -> np.ndarray
             g.standard_normal(block, out=row)
     tail = (slice(None),) * len(shape)
     re, im = z[(Ellipsis, 0) + tail], z[(Ellipsis, 1) + tail]
-    return _freeze((re + 1j * im) / np.sqrt(2.0))
+    # (re + 1j im) / sqrt(2) without its three temporaries: the same values
+    # up to the sign of an exactly zero part
+    out = np.empty(re.shape, dtype=complex)
+    out.real = re
+    out.imag = im
+    out /= np.sqrt(2.0)
+    return _freeze(out)
 
 
 def random_gaussian_matrix(rows: int, cols: int, rng: np.random.Generator) -> CMatrix:
@@ -116,10 +122,18 @@ def _qr_pseudo_inverse(a: np.ndarray) -> np.ndarray:
     q, r = np.linalg.qr(a)
     b = q.conj().swapaxes(-1, -2)
     x = np.empty(b.shape, dtype=b.dtype)
-    for i in range(r.shape[-1] - 1, -1, -1):
+    # the last row has nothing to subtract
+    x[..., -1, :] = b[..., -1, :] / r[..., -1, -1, np.newaxis]
+    for i in range(r.shape[-1] - 2, -1, -1):
         rest = r[..., i : i + 1, i + 1 :] @ x[..., i + 1 :, :]
         x[..., i, :] = (b[..., i, :] - rest[..., 0, :]) / r[..., i, i, np.newaxis]
     return x
+
+
+def _frobenius(a: np.ndarray) -> np.ndarray:
+    """np.linalg.norm(a, axis=(-2, -1)), bit for bit, without its argument
+    handling."""
+    return np.sqrt(np.add.reduce((a.conj() * a).real, axis=(-2, -1)))
 
 
 def pseudo_inverse_and_bound(A: CMatrix, tol: float = DEFAULT_TOL) -> tuple[np.ndarray, ...]:
@@ -144,14 +158,17 @@ def pseudo_inverse_and_bound(A: CMatrix, tol: float = DEFAULT_TOL) -> tuple[np.n
     """
     a = np.ascontiguousarray(A)
     m, n = a.shape[-2:]
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        if m == n:
-            pinv = _lu_inverse(a)
-        elif m > n:
-            pinv = _qr_pseudo_inverse(a)
-        else:
-            pinv = _qr_pseudo_inverse(a.conj().swapaxes(-1, -2)).conj().swapaxes(-1, -2).copy()
-        bound = np.asarray(np.linalg.norm(a, axis=(-2, -1)) * np.linalg.norm(pinv, axis=(-2, -1)))
+    if m == n:
+        # a singular matrix's inverse is NaN, which raises no float error
+        pinv = _lu_inverse(a)
+        bound = np.asarray(_frobenius(a) * _frobenius(pinv))
+    else:
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            if m > n:
+                pinv = _qr_pseudo_inverse(a)
+            else:
+                pinv = _qr_pseudo_inverse(a.conj().swapaxes(-1, -2)).conj().swapaxes(-1, -2).copy()
+            bound = np.asarray(_frobenius(a) * _frobenius(pinv))
     rank = np.full(bound.shape, min(m, n))
     unsure = ~(bound <= 1.0 / (BOUND_MARGIN * tol))
     if unsure.any():

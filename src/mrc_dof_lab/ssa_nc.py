@@ -16,7 +16,8 @@ broadcasts the sums on the same streams, and user u separates them with
 the d-row blocks of pinv(D_u) (D_u has full column rank after the
 relay shutdown), then peels the messages apart using its own transmitted
 symbols as side information. All K users decode in one batched call, and
-``sender_table`` alone orders each user's decoded messages.
+``_without_own`` alone orders each user's decoded messages; ``sender_table``
+is that order as a table.
 
 When the relay has more antennas than a user (N > M) the surplus relay
 antennas are shut down; when the relay dimension is not divisible by K-1,
@@ -166,13 +167,13 @@ class SchemePlan:
 
     @property
     def relay_filter(self) -> np.ndarray:
-        """Relay receive filters, (..., K-1, d, relay_dim): E[p]^T."""
+        """Relay receive filters, (..., K-1, d, effective_N): E[p]^T."""
         blocks = np.eye(self.effective_N, dtype=complex).reshape(-1, self.d, self.effective_N)
         return np.broadcast_to(blocks, self.stack_shape + blocks.shape)
 
     @property
     def T(self) -> np.ndarray:
-        """Broadcast precoders, (..., K-1, relay_dim, d): T[p] = E[p]."""
+        """Broadcast precoders, (..., K-1, effective_N, d): T[p] = E[p]."""
         return self.relay_filter.swapaxes(-1, -2)
 
     def _extended_columns(self) -> np.ndarray:
@@ -217,8 +218,8 @@ class SchemePlan:
 class TransmissionTrace:
     """One simulated channel use of the full two-phase chain.
 
-    Shapes: sent (K, d), relay_rx (relay_dim,), relay_fwd (K-1, d),
-    user_rx (K, user_dim), decoded (K, K-1, d), each with the plan's
+    Shapes: sent (K, d), relay_rx (effective_N,), relay_fwd (K-1, d),
+    user_rx (K, effective_M), decoded (K, K-1, d), each with the plan's
     leading trial axis for a stack. decoded[..., u, i, :] is user u's
     estimate of the symbols of sender sender_table(K)[u, i].
     """
@@ -237,8 +238,20 @@ def other_users(K: int, u: int) -> list[int]:
 
 def sender_table(K: int) -> np.ndarray:
     """(K, K-1) table whose row u is other_users(K, u): the order of the
-    rows of every user's decoded symbols."""
-    return np.array([other_users(K, u) for u in range(K)])
+    rows of every user's decoded symbols, which ``_without_own`` defines."""
+    return _without_own((np.arange(K * K) % K).reshape(K, K, 1))[..., 0]
+
+
+def _without_own(per_sender: np.ndarray) -> np.ndarray:
+    """Drop every user's own entry from a (..., K, K, e) array whose
+    [u, v] is user u's entry for sender v: returns (..., K, K-1, e),
+    C-contiguous, row u holding the other users' entries in ascending
+    sender order. Read row by row from entry 1 on, the K x K table is K-1
+    runs of K+1 entries, each ending in a diagonal entry [u, u], so the
+    table without its diagonal is those runs without their last entry."""
+    lead, (K, e) = per_sender.shape[:-3], per_sender.shape[-2:]
+    runs = per_sender.reshape(lead + (K * K, e))[..., 1:, :].reshape(lead + (K - 1, K + 1, e))
+    return np.ascontiguousarray(runs[..., :K, :].reshape(lead + (K, K - 1, e)))
 
 
 def extension_plan(K: int, M: int, N: int) -> tuple[int, int, int]:
@@ -326,6 +339,20 @@ def _by_slot(per_user: np.ndarray, L: int) -> np.ndarray:
     return out
 
 
+def _slot_sum(images: np.ndarray, L: int) -> np.ndarray:
+    """What the relay hears in each slot, (..., L, e), from each user's
+    (..., K, e) image: user 0's plus its slot's c = (K-1) / L partners',
+    added in user order, which is _by_slot(images, L).sum(axis=-3) bit for
+    bit without the zeros."""
+    K, e = images.shape[-2:]
+    c = (K - 1) // L
+    partners = images[..., 1:, :].reshape(images.shape[:-2] + (L, c, e))
+    y = images[..., :1, :] + partners[..., 0, :]
+    for block in range(1, c):
+        y += partners[..., block, :]
+    return y
+
+
 def _power_scale(beams: np.ndarray, L: int) -> np.ndarray:
     """User transmit amplitude per sqrt(P), one per trial.
 
@@ -347,14 +374,16 @@ def _check_conditioning(eff: ChannelSet) -> None:
 
     A trial whose condition bounds are all at most COND_LIMIT /
     BOUND_MARGIN passes: the bound is at least the condition number, with
-    the margin to spare for rounding. Only the trials the bounds cannot
-    decide read their exact condition numbers, so a stack of
-    well-conditioned trials takes no SVD here.
+    the margin to spare for rounding. A stack whose trials all pass costs
+    one comparison per link. Only the trials the bounds cannot decide read
+    their exact condition numbers, so a stack of well-conditioned trials
+    takes no SVD here.
     """
-    bound = np.maximum(eff.uplink_cond_bound.max(axis=-1), eff.downlink_cond_bound.max(axis=-1))
-    unsure = np.flatnonzero(~(np.ravel(bound) <= COND_LIMIT / BOUND_MARGIN))
-    if not unsure.size:
+    limit = COND_LIMIT / BOUND_MARGIN
+    if (eff.uplink_cond_bound <= limit).all() and (eff.downlink_cond_bound <= limit).all():
         return
+    bound = np.maximum(eff.uplink_cond_bound.max(axis=-1), eff.downlink_cond_bound.max(axis=-1))
+    unsure = np.flatnonzero(~(np.ravel(bound) <= limit))
     exact = eff.stacked().select(unsure)
     worst = np.maximum(exact.uplink_cond.max(axis=-1), exact.downlink_cond.max(axis=-1))
     failed = np.flatnonzero(~(worst <= COND_LIMIT))
@@ -445,7 +474,7 @@ def mac_phase(
     x = a * (plan.beamformers @ s[..., np.newaxis])
     # each user's image at the relay, the same in every slot it sends in
     images = (plan.channels.uplink @ x)[..., 0]
-    y_r = _by_slot(images, L).sum(axis=-3).reshape(plan.stack_shape + (plan.effective_N,))
+    y_r = _slot_sum(images, L).reshape(plan.stack_shape + (plan.effective_N,))
     if noise_on:
         y_r = y_r + _draws(rngs, plan.stack_shape, 1, plan.effective_N)[..., 0, :]
     return y_r
@@ -511,14 +540,13 @@ def user_decode(plan: SchemePlan, user_rx, sent, P: float) -> np.ndarray:
     blocks = rows.reshape(rows.shape[:-2] + (1, -1, d, rows.shape[-1]))
     streams = blocks @ y.reshape(y.shape[:-1] + (plan.extension_factor, 1, -1, 1))
     what = streams.reshape(streams.shape[:-4] + (K - 1, d)) / b
-    # s0[u]: user u's copy of user 0's symbols, from its own pair for u >= 1
-    pairs = np.arange(K - 1)
-    s0 = np.concatenate(
-        [own[..., :1, :], what[..., pairs + 1, pairs, :] - own[..., 1:, :]], axis=-2
-    )
+    # s0[u]: user u's copy of user 0's symbols, from its own pair for u >= 1;
+    # what[p+1, p] is every K-th row of what's K(K-1) rows, from row K-1 on
+    own_pair = what.reshape(what.shape[:-3] + (-1, d))[..., K - 1 :: K, :]
+    s0 = np.concatenate([own[..., :1, :], own_pair - own[..., 1:, :]], axis=-2)
     # heard[u, v]: user u's estimate of user v's symbols
     heard = np.concatenate([s0[..., np.newaxis, :], what - s0[..., np.newaxis, :]], axis=-2)
-    return np.ascontiguousarray(heard[..., np.arange(K)[:, np.newaxis], sender_table(K), :])
+    return _without_own(heard)
 
 
 def run_round(plan: SchemePlan, P: float, rng, noise_on: bool) -> TransmissionTrace:

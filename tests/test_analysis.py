@@ -407,6 +407,28 @@ class TestPhysicalTrialPath:
         one_errors, one_mse = run()
         assert np.array_equal(errors, one_errors) and np.array_equal(mse, one_mse)
 
+    @pytest.mark.parametrize("k,m,n", [(4, 4, 3), (5, 3, 4), (3, 4, 6)])
+    def test_audit_equals_the_row_norm_formula(self, monkeypatch, k, m, n):
+        # the audit gathers the sent symbols once and takes each message's
+        # norm: bit for bit the norms of the sent rows, gathered afterwards
+        cfg = NetworkConfig(K=k, M=m, N=n, seed=14)
+        ((rngs, plan),) = analysis._trial_stacks(cfg, 4)
+        traces = []
+        real = ssa_nc.run_round
+
+        def recorded(*args, **kwargs):
+            traces.append(real(*args, **kwargs))
+            return traces[-1]
+
+        monkeypatch.setattr(ssa_nc, "run_round", recorded)
+        got = analysis._noiseless_round_errors(rngs, plan)
+        (trace,) = traces
+        senders = np.array([other_users(k, u) for u in range(k)])
+        sent_norm = np.linalg.norm(trace.sent, axis=-1)[..., senders]
+        err = np.sqrt(np.sum(np.abs(trace.decoded - trace.sent[..., senders, :]) ** 2, axis=-1))
+        oracle = np.max(err / np.maximum(sent_norm, 1e-300), axis=(-2, -1))
+        assert got.shape == (4,) and got.tobytes() == oracle.tobytes()
+
     def test_stack_size_counts_stored_entries(self):
         # K * min(N, M) * M stored entries per trial, whatever the extension
         assert analysis._stack_size(NetworkConfig(K=8, M=8, N=8)) == 64

@@ -100,6 +100,12 @@ class TestShutdown:
         cs = make(NetworkConfig(K=3, M=2, N=2, seed=10))
         assert shutdown_relay_antennas(cs, 2) is cs
 
+    @pytest.mark.parametrize("keep", [0, 4])
+    def test_keep_outside_the_relay_dimension_rejected(self, keep):
+        cs = make(NetworkConfig(K=3, M=2, N=3, seed=10))
+        with pytest.raises(ValueError, match="keep must be between 1 and the relay dimension"):
+            shutdown_relay_antennas(cs, keep)
+
 
 class TestSerialization:
     def test_round_trip(self):
@@ -140,6 +146,13 @@ class TestSerialization:
         with pytest.raises(ValueError, match=re.escape(message)):
             channels_from_json_dict(damage(doc))
 
+    def test_stack_cannot_be_encoded(self):
+        cfg = NetworkConfig(K=3, M=2, N=2, seed=14)
+        stack = generate_channels(cfg, [cfg.trial_rng(t) for t in range(2)])
+        with pytest.raises(ValueError, match="only one trial's channel set can be encoded"):
+            channels_to_json_dict(stack)
+        channels_to_json_dict(stack.select(0))
+
     def test_entry_encoding(self):
         cs = make(NetworkConfig(K=2, M=1, N=1, seed=13))
         doc = channels_to_json_dict(cs)
@@ -179,8 +192,34 @@ class TestChannelSetValidation:
     def test_rejects_shape_mismatch(self):
         a = np.eye(2, dtype=complex)
         b = np.eye(3, dtype=complex)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="the matrices of each link must share one shape"):
             ChannelSet(uplink=(a, b), downlink=(a.T, b.T))
+
+    def test_rejects_ragged_downlink(self):
+        h = np.eye(2, dtype=complex)
+        with pytest.raises(ValueError, match="the matrices of each link must share one shape"):
+            ChannelSet(uplink=(h, h), downlink=(h, np.eye(2, 3, dtype=complex)))
+
+    def test_rejects_one_user(self):
+        h = np.eye(2, dtype=complex)
+        with pytest.raises(ValueError, match="need uplink matrices for K >= 2 users"):
+            ChannelSet(uplink=(h,), downlink=(h,))
+
+    def test_rejects_downlink_not_transpose_shaped(self):
+        # two 2 x 3 uplinks need 3 x 2 downlinks
+        h = np.eye(2, 3, dtype=complex)
+        with pytest.raises(ValueError, match="transpose-shaped to the uplink"):
+            ChannelSet(uplink=(h, h), downlink=(h, h))
+
+    def test_non_finite_downlink_rejected_before_any_factorization(self, lapack_calls):
+        # a downlink that is not the uplink's transpose is checked on its own
+        cs = make(NetworkConfig(K=3, M=2, N=3, seed=16, reciprocal=False))
+        downlink = np.array(cs.downlink)
+        downlink[1, 0, 2] = np.inf
+        del lapack_calls[:]
+        with pytest.raises(ValueError, match="channel entries must be finite"):
+            ChannelSet(uplink=cs.uplink, downlink=downlink)
+        assert lapack_calls == []
 
 
 # A reciprocal set's downlink decomposition is the uplink's transposed,

@@ -236,6 +236,35 @@ class TestPseudoInverseAndBound:
         assert rank.tolist() == exact_rank.tolist() == [min(shape), min(shape) - 1, 0]
         assert np.array_equal(p[1:], exact[1:])
 
+    @pytest.mark.parametrize("shape", [(3, 3), (4, 2), (2, 4)])
+    def test_bound_is_the_product_of_frobenius_norms(self, shape):
+        # bit for bit np.linalg.norm's Frobenius norms, on every route
+        stack = random_gaussian_stack(6, shape, rng(44))
+        p, _, bound = pseudo_inverse_and_bound(stack)
+        oracle = np.linalg.norm(stack, axis=(-2, -1)) * np.linalg.norm(p, axis=(-2, -1))
+        assert bound.tobytes() == oracle.tobytes()
+
+    @pytest.mark.parametrize("shape", [(4, 1), (4, 3), (6, 4), (1, 4), (3, 5)])
+    def test_qr_route_equals_full_back_substitution(self, shape):
+        # the last row of R^-1 Q^H skips its empty product: bit for bit the
+        # loop that subtracts it
+        def oracle(a):
+            q, r = np.linalg.qr(a)
+            b = q.conj().swapaxes(-1, -2)
+            x = np.empty(b.shape, dtype=b.dtype)
+            for i in range(r.shape[-1] - 1, -1, -1):
+                rest = r[..., i : i + 1, i + 1 :] @ x[..., i + 1 :, :]
+                x[..., i, :] = (b[..., i, :] - rest[..., 0, :]) / r[..., i, i, np.newaxis]
+            return x
+
+        stack = random_gaussian_stack(5, shape, rng(45))
+        p = pseudo_inverse_and_bound(stack)[0]
+        if shape[0] > shape[1]:
+            want = oracle(stack)
+        else:
+            want = oracle(stack.conj().swapaxes(-1, -2)).conj().swapaxes(-1, -2)
+        assert p.tobytes() == want.tobytes()
+
     def test_single_matrix(self):
         a = random_gaussian_matrix(4, 3, rng(43))
         p, rank, bound = pseudo_inverse_and_bound(a)

@@ -460,6 +460,27 @@ class TestConditionGuard:
         assert lapack_calls == [("svd", (np.isin(kept, undecided).sum(), 2, 2, 2))]
 
 
+    @pytest.mark.parametrize("link", ["uplink", "downlink"])
+    def test_over_limit_trial_reaches_the_exact_check(self, link, lapack_calls):
+        # one trial over the limit among well-conditioned ones, on either
+        # link of a non-reciprocal stack: the bounds' early return must not
+        # pass it, and that trial alone is read exactly, one SVD per link
+        cfg = NetworkConfig(K=2, M=2, N=2, seed=23, reciprocal=False)
+        drawn = generate_channels(cfg, [cfg.trial_rng(t) for t in range(6)])
+        links = {"uplink": np.array(drawn.uplink), "downlink": np.array(drawn.downlink)}
+        u, _, vh = np.linalg.svd(links[link][4, 1])
+        links[link][4, 1] = (u * [1.0, 1e-9]) @ vh
+        cs = ChannelSet(**links)
+        del lapack_calls[:]
+        with pytest.raises(SchemeDesignError, match="exceeds the guardrail") as err:
+            design_scheme(cfg, cs)
+        assert err.value.trial == 4
+        assert lapack_calls == [("svd", (1, 2, 2, 2))] * 2
+        del lapack_calls[:]
+        design_scheme(cfg, cs.select([0, 1, 2, 3, 5]))
+        assert lapack_calls == []
+
+
 PLAN_FIELDS = (
     "V1", "Vj", "T", "relay_filter", "rx_filter", "channels.uplink_cond",
     "channels.downlink_cond", "power_scale", "bc_scale", "beamformers",
@@ -680,6 +701,25 @@ class TestMacPhase:
         assert max(powers) == pytest.approx(P, rel=0.03)
         assert all(p <= P * 1.03 for p in powers)
 
+    @pytest.mark.parametrize(
+        "k,m,n,L", [(4, 4, 3, 1), (5, 4, 4, 1), (5, 3, 4, 4), (8, 8, 8, 7)]
+    )
+    def test_slot_sum_equals_scatter_and_sum(self, k, m, n, L):
+        # the relay hears each slot's partner images added to user 0's in
+        # user order: bit for bit the spread of every image over the slots,
+        # zeros included, summed over the users
+        cfg = NetworkConfig(K=k, M=m, N=n, seed=31)
+        rngs = [cfg.trial_rng(t) for t in range(3)]
+        plan = design_scheme(cfg, generate_channels(cfg, rngs))
+        assert plan.extension_factor == L
+        s = ssa_nc._draws(rngs, plan.stack_shape, k, plan.d)
+        P = 7.0
+        a = (plan.power_scale * np.sqrt(P))[:, np.newaxis, np.newaxis, np.newaxis]
+        images = (plan.channels.uplink @ (a * (plan.beamformers @ s[..., np.newaxis])))[..., 0]
+        oracle = ssa_nc._by_slot(images, L).sum(axis=-3).reshape(3, plan.effective_N)
+        got = mac_phase(plan, s, P)
+        assert got.shape == oracle.shape and got.tobytes() == oracle.tobytes()
+
     def test_symbol_shape_mismatch(self):
         cfg, eff, plan, rng = designed(3, 3, 2)
         bad = [np.zeros(plan.d + 1, dtype=complex)] * 3
@@ -802,12 +842,12 @@ class TestDownlinkAndDecode:
         run_round(plan, P=1.0, rng=rngs, noise_on=False)
         assert len(calls) == 1
 
-    @pytest.mark.parametrize("k", [2, 3, 5])
+    @pytest.mark.parametrize("k", range(2, 10))
     def test_sender_table_rows_are_other_users(self, k):
         table = ssa_nc.sender_table(k)
-        assert table.shape == (k, k - 1)
-        for u in range(k):
-            assert table[u].tolist() == other_users(k, u)
+        oracle = np.array([other_users(k, u) for u in range(k)])
+        assert table.shape == (k, k - 1) and table.dtype == oracle.dtype
+        assert np.array_equal(table, oracle)
 
     @pytest.mark.parametrize("which", ["user_rx", "sent"])
     def test_decode_shape_mismatch(self, which):
@@ -928,6 +968,7 @@ class TestAllocationAndPlan:
             (3, 3, 2),  # d = 1
             (3, 4, 6),  # shutdown: relay 4, user 4, d = 2
             (4, 4, 4),  # 3-slot extension: relay 12, user 12, d = 4
+            (2, 2, 3),  # two-way relay: dropping each user's own row leaves a view
         ],
     )
     def test_plan_and_trace_shapes(self, k, m, n):
@@ -988,6 +1029,11 @@ class TestAllocationAndPlan:
         assert np.shares_memory(stack.beamformers, plan.beamformers)
         with pytest.raises(ValueError, match="one trial"):
             stack.repeated(2)
+
+    def test_stacked_plan_cannot_be_encoded(self):
+        plan = _stacked_plan(NetworkConfig(K=3, M=3, N=2, seed=24), range(2))
+        with pytest.raises(ValueError, match="only one trial's plan can be encoded"):
+            plan_to_json_dict(plan)
 
     def test_plan_json_structure(self):
         cfg, eff, plan, _ = designed(3, 3, 2, seed=24)
