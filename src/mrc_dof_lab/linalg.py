@@ -48,25 +48,42 @@ def random_gaussian_stack(count: int, shape: tuple[int, ...], rng) -> np.ndarray
     turn, which is the order of drawing the arrays one after another. Real
     and imaginary parts are N(0, 1/2), so E|a|^2 = 1.
     """
-    if count < 1 or any(n < 1 for n in shape):
+    return random_gaussian_stacks([(count, shape)], rng)[0]
+
+
+def random_gaussian_stacks(parts, rng) -> list[np.ndarray]:
+    """Several ``random_gaussian_stack`` draws in one draw call per generator.
+
+    ``parts`` lists (count, shape) pairs. Each generator fills one
+    standard_normal vector holding every part's block in turn, so part i
+    gets, bit for bit, what ``random_gaussian_stack(*parts[i], rng)`` would
+    draw after the parts before it: one draw fills a generator's values in
+    the order of consecutive draws of the same total length.
+    """
+    blocks = [(count, 2, *shape) for count, shape in parts]
+    if any(n < 1 for block in blocks for n in block):
         raise ValueError("draw dimensions must be positive")
-    block = (count, 2, *shape)
+    sizes = [int(np.prod(block)) for block in blocks]
     if isinstance(rng, np.random.Generator):
-        z = rng.standard_normal(block)
+        z, lead = rng.standard_normal(sum(sizes)), ()
     else:
         rngs = list(rng)
-        z = np.empty((len(rngs), *block))
+        z, lead = np.empty((len(rngs), sum(sizes))), (len(rngs),)
         for g, row in zip(rngs, z):
-            g.standard_normal(block, out=row)
-    tail = (slice(None),) * len(shape)
-    re, im = z[(Ellipsis, 0) + tail], z[(Ellipsis, 1) + tail]
-    # (re + 1j im) / sqrt(2) without its three temporaries: the same values
-    # up to the sign of an exactly zero part
-    out = np.empty(re.shape, dtype=complex)
-    out.real = re
-    out.imag = im
-    out /= np.sqrt(2.0)
-    return _freeze(out)
+            g.standard_normal(row.shape, out=row)
+    head = (slice(None),) * (len(lead) + 1)
+    out, start = [], 0
+    for block, size in zip(blocks, sizes):
+        part = z[..., start : start + size].reshape(lead + block)
+        start += size
+        # (re + 1j im) / sqrt(2) without its three temporaries: the same
+        # values up to the sign of an exactly zero part
+        a = np.empty(lead + block[:1] + block[2:], dtype=complex)
+        a.real = part[head + (0,)]
+        a.imag = part[head + (1,)]
+        a /= np.sqrt(2.0)
+        out.append(_freeze(a))
+    return out
 
 
 def random_gaussian_matrix(rows: int, cols: int, rng: np.random.Generator) -> CMatrix:

@@ -48,12 +48,14 @@ amplitudes per sqrt(P), so a single plan serves an entire power sweep.
 Every function takes one trial or a stack of trials along a leading trial
 axis. The design takes a stacked ChannelSet and gives a plan whose arrays
 carry the same axis; the round functions take that plan, which carries
-its channels, and a sequence of generators, one per trial, in place of
-one generator for the functions that draw symbols or noise. Each design
-and round step is one batched call for the whole stack. Each trial draws
-from its own generator exactly what it would draw alone, in the same
-order, so a trial's results do not depend on the stack it is in. A
-single trial runs as a stack of one.
+its channels. ``run_round`` is the only one that draws: it takes a
+sequence of generators, one per trial, in place of one generator, and
+draws each trial's symbols, relay noise and user noise in one call to
+its generator; ``mac_phase`` and ``bc_phase`` take the noise they add as
+arrays. Each design and round step is one batched call for the whole
+stack. Each trial draws from its own generator exactly what it would
+draw alone, in the same order, so a trial's results do not depend on the
+stack it is in. A single trial runs as a stack of one.
 """
 
 from __future__ import annotations
@@ -66,7 +68,7 @@ import numpy as np
 
 from .bounds import DofAllocation, common_only_allocation
 from .channel import ChannelSet, NetworkConfig, matrix_to_lists, shutdown_relay_antennas
-from .linalg import BOUND_MARGIN, _freeze, random_gaussian_stack
+from .linalg import BOUND_MARGIN, _freeze, random_gaussian_stacks
 
 # A trial whose uplink or downlink matrix has a condition number above
 # this is a design error. The relay-side subspaces are the identity, so
@@ -303,11 +305,6 @@ def _kron_eye(h: np.ndarray, L: int) -> np.ndarray:
     return out.reshape(h.shape[:-2] + (L * r, L * c))
 
 
-def _draws(rngs, stack_shape: tuple[int, ...], count: int, *shape: int) -> np.ndarray:
-    """``count`` CN(0, 1) arrays per trial, shaped stack_shape + (count, *shape)."""
-    return random_gaussian_stack(count, shape, rngs).reshape(stack_shape + (count, *shape))
-
-
 def _slot_schedule(K: int, L: int) -> tuple[np.ndarray, np.ndarray]:
     """Where each pair's d relay streams sit: pair p in slot p // c at
     block p % c of the slot's c = (K-1) / L blocks. Returns (slot, block)."""
@@ -435,12 +432,14 @@ def design_scheme(config: NetworkConfig, channels: ChannelSet) -> SchemePlan:
     )
 
 
-def _vector_rows(vectors, stack_shape: tuple, count: int, d: int, what: str) -> np.ndarray:
-    """The ``count`` length-d vectors of each trial as one array."""
+def _vector_rows(vectors, stack_shape: tuple, count, d: int, what: str) -> np.ndarray:
+    """The ``count`` length-d vectors of each trial as one array; count
+    None is one vector per trial, with no axis for the count."""
     rows = np.asarray(vectors)
-    if rows.shape != stack_shape + (count, d):
+    if rows.shape != stack_shape + ((d,) if count is None else (count, d)):
         raise ValueError(
-            f"need {count} {what} vectors of length {d} per trial, got shape {rows.shape}"
+            f"need {count or 'one'} {what} vector{'' if count is None else 's'} of length {d} "
+            f"per trial, got shape {rows.shape}"
         )
     return rows
 
@@ -450,33 +449,28 @@ def _amplitude(scale, P: float) -> np.ndarray:
     return np.asarray(scale) * np.sqrt(P)
 
 
-def mac_phase(
-    plan: SchemePlan,
-    symbols,
-    P: float,
-    rng=None,
-    noise_on: bool = False,
-) -> np.ndarray:
+def mac_phase(plan: SchemePlan, symbols, P: float, noise=None) -> np.ndarray:
     """Uplink slot: every user sends its symbol block with amplitude
     power_scale * sqrt(P) through its physical beamformer and uplink h_u
     in each slot its pairs use, user 0 in all L = plan.extension_factor
     slots and partner p+1 in its pair's slot: kron(I_L, h_u) applied slot
-    by slot. The relay observes the superposition plus unit-variance noise
-    when enabled, which needs rng.
+    by slot. The relay observes the superposition, plus ``noise`` when
+    given: its unit-variance noise, one length-effective_N vector per trial.
 
     symbols holds one length-d vector per user, as a (K, d) array or a
-    sequence, or a (S, K, d) array for a stacked plan.
+    sequence, or a (S, K, d) array for a stacked plan. Draws nothing.
     """
-    rngs = _generators(rng, plan.stack_shape) if noise_on else None
     s = _vector_rows(symbols, plan.stack_shape, plan.num_users, plan.d, "symbol")
+    if noise is not None:
+        noise = _vector_rows(noise, plan.stack_shape, None, plan.effective_N, "relay noise")
     L = plan.extension_factor
     a = _amplitude(plan.power_scale, P)[..., np.newaxis, np.newaxis, np.newaxis]
     x = a * (plan.beamformers @ s[..., np.newaxis])
     # each user's image at the relay, the same in every slot it sends in
     images = (plan.channels.uplink @ x)[..., 0]
     y_r = _slot_sum(images, L).reshape(plan.stack_shape + (plan.effective_N,))
-    if noise_on:
-        y_r = y_r + _draws(rngs, plan.stack_shape, 1, plan.effective_N)[..., 0, :]
+    if noise is not None:
+        y_r = y_r + noise
     return y_r
 
 
@@ -489,30 +483,26 @@ def relay_process(plan: SchemePlan, y_r: np.ndarray, P: float) -> np.ndarray:
     return y_r.reshape(y_r.shape[:-1] + (plan.num_pairs, plan.d)) / a
 
 
-def bc_phase(
-    plan: SchemePlan,
-    w,
-    P: float,
-    rng=None,
-    noise_on: bool = False,
-) -> np.ndarray:
+def bc_phase(plan: SchemePlan, w, P: float, noise=None) -> np.ndarray:
     """Downlink slot: the relay broadcasts every pair sum on the pair's
     relay streams with amplitude bc_scale * sqrt(P), and user u receives it
-    through kron(I_L, d_u) of its physical downlink d_u, slot by slot;
-    noise, when enabled, needs rng.
+    through kron(I_L, d_u) of its physical downlink d_u, slot by slot, plus
+    ``noise`` when given: the users' unit-variance noise, (K, effective_M)
+    per trial.
 
     w holds one forwarded length-d vector per pair, as a (K-1, d) array or
     a sequence, or a (S, K-1, d) array for a stacked plan. Row u of the
-    (K, user_dim) result is user u's observation.
+    (K, user_dim) result is user u's observation. Draws nothing.
     """
-    rngs = _generators(rng, plan.stack_shape) if noise_on else None
     w = _vector_rows(w, plan.stack_shape, plan.num_pairs, plan.d, "forwarded")
+    if noise is not None:
+        noise = _vector_rows(noise, plan.stack_shape, plan.num_users, plan.effective_M, "noise")
     b = _amplitude(plan.bc_scale, P)[..., np.newaxis]
     # pair p's sum on relay streams [p d, (p+1) d): sum_p T[p] w[p], bit for bit
     x_r = b * w.reshape(w.shape[:-2] + (plan.effective_N,))
     y = _kron_apply(plan.channels.downlink, x_r[..., np.newaxis, :], plan.extension_factor)
-    if noise_on:
-        y = y + _draws(rngs, plan.stack_shape, plan.num_users, plan.effective_M)
+    if noise is not None:
+        y = y + noise
     return y
 
 
@@ -551,12 +541,25 @@ def user_decode(plan: SchemePlan, user_rx, sent, P: float) -> np.ndarray:
 
 def run_round(plan: SchemePlan, P: float, rng, noise_on: bool) -> TransmissionTrace:
     """Draw fresh unit-power symbols and push them through both phases and
-    every user's decoder, for one trial or every trial of a stacked plan."""
-    stack = plan.stack_shape
-    sent = _draws(_generators(rng, stack), stack, plan.num_users, plan.d)
-    y_r = mac_phase(plan, sent, P, rng, noise_on)
+    every user's decoder, for one trial or every trial of a stacked plan.
+
+    The only step that draws for a round: one standard_normal call per
+    trial generator gives its K symbol vectors, then, with noise on, the
+    relay's noise and the users' noise, in that order, bit for bit what
+    drawing them one after another gives.
+    """
+    stack, K = plan.stack_shape, plan.num_users
+    parts = [(K, (plan.d,))]
+    if noise_on:
+        parts += [(1, (plan.effective_N,)), (K, (plan.effective_M,))]
+    # each part is (trials, count, ...), and one trial's loses the trial axis
+    sent, *noise = (
+        a.reshape(stack + a.shape[1:]) for a in random_gaussian_stacks(parts, _generators(rng, stack))
+    )
+    relay_noise, user_noise = (noise[0][..., 0, :], noise[1]) if noise_on else (None, None)
+    y_r = mac_phase(plan, sent, P, relay_noise)
     w = relay_process(plan, y_r, P)
-    user_rx = bc_phase(plan, w, P, rng, noise_on)
+    user_rx = bc_phase(plan, w, P, user_noise)
     return TransmissionTrace(
         sent=sent,
         relay_rx=y_r,

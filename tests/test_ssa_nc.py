@@ -15,7 +15,12 @@ from mrc_dof_lab import analysis, ssa_nc
 from mrc_dof_lab.analysis import stream_sinrs, verify_noiseless
 from mrc_dof_lab.bounds import check_percut_bounds, cutset_dof, total_dof
 from mrc_dof_lab.channel import ChannelSet, NetworkConfig, generate_channels
-from mrc_dof_lab.linalg import BOUND_MARGIN, random_gaussian_vector, subspace_distance
+from mrc_dof_lab.linalg import (
+    BOUND_MARGIN,
+    random_gaussian_stack,
+    random_gaussian_vector,
+    subspace_distance,
+)
 from mrc_dof_lab.ssa_nc import (
     COND_LIMIT,
     SchemeDesignError,
@@ -282,7 +287,8 @@ class TestIdentitySubspaces:
         eff = plan.channels
         P = 3.0
         s = random_gaussian_vector(2 * k * plan.d, rngs[0]).reshape(2, k, plan.d)
-        y_r = mac_phase(plan, s, P, rngs, noise_on=True)
+        noise = random_gaussian_stack(1, (plan.effective_N,), rngs)[:, 0]
+        y_r = mac_phase(plan, s, P, noise)
         a = plan.power_scale[:, None, None] * np.sqrt(P)
         want = (plan.relay_filter @ y_r[:, None, :, None])[..., 0] / a
         w = relay_process(plan, y_r, P)
@@ -671,14 +677,14 @@ class TestMacPhase:
     def test_zero_symbols_zero_output(self):
         cfg, eff, plan, rng = designed(3, 3, 2)
         zeros = [np.zeros(plan.d, dtype=complex)] * 3
-        y = mac_phase(plan, zeros, P=1.0, rng=rng, noise_on=False)
+        y = mac_phase(plan, zeros, P=1.0)
         assert np.linalg.norm(y) == 0.0
 
     def test_aligned_superposition_identity(self):
         # noiseless relay input equals the pair-sum form through user 1's channel
         cfg, eff, plan, rng = designed(3, 3, 2, seed=8)
         s = [random_gaussian_vector(plan.d, rng) for _ in range(3)]
-        y = mac_phase(plan, s, P=4.0, rng=rng, noise_on=False)
+        y = mac_phase(plan, s, P=4.0)
         a = plan.power_scale * 2.0
         h0 = eff.uplink[0]
         expected = a * sum(h0 @ plan.V1[p] @ (s[0] + s[p + 1]) for p in range(2))
@@ -712,7 +718,7 @@ class TestMacPhase:
         rngs = [cfg.trial_rng(t) for t in range(3)]
         plan = design_scheme(cfg, generate_channels(cfg, rngs))
         assert plan.extension_factor == L
-        s = ssa_nc._draws(rngs, plan.stack_shape, k, plan.d)
+        s = random_gaussian_stack(k, (plan.d,), rngs)
         P = 7.0
         a = (plan.power_scale * np.sqrt(P))[:, np.newaxis, np.newaxis, np.newaxis]
         images = (plan.channels.uplink @ (a * (plan.beamformers @ s[..., np.newaxis])))[..., 0]
@@ -724,22 +730,29 @@ class TestMacPhase:
         cfg, eff, plan, rng = designed(3, 3, 2)
         bad = [np.zeros(plan.d + 1, dtype=complex)] * 3
         with pytest.raises(ValueError):
-            mac_phase(plan, bad, P=1.0, rng=rng, noise_on=False)
+            mac_phase(plan, bad, P=1.0)
 
     def test_noise_without_generator_rejected(self):
+        # the phases draw nothing: the round draws the noise, and needs a generator
         cfg, eff, plan, _ = designed(3, 3, 2)
+        with pytest.raises(ValueError, match="generator"):
+            run_round(plan, 1.0, None, noise_on=True)
+
+    @pytest.mark.parametrize("shape", [(3,), (1, 2), (2, 2)])
+    def test_noise_shape_mismatch(self, shape):
+        # relay noise is one length-effective_N vector per trial, no count axis
+        cfg, eff, plan, _ = designed(3, 3, 2)
+        assert plan.effective_N == 2
         zeros = np.zeros((3, plan.d), dtype=complex)
-        with pytest.raises(ValueError, match="generator"):
-            mac_phase(plan, zeros, 1.0, noise_on=True)
-        with pytest.raises(ValueError, match="generator"):
-            bc_phase(plan, zeros[:2], 1.0, noise_on=True)
+        with pytest.raises(ValueError, match="one relay noise vector of length 2 per trial"):
+            mac_phase(plan, zeros, 1.0, np.zeros(shape, dtype=complex))
 
 
 class TestRelayProcess:
     def test_recovers_pair_sums(self):
         cfg, eff, plan, rng = designed(4, 4, 3, seed=10)
         s = [random_gaussian_vector(plan.d, rng) for _ in range(4)]
-        y = mac_phase(plan, s, P=2.0, rng=rng, noise_on=False)
+        y = mac_phase(plan, s, P=2.0)
         w = relay_process(plan, y, P=2.0)
         for p in range(3):
             assert np.linalg.norm(w[p] - (s[0] + s[p + 1])) <= 1e-10
@@ -748,7 +761,7 @@ class TestRelayProcess:
         cfg, eff, plan, rng = designed(3, 3, 2, seed=11)
         s1 = random_gaussian_vector(plan.d, rng)
         s = [s1, -s1, random_gaussian_vector(plan.d, rng)]
-        y = mac_phase(plan, s, P=1.0, rng=rng, noise_on=False)
+        y = mac_phase(plan, s, P=1.0)
         w = relay_process(plan, y, P=1.0)
         assert np.linalg.norm(w[0]) <= 1e-10
 
@@ -758,8 +771,8 @@ class TestRelayProcess:
         s = [np.zeros(plan.d, dtype=complex)] * 3
         residuals = []
         for P in (1e2, 1e4, 1e6):
-            rng = np.random.default_rng(77)
-            y = mac_phase(plan, s, P=P, rng=rng, noise_on=True)
+            noise = random_gaussian_vector(plan.effective_N, np.random.default_rng(77))
+            y = mac_phase(plan, s, P=P, noise=noise)
             w = relay_process(plan, y, P=P)
             residuals.append(np.linalg.norm(np.concatenate(w)))
         assert residuals[0] / residuals[1] == pytest.approx(10.0, rel=1e-9)
@@ -783,7 +796,7 @@ class TestDownlinkAndDecode:
         cfg, eff, plan, rng = designed(4, 4, 3, seed=14)
         w = [np.zeros(plan.d, dtype=complex) for _ in range(3)]
         w[1] = random_gaussian_vector(plan.d, rng)
-        y = bc_phase(plan, w, P=3.0, rng=rng, noise_on=False)
+        y = bc_phase(plan, w, P=3.0)
         b = plan.bc_scale * np.sqrt(3.0)
         for u in range(4):
             est = [plan.rx_filter[u][p] @ y[u] / b for p in range(3)]
@@ -794,14 +807,14 @@ class TestDownlinkAndDecode:
     def test_bc_zero_forward_zero_output(self):
         cfg, eff, plan, rng = designed(3, 3, 2)
         w = [np.zeros(plan.d, dtype=complex)] * 2
-        y = bc_phase(plan, w, P=1.0, rng=rng, noise_on=False)
+        y = bc_phase(plan, w, P=1.0)
         assert all(np.linalg.norm(v) == 0.0 for v in y)
 
     def test_single_pair_output_in_precoder_span(self):
         cfg, eff, plan, rng = designed(3, 3, 2, seed=15)
         w = [np.zeros(plan.d, dtype=complex)] * 2
         w[0] = random_gaussian_vector(plan.d, rng)
-        y = bc_phase(plan, w, P=1.0, rng=rng, noise_on=False)
+        y = bc_phase(plan, w, P=1.0)
         img = eff.downlink[1] @ plan.T[0]
         assert subspace_distance(y[1].reshape(-1, 1), img) <= 1e-9
 
@@ -849,6 +862,14 @@ class TestDownlinkAndDecode:
         assert table.shape == (k, k - 1) and table.dtype == oracle.dtype
         assert np.array_equal(table, oracle)
 
+    @pytest.mark.parametrize("shape", [(3,), (2, 3), (3, 4), (1, 3, 3)])
+    def test_bc_noise_shape_mismatch(self, shape):
+        # user noise is one length-effective_M vector per user and trial
+        cfg, eff, plan, _ = designed(3, 3, 2)
+        w = np.zeros((2, plan.d), dtype=complex)
+        with pytest.raises(ValueError, match="3 noise vectors of length 3 per trial"):
+            bc_phase(plan, w, 1.0, np.zeros(shape, dtype=complex))
+
     @pytest.mark.parametrize("which", ["user_rx", "sent"])
     def test_decode_shape_mismatch(self, which):
         cfg, eff, plan, rng = designed(3, 3, 2)
@@ -865,9 +886,9 @@ class TestDownlinkAndDecode:
         cfg, eff, plan, rng = designed(3, 3, 2, seed=18)
         s = [random_gaussian_vector(plan.d, rng) for _ in range(3)]
         s[1] = np.zeros(plan.d, dtype=complex)
-        y_r = mac_phase(plan, s, P=1.0, rng=rng, noise_on=False)
+        y_r = mac_phase(plan, s, P=1.0)
         w = relay_process(plan, y_r, P=1.0)
-        y = bc_phase(plan, w, P=1.0, rng=rng, noise_on=False)
+        y = bc_phase(plan, w, P=1.0)
         decoded = user_decode(plan, y, s, P=1.0)[1]
         b = plan.bc_scale
         what = plan.rx_filter[1][0] @ y[1] / b
