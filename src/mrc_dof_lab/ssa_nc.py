@@ -324,23 +324,11 @@ def _beamformers(uplink_pinv: np.ndarray, L: int, d: int) -> np.ndarray:
     return np.concatenate([own, blocks[..., np.arange(1, K), block, :, :]], axis=-3)
 
 
-def _by_slot(per_user: np.ndarray, L: int) -> np.ndarray:
-    """Spread each user's row of a (..., K, e) array over the L slots,
-    (..., K, L, e): user 0's in every slot, partner p+1's in its pair's
-    slot only, exact zeros elsewhere."""
-    K = per_user.shape[-2]
-    slot, _ = _slot_schedule(K, L)
-    out = np.zeros(per_user.shape[:-1] + (L,) + per_user.shape[-1:], dtype=per_user.dtype)
-    out[..., 0, :, :] = per_user[..., :1, :]
-    out[..., np.arange(1, K), slot, :] = per_user[..., 1:, :]
-    return out
-
-
 def _slot_sum(images: np.ndarray, L: int) -> np.ndarray:
     """What the relay hears in each slot, (..., L, e), from each user's
     (..., K, e) image: user 0's plus its slot's c = (K-1) / L partners',
-    added in user order, which is _by_slot(images, L).sum(axis=-3) bit for
-    bit without the zeros."""
+    added in user order, which is bit for bit the sum over users of each
+    image spread over the slots it is sent in, with zeros elsewhere."""
     K, e = images.shape[-2:]
     c = (K - 1) // L
     partners = images[..., 1:, :].reshape(images.shape[:-2] + (L, c, e))
@@ -354,14 +342,13 @@ def _power_scale(beams: np.ndarray, L: int) -> np.ndarray:
     """User transmit amplitude per sqrt(P), one per trial.
 
     Users share one amplitude so the relay recovers plain symbol sums; the
-    largest per-user budget binds and transmits exactly P per slot. Each
-    user's squared beamformer entries are spread over the slots as in its
-    extended beamformer, so each budget is summed in that matrix's order
-    and the amplitude is the extended design's, bit for bit.
+    largest per-user budget binds and transmits exactly P per slot. A
+    user's budget is the squared norm of its extended beamformer: its
+    physical beamformer's, times L for user 0, which sends in every slot.
     """
     power = beams.real**2 + beams.imag**2
-    spread = _by_slot(power.reshape(power.shape[:-2] + (-1,)), L)
-    budgets = spread.reshape(spread.shape[:-2] + (-1,)).sum(axis=-1)
+    budgets = power.reshape(power.shape[:-2] + (-1,)).sum(axis=-1)
+    budgets[..., 0] *= L
     return np.sqrt(L / budgets.max(axis=-1))
 
 
