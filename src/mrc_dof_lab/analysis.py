@@ -5,10 +5,10 @@ reproduce its transmitted value to near machine precision). For noisy
 operation, per-stream SINRs follow in closed form from the designed
 filters, and the DoF shows up as the slope of the sum rate against
 log2(P); the chain is linear, so power only scales a unit-power round.
-Per-trial randomness is derived as seed XOR trial index, so every trial
-is reproducible and independent of the execution order. The streams of
-different seeds overlap (seed 42 trial 1 is seed 43 trial 0); ROADMAP
-Open item 1 replaces the XOR.
+Each trial draws from its own stream, ``NetworkConfig.trial_rng``:
+Philox keyed by (seed, trial index), so every trial is reproducible,
+independent of the execution order, and independent of every other
+(seed, trial) pair's.
 
 The trials of one configuration are designed and run as stacks along a
 leading trial axis: one ``ssa_nc.design_scheme`` and one

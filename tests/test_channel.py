@@ -6,6 +6,7 @@ import re
 import numpy as np
 import pytest
 
+from mrc_dof_lab import channel
 from mrc_dof_lab.channel import (
     ChannelSet,
     NetworkConfig,
@@ -22,6 +23,10 @@ from mrc_dof_lab.ssa_nc import SchemeDesignError, design_scheme
 
 def make(config):
     return generate_channels(config, config.rng())
+
+
+def make_trial(config, trial):
+    return generate_channels(config, config.trial_rng(trial))
 
 
 class TestNetworkConfig:
@@ -47,6 +52,49 @@ class TestNetworkConfig:
         a = cfg.trial_rng(4).standard_normal(3)
         b = cfg.trial_rng(4).standard_normal(3)
         assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("seed,trial", [(0, 0), (42, 1), (43, 0), (7, 12345)])
+    def test_trial_rng_is_philox_keyed_by_seed_and_trial(self, seed, trial):
+        cfg = NetworkConfig(K=3, M=2, N=2, seed=seed)
+        want = np.random.Generator(np.random.Philox(key=[seed, trial]))
+        assert np.array_equal(cfg.trial_rng(trial).standard_normal(64), want.standard_normal(64))
+
+    def test_trial_rng_takes_a_full_64_bit_seed(self):
+        # the key words go to Philox unchanged, the top bit included
+        seed, trial = (1 << 64) - 1, (1 << 40) + 3
+        key = np.array([seed, trial], dtype=np.uint64)
+        want = np.random.Generator(np.random.Philox(key=key)).standard_normal(16)
+        got = NetworkConfig(K=3, M=2, N=2, seed=seed).trial_rng(trial).standard_normal(16)
+        assert np.array_equal(got, want)
+
+    def test_trial_rng_known_answer(self):
+        # pinned: any change to the trial streams, numpy's Philox or its
+        # normal sampler changes these words and values
+        rng = NetworkConfig(K=3, M=2, N=2, seed=42).trial_rng(1)
+        assert rng.bit_generator.random_raw(3).tolist() == [
+            0x719965F2DEBB5C86,
+            0xD0FF12852BFEFAA0,
+            0x824F8A46917B59D3,
+        ]
+        rng = NetworkConfig(K=3, M=2, N=2, seed=42).trial_rng(1)
+        want = [float.fromhex("0x1.bbd95443f9907p-1"), float.fromhex("0x1.df0231616e722p-1")]
+        assert rng.standard_normal(2).tolist() == want
+
+    def test_trial_key_hands_out_two_uint64_words_only(self):
+        key = channel._TrialKey(5, 6)
+        assert key.generate_state(2, np.uint64).tolist() == [5, 6]
+        for words, dtype in ((4, np.uint64), (2, np.uint32), (1, np.uint64)):
+            with pytest.raises(ValueError, match="exactly two uint64 words"):
+                key.generate_state(words, dtype)
+
+    @pytest.mark.parametrize("seed", [0, 1, 42, 2**40])
+    def test_neighbouring_seeds_and_trials_draw_different_channels(self, seed):
+        # seed s trial t+1 and seed s+1 trial t were one stream under the
+        # seed-XOR-trial scheme; keyed streams keep them apart
+        for trial in range(4):
+            a = make_trial(NetworkConfig(K=3, M=3, N=2, seed=seed), trial + 1)
+            b = make_trial(NetworkConfig(K=3, M=3, N=2, seed=seed + 1), trial)
+            assert not np.any(a.uplink == b.uplink)
 
 
 class TestGenerateChannels:
