@@ -22,10 +22,9 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field, fields
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
-from numpy.random.bit_generator import ISeedSequence
 
 from .linalg import (
     CMatrix,
@@ -77,13 +76,15 @@ class NetworkConfig:
         reproducible and does not depend on the order trials run in. The
         key goes to Philox directly, so opening a stream builds no
         SeedSequence and reads no OS entropy."""
-        return np.random.Generator(np.random.Philox(_TrialKey(self.seed, trial)))
+        return np.random.Generator(np.random.Philox(_trial_key_type()(self.seed, trial)))
 
 
-class _TrialKey(ISeedSequence):
+class _TrialKey:
     """Hands Philox its two key words, (seed, trial), as they are: the
     seed source of one trial stream. Philox asks for exactly two uint64
-    words, once, and copies them into its key; any other request raises."""
+    words, once, and copies them into its key; any other request raises.
+    Philox takes it as an ISeedSequence once ``_trial_key_type`` has
+    registered it as one."""
 
     __slots__ = ("_words",)
 
@@ -94,6 +95,15 @@ class _TrialKey(ISeedSequence):
         if n_words != 2 or np.dtype(dtype) != np.uint64:
             raise ValueError("a trial key holds exactly two uint64 words")
         return self._words
+
+
+@cache
+def _trial_key_type() -> type:
+    """_TrialKey, registered as a numpy.random ISeedSequence on first use,
+    so that importing the package does not import numpy.random."""
+    from numpy.random.bit_generator import ISeedSequence
+
+    return ISeedSequence.register(_TrialKey)
 
 
 @dataclass(frozen=True, eq=False)

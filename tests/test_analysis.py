@@ -326,8 +326,8 @@ class TestMseSweep:
         assert np.all(np.diff(mse) < 0)
 
     def test_seeds_give_independent_sweeps(self):
-        # under seed-XOR-trial streams, seeds 0-7 ran the same 8 trials in
-        # another order and all returned one MSE; keyed streams draw anew
+        # seeds 0-7 share no trial stream, so their MSEs differ; streams
+        # seeded by seed ^ trial would run one set of 8 trials in 8 orders
         mses = [decode_mse_sweep(NetworkConfig(K=3, M=3, N=2, seed=s), [1.0], 8)[0] for s in range(8)]
         assert len(set(mses)) == 8
 

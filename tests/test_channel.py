@@ -89,8 +89,8 @@ class TestNetworkConfig:
 
     @pytest.mark.parametrize("seed", [0, 1, 42, 2**40])
     def test_neighbouring_seeds_and_trials_draw_different_channels(self, seed):
-        # seed s trial t+1 and seed s+1 trial t were one stream under the
-        # seed-XOR-trial scheme; keyed streams keep them apart
+        # a stream seeded by seed ^ trial gives these two pairs one stream for
+        # even s and t; keyed streams keep every (seed, trial) pair apart
         for trial in range(4):
             a = make_trial(NetworkConfig(K=3, M=3, N=2, seed=seed), trial + 1)
             b = make_trial(NetworkConfig(K=3, M=3, N=2, seed=seed + 1), trial)
