@@ -539,10 +539,9 @@ def run_round(plan: SchemePlan, P: float, rng, noise_on: bool) -> TransmissionTr
     parts = [(K, (plan.d,))]
     if noise_on:
         parts += [(1, (plan.effective_N,)), (K, (plan.effective_M,))]
+    drawn = random_gaussian_stacks(parts, _generators(rng, stack))
     # each part is (trials, count, ...), and one trial's loses the trial axis
-    sent, *noise = (
-        a.reshape(stack + a.shape[1:]) for a in random_gaussian_stacks(parts, _generators(rng, stack))
-    )
+    sent, *noise = (a.reshape(stack + a.shape[1:]) for a in drawn)
     relay_noise, user_noise = (noise[0][..., 0, :], noise[1]) if noise_on else (None, None)
     y_r = mac_phase(plan, sent, P, relay_noise)
     w = relay_process(plan, y_r, P)

@@ -328,8 +328,8 @@ class TestMseSweep:
     def test_seeds_give_independent_sweeps(self):
         # seeds 0-7 share no trial stream, so their MSEs differ; streams
         # seeded by seed ^ trial would run one set of 8 trials in 8 orders
-        mses = [decode_mse_sweep(NetworkConfig(K=3, M=3, N=2, seed=s), [1.0], 8)[0] for s in range(8)]
-        assert len(set(mses)) == 8
+        configs = [NetworkConfig(K=3, M=3, N=2, seed=s) for s in range(8)]
+        assert len({decode_mse_sweep(cfg, [1.0], 8)[0] for cfg in configs}) == 8
 
     @pytest.mark.parametrize("k,m,n", [(3, 3, 2), (3, 4, 3)])
     def test_equals_redesign_per_power(self, k, m, n):

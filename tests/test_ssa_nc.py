@@ -316,7 +316,8 @@ class TestIdentitySubspaces:
         else:
             # a sum of e nonnegative terms is within e eps of exact, relative
             entries = plan.effective_M * plan.d
-            np.testing.assert_allclose(plan.power_scale, want, rtol=entries * np.finfo(float).eps, atol=0)
+            rtol = entries * np.finfo(float).eps
+            np.testing.assert_allclose(plan.power_scale, want, rtol=rtol, atol=0)
 
     def test_each_slot_is_one_pair_at_full_extension(self):
         # L = K-1 and d = min(N, M): pair p's streams are exactly slot p, so
@@ -399,8 +400,10 @@ class TestDesignFailurePaths:
         # (stack position 1) exceeds it
         cfg = NetworkConfig(**GUARD_CFG, reciprocal=False)
         plan = _stacked_plan(cfg, range(8))
-        assert np.flatnonzero(plan.channels.downlink_cond.max(axis=-1) > 4.0).tolist() == [0, 1, 2]
-        assert np.flatnonzero(plan.channels.uplink_cond.max(axis=-1) > 4.0).tolist() == [4]
+        eff = plan.channels
+        down, up = eff.downlink_cond.max(axis=-1), eff.uplink_cond.max(axis=-1)
+        assert np.flatnonzero(down > 4.0).tolist() == [0, 1, 2]
+        assert np.flatnonzero(up > 4.0).tolist() == [4]
         monkeypatch.setattr(ssa_nc, "COND_LIMIT", 4.0)
         for trials, position in ((range(8), 0), (range(3, 8), 1)):
             with pytest.raises(SchemeDesignError) as err:
