@@ -14,6 +14,8 @@ be shared between concurrent trials without copies.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 # Singular values sigma <= tol * sigma_max count as zero.
@@ -63,7 +65,7 @@ def random_gaussian_stacks(parts, rng) -> list[np.ndarray]:
     blocks = [(count, 2, *shape) for count, shape in parts]
     if any(n < 1 for block in blocks for n in block):
         raise ValueError("draw dimensions must be positive")
-    sizes = [int(np.prod(block)) for block in blocks]
+    sizes = [math.prod(block) for block in blocks]
     if isinstance(rng, np.random.Generator):
         z, lead = rng.standard_normal(sum(sizes)), ()
     else:
