@@ -69,8 +69,8 @@ class NetworkConfig:
 
     def trial_rng(self, trial: int) -> np.random.Generator:
         """The stream of one trial: counter-based Philox keyed by the two
-        64-bit words (seed, trial), bit for bit Generator(Philox(key=[seed,
-        trial])). Distinct (seed, trial) pairs are distinct keys, hence
+        64-bit words (seed, trial), bit for bit Generator(Philox(key=k)) for
+        the uint64 array k = [seed, trial]. Distinct (seed, trial) pairs are distinct keys, hence
         independent streams (Salmon, Moraes, Dror and Shaw, "Parallel random
         numbers: as easy as 1, 2, 3", SC'11); a trial's stream is
         reproducible and does not depend on the order trials run in. The

@@ -872,6 +872,31 @@ class TestDownlinkAndDecode:
                 err = np.linalg.norm(trace.decoded[u][idx] - trace.sent[v])
                 assert err <= 1e-8 * np.linalg.norm(trace.sent[v])
 
+    @pytest.mark.parametrize("k,m,n", [(4, 4, 3), (4, 2, 5), (8, 8, 8)])
+    @pytest.mark.parametrize("trials", [None, 3], ids=["single", "stacked"])
+    def test_round_draws_symbols_then_relay_then_user_noise(self, k, m, n, trials):
+        # the round's one draw per generator is, bit for bit, the symbols,
+        # the relay noise and the user noise drawn one after another
+        cfg = NetworkConfig(K=k, M=m, N=n, seed=19)
+        plan = _stacked_plan(cfg, range(trials)) if trials else designed(k, m, n, seed=19)[2]
+
+        def rngs():
+            gens = [cfg.trial_rng(t) for t in range(trials or 1)]
+            for g in gens:  # past the channel draw, as in a trial
+                generate_channels(cfg, g)
+            return gens if trials else gens[0]
+
+        trace = run_round(plan, 5.0, rngs(), noise_on=True)
+        g = rngs()
+        lead = plan.stack_shape
+        sent = random_gaussian_stack(k, (plan.d,), g).reshape(lead + (k, plan.d))
+        relay_noise = random_gaussian_stack(1, (plan.effective_N,), g).reshape(lead + (-1,))
+        user_noise = random_gaussian_stack(k, (plan.effective_M,), g).reshape(lead + (k, -1))
+        relay_rx = mac_phase(plan, sent, 5.0, relay_noise)
+        user_rx = bc_phase(plan, relay_process(plan, relay_rx, 5.0), 5.0, user_noise)
+        for got, want in ((trace.sent, sent), (trace.relay_rx, relay_rx), (trace.user_rx, user_rx)):
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
     def test_round_decodes_every_user_in_one_call(self, monkeypatch):
         cfg = NetworkConfig(K=4, M=4, N=3, seed=17)
         rngs = [cfg.trial_rng(t) for t in range(3)]
