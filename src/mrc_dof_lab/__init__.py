@@ -6,6 +6,6 @@ matching cut-set bounds and regime table, and Monte Carlo plus closed-form
 verification utilities behind a reproducible command-line interface.
 """
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 from . import analysis, bounds, channel, linalg, ssa_nc  # noqa: F401

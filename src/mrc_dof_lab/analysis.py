@@ -19,7 +19,8 @@ pseudoinverses, so K = 8, M = N = 8 (56 x 56 after extension) runs 64
 trials per stack. Each trial's generator sees the same draws in the
 same order as when the trial runs alone, so every result is independent
 of the stack size. A fixed channel set is designed once, and every stack
-reads that one plan through read-only broadcast views.
+reads that one plan through read-only broadcast views. Every entry point
+checks its power grid, then ``_trial_stacks`` its trial count.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ from .ssa_nc import SchemeDesignError, SchemePlan
 STACK_ELEMENTS = 2**15
 
 REPORT_COLUMNS = (
-    "K,M,N,L,d,streams,cutset,private_only,slope,slope_stderr,max_err,trials,degenerate"
+    "K,M,N,L,d,streams,cutset,private_only,slope,slope_stderr,max_err,trials"
 )
 
 
@@ -61,7 +62,6 @@ class DofReport:
     slope_stderr: float | None
     noiseless_max_error: float | None
     trials: int
-    degenerate_draws: int
     notes: str = ""
 
     def __post_init__(self) -> None:
@@ -84,7 +84,6 @@ class DofReport:
             "slope_stderr": self.slope_stderr,
             "max_err": self.noiseless_max_error,
             "trials": self.trials,
-            "degenerate": self.degenerate_draws,
             "notes": self.notes,
         }
 
@@ -119,7 +118,6 @@ def report_csv_row(report: DofReport) -> str:
         report.slope_stderr,
         report.noiseless_max_error,
         report.trials,
-        report.degenerate_draws,
     ]
     return ",".join(format_number(c) for c in cells)
 
@@ -156,8 +154,10 @@ def _trial_stacks(config: NetworkConfig, trials: int, channels: ChannelSet | Non
     channel draw stopped (untouched for a given set), and the trial's
     symbol and noise draws follow from it. A given set (one trial) is
     designed once, and every stack repeats its plan as read-only
-    broadcast views.
+    broadcast views. Fewer than 1 trial raises ValueError, before any design.
     """
+    if trials < 1:
+        raise ValueError("trials must be positive")
     size = _stack_size(config)
     fixed = None if channels is None else _designed(config, channels, 0)
     for start in range(0, trials, size):
@@ -209,8 +209,6 @@ def _noiseless_report(
         slope_stderr=None,
         noiseless_max_error=max_err,
         trials=trials,
-        # the design draws nothing and no trial is ever redrawn
-        degenerate_draws=0,
         notes="two-way relay degenerate case" if K == 2 else "",
     )
 
@@ -225,8 +223,6 @@ def verify_noiseless(
     is designed once, every trial shares that plan, and only the symbol
     draws vary per trial.
     """
-    if trials < 1:
-        raise ValueError("trials must be positive")
     errors = []
     for rngs, plan in _trial_stacks(config, trials, channels):
         errors.append(_noiseless_round_errors(rngs, plan))
@@ -345,8 +341,6 @@ def estimate_dof_slope(
     slopes over sqrt(trials).
     """
     grid = validate_power_grid(P_grid)
-    if trials < 1:
-        raise ValueError("trials must be positive")
     gammas = [stream_sinrs(plan, 1.0).flat() for _, plan in _trial_stacks(config, trials)]
     return _fit_slope(config, grid, np.concatenate(gammas))
 
@@ -361,8 +355,6 @@ def decode_mse_sweep(config: NetworkConfig, P_grid, trials: int) -> np.ndarray:
     sum them.
     """
     grid = _power_levels(P_grid)
-    if trials < 1:
-        raise ValueError("trials must be positive")
     totals = []
     for rngs, plan in _trial_stacks(config, trials):
         trace = ssa_nc.run_round(plan, 1.0, rngs, noise_on=True)
@@ -378,8 +370,6 @@ def simulate_report(config: NetworkConfig, P_grid, trials: int) -> DofReport:
     Both use the same plans, so every trial is designed once.
     """
     grid = validate_power_grid(P_grid)
-    if trials < 1:
-        raise ValueError("trials must be positive")
     errors = []
     gammas = []
     for rngs, plan in _trial_stacks(config, trials):

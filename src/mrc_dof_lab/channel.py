@@ -64,9 +64,6 @@ class NetworkConfig:
         if not 0 <= self.seed <= _SEED_MASK:
             raise ValueError("seed must fit in 64 bits")
 
-    def rng(self) -> np.random.Generator:
-        return np.random.default_rng(self.seed)
-
     def trial_rng(self, trial: int) -> np.random.Generator:
         """The stream of one trial: counter-based Philox keyed by the two
         64-bit words (seed, trial), bit for bit Generator(Philox(key=k)) for

@@ -41,6 +41,7 @@ VERSION_COMMENT = f"# mrc-dof-lab v{__version__}"
 DEFAULT_TRIALS = 100
 DEFAULT_SEED = 42
 DEFAULT_P_GRID = (1e2, 1e3, 1e4, 1e5, 1e6)
+_FORMATS = ("csv", "json")
 
 # Failures a sweep records in a row's error cell: design, numeric and
 # argument errors of one configuration (ValueError covers RegimeError).
@@ -91,30 +92,36 @@ def _resolve(args, key: str, cfg: dict, default=None, required: bool = False):
     return val
 
 
-def _as_int(val, name: str) -> int:
-    try:
-        out = int(val)
-    except (TypeError, ValueError) as exc:
-        raise CliError(f"{name} must be an integer, got {val!r}") from exc
-    return out
+def _as_number(val, name: str, kind: type = int):
+    """kind(val) of a flag's string or a config file's JSON number. A bool,
+    or a float where an int is asked for, fails: kind() would count or
+    truncate it."""
+    number = isinstance(val, (int, float) if kind is float else int)
+    if isinstance(val, str) or (number and not isinstance(val, bool)):
+        try:
+            return kind(val)
+        except ValueError:
+            pass
+    raise CliError(f"{name} must be {'a number' if kind is float else 'an integer'}, got {val!r}")
 
 
-def _as_int_list(val, name: str) -> list[int]:
-    if isinstance(val, (list, tuple)):
-        return [_as_int(v, name) for v in val]
-    try:
-        return [int(tok) for tok in str(val).split(",") if tok.strip() != ""]
-    except ValueError as exc:
-        raise CliError(f"{name} must be a comma-separated integer list") from exc
+def _as_bool(val, name: str) -> bool:
+    if not isinstance(val, bool):
+        raise CliError(f"{name} must be true or false, got {val!r}")
+    return val
 
 
-def _as_float_list(val, name: str) -> list[float]:
-    if isinstance(val, (list, tuple)):
-        return [float(v) for v in val]
-    try:
-        return [float(tok) for tok in str(val).split(",") if tok.strip() != ""]
-    except ValueError as exc:
-        raise CliError(f"{name} must be a comma-separated number list") from exc
+def _as_list(val, name: str, kind: type = int) -> list:
+    """A flag's comma-separated string or a config file's JSON list."""
+    items = val if isinstance(val, (list, tuple)) else str(val).split(",")
+    return [_as_number(v, name, kind) for v in items if str(v).strip() != ""]
+
+
+def _format(args, cfg) -> str:
+    fmt = _resolve(args, "format", cfg, default="csv")
+    if fmt not in _FORMATS:
+        raise CliError(f"format must be one of {', '.join(_FORMATS)}, got {fmt!r}")
+    return fmt
 
 
 def _emit(text: str, out_path: str | None) -> None:
@@ -130,7 +137,7 @@ def _json_text(payload) -> str:
 
 
 def _kmn(args, cfg) -> tuple[int, int, int]:
-    return tuple(_as_int(_resolve(args, key, cfg, required=True), f"--{key}") for key in "kmn")
+    return tuple(_as_number(_resolve(args, key, cfg, required=True), f"--{key}") for key in "kmn")
 
 
 def _network_config(args, cfg, K: int, M: int, N: int) -> NetworkConfig:
@@ -138,9 +145,11 @@ def _network_config(args, cfg, K: int, M: int, N: int) -> NetworkConfig:
         K=K,
         M=M,
         N=N,
-        reciprocal=bool(_resolve(args, "reciprocal", cfg, default=True)),
-        duplex_factor=0.5 if _resolve(args, "half_duplex", cfg, default=False) else 1.0,
-        seed=_as_int(_resolve(args, "seed", cfg, default=DEFAULT_SEED), "--seed"),
+        reciprocal=_as_bool(_resolve(args, "reciprocal", cfg, default=True), "--reciprocal"),
+        duplex_factor=0.5
+        if _as_bool(_resolve(args, "half_duplex", cfg, default=False), "--half-duplex")
+        else 1.0,
+        seed=_as_number(_resolve(args, "seed", cfg, default=DEFAULT_SEED), "--seed"),
     )
 
 
@@ -152,7 +161,7 @@ def _bound_row_cells(row: bounds.BoundRow) -> str:
 def cmd_bounds(args) -> int:
     cfg = _load_config_file(args.config)
     k, m, n = _kmn(args, cfg)
-    fmt = _resolve(args, "format", cfg, default="csv")
+    fmt = _format(args, cfg)
     row = bounds.bound_row(k, m, n)
     if fmt == "json":
         text = _json_text(
@@ -195,8 +204,8 @@ def _dump_trial_artifacts(config: NetworkConfig, channels, args) -> None:
 def cmd_verify(args) -> int:
     cfg = _load_config_file(args.config)
     config = _network_config(args, cfg, *_kmn(args, cfg))
-    trials = _as_int(_resolve(args, "trials", cfg, default=DEFAULT_TRIALS), "--trials")
-    fmt = _resolve(args, "format", cfg, default="csv")
+    trials = _as_number(_resolve(args, "trials", cfg, default=DEFAULT_TRIALS), "--trials")
+    fmt = _format(args, cfg)
     # the design checks a loaded set's dimensions against the flags
     channels = load_channels(args.load_channels) if args.load_channels else None
     report = analysis.verify_noiseless(config, trials, channels=channels)
@@ -218,11 +227,11 @@ def cmd_verify(args) -> int:
 def cmd_simulate(args) -> int:
     cfg = _load_config_file(args.config)
     config = _network_config(args, cfg, *_kmn(args, cfg))
-    trials = _as_int(_resolve(args, "trials", cfg, default=DEFAULT_TRIALS), "--trials")
-    p_grid = _as_float_list(
-        _resolve(args, "p_grid", cfg, default=list(DEFAULT_P_GRID)), "--p-grid"
+    trials = _as_number(_resolve(args, "trials", cfg, default=DEFAULT_TRIALS), "--trials")
+    p_grid = _as_list(
+        _resolve(args, "p_grid", cfg, default=list(DEFAULT_P_GRID)), "--p-grid", float
     )
-    fmt = _resolve(args, "format", cfg, default="csv")
+    fmt = _format(args, cfg)
     if args.load_channels:
         raise CliError("simulate does not support --load-channels; use verify")
     report = analysis.simulate_report(config, p_grid, trials)
@@ -233,15 +242,15 @@ def cmd_simulate(args) -> int:
 
 def cmd_sweep(args) -> int:
     cfg = _load_config_file(args.config)
-    k_list = _as_int_list(_resolve(args, "k", cfg, required=True), "--k")
-    m_list = _as_int_list(_resolve(args, "m", cfg, required=True), "--m")
-    n_list = _as_int_list(_resolve(args, "n", cfg, required=True), "--n")
+    k_list = _as_list(_resolve(args, "k", cfg, required=True), "--k")
+    m_list = _as_list(_resolve(args, "m", cfg, required=True), "--m")
+    n_list = _as_list(_resolve(args, "n", cfg, required=True), "--n")
     if not (k_list and m_list and n_list):
         raise CliError("sweep lists must be nonempty")
-    trials = _as_int(_resolve(args, "trials", cfg, default=DEFAULT_TRIALS), "--trials")
+    trials = _as_number(_resolve(args, "trials", cfg, default=DEFAULT_TRIALS), "--trials")
     raw_grid = _resolve(args, "p_grid", cfg)
-    p_grid = _as_float_list(raw_grid, "--p-grid") if raw_grid is not None else None
-    fmt = _resolve(args, "format", cfg, default="csv")
+    p_grid = _as_list(raw_grid, "--p-grid", float) if raw_grid is not None else None
+    fmt = _format(args, cfg)
     out = _resolve(args, "out", cfg, required=True)
     # run-wide arguments and every row's config fail the whole sweep once
     if trials < 1:
@@ -272,7 +281,9 @@ def cmd_sweep(args) -> int:
             if fmt == "json":
                 rows_json.append({"K": k, "M": m, "N": n, "error": message})
             else:
-                lines.append(",".join([str(k), str(m), str(n)] + [""] * 10) + "," + message)
+                # K, M and N, an empty cell for every other report column, the error
+                empty = [""] * (REPORT_COLUMNS.count(",") - 2)
+                lines.append(",".join([str(k), str(m), str(n), *empty, message]))
     text = _json_text(rows_json) if fmt == "json" else "\n".join(lines) + "\n"
     _emit(text, out)
     return EXIT_OK
@@ -285,14 +296,14 @@ def _default_nmax(K: int, M: int) -> int:
 
 def cmd_table1(args) -> int:
     cfg = _load_config_file(args.config)
-    k = _as_int(_resolve(args, "k", cfg, required=True), "--k")
-    m = _as_int(_resolve(args, "m", cfg, required=True), "--m")
+    k = _as_number(_resolve(args, "k", cfg, required=True), "--k")
+    m = _as_number(_resolve(args, "m", cfg, required=True), "--m")
     bounds.regime_thresholds(k)  # fail fast for K < 3
     nmax_raw = _resolve(args, "nmax", cfg)
-    nmax = _as_int(nmax_raw, "--nmax") if nmax_raw is not None else _default_nmax(k, m)
+    nmax = _as_number(nmax_raw, "--nmax") if nmax_raw is not None else _default_nmax(k, m)
     if nmax < 1:
         raise CliError("--nmax must be at least 1")
-    fmt = _resolve(args, "format", cfg, default="csv")
+    fmt = _format(args, cfg)
     rows = analysis.reproduce_table1(k, m, range(1, nmax + 1))
     any_case4 = any(r.case_index == 4 for r in rows)
     if fmt == "json":
@@ -329,7 +340,7 @@ def cmd_table1(args) -> int:
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="flat JSON config file keyed by flag names")
     parser.add_argument("--out", help="output file path (default: stdout)")
-    parser.add_argument("--format", choices=["csv", "json"], default=None)
+    parser.add_argument("--format", choices=_FORMATS, default=None)
 
 
 def _add_run_options(parser: argparse.ArgumentParser) -> None:

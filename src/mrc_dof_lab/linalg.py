@@ -88,20 +88,6 @@ def random_gaussian_stacks(parts, rng) -> list[np.ndarray]:
     return out
 
 
-def random_gaussian_matrix(rows: int, cols: int, rng: np.random.Generator) -> CMatrix:
-    """Draw a rows x cols matrix of i.i.d. CN(0, 1) entries.
-
-    Real and imaginary parts are independent N(0, 1/2), so E|a_ij|^2 = 1.
-    Deterministic given the generator state.
-    """
-    return random_gaussian_stack(1, (rows, cols), rng)[0]
-
-
-def random_gaussian_vector(n: int, rng: np.random.Generator) -> np.ndarray:
-    """Length-n vector of i.i.d. CN(0, 1) entries (unit power per entry)."""
-    return random_gaussian_stack(1, (n,), rng)[0]
-
-
 def pseudo_inverse_and_rank(A: CMatrix, tol: float = DEFAULT_TOL) -> tuple[np.ndarray, ...]:
     """Moore-Penrose pseudoinverse, numeric rank and condition number from one SVD.
 

@@ -35,15 +35,16 @@ Every phase applies the physical matrices slot by slot.
 
 A plan is stored at physical size: it holds the effective channel set
 itself, whose pseudoinverses, from the factorizations that validated it,
-are the whole design, plus d, L, the two power scales and each user's
+are the whole design, plus d, L, the users' power scale and each user's
 physical beamformer. The design is bookkeeping only: it draws nothing,
 and a plan's conditioning is that of the channel alone. Its guard reads
 the condition bounds validation left and makes no LAPACK call unless a
 trial's bound cannot decide it, when that trial's exact condition
 numbers are read. The extended filters V1, Vj, T, relay_filter
-and rx_filter are derived on demand for readers and dumps; no round or
-analysis step builds them. Plans are power agnostic: they store
-amplitudes per sqrt(P), so a single plan serves an entire power sweep.
+and rx_filter are derived on demand for readers and dumps (T and
+relay_filter, identity blocks, are not dumped); no round or analysis step
+builds them. Plans are power agnostic: they store amplitudes per sqrt(P),
+so a single plan serves an entire power sweep.
 
 Every function takes one trial or a stack of trials along a leading trial
 axis. The design takes a stacked ChannelSet and gives a plan whose arrays
@@ -61,6 +62,7 @@ stack it is in. A single trial runs as a stack of one.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
@@ -99,7 +101,7 @@ class SchemePlan:
       extended), whose own read-only uplink_pinv (K, m, n) and
       downlink_pinv (K, n, m), from the factorizations that validated it,
       are the whole design
-    - d, extension_factor L, power_scale and bc_scale
+    - d, extension_factor L and power_scale
     - beamformers: (K, m, d), what each user sends in one slot (see
       ``_beamformers``)
 
@@ -123,21 +125,27 @@ class SchemePlan:
 
     Every filter maps its own pair's image to I_d and the other pairs'
     images to zero. The rounds, the SINRs and the analysis read only the
-    stored fields; the derived ones serve dumps and readers.
+    stored fields and bc_scale; the derived ones serve dumps and readers.
 
-    A plan for a stack of S trials holds a stacked channel set, prefixes
-    beamformers with the trial axis, and power_scale and bc_scale are (S,)
-    arrays in place of scalars. power_scale and bc_scale are transmit
-    amplitudes per sqrt(P) for the users and the relay; they fold in the
-    extension factor so the power budget is met per original time slot.
+    A plan for a stack of S trials holds a stacked channel set and
+    prefixes beamformers and power_scale with the trial axis. power_scale
+    and bc_scale are transmit amplitudes per sqrt(P) for the users and the
+    relay; power_scale folds in the extension factor so the power budget is
+    met per original time slot, and bc_scale is one float for every trial.
     """
 
     channels: ChannelSet
     d: int
     extension_factor: int
     power_scale: float | np.ndarray
-    bc_scale: float | np.ndarray
     beamformers: np.ndarray
+
+    @property
+    def bc_scale(self) -> float:
+        """The relay's transmit amplitude per sqrt(P), one float for every
+        trial: the pair sums it sends have symbol covariance blocks
+        E[w_p w_q^H] = (1 + delta_pq) I_d, so their power is 2 relay_dim."""
+        return math.sqrt(1 / (2 * self.channels.relay_dim))
 
     @property
     def effective_N(self) -> int:
@@ -189,7 +197,7 @@ class SchemePlan:
         """One trial's plan as a stack of ``count`` identical trials: every
         array a read-only broadcast view of this plan's, nothing copied."""
         views = {"channels": self.channels.repeated(count)}
-        for name in ("power_scale", "bc_scale", "beamformers"):
+        for name in ("power_scale", "beamformers"):
             a = np.asarray(getattr(self, name))
             views[name] = np.broadcast_to(a, (count,) + a.shape)
         return replace(self, **views)
@@ -380,7 +388,7 @@ def _check_conditioning(eff: ChannelSet) -> None:
 
 def design_scheme(config: NetworkConfig, channels: ChannelSet) -> SchemePlan:
     """Full design chain: surplus relay antennas shut down to min(N, M),
-    the users' beamformers, power scales.
+    the users' beamformers and their power scale.
 
     Designs one trial or a stack (a stacked ChannelSet), drawing nothing.
     A set whose K, M or N disagrees with the config raises ValueError. A
@@ -403,19 +411,10 @@ def design_scheme(config: NetworkConfig, channels: ChannelSet) -> SchemePlan:
     _check_conditioning(eff)
     beams = _freeze(_beamformers(eff.uplink_pinv, L, d))
     power_scale = _power_scale(beams, L)
-    # The relay sends the forwarded sums themselves, whose symbol covariance
-    # blocks are E[w_p w_q^H] = (1 + delta_pq) I_d, so its transmit power
-    # trace(W) = 2 relay_dim in every trial.
-    bc_scale = np.full(power_scale.shape, np.sqrt(1 / (2 * eff.relay_dim)))
     if not eff.stack_shape:
-        power_scale, bc_scale = float(power_scale), float(bc_scale)
+        power_scale = float(power_scale)
     return SchemePlan(
-        channels=eff,
-        d=d,
-        extension_factor=L,
-        power_scale=power_scale,
-        bc_scale=bc_scale,
-        beamformers=beams,
+        channels=eff, d=d, extension_factor=L, power_scale=power_scale, beamformers=beams
     )
 
 
@@ -565,8 +564,9 @@ def build_allocation(plan: SchemePlan) -> DofAllocation:
 
 
 def plan_to_json_dict(plan: SchemePlan) -> dict:
-    """JSON encoding of every designed matrix of one trial's plan, for
-    dumping a specific draw."""
+    """JSON encoding of one trial's plan, for dumping a specific draw:
+    every designed matrix but T and relay_filter, which are identity
+    blocks by construction."""
     if plan.stack_shape:
         raise ValueError("only one trial's plan can be encoded")
     return {
@@ -578,8 +578,6 @@ def plan_to_json_dict(plan: SchemePlan) -> dict:
         "bc_scale": plan.bc_scale,
         "V1": [matrix_to_lists(m) for m in plan.V1],
         "Vj": [matrix_to_lists(m) for m in plan.Vj],
-        "T": [matrix_to_lists(m) for m in plan.T],
-        "relay_filter": [matrix_to_lists(m) for m in plan.relay_filter],
         "rx_filter": [[matrix_to_lists(m) for m in row] for row in plan.rx_filter],
         "uplink_cond": plan.channels.uplink_cond.tolist(),
         "downlink_cond": plan.channels.downlink_cond.tolist(),

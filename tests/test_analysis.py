@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from mrc_dof_lab.analysis import (
+    REPORT_COLUMNS,
     DofReport,
     decode_mse_sweep,
     estimate_dof_slope,
@@ -102,7 +103,7 @@ class TestVerifyNoiseless:
 
     def test_fixed_channels_reused(self):
         cfg = NetworkConfig(K=3, M=3, N=2, seed=5)
-        cs = generate_channels(cfg, cfg.rng())
+        cs = generate_channels(cfg, np.random.default_rng(cfg.seed))
         rep = verify_noiseless(cfg, 5, channels=cs)
         assert rep.noiseless_max_error <= 1e-8
 
@@ -111,11 +112,11 @@ class TestVerifyNoiseless:
         # every trial of a stack; only the symbol draws differ
         cfg = NetworkConfig(K=4, M=4, N=3, seed=5)
         path = str(tmp_path / "channels.json")
-        save_channels(generate_channels(cfg, cfg.rng()), path)
+        save_channels(generate_channels(cfg, np.random.default_rng(cfg.seed)), path)
         [(rngs, plan)] = analysis._trial_stacks(cfg, 4, load_channels(path))
         assert plan.stack_shape == (4,)
         for name in ("V1", "Vj", "T", "relay_filter", "rx_filter", "channels.uplink_cond",
-                     "channels.downlink_cond", "power_scale", "bc_scale", "beamformers"):
+                     "channels.downlink_cond", "power_scale", "beamformers"):
             arrays = np.asarray(attrgetter(name)(plan))
             assert all(np.array_equal(a, arrays[0]) for a in arrays[1:]), name
         sent = ssa_nc.run_round(plan, 1.0, rngs, noise_on=False).sent
@@ -132,7 +133,7 @@ class TestVerifyNoiseless:
         # stack reads the plan through broadcast views of it
         cfg = NetworkConfig(K=3, M=4, N=6, seed=5)
         path = str(tmp_path / "channels.json")
-        save_channels(generate_channels(cfg, cfg.rng()), path)
+        save_channels(generate_channels(cfg, np.random.default_rng(cfg.seed)), path)
         loaded = load_channels(path)
         designs, validations = [], []
         design, validate = ssa_nc.design_scheme, ChannelSet.__post_init__
@@ -368,6 +369,34 @@ class TestMseSweep:
             decode_mse_sweep(NetworkConfig(K=3, M=3, N=2, seed=14), [1e2, 1e3, 1e4], 0)
 
     @pytest.mark.parametrize(
+        "run,nan_grid_error",
+        [
+            (lambda cfg, grid, trials: verify_noiseless(cfg, trials), "trials"),
+            (
+                lambda cfg, grid, trials: verify_noiseless(
+                    cfg, trials, generate_channels(cfg, cfg.trial_rng(0))
+                ),
+                "trials",
+            ),
+            (simulate_report, "finite"),
+            (estimate_dof_slope, "finite"),
+            (decode_mse_sweep, "finite"),
+        ],
+        ids=["verify", "verify-given-set", "simulate", "slope", "mse"],
+    )
+    def test_every_entry_point_rejects_zero_trials(self, monkeypatch, run, nan_grid_error):
+        # one check, before any design; an entry point with a grid checks it first
+        def no_design(*args, **kwargs):
+            raise AssertionError("designed before the trial count was checked")
+
+        cfg = NetworkConfig(K=3, M=3, N=2, seed=14)
+        monkeypatch.setattr(ssa_nc, "design_scheme", no_design)
+        with pytest.raises(ValueError, match="trials must be positive"):
+            run(cfg, GRID, 0)
+        with pytest.raises(ValueError, match=nan_grid_error):
+            run(cfg, [float("nan"), 1e3, 1e4], 0)
+
+    @pytest.mark.parametrize(
         "grid,message",
         [
             ([], "empty"),
@@ -401,7 +430,7 @@ class TestPhysicalTrialPath:
         assert verify_noiseless(cfg, 3).noiseless_max_error <= 1e-8
         assert simulate_report(cfg, GRID, 3).noiseless_max_error <= 1e-8
         assert np.all(np.isfinite(decode_mse_sweep(cfg, GRID, 3)))
-        plan = design_scheme(cfg, generate_channels(cfg, cfg.rng()))
+        plan = design_scheme(cfg, generate_channels(cfg, np.random.default_rng(cfg.seed)))
         with pytest.raises(AssertionError, match="extended filter"):
             plan.rx_filter
 
@@ -461,7 +490,7 @@ def decode_error_map(plan):
     """
     K, d, n, m = plan.num_users, plan.d, plan.effective_N, plan.effective_M
     F = plan.relay_filter / plan.power_scale[:, None, None, None]
-    G = plan.rx_filter / plan.bc_scale[:, None, None, None, None]
+    G = plan.rx_filter / plan.bc_scale
     rows = []
     for u in range(K):
         q = u - 1
@@ -503,10 +532,12 @@ class TestClosedFormMse:
 class TestReports:
     def test_csv_row_and_header(self):
         rep = verify_noiseless(NetworkConfig(K=3, M=3, N=2, seed=15), 5)
-        row = report_csv_row(rep)
-        cells = row.split(",")
-        assert cells[0] == "3" and cells[5] == "6" and cells[6] == "6"
-        assert cells[8] == "" and cells[9] == ""  # no slope estimated
+        cells = report_csv_row(rep).split(",")
+        assert len(cells) == len(REPORT_COLUMNS.split(","))
+        row = dict(zip(REPORT_COLUMNS.split(","), cells))
+        assert row["K"] == "3" and row["streams"] == "6" and row["cutset"] == "6"
+        assert row["slope"] == "" and row["slope_stderr"] == ""  # no slope estimated
+        assert list(rep.to_json_dict()) == REPORT_COLUMNS.split(",") + ["notes"]
 
     def test_simulate_report_includes_slope(self):
         rep = simulate_report(NetworkConfig(K=3, M=3, N=2, seed=16), GRID, 10)
@@ -527,7 +558,7 @@ class TestReports:
             DofReport(
                 K=3, M=3, N=2, L=1, d=1, achieved_streams=7, cutset=6,
                 private_only=None, slope_estimate=None, slope_stderr=None,
-                noiseless_max_error=0.0, trials=1, degenerate_draws=0,
+                noiseless_max_error=0.0, trials=1,
             )
 
     def test_format_number(self):

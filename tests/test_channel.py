@@ -22,7 +22,7 @@ from mrc_dof_lab.ssa_nc import SchemeDesignError, design_scheme
 
 
 def make(config):
-    return generate_channels(config, config.rng())
+    return generate_channels(config, np.random.default_rng(config.seed))
 
 
 def make_trial(config, trial):
@@ -367,7 +367,7 @@ class TestStoredDecomposition:
 
     def test_shutdown(self):
         cfg = NetworkConfig(K=3, M=4, N=6, seed=18, reciprocal=self.RECIPROCAL)
-        cs = shutdown_relay_antennas(generate_channels(cfg, cfg.rng()), 4)
+        cs = shutdown_relay_antennas(generate_channels(cfg, np.random.default_rng(cfg.seed)), 4)
         assert cs.uplink_pinv.shape == (3, 4, 4)
         _assert_fresh_decomposition(cs, self.RECIPROCAL)
 

@@ -1,5 +1,6 @@
 """Tests for the command-line interface."""
 
+import csv
 import dataclasses
 import json
 from collections import Counter
@@ -8,6 +9,7 @@ import numpy as np
 import pytest
 
 from mrc_dof_lab import __version__, analysis, cli
+from mrc_dof_lab.analysis import REPORT_COLUMNS
 from mrc_dof_lab.channel import NetworkConfig, load_channels
 from mrc_dof_lab.cli import EXIT_BAD_ARGS, EXIT_OK, EXIT_VERIFY_FAILED, main
 
@@ -16,6 +18,11 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def csv_rows(text):
+    """A CSV output's rows as dicts keyed by its header, comments skipped."""
+    return list(csv.DictReader(line for line in text.splitlines() if not line.startswith("#")))
 
 
 class TestBoundsCommand:
@@ -56,9 +63,10 @@ class TestVerifyCommand:
             "--trials", "10", "--seed", "7",
         )
         assert code == EXIT_OK
-        lines = out.strip().splitlines()
-        row = lines[2].split(",")
-        assert row[:7] == ["3", "3", "2", "1", "1", "6", "6"]
+        [row] = csv_rows(out)
+        assert [row[c] for c in ("K", "M", "N", "L", "d", "streams", "cutset")] == [
+            "3", "3", "2", "1", "1", "6", "6",
+        ]
 
     def test_nan_round_fails(self, capsys, monkeypatch):
         from mrc_dof_lab import ssa_nc
@@ -74,7 +82,7 @@ class TestVerifyCommand:
             capsys, "verify", "--k", "3", "--m", "3", "--n", "2", "--trials", "2",
         )
         assert code == EXIT_VERIFY_FAILED
-        assert out.strip().splitlines()[2].split(",")[10] == "nan"
+        assert csv_rows(out)[0]["max_err"] == "nan"
         assert "max_err=nan" in err
 
     def test_extension_case_reported(self, capsys):
@@ -83,8 +91,8 @@ class TestVerifyCommand:
             "--trials", "5", "--seed", "7",
         )
         assert code == EXIT_OK
-        row = out.strip().splitlines()[2].split(",")
-        assert row[3] == "2" and row[4] == "3" and row[5] == "9"
+        [row] = csv_rows(out)
+        assert (row["L"], row["d"], row["streams"]) == ("2", "3", "9")
 
     def test_deterministic_output_file(self, tmp_path, capsys):
         out1 = tmp_path / "a.csv"
@@ -240,10 +248,11 @@ class TestSweepCommand:
             "--trials", "3", "--seed", "1", "--out", str(path),
         )
         assert code == EXIT_OK
-        for line in path.read_text().strip().splitlines()[2:]:
-            cells = line.split(",")
-            assert cells[5] == cells[6]  # streams == cutset
-            assert cells[13] == ""  # no error
+        rows = csv_rows(path.read_text())
+        assert len(rows) == 4
+        for row in rows:
+            assert row["streams"] == row["cutset"]
+            assert row["error"] == ""
 
     def test_row_order_sorted(self, tmp_path, capsys):
         path = tmp_path / "order.csv"
@@ -251,9 +260,8 @@ class TestSweepCommand:
             capsys, "sweep", "--k", "4,3", "--m", "3,2", "--n", "2",
             "--trials", "1", "--seed", "1", "--out", str(path),
         )
-        rows = [tuple(map(int, line.split(",")[:3]))
-                for line in path.read_text().strip().splitlines()[2:]]
-        assert rows == sorted(rows)
+        rows = [tuple(int(row[c]) for c in "KMN") for row in csv_rows(path.read_text())]
+        assert len(rows) == 4 and rows == sorted(rows)
 
     @pytest.mark.parametrize(
         "flags,message",
@@ -310,11 +318,35 @@ class TestSweepCommand:
             "--trials", "1", "--seed", "1", "--out", str(path),
         )
         assert code == EXIT_OK
-        cells = path.read_text().strip().splitlines()[2].split(",")
-        assert cells[:3] == ["3", "2", "2"]
-        assert cells[13] == (
+        [row] = csv_rows(path.read_text())
+        assert (row["K"], row["M"], row["N"]) == ("3", "2", "2")
+        assert row["error"] == (
             "SchemeDesignError: trial 0 (seed 1): aligned subspaces; rank deficient"
         )
+        assert all(row[c] == "" for c in REPORT_COLUMNS.split(",")[3:])
+
+    def test_every_row_has_a_cell_per_column(self, tmp_path, capsys, monkeypatch):
+        # error rows (K = 4 here) pad to the header, as success rows fill it
+        real = analysis.verify_noiseless
+
+        def fail_k4(config, trials):
+            if config.K == 4:
+                raise ValueError("no design for K = 4")
+            return real(config, trials)
+
+        monkeypatch.setattr("mrc_dof_lab.analysis.verify_noiseless", fail_k4)
+        path = tmp_path / "mixed.csv"
+        code, _, _ = run(
+            capsys, "sweep", "--k", "3,4", "--m", "2,3", "--n", "2",
+            "--trials", "1", "--seed", "1", "--out", str(path),
+        )
+        assert code == EXIT_OK
+        header, *rows = csv.reader(
+            line for line in path.read_text().splitlines() if not line.startswith("#")
+        )
+        assert header == REPORT_COLUMNS.split(",") + ["error"]
+        assert [row[-1] != "" for row in rows] == [False, False, True, True]
+        assert all(len(row) == len(header) for row in rows)
 
     def test_unexpected_error_propagates(self, tmp_path, monkeypatch):
         def bug(*args, **kwargs):
@@ -377,6 +409,44 @@ class TestConfigFile:
         code, out, _ = run(capsys, "bounds", "--config", str(cfg))
         assert code == EXIT_OK
         assert out.strip().splitlines()[-1] == "3,2,1,1,2,3,1"
+
+    def test_config_switches_equal_flags(self, tmp_path, capsys):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"reciprocal": False, "half_duplex": True, "format": "json"}))
+        argv = ("simulate", "--k", "3", "--m", "3", "--n", "2", "--trials", "2")
+        code, from_file, _ = run(capsys, *argv, "--config", str(cfg))
+        assert code == EXIT_OK
+        code, from_flags, _ = run(
+            capsys, *argv, "--no-reciprocal", "--half-duplex", "--format", "json"
+        )
+        assert code == EXIT_OK
+        assert from_file == from_flags
+        assert json.loads(from_file)["slope"] < 3.5  # half of the 6 streams
+
+    @pytest.mark.parametrize(
+        "doc,message",
+        [
+            ({"format": "xml"}, "format must be one of csv, json"),
+            ({"reciprocal": "false"}, "--reciprocal must be true or false"),
+            ({"half_duplex": "false"}, "--half-duplex must be true or false"),
+            ({"half_duplex": 1}, "--half-duplex must be true or false"),
+            ({"k": 3.9}, "--k must be an integer"),
+            ({"trials": 2.5}, "--trials must be an integer"),
+            ({"trials": True}, "--trials must be an integer"),
+            ({"n": [2]}, "--n must be an integer"),
+            ({"p_grid": [1e2, None, 1e6]}, "--p-grid must be a number"),
+            ({"p_grid": [1e2, True, 1e6]}, "--p-grid must be a number"),
+        ],
+        ids=["format", "reciprocal", "half-duplex", "half-duplex-int", "k-float",
+             "trials-float", "trials-bool", "n-list", "p-grid-null", "p-grid-bool"],
+    )
+    def test_config_values_checked_like_flags(self, tmp_path, capsys, doc, message):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"k": 3, "m": 3, "n": 2, "trials": 2, **doc}))
+        code, out, err = run(capsys, "simulate", "--config", str(cfg))
+        assert code == EXIT_BAD_ARGS
+        assert out == ""
+        assert message in err
 
     def test_bad_config_file(self, tmp_path, capsys):
         cfg = tmp_path / "broken.json"

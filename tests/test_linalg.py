@@ -13,15 +13,18 @@ from mrc_dof_lab.linalg import (
     orthonormal_columns,
     pseudo_inverse_and_bound,
     pseudo_inverse_and_rank,
-    random_gaussian_matrix,
     random_gaussian_stack,
-    random_gaussian_vector,
     subspace_distance,
 )
 
 
 def rng(seed=0):
     return np.random.default_rng(seed)
+
+
+def gaussian(shape, g):
+    """One CN(0, 1) array of the given shape from generator g."""
+    return random_gaussian_stack(1, shape, g)[0]
 
 
 def pinv(a):
@@ -31,27 +34,29 @@ def pinv(a):
 
 class TestRandomGaussian:
     def test_same_seed_same_matrix(self):
-        a = random_gaussian_matrix(2, 3, rng(123))
-        b = random_gaussian_matrix(2, 3, rng(123))
+        a = random_gaussian_stack(1, (2, 3), rng(123))
+        b = random_gaussian_stack(1, (2, 3), rng(123))
         assert np.array_equal(a, b)
 
     def test_square_draw_is_full_rank(self):
-        a = random_gaussian_matrix(5, 5, rng(7))
+        a = random_gaussian_stack(1, (5, 5), rng(7))[0]
         assert pseudo_inverse_and_rank(a)[1] == 5
 
     def test_unit_power_entries(self):
         # law of large numbers over 1e5 draws: E|a_ij|^2 = 1
-        a = random_gaussian_matrix(1, 10**5, rng(42))
+        a = random_gaussian_stack(1, (1, 10**5), rng(42))
         assert abs(np.mean(np.abs(a) ** 2) - 1.0) < 0.02
 
     def test_bit_reproducible(self):
-        a = random_gaussian_matrix(4, 4, rng(2024)).tobytes()
-        b = random_gaussian_matrix(4, 4, rng(2024)).tobytes()
+        a = random_gaussian_stack(1, (4, 4), rng(2024)).tobytes()
+        b = random_gaussian_stack(1, (4, 4), rng(2024)).tobytes()
         assert a == b
 
     def test_bad_dimensions(self):
-        with pytest.raises(ValueError):
-            random_gaussian_matrix(0, 3, rng())
+        with pytest.raises(ValueError, match="positive"):
+            random_gaussian_stack(1, (0, 3), rng())
+        with pytest.raises(ValueError, match="positive"):
+            random_gaussian_stack(0, (2, 3), rng())
 
     def test_stack_equals_draws_one_after_another(self):
         # one standard_normal call per generator gives the bits of drawing
@@ -67,7 +72,7 @@ class TestRandomGaussian:
                 assert np.array_equal(got[s, i], (re + 1j * im) / np.sqrt(2.0))
         vectors = random_gaussian_stack(2, (3,), rng(7))
         g = rng(7)
-        assert np.array_equal(vectors, [random_gaussian_vector(3, g) for _ in range(2)])
+        assert np.array_equal(vectors, [gaussian((3,), g) for _ in range(2)])
 
 
 class TestPseudoInverse:
@@ -75,7 +80,7 @@ class TestPseudoInverse:
         assert np.allclose(pinv(np.eye(3)), np.eye(3), atol=1e-12)
 
     def test_right_inverse_for_wide_matrix(self):
-        a = random_gaussian_matrix(3, 5, rng(1))
+        a = gaussian((3, 5), rng(1))
         assert np.allclose(a @ pinv(a), np.eye(3), atol=1e-10)
 
     def test_closed_form_1x2(self):
@@ -89,7 +94,7 @@ class TestPseudoInverse:
         # A A+ A = A and A+ A A+ = A+ across aspect ratios up to 32
         shapes = [(1, 1), (2, 5), (5, 2), (8, 8), (32, 7), (7, 32), (32, 32)]
         for i, (r, c) in enumerate(shapes):
-            a = random_gaussian_matrix(r, c, rng(100 + i))
+            a = gaussian((r, c), rng(100 + i))
             p = pinv(a)
             assert np.linalg.norm(a @ p @ a - a) <= 1e-10 * np.linalg.norm(a)
             assert np.linalg.norm(p @ a @ p - p) <= 1e-10 * np.linalg.norm(p)
@@ -104,7 +109,7 @@ class TestPseudoInverseAndRank:
     def test_stack_matches_one_at_a_time(self):
         g = rng(31)
         for r, c in [(3, 3), (5, 2), (2, 5)]:
-            stack = np.stack([random_gaussian_matrix(r, c, g) for _ in range(4)])
+            stack = np.stack([gaussian((r, c), g) for _ in range(4)])
             pinv, rank, cond = pseudo_inverse_and_rank(stack)
             assert pinv.shape == (4, c, r) and rank.shape == cond.shape == (4,)
             for a, p, k, kappa in zip(stack, pinv, rank, cond):
@@ -114,8 +119,8 @@ class TestPseudoInverseAndRank:
 
     def test_rank_decided_per_matrix(self):
         # a rank-one member does not change its full-rank neighbours
-        full = random_gaussian_matrix(3, 3, rng(32))
-        col = random_gaussian_matrix(3, 1, rng(33))
+        full = gaussian((3, 3), rng(32))
+        col = gaussian((3, 1), rng(33))
         low = col @ col.conj().T
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -129,7 +134,7 @@ class TestPseudoInverseAndRank:
         assert np.array_equal(pinv[2], np.zeros((3, 3)))
 
     def test_single_matrix(self):
-        a = random_gaussian_matrix(4, 4, rng(34))
+        a = gaussian((4, 4), rng(34))
         pinv, rank, cond = pseudo_inverse_and_rank(a)
         assert int(rank) == 4 and rank.shape == cond.shape == ()
         assert cond == pytest.approx(np.linalg.cond(a), rel=1e-10)
@@ -151,7 +156,7 @@ PINV_ROUNDING = 64
 def with_condition(rows, cols, kappa, g):
     """A CN(0, 1) draw whose singular values are made geometric from 1
     down to 1 / kappa."""
-    u, _, vh = np.linalg.svd(random_gaussian_matrix(rows, cols, g), full_matrices=False)
+    u, _, vh = np.linalg.svd(gaussian((rows, cols), g), full_matrices=False)
     r = min(rows, cols)
     return (u * np.geomspace(1.0, 1.0 / kappa, r)) @ vh if r > 1 else u @ vh
 
@@ -203,7 +208,7 @@ class TestPseudoInverseAndBound:
         # one matrix past the certificate takes an SVD alone; the others
         # keep the bits they have in a stack without it
         g = rng(41)
-        stack = np.stack([random_gaussian_matrix(4, 4, g) for _ in range(3)])
+        stack = np.stack([gaussian((4, 4), g) for _ in range(3)])
         ill = stack.copy()
         ill[1] = with_condition(4, 4, 5e9, g)
         del lapack_calls[:]
@@ -222,7 +227,7 @@ class TestPseudoInverseAndBound:
         # a zero matrix and a repeated column or row: no LinAlgError and no
         # warning, and the SVD's rank
         g = rng(42)
-        full = random_gaussian_matrix(*shape, g)
+        full = gaussian(shape, g)
         repeated = full.copy()
         if shape[0] >= shape[1]:
             repeated[:, 1] = repeated[:, 0]
@@ -266,7 +271,7 @@ class TestPseudoInverseAndBound:
         assert p.tobytes() == want.tobytes()
 
     def test_single_matrix(self):
-        a = random_gaussian_matrix(4, 3, rng(43))
+        a = gaussian((4, 3), rng(43))
         p, rank, bound = pseudo_inverse_and_bound(a)
         assert p.shape == (3, 4) and rank.shape == bound.shape == ()
         assert int(rank) == 3 and not p.flags.writeable
@@ -275,8 +280,8 @@ class TestPseudoInverseAndBound:
 
 class TestSubspaceDistance:
     def test_span_invariance(self):
-        a = random_gaussian_matrix(6, 3, rng(11))
-        c = random_gaussian_matrix(3, 3, rng(12))  # invertible almost surely
+        a = gaussian((6, 3), rng(11))
+        c = gaussian((3, 3), rng(12))  # invertible almost surely
         assert subspace_distance(a, a @ c) <= 1e-12
 
     def test_orthogonal_spans(self):
@@ -291,9 +296,9 @@ class TestSubspaceDistance:
     def test_symmetry_and_triangle(self):
         g = rng(31)
         for _ in range(50):
-            a = random_gaussian_matrix(6, 2, g)
-            b = random_gaussian_matrix(6, 2, g)
-            c = random_gaussian_matrix(6, 2, g)
+            a = gaussian((6, 2), g)
+            b = gaussian((6, 2), g)
+            c = gaussian((6, 2), g)
             dab = subspace_distance(a, b)
             dba = subspace_distance(b, a)
             assert dab == pytest.approx(dba, abs=1e-12)
@@ -303,14 +308,14 @@ class TestSubspaceDistance:
 
 class TestOrthonormalColumns:
     def test_orthonormal_and_same_span(self):
-        a = random_gaussian_matrix(5, 3, rng(21))
+        a = gaussian((5, 3), rng(21))
         q = orthonormal_columns(a)
         assert np.allclose(q.conj().T @ q, np.eye(3), atol=1e-12)
         assert subspace_distance(a, q) <= 1e-12
 
     def test_stack_matches_one_at_a_time(self):
         g = rng(22)
-        stack = np.stack([random_gaussian_matrix(6, 2, g) for _ in range(4)])
+        stack = np.stack([gaussian((6, 2), g) for _ in range(4)])
         q = orthonormal_columns(stack)
         assert q.shape == (4, 6, 2)
         for qi, a in zip(q, stack):

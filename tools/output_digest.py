@@ -25,7 +25,9 @@ And once each: ``sweep`` over the small grid with and without
 ``--p-grid`` (CSV and JSON, both reciprocity modes), ``table1`` for K 3-5
 and M 1-4 (CSV and JSON), and the ``--dump-channels`` and ``--dump-plan``
 files at 4/4/3, 8/8/8 and 3/4/6 with ``--dump-plan`` after
-``--load-channels`` of that dump.
+``--load-channels`` of that dump. Each dump file has a line of its own,
+apart from the ``dump-cli`` line of the ``verify`` run that wrote it, so
+a change to the report does not hide whether a dump moved.
 """
 
 from __future__ import annotations
@@ -161,10 +163,12 @@ def dump_lines(seed: int, tmp: str):
         flags = ["--k", str(k), "--m", str(m), "--n", str(n), "--trials", str(CLI_TRIALS),
                  "--seed", str(seed), "--reciprocal" if reciprocal else "--no-reciprocal"]
         result = run_cli(["verify", *flags, "--dump-channels", chans, "--dump-plan", plan])
-        yield f"dump-channels {label}", sha(result + file_bytes(chans))
+        yield f"dump-cli {label}", sha(result)
+        yield f"dump-channels {label}", sha(file_bytes(chans))
         yield f"dump-plan {label}", sha(file_bytes(plan))
         result = run_cli(["verify", *flags, "--load-channels", chans, "--dump-plan", replan])
-        yield f"dump-plan loaded {label}", sha(result + file_bytes(replan))
+        yield f"dump-cli loaded {label}", sha(result)
+        yield f"dump-plan loaded {label}", sha(file_bytes(replan))
 
 
 def main(argv=None) -> int:
