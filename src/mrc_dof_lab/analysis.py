@@ -8,19 +8,21 @@ log2(P); the chain is linear, so power only scales a unit-power round.
 Each trial draws from its own stream, ``NetworkConfig.trial_rng``:
 Philox keyed by (seed, trial index), so every trial is reproducible,
 independent of the execution order, and independent of every other
-(seed, trial) pair's.
+(seed, trial) pair's. ``draw_trials`` is the one place a trial draws:
+before any design, one standard_normal call gives its channel, then as
+much of its symbols and noise as the entry point reads.
 
-The trials of one configuration are designed and run as stacks along a
-leading trial axis: one ``ssa_nc.design_scheme`` and one
-``ssa_nc.run_round`` call per stack serve all its trials, whatever the
-length of the power grid. Plans are stored at physical size, and a
-stack holds up to STACK_ELEMENTS entries of each of its plan's stored
-pseudoinverses, so K = 8, M = N = 8 (56 x 56 after extension) runs 64
-trials per stack. Each trial's generator sees the same draws in the
-same order as when the trial runs alone, so every result is independent
-of the stack size. A fixed channel set is designed once, and every stack
-reads that one plan through read-only broadcast views. Every entry point
-checks its power grid, then ``_trial_stacks`` its trial count.
+The trials of one configuration are drawn, designed and run as stacks
+along a leading trial axis: one ``draw_trials``, one
+``ssa_nc.design_scheme`` and one ``ssa_nc.run_round`` call per stack
+serve all its trials, whatever the length of the power grid. Plans are
+stored at physical size, and a stack holds up to STACK_ELEMENTS entries
+of each of its plan's stored pseudoinverses, so K = 8, M = N = 8 (56 x 56
+after extension) runs 64 trials per stack. A trial draws the same values
+in any stack, so every result is independent of the stack size. A fixed
+channel set is designed once, and every stack reads that one plan
+through read-only broadcast views. Every entry point checks its power
+grid, then ``_trial_stacks`` its trial count.
 """
 
 from __future__ import annotations
@@ -32,7 +34,8 @@ from fractions import Fraction
 import numpy as np
 
 from . import bounds, ssa_nc
-from .channel import ChannelSet, NetworkConfig, generate_channels
+from .channel import ChannelSet, NetworkConfig, draw_channels
+from .linalg import random_gaussian_stacks
 from .ssa_nc import SchemeDesignError, SchemePlan
 
 # Trials per stack are capped so that each of a stack's stored physical
@@ -145,16 +148,40 @@ def _designed(config: NetworkConfig, channels: ChannelSet, start: int):
         raise SchemeDesignError(f"trial {trial} (seed {config.seed}): {exc}", trial) from exc
 
 
-def _trial_stacks(config: NetworkConfig, trials: int, channels: ChannelSet | None = None):
-    """Design the trials stack by stack; yields (generators, plan) per
-    stack, the plan, its effective channels included, with a leading
-    trial axis.
+def draw_trials(config: NetworkConfig, rng, channels=None, symbols=False, noise=False):
+    """Draw one trial, or each trial of a stack, in one standard_normal
+    call per generator: the channel set unless ``channels`` is given, then
+    with ``symbols`` every user's unit-power symbols, then with ``noise``
+    the relay's and the users' unit-variance noise.
 
-    The design draws nothing, so each trial generator is left where its
-    channel draw stopped (untouched for a given set), and the trial's
-    symbol and noise draws follow from it. A given set (one trial) is
-    designed once, and every stack repeats its plan as read-only
-    broadcast views. Fewer than 1 trial raises ValueError, before any design.
+    ``rng`` is one generator, or a sequence of one per trial, whose trial
+    axis then leads every array. Returns (channels, sent, noise), the
+    arguments of ``ssa_nc.design_scheme`` and ``ssa_nc.run_round``: sent
+    is (K, d) per trial, noise the pair of the relay's (effective_N,) and
+    the users' (K, effective_M) per trial, and either is None when not
+    asked for.
+    """
+    K, M = config.K, config.M
+    base, L, d = ssa_nc.extension_plan(K, M, config.N)
+    parts = [(K, (d,))] if symbols else []
+    if noise:
+        parts += [(1, (L * base,)), (K, (L * M,))]
+    if channels is None:
+        channels, drawn = draw_channels(config, rng, parts)
+    else:
+        drawn = random_gaussian_stacks(parts, rng) if parts else []
+    sent = drawn.pop(0) if symbols else None
+    return channels, sent, ((drawn[0][..., 0, :], drawn[1]) if noise else None)
+
+
+def _trial_stacks(config: NetworkConfig, trials: int, channels=None, symbols=False, noise=False):
+    """Draw and design the trials stack by stack; yields (plan, sent,
+    noise) per stack, the plan, its effective channels included, with a
+    leading trial axis, and sent and noise as ``draw_trials`` gives them.
+
+    A given set (one trial) draws no channel: it is designed once, and
+    every stack repeats its plan as read-only broadcast views. Fewer than
+    1 trial raises ValueError, before any design.
     """
     if trials < 1:
         raise ValueError("trials must be positive")
@@ -162,11 +189,9 @@ def _trial_stacks(config: NetworkConfig, trials: int, channels: ChannelSet | Non
     fixed = None if channels is None else _designed(config, channels, 0)
     for start in range(0, trials, size):
         rngs = [config.trial_rng(t) for t in range(start, min(start + size, trials))]
-        if fixed is None:
-            plan = _designed(config, generate_channels(config, rngs), start)
-        else:
-            plan = fixed.repeated(len(rngs))
-        yield rngs, plan
+        drawn, sent, noise_pair = draw_trials(config, rngs, channels, symbols, noise)
+        plan = _designed(config, drawn, start) if fixed is None else fixed.repeated(len(rngs))
+        yield plan, sent, noise_pair
 
 
 def _message_sq_errors(trace: ssa_nc.TransmissionTrace, messages: np.ndarray) -> np.ndarray:
@@ -181,10 +206,10 @@ def _sent_messages(trace: ssa_nc.TransmissionTrace) -> np.ndarray:
     return trace.sent[..., ssa_nc.sender_table(trace.sent.shape[-2]), :]
 
 
-def _noiseless_round_errors(rngs, plan: SchemePlan) -> np.ndarray:
+def _noiseless_round_errors(plan: SchemePlan, sent: np.ndarray) -> np.ndarray:
     """Each trial's worst relative decode error over every user and message
     of one noiseless round of the stack."""
-    trace = ssa_nc.run_round(plan, 1.0, rngs, noise_on=False)
+    trace = ssa_nc.run_round(plan, 1.0, sent)
     messages = _sent_messages(trace)
     # np.linalg.norm(messages, axis=-1), bit for bit
     sent_norm = np.sqrt(np.add.reduce((messages.conj() * messages).real, axis=-1))
@@ -224,8 +249,8 @@ def verify_noiseless(
     draws vary per trial.
     """
     errors = []
-    for rngs, plan in _trial_stacks(config, trials, channels):
-        errors.append(_noiseless_round_errors(rngs, plan))
+    for plan, sent, _ in _trial_stacks(config, trials, channels, symbols=True):
+        errors.append(_noiseless_round_errors(plan, sent))
     return _noiseless_report(config, plan, trials, _max_error(errors))
 
 
@@ -341,7 +366,7 @@ def estimate_dof_slope(
     slopes over sqrt(trials).
     """
     grid = validate_power_grid(P_grid)
-    gammas = [stream_sinrs(plan, 1.0).flat() for _, plan in _trial_stacks(config, trials)]
+    gammas = [stream_sinrs(plan, 1.0).flat() for plan, _, _ in _trial_stacks(config, trials)]
     return _fit_slope(config, grid, np.concatenate(gammas))
 
 
@@ -356,10 +381,10 @@ def decode_mse_sweep(config: NetworkConfig, P_grid, trials: int) -> np.ndarray:
     """
     grid = _power_levels(P_grid)
     totals = []
-    for rngs, plan in _trial_stacks(config, trials):
-        trace = ssa_nc.run_round(plan, 1.0, rngs, noise_on=True)
+    for plan, sent, noise in _trial_stacks(config, trials, symbols=True, noise=True):
+        trace = ssa_nc.run_round(plan, 1.0, sent, noise)
         sq_err = _message_sq_errors(trace, _sent_messages(trace))
-        totals.append(sq_err.reshape(len(rngs), -1).sum(axis=-1))
+        totals.append(sq_err.reshape(len(sent), -1).sum(axis=-1))
     sq_err = np.add.accumulate(np.concatenate(totals))[-1]
     return sq_err / (trials * config.K * (config.K - 1) * plan.d) / grid
 
@@ -372,8 +397,8 @@ def simulate_report(config: NetworkConfig, P_grid, trials: int) -> DofReport:
     grid = validate_power_grid(P_grid)
     errors = []
     gammas = []
-    for rngs, plan in _trial_stacks(config, trials):
-        errors.append(_noiseless_round_errors(rngs, plan))
+    for plan, sent, _ in _trial_stacks(config, trials, symbols=True):
+        errors.append(_noiseless_round_errors(plan, sent))
         gammas.append(stream_sinrs(plan, 1.0).flat())
     slope, stderr = _fit_slope(config, grid, np.concatenate(gammas))
     return replace(
@@ -395,6 +420,7 @@ __all__ = [
     "DofReport",
     "format_number",
     "report_csv_row",
+    "draw_trials",
     "verify_noiseless",
     "StreamSinrs",
     "stream_sinrs",

@@ -52,10 +52,6 @@ class DofAllocation:
         return len(self.common)
 
 
-def zero_allocation(K: int) -> DofAllocation:
-    return DofAllocation(private=tuple((0,) * K for _ in range(K)), common=(0,) * K)
-
-
 def common_only_allocation(K: int, per_user: Number) -> DofAllocation:
     """Every user sends ``per_user`` common streams and nothing private."""
     return DofAllocation(private=tuple((0,) * K for _ in range(K)), common=(per_user,) * K)
@@ -171,12 +167,6 @@ def private_only_dof(K: int, M: int, N: int) -> Fraction:
     return Fraction(K * M)
 
 
-def common_gain(K: int, M: int, N: int) -> Fraction:
-    """DoF gained by adding common messages: cut-set total minus the
-    private-only value. Nonnegative in every regime."""
-    return Fraction(cutset_dof(K, M, N)) - private_only_dof(K, M, N)
-
-
 class BoundRow(NamedTuple):
     K: int
     M: int
@@ -184,7 +174,7 @@ class BoundRow(NamedTuple):
     case_index: int
     private_only: Fraction
     cutset: int
-    gain: Fraction
+    gain: Fraction  # cutset - private_only: what common messages add, never negative
 
 
 def bound_row(K: int, M: int, N: int) -> BoundRow:
@@ -199,7 +189,6 @@ __all__ = [
     "Number",
     "RegimeError",
     "DofAllocation",
-    "zero_allocation",
     "common_only_allocation",
     "RegimeLabel",
     "CutViolation",
@@ -209,7 +198,6 @@ __all__ = [
     "regime_thresholds",
     "classify_regime",
     "private_only_dof",
-    "common_gain",
     "BoundRow",
     "bound_row",
 ]

@@ -4,7 +4,8 @@ The uplink channel of user j is an N x M matrix (relay antennas by user
 antennas), the downlink an M x N matrix. Reciprocal operation means the
 downlink is the plain transpose of the uplink. Each trial draws from its
 own random stream, ``NetworkConfig.trial_rng``: counter-based Philox
-keyed by (seed, trial), one independent stream per pair.
+keyed by (seed, trial), one independent stream per pair. A trial's
+channel heads its one draw, which ``draw_channels`` makes.
 
 A ``ChannelSet`` holds one trial's physical channels as (K, N, M) /
 (K, M, N) arrays, or a stack of trials with a leading trial axis. Symbol
@@ -31,7 +32,7 @@ from .linalg import (
     _freeze,
     pseudo_inverse_and_bound,
     pseudo_inverse_and_rank,
-    random_gaussian_stack,
+    random_gaussian_stacks,
 )
 
 _RANK_TOL = 1e-10
@@ -267,8 +268,10 @@ def _check_rank(rank: np.ndarray, full: int) -> None:
         raise ValueError("channel matrix is rank deficient")
 
 
-def generate_channels(config: NetworkConfig, rng) -> ChannelSet:
-    """Draw i.i.d. CN(0, 1) channels for all users.
+def draw_channels(config: NetworkConfig, rng, after=()) -> tuple[ChannelSet, list[np.ndarray]]:
+    """Draw i.i.d. CN(0, 1) channels for all users, then the (count,
+    shape) parts ``after``, in one ``random_gaussian_stacks`` call; returns
+    the validated set and the ``after`` arrays.
 
     ``rng`` is one generator for one trial, or a sequence of generators
     for a stack with one trial per generator. All K uplink matrices are
@@ -276,12 +279,16 @@ def generate_channels(config: NetworkConfig, rng) -> ChannelSet:
     depend on the reciprocity mode; reciprocal downlinks are exact
     transposes and consume no draws and no decomposition.
     """
-    uplink = random_gaussian_stack(config.K, (config.N, config.M), rng)
-    if config.reciprocal:
-        downlink = uplink.swapaxes(-1, -2).copy()
-    else:
-        downlink = random_gaussian_stack(config.K, (config.M, config.N), rng)
-    return ChannelSet(uplink=uplink, downlink=downlink)
+    K, M, N = config.K, config.M, config.N
+    links = [(K, (N, M))] if config.reciprocal else [(K, (N, M)), (K, (M, N))]
+    uplink, *drawn = random_gaussian_stacks(links + list(after), rng)
+    downlink = uplink.swapaxes(-1, -2).copy() if config.reciprocal else drawn.pop(0)
+    return ChannelSet(uplink=uplink, downlink=downlink), drawn
+
+
+def generate_channels(config: NetworkConfig, rng) -> ChannelSet:
+    """The channel set alone, as ``draw_channels`` draws it."""
+    return draw_channels(config, rng)[0]
 
 
 def shutdown_relay_antennas(channels: ChannelSet, keep: int) -> ChannelSet:
@@ -371,6 +378,7 @@ __all__ = [
     "matrix_to_lists",
     "matrix_from_lists",
     "ChannelSet",
+    "draw_channels",
     "generate_channels",
     "shutdown_relay_antennas",
     "channels_to_json_dict",

@@ -42,6 +42,9 @@ DEFAULT_TRIALS = 100
 DEFAULT_SEED = 42
 DEFAULT_P_GRID = (1e2, 1e3, 1e4, 1e5, 1e6)
 _FORMATS = ("csv", "json")
+# The options that name a file: verify and simulate read all four, in this
+# order, and the other commands out alone.
+_PATHS = ("out", "dump_channels", "dump_plan", "load_channels")
 
 # Failures a sweep records in a row's error cell: design, numeric and
 # argument errors of one configuration (ValueError covers RegimeError).
@@ -89,6 +92,9 @@ def _resolve(args, key: str, cfg: dict, default=None, required: bool = False):
         val = default
     if val is None and required:
         raise CliError(f"missing required option --{key.replace('_', '-')}")
+    # a config file's number would open that file descriptor
+    if key in _PATHS and val is not None and not isinstance(val, str):
+        raise CliError(f"--{key.replace('_', '-')} must be a path, got {val!r}")
     return val
 
 
@@ -162,6 +168,7 @@ def cmd_bounds(args) -> int:
     cfg = _load_config_file(args.config)
     k, m, n = _kmn(args, cfg)
     fmt = _format(args, cfg)
+    out = _resolve(args, "out", cfg)
     row = bounds.bound_row(k, m, n)
     if fmt == "json":
         text = _json_text(
@@ -179,7 +186,7 @@ def cmd_bounds(args) -> int:
         text = "\n".join(
             [VERSION_COMMENT, "K,M,N,case_index,private_only,cutset,gain", _bound_row_cells(row)]
         ) + "\n"
-    _emit(text, args.out)
+    _emit(text, out)
     return EXIT_OK
 
 
@@ -189,16 +196,15 @@ def _report_text(report: analysis.DofReport, fmt: str) -> str:
     return "\n".join([VERSION_COMMENT, REPORT_COLUMNS, report_csv_row(report)]) + "\n"
 
 
-def _dump_trial_artifacts(config: NetworkConfig, channels, args) -> None:
-    """Write trial 0's channels and/or plan when the dump flags are set."""
-    if not (args.dump_channels or args.dump_plan):
+def _dump_trial_artifacts(config: NetworkConfig, channels, channels_path, plan_path) -> None:
+    """Write trial 0's channels and/or plan to the paths that are set."""
+    if not (channels_path or plan_path):
         return
     base = channels if channels is not None else generate_channels(config, config.trial_rng(0))
-    if args.dump_channels:
-        save_channels(base, args.dump_channels)
-    if args.dump_plan:
-        plan = ssa_nc.design_scheme(config, base)
-        ssa_nc.save_plan(plan, args.dump_plan)
+    if channels_path:
+        save_channels(base, channels_path)
+    if plan_path:
+        ssa_nc.save_plan(ssa_nc.design_scheme(config, base), plan_path)
 
 
 def cmd_verify(args) -> int:
@@ -206,11 +212,12 @@ def cmd_verify(args) -> int:
     config = _network_config(args, cfg, *_kmn(args, cfg))
     trials = _as_number(_resolve(args, "trials", cfg, default=DEFAULT_TRIALS), "--trials")
     fmt = _format(args, cfg)
+    out, dump_channels, dump_plan, load_path = (_resolve(args, k, cfg) for k in _PATHS)
     # the design checks a loaded set's dimensions against the flags
-    channels = load_channels(args.load_channels) if args.load_channels else None
+    channels = load_channels(load_path) if load_path else None
     report = analysis.verify_noiseless(config, trials, channels=channels)
-    _dump_trial_artifacts(config, channels, args)
-    _emit(_report_text(report, fmt), args.out)
+    _dump_trial_artifacts(config, channels, dump_channels, dump_plan)
+    _emit(_report_text(report, fmt), out)
     ok = (
         report.noiseless_max_error <= 1e-8
         and report.achieved_streams == report.cutset
@@ -232,11 +239,12 @@ def cmd_simulate(args) -> int:
         _resolve(args, "p_grid", cfg, default=list(DEFAULT_P_GRID)), "--p-grid", float
     )
     fmt = _format(args, cfg)
-    if args.load_channels:
+    out, dump_channels, dump_plan, load_path = (_resolve(args, k, cfg) for k in _PATHS)
+    if load_path:
         raise CliError("simulate does not support --load-channels; use verify")
     report = analysis.simulate_report(config, p_grid, trials)
-    _dump_trial_artifacts(config, None, args)
-    _emit(_report_text(report, fmt), args.out)
+    _dump_trial_artifacts(config, None, dump_channels, dump_plan)
+    _emit(_report_text(report, fmt), out)
     return EXIT_OK
 
 
@@ -304,6 +312,7 @@ def cmd_table1(args) -> int:
     if nmax < 1:
         raise CliError("--nmax must be at least 1")
     fmt = _format(args, cfg)
+    out = _resolve(args, "out", cfg)
     rows = analysis.reproduce_table1(k, m, range(1, nmax + 1))
     any_case4 = any(r.case_index == 4 for r in rows)
     if fmt == "json":
@@ -333,7 +342,7 @@ def cmd_table1(args) -> int:
             flags = "case4-reading" if r.case_index == 4 else ""
             lines.append(f"{_bound_row_cells(r)},{flags}")
         text = "\n".join(lines) + "\n"
-    _emit(text, args.out)
+    _emit(text, out)
     return EXIT_OK
 
 

@@ -2,14 +2,15 @@
 
 Everything operates on 2-D ``complex128`` numpy arrays; the pseudoinverses
 and the orthonormal basis also take a stack of them and decompose it in
-one LAPACK call, and the Gaussian draws fill a whole stack with one call
-per generator. Rank decisions are made on singular values relative to the
-largest one (scale invariant): ``pseudo_inverse_and_rank`` computes them
-with an SVD, and ``pseudo_inverse_and_bound`` reaches the same decisions
-from one LU or QR factorization and a certified bound on the condition
-number, taking the SVD only for matrices the bound cannot decide. All
-functions return freshly allocated arrays marked read-only so values can
-be shared between concurrent trials without copies.
+one LAPACK call, and ``random_gaussian_stacks`` fills every array a trial
+draws with one call per generator. Rank decisions are made on singular
+values relative to the largest one (scale invariant):
+``pseudo_inverse_and_rank`` computes them with an SVD, and
+``pseudo_inverse_and_bound`` reaches the same decisions from one LU or QR
+factorization and a certified bound on the condition number, taking the
+SVD only for matrices the bound cannot decide. All functions return
+freshly allocated arrays marked read-only so values can be shared between
+concurrent trials without copies.
 """
 
 from __future__ import annotations
@@ -40,27 +41,18 @@ def _freeze(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def random_gaussian_stack(count: int, shape: tuple[int, ...], rng) -> np.ndarray:
-    """``count`` arrays of i.i.d. CN(0, 1) entries, one draw call per generator.
-
-    ``rng`` is one generator, giving shape (count, *shape), or a sequence
-    of generators, giving (len(rng), count, *shape) with row s drawn from
-    generator s. Each generator fills one standard_normal block of shape
-    (count, 2, *shape): the real then the imaginary part of each array in
-    turn, which is the order of drawing the arrays one after another. Real
-    and imaginary parts are N(0, 1/2), so E|a|^2 = 1.
-    """
-    return random_gaussian_stacks([(count, shape)], rng)[0]
-
-
 def random_gaussian_stacks(parts, rng) -> list[np.ndarray]:
-    """Several ``random_gaussian_stack`` draws in one draw call per generator.
+    """One array of i.i.d. CN(0, 1) entries per (count, shape) pair of
+    ``parts``, of shape (count, *shape), in one draw call per generator.
 
-    ``parts`` lists (count, shape) pairs. Each generator fills one
-    standard_normal vector holding every part's block in turn, so part i
-    gets, bit for bit, what ``random_gaussian_stack(*parts[i], rng)`` would
-    draw after the parts before it: one draw fills a generator's values in
-    the order of consecutive draws of the same total length.
+    ``rng`` is one generator, or a sequence of generators, which prefixes
+    every array with a trial axis whose row s is drawn from generator s.
+    Each generator fills one standard_normal vector holding every part's
+    block (count, 2, *shape) in turn: the real then the imaginary part of
+    each array. One draw fills a generator's values in the order of
+    consecutive draws of the same total length, so each part gets, bit for
+    bit, what drawing the parts one after another gives it. Real and
+    imaginary parts are N(0, 1/2), so E|a|^2 = 1.
     """
     blocks = [(count, 2, *shape) for count, shape in parts]
     if any(n < 1 for block in blocks for n in block):

@@ -49,14 +49,12 @@ so a single plan serves an entire power sweep.
 Every function takes one trial or a stack of trials along a leading trial
 axis. The design takes a stacked ChannelSet and gives a plan whose arrays
 carry the same axis; the round functions take that plan, which carries
-its channels. ``run_round`` is the only one that draws: it takes a
-sequence of generators, one per trial, in place of one generator, and
-draws each trial's symbols, relay noise and user noise in one call to
-its generator; ``mac_phase`` and ``bc_phase`` take the noise they add as
-arrays. Each design and round step is one batched call for the whole
-stack. Each trial draws from its own generator exactly what it would
-draw alone, in the same order, so a trial's results do not depend on the
-stack it is in. A single trial runs as a stack of one.
+its channels, and the symbols and noise as arrays. Nothing here draws:
+``analysis.draw_trials`` draws a trial's channel, symbols and noise
+before the design, and ``run_round`` only pushes them through. Each
+design and round step is one batched call for the whole stack, and a
+trial's results do not depend on the stack it is in. A single trial runs
+as a stack of one.
 """
 
 from __future__ import annotations
@@ -70,7 +68,7 @@ import numpy as np
 
 from .bounds import DofAllocation, common_only_allocation
 from .channel import ChannelSet, NetworkConfig, matrix_to_lists, shutdown_relay_antennas
-from .linalg import BOUND_MARGIN, _freeze, random_gaussian_stacks
+from .linalg import BOUND_MARGIN, _freeze
 
 # A trial whose uplink or downlink matrix has a condition number above
 # this is a design error. The relay-side subspaces are the identity, so
@@ -241,14 +239,10 @@ class TransmissionTrace:
     decoded: np.ndarray
 
 
-def other_users(K: int, u: int) -> list[int]:
-    """Sending users whose messages user u decodes, ascending."""
-    return [v for v in range(K) if v != u]
-
-
 def sender_table(K: int) -> np.ndarray:
-    """(K, K-1) table whose row u is other_users(K, u): the order of the
-    rows of every user's decoded symbols, which ``_without_own`` defines."""
+    """(K, K-1) table whose row u lists every user but u, ascending: the
+    order of the rows of every user's decoded symbols, which
+    ``_without_own`` defines."""
     return _without_own((np.arange(K * K) % K).reshape(K, K, 1))[..., 0]
 
 
@@ -272,24 +266,6 @@ def extension_plan(K: int, M: int, N: int) -> tuple[int, int, int]:
     if base % (K - 1) == 0:
         return base, 1, base // (K - 1)
     return base, K - 1, base
-
-
-def _generators(rng, stack_shape: tuple[int, ...]) -> list[np.random.Generator]:
-    """The trial generators as a list: one generator for one trial, a
-    sequence of one generator per trial for a stack."""
-    if rng is None:
-        raise ValueError("a random generator (rng) is required")
-    if isinstance(rng, np.random.Generator):
-        rngs, ok = [rng], stack_shape == ()
-    else:
-        rngs = list(rng)
-        ok = stack_shape == (len(rngs),)
-    if not ok:
-        raise ValueError(
-            f"trial stack of shape {stack_shape} needs one generator per trial, "
-            "or one generator for one trial"
-        )
-    return rngs
 
 
 def _kron_apply(h: np.ndarray, x: np.ndarray, L: int) -> np.ndarray:
@@ -525,23 +501,16 @@ def user_decode(plan: SchemePlan, user_rx, sent, P: float) -> np.ndarray:
     return _without_own(heard)
 
 
-def run_round(plan: SchemePlan, P: float, rng, noise_on: bool) -> TransmissionTrace:
-    """Draw fresh unit-power symbols and push them through both phases and
-    every user's decoder, for one trial or every trial of a stacked plan.
+def run_round(plan: SchemePlan, P: float, sent, noise=None) -> TransmissionTrace:
+    """Push the users' symbols through both phases and every user's
+    decoder, for one trial or every trial of a stacked plan. Draws nothing.
 
-    The only step that draws for a round: one standard_normal call per
-    trial generator gives its K symbol vectors, then, with noise on, the
-    relay's noise and the users' noise, in that order, bit for bit what
-    drawing them one after another gives.
+    sent holds each user's length-d symbol vector, (K, d) per trial, and
+    noise, when given, the pair (relay noise, user noise) that
+    ``mac_phase`` and ``bc_phase`` add.
     """
-    stack, K = plan.stack_shape, plan.num_users
-    parts = [(K, (plan.d,))]
-    if noise_on:
-        parts += [(1, (plan.effective_N,)), (K, (plan.effective_M,))]
-    drawn = random_gaussian_stacks(parts, _generators(rng, stack))
-    # each part is (trials, count, ...), and one trial's loses the trial axis
-    sent, *noise = (a.reshape(stack + a.shape[1:]) for a in drawn)
-    relay_noise, user_noise = (noise[0][..., 0, :], noise[1]) if noise_on else (None, None)
+    sent = np.asarray(sent)
+    relay_noise, user_noise = (None, None) if noise is None else noise
     y_r = mac_phase(plan, sent, P, relay_noise)
     w = relay_process(plan, y_r, P)
     user_rx = bc_phase(plan, w, P, user_noise)
@@ -595,7 +564,6 @@ __all__ = [
     "SchemeDesignError",
     "SchemePlan",
     "TransmissionTrace",
-    "other_users",
     "sender_table",
     "extension_plan",
     "design_scheme",

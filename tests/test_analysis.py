@@ -11,6 +11,7 @@ from mrc_dof_lab.analysis import (
     REPORT_COLUMNS,
     DofReport,
     decode_mse_sweep,
+    draw_trials,
     estimate_dof_slope,
     format_number,
     report_csv_row,
@@ -29,7 +30,8 @@ from mrc_dof_lab.channel import (
     save_channels,
 )
 from mrc_dof_lab import analysis, ssa_nc
-from mrc_dof_lab.ssa_nc import design_scheme, other_users, run_round
+from mrc_dof_lab.linalg import random_gaussian_stacks
+from mrc_dof_lab.ssa_nc import design_scheme, run_round
 
 GRID = [1e2, 1e3, 1e4, 1e5, 1e6]
 
@@ -50,13 +52,12 @@ def redesigned_mse(cfg, trials, P):
     trial designed alone from a fresh trial generator, summed in trial
     order."""
     k = cfg.K
-    senders = np.array([other_users(k, u) for u in range(k)])
+    senders = np.array([[v for v in range(k) if v != u] for u in range(k)])
     acc = 0.0
     count = 0
     for trial in range(trials):
-        rng = cfg.trial_rng(trial)
-        plan = design_scheme(cfg, generate_channels(cfg, rng))
-        trace = run_round(plan, P, rng, noise_on=True)
+        channels, sent, noise = draw_trials(cfg, cfg.trial_rng(trial), symbols=True, noise=True)
+        trace = run_round(design_scheme(cfg, channels), P, sent, noise)
         diff = trace.decoded - trace.sent[senders]
         acc += np.sum(np.sum(np.abs(diff) ** 2, axis=-1))
         count += diff.size
@@ -93,9 +94,10 @@ class TestVerifyNoiseless:
         # plan decode exactly, to the rounding floor, at any other power
         plan = plan_for(3, 3, 2, seed=4)
         senders = ssa_nc.sender_table(3)
+        sent = random_gaussian_stacks([(3, (plan.d,))], np.random.default_rng(4))[0]
 
         def worst_error(P):
-            trace = run_round(plan, P, np.random.default_rng(4), noise_on=False)
+            trace = run_round(plan, P, sent)
             return float(np.max(np.abs(trace.decoded - trace.sent[senders])))
 
         assert worst_error(1.0) <= 1e-12
@@ -113,13 +115,12 @@ class TestVerifyNoiseless:
         cfg = NetworkConfig(K=4, M=4, N=3, seed=5)
         path = str(tmp_path / "channels.json")
         save_channels(generate_channels(cfg, np.random.default_rng(cfg.seed)), path)
-        [(rngs, plan)] = analysis._trial_stacks(cfg, 4, load_channels(path))
+        [(plan, sent, _)] = analysis._trial_stacks(cfg, 4, load_channels(path), symbols=True)
         assert plan.stack_shape == (4,)
         for name in ("V1", "Vj", "T", "relay_filter", "rx_filter", "channels.uplink_cond",
                      "channels.downlink_cond", "power_scale", "beamformers"):
             arrays = np.asarray(attrgetter(name)(plan))
             assert all(np.array_equal(a, arrays[0]) for a in arrays[1:]), name
-        sent = ssa_nc.run_round(plan, 1.0, rngs, noise_on=False).sent
         assert not any(np.array_equal(s, sent[0]) for s in sent[1:])
 
     def test_nan_round_reports_nan(self, monkeypatch):
@@ -153,9 +154,9 @@ class TestVerifyNoiseless:
         assert verify_noiseless(cfg, 100, channels=loaded).noiseless_max_error <= 1e-8
         assert designs == [()] and validations == [()]
         stacks = list(analysis._trial_stacks(cfg, 100, loaded))
-        assert [len(rngs) for rngs, _ in stacks] == [30, 30, 30, 10]
-        first = stacks[0][1].channels.uplink_pinv
-        for _, plan in stacks:
+        assert [plan.stack_shape for plan, _, _ in stacks] == [(30,)] * 3 + [(10,)]
+        first = stacks[0][0].channels.uplink_pinv
+        for plan, _, _ in stacks:
             eff = plan.channels
             for a in (eff.uplink, eff.uplink_pinv, eff.downlink_pinv,
                       plan.power_scale, plan.beamformers):
@@ -290,7 +291,7 @@ class TestSlopeEstimation:
         # the broadcast fit against the per-trial, per-power loops it replaced
         cfg = NetworkConfig(K=k, M=m, N=n, seed=28, duplex_factor=duplex)
         gammas = np.concatenate(
-            [stream_sinrs(plan, 1.0).flat() for _, plan in analysis._trial_stacks(cfg, trials)]
+            [stream_sinrs(plan, 1.0).flat() for plan, _, _ in analysis._trial_stacks(cfg, trials)]
         )
         grid = np.asarray(GRID)
         top = grid[-4:]
@@ -356,9 +357,9 @@ class TestMseSweep:
         real = ssa_nc.run_round
         calls = []
 
-        def counted(*args, **kwargs):
-            calls.append(kwargs["noise_on"])
-            return real(*args, **kwargs)
+        def counted(plan, P, sent, noise=None):
+            calls.append(noise is not None)
+            return real(plan, P, sent, noise)
 
         monkeypatch.setattr(ssa_nc, "run_round", counted)
         decode_mse_sweep(NetworkConfig(K=3, M=3, N=2, seed=14), GRID, 5)
@@ -440,8 +441,8 @@ class TestPhysicalTrialPath:
         cfg = NetworkConfig(K=8, M=8, N=8, seed=13)
 
         def run():
-            stacks = analysis._trial_stacks(cfg, 6)
-            errors = [analysis._noiseless_round_errors(*stack) for stack in stacks]
+            stacks = analysis._trial_stacks(cfg, 6, symbols=True)
+            errors = [analysis._noiseless_round_errors(plan, sent) for plan, sent, _ in stacks]
             return np.concatenate(errors), decode_mse_sweep(cfg, GRID, 6)
 
         errors, mse = run()
@@ -455,7 +456,7 @@ class TestPhysicalTrialPath:
         # the audit gathers the sent symbols once and takes each message's
         # norm: bit for bit the norms of the sent rows, gathered afterwards
         cfg = NetworkConfig(K=k, M=m, N=n, seed=14)
-        ((rngs, plan),) = analysis._trial_stacks(cfg, 4)
+        ((plan, sent, _),) = analysis._trial_stacks(cfg, 4, symbols=True)
         traces = []
         real = ssa_nc.run_round
 
@@ -464,9 +465,9 @@ class TestPhysicalTrialPath:
             return traces[-1]
 
         monkeypatch.setattr(ssa_nc, "run_round", recorded)
-        got = analysis._noiseless_round_errors(rngs, plan)
+        got = analysis._noiseless_round_errors(plan, sent)
         (trace,) = traces
-        senders = np.array([other_users(k, u) for u in range(k)])
+        senders = np.array([[v for v in range(k) if v != u] for u in range(k)])
         sent_norm = np.linalg.norm(trace.sent, axis=-1)[..., senders]
         err = np.sqrt(np.sum(np.abs(trace.decoded - trace.sent[..., senders, :]) ** 2, axis=-1))
         oracle = np.max(err / np.maximum(sent_norm, 1e-300), axis=(-2, -1))
@@ -476,6 +477,50 @@ class TestPhysicalTrialPath:
         # K * min(N, M) * M stored entries per trial, whatever the extension
         assert analysis._stack_size(NetworkConfig(K=8, M=8, N=8)) == 64
         assert analysis._stack_size(NetworkConfig(K=3, M=4, N=6)) == 2**15 // 48
+
+
+class CountedGenerator(np.random.Generator):
+    """A trial stream that counts its standard_normal calls."""
+
+    def standard_normal(self, *args, **kwargs):
+        self.calls += 1
+        return super().standard_normal(*args, **kwargs)
+
+
+class TestOneDrawPerTrial:
+    """Every entry point opens each trial's stream once and draws from it
+    once: channel, symbols and noise come from one standard_normal call."""
+
+    @pytest.mark.parametrize("reciprocal", [True, False], ids=["rec", "nonrec"])
+    @pytest.mark.parametrize(
+        "run",
+        [
+            lambda cfg, trials: verify_noiseless(cfg, trials),
+            lambda cfg, trials: verify_noiseless(
+                cfg, trials, generate_channels(cfg, np.random.default_rng(3))
+            ),
+            lambda cfg, trials: simulate_report(cfg, GRID, trials),
+            lambda cfg, trials: estimate_dof_slope(cfg, GRID, trials),
+            lambda cfg, trials: decode_mse_sweep(cfg, GRID, trials),
+        ],
+        ids=["verify", "verify-given-set", "simulate", "slope", "mse"],
+    )
+    def test_one_standard_normal_call_per_trial(self, monkeypatch, run, reciprocal):
+        cfg = NetworkConfig(K=4, M=4, N=3, seed=21, reciprocal=reciprocal)
+        opened = {}
+        real = NetworkConfig.trial_rng
+
+        def counted(config, trial):
+            assert trial not in opened, f"trial {trial} opened twice"
+            g = opened[trial] = CountedGenerator(real(config, trial).bit_generator)
+            g.calls = 0
+            return g
+
+        monkeypatch.setattr(NetworkConfig, "trial_rng", counted)
+        # 4 * 3 * 4 stored entries per trial: stacks of 2, 2 and 1 trials
+        monkeypatch.setattr(analysis, "STACK_ELEMENTS", 48 * 2)
+        run(cfg, 5)
+        assert {t: g.calls for t, g in opened.items()} == dict.fromkeys(range(5), 1)
 
 
 def decode_error_map(plan):
@@ -494,7 +539,7 @@ def decode_error_map(plan):
     rows = []
     for u in range(K):
         q = u - 1
-        for sender in other_users(K, u):
+        for sender in (v for v in range(K) if v != u):
             p = sender - 1
             if u == 0:
                 relay, user = F[:, p], G[:, 0, p]
@@ -519,7 +564,7 @@ class TestClosedFormMse:
         cfg = NetworkConfig(K=k, M=m, N=n, seed=29)
         mean = 0.0
         var = 0.0
-        for _, plan in analysis._trial_stacks(cfg, trials):
+        for plan, _, _ in analysis._trial_stacks(cfg, trials):
             A = decode_error_map(plan)
             C = A @ A.conj().swapaxes(-1, -2)
             mean += float(np.sum(np.real(np.trace(C, axis1=-2, axis2=-1))))

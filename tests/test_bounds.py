@@ -12,19 +12,17 @@ from mrc_dof_lab.bounds import (
     bound_row,
     check_percut_bounds,
     classify_regime,
-    common_gain,
     common_only_allocation,
     cutset_dof,
     private_only_dof,
     regime_thresholds,
     total_dof,
-    zero_allocation,
 )
 
 
 class TestTotalDof:
     def test_zero_allocation(self):
-        assert total_dof(zero_allocation(3), 3) == 0
+        assert total_dof(common_only_allocation(3, 0), 3) == 0
 
     def test_common_only_k3(self):
         # one common stream per user, each delivered to K-1 = 2 users
@@ -72,7 +70,7 @@ class TestPercutBounds:
         assert violations[0].receiver == 1 and violations[0].cut_sum == 4
 
     def test_zero_allocation_passes(self):
-        ok, violations = check_percut_bounds(zero_allocation(4), 4, 3, 3)
+        ok, violations = check_percut_bounds(common_only_allocation(4, 0), 4, 3, 3)
         assert ok
 
     def test_monotone_under_stream_removal(self):
@@ -180,7 +178,7 @@ class TestCommonGain:
         ],
     )
     def test_values(self, k, m, n, expected):
-        assert common_gain(k, m, n) == expected
+        assert bound_row(k, m, n).gain == expected
 
     def test_gain_nonnegative_over_grid(self):
         # common messages never lose DoF relative to private only
@@ -203,7 +201,7 @@ class TestBoundRow:
 @given(k=st.integers(3, 8), m=st.integers(1, 40), n=st.integers(1, 40))
 def test_private_only_never_beats_cutset(k, m, n):
     assert private_only_dof(k, m, n) <= cutset_dof(k, m, n)
-    assert common_gain(k, m, n) >= 0
+    assert bound_row(k, m, n).gain >= 0
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=200)

@@ -448,6 +448,93 @@ class TestConfigFile:
         assert out == ""
         assert message in err
 
+    RUN = {"k": 3, "m": 3, "n": 2, "trials": 2, "seed": 5}
+    BASES = {
+        "bounds": {"k": 3, "m": 2, "n": 3},
+        "table1": {"k": 3, "m": 2},
+        "verify": RUN,
+        "simulate": RUN,
+        "sweep": {"k": [3], "m": [3], "n": [2], "trials": 2, "seed": 5},
+    }
+
+    def config(self, tmp_path, doc, name="run.json"):
+        path = tmp_path / name
+        path.write_text(json.dumps(doc))
+        return str(path)
+
+    @pytest.mark.parametrize(
+        "command,key",
+        [
+            ("bounds", "out"),
+            ("table1", "out"),
+            ("verify", "out"),
+            ("verify", "dump_channels"),
+            ("verify", "dump_plan"),
+            ("simulate", "out"),
+            ("simulate", "dump_channels"),
+            ("simulate", "dump_plan"),
+        ],
+    )
+    def test_config_paths_equal_flags(self, tmp_path, capsys, command, key):
+        # a path from the config file writes what the flag writes, and the
+        # standard output is the same
+        base = self.config(tmp_path, self.BASES[command])
+        doc = {**self.BASES[command], key: str(tmp_path / "cfg")}
+        with_key = self.config(tmp_path, doc, "with-key.json")
+        code, from_file, _ = run(capsys, command, "--config", with_key)
+        assert code == EXIT_OK
+        flag = "--" + key.replace("_", "-")
+        code, from_flags, _ = run(capsys, command, "--config", base, flag, str(tmp_path / "flag"))
+        assert code == EXIT_OK
+        assert from_file == from_flags
+        assert (tmp_path / "cfg").read_bytes() == (tmp_path / "flag").read_bytes()
+
+    def test_config_load_channels_equals_flag(self, tmp_path, capsys):
+        dump = str(tmp_path / "channels.json")
+        base = self.config(tmp_path, self.RUN)
+        code, _, _ = run(capsys, "verify", "--config", base, "--dump-channels", dump,
+                         "--seed", "6")
+        assert code == EXIT_OK
+        code, from_flags, _ = run(capsys, "verify", "--config", base, "--load-channels", dump)
+        with_key = self.config(tmp_path, {**self.RUN, "load_channels": dump}, "with-key.json")
+        code, from_file, _ = run(capsys, "verify", "--config", with_key)
+        assert code == EXIT_OK
+        assert from_file == from_flags
+        # seed 5's own draws decode with another error than the seed 6 set
+        code, unloaded, _ = run(capsys, "verify", "--config", base)
+        assert from_file != unloaded
+
+    def test_config_load_channels_rejected_by_simulate(self, tmp_path, capsys):
+        cfg = self.config(tmp_path, {**self.RUN, "load_channels": "channels.json"})
+        code, out, err = run(capsys, "simulate", "--config", cfg)
+        assert code == EXIT_BAD_ARGS and out == ""
+        assert "simulate does not support --load-channels" in err
+
+    @pytest.mark.parametrize(
+        "command,key",
+        [
+            ("bounds", "out"),
+            ("table1", "out"),
+            ("sweep", "out"),
+            ("verify", "out"),
+            ("verify", "dump_channels"),
+            ("verify", "dump_plan"),
+            ("verify", "load_channels"),
+            ("simulate", "out"),
+            ("simulate", "dump_channels"),
+            ("simulate", "dump_plan"),
+            ("simulate", "load_channels"),
+        ],
+    )
+    @pytest.mark.parametrize("value", [987, ["x.csv"]], ids=["int", "list"])
+    def test_config_path_must_be_a_string(self, tmp_path, capsys, command, key, value):
+        # an integer would open that file descriptor; nothing runs
+        cfg = self.config(tmp_path, {"out": str(tmp_path / "x"), **self.BASES[command], key: value})
+        code, out, err = run(capsys, command, "--config", cfg)
+        assert code == EXIT_BAD_ARGS and out == ""
+        assert f"--{key.replace('_', '-')} must be a path, got {value!r}" in err
+        assert list(tmp_path.iterdir()) == [tmp_path / "run.json"]
+
     def test_bad_config_file(self, tmp_path, capsys):
         cfg = tmp_path / "broken.json"
         cfg.write_text("not json")

@@ -13,7 +13,7 @@ from mrc_dof_lab.linalg import (
     orthonormal_columns,
     pseudo_inverse_and_bound,
     pseudo_inverse_and_rank,
-    random_gaussian_stack,
+    random_gaussian_stacks,
     subspace_distance,
 )
 
@@ -22,9 +22,15 @@ def rng(seed=0):
     return np.random.default_rng(seed)
 
 
+def gaussian_stack(count, shape, g):
+    """``count`` CN(0, 1) arrays of the given shape: one part of
+    ``random_gaussian_stacks``."""
+    return random_gaussian_stacks([(count, shape)], g)[0]
+
+
 def gaussian(shape, g):
     """One CN(0, 1) array of the given shape from generator g."""
-    return random_gaussian_stack(1, shape, g)[0]
+    return gaussian_stack(1, shape, g)[0]
 
 
 def pinv(a):
@@ -34,35 +40,35 @@ def pinv(a):
 
 class TestRandomGaussian:
     def test_same_seed_same_matrix(self):
-        a = random_gaussian_stack(1, (2, 3), rng(123))
-        b = random_gaussian_stack(1, (2, 3), rng(123))
+        a = gaussian_stack(1, (2, 3), rng(123))
+        b = gaussian_stack(1, (2, 3), rng(123))
         assert np.array_equal(a, b)
 
     def test_square_draw_is_full_rank(self):
-        a = random_gaussian_stack(1, (5, 5), rng(7))[0]
+        a = gaussian_stack(1, (5, 5), rng(7))[0]
         assert pseudo_inverse_and_rank(a)[1] == 5
 
     def test_unit_power_entries(self):
         # law of large numbers over 1e5 draws: E|a_ij|^2 = 1
-        a = random_gaussian_stack(1, (1, 10**5), rng(42))
+        a = gaussian_stack(1, (1, 10**5), rng(42))
         assert abs(np.mean(np.abs(a) ** 2) - 1.0) < 0.02
 
     def test_bit_reproducible(self):
-        a = random_gaussian_stack(1, (4, 4), rng(2024)).tobytes()
-        b = random_gaussian_stack(1, (4, 4), rng(2024)).tobytes()
+        a = gaussian_stack(1, (4, 4), rng(2024)).tobytes()
+        b = gaussian_stack(1, (4, 4), rng(2024)).tobytes()
         assert a == b
 
     def test_bad_dimensions(self):
         with pytest.raises(ValueError, match="positive"):
-            random_gaussian_stack(1, (0, 3), rng())
+            gaussian_stack(1, (0, 3), rng())
         with pytest.raises(ValueError, match="positive"):
-            random_gaussian_stack(0, (2, 3), rng())
+            gaussian_stack(0, (2, 3), rng())
 
     def test_stack_equals_draws_one_after_another(self):
         # one standard_normal call per generator gives the bits of drawing
         # each array's real and imaginary part in turn, and row s of a
         # stack comes from generator s alone
-        got = random_gaussian_stack(3, (2, 4), [rng(5), rng(6)])
+        got = gaussian_stack(3, (2, 4), [rng(5), rng(6)])
         assert got.shape == (2, 3, 2, 4)
         for s, seed in enumerate((5, 6)):
             g = rng(seed)
@@ -70,9 +76,20 @@ class TestRandomGaussian:
                 re = g.standard_normal((2, 4))
                 im = g.standard_normal((2, 4))
                 assert np.array_equal(got[s, i], (re + 1j * im) / np.sqrt(2.0))
-        vectors = random_gaussian_stack(2, (3,), rng(7))
+        vectors = gaussian_stack(2, (3,), rng(7))
         g = rng(7)
         assert np.array_equal(vectors, [gaussian((3,), g) for _ in range(2)])
+
+    def test_parts_equal_draws_one_after_another(self):
+        # one call for several parts gives each part the bits of drawing
+        # the parts one after another, with or without a trial axis
+        parts = [(2, (3,)), (1, (2, 2)), (3, (1,))]
+        for g in (rng(8), [rng(8), rng(9)]):
+            drawn = random_gaussian_stacks(parts, g)
+            again = rng(8) if isinstance(g, np.random.Generator) else [rng(8), rng(9)]
+            for got, (count, shape) in zip(drawn, parts):
+                want = gaussian_stack(count, shape, again)
+                assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 class TestPseudoInverse:
@@ -244,7 +261,7 @@ class TestPseudoInverseAndBound:
     @pytest.mark.parametrize("shape", [(3, 3), (4, 2), (2, 4)])
     def test_bound_is_the_product_of_frobenius_norms(self, shape):
         # bit for bit np.linalg.norm's Frobenius norms, on every route
-        stack = random_gaussian_stack(6, shape, rng(44))
+        stack = gaussian_stack(6, shape, rng(44))
         p, _, bound = pseudo_inverse_and_bound(stack)
         oracle = np.linalg.norm(stack, axis=(-2, -1)) * np.linalg.norm(p, axis=(-2, -1))
         assert bound.tobytes() == oracle.tobytes()
@@ -262,7 +279,7 @@ class TestPseudoInverseAndBound:
                 x[..., i, :] = (b[..., i, :] - rest[..., 0, :]) / r[..., i, i, np.newaxis]
             return x
 
-        stack = random_gaussian_stack(5, shape, rng(45))
+        stack = gaussian_stack(5, shape, rng(45))
         p = pseudo_inverse_and_bound(stack)[0]
         if shape[0] > shape[1]:
             want = oracle(stack)

@@ -12,12 +12,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mrc_dof_lab import analysis, ssa_nc
-from mrc_dof_lab.analysis import stream_sinrs, verify_noiseless
+from mrc_dof_lab.analysis import draw_trials, stream_sinrs, verify_noiseless
 from mrc_dof_lab.bounds import check_percut_bounds, cutset_dof, total_dof
 from mrc_dof_lab.channel import ChannelSet, NetworkConfig, generate_channels
 from mrc_dof_lab.linalg import (
     BOUND_MARGIN,
-    random_gaussian_stack,
+    random_gaussian_stacks,
     subspace_distance,
 )
 from mrc_dof_lab.ssa_nc import (
@@ -28,7 +28,6 @@ from mrc_dof_lab.ssa_nc import (
     design_scheme,
     extension_plan,
     mac_phase,
-    other_users,
     plan_to_json_dict,
     relay_process,
     run_round,
@@ -38,7 +37,7 @@ from mrc_dof_lab.ssa_nc import (
 
 def gaussian_vector(n, g):
     """One length-n CN(0, 1) vector from generator g."""
-    return random_gaussian_stack(1, (n,), g)[0]
+    return random_gaussian_stacks([(1, (n,))], g)[0][0]
 
 
 def designed(k, m, n, seed=0, trial=0, **config):
@@ -47,6 +46,14 @@ def designed(k, m, n, seed=0, trial=0, **config):
     cs = generate_channels(cfg, rng)
     plan = design_scheme(cfg, cs)
     return cfg, plan.channels, plan, rng
+
+
+def drawn_round(cfg, rng, P, noise=False):
+    """(plan, trace) of one round of the trials of ``rng``, one generator
+    or a sequence, drawn the way the analysis draws them."""
+    channels, sent, noise_pair = draw_trials(cfg, rng, symbols=True, noise=noise)
+    plan = design_scheme(cfg, channels)
+    return plan, run_round(plan, P, sent, noise_pair)
 
 
 def extended(plan, matrices):
@@ -291,7 +298,7 @@ class TestIdentitySubspaces:
         eff = plan.channels
         P = 3.0
         s = gaussian_vector(2 * k * plan.d, rngs[0]).reshape(2, k, plan.d)
-        noise = random_gaussian_stack(1, (plan.effective_N,), rngs)[:, 0]
+        noise = random_gaussian_stacks([(1, (plan.effective_N,))], rngs)[0][:, 0]
         y_r = mac_phase(plan, s, P, noise)
         a = plan.power_scale[:, None, None] * np.sqrt(P)
         want = (plan.relay_filter @ y_r[:, None, :, None])[..., 0] / a
@@ -522,18 +529,14 @@ def _single_runs(cfg, trials):
     """(plan, noisy trace, SINRs) of each trial designed and run alone."""
     runs = []
     for trial in trials:
-        rng = cfg.trial_rng(trial)
-        plan = design_scheme(cfg, generate_channels(cfg, rng))
-        trace = run_round(plan, 10.0, rng, noise_on=True)
+        plan, trace = drawn_round(cfg, cfg.trial_rng(trial), 10.0, noise=True)
         runs.append((plan, trace, stream_sinrs(plan, 3.0)))
     return runs
 
 
 def _stacked_run(cfg, trials):
     """(plan, noisy trace, SINRs) of the trials designed and run as one stack."""
-    rngs = [cfg.trial_rng(trial) for trial in trials]
-    plan = design_scheme(cfg, generate_channels(cfg, rngs))
-    trace = run_round(plan, 10.0, rngs, noise_on=True)
+    plan, trace = drawn_round(cfg, [cfg.trial_rng(trial) for trial in trials], 10.0, noise=True)
     return plan, trace, stream_sinrs(plan, 3.0)
 
 
@@ -584,13 +587,20 @@ class TestTrialStacks:
                 _stacked_plan(cfg, trials)
             assert err.value.trial == position
 
-    def test_generator_count_must_match_stack(self):
+    def test_round_inputs_must_match_stack(self):
+        # a 3-trial plan takes symbols and noise for each of its 3 trials
         cfg = NetworkConfig(K=3, M=3, N=2, seed=7)
+        plan = _stacked_plan(cfg, range(3))
         rngs = [cfg.trial_rng(trial) for trial in range(3)]
-        plan = design_scheme(cfg, generate_channels(cfg, rngs))
-        for wrong in (rngs[:2], rngs[0]):
-            with pytest.raises(ValueError, match="one generator per trial"):
-                run_round(plan, 1.0, wrong, noise_on=False)
+        _, sent, (relay, user) = draw_trials(cfg, rngs, plan.channels, symbols=True, noise=True)
+        for wrong in (
+            (sent[:2],),
+            (sent[0],),
+            (sent, (relay[:2], user)),
+            (sent, (relay, user[0])),
+        ):
+            with pytest.raises(ValueError, match="per trial"):
+                run_round(plan, 1.0, *wrong)
 
 
 class TestLapackBudget:
@@ -661,8 +671,7 @@ class TestLapackBudget:
         cfg = self.config(k, m, n)
         rngs = [cfg.trial_rng(t) for t in range(2)]
         calls = self.count_calls(monkeypatch)
-        plan = design_scheme(cfg, generate_channels(cfg, rngs))
-        run_round(plan, 10.0, rngs, noise_on=True)
+        drawn_round(cfg, rngs, 10.0, noise=True)
         assert calls == self.budget([(n, m)] + [(m, m)] * validations)
 
     @pytest.mark.parametrize("k,m,n,validations", CASES)
@@ -755,7 +764,7 @@ class TestMacPhase:
         rngs = [cfg.trial_rng(t) for t in range(3)]
         plan = design_scheme(cfg, generate_channels(cfg, rngs))
         assert plan.extension_factor == L
-        s = random_gaussian_stack(k, (plan.d,), rngs)
+        s = random_gaussian_stacks([(k, (plan.d,))], rngs)[0]
         P = 7.0
         a = (plan.power_scale * np.sqrt(P))[:, np.newaxis, np.newaxis, np.newaxis]
         images = (plan.channels.uplink @ (a * (plan.beamformers @ s[..., np.newaxis])))[..., 0]
@@ -768,12 +777,6 @@ class TestMacPhase:
         bad = [np.zeros(plan.d + 1, dtype=complex)] * 3
         with pytest.raises(ValueError):
             mac_phase(plan, bad, P=1.0)
-
-    def test_noise_without_generator_rejected(self):
-        # the phases draw nothing: the round draws the noise, and needs a generator
-        cfg, eff, plan, _ = designed(3, 3, 2)
-        with pytest.raises(ValueError, match="generator"):
-            run_round(plan, 1.0, None, noise_on=True)
 
     @pytest.mark.parametrize("shape", [(3,), (1, 2), (2, 2)])
     def test_noise_shape_mismatch(self, shape):
@@ -870,33 +873,37 @@ class TestDownlinkAndDecode:
         assert acc / draws == pytest.approx(P, rel=0.03)
 
     def test_noiseless_decode_exact(self):
-        cfg, eff, plan, rng = designed(4, 5, 3, seed=17)
-        trace = run_round(plan, P=1.0, rng=rng, noise_on=False)
+        cfg = NetworkConfig(K=4, M=5, N=3, seed=17)
+        _, trace = drawn_round(cfg, cfg.trial_rng(0), 1.0)
         for u in range(4):
-            for idx, v in enumerate(other_users(4, u)):
+            for idx, v in enumerate([v for v in range(4) if v != u]):
                 err = np.linalg.norm(trace.decoded[u][idx] - trace.sent[v])
                 assert err <= 1e-8 * np.linalg.norm(trace.sent[v])
 
     @pytest.mark.parametrize("k,m,n", [(4, 4, 3), (4, 2, 5), (8, 8, 8)])
     @pytest.mark.parametrize("trials", [None, 3], ids=["single", "stacked"])
     def test_round_draws_symbols_then_relay_then_user_noise(self, k, m, n, trials):
-        # the round's one draw per generator is, bit for bit, the symbols,
-        # the relay noise and the user noise drawn one after another
+        # a trial's one draw is, bit for bit, the channel, the symbols, the
+        # relay noise and the user noise drawn one after another, and the
+        # round adds the noise it is given
         cfg = NetworkConfig(K=k, M=m, N=n, seed=19)
-        plan = _stacked_plan(cfg, range(trials)) if trials else designed(k, m, n, seed=19)[2]
 
         def rngs():
             gens = [cfg.trial_rng(t) for t in range(trials or 1)]
-            for g in gens:  # past the channel draw, as in a trial
-                generate_channels(cfg, g)
             return gens if trials else gens[0]
 
-        trace = run_round(plan, 5.0, rngs(), noise_on=True)
+        plan, trace = drawn_round(cfg, rngs(), 5.0, noise=True)
         g = rngs()
-        lead = plan.stack_shape
-        sent = random_gaussian_stack(k, (plan.d,), g).reshape(lead + (k, plan.d))
-        relay_noise = random_gaussian_stack(1, (plan.effective_N,), g).reshape(lead + (-1,))
-        user_noise = random_gaussian_stack(k, (plan.effective_M,), g).reshape(lead + (k, -1))
+        channels = generate_channels(cfg, g)
+        kept = plan.channels.relay_dim  # after any shutdown
+        assert np.array_equal(channels.uplink[..., :kept, :], plan.channels.uplink)
+
+        def draw(count, n):
+            return random_gaussian_stacks([(count, (n,))], g)[0]
+
+        sent = draw(k, plan.d)
+        relay_noise = draw(1, plan.effective_N)[..., 0, :]
+        user_noise = draw(k, plan.effective_M)
         relay_rx = mac_phase(plan, sent, 5.0, relay_noise)
         user_rx = bc_phase(plan, relay_process(plan, relay_rx, 5.0), 5.0, user_noise)
         for got, want in ((trace.sent, sent), (trace.relay_rx, relay_rx), (trace.user_rx, user_rx)):
@@ -905,7 +912,8 @@ class TestDownlinkAndDecode:
     def test_round_decodes_every_user_in_one_call(self, monkeypatch):
         cfg = NetworkConfig(K=4, M=4, N=3, seed=17)
         rngs = [cfg.trial_rng(t) for t in range(3)]
-        plan = design_scheme(cfg, generate_channels(cfg, rngs))
+        channels, sent, _ = draw_trials(cfg, rngs, symbols=True)
+        plan = design_scheme(cfg, channels)
         calls = []
         real = ssa_nc.user_decode
 
@@ -914,13 +922,13 @@ class TestDownlinkAndDecode:
             return real(*args, **kwargs)
 
         monkeypatch.setattr(ssa_nc, "user_decode", counted)
-        run_round(plan, P=1.0, rng=rngs, noise_on=False)
+        run_round(plan, 1.0, sent)
         assert len(calls) == 1
 
     @pytest.mark.parametrize("k", range(2, 10))
     def test_sender_table_rows_are_other_users(self, k):
         table = ssa_nc.sender_table(k)
-        oracle = np.array([other_users(k, u) for u in range(k)])
+        oracle = np.array([[v for v in range(k) if v != u] for u in range(k)])
         assert table.shape == (k, k - 1) and table.dtype == oracle.dtype
         assert np.array_equal(table, oracle)
 
@@ -988,11 +996,10 @@ class TestImplicitExtension:
     def test_round_equals_explicit_kron_products(self, k, m, n, L, trials):
         cfg = NetworkConfig(K=k, M=m, N=n, seed=31)
         rng = cfg.trial_rng(0) if trials is None else [cfg.trial_rng(t) for t in range(trials)]
-        plan = design_scheme(cfg, generate_channels(cfg, rng))
+        P = 4.0
+        plan, trace = drawn_round(cfg, rng, P)
         eff = plan.channels
         assert plan.extension_factor == L
-        P = 4.0
-        trace = run_round(plan, P, rng, noise_on=False)
         up, down = extended(plan, eff.uplink), extended(plan, eff.downlink)
         for i in [()] if trials is None else [(t,) for t in range(trials)]:
             a = np.asarray(plan.power_scale)[i] * np.sqrt(P)
@@ -1039,9 +1046,9 @@ class TestAllocationAndPlan:
         assert plan.streams_per_slot == 9
 
     def test_k2_degenerates_to_two_way_relay(self):
-        cfg, eff, plan, rng = designed(2, 2, 1, seed=23)
+        cfg = NetworkConfig(K=2, M=2, N=1, seed=23)
+        plan, trace = drawn_round(cfg, cfg.trial_rng(0), 1.0)
         assert plan.num_pairs == 1 and plan.d == 1
-        trace = run_round(plan, P=1.0, rng=rng, noise_on=False)
         assert np.allclose(trace.decoded[0][0], trace.sent[1], atol=1e-9)
         assert np.allclose(trace.decoded[1][0], trace.sent[0], atol=1e-9)
 
@@ -1063,16 +1070,14 @@ class TestAllocationAndPlan:
         assert plan.relay_filter.shape == (k - 1, d, r)
         assert plan.rx_filter.shape == (k, k - 1, d, u)
         assert plan.channels.uplink_cond.shape == plan.channels.downlink_cond.shape == (k,)
-        trace = run_round(plan, P=10.0, rng=rng, noise_on=True)
+        _, trace = drawn_round(cfg, cfg.trial_rng(0), 10.0, noise=True)
         assert trace.sent.shape == (k, d)
         assert trace.relay_rx.shape == (r,)
         assert trace.relay_fwd.shape == (k - 1, d)
         assert trace.user_rx.shape == (k, u)
         assert trace.decoded.shape == (k, k - 1, d)
         assert trace.decoded.flags.c_contiguous
-        rngs = [cfg.trial_rng(t) for t in range(2)]
-        plans = design_scheme(cfg, generate_channels(cfg, rngs))
-        stacked = run_round(plans, P=10.0, rng=rngs, noise_on=True)
+        _, stacked = drawn_round(cfg, [cfg.trial_rng(t) for t in range(2)], 10.0, noise=True)
         assert stacked.decoded.shape == (2, k, k - 1, d)
         assert stacked.decoded.flags.c_contiguous
 

@@ -48,7 +48,7 @@ sys.path.insert(0, str(SRC))
 import numpy as np  # noqa: E402
 
 from mrc_dof_lab import analysis, cli, ssa_nc  # noqa: E402
-from mrc_dof_lab.channel import NetworkConfig, generate_channels  # noqa: E402
+from mrc_dof_lab.channel import NetworkConfig  # noqa: E402
 
 SMALL_K = (2, 3, 4, 5)
 SMALL_MN = (1, 2, 3, 4)
@@ -96,8 +96,9 @@ def trace_lines(label: str, config: NetworkConfig):
             rng = config.trial_rng(0)
         P = NOISY_P if noise_on else 1.0
         try:
-            plan = ssa_nc.design_scheme(config, generate_channels(config, rng))
-            trace = ssa_nc.run_round(plan, P, rng, noise_on)
+            channels, sent, noise = analysis.draw_trials(config, rng, symbols=True, noise=noise_on)
+            plan = ssa_nc.design_scheme(config, channels)
+            trace = ssa_nc.run_round(plan, P, sent, noise)
         except Exception as exc:
             yield f"{tag} error", sha(f"{type(exc).__name__}: {exc}".encode())
             continue
