@@ -28,6 +28,7 @@ grid, then ``_trial_stacks`` its trial count.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
@@ -44,9 +45,13 @@ from .ssa_nc import SchemeDesignError, SchemePlan
 # pass in one stack, K = 8, M = N = 8 included (64 trials per stack).
 STACK_ELEMENTS = 2**15
 
-REPORT_COLUMNS = (
-    "K,M,N,L,d,streams,cutset,private_only,slope,slope_stderr,max_err,trials"
-)
+REPORT_COLUMNS = "K,M,N,L,d,streams,cutset,private_only,slope,slope_stderr,max_err,trials"
+# The DofReport field a report column shows, where their names differ;
+# the CSV row and the JSON keys (then notes) both read the columns this way.
+_COLUMN_FIELDS = {"streams": "achieved_streams", "slope": "slope_estimate",
+                  "max_err": "noiseless_max_error"}
+_COLUMNS = REPORT_COLUMNS.split(",")
+_report_values = operator.attrgetter(*(_COLUMN_FIELDS.get(c, c) for c in _COLUMNS))
 
 
 @dataclass(frozen=True)
@@ -74,21 +79,8 @@ class DofReport:
             raise ValueError("max error must be nonnegative")
 
     def to_json_dict(self) -> dict:
-        return {
-            "K": self.K,
-            "M": self.M,
-            "N": self.N,
-            "L": self.L,
-            "d": self.d,
-            "streams": self.achieved_streams,
-            "cutset": self.cutset,
-            "private_only": None if self.private_only is None else float(self.private_only),
-            "slope": self.slope_estimate,
-            "slope_stderr": self.slope_stderr,
-            "max_err": self.noiseless_max_error,
-            "trials": self.trials,
-            "notes": self.notes,
-        }
+        values = map(json_number, _report_values(self))
+        return {**dict(zip(_COLUMNS, values)), "notes": self.notes}
 
 
 def format_number(x) -> str:
@@ -107,22 +99,14 @@ def format_number(x) -> str:
     return str(int(f)) if f.is_integer() and abs(f) < 1e15 else repr(f)
 
 
+def json_number(x):
+    """JSON form of a cell: an exact rational as a float, anything else
+    as it is."""
+    return float(x) if isinstance(x, Fraction) else x
+
+
 def report_csv_row(report: DofReport) -> str:
-    cells = [
-        report.K,
-        report.M,
-        report.N,
-        report.L,
-        report.d,
-        report.achieved_streams,
-        report.cutset,
-        report.private_only,
-        report.slope_estimate,
-        report.slope_stderr,
-        report.noiseless_max_error,
-        report.trials,
-    ]
-    return ",".join(format_number(c) for c in cells)
+    return ",".join(map(format_number, _report_values(report)))
 
 
 def _private_only_or_none(K: int, M: int, N: int) -> Fraction | None:
@@ -419,6 +403,7 @@ __all__ = [
     "REPORT_COLUMNS",
     "DofReport",
     "format_number",
+    "json_number",
     "report_csv_row",
     "draw_trials",
     "verify_noiseless",

@@ -59,14 +59,10 @@ def common_only_allocation(K: int, per_user: Number) -> DofAllocation:
 
 @dataclass(frozen=True)
 class RegimeLabel:
-    """Which of the five N/M regimes a configuration falls in.
-
-    thresholds holds the four boundary ratios at this K, in nondecreasing
-    order: 1, (2K^2-2K)/(K^2-K+2), K/2, (K^2-3K+3)/(K-1).
-    """
+    """Which of the five N/M regimes a configuration falls in; the
+    boundary ratios at each K are ``regime_thresholds(K)``."""
 
     case_index: int
-    thresholds: tuple[Fraction, Fraction, Fraction, Fraction]
 
 
 class CutViolation(NamedTuple):
@@ -114,6 +110,8 @@ def check_percut_bounds(
 
 
 def regime_thresholds(K: int) -> tuple[Fraction, Fraction, Fraction, Fraction]:
+    """The four boundary ratios of N/M at this K, in nondecreasing order:
+    1, (2K^2-2K)/(K^2-K+2), K/2, (K^2-3K+3)/(K-1)."""
     if K < 3:
         raise RegimeError("regime table needs K >= 3")
     return (
@@ -147,7 +145,7 @@ def classify_regime(K: int, M: int, N: int) -> RegimeLabel:
         case = 4
     else:
         case = 5
-    return RegimeLabel(case_index=case, thresholds=thresholds)
+    return RegimeLabel(case_index=case)
 
 
 def private_only_dof(K: int, M: int, N: int) -> Fraction:

@@ -1,13 +1,15 @@
 """Command-line front end: bound tables, scheme verification, sweeps.
 
-Subcommands: bounds, verify, simulate, sweep, table1. Flag values override
-config-file values (flat JSON keyed by flag names), which override
-defaults. Every command is deterministic given its full flag set, and CSV
-files carry a version comment so column changes are detectable.
+Subcommands: bounds, verify, simulate, sweep, table1. Right after parsing,
+``main`` fills each option of the command that no flag set: from the
+config file (flat JSON keyed by flag names), else from ``_DEFAULTS``. So
+flag values override config-file values, which override defaults, and
+each command reads its options as ``args.<name>``. Every command is
+deterministic given its full flag set, and CSV files carry a version
+comment so column changes are detectable.
 
 Exit codes: 0 success, 1 verification failure, 2 invalid arguments,
-3 internal numeric failure. MRC_LOG in {error, info, debug} controls log
-verbosity.
+3 internal numeric failure.
 """
 
 from __future__ import annotations
@@ -16,20 +18,15 @@ import argparse
 import functools
 import itertools
 import json
-import logging
 import math
-import os
 import sys
-from fractions import Fraction
 
 import numpy as np
 
 from . import __version__, analysis, bounds, ssa_nc
-from .analysis import REPORT_COLUMNS, format_number, report_csv_row
+from .analysis import REPORT_COLUMNS, format_number, json_number, report_csv_row
 from .channel import NetworkConfig, generate_channels, load_channels, save_channels
 from .ssa_nc import SchemeDesignError
-
-logger = logging.getLogger("mrc_dof_lab.cli")
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -38,9 +35,17 @@ EXIT_NUMERIC = 3
 
 VERSION_COMMENT = f"# mrc-dof-lab v{__version__}"
 
-DEFAULT_TRIALS = 100
-DEFAULT_SEED = 42
-DEFAULT_P_GRID = (1e2, 1e3, 1e4, 1e5, 1e6)
+# The value of an option that neither a flag nor the config file set, by
+# option name, or by (command, option name) where commands differ: sweep
+# without a grid runs noiseless. An option without one stays None.
+_DEFAULTS = {
+    "format": "csv",
+    "trials": 100,
+    "seed": 42,
+    "reciprocal": True,
+    "half_duplex": False,
+    ("simulate", "p_grid"): (1e2, 1e3, 1e4, 1e5, 1e6),
+}
 _FORMATS = ("csv", "json")
 # The options that name a file: verify and simulate read all four, in this
 # order, and the other commands out alone.
@@ -57,18 +62,16 @@ CASE4_NOTES = (
     "# case4-note: private-only bracket evaluated as 2N+(4-K)M, the printed form is dimensionally inconsistent",
     "# case4-note: case-4 interval taken as K/2 <= N/M <= (K^2-3K+3)/(K-1), the printed direction is empty for K >= 4",
 )
+# table1's columns: a BoundRow's, with the cut-set total named for what
+# reaches it, then the flags
+TABLE1_COLUMNS = (
+    *("common_private" if f == "cutset" else f for f in bounds.BoundRow._fields),
+    "flags",
+)
 
 
 class CliError(ValueError):
     """Invalid command-line or config-file input."""
-
-
-def _setup_logging() -> None:
-    level = {"error": logging.ERROR, "info": logging.INFO, "debug": logging.DEBUG}.get(
-        os.environ.get("MRC_LOG", "error").lower(), logging.ERROR
-    )
-    logging.basicConfig(level=level, format="%(levelname)s %(name)s: %(message)s")
-    logging.getLogger("mrc_dof_lab").setLevel(level)
 
 
 def _load_config_file(path: str | None) -> dict:
@@ -84,17 +87,27 @@ def _load_config_file(path: str | None) -> dict:
     return {str(k).replace("-", "_"): v for k, v in doc.items()}
 
 
-def _resolve(args, key: str, cfg: dict, default=None, required: bool = False):
-    val = getattr(args, key, None)
+def _merge_config(args) -> None:
+    """Fill each option of the command that no flag set from the config
+    file, else from _DEFAULTS; a config key that names no option of the
+    command is ignored. Then check that every path is a string."""
+    cfg = _load_config_file(args.config)
+    for key, val in vars(args).items():
+        if val is None:
+            val = cfg.get(key)
+            if val is None:
+                val = _DEFAULTS.get((args.command, key), _DEFAULTS.get(key))
+            setattr(args, key, val)
+    for key in _PATHS:
+        val = getattr(args, key, None)
+        # a config file's number would open that file descriptor
+        if val is not None and not isinstance(val, str):
+            raise CliError(f"--{key.replace('_', '-')} must be a path, got {val!r}")
+
+
+def _required(val, name: str):
     if val is None:
-        val = cfg.get(key)
-    if val is None:
-        val = default
-    if val is None and required:
-        raise CliError(f"missing required option --{key.replace('_', '-')}")
-    # a config file's number would open that file descriptor
-    if key in _PATHS and val is not None and not isinstance(val, str):
-        raise CliError(f"--{key.replace('_', '-')} must be a path, got {val!r}")
+        raise CliError(f"missing required option {name}")
     return val
 
 
@@ -119,15 +132,14 @@ def _as_bool(val, name: str) -> bool:
 
 def _as_list(val, name: str, kind: type = int) -> list:
     """A flag's comma-separated string or a config file's JSON list."""
-    items = val if isinstance(val, (list, tuple)) else str(val).split(",")
+    items = val if isinstance(val, (list, tuple)) else str(_required(val, name)).split(",")
     return [_as_number(v, name, kind) for v in items if str(v).strip() != ""]
 
 
-def _format(args, cfg) -> str:
-    fmt = _resolve(args, "format", cfg, default="csv")
-    if fmt not in _FORMATS:
-        raise CliError(f"format must be one of {', '.join(_FORMATS)}, got {fmt!r}")
-    return fmt
+def _format(args) -> str:
+    if args.format not in _FORMATS:
+        raise CliError(f"format must be one of {', '.join(_FORMATS)}, got {args.format!r}")
+    return args.format
 
 
 def _emit(text: str, out_path: str | None) -> None:
@@ -142,82 +154,68 @@ def _json_text(payload) -> str:
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
-def _kmn(args, cfg) -> tuple[int, int, int]:
-    return tuple(_as_number(_resolve(args, key, cfg, required=True), f"--{key}") for key in "kmn")
+def _csv_text(*lines: str) -> str:
+    return "\n".join([VERSION_COMMENT, *lines]) + "\n"
 
 
-def _network_config(args, cfg, K: int, M: int, N: int) -> NetworkConfig:
+def _cells(values) -> str:
+    return ",".join(map(format_number, values))
+
+
+def _kmn(args, keys: str = "kmn") -> tuple[int, ...]:
+    return tuple(_as_number(_required(getattr(args, k), f"--{k}"), f"--{k}") for k in keys)
+
+
+def _network_config(args, K: int, M: int, N: int) -> NetworkConfig:
     return NetworkConfig(
         K=K,
         M=M,
         N=N,
-        reciprocal=_as_bool(_resolve(args, "reciprocal", cfg, default=True), "--reciprocal"),
-        duplex_factor=0.5
-        if _as_bool(_resolve(args, "half_duplex", cfg, default=False), "--half-duplex")
-        else 1.0,
-        seed=_as_number(_resolve(args, "seed", cfg, default=DEFAULT_SEED), "--seed"),
+        reciprocal=_as_bool(args.reciprocal, "--reciprocal"),
+        duplex_factor=0.5 if _as_bool(args.half_duplex, "--half-duplex") else 1.0,
+        seed=_as_number(args.seed, "--seed"),
     )
 
 
-def _bound_row_cells(row: bounds.BoundRow) -> str:
-    cells = [row.K, row.M, row.N, row.case_index, row.private_only, row.cutset, row.gain]
-    return ",".join(format_number(c) for c in cells)
-
-
 def cmd_bounds(args) -> int:
-    cfg = _load_config_file(args.config)
-    k, m, n = _kmn(args, cfg)
-    fmt = _format(args, cfg)
-    out = _resolve(args, "out", cfg)
+    k, m, n = _kmn(args)
+    fmt = _format(args)
     row = bounds.bound_row(k, m, n)
     if fmt == "json":
-        text = _json_text(
-            {
-                "K": row.K,
-                "M": row.M,
-                "N": row.N,
-                "case_index": row.case_index,
-                "private_only": float(row.private_only),
-                "cutset": row.cutset,
-                "gain": float(row.gain),
-            }
-        )
+        text = _json_text({key: json_number(v) for key, v in row._asdict().items()})
     else:
-        text = "\n".join(
-            [VERSION_COMMENT, "K,M,N,case_index,private_only,cutset,gain", _bound_row_cells(row)]
-        ) + "\n"
-    _emit(text, out)
+        text = _csv_text(",".join(row._fields), _cells(row))
+    _emit(text, args.out)
     return EXIT_OK
 
 
 def _report_text(report: analysis.DofReport, fmt: str) -> str:
     if fmt == "json":
         return _json_text(report.to_json_dict())
-    return "\n".join([VERSION_COMMENT, REPORT_COLUMNS, report_csv_row(report)]) + "\n"
+    return _csv_text(REPORT_COLUMNS, report_csv_row(report))
 
 
-def _dump_trial_artifacts(config: NetworkConfig, channels, channels_path, plan_path) -> None:
-    """Write trial 0's channels and/or plan to the paths that are set."""
-    if not (channels_path or plan_path):
+def _dump_trial_artifacts(args, config: NetworkConfig, channels) -> None:
+    """Write trial 0's channels and/or plan to the dump paths that are set."""
+    if not (args.dump_channels or args.dump_plan):
         return
     base = channels if channels is not None else generate_channels(config, config.trial_rng(0))
-    if channels_path:
-        save_channels(base, channels_path)
-    if plan_path:
-        ssa_nc.save_plan(ssa_nc.design_scheme(config, base), plan_path)
+    if args.dump_channels:
+        save_channels(base, args.dump_channels)
+    if args.dump_plan:
+        plan = ssa_nc.design_scheme(config, base)
+        _emit(_json_text(ssa_nc.plan_to_json_dict(plan)), args.dump_plan)
 
 
 def cmd_verify(args) -> int:
-    cfg = _load_config_file(args.config)
-    config = _network_config(args, cfg, *_kmn(args, cfg))
-    trials = _as_number(_resolve(args, "trials", cfg, default=DEFAULT_TRIALS), "--trials")
-    fmt = _format(args, cfg)
-    out, dump_channels, dump_plan, load_path = (_resolve(args, k, cfg) for k in _PATHS)
+    config = _network_config(args, *_kmn(args))
+    trials = _as_number(args.trials, "--trials")
+    fmt = _format(args)
     # the design checks a loaded set's dimensions against the flags
-    channels = load_channels(load_path) if load_path else None
+    channels = load_channels(args.load_channels) if args.load_channels else None
     report = analysis.verify_noiseless(config, trials, channels=channels)
-    _dump_trial_artifacts(config, channels, dump_channels, dump_plan)
-    _emit(_report_text(report, fmt), out)
+    _dump_trial_artifacts(args, config, channels)
+    _emit(_report_text(report, fmt), args.out)
     ok = (
         report.noiseless_max_error <= 1e-8
         and report.achieved_streams == report.cutset
@@ -232,45 +230,37 @@ def cmd_verify(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    cfg = _load_config_file(args.config)
-    config = _network_config(args, cfg, *_kmn(args, cfg))
-    trials = _as_number(_resolve(args, "trials", cfg, default=DEFAULT_TRIALS), "--trials")
-    p_grid = _as_list(
-        _resolve(args, "p_grid", cfg, default=list(DEFAULT_P_GRID)), "--p-grid", float
-    )
-    fmt = _format(args, cfg)
-    out, dump_channels, dump_plan, load_path = (_resolve(args, k, cfg) for k in _PATHS)
-    if load_path:
+    config = _network_config(args, *_kmn(args))
+    trials = _as_number(args.trials, "--trials")
+    p_grid = _as_list(args.p_grid, "--p-grid", float)
+    fmt = _format(args)
+    if args.load_channels:
         raise CliError("simulate does not support --load-channels; use verify")
     report = analysis.simulate_report(config, p_grid, trials)
-    _dump_trial_artifacts(config, None, dump_channels, dump_plan)
-    _emit(_report_text(report, fmt), out)
+    _dump_trial_artifacts(args, config, None)
+    _emit(_report_text(report, fmt), args.out)
     return EXIT_OK
 
 
 def cmd_sweep(args) -> int:
-    cfg = _load_config_file(args.config)
-    k_list = _as_list(_resolve(args, "k", cfg, required=True), "--k")
-    m_list = _as_list(_resolve(args, "m", cfg, required=True), "--m")
-    n_list = _as_list(_resolve(args, "n", cfg, required=True), "--n")
+    k_list, m_list, n_list = (_as_list(getattr(args, key), f"--{key}") for key in "kmn")
     if not (k_list and m_list and n_list):
         raise CliError("sweep lists must be nonempty")
-    trials = _as_number(_resolve(args, "trials", cfg, default=DEFAULT_TRIALS), "--trials")
-    raw_grid = _resolve(args, "p_grid", cfg)
-    p_grid = _as_list(raw_grid, "--p-grid", float) if raw_grid is not None else None
-    fmt = _format(args, cfg)
-    out = _resolve(args, "out", cfg, required=True)
+    trials = _as_number(args.trials, "--trials")
+    p_grid = _as_list(args.p_grid, "--p-grid", float) if args.p_grid is not None else None
+    fmt = _format(args)
+    out = _required(args.out, "--out")
     # run-wide arguments and every row's config fail the whole sweep once
     if trials < 1:
         raise CliError("--trials must be positive")
     if p_grid is not None:
         analysis.validate_power_grid(p_grid)
     configs = [
-        _network_config(args, cfg, k, m, n)
+        _network_config(args, k, m, n)
         for k, m, n in itertools.product(sorted(k_list), sorted(m_list), sorted(n_list))
     ]
 
-    lines = [VERSION_COMMENT, REPORT_COLUMNS + ",error"]
+    lines = [REPORT_COLUMNS + ",error"]
     rows_json = []
     for config in configs:
         k, m, n = config.K, config.M, config.N
@@ -284,7 +274,6 @@ def cmd_sweep(args) -> int:
             else:
                 lines.append(report_csv_row(report) + ",")
         except SWEEP_ROW_ERRORS as exc:  # record the failure, keep sweeping
-            logger.info("sweep row (%d,%d,%d) failed: %s", k, m, n, exc)
             message = f"{type(exc).__name__}: {exc}".replace(",", ";").replace("\n", " ")
             if fmt == "json":
                 rows_json.append({"K": k, "M": m, "N": n, "error": message})
@@ -292,82 +281,47 @@ def cmd_sweep(args) -> int:
                 # K, M and N, an empty cell for every other report column, the error
                 empty = [""] * (REPORT_COLUMNS.count(",") - 2)
                 lines.append(",".join([str(k), str(m), str(n), *empty, message]))
-    text = _json_text(rows_json) if fmt == "json" else "\n".join(lines) + "\n"
-    _emit(text, out)
+    _emit(_json_text(rows_json) if fmt == "json" else _csv_text(*lines), out)
     return EXIT_OK
 
 
-def _default_nmax(K: int, M: int) -> int:
-    top = bounds.regime_thresholds(K)[3] * M
-    return math.ceil(top) + 1
-
-
 def cmd_table1(args) -> int:
-    cfg = _load_config_file(args.config)
-    k = _as_number(_resolve(args, "k", cfg, required=True), "--k")
-    m = _as_number(_resolve(args, "m", cfg, required=True), "--m")
-    bounds.regime_thresholds(k)  # fail fast for K < 3
-    nmax_raw = _resolve(args, "nmax", cfg)
-    nmax = _as_number(nmax_raw, "--nmax") if nmax_raw is not None else _default_nmax(k, m)
+    k, m = _kmn(args, "km")
+    top = bounds.regime_thresholds(k)[3]  # fails fast for K < 3
+    # by default one row past the last regime boundary
+    nmax = _as_number(args.nmax, "--nmax") if args.nmax is not None else math.ceil(top * m) + 1
     if nmax < 1:
         raise CliError("--nmax must be at least 1")
-    fmt = _format(args, cfg)
-    out = _resolve(args, "out", cfg)
+    fmt = _format(args)
     rows = analysis.reproduce_table1(k, m, range(1, nmax + 1))
-    any_case4 = any(r.case_index == 4 for r in rows)
+    flags = ["case4-reading" if r.case_index == 4 else "" for r in rows]
+    notes = list(CASE4_NOTES) if any(flags) else []
     if fmt == "json":
-        payload = {
-            "notes": list(CASE4_NOTES) if any_case4 else [],
-            "rows": [
-                {
-                    "K": r.K,
-                    "M": r.M,
-                    "N": r.N,
-                    "case_index": r.case_index,
-                    "private_only": float(r.private_only),
-                    "common_private": r.cutset,
-                    "gain": float(r.gain),
-                    "flags": "case4-reading" if r.case_index == 4 else "",
-                }
-                for r in rows
-            ],
-        }
-        text = _json_text(payload)
+        cells = [map(json_number, (*r, f)) for r, f in zip(rows, flags)]
+        text = _json_text({"notes": notes, "rows": [dict(zip(TABLE1_COLUMNS, c)) for c in cells]})
     else:
-        lines = [VERSION_COMMENT]
-        if any_case4:
-            lines.extend(CASE4_NOTES)
-        lines.append("K,M,N,case_index,private_only,common_private,gain,flags")
-        for r in rows:
-            flags = "case4-reading" if r.case_index == 4 else ""
-            lines.append(f"{_bound_row_cells(r)},{flags}")
-        text = "\n".join(lines) + "\n"
-    _emit(text, out)
+        lines = [f"{_cells(r)},{f}" for r, f in zip(rows, flags)]
+        text = _csv_text(*notes, ",".join(TABLE1_COLUMNS), *lines)
+    _emit(text, args.out)
     return EXIT_OK
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="flat JSON config file keyed by flag names")
     parser.add_argument("--out", help="output file path (default: stdout)")
-    parser.add_argument("--format", choices=_FORMATS, default=None)
+    parser.add_argument("--format", choices=_FORMATS)
 
 
 def _add_run_options(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--trials", default=None)
-    parser.add_argument("--seed", default=None)
-    parser.add_argument("--half-duplex", dest="half_duplex", action="store_true", default=None)
-    parser.add_argument(
-        "--reciprocal",
-        dest="reciprocal",
-        action=argparse.BooleanOptionalAction,
-        default=None,
-    )
+    parser.add_argument("--trials")
+    parser.add_argument("--seed")
+    parser.add_argument("--half-duplex", action="store_true", default=None)
+    parser.add_argument("--reciprocal", action=argparse.BooleanOptionalAction)
 
 
 def _add_dump_options(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--dump-channels", dest="dump_channels", metavar="PATH")
-    parser.add_argument("--load-channels", dest="load_channels", metavar="PATH")
-    parser.add_argument("--dump-plan", dest="dump_plan", metavar="PATH")
+    for name in ("dump-channels", "load-channels", "dump-plan"):
+        parser.add_argument(f"--{name}", metavar="PATH")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -378,43 +332,21 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"mrc-dof-lab {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_bounds = sub.add_parser("bounds", help="one cut-set/regime table row")
-    p_bounds.add_argument("--k", default=None)
-    p_bounds.add_argument("--m", default=None)
-    p_bounds.add_argument("--n", default=None)
-    _add_common(p_bounds)
-
-    p_verify = sub.add_parser("verify", help="noiseless achievability check")
-    p_verify.add_argument("--k", default=None)
-    p_verify.add_argument("--m", default=None)
-    p_verify.add_argument("--n", default=None)
-    _add_run_options(p_verify)
-    _add_dump_options(p_verify)
-    _add_common(p_verify)
-
-    p_sim = sub.add_parser("simulate", help="noiseless audit plus DoF slope estimate")
-    p_sim.add_argument("--k", default=None)
-    p_sim.add_argument("--m", default=None)
-    p_sim.add_argument("--n", default=None)
-    p_sim.add_argument("--p-grid", dest="p_grid", default=None)
-    _add_run_options(p_sim)
-    _add_dump_options(p_sim)
-    _add_common(p_sim)
-
-    p_sweep = sub.add_parser("sweep", help="Cartesian K x M x N experiment sweep")
-    p_sweep.add_argument("--k", default=None, help="comma-separated list")
-    p_sweep.add_argument("--m", default=None, help="comma-separated list")
-    p_sweep.add_argument("--n", default=None, help="comma-separated list")
-    p_sweep.add_argument("--p-grid", dest="p_grid", default=None)
-    _add_run_options(p_sweep)
-    _add_common(p_sweep)
-
-    p_table = sub.add_parser("table1", help="private-only vs common+private DoF table")
-    p_table.add_argument("--k", default=None)
-    p_table.add_argument("--m", default=None)
-    p_table.add_argument("--nmax", default=None)
-    _add_common(p_table)
+    run, dump = _add_run_options, _add_dump_options
+    # each command's own options in flag order, then its shared groups
+    for name, text, values, groups in (
+        ("bounds", "one cut-set/regime table row", "k m n", ()),
+        ("verify", "noiseless achievability check", "k m n", (run, dump)),
+        ("simulate", "noiseless audit plus DoF slope estimate", "k m n p-grid", (run, dump)),
+        ("sweep", "Cartesian K x M x N experiment sweep", "k m n p-grid", (run,)),
+        ("table1", "private-only vs common+private DoF table", "k m nmax", ()),
+    ):
+        command = sub.add_parser(name, help=text)
+        for value in values.split():
+            lists = name == "sweep" and value in ("k", "m", "n")
+            command.add_argument(f"--{value}", help="comma-separated list" if lists else None)
+        for add in (*groups, _add_common):
+            add(command)
     return parser
 
 
@@ -426,7 +358,6 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    _setup_logging()
     try:
         args = _parser().parse_args(argv)
     except SystemExit as exc:
@@ -435,6 +366,7 @@ def main(argv=None) -> int:
     # command function wrapped after the first call is the one that runs
     command = globals()[f"cmd_{args.command}"]
     try:
+        _merge_config(args)
         return command(args)
     except (ValueError, OSError) as exc:  # CliError and RegimeError included
         print(f"error: {exc}", file=sys.stderr)

@@ -59,7 +59,6 @@ as a stack of one.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -553,12 +552,6 @@ def plan_to_json_dict(plan: SchemePlan) -> dict:
     }
 
 
-def save_plan(plan: SchemePlan, path: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(plan_to_json_dict(plan), fh, sort_keys=True, indent=2)
-        fh.write("\n")
-
-
 __all__ = [
     "COND_LIMIT",
     "SchemeDesignError",
@@ -574,5 +567,4 @@ __all__ = [
     "run_round",
     "build_allocation",
     "plan_to_json_dict",
-    "save_plan",
 ]

@@ -1,8 +1,10 @@
 """Tests for the command-line interface."""
 
+import argparse
 import csv
 import dataclasses
 import json
+import logging
 from collections import Counter
 
 import numpy as np
@@ -50,6 +52,13 @@ class TestBoundsCommand:
         assert code == EXIT_OK
         doc = json.loads(out)
         assert doc["cutset"] == 6 and doc["case_index"] == 5
+
+    def test_csv_and_json_carry_the_same_row(self, capsys):
+        argv = ("bounds", "--k", "4", "--m", "3", "--n", "5")
+        _, csv_out, _ = run(capsys, *argv)
+        _, json_out, _ = run(capsys, *argv, "--format", "json")
+        [row] = csv_rows(csv_out)
+        assert {k: float(v) for k, v in row.items()} == json.loads(json_out)
 
     def test_missing_flag(self, capsys):
         code, _, err = run(capsys, "bounds", "--k", "3", "--m", "2")
@@ -394,6 +403,21 @@ class TestTable1Command:
         code, _, _ = run(capsys, "table1", "--k", "2", "--m", "1", "--nmax", "2")
         assert code == EXIT_BAD_ARGS
 
+    def test_csv_and_json_carry_the_same_rows(self, capsys):
+        argv = ("table1", "--k", "4", "--m", "7", "--nmax", "17")
+        _, csv_out, _ = run(capsys, *argv)
+        _, json_out, _ = run(capsys, *argv, "--format", "json")
+        doc = json.loads(json_out)
+        notes = [line for line in csv_out.splitlines() if line.startswith("# case4-note")]
+        assert doc["notes"] == notes and len(notes) == 2
+        rows = csv_rows(csv_out)
+        assert list(rows[0]) == [
+            "K", "M", "N", "case_index", "private_only", "common_private", "gain", "flags",
+        ]
+        assert [
+            {k: v if k == "flags" else float(v) for k, v in row.items()} for row in rows
+        ] == doc["rows"]
+
 
 class TestConfigFile:
     def test_flags_override_config(self, tmp_path, capsys):
@@ -535,6 +559,32 @@ class TestConfigFile:
         assert f"--{key.replace('_', '-')} must be a path, got {value!r}" in err
         assert list(tmp_path.iterdir()) == [tmp_path / "run.json"]
 
+    def test_path_checked_before_other_options(self, tmp_path, capsys):
+        # the merge step checks the paths before any command reads --k
+        cfg = self.config(tmp_path, {"out": 987})
+        code, out, err = run(capsys, "bounds", "--config", cfg, "--m", "2", "--n", "3")
+        assert code == EXIT_BAD_ARGS and out == ""
+        assert "--out must be a path, got 987" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("bounds", "--k", "3", "--m", "2", "--n", "3"),
+            ("table1", "--k", "4", "--m", "7", "--nmax", "17"),
+            ("verify", "--k", "3", "--m", "3", "--n", "2", "--trials", "2"),
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_keys_of_other_commands_ignored(self, tmp_path, capsys, argv):
+        # a key that is no option of the command is neither read nor checked
+        foreign = {"dump_plan": 987, "p_grid": "x", "trials": True, "load_channels": [1]}
+        if argv[0] == "verify":
+            foreign = {"nmax": "x", "p_grid": [None], "command": "bounds"}
+        code, plain, _ = run(capsys, *argv)
+        assert code == EXIT_OK
+        cfg = self.config(tmp_path, foreign)
+        assert run(capsys, *argv, "--config", cfg) == (EXIT_OK, plain, "")
+
     def test_bad_config_file(self, tmp_path, capsys):
         cfg = tmp_path / "broken.json"
         cfg.write_text("not json")
@@ -550,6 +600,42 @@ class TestArgumentErrors:
     def test_non_integer_antenna(self, capsys):
         code, _, err = run(capsys, "bounds", "--k", "three", "--m", "2", "--n", "2")
         assert code == EXIT_BAD_ARGS
+
+
+class TestParserFlags:
+    RUN = ["--trials", "--seed", "--half-duplex", "--reciprocal", "--no-reciprocal"]
+    DUMP = ["--dump-channels", "--load-channels", "--dump-plan"]
+    COMMON = ["--config", "--out", "--format"]
+    FLAGS = {
+        "bounds": ["--k", "--m", "--n", *COMMON],
+        "verify": ["--k", "--m", "--n", *RUN, *DUMP, *COMMON],
+        "simulate": ["--k", "--m", "--n", "--p-grid", *RUN, *DUMP, *COMMON],
+        "sweep": ["--k", "--m", "--n", "--p-grid", *RUN, *COMMON],
+        "table1": ["--k", "--m", "--nmax", *COMMON],
+    }
+
+    def test_each_subcommand_keeps_its_flags(self):
+        # every flag of every subcommand, in order: a change to the parser
+        # cannot add, drop or move one
+        parser = cli.build_parser()
+        assert [s for a in parser._actions for s in a.option_strings] == [
+            "-h", "--help", "--version",
+        ]
+        [sub] = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        flags = {
+            name: [s for a in command._actions for s in a.option_strings]
+            for name, command in sub.choices.items()
+        }
+        assert flags == {name: ["-h", "--help", *f] for name, f in self.FLAGS.items()}
+
+    @pytest.mark.parametrize("command", sorted(FLAGS))
+    def test_every_option_is_unset_until_merged(self, command):
+        # the merge step fills exactly the options that no flag set
+        args = cli.build_parser().parse_args([command])
+        assert set(vars(args)) == {"command"} | {
+            f[2:].replace("-", "_") for f in self.FLAGS[command] if f != "--no-reciprocal"
+        }
+        assert all(v is None for k, v in vars(args).items() if k != "command")
 
 
 class TestParserBuiltOnce:
@@ -598,11 +684,14 @@ class TestFailurePaths:
         assert code == EXIT_NUMERIC
         assert "singular" in err
 
-    def test_log_env_smoke(self, capsys, monkeypatch):
-        monkeypatch.setenv("MRC_LOG", "debug")
-        code, out, _ = run(capsys, "bounds", "--k", "3", "--m", "2", "--n", "3")
+    def test_main_leaves_logging_alone(self, capsys, monkeypatch):
+        # the CLI logs nothing, so it configures no logger of the process
+        loggers = (logging.getLogger(), logging.getLogger("mrc_dof_lab"))
+        monkeypatch.setattr(loggers[1], "level", logging.WARNING)
+        before = [(log.level, list(log.handlers)) for log in loggers]
+        code, _, _ = run(capsys, "bounds", "--k", "3", "--m", "2", "--n", "3")
         assert code == EXIT_OK
-        assert out.strip().splitlines()[-1] == "3,2,3,5,6,6,0"
+        assert [(log.level, list(log.handlers)) for log in loggers] == before
 
 
 class TestEntryPointSvdBudget:
