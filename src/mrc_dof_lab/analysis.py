@@ -9,8 +9,8 @@ Each trial draws from its own stream, ``NetworkConfig.trial_rng``:
 Philox keyed by (seed, trial index), so every trial is reproducible,
 independent of the execution order, and independent of every other
 (seed, trial) pair's. ``draw_trials`` is the one place a trial draws:
-before any design, one standard_normal call gives its channel, then as
-much of its symbols and noise as the entry point reads.
+before any design, one standard_normal call gives its channel, then its
+symbols, then, for the MSE sweep, its noise.
 
 The trials of one configuration are drawn, designed and run as stacks
 along a leading trial axis: one ``draw_trials``, one
@@ -21,15 +21,18 @@ of each of its plan's stored pseudoinverses, so K = 8, M = N = 8 (56 x 56
 after extension) runs 64 trials per stack. A trial draws the same values
 in any stack, so every result is independent of the stack size. A fixed
 channel set is designed once, and every stack reads that one plan
-through read-only broadcast views. Every entry point checks its power
-grid, then ``_trial_stacks`` its trial count.
+through read-only broadcast views. Two loops run the stacks: ``_audit``,
+behind both ``verify_noiseless`` and ``simulate_report``, takes each
+stack's noiseless errors and, given a power grid, its SINRs for the
+slope fit; ``decode_mse_sweep`` takes its noisy errors. Every entry
+point checks its power grid, then ``_trial_stacks`` its trial count.
 """
 
 from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -109,13 +112,6 @@ def report_csv_row(report: DofReport) -> str:
     return ",".join(map(format_number, _report_values(report)))
 
 
-def _private_only_or_none(K: int, M: int, N: int) -> Fraction | None:
-    try:
-        return bounds.private_only_dof(K, M, N)
-    except bounds.RegimeError:
-        return None
-
-
 def _stack_size(config: NetworkConfig) -> int:
     """Trials per stack under the STACK_ELEMENTS budget."""
     base = min(config.N, config.M)
@@ -132,33 +128,31 @@ def _designed(config: NetworkConfig, channels: ChannelSet, start: int):
         raise SchemeDesignError(f"trial {trial} (seed {config.seed}): {exc}", trial) from exc
 
 
-def draw_trials(config: NetworkConfig, rng, channels=None, symbols=False, noise=False):
+def draw_trials(config: NetworkConfig, rng, channels=None, noise=False):
     """Draw one trial, or each trial of a stack, in one standard_normal
     call per generator: the channel set unless ``channels`` is given, then
-    with ``symbols`` every user's unit-power symbols, then with ``noise``
-    the relay's and the users' unit-variance noise.
+    every user's unit-power symbols, then with ``noise`` the relay's and
+    the users' unit-variance noise.
 
     ``rng`` is one generator, or a sequence of one per trial, whose trial
     axis then leads every array. Returns (channels, sent, noise), the
     arguments of ``ssa_nc.design_scheme`` and ``ssa_nc.run_round``: sent
-    is (K, d) per trial, noise the pair of the relay's (effective_N,) and
-    the users' (K, effective_M) per trial, and either is None when not
-    asked for.
+    is (K, d) per trial, and noise the pair of the relay's (effective_N,)
+    and the users' (K, effective_M) per trial, or None when not asked for.
     """
     K, M = config.K, config.M
     base, L, d = ssa_nc.extension_plan(K, M, config.N)
-    parts = [(K, (d,))] if symbols else []
+    parts = [(K, (d,))]
     if noise:
         parts += [(1, (L * base,)), (K, (L * M,))]
     if channels is None:
         channels, drawn = draw_channels(config, rng, parts)
     else:
-        drawn = random_gaussian_stacks(parts, rng) if parts else []
-    sent = drawn.pop(0) if symbols else None
-    return channels, sent, ((drawn[0][..., 0, :], drawn[1]) if noise else None)
+        drawn = random_gaussian_stacks(parts, rng)
+    return channels, drawn[0], ((drawn[1][..., 0, :], drawn[2]) if noise else None)
 
 
-def _trial_stacks(config: NetworkConfig, trials: int, channels=None, symbols=False, noise=False):
+def _trial_stacks(config: NetworkConfig, trials: int, channels=None, noise=False):
     """Draw and design the trials stack by stack; yields (plan, sent,
     noise) per stack, the plan, its effective channels included, with a
     leading trial axis, and sent and noise as ``draw_trials`` gives them.
@@ -173,7 +167,7 @@ def _trial_stacks(config: NetworkConfig, trials: int, channels=None, symbols=Fal
     fixed = None if channels is None else _designed(config, channels, 0)
     for start in range(0, trials, size):
         rngs = [config.trial_rng(t) for t in range(start, min(start + size, trials))]
-        drawn, sent, noise_pair = draw_trials(config, rngs, channels, symbols, noise)
+        drawn, sent, noise_pair = draw_trials(config, rngs, channels, noise)
         plan = _designed(config, drawn, start) if fixed is None else fixed.repeated(len(rngs))
         yield plan, sent, noise_pair
 
@@ -201,22 +195,35 @@ def _noiseless_round_errors(plan: SchemePlan, sent: np.ndarray) -> np.ndarray:
     return (err / np.maximum(sent_norm, 1e-300)).max(axis=(-2, -1))
 
 
-def _noiseless_report(
-    config: NetworkConfig, plan: SchemePlan, trials: int, max_err: float
-) -> DofReport:
-    K = config.K
+def _audit(config: NetworkConfig, trials: int, channels=None, grid=None) -> DofReport:
+    """The one loop over a configuration's trials: each stack's noiseless
+    round errors and, given a checked power grid, its unit-power SINRs,
+    whose slope fit the report then carries."""
+    errors, gammas = [], []
+    for plan, sent, _ in _trial_stacks(config, trials, channels):
+        errors.append(_noiseless_round_errors(plan, sent))
+        if grid is not None:
+            gammas.append(stream_sinrs(plan, 1.0).flat())
+    slope, stderr = _fit_slope(config, grid, np.concatenate(gammas)) if gammas else (None, None)
+    K, M, N = config.K, config.M, config.N
+    try:
+        private_only = bounds.private_only_dof(K, M, N)
+    except bounds.RegimeError:  # the regime table starts at K = 3
+        private_only = None
     return DofReport(
         K=K,
-        M=config.M,
-        N=config.N,
+        M=M,
+        N=N,
         L=plan.extension_factor,
         d=plan.d,
         achieved_streams=plan.streams_per_slot,
-        cutset=bounds.cutset_dof(K, config.M, config.N),
-        private_only=_private_only_or_none(K, config.M, config.N),
-        slope_estimate=None,
-        slope_stderr=None,
-        noiseless_max_error=max_err,
+        cutset=bounds.cutset_dof(K, M, N),
+        private_only=private_only,
+        slope_estimate=slope,
+        slope_stderr=stderr,
+        # np.max propagates NaN: a round that decoded NaN reports NaN
+        # rather than vanishing from the maximum
+        noiseless_max_error=float(np.concatenate(errors).max()),
         trials=trials,
         notes="two-way relay degenerate case" if K == 2 else "",
     )
@@ -232,16 +239,7 @@ def verify_noiseless(
     is designed once, every trial shares that plan, and only the symbol
     draws vary per trial.
     """
-    errors = []
-    for plan, sent, _ in _trial_stacks(config, trials, channels, symbols=True):
-        errors.append(_noiseless_round_errors(plan, sent))
-    return _noiseless_report(config, plan, trials, _max_error(errors))
-
-
-def _max_error(errors: list[np.ndarray]) -> float:
-    """Worst per-trial error; np.max propagates NaN, so a round that
-    decoded NaN reports NaN rather than vanishing from the maximum."""
-    return float(np.concatenate(errors).max())
+    return _audit(config, trials, channels)
 
 
 @dataclass(frozen=True)
@@ -320,7 +318,14 @@ def validate_power_grid(P_grid) -> np.ndarray:
 
 
 def _fit_slope(config: NetworkConfig, grid: np.ndarray, gammas: np.ndarray) -> tuple[float, float]:
-    """Slope and stderr from unit-power stream SINRs, one row per trial.
+    """Least-squares slope of the per-slot sum rate against log2(P), and
+    its stderr, from unit-power stream SINRs, one row per trial.
+
+    Per-stream SINRs are averaged over channel trials before entering the
+    log, which keeps rare badly faded draws from biasing the finite-window
+    slope; the fit keeps the top ceil(2/3) of the grid to avoid low-SNR
+    curvature. The stderr is the dispersion of single-trial slopes over
+    sqrt(trials).
 
     The rate curves of the trial-averaged SINRs (row 0) and of every trial
     are one broadcast log2(1 + gamma p) over (curves, powers, streams),
@@ -338,22 +343,6 @@ def _fit_slope(config: NetworkConfig, grid: np.ndarray, gammas: np.ndarray) -> t
     return float(slopes[0]), stderr
 
 
-def estimate_dof_slope(
-    config: NetworkConfig, P_grid, trials: int
-) -> tuple[float, float]:
-    """Least-squares slope of the per-slot sum rate against log2(P).
-
-    Per-stream SINRs are averaged over channel trials before entering the
-    log, which keeps rare badly faded draws from biasing the finite-window
-    slope; the fit keeps the top ceil(2/3) of the grid to avoid low-SNR
-    curvature. The reported stderr is the dispersion of single-trial
-    slopes over sqrt(trials).
-    """
-    grid = validate_power_grid(P_grid)
-    gammas = [stream_sinrs(plan, 1.0).flat() for plan, _, _ in _trial_stacks(config, trials)]
-    return _fit_slope(config, grid, np.concatenate(gammas))
-
-
 def decode_mse_sweep(config: NetworkConfig, P_grid, trials: int) -> np.ndarray:
     """Average per-symbol decode MSE at each power level, noise on.
 
@@ -365,7 +354,7 @@ def decode_mse_sweep(config: NetworkConfig, P_grid, trials: int) -> np.ndarray:
     """
     grid = _power_levels(P_grid)
     totals = []
-    for plan, sent, noise in _trial_stacks(config, trials, symbols=True, noise=True):
+    for plan, sent, noise in _trial_stacks(config, trials, noise=True):
         trace = ssa_nc.run_round(plan, 1.0, sent, noise)
         sq_err = _message_sq_errors(trace, _sent_messages(trace))
         totals.append(sq_err.reshape(len(sent), -1).sum(axis=-1))
@@ -378,24 +367,7 @@ def simulate_report(config: NetworkConfig, P_grid, trials: int) -> DofReport:
 
     Both use the same plans, so every trial is designed once.
     """
-    grid = validate_power_grid(P_grid)
-    errors = []
-    gammas = []
-    for plan, sent, _ in _trial_stacks(config, trials, symbols=True):
-        errors.append(_noiseless_round_errors(plan, sent))
-        gammas.append(stream_sinrs(plan, 1.0).flat())
-    slope, stderr = _fit_slope(config, grid, np.concatenate(gammas))
-    return replace(
-        _noiseless_report(config, plan, trials, _max_error(errors)),
-        slope_estimate=slope,
-        slope_stderr=stderr,
-    )
-
-
-def reproduce_table1(K: int, M: int, N_list) -> list[bounds.BoundRow]:
-    """Regime-table rows for a sweep of relay antenna counts; same code
-    path as the bounds module, so values agree exactly."""
-    return [bounds.bound_row(K, M, int(n)) for n in N_list]
+    return _audit(config, trials, grid=validate_power_grid(P_grid))
 
 
 __all__ = [
@@ -409,9 +381,7 @@ __all__ = [
     "verify_noiseless",
     "StreamSinrs",
     "stream_sinrs",
-    "estimate_dof_slope",
     "validate_power_grid",
     "decode_mse_sweep",
     "simulate_report",
-    "reproduce_table1",
 ]

@@ -25,7 +25,7 @@ import numpy as np
 
 from . import __version__, analysis, bounds, ssa_nc
 from .analysis import REPORT_COLUMNS, format_number, json_number, report_csv_row
-from .channel import NetworkConfig, generate_channels, load_channels, save_channels
+from .channel import NetworkConfig, channels_from_json_dict, generate_channels, save_channels
 from .ssa_nc import SchemeDesignError
 
 EXIT_OK = 0
@@ -74,14 +74,19 @@ class CliError(ValueError):
     """Invalid command-line or config-file input."""
 
 
+def _read_json(path: str, option: str):
+    """The JSON document of the file an option names, or a CliError."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except (OSError, json.JSONDecodeError) as exc:
+        raise CliError(f"cannot read {option} file {path}: {exc}") from exc
+
+
 def _load_config_file(path: str | None) -> dict:
     if not path:
         return {}
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise CliError(f"cannot read config file {path}: {exc}") from exc
+    doc = _read_json(path, "config")
     if not isinstance(doc, dict):
         raise CliError("config file must hold a flat JSON object")
     return {str(k).replace("-", "_"): v for k, v in doc.items()}
@@ -134,6 +139,13 @@ def _as_list(val, name: str, kind: type = int) -> list:
     """A flag's comma-separated string or a config file's JSON list."""
     items = val if isinstance(val, (list, tuple)) else str(_required(val, name)).split(",")
     return [_as_number(v, name, kind) for v in items if str(v).strip() != ""]
+
+
+def _trials(args) -> int:
+    trials = _as_number(args.trials, "--trials")
+    if trials < 1:
+        raise CliError("--trials must be positive")
+    return trials
 
 
 def _format(args) -> str:
@@ -207,52 +219,51 @@ def _dump_trial_artifacts(args, config: NetworkConfig, channels) -> None:
         _emit(_json_text(ssa_nc.plan_to_json_dict(plan)), args.dump_plan)
 
 
-def cmd_verify(args) -> int:
-    config = _network_config(args, *_kmn(args))
-    trials = _as_number(args.trials, "--trials")
-    fmt = _format(args)
-    # the design checks a loaded set's dimensions against the flags
-    channels = load_channels(args.load_channels) if args.load_channels else None
-    report = analysis.verify_noiseless(config, trials, channels=channels)
+def _audited(args, config: NetworkConfig, fmt: str, report, channels=None) -> int:
+    """Dump trial 0, emit the report, and exit 1 when its audit failed:
+    a decode error above 1e-8 (or NaN) or fewer streams than the cut-set."""
     _dump_trial_artifacts(args, config, channels)
     _emit(_report_text(report, fmt), args.out)
-    ok = (
-        report.noiseless_max_error <= 1e-8
-        and report.achieved_streams == report.cutset
+    if report.noiseless_max_error <= 1e-8 and report.achieved_streams == report.cutset:
+        return EXIT_OK
+    print(
+        f"verification failed: max_err={report.noiseless_max_error:.3e}, "
+        f"streams={report.achieved_streams}, cutset={report.cutset}",
+        file=sys.stderr,
     )
-    if not ok:
-        print(
-            f"verification failed: max_err={report.noiseless_max_error:.3e}, "
-            f"streams={report.achieved_streams}, cutset={report.cutset}",
-            file=sys.stderr,
-        )
-    return EXIT_OK if ok else EXIT_VERIFY_FAILED
+    return EXIT_VERIFY_FAILED
+
+
+def cmd_verify(args) -> int:
+    config = _network_config(args, *_kmn(args))
+    trials = _trials(args)
+    fmt = _format(args)
+    # the design checks a loaded set's dimensions against the flags
+    path = args.load_channels
+    channels = channels_from_json_dict(_read_json(path, "--load-channels")) if path else None
+    report = analysis.verify_noiseless(config, trials, channels=channels)
+    return _audited(args, config, fmt, report, channels)
 
 
 def cmd_simulate(args) -> int:
     config = _network_config(args, *_kmn(args))
-    trials = _as_number(args.trials, "--trials")
+    trials = _trials(args)
     p_grid = _as_list(args.p_grid, "--p-grid", float)
     fmt = _format(args)
     if args.load_channels:
         raise CliError("simulate does not support --load-channels; use verify")
-    report = analysis.simulate_report(config, p_grid, trials)
-    _dump_trial_artifacts(args, config, None)
-    _emit(_report_text(report, fmt), args.out)
-    return EXIT_OK
+    return _audited(args, config, fmt, analysis.simulate_report(config, p_grid, trials))
 
 
 def cmd_sweep(args) -> int:
     k_list, m_list, n_list = (_as_list(getattr(args, key), f"--{key}") for key in "kmn")
     if not (k_list and m_list and n_list):
         raise CliError("sweep lists must be nonempty")
-    trials = _as_number(args.trials, "--trials")
+    trials = _trials(args)
     p_grid = _as_list(args.p_grid, "--p-grid", float) if args.p_grid is not None else None
     fmt = _format(args)
     out = _required(args.out, "--out")
     # run-wide arguments and every row's config fail the whole sweep once
-    if trials < 1:
-        raise CliError("--trials must be positive")
     if p_grid is not None:
         analysis.validate_power_grid(p_grid)
     configs = [
@@ -293,7 +304,7 @@ def cmd_table1(args) -> int:
     if nmax < 1:
         raise CliError("--nmax must be at least 1")
     fmt = _format(args)
-    rows = analysis.reproduce_table1(k, m, range(1, nmax + 1))
+    rows = [bounds.bound_row(k, m, n) for n in range(1, nmax + 1)]
     flags = ["case4-reading" if r.case_index == 4 else "" for r in rows]
     notes = list(CASE4_NOTES) if any(flags) else []
     if fmt == "json":

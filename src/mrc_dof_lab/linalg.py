@@ -1,9 +1,9 @@
 """Complex-matrix kernels shared by the whole simulator.
 
 Everything operates on 2-D ``complex128`` numpy arrays; the pseudoinverses
-and the orthonormal basis also take a stack of them and decompose it in
-one LAPACK call, and ``random_gaussian_stacks`` fills every array a trial
-draws with one call per generator. Rank decisions are made on singular
+also take a stack of them and decompose it in one LAPACK call, and
+``random_gaussian_stacks`` fills every array a trial draws with one call
+per generator. Rank decisions are made on singular
 values relative to the largest one (scale invariant):
 ``pseudo_inverse_and_rank`` computes them with an SVD, and
 ``pseudo_inverse_and_bound`` reaches the same decisions from one LU or QR
@@ -173,16 +173,6 @@ def pseudo_inverse_and_bound(A: CMatrix, tol: float = DEFAULT_TOL) -> tuple[np.n
     return _freeze(pinv), rank, bound
 
 
-def orthonormal_columns(A: CMatrix) -> CMatrix:
-    """Orthonormal basis of the column span (reduced QR), of one matrix or
-    of each matrix of a stack, in one call.
-
-    The input must have full column rank for the span to be preserved.
-    """
-    q, _ = np.linalg.qr(np.asarray(A))
-    return _freeze(q)
-
-
 def subspace_distance(A: CMatrix, B: CMatrix) -> float:
     """Spectral-norm distance between the column spans of A and B.
 
@@ -194,8 +184,9 @@ def subspace_distance(A: CMatrix, B: CMatrix) -> float:
     B = np.asarray(B)
     if A.shape[0] != B.shape[0]:
         raise ValueError(f"incompatible ambient spaces: {A.shape[0]} vs {B.shape[0]} rows")
-    qa = orthonormal_columns(A)
-    qb = orthonormal_columns(B)
+    # orthonormal bases of the spans (reduced QR)
+    qa = np.linalg.qr(A)[0]
+    qb = np.linalg.qr(B)[0]
     pa = qa @ qa.conj().T
     pb = qb @ qb.conj().T
     return float(np.linalg.norm(pa - pb, 2))

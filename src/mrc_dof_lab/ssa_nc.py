@@ -50,8 +50,8 @@ Every function takes one trial or a stack of trials along a leading trial
 axis. The design takes a stacked ChannelSet and gives a plan whose arrays
 carry the same axis; the round functions take that plan, which carries
 its channels, and the symbols and noise as arrays. Nothing here draws:
-``analysis.draw_trials`` draws a trial's channel, symbols and noise
-before the design, and ``run_round`` only pushes them through. Each
+``analysis.draw_trials`` draws a trial's channel and symbols, and its
+noise when asked for, before the design, and ``run_round`` only pushes them through. Each
 design and round step is one batched call for the whole stack, and a
 trial's results do not depend on the stack it is in. A single trial runs
 as a stack of one.

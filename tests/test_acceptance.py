@@ -58,10 +58,8 @@ def test_criterion_2_symbol_extension():
 def test_criterion_3_slope_oracle():
     results = []
     for (k, m, n), target in [((3, 3, 2), 6.0), ((4, 3, 6), 12.0)]:
-        slope, stderr = analysis.estimate_dof_slope(
-            NetworkConfig(K=k, M=m, N=n, seed=42), GRID, 100
-        )
-        results.append(((k, m, n), slope, stderr, target))
+        rep = analysis.simulate_report(NetworkConfig(K=k, M=m, N=n, seed=42), GRID, 100)
+        results.append(((k, m, n), rep.slope_estimate, rep.slope_stderr, target))
     ok = all(abs(s - t) <= 0.03 * t for _, s, _, t in results)
     detail = "; ".join(
         f"{cfg}: slope={s:.3f} (target {t:.0f} +-3%)" for cfg, s, _, t in results

@@ -12,16 +12,14 @@ from mrc_dof_lab.analysis import (
     DofReport,
     decode_mse_sweep,
     draw_trials,
-    estimate_dof_slope,
     format_number,
     report_csv_row,
-    reproduce_table1,
     simulate_report,
     stream_sinrs,
     validate_power_grid,
     verify_noiseless,
 )
-from mrc_dof_lab.bounds import cutset_dof
+from mrc_dof_lab.bounds import bound_row, cutset_dof
 from mrc_dof_lab.channel import (
     ChannelSet,
     NetworkConfig,
@@ -56,7 +54,7 @@ def redesigned_mse(cfg, trials, P):
     acc = 0.0
     count = 0
     for trial in range(trials):
-        channels, sent, noise = draw_trials(cfg, cfg.trial_rng(trial), symbols=True, noise=True)
+        channels, sent, noise = draw_trials(cfg, cfg.trial_rng(trial), noise=True)
         trace = run_round(design_scheme(cfg, channels), P, sent, noise)
         diff = trace.decoded - trace.sent[senders]
         acc += np.sum(np.sum(np.abs(diff) ** 2, axis=-1))
@@ -115,7 +113,7 @@ class TestVerifyNoiseless:
         cfg = NetworkConfig(K=4, M=4, N=3, seed=5)
         path = str(tmp_path / "channels.json")
         save_channels(generate_channels(cfg, np.random.default_rng(cfg.seed)), path)
-        [(plan, sent, _)] = analysis._trial_stacks(cfg, 4, load_channels(path), symbols=True)
+        [(plan, sent, _)] = analysis._trial_stacks(cfg, 4, load_channels(path))
         assert plan.stack_shape == (4,)
         for name in ("V1", "Vj", "T", "relay_filter", "rx_filter", "channels.uplink_cond",
                      "channels.downlink_cond", "power_scale", "beamformers"):
@@ -253,25 +251,25 @@ class TestSlopeEstimation:
     )
     def test_non_finite_grid_rejected(self, grid):
         with pytest.raises(ValueError, match="powers must be finite"):
-            estimate_dof_slope(NetworkConfig(K=3, M=3, N=2, seed=11), grid, 3)
+            simulate_report(NetworkConfig(K=3, M=3, N=2, seed=11), grid, 3)
 
     def test_two_way_relay_slope(self):
         cfg = NetworkConfig(K=2, M=1, N=1, seed=11)
-        slope, stderr = estimate_dof_slope(cfg, GRID, 50)
-        assert slope == pytest.approx(2.0, rel=0.05)
-        assert stderr >= 0.0
+        rep = simulate_report(cfg, GRID, 50)
+        assert rep.slope_estimate == pytest.approx(2.0, rel=0.05)
+        assert rep.slope_stderr >= 0.0
 
     def test_half_duplex_halves_exactly(self):
         full = NetworkConfig(K=3, M=3, N=2, seed=12, duplex_factor=1.0)
         half = NetworkConfig(K=3, M=3, N=2, seed=12, duplex_factor=0.5)
-        s_full, _ = estimate_dof_slope(full, GRID, 10)
-        s_half, _ = estimate_dof_slope(half, GRID, 10)
+        s_full = simulate_report(full, GRID, 10).slope_estimate
+        s_half = simulate_report(half, GRID, 10).slope_estimate
         assert s_half == 0.5 * s_full
 
     def test_slope_never_exceeds_bound(self):
         for k, m, n in [(3, 3, 2), (3, 4, 3), (4, 4, 3)]:
             cfg = NetworkConfig(K=k, M=m, N=n, seed=13)
-            slope, _ = estimate_dof_slope(cfg, GRID, 20)
+            slope = simulate_report(cfg, GRID, 20).slope_estimate
             assert slope <= cutset_dof(k, m, n) * 1.05
 
     @pytest.mark.parametrize("k,m,n", [(4, 8, 8), (8, 8, 8)])
@@ -279,7 +277,7 @@ class TestSlopeEstimation:
         # with identity relay-side subspaces the plan's conditioning is the
         # channel's, and the finite-grid slope meets the cut-set within 3%
         # even where the affine power offset is largest
-        slope, _ = estimate_dof_slope(NetworkConfig(K=k, M=m, N=n, seed=42), GRID, 20)
+        slope = simulate_report(NetworkConfig(K=k, M=m, N=n, seed=42), GRID, 20).slope_estimate
         cutset = cutset_dof(k, m, n)
         assert abs(slope - cutset) <= 0.03 * cutset
 
@@ -380,10 +378,9 @@ class TestMseSweep:
                 "trials",
             ),
             (simulate_report, "finite"),
-            (estimate_dof_slope, "finite"),
             (decode_mse_sweep, "finite"),
         ],
-        ids=["verify", "verify-given-set", "simulate", "slope", "mse"],
+        ids=["verify", "verify-given-set", "simulate", "mse"],
     )
     def test_every_entry_point_rejects_zero_trials(self, monkeypatch, run, nan_grid_error):
         # one check, before any design; an entry point with a grid checks it first
@@ -441,7 +438,7 @@ class TestPhysicalTrialPath:
         cfg = NetworkConfig(K=8, M=8, N=8, seed=13)
 
         def run():
-            stacks = analysis._trial_stacks(cfg, 6, symbols=True)
+            stacks = analysis._trial_stacks(cfg, 6)
             errors = [analysis._noiseless_round_errors(plan, sent) for plan, sent, _ in stacks]
             return np.concatenate(errors), decode_mse_sweep(cfg, GRID, 6)
 
@@ -456,7 +453,7 @@ class TestPhysicalTrialPath:
         # the audit gathers the sent symbols once and takes each message's
         # norm: bit for bit the norms of the sent rows, gathered afterwards
         cfg = NetworkConfig(K=k, M=m, N=n, seed=14)
-        ((plan, sent, _),) = analysis._trial_stacks(cfg, 4, symbols=True)
+        ((plan, sent, _),) = analysis._trial_stacks(cfg, 4)
         traces = []
         real = ssa_nc.run_round
 
@@ -500,10 +497,9 @@ class TestOneDrawPerTrial:
                 cfg, trials, generate_channels(cfg, np.random.default_rng(3))
             ),
             lambda cfg, trials: simulate_report(cfg, GRID, trials),
-            lambda cfg, trials: estimate_dof_slope(cfg, GRID, trials),
             lambda cfg, trials: decode_mse_sweep(cfg, GRID, trials),
         ],
-        ids=["verify", "verify-given-set", "simulate", "slope", "mse"],
+        ids=["verify", "verify-given-set", "simulate", "mse"],
     )
     def test_one_standard_normal_call_per_trial(self, monkeypatch, run, reciprocal):
         cfg = NetworkConfig(K=4, M=4, N=3, seed=21, reciprocal=reciprocal)
@@ -591,12 +587,20 @@ class TestReports:
         doc = rep.to_json_dict()
         assert doc["streams"] == 6 and doc["slope"] == rep.slope_estimate
 
-    @pytest.mark.parametrize("k,m,n", [(3, 3, 2), (3, 4, 3)])
+    @pytest.mark.parametrize("k,m,n", [(3, 3, 2), (3, 4, 3), (2, 2, 1)])
     def test_simulate_slope_equals_estimate(self, k, m, n):
+        # the report's slope is, bit for bit, the fit of the SINRs of each
+        # trial designed alone, and the rest of the report is verify's
         cfg = NetworkConfig(K=k, M=m, N=n, seed=27)
         rep = simulate_report(cfg, GRID, 6)
-        assert (rep.slope_estimate, rep.slope_stderr) == estimate_dof_slope(cfg, GRID, 6)
-        assert rep.noiseless_max_error == verify_noiseless(cfg, 6).noiseless_max_error
+        gammas = [
+            stream_sinrs(design_scheme(cfg, draw_trials(cfg, cfg.trial_rng(t))[0]), 1.0).flat()
+            for t in range(6)
+        ]
+        estimate = analysis._fit_slope(cfg, np.asarray(GRID), np.stack(gammas))
+        assert (rep.slope_estimate, rep.slope_stderr) == estimate
+        audit = dataclasses.replace(rep, slope_estimate=None, slope_stderr=None)
+        assert audit == verify_noiseless(cfg, 6)
 
     def test_report_rejects_stream_excess(self):
         with pytest.raises(ValueError):
@@ -616,26 +620,19 @@ class TestReports:
 
 class TestTable1:
     def test_k3_m2_sweep(self):
-        rows = reproduce_table1(3, 2, [1, 2, 3, 4])
+        rows = [bound_row(3, 2, n) for n in (1, 2, 3, 4)]
         assert [float(r.private_only) for r in rows] == [2, 4, 6, 6]
         assert [r.cutset for r in rows] == [3, 6, 6, 6]
         assert [float(r.gain) for r in rows] == [1, 2, 0, 0]
 
     def test_k4_case_2_3_boundary(self):
         # both private-only case formulas evaluate to 2N = 48 at N/M = 12/7
-        (row,) = reproduce_table1(4, 14, [24])
+        row = bound_row(4, 14, 24)
         assert row.private_only == 48
         assert row.case_index in (2, 3)
         assert row.cutset == 4 * 14
 
     def test_k4_case5(self):
-        (row,) = reproduce_table1(4, 1, [3])
+        row = bound_row(4, 1, 3)
         assert row.case_index == 5
         assert row.private_only == 4 and row.cutset == 4
-
-    def test_agrees_with_bounds_module(self):
-        from mrc_dof_lab.bounds import bound_row
-
-        for n in range(1, 8):
-            (row,) = reproduce_table1(5, 3, [n])
-            assert row == bound_row(5, 3, n)

@@ -78,6 +78,7 @@ class TestVerifyCommand:
         ]
 
     def test_nan_round_fails(self, capsys, monkeypatch):
+        # verify and simulate print the report, then fail on its audit
         from mrc_dof_lab import ssa_nc
 
         real = ssa_nc.run_round
@@ -87,12 +88,30 @@ class TestVerifyCommand:
             return dataclasses.replace(trace, decoded=np.full_like(trace.decoded, np.nan))
 
         monkeypatch.setattr(ssa_nc, "run_round", nan_round)
+        for command in ("verify", "simulate"):
+            code, out, err = run(
+                capsys, command, "--k", "3", "--m", "3", "--n", "2", "--trials", "2",
+            )
+            assert code == EXIT_VERIFY_FAILED, command
+            assert csv_rows(out)[0]["max_err"] == "nan"
+            assert err == "verification failed: max_err=nan, streams=6, cutset=6\n"
+
+    @pytest.mark.parametrize(
+        "content,message",
+        [(None, "No such file or directory"), ("not json", "Expecting value")],
+        ids=["missing", "not-json"],
+    )
+    def test_unreadable_channel_file_names_the_option(self, tmp_path, capsys, content, message):
+        path = tmp_path / "channels.json"
+        if content is not None:
+            path.write_text(content)
         code, out, err = run(
             capsys, "verify", "--k", "3", "--m", "3", "--n", "2", "--trials", "2",
+            "--load-channels", str(path),
         )
-        assert code == EXIT_VERIFY_FAILED
-        assert csv_rows(out)[0]["max_err"] == "nan"
-        assert "max_err=nan" in err
+        assert code == EXIT_BAD_ARGS and out == ""
+        assert err.startswith(f"error: cannot read --load-channels file {path}: ")
+        assert message in err
 
     def test_extension_case_reported(self, capsys):
         code, out, _ = run(
@@ -596,6 +615,21 @@ class TestConfigFile:
 class TestArgumentErrors:
     def test_unknown_subcommand(self, capsys):
         assert main(["frobnicate"]) == EXIT_BAD_ARGS
+
+    @pytest.mark.parametrize("command", ["verify", "simulate", "sweep"])
+    def test_zero_trials_is_one_cli_error(self, tmp_path, capsys, monkeypatch, command):
+        # every command that runs trials rejects a zero count the same way,
+        # before any draw
+        def no_draw(*args, **kwargs):
+            raise AssertionError("drew before the trial count was checked")
+
+        monkeypatch.setattr(analysis, "draw_trials", no_draw)
+        code, out, err = run(
+            capsys, command, "--k", "3", "--m", "3", "--n", "2", "--trials", "0",
+            "--out", str(tmp_path / "out.csv"),
+        )
+        assert (code, out, err) == (EXIT_BAD_ARGS, "", "error: --trials must be positive\n")
+        assert not (tmp_path / "out.csv").exists()
 
     def test_non_integer_antenna(self, capsys):
         code, _, err = run(capsys, "bounds", "--k", "three", "--m", "2", "--n", "2")

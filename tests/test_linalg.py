@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from mrc_dof_lab.linalg import (
     BOUND_MARGIN,
     DEFAULT_TOL,
-    orthonormal_columns,
     pseudo_inverse_and_bound,
     pseudo_inverse_and_rank,
     random_gaussian_stacks,
@@ -321,19 +320,3 @@ class TestSubspaceDistance:
             assert dab == pytest.approx(dba, abs=1e-12)
             assert dab <= subspace_distance(a, c) + subspace_distance(c, b) + 1e-9
             assert 0.0 <= dab <= 1.0 + 1e-12
-
-
-class TestOrthonormalColumns:
-    def test_orthonormal_and_same_span(self):
-        a = gaussian((5, 3), rng(21))
-        q = orthonormal_columns(a)
-        assert np.allclose(q.conj().T @ q, np.eye(3), atol=1e-12)
-        assert subspace_distance(a, q) <= 1e-12
-
-    def test_stack_matches_one_at_a_time(self):
-        g = rng(22)
-        stack = np.stack([gaussian((6, 2), g) for _ in range(4)])
-        q = orthonormal_columns(stack)
-        assert q.shape == (4, 6, 2)
-        for qi, a in zip(q, stack):
-            assert np.allclose(qi, orthonormal_columns(a), rtol=0, atol=1e-14)

@@ -51,7 +51,7 @@ def designed(k, m, n, seed=0, trial=0, **config):
 def drawn_round(cfg, rng, P, noise=False):
     """(plan, trace) of one round of the trials of ``rng``, one generator
     or a sequence, drawn the way the analysis draws them."""
-    channels, sent, noise_pair = draw_trials(cfg, rng, symbols=True, noise=noise)
+    channels, sent, noise_pair = draw_trials(cfg, rng, noise=noise)
     plan = design_scheme(cfg, channels)
     return plan, run_round(plan, P, sent, noise_pair)
 
@@ -592,7 +592,7 @@ class TestTrialStacks:
         cfg = NetworkConfig(K=3, M=3, N=2, seed=7)
         plan = _stacked_plan(cfg, range(3))
         rngs = [cfg.trial_rng(trial) for trial in range(3)]
-        _, sent, (relay, user) = draw_trials(cfg, rngs, plan.channels, symbols=True, noise=True)
+        _, sent, (relay, user) = draw_trials(cfg, rngs, plan.channels, noise=True)
         for wrong in (
             (sent[:2],),
             (sent[0],),
@@ -912,7 +912,7 @@ class TestDownlinkAndDecode:
     def test_round_decodes_every_user_in_one_call(self, monkeypatch):
         cfg = NetworkConfig(K=4, M=4, N=3, seed=17)
         rngs = [cfg.trial_rng(t) for t in range(3)]
-        channels, sent, _ = draw_trials(cfg, rngs, symbols=True)
+        channels, sent, _ = draw_trials(cfg, rngs)
         plan = design_scheme(cfg, channels)
         calls = []
         real = ssa_nc.user_decode

@@ -106,7 +106,7 @@ def trace_lines(label: str, config: NetworkConfig):
             rng = config.trial_rng(0)
         P = NOISY_P if noise_on else 1.0
         try:
-            channels, sent, noise = analysis.draw_trials(config, rng, symbols=True, noise=noise_on)
+            channels, sent, noise = analysis.draw_trials(config, rng, noise=noise_on)
             plan = ssa_nc.design_scheme(config, channels)
             trace = ssa_nc.run_round(plan, P, sent, noise)
         except Exception as exc:
