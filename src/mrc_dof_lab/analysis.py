@@ -26,6 +26,12 @@ behind both ``verify_noiseless`` and ``simulate_report``, takes each
 stack's noiseless errors and, given a power grid, its SINRs for the
 slope fit; ``decode_mse_sweep`` takes its noisy errors. Every entry
 point checks its power grid, then ``_trial_stacks`` its trial count.
+
+The audit hands its last drawn stack to the MSE sweep: a sweep over the
+same configuration and trials right after it, as in checking a
+configuration's slope and then its MSE, takes that stack's plan and
+symbols and draws only the noise, from the same generators. The hand-off
+is one-way: the audit always draws and designs its own stacks.
 """
 
 from __future__ import annotations
@@ -140,16 +146,33 @@ def draw_trials(config: NetworkConfig, rng, channels=None, noise=False):
     is (K, d) per trial, and noise the pair of the relay's (effective_N,)
     and the users' (K, effective_M) per trial, or None when not asked for.
     """
-    K, M = config.K, config.M
-    base, L, d = ssa_nc.extension_plan(K, M, config.N)
-    parts = [(K, (d,))]
+    parts = [(config.K, (ssa_nc.extension_plan(config.K, config.M, config.N)[2],))]
     if noise:
-        parts += [(1, (L * base,)), (K, (L * M,))]
+        parts += _noise_parts(config)
     if channels is None:
         channels, drawn = draw_channels(config, rng, parts)
     else:
         drawn = random_gaussian_stacks(parts, rng)
-    return channels, drawn[0], ((drawn[1][..., 0, :], drawn[2]) if noise else None)
+    return channels, drawn[0], (_noise_pair(*drawn[1:]) if noise else None)
+
+
+def _noise_parts(config: NetworkConfig) -> list:
+    """The (count, shape) draws of a trial's noise: the relay's, then
+    each user's."""
+    base, L, _ = ssa_nc.extension_plan(config.K, config.M, config.N)
+    return [(1, (L * base,)), (config.K, (L * config.M,))]
+
+
+def _noise_pair(relay: np.ndarray, users: np.ndarray) -> tuple:
+    """The (relay, users) noise ``run_round`` takes, from the drawn parts."""
+    return relay[..., 0, :], users
+
+
+# The last stack a noiseless pass drew, keyed (config, start, stop): its
+# plan, its symbols and its generators, these positioned right after the
+# symbols. Only a noisy pass over the same trials reads it, and it pops
+# it: the pop is atomic, so the taker alone owns the generators.
+_handoff: dict = {}
 
 
 def _trial_stacks(config: NetworkConfig, trials: int, channels=None, noise=False):
@@ -160,15 +183,34 @@ def _trial_stacks(config: NetworkConfig, trials: int, channels=None, noise=False
     A given set (one trial) draws no channel: it is designed once, and
     every stack repeats its plan as read-only broadcast views. Fewer than
     1 trial raises ValueError, before any design.
+
+    A noiseless pass empties ``_handoff`` before each draw and leaves its
+    drawn, designed stack there, so only its last stack outlives the call;
+    a given set's stacks and a stack whose design fails are not left. A
+    noisy pass pops the stack of the same (config, start, stop), if there
+    is one, and draws only its noise, from where those generators stand.
+    Consecutive draws from a generator give the values of one draw of
+    their total length, so the noise, and every output, is bit for bit
+    that of a fresh draw.
     """
     if trials < 1:
         raise ValueError("trials must be positive")
     size = _stack_size(config)
     fixed = None if channels is None else _designed(config, channels, 0)
     for start in range(0, trials, size):
-        rngs = [config.trial_rng(t) for t in range(start, min(start + size, trials))]
+        stop = min(start + size, trials)
+        key = (config, start, stop)
+        if not noise:
+            _handoff.clear()
+        elif fixed is None and (taken := _handoff.pop(key, None)):
+            plan, sent, rngs = taken
+            yield plan, sent, _noise_pair(*random_gaussian_stacks(_noise_parts(config), rngs))
+            continue
+        rngs = [config.trial_rng(t) for t in range(start, stop)]
         drawn, sent, noise_pair = draw_trials(config, rngs, channels, noise)
         plan = _designed(config, drawn, start) if fixed is None else fixed.repeated(len(rngs))
+        if not noise and fixed is None:
+            _handoff[key] = plan, sent, rngs
         yield plan, sent, noise_pair
 
 
@@ -350,7 +392,9 @@ def decode_mse_sweep(config: NetworkConfig, P_grid, trials: int) -> np.ndarray:
     round's error at P is its unit-power error over sqrt(P): each stack
     runs one unit-power noisy round and the MSE at P is its MSE over P.
     Trial errors are summed in trial order, as one trial at a time would
-    sum them.
+    sum them. A stack the previous noiseless pass over the same
+    configuration drew and designed is taken as it is, and only its noise
+    is drawn; the result is bit for bit that of a cold sweep.
     """
     grid = _power_levels(P_grid)
     totals = []
@@ -365,7 +409,9 @@ def decode_mse_sweep(config: NetworkConfig, P_grid, trials: int) -> np.ndarray:
 def simulate_report(config: NetworkConfig, P_grid, trials: int) -> DofReport:
     """Noiseless audit plus slope estimation in one report.
 
-    Both use the same plans, so every trial is designed once.
+    Both use the same plans, so every trial is designed once; the last
+    stack's plans also serve a ``decode_mse_sweep`` over the same trials
+    that follows.
     """
     return _audit(config, trials, grid=validate_power_grid(P_grid))
 

@@ -3,7 +3,16 @@
 import numpy as np
 import pytest
 
+from mrc_dof_lab import analysis
+
 LAPACK_KERNELS = ("svd", "qr", "inv", "solve")
+
+
+@pytest.fixture(autouse=True)
+def empty_handoff():
+    """Each test starts with no stack handed from a noiseless pass to the
+    MSE sweep, so no result depends on the order tests run in."""
+    analysis._handoff.clear()
 
 
 @pytest.fixture

@@ -485,8 +485,28 @@ class CountedGenerator(np.random.Generator):
 
 
 class TestOneDrawPerTrial:
-    """Every entry point opens each trial's stream once and draws from it
-    once: channel, symbols and noise come from one standard_normal call."""
+    """Every entry point, called cold, opens each trial's stream once and
+    draws from it once: channel, symbols and noise come from one
+    standard_normal call. The MSE sweep after a noiseless pass opens no
+    stream of the stack it takes, and draws only the noise from it."""
+
+    @staticmethod
+    def opened_streams(monkeypatch):
+        """Count each trial stream's standard_normal calls; a stream opened
+        twice fails. 4/4/3 stores 4 * 3 * 4 entries per trial: stacks of 2,
+        2 and 1 trials."""
+        opened = {}
+        real = NetworkConfig.trial_rng
+
+        def counted(config, trial):
+            assert trial not in opened, f"trial {trial} opened twice"
+            g = opened[trial] = CountedGenerator(real(config, trial).bit_generator)
+            g.calls = 0
+            return g
+
+        monkeypatch.setattr(NetworkConfig, "trial_rng", counted)
+        monkeypatch.setattr(analysis, "STACK_ELEMENTS", 48 * 2)
+        return opened
 
     @pytest.mark.parametrize("reciprocal", [True, False], ids=["rec", "nonrec"])
     @pytest.mark.parametrize(
@@ -503,20 +523,123 @@ class TestOneDrawPerTrial:
     )
     def test_one_standard_normal_call_per_trial(self, monkeypatch, run, reciprocal):
         cfg = NetworkConfig(K=4, M=4, N=3, seed=21, reciprocal=reciprocal)
-        opened = {}
-        real = NetworkConfig.trial_rng
-
-        def counted(config, trial):
-            assert trial not in opened, f"trial {trial} opened twice"
-            g = opened[trial] = CountedGenerator(real(config, trial).bit_generator)
-            g.calls = 0
-            return g
-
-        monkeypatch.setattr(NetworkConfig, "trial_rng", counted)
-        # 4 * 3 * 4 stored entries per trial: stacks of 2, 2 and 1 trials
-        monkeypatch.setattr(analysis, "STACK_ELEMENTS", 48 * 2)
+        opened = self.opened_streams(monkeypatch)
         run(cfg, 5)
         assert {t: g.calls for t, g in opened.items()} == dict.fromkeys(range(5), 1)
+
+    @pytest.mark.parametrize("reciprocal", [True, False], ids=["rec", "nonrec"])
+    def test_simulate_then_mse_reopens_only_earlier_stacks(self, monkeypatch, reciprocal):
+        # the last stack (trial 4) is drawn twice: channel and symbols,
+        # then noise; the sweep opens and draws the stacks before it again
+        cfg = NetworkConfig(K=4, M=4, N=3, seed=21, reciprocal=reciprocal)
+        opened = self.opened_streams(monkeypatch)
+        simulate_report(cfg, GRID, 5)
+        first = dict(opened)
+        opened.clear()
+        decode_mse_sweep(cfg, GRID, 5)
+        assert {t: g.calls for t, g in first.items()} == {0: 1, 1: 1, 2: 1, 3: 1, 4: 2}
+        assert {t: g.calls for t, g in opened.items()} == dict.fromkeys(range(4), 1)
+
+    @pytest.mark.parametrize("reciprocal", [True, False], ids=["rec", "nonrec"])
+    def test_simulate_then_mse_in_one_stack(self, monkeypatch, reciprocal):
+        # one stack holds every trial: the sweep opens no stream, and each
+        # stream is drawn twice, channel and symbols, then noise
+        cfg = NetworkConfig(K=4, M=4, N=3, seed=21, reciprocal=reciprocal)
+        opened = self.opened_streams(monkeypatch)
+        monkeypatch.setattr(analysis, "STACK_ELEMENTS", 48 * 5)
+        simulate_report(cfg, GRID, 5)
+        decode_mse_sweep(cfg, GRID, 5)
+        assert {t: g.calls for t, g in opened.items()} == dict.fromkeys(range(5), 2)
+
+
+class TestHandoff:
+    """The MSE sweep takes the last stack a noiseless pass drew and
+    designed, and gives the bits a cold sweep gives."""
+
+    @staticmethod
+    def stacks_designed(monkeypatch):
+        """The stack shape of each design_scheme call from here on."""
+        shapes = []
+        real = ssa_nc.design_scheme
+
+        def counted(config, channels):
+            shapes.append(channels.stack_shape)
+            return real(config, channels)
+
+        monkeypatch.setattr(ssa_nc, "design_scheme", counted)
+        return shapes
+
+    @pytest.mark.parametrize(
+        "k,m,n,reciprocal",
+        [(3, 3, 2, True), (5, 3, 3, True), (3, 4, 6, True), (4, 4, 3, False)],
+        ids=["3-3-2", "5-3-3-L4", "3-4-6-shutdown", "4-4-3-nonrec"],
+    )
+    def test_warm_equals_cold(self, monkeypatch, k, m, n, reciprocal):
+        cfg = NetworkConfig(K=k, M=m, N=n, seed=31, reciprocal=reciprocal)
+        if (k, m, n) == (5, 3, 3):
+            assert ssa_nc.extension_plan(k, m, n)[1] == 4
+        cold = decode_mse_sweep(cfg, GRID, 6)
+        assert not analysis._handoff
+        simulate_report(cfg, GRID, 6)
+        assert list(analysis._handoff) == [(cfg, 0, 6)]
+        designs = self.stacks_designed(monkeypatch)
+        warm = decode_mse_sweep(cfg, GRID, 6)
+        assert designs == [] and not analysis._handoff
+        assert np.array_equal(warm, cold)
+
+    def test_only_the_last_stack_is_reused(self, monkeypatch):
+        # 3/3/2 stores 18 entries per trial: stacks of 3, 3 and 1 trials
+        cfg = NetworkConfig(K=3, M=3, N=2, seed=31)
+        monkeypatch.setattr(analysis, "STACK_ELEMENTS", 54)
+        cold = decode_mse_sweep(cfg, GRID, 7)
+        verify_noiseless(cfg, 7)
+        assert list(analysis._handoff) == [(cfg, 6, 7)]
+        designs = self.stacks_designed(monkeypatch)
+        assert np.array_equal(decode_mse_sweep(cfg, GRID, 7), cold)
+        assert designs == [(3,), (3,)]
+
+    @pytest.mark.parametrize(
+        "other,trials",
+        [({"seed": 32}, 6), ({}, 5), ({}, 7), ({"reciprocal": False}, 6),
+         ({"duplex_factor": 0.5}, 6)],
+        ids=["seed", "fewer-trials", "more-trials", "reciprocity", "duplex"],
+    )
+    def test_other_requests_reuse_nothing(self, monkeypatch, other, trials):
+        cfg = NetworkConfig(K=3, M=3, N=2, seed=31)
+        taker = dataclasses.replace(cfg, **other)
+        cold = decode_mse_sweep(taker, GRID, trials)
+        simulate_report(cfg, GRID, 6)
+        designs = self.stacks_designed(monkeypatch)
+        assert np.array_equal(decode_mse_sweep(taker, GRID, trials), cold)
+        assert designs == [(trials,)]
+        # the sweep left the stack it did not match
+        assert list(analysis._handoff) == [(cfg, 0, 6)]
+
+    def test_design_error_leaves_nothing(self, monkeypatch):
+        cfg = NetworkConfig(K=3, M=3, N=2, seed=31)
+        simulate_report(cfg, GRID, 6)
+
+        def fail(config, channels):
+            raise ssa_nc.SchemeDesignError("singular", 0)
+
+        monkeypatch.setattr(ssa_nc, "design_scheme", fail)
+        with pytest.raises(ssa_nc.SchemeDesignError, match="trial 0"):
+            verify_noiseless(cfg, 6)
+        assert not analysis._handoff
+
+    def test_given_set_leaves_nothing(self):
+        cfg = NetworkConfig(K=3, M=3, N=2, seed=31)
+        simulate_report(cfg, GRID, 6)
+        verify_noiseless(cfg, 6, generate_channels(cfg, cfg.trial_rng(0)))
+        assert not analysis._handoff
+
+    def test_second_sweep_draws_again(self, monkeypatch):
+        cfg = NetworkConfig(K=4, M=4, N=3, seed=31)
+        simulate_report(cfg, GRID, 6)
+        first = decode_mse_sweep(cfg, GRID, 6)
+        designs = self.stacks_designed(monkeypatch)
+        assert np.array_equal(decode_mse_sweep(cfg, GRID, 6), first)
+        assert designs == [(6,)]
 
 
 def decode_error_map(plan):

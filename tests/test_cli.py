@@ -10,7 +10,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from mrc_dof_lab import __version__, analysis, cli
+from mrc_dof_lab import __version__, analysis, cli, ssa_nc
 from mrc_dof_lab.analysis import REPORT_COLUMNS
 from mrc_dof_lab.channel import NetworkConfig, load_channels
 from mrc_dof_lab.cli import EXIT_BAD_ARGS, EXIT_OK, EXIT_VERIFY_FAILED, main
@@ -743,14 +743,19 @@ class TestEntryPointSvdBudget:
         assert report.achieved_streams == report.cutset
         assert lapack_calls == [("inv", (5, 8, 8, 8))]
 
-    def test_noisy_power_sweep(self, lapack_calls):
-        # noisy_power_sweep: one stack of 25 trials per call at 4/4/3,
-        # whose 3 x 4 uplinks take one QR of their 4 x 3 transposes
+    def test_noisy_power_sweep(self, lapack_calls, monkeypatch):
+        # noisy_power_sweep: one stack of 25 trials at 4/4/3, whose 3 x 4
+        # uplinks take one QR of their 4 x 3 transposes; the MSE sweep
+        # takes the stack simulate_report drew and designed
         config = NetworkConfig(K=4, M=4, N=3, seed=7)
         grid = (1e2, 1e3, 1e4, 1e5, 1e6)
+        designs = []
+        real = ssa_nc.design_scheme
+        monkeypatch.setattr(ssa_nc, "design_scheme", lambda *a: designs.append(1) or real(*a))
         analysis.simulate_report(config, grid, 25)
         analysis.decode_mse_sweep(config, grid, 25)
-        assert lapack_calls == [("qr", (25, 4, 4, 3))] * 2
+        assert lapack_calls == [("qr", (25, 4, 4, 3))]
+        assert designs == [1]
 
     def test_sweep_grid(self, tmp_path, capsys, lapack_calls):
         # sweep_grid: 27 rows of 5 trials; per K, 3 rows with N = M take

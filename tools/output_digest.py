@@ -17,7 +17,9 @@ Covered, at one seed, over K in {2..5} x M, N in {1..4} plus 8/8/8,
   of one round, for one trial and for a 5-trial stack, noiseless and
   noisy at P = 10;
 - the ``verify_noiseless`` max error (10 trials);
-- ``decode_mse_sweep`` at P = 1e2, 1e4 (10 trials);
+- ``decode_mse_sweep`` at P = 1e2, 1e4 (10 trials), drawn cold before
+  ``verify_noiseless`` and again after it, when the sweep takes the
+  stack the audit drew (the two digests must be equal);
 - ``verify`` and ``simulate`` CLI output, standard error and exit code
   (5 trials, CSV and JSON).
 
@@ -137,6 +139,11 @@ def config_lines(seed: int):
     for label, (k, m, n), reciprocal in configs():
         config = NetworkConfig(K=k, M=m, N=n, reciprocal=reciprocal, seed=seed)
         yield from trace_lines(label, config)
+        # drawn cold here, and after verify_noiseless from the stack it
+        # hands over: both lines must read the same
+        yield f"decode_mse_sweep cold {label}", guarded(
+            lambda: array_digest(analysis.decode_mse_sweep(config, MSE_GRID, AUDIT_TRIALS))
+        )
         yield f"verify_noiseless {label}", guarded(
             lambda: sha(repr(analysis.verify_noiseless(config, AUDIT_TRIALS).noiseless_max_error)
                         .encode())
