@@ -20,12 +20,13 @@ stored at physical size, and a stack holds up to STACK_ELEMENTS entries
 of each of its plan's stored pseudoinverses, so K = 8, M = N = 8 (56 x 56
 after extension) runs 64 trials per stack. A trial draws the same values
 in any stack, so every result is independent of the stack size. A fixed
-channel set is designed once, and every stack reads that one plan
-through read-only broadcast views. Two loops run the stacks: ``_audit``,
-behind both ``verify_noiseless`` and ``simulate_report``, takes each
-stack's noiseless errors and, given a power grid, its SINRs for the
-slope fit; ``decode_mse_sweep`` takes its noisy errors. Every entry
-point checks its power grid, then ``_trial_stacks`` its trial count.
+channel set is designed once, and every stack runs its symbols through
+that one-trial plan, which the round functions broadcast over the stack.
+Two loops run the stacks: ``_audit``, behind both ``verify_noiseless``
+and ``simulate_report``, takes each stack's noiseless errors and, given
+a power grid, its SINRs for the slope fit; ``decode_mse_sweep`` takes its
+noisy errors. Every entry point checks its power grid, then
+``_trial_stacks`` its trial count.
 
 The audit hands its last drawn stack to the MSE sweep: a sweep over the
 same configuration and trials right after it, as in checking a
@@ -98,8 +99,6 @@ def format_number(x) -> str:
         return ""
     if type(x) is int:  # most cells, ahead of the slower isinstance checks
         return str(x)
-    if isinstance(x, bool):
-        return str(int(x))
     if isinstance(x, Fraction):
         return str(x.numerator) if x.denominator == 1 else repr(float(x))
     if isinstance(x, (int, np.integer)):
@@ -181,8 +180,9 @@ def _trial_stacks(config: NetworkConfig, trials: int, channels=None, noise=False
     leading trial axis, and sent and noise as ``draw_trials`` gives them.
 
     A given set (one trial) draws no channel: it is designed once, and
-    every stack repeats its plan as read-only broadcast views. Fewer than
-    1 trial raises ValueError, before any design.
+    every stack yields that one-trial plan as it was designed, which the
+    round functions broadcast over the stack's symbols. Fewer than 1 trial
+    raises ValueError, before any design.
 
     A noiseless pass empties ``_handoff`` before each draw and leaves its
     drawn, designed stack there, so only its last stack outlives the call;
@@ -208,7 +208,7 @@ def _trial_stacks(config: NetworkConfig, trials: int, channels=None, noise=False
             continue
         rngs = [config.trial_rng(t) for t in range(start, stop)]
         drawn, sent, noise_pair = draw_trials(config, rngs, channels, noise)
-        plan = _designed(config, drawn, start) if fixed is None else fixed.repeated(len(rngs))
+        plan = _designed(config, drawn, start) if fixed is None else fixed
         if not noise and fixed is None:
             _handoff[key] = plan, sent, rngs
         yield plan, sent, noise_pair
@@ -240,7 +240,9 @@ def _noiseless_round_errors(plan: SchemePlan, sent: np.ndarray) -> np.ndarray:
 def _audit(config: NetworkConfig, trials: int, channels=None, grid=None) -> DofReport:
     """The one loop over a configuration's trials: each stack's noiseless
     round errors and, given a checked power grid, its unit-power SINRs,
-    whose slope fit the report then carries."""
+    whose slope fit the report then carries. Only drawn channels come with
+    a grid: a given set's one-trial plan has one row of SINRs, not one per
+    trial."""
     errors, gammas = [], []
     for plan, sent, _ in _trial_stacks(config, trials, channels):
         errors.append(_noiseless_round_errors(plan, sent))
@@ -321,8 +323,8 @@ def stream_sinrs(plan: SchemePlan, P: float) -> StreamSinrs:
     slot. Both SINRs are
     exactly linear in P because the plan's amplitudes are per sqrt(P).
     """
-    if P <= 0:
-        raise ValueError("P must be positive")
+    if not 0 < P < math.inf:
+        raise ValueError("P must be positive and finite")
     K, L, d = plan.num_users, plan.extension_factor, plan.d
     a2 = np.asarray(plan.power_scale) ** 2 * P
     b2 = np.asarray(plan.bc_scale) ** 2 * P
@@ -331,8 +333,6 @@ def stream_sinrs(plan: SchemePlan, P: float) -> StreamSinrs:
     noise = np.tile(_row_power(plan.channels.downlink_pinv), L).reshape(lead + (K, K - 1, d))
     bc = 2.0 * b2[..., np.newaxis, np.newaxis, np.newaxis] / noise
     end_to_end = np.minimum(bc, mac[..., np.newaxis, :, :])
-    assert np.all(end_to_end <= mac[..., np.newaxis, :, :] + 1e-12)
-    assert np.all(end_to_end <= bc + 1e-12)
     return StreamSinrs(mac=mac, bc=bc, end_to_end=end_to_end)
 
 

@@ -57,14 +57,6 @@ def common_only_allocation(K: int, per_user: Number) -> DofAllocation:
     return DofAllocation(private=tuple((0,) * K for _ in range(K)), common=(per_user,) * K)
 
 
-@dataclass(frozen=True)
-class RegimeLabel:
-    """Which of the five N/M regimes a configuration falls in; the
-    boundary ratios at each K are ``regime_thresholds(K)``."""
-
-    case_index: int
-
-
 class CutViolation(NamedTuple):
     receiver: int  # 1-based user index
     cut_sum: Number
@@ -122,8 +114,9 @@ def regime_thresholds(K: int) -> tuple[Fraction, Fraction, Fraction, Fraction]:
     )
 
 
-def classify_regime(K: int, M: int, N: int) -> RegimeLabel:
-    """Place N/M into one of the five regimes.
+def classify_regime(K: int, M: int, N: int) -> int:
+    """The case number, 1 to 5, of the regime N/M falls in; the boundary
+    ratios at each K are ``regime_thresholds(K)``.
 
     Intervals are lower-inclusive: N <= M is case 1, then case c covers
     ratios up to (but excluding) its upper threshold, and case 5 is
@@ -136,16 +129,14 @@ def classify_regime(K: int, M: int, N: int) -> RegimeLabel:
         raise ValueError("antenna counts must be positive")
     ratio = Fraction(N, M)
     if ratio <= thresholds[0]:
-        case = 1
-    elif ratio < thresholds[1]:
-        case = 2
-    elif ratio < thresholds[2]:
-        case = 3
-    elif ratio < thresholds[3]:
-        case = 4
-    else:
-        case = 5
-    return RegimeLabel(case_index=case)
+        return 1
+    if ratio < thresholds[1]:
+        return 2
+    if ratio < thresholds[2]:
+        return 3
+    if ratio < thresholds[3]:
+        return 4
+    return 5
 
 
 def private_only_dof(K: int, M: int, N: int) -> Fraction:
@@ -154,7 +145,7 @@ def private_only_dof(K: int, M: int, N: int) -> Fraction:
     Case 4 evaluates K(K-1)/(K^2-K+2) * (2N + (4-K)M); with that reading
     the five case formulas agree at every shared boundary.
     """
-    case = classify_regime(K, M, N).case_index
+    case = classify_regime(K, M, N)
     denom = K * K - K + 2
     if case in (1, 2):
         return Fraction(2 * N)
@@ -177,10 +168,9 @@ class BoundRow(NamedTuple):
 
 def bound_row(K: int, M: int, N: int) -> BoundRow:
     """One regime-table row; the shared code path for CLI and analysis."""
-    label = classify_regime(K, M, N)
     private = private_only_dof(K, M, N)
     cut = cutset_dof(K, M, N)
-    return BoundRow(K, M, N, label.case_index, private, cut, Fraction(cut) - private)
+    return BoundRow(K, M, N, classify_regime(K, M, N), private, cut, Fraction(cut) - private)
 
 
 __all__ = [
@@ -188,7 +178,6 @@ __all__ = [
     "RegimeError",
     "DofAllocation",
     "common_only_allocation",
-    "RegimeLabel",
     "CutViolation",
     "total_dof",
     "cutset_dof",

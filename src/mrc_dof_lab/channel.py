@@ -35,7 +35,6 @@ from .linalg import (
     random_gaussian_stacks,
 )
 
-_RANK_TOL = 1e-10
 _SEED_MASK = (1 << 64) - 1
 
 
@@ -46,6 +45,9 @@ class NetworkConfig:
     K users with M antennas each exchange messages through an N-antenna
     relay; there are no direct user-to-user links. duplex_factor 0.5
     rescales reported rates for half-duplex operation, 1.0 is full duplex.
+    K, M, N and seed must be integers (int or numpy integer, not bool) and
+    reciprocal a bool; any other type raises ValueError, since a float
+    seed would run truncated and a string switch would run as true.
     """
 
     K: int
@@ -56,6 +58,12 @@ class NetworkConfig:
     seed: int = 42
 
     def __post_init__(self) -> None:
+        for name in ("K", "M", "N", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, not {value!r}")
+        if not isinstance(self.reciprocal, bool):
+            raise ValueError(f"reciprocal must be a bool, not {self.reciprocal!r}")
         if self.K < 2:
             raise ValueError("K must be at least 2")
         if self.M < 1 or self.N < 1:
@@ -133,10 +141,10 @@ class ChannelSet:
     uplink_cond and downlink_cond, the condition numbers of h_j and d_j,
     (..., K), are computed by ``pseudo_inverse_and_rank`` on first read (a
     reciprocal set's downlink_cond is its uplink_cond) and cached; a view
-    made by ``stacked``, ``select`` or ``repeated`` computes its own. Every
-    array is read-only: the set marks the complex128 matrices it is given
-    read-only too, so its stored decomposition stays theirs. Pass arrays
-    the set may own; marking a view read-only leaves its base writable.
+    made by ``stacked`` or ``select`` computes its own. Every array is
+    read-only: the set marks the complex128 matrices it is given read-only
+    too, so its stored decomposition stays theirs. Pass arrays the set may
+    own; marking a view read-only leaves its base writable.
     """
 
     uplink: np.ndarray
@@ -165,13 +173,13 @@ class ChannelSet:
         # rank, so only another downlink is checked and factored
         if not reciprocal:
             _check_finite(downlink)
-        up_pinv, up_rank, up_bound = pseudo_inverse_and_bound(uplink, _RANK_TOL)
+        up_pinv, up_rank, up_bound = pseudo_inverse_and_bound(uplink)
         _check_rank(up_rank, min(up_shape))
         if reciprocal:
             # d = h^T shares h's singular values, and pinv(h^T) = pinv(h)^T
             down_pinv, down_bound = up_pinv.swapaxes(-1, -2).copy(), up_bound
         else:
-            down_pinv, down_rank, down_bound = pseudo_inverse_and_bound(downlink, _RANK_TOL)
+            down_pinv, down_rank, down_bound = pseudo_inverse_and_bound(downlink)
             _check_rank(down_rank, min(up_shape))
         self._store(
             uplink=uplink,
@@ -197,10 +205,10 @@ class ChannelSet:
         """Both links' condition numbers, computed on first read by one SVD
         per link stack; a reciprocal set's downlink shares its uplink's, as
         validation took them."""
-        up = _freeze(pseudo_inverse_and_rank(self.uplink, _RANK_TOL)[2])
+        up = _freeze(pseudo_inverse_and_rank(self.uplink)[2])
         if _is_reciprocal(self.uplink, self.downlink):
             return up, up
-        return up, _freeze(pseudo_inverse_and_rank(self.downlink, _RANK_TOL)[2])
+        return up, _freeze(pseudo_inverse_and_rank(self.downlink)[2])
 
     def _store(self, **arrays: np.ndarray) -> None:
         """Set the given fields, read-only."""
@@ -233,13 +241,6 @@ class ChannelSet:
     def select(self, trials) -> ChannelSet:
         """The given trials of a stack, as a stack."""
         return self._view(lambda a: a[trials])
-
-    def repeated(self, count: int) -> ChannelSet:
-        """One trial's set as a stack of ``count`` identical trials: every
-        array a read-only broadcast view of this set's, nothing copied."""
-        if self.stack_shape:
-            raise ValueError("only one trial's set can be repeated")
-        return self._view(lambda a: np.broadcast_to(a, (count,) + a.shape))
 
     def _view(self, transform) -> ChannelSet:
         """The set with every field transformed alike along its leading
@@ -291,14 +292,13 @@ def generate_channels(config: NetworkConfig, rng) -> ChannelSet:
     return draw_channels(config, rng)[0]
 
 
-def shutdown_relay_antennas(channels: ChannelSet, keep: int) -> ChannelSet:
-    """Drop all but the first ``keep`` relay antennas.
+def shutdown_relay_antennas(channels: ChannelSet) -> ChannelSet:
+    """Keep the first min(N, M) relay antennas, the set itself when N <= M.
 
     Removes trailing rows of every uplink matrix and trailing columns of
     every downlink matrix. Validated, as dropping rows can lose rank.
     """
-    if not 1 <= keep <= channels.relay_dim:
-        raise ValueError("keep must be between 1 and the relay dimension")
+    keep = min(channels.relay_dim, channels.user_dim)
     if keep == channels.relay_dim:
         return channels
     return ChannelSet(

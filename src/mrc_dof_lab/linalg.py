@@ -3,8 +3,8 @@
 Everything operates on 2-D ``complex128`` numpy arrays; the pseudoinverses
 also take a stack of them and decompose it in one LAPACK call, and
 ``random_gaussian_stacks`` fills every array a trial draws with one call
-per generator. Rank decisions are made on singular
-values relative to the largest one (scale invariant):
+per generator. Rank decisions are made on singular values relative to
+the largest one (scale invariant), at the one tolerance ``RANK_TOL``:
 ``pseudo_inverse_and_rank`` computes them with an SVD, and
 ``pseudo_inverse_and_bound`` reaches the same decisions from one LU or QR
 factorization and a certified bound on the condition number, taking the
@@ -19,8 +19,8 @@ import math
 
 import numpy as np
 
-# Singular values sigma <= tol * sigma_max count as zero.
-DEFAULT_TOL = 1e-10
+# Singular values sigma <= RANK_TOL * sigma_max count as zero.
+RANK_TOL = 1e-10
 
 # The Frobenius condition bound kappa_F = ||A||_F ||A^+||_F of a rank-r
 # matrix satisfies kappa_2 <= kappa_F <= r kappa_2. It certifies a
@@ -80,17 +80,18 @@ def random_gaussian_stacks(parts, rng) -> list[np.ndarray]:
     return out
 
 
-def pseudo_inverse_and_rank(A: CMatrix, tol: float = DEFAULT_TOL) -> tuple[np.ndarray, ...]:
+def pseudo_inverse_and_rank(A: CMatrix) -> tuple[np.ndarray, ...]:
     """Moore-Penrose pseudoinverse, numeric rank and condition number from one SVD.
 
     Takes one matrix or a stack of shape (..., m, n) and decomposes the
     whole stack in a single call. Singular values at or below
-    ``tol * sigma_max`` of their own matrix are truncated and not counted,
-    so rank-deficient inputs are handled without blow-up. Rank and condition
-    number sigma_max / sigma_min (inf if rank deficient) are arrays over the stack.
+    ``RANK_TOL * sigma_max`` of their own matrix are truncated and not
+    counted, so rank-deficient inputs are handled without blow-up. Rank and
+    condition number sigma_max / sigma_min (inf if rank deficient) are
+    arrays over the stack.
     """
     u, s, vh = np.linalg.svd(np.asarray(A), full_matrices=False)
-    keep = s > tol * s[..., :1]
+    keep = s > RANK_TOL * s[..., :1]
     inv = np.divide(1.0, s, out=np.zeros_like(s), where=keep)
     pinv = (vh.conj().swapaxes(-1, -2) * inv[..., np.newaxis, :]) @ u.conj().swapaxes(-1, -2)
     cond = np.divide(s[..., 0], s[..., -1], out=np.full(s.shape[:-1], np.inf), where=keep[..., -1])
@@ -133,7 +134,7 @@ def _frobenius(a: np.ndarray) -> np.ndarray:
     return np.sqrt(np.add.reduce((a.conj() * a).real, axis=(-2, -1)))
 
 
-def pseudo_inverse_and_bound(A: CMatrix, tol: float = DEFAULT_TOL) -> tuple[np.ndarray, ...]:
+def pseudo_inverse_and_bound(A: CMatrix) -> tuple[np.ndarray, ...]:
     """Pseudoinverse and numeric rank, as ``pseudo_inverse_and_rank``
     decides them, with the Frobenius condition bound in place of the
     condition number.
@@ -143,7 +144,7 @@ def pseudo_inverse_and_bound(A: CMatrix, tol: float = DEFAULT_TOL) -> tuple[np.n
     R^-1 Q^H when m > n, and the conjugate transpose of that of A^H when
     m < n. Each matrix's bound kappa_F = ||A||_F ||A^+||_F lies between its
     condition number and rank times it. A matrix whose kappa_F is at most
-    1 / (BOUND_MARGIN tol) is full rank under the SVD's rule; any other
+    1 / (BOUND_MARGIN RANK_TOL) is full rank under the SVD's rule; any other
     matrix, including one whose factorization failed, is decided by
     ``pseudo_inverse_and_rank`` (one SVD call for all of them), which
     gives its pseudoinverse, its rank and, as its bound, its condition
@@ -167,9 +168,9 @@ def pseudo_inverse_and_bound(A: CMatrix, tol: float = DEFAULT_TOL) -> tuple[np.n
                 pinv = _qr_pseudo_inverse(a.conj().swapaxes(-1, -2)).conj().swapaxes(-1, -2).copy()
             bound = np.asarray(_frobenius(a) * _frobenius(pinv))
     rank = np.full(bound.shape, min(m, n))
-    unsure = ~(bound <= 1.0 / (BOUND_MARGIN * tol))
+    unsure = ~(bound <= 1.0 / (BOUND_MARGIN * RANK_TOL))
     if unsure.any():
-        pinv[unsure], rank[unsure], bound[unsure] = pseudo_inverse_and_rank(a[unsure], tol)
+        pinv[unsure], rank[unsure], bound[unsure] = pseudo_inverse_and_rank(a[unsure])
     return _freeze(pinv), rank, bound
 
 

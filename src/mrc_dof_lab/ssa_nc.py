@@ -48,19 +48,21 @@ so a single plan serves an entire power sweep.
 
 Every function takes one trial or a stack of trials along a leading trial
 axis. The design takes a stacked ChannelSet and gives a plan whose arrays
-carry the same axis; the round functions take that plan, which carries
-its channels, and the symbols and noise as arrays. Nothing here draws:
-``analysis.draw_trials`` draws a trial's channel and symbols, and its
-noise when asked for, before the design, and ``run_round`` only pushes them through. Each
-design and round step is one batched call for the whole stack, and a
-trial's results do not depend on the stack it is in. A single trial runs
-as a stack of one.
+carry the same axis; the round functions take a plan, which carries its
+channels, and the symbols and noise as arrays. They take their trial axes
+from the plan when it is stacked, and from their first array otherwise,
+so a one-trial plan (a given channel set's) serves a stack of symbol
+draws by numpy broadcasting. Nothing here draws: ``analysis.draw_trials``
+draws a trial's channel and symbols, and its noise when asked for, before
+the design, and ``run_round`` only pushes them through. Each design and
+round step is one batched call for the whole stack, and a trial's results
+do not depend on the stack it is in.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -190,15 +192,6 @@ class SchemePlan:
         shape = (self.num_users, self.effective_M, self.num_pairs, self.d)
         return cols.reshape(self.stack_shape + shape).swapaxes(-3, -2)
 
-    def repeated(self, count: int) -> SchemePlan:
-        """One trial's plan as a stack of ``count`` identical trials: every
-        array a read-only broadcast view of this plan's, nothing copied."""
-        views = {"channels": self.channels.repeated(count)}
-        for name in ("power_scale", "beamformers"):
-            a = np.asarray(getattr(self, name))
-            views[name] = np.broadcast_to(a, (count,) + a.shape)
-        return replace(self, **views)
-
     @property
     def stack_shape(self) -> tuple[int, ...]:
         """() for one trial's plan, (S,) for a stack of S trials."""
@@ -226,7 +219,7 @@ class TransmissionTrace:
     """One simulated channel use of the full two-phase chain.
 
     Shapes: sent (K, d), relay_rx (effective_N,), relay_fwd (K-1, d),
-    user_rx (K, effective_M), decoded (K, K-1, d), each with the plan's
+    user_rx (K, effective_M), decoded (K, K-1, d), each with the round's
     leading trial axis for a stack. decoded[..., u, i, :] is user u's
     estimate of the symbols of sender sender_table(K)[u, i].
     """
@@ -288,21 +281,15 @@ def _kron_eye(h: np.ndarray, L: int) -> np.ndarray:
     return out.reshape(h.shape[:-2] + (L * r, L * c))
 
 
-def _slot_schedule(K: int, L: int) -> tuple[np.ndarray, np.ndarray]:
-    """Where each pair's d relay streams sit: pair p in slot p // c at
-    block p % c of the slot's c = (K-1) / L blocks. Returns (slot, block)."""
-    pairs = np.arange(K - 1)
-    return pairs // ((K - 1) // L), pairs % ((K - 1) // L)
-
-
 def _beamformers(uplink_pinv: np.ndarray, L: int, d: int) -> np.ndarray:
     """Every user's physical beamformer, (..., K, m, d): what it sends in
     one slot. Partner p+1 sends its pair's d-column block of pinv(h_{p+1})
-    in its pair's slot; user 0 sends every pair of a slot at once, in every
-    slot, so its beamformer is the sum of the blocks of pinv(h_0)."""
+    in its pair's slot, at block p % c of the slot's c = (K-1) / L blocks;
+    user 0 sends every pair of a slot at once, in every slot, so its
+    beamformer is the sum of the blocks of pinv(h_0)."""
     K, m, n = uplink_pinv.shape[-3:]
     blocks = uplink_pinv.reshape(uplink_pinv.shape[:-1] + (n // d, d)).swapaxes(-3, -2)
-    _, block = _slot_schedule(K, L)
+    block = np.arange(K - 1) % ((K - 1) // L)
     own = np.ascontiguousarray(blocks[..., 0, :, :, :]).sum(axis=-3, keepdims=True)
     return np.concatenate([own, blocks[..., np.arange(1, K), block, :, :]], axis=-3)
 
@@ -381,8 +368,8 @@ def design_scheme(config: NetworkConfig, channels: ChannelSet) -> SchemePlan:
             f"channel set is K={channels.num_users}, M={channels.user_dim}, "
             f"N={channels.relay_dim}; the configuration is K={K}, M={M}, N={N}"
         )
-    base, L, d = extension_plan(K, M, N)
-    eff = shutdown_relay_antennas(channels, base)
+    _, L, d = extension_plan(K, M, N)
+    eff = shutdown_relay_antennas(channels)
     _check_conditioning(eff)
     beams = _freeze(_beamformers(eff.uplink_pinv, L, d))
     power_scale = _power_scale(beams, L)
@@ -393,11 +380,11 @@ def design_scheme(config: NetworkConfig, channels: ChannelSet) -> SchemePlan:
     )
 
 
-def _vector_rows(vectors, stack_shape: tuple, count, d: int, what: str) -> np.ndarray:
+def _vector_rows(vectors, lead: tuple, count, d: int, what: str) -> np.ndarray:
     """The ``count`` length-d vectors of each trial as one array; count
     None is one vector per trial, with no axis for the count."""
     rows = np.asarray(vectors)
-    if rows.shape != stack_shape + ((d,) if count is None else (count, d)):
+    if rows.shape != lead + ((d,) if count is None else (count, d)):
         raise ValueError(
             f"need {count or 'one'} {what} vector{'' if count is None else 's'} of length {d} "
             f"per trial, got shape {rows.shape}"
@@ -406,7 +393,10 @@ def _vector_rows(vectors, stack_shape: tuple, count, d: int, what: str) -> np.nd
 
 
 def _amplitude(scale, P: float) -> np.ndarray:
-    """Transmit amplitude scale * sqrt(P), one per trial (0-d for one)."""
+    """Transmit amplitude scale * sqrt(P), one per trial (0-d for one).
+    P must be positive and finite."""
+    if not 0 < P < math.inf:
+        raise ValueError("P must be positive and finite")
     return np.asarray(scale) * np.sqrt(P)
 
 
@@ -419,17 +409,19 @@ def mac_phase(plan: SchemePlan, symbols, P: float, noise=None) -> np.ndarray:
     given: its unit-variance noise, one length-effective_N vector per trial.
 
     symbols holds one length-d vector per user, as a (K, d) array or a
-    sequence, or a (S, K, d) array for a stacked plan. Draws nothing.
+    sequence, or a (S, K, d) array for S trials: a stacked plan takes its
+    own S only, and a one-trial plan serves any S. Draws nothing.
     """
-    s = _vector_rows(symbols, plan.stack_shape, plan.num_users, plan.d, "symbol")
+    lead = plan.stack_shape or np.shape(symbols)[:-2]
+    s = _vector_rows(symbols, lead, plan.num_users, plan.d, "symbol")
     if noise is not None:
-        noise = _vector_rows(noise, plan.stack_shape, None, plan.effective_N, "relay noise")
+        noise = _vector_rows(noise, lead, None, plan.effective_N, "relay noise")
     L = plan.extension_factor
     a = _amplitude(plan.power_scale, P)[..., np.newaxis, np.newaxis, np.newaxis]
     x = a * (plan.beamformers @ s[..., np.newaxis])
     # each user's image at the relay, the same in every slot it sends in
     images = (plan.channels.uplink @ x)[..., 0]
-    y_r = _slot_sum(images, L).reshape(plan.stack_shape + (plan.effective_N,))
+    y_r = _slot_sum(images, L).reshape(lead + (plan.effective_N,))
     if noise is not None:
         y_r = y_r + noise
     return y_r
@@ -452,12 +444,14 @@ def bc_phase(plan: SchemePlan, w, P: float, noise=None) -> np.ndarray:
     per trial.
 
     w holds one forwarded length-d vector per pair, as a (K-1, d) array or
-    a sequence, or a (S, K-1, d) array for a stacked plan. Row u of the
-    (K, user_dim) result is user u's observation. Draws nothing.
+    a sequence, or a (S, K-1, d) array for S trials, as in ``mac_phase``.
+    Row u of the (K, user_dim) result is user u's observation. Draws
+    nothing.
     """
-    w = _vector_rows(w, plan.stack_shape, plan.num_pairs, plan.d, "forwarded")
+    lead = plan.stack_shape or np.shape(w)[:-2]
+    w = _vector_rows(w, lead, plan.num_pairs, plan.d, "forwarded")
     if noise is not None:
-        noise = _vector_rows(noise, plan.stack_shape, plan.num_users, plan.effective_M, "noise")
+        noise = _vector_rows(noise, lead, plan.num_users, plan.effective_M, "noise")
     b = _amplitude(plan.bc_scale, P)[..., np.newaxis]
     # pair p's sum on relay streams [p d, (p+1) d): sum_p T[p] w[p], bit for bit
     x_r = b * w.reshape(w.shape[:-2] + (plan.effective_N,))
@@ -477,13 +471,14 @@ def user_decode(plan: SchemePlan, user_rx, sent, P: float) -> np.ndarray:
     symbols for u >= 1, and that copy is subtracted from every sum.
 
     user_rx holds each user's observation, (K, effective_M), and sent
-    each user's own symbols, (K, d), with the plan's trial axis for a
-    stack. Returns (K, K-1, d), C-contiguous, whose row u follows
-    sender_table(K)[u].
+    each user's own symbols, (K, d), with a leading trial axis for a stack
+    of trials, as in ``mac_phase``. Returns (K, K-1, d), C-contiguous,
+    whose row u follows sender_table(K)[u].
     """
     K, d = plan.num_users, plan.d
-    y = _vector_rows(user_rx, plan.stack_shape, K, plan.effective_M, "received")
-    own = _vector_rows(sent, plan.stack_shape, K, d, "symbol")
+    lead = plan.stack_shape or np.shape(user_rx)[:-2]
+    y = _vector_rows(user_rx, lead, K, plan.effective_M, "received")
+    own = _vector_rows(sent, lead, K, d, "symbol")
     b = _amplitude(plan.bc_scale, P)[..., np.newaxis, np.newaxis, np.newaxis]
     # each slot's pair blocks of d rows of pinv(d_u), applied to that slot;
     # what[u, p]: user u's copy of the sum of user 0's and user p+1's symbols
@@ -502,7 +497,8 @@ def user_decode(plan: SchemePlan, user_rx, sent, P: float) -> np.ndarray:
 
 def run_round(plan: SchemePlan, P: float, sent, noise=None) -> TransmissionTrace:
     """Push the users' symbols through both phases and every user's
-    decoder, for one trial or every trial of a stacked plan. Draws nothing.
+    decoder, for one trial or a stack of trials: a stacked plan's own, or
+    any number through a one-trial plan. Draws nothing.
 
     sent holds each user's length-d symbol vector, (K, d) per trial, and
     noise, when given, the pair (relay noise, user noise) that

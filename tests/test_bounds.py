@@ -113,15 +113,15 @@ class TestClassifyRegime:
             assert t[0] <= t[1] <= t[2] <= t[3]
 
     def test_case1(self):
-        assert classify_regime(4, 2, 1).case_index == 1
+        assert classify_regime(4, 2, 1) == 1
 
     def test_case4_at_lower_boundary(self):
         # ratio 2 equals K/2 at K = 4, interval is lower inclusive
-        assert classify_regime(4, 1, 2).case_index == 4
+        assert classify_regime(4, 1, 2) == 4
 
     def test_case5_when_all_thresholds_coincide(self):
         # at K = 3 every interior threshold is 3/2
-        assert classify_regime(3, 2, 3).case_index == 5
+        assert classify_regime(3, 2, 3) == 5
 
     def test_rejects_small_k(self):
         with pytest.raises(RegimeError):
@@ -131,7 +131,7 @@ class TestClassifyRegime:
         for k in range(3, 9):
             for m in range(1, 13):
                 for n in range(1, 13):
-                    assert classify_regime(k, m, n).case_index in (1, 2, 3, 4, 5)
+                    assert classify_regime(k, m, n) in (1, 2, 3, 4, 5)
 
 
 class TestPrivateOnlyDof:

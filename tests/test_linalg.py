@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from mrc_dof_lab.linalg import (
     BOUND_MARGIN,
-    DEFAULT_TOL,
+    RANK_TOL,
     pseudo_inverse_and_bound,
     pseudo_inverse_and_rank,
     random_gaussian_stacks,
@@ -217,7 +217,7 @@ class TestPseudoInverseAndBound:
         _, exact_rank, cond = pseudo_inverse_and_rank(stack)
         assert np.array_equal(rank, exact_rank)
         assert (exact_rank < min(shape)).any() and (exact_rank == min(shape)).any()
-        certified = bound <= 1 / (BOUND_MARGIN * DEFAULT_TOL)
+        certified = bound <= 1 / (BOUND_MARGIN * RANK_TOL)
         assert certified.any() and (exact_rank[certified] == min(shape)).all()
 
     def test_route_is_chosen_per_matrix(self, lapack_calls):

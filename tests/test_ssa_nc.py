@@ -587,6 +587,29 @@ class TestTrialStacks:
                 _stacked_plan(cfg, trials)
             assert err.value.trial == position
 
+    @pytest.mark.parametrize("reciprocal", [True, False])
+    @pytest.mark.parametrize("k,m,n", [(4, 4, 3), (3, 4, 6), (8, 8, 8)])
+    def test_one_trial_plan_serves_a_stack(self, k, m, n, reciprocal):
+        # a given set's one-trial plan (3/4/6 shut down, 8/8/8 with L = 7)
+        # takes a stack of symbols and noise by broadcasting: each trial's
+        # trace is bit for bit its own single-trial round through the plan
+        cfg = NetworkConfig(K=k, M=m, N=n, seed=7, reciprocal=reciprocal)
+        channels = generate_channels(cfg, cfg.trial_rng(0))
+        plan = design_scheme(cfg, channels)
+        rngs = [cfg.trial_rng(trial) for trial in range(3)]
+        _, sent, (relay, user) = draw_trials(cfg, rngs, channels, noise=True)
+        whole = run_round(plan, 10.0, sent, (relay, user))
+        assert plan.stack_shape == () and whole.decoded.shape[0] == 3
+        assert whole.decoded.flags.c_contiguous
+        for t in range(3):
+            one = run_round(plan, 10.0, sent[t], (relay[t], user[t]))
+            for name in TRACE_FIELDS:
+                assert np.array_equal(getattr(whole, name)[t], getattr(one, name)), (t, name)
+        # every array is checked against the trial axes of the first
+        for wrong in ((relay[:2], user), (relay, user[:2]), (relay[0], user)):
+            with pytest.raises(ValueError, match="per trial"):
+                run_round(plan, 10.0, sent, wrong)
+
     def test_round_inputs_must_match_stack(self):
         # a 3-trial plan takes symbols and noise for each of its 3 trials
         cfg = NetworkConfig(K=3, M=3, N=2, seed=7)
@@ -717,6 +740,31 @@ def _by_slot(per_user, L):
     out[..., 0, :, :] = per_user[..., :1, :]
     out[..., np.arange(1, K), slot, :] = per_user[..., 1:, :]
     return out
+
+
+class TestPowerInput:
+    @pytest.mark.parametrize("P", [0.0, -1.0, float("nan"), float("inf")])
+    @pytest.mark.parametrize(
+        "step", ["mac_phase", "relay_process", "bc_phase", "user_decode", "run_round",
+                 "stream_sinrs"],
+    )
+    def test_power_must_be_positive_and_finite(self, step, P):
+        # every phase, the round and the SINRs refuse a power that would
+        # give NaN or inf amplitudes
+        cfg, eff, plan, rng = designed(3, 3, 2, seed=7)
+        _, sent, (relay, user) = draw_trials(cfg, rng, eff, noise=True)
+        forwarded = np.zeros((plan.num_pairs, plan.d), dtype=complex)
+        args = {
+            "mac_phase": (plan, sent, P),
+            "relay_process": (plan, relay, P),
+            "bc_phase": (plan, forwarded, P),
+            "user_decode": (plan, user, sent, P),
+            "run_round": (plan, P, sent, (relay, user)),
+            "stream_sinrs": (plan, P),
+        }[step]
+        call = stream_sinrs if step == "stream_sinrs" else getattr(ssa_nc, step)
+        with pytest.raises(ValueError, match="P must be positive and finite"):
+            call(*args)
 
 
 class TestMacPhase:
@@ -1097,26 +1145,6 @@ class TestAllocationAndPlan:
             for name, a in arrays.items():
                 with pytest.raises(ValueError, match="read-only"):
                     a[(0,) * a.ndim] = 0
-
-    def test_repeated_plan_is_broadcast_views(self):
-        cfg, eff, plan, _ = designed(4, 2, 5, seed=24)
-        stack = plan.repeated(3)
-        assert stack.stack_shape == stack.channels.stack_shape == (3,)
-        assert stack.power_scale.shape == (3,) and stack.bc_scale == plan.bc_scale
-        stored = ("power_scale", "beamformers") + tuple(
-            f"channels.{f.name}" for f in dataclasses.fields(eff)
-        )
-        for name in PLAN_FIELDS + stored:
-            got = attrgetter(name)(stack)
-            assert not got.flags.writeable, name
-            assert all(np.array_equal(g, attrgetter(name)(plan)) for g in got), name
-        for name in stored:
-            assert attrgetter(name)(stack).strides[0] == 0, name
-        for name in ("uplink", "uplink_pinv", "downlink_pinv"):
-            assert np.shares_memory(getattr(stack.channels, name), getattr(eff, name)), name
-        assert np.shares_memory(stack.beamformers, plan.beamformers)
-        with pytest.raises(ValueError, match="one trial"):
-            stack.repeated(2)
 
     def test_stacked_plan_cannot_be_encoded(self):
         plan = _stacked_plan(NetworkConfig(K=3, M=3, N=2, seed=24), range(2))
