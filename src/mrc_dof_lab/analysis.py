@@ -39,13 +39,13 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import numpy as np
 
 from . import bounds, ssa_nc
-from .channel import ChannelSet, NetworkConfig, draw_channels
+from .channel import ChannelSet, NetworkConfig, _draw
 from .linalg import random_gaussian_stacks
 from .ssa_nc import SchemeDesignError, SchemePlan
 
@@ -145,11 +145,17 @@ def draw_trials(config: NetworkConfig, rng, channels=None, noise=False):
     is (K, d) per trial, and noise the pair of the relay's (effective_N,)
     and the users' (K, effective_M) per trial, or None when not asked for.
     """
+    return _draw_trials(config, rng, channels, noise, config.N)
+
+
+def _draw_trials(config: NetworkConfig, rng, channels, noise, keep: int):
+    """``draw_trials`` with a drawn set cut to its first ``keep`` relay
+    antennas before it is validated (``channel._draw``)."""
     parts = [(config.K, (ssa_nc.extension_plan(config.K, config.M, config.N)[2],))]
     if noise:
         parts += _noise_parts(config)
     if channels is None:
-        channels, drawn = draw_channels(config, rng, parts)
+        channels, drawn = _draw(config, rng, parts, keep)
     else:
         drawn = random_gaussian_stacks(parts, rng)
     return channels, drawn[0], (_noise_pair(*drawn[1:]) if noise else None)
@@ -182,7 +188,11 @@ def _trial_stacks(config: NetworkConfig, trials: int, channels=None, noise=False
     A given set (one trial) draws no channel: it is designed once, and
     every stack yields that one-trial plan as it was designed, which the
     round functions broadcast over the stack's symbols. Fewer than 1 trial
-    raises ValueError, before any design.
+    raises ValueError, before any design. A drawn stack keeps only the
+    min(N, M) relay antennas the scheme uses, and is designed as the
+    network of that relay, so each trial is validated once, at the kept
+    size; a given set is designed under the configuration itself, which
+    validates it in full and again after the relay shutdown.
 
     A noiseless pass empties ``_handoff`` before each draw and leaves its
     drawn, designed stack there, so only its last stack outlives the call;
@@ -197,6 +207,7 @@ def _trial_stacks(config: NetworkConfig, trials: int, channels=None, noise=False
         raise ValueError("trials must be positive")
     size = _stack_size(config)
     fixed = None if channels is None else _designed(config, channels, 0)
+    cut = config if config.N <= config.M else replace(config, N=config.M)
     for start in range(0, trials, size):
         stop = min(start + size, trials)
         key = (config, start, stop)
@@ -207,8 +218,8 @@ def _trial_stacks(config: NetworkConfig, trials: int, channels=None, noise=False
             yield plan, sent, _noise_pair(*random_gaussian_stacks(_noise_parts(config), rngs))
             continue
         rngs = [config.trial_rng(t) for t in range(start, stop)]
-        drawn, sent, noise_pair = draw_trials(config, rngs, channels, noise)
-        plan = _designed(config, drawn, start) if fixed is None else fixed
+        drawn, sent, noise_pair = _draw_trials(config, rngs, channels, noise, cut.N)
+        plan = _designed(cut, drawn, start) if fixed is None else fixed
         if not noise and fixed is None:
             _handoff[key] = plan, sent, rngs
         yield plan, sent, noise_pair

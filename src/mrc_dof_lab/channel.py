@@ -5,7 +5,10 @@ antennas), the downlink an M x N matrix. Reciprocal operation means the
 downlink is the plain transpose of the uplink. Each trial draws from its
 own random stream, ``NetworkConfig.trial_rng``: counter-based Philox
 keyed by (seed, trial), one independent stream per pair. A trial's
-channel heads its one draw, which ``draw_channels`` makes.
+channel heads its one draw, which ``draw_channels`` makes. The analysis
+draws its trials keeping only the min(N, M) relay antennas the scheme
+uses (``_draw``), so a trial with N > M is validated once, at that size;
+a channel dump holds all N.
 
 A ``ChannelSet`` holds one trial's physical channels as (K, N, M) /
 (K, M, N) arrays, or a stack of trials with a leading trial axis. Symbol
@@ -280,16 +283,39 @@ def draw_channels(config: NetworkConfig, rng, after=()) -> tuple[ChannelSet, lis
     depend on the reciprocity mode; reciprocal downlinks are exact
     transposes and consume no draws and no decomposition.
     """
+    return _draw(config, rng, after, config.N)
+
+
+def _draw(config: NetworkConfig, rng, after, keep: int) -> tuple[ChannelSet, list[np.ndarray]]:
+    """``draw_channels`` with the set cut to its first ``keep`` relay
+    antennas before it is validated: for keep = min(N, M), bit for bit
+    ``shutdown_relay_antennas`` of the full set, from the same values.
+
+    The full set's validation is skipped, and in exact arithmetic a
+    full-rank kept block makes the full matrix full rank. The two rank
+    decisions can differ only at the 1e-10 tolerance: a discarded row with
+    a huge entry can make the full matrix read rank deficient while the
+    kept block is well conditioned, and such a draw, rejected in full,
+    passes here. A Gaussian draw is essentially never near that case.
+    """
     K, M, N = config.K, config.M, config.N
     links = [(K, (N, M))] if config.reciprocal else [(K, (N, M)), (K, (M, N))]
     uplink, *drawn = random_gaussian_stacks(links + list(after), rng)
     downlink = uplink.swapaxes(-1, -2).copy() if config.reciprocal else drawn.pop(0)
+    if keep < N:
+        uplink, downlink = _relay_rows(uplink, downlink, keep)
     return ChannelSet(uplink=uplink, downlink=downlink), drawn
 
 
 def generate_channels(config: NetworkConfig, rng) -> ChannelSet:
     """The channel set alone, as ``draw_channels`` draws it."""
     return draw_channels(config, rng)[0]
+
+
+def _relay_rows(uplink: np.ndarray, downlink: np.ndarray, keep: int) -> tuple:
+    """The first ``keep`` relay antennas: the leading rows of every uplink
+    matrix and the leading columns of every downlink matrix, as copies."""
+    return uplink[..., :keep, :].copy(), downlink[..., :keep].copy()
 
 
 def shutdown_relay_antennas(channels: ChannelSet) -> ChannelSet:
@@ -301,10 +327,8 @@ def shutdown_relay_antennas(channels: ChannelSet) -> ChannelSet:
     keep = min(channels.relay_dim, channels.user_dim)
     if keep == channels.relay_dim:
         return channels
-    return ChannelSet(
-        uplink=channels.uplink[..., :keep, :].copy(),
-        downlink=channels.downlink[..., :, :keep].copy(),
-    )
+    uplink, downlink = _relay_rows(channels.uplink, channels.downlink, keep)
+    return ChannelSet(uplink=uplink, downlink=downlink)
 
 
 def matrix_to_lists(h: CMatrix) -> list:

@@ -178,6 +178,17 @@ class TestStreamSinrs:
         for u in range(3):
             assert np.all(s.end_to_end[u] <= s.mac + 1e-12)
 
+    @pytest.mark.parametrize("trials", [None, 4], ids=["single", "stacked"])
+    def test_min_reads_both_phases(self, trials):
+        # at seed 1 the MAC SINR is the smaller one for some streams and
+        # the BC SINR for the others, so the minimum must read both
+        cfg = NetworkConfig(K=3, M=3, N=2, seed=1)
+        rng = cfg.trial_rng(0) if trials is None else [cfg.trial_rng(t) for t in range(trials)]
+        s = stream_sinrs(design_scheme(cfg, generate_channels(cfg, rng)), 5.0)
+        mac = s.mac[..., np.newaxis, :, :]
+        assert (mac < s.bc).any() and (s.bc < mac).any()
+        assert np.array_equal(s.end_to_end, np.minimum(s.bc, mac))
+
     def test_exact_homogeneity_in_power(self):
         plan = plan_for(3, 3, 2, seed=8)
         s1 = stream_sinrs(plan, 3.0)

@@ -6,7 +6,7 @@ import re
 import numpy as np
 import pytest
 
-from mrc_dof_lab import channel
+from mrc_dof_lab import analysis, channel
 from mrc_dof_lab.channel import (
     ChannelSet,
     NetworkConfig,
@@ -17,7 +17,11 @@ from mrc_dof_lab.channel import (
     save_channels,
     shutdown_relay_antennas,
 )
-from mrc_dof_lab.linalg import pseudo_inverse_and_bound, pseudo_inverse_and_rank
+from mrc_dof_lab.linalg import (
+    pseudo_inverse_and_bound,
+    pseudo_inverse_and_rank,
+    random_gaussian_stacks,
+)
 from mrc_dof_lab.ssa_nc import SchemeDesignError, design_scheme
 
 
@@ -163,6 +167,59 @@ class TestShutdown:
     def test_noop_when_keeping_all(self):
         cs = make(NetworkConfig(K=3, M=2, N=2, seed=10))
         assert shutdown_relay_antennas(cs) is cs
+
+
+class TestDrawnCut:
+    """The analysis's trial draw keeps the first min(N, M) relay antennas
+    of its full N x M draw and is validated once, at that size: bit for
+    bit the shutdown of the full set, from the same values of the same
+    stream."""
+
+    @pytest.mark.parametrize("trials", [None, 3], ids=["single", "stacked"])
+    @pytest.mark.parametrize("reciprocal", [True, False])
+    @pytest.mark.parametrize("k,m,n", [(3, 4, 6), (4, 2, 5)])  # 4/2/5 runs L = 3
+    def test_equals_shutdown_of_full_set(self, k, m, n, reciprocal, trials):
+        cfg = NetworkConfig(K=k, M=m, N=n, seed=7, reciprocal=reciprocal)
+
+        def rng():
+            return cfg.trial_rng(0) if trials is None else [cfg.trial_rng(t) for t in range(trials)]
+
+        drawn, sent, _ = analysis._draw_trials(cfg, rng(), None, False, min(n, m))
+        full_rng = rng()
+        full = generate_channels(cfg, full_rng)
+        cut = shutdown_relay_antennas(full)
+        assert full.relay_dim == n and drawn.relay_dim == cut.relay_dim == min(n, m)
+        names = [f.name for f in dataclasses.fields(ChannelSet)] + ["uplink_cond", "downlink_cond"]
+        for name in names:
+            got, want = getattr(drawn, name), getattr(cut, name)
+            assert got.shape == want.shape and got.dtype == want.dtype, name
+            assert got.flags.c_contiguous == want.flags.c_contiguous, name
+            assert got.tobytes() == want.tobytes(), name
+        # the symbols follow the whole N x M draw in the stream, as before
+        more = random_gaussian_stacks([(k, sent.shape[-1:])], full_rng)[0]
+        assert more.tobytes() == sent.tobytes()
+
+    def test_rank_deficient_kept_block_raises(self, monkeypatch):
+        # trial 1's user 2 draws a full-rank 6 x 4 uplink whose first two
+        # rows are parallel: the kept 4 x 4 block, the one the scheme
+        # uses, is rank deficient, and the drawn stack is rejected
+        cfg = NetworkConfig(K=3, M=4, N=6, seed=7)
+        real = channel.random_gaussian_stacks
+        full = []
+
+        def parallel_rows(parts, rng):
+            uplink, *rest = real(parts, rng)
+            uplink = uplink.copy()
+            uplink[1, 2, 1] = 2.0 * uplink[1, 2, 0]
+            full.append(uplink[1, 2])
+            return [uplink, *rest]
+
+        monkeypatch.setattr(channel, "random_gaussian_stacks", parallel_rows)
+        with pytest.raises(ValueError, match="rank deficient"):
+            analysis._draw_trials(cfg, [cfg.trial_rng(t) for t in range(3)], None, False, 4)
+        assert pseudo_inverse_and_rank(full[0])[1] == 4
+        with pytest.raises(ValueError, match="rank deficient"):
+            analysis.verify_noiseless(cfg, 3)
 
 
 class TestSerialization:

@@ -12,7 +12,7 @@ import pytest
 
 from mrc_dof_lab import __version__, analysis, cli, ssa_nc
 from mrc_dof_lab.analysis import REPORT_COLUMNS
-from mrc_dof_lab.channel import NetworkConfig, load_channels
+from mrc_dof_lab.channel import NetworkConfig, generate_channels, load_channels
 from mrc_dof_lab.cli import EXIT_BAD_ARGS, EXIT_OK, EXIT_VERIFY_FAILED, main
 
 
@@ -159,6 +159,36 @@ class TestVerifyCommand:
             "--trials", "2", "--load-channels", str(dump),
         )
         assert code == EXIT_BAD_ARGS
+
+    def test_dump_holds_every_relay_antenna(self, tmp_path, capsys):
+        # the run keeps 4 of the 6 relay antennas, and the dump holds the
+        # physical set of all 6: trial 0's full draw, which a run of the
+        # same configuration loads
+        dump = tmp_path / "channels.json"
+        args = ["verify", "--k", "3", "--m", "4", "--n", "6", "--trials", "3", "--seed", "5"]
+        code, _, _ = run(capsys, *args, "--dump-channels", str(dump))
+        assert code == EXIT_OK
+        cs = load_channels(str(dump))
+        config = NetworkConfig(K=3, M=4, N=6, seed=5)
+        full = generate_channels(config, config.trial_rng(0))
+        assert cs.relay_dim == 6 and np.array_equal(cs.uplink, full.uplink)
+        code, _, _ = run(capsys, *args, "--load-channels", str(dump))
+        assert code == EXIT_OK
+
+    def test_load_kept_relay_antennas_rejected(self, tmp_path, capsys):
+        # a 3/4/4 set is not a 3/4/6 one, though a 3/4/6 run keeps 4
+        # relay antennas
+        dump = tmp_path / "channels.json"
+        run(
+            capsys, "verify", "--k", "3", "--m", "4", "--n", "4",
+            "--trials", "2", "--seed", "5", "--dump-channels", str(dump),
+        )
+        code, out, err = run(
+            capsys, "verify", "--k", "3", "--m", "4", "--n", "6",
+            "--trials", "2", "--load-channels", str(dump),
+        )
+        assert code == EXIT_BAD_ARGS and out == ""
+        assert "N=4; the configuration is K=3, M=4, N=6" in err
 
     def test_load_extended_channels_rejected(self, tmp_path, capsys):
         dump = tmp_path / "channels.json"
@@ -734,8 +764,8 @@ class TestEntryPointSvdBudget:
     trials. No path takes an SVD. Every draw is reciprocal, so each
     validation factors its uplink stack alone: one inv when it is square,
     one qr when it is not (of the conjugate transposes, when wide). A draw
-    is validated again only after a relay shutdown, which leaves square
-    matrices."""
+    with N > M is validated once, at the M relay antennas it keeps, which
+    leaves square matrices."""
 
     def test_verify_with_extension(self, lapack_calls):
         # extension_large: one stack of 5 trials at 8/8/8
@@ -758,12 +788,12 @@ class TestEntryPointSvdBudget:
         assert designs == [1]
 
     def test_sweep_grid(self, tmp_path, capsys, lapack_calls):
-        # sweep_grid: 27 rows of 5 trials; per K, 3 rows with N = M take
-        # one inv, 6 with N != M one qr, and the 3 with N > M a second
-        # validation, an inv, after the shutdown
+        # sweep_grid: 27 rows of 5 trials; per K, the 3 rows with N = M
+        # and the 3 with N > M, drawn cut to M relay antennas, take one
+        # inv, and the 3 with N < M one qr
         code, _, _ = run(
             capsys, "sweep", "--k", "3,4,5", "--m", "2,3,4", "--n", "2,3,4",
             "--trials", "5", "--seed", "7", "--out", str(tmp_path / "grid.csv"),
         )
         assert code == EXIT_OK
-        assert Counter(kernel for kernel, _ in lapack_calls) == {"inv": 18, "qr": 18}
+        assert Counter(kernel for kernel, _ in lapack_calls) == {"inv": 18, "qr": 9}

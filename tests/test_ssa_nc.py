@@ -380,9 +380,10 @@ class TestDesignFailurePaths:
             ((3, 4, 3), (3, 4, 5)),  # one relay antenna too many
             ((3, 3, 2), (3, 4, 2)),  # one user antenna too many
             ((3, 4, 6), (3, 4, 5)),  # one relay antenna short of a shutdown
+            ((3, 4, 6), (3, 4, 4)),  # the antennas a shutdown keeps, given as a set
             ((4, 4, 3), (3, 4, 3)),  # one user short
         ],
-        ids=["N", "M", "N-shutdown", "K"],
+        ids=["N", "M", "N-shutdown", "N-kept", "K"],
     )
     def test_dimension_mismatch_raises(self, config, given):
         cfg = NetworkConfig(*config, seed=7)
@@ -633,10 +634,12 @@ class TestLapackBudget:
     downlink's, and both link stacks of any other set, each with one inv
     when its matrices are square and one qr when they are not. The design
     slices their pseudoinverses and reads their condition bounds, so one
-    stacked design factors nothing, whatever the extension factor; the
-    channels are validated again only after a relay shutdown, which can
-    lose rank and leaves square matrices. These cases draw reciprocal
-    channels; TestLapackBudgetIndependent draws independent downlinks."""
+    stacked design factors nothing, whatever the extension factor; a set
+    is validated again only after a relay shutdown, which can lose rank
+    and leaves square matrices. The analysis draws its stacks already cut
+    to min(N, M) relay antennas, so each of its trials is validated once.
+    These cases draw reciprocal channels; TestLapackBudgetIndependent
+    draws independent downlinks."""
 
     RECIPROCAL = True
     LINKS_FACTORED = 1
@@ -696,6 +699,17 @@ class TestLapackBudget:
         calls = self.count_calls(monkeypatch)
         drawn_round(cfg, rngs, 10.0, noise=True)
         assert calls == self.budget([(n, m)] + [(m, m)] * validations)
+
+    @pytest.mark.parametrize("k,m,n", [case[:3] for case in CASES])
+    def test_calls_per_analysis_stack(self, monkeypatch, k, m, n):
+        # the analysis's own stack, draw to noiseless round: the draw keeps
+        # min(N, M) relay antennas before its one validation, so 3/4/6
+        # takes one inv of its 4 x 4 blocks and no qr
+        cfg = self.config(k, m, n)
+        calls = self.count_calls(monkeypatch)
+        for plan, sent, _ in analysis._trial_stacks(cfg, 2):
+            run_round(plan, 1.0, sent)
+        assert calls == self.budget([(min(n, m), m)])
 
     @pytest.mark.parametrize("k,m,n,validations", CASES)
     def test_design_draws_nothing(self, k, m, n, validations):
