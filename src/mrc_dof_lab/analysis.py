@@ -22,17 +22,25 @@ after extension) runs 64 trials per stack. A trial draws the same values
 in any stack, so every result is independent of the stack size. A fixed
 channel set is designed once, and every stack runs its symbols through
 that one-trial plan, which the round functions broadcast over the stack.
-Two loops run the stacks: ``_audit``, behind both ``verify_noiseless``
-and ``simulate_report``, takes each stack's noiseless errors and, given
-a power grid, its SINRs for the slope fit; ``decode_mse_sweep`` takes its
-noisy errors. Every entry point checks its power grid, then
-``_trial_stacks`` its trial count.
+Two loops run the stacks: ``_audit``, behind ``verify_noiseless``,
+``simulate_report`` and ``sweep_reports``, takes each stack's noiseless
+errors and, given a power grid, its SINRs for the slope fit;
+``decode_mse_sweep`` takes its noisy errors. Every entry point checks its
+power grid, then its trial count.
 
-The audit hands its last drawn stack to the MSE sweep: a sweep over the
-same configuration and trials right after it, as in checking a
-configuration's slope and then its MSE, takes that stack's plan and
-symbols and draws only the noise, from the same generators. The hand-off
-is one-way: the audit always draws and designs its own stacks.
+The audit runs a group of configurations that share a kept relay shape:
+K, M, min(N, M) and reciprocity. A sweep audits each such group's rows
+as one run of stacks, each stack validated, designed and run once; every
+row draws its own trials from its own streams and reads its own slice of
+the results, so its report is bit for bit the one it gets alone. A group
+that raises a row error is audited again row by row. Every other entry
+point is a group of one.
+
+The audit of a group of one hands its last drawn stack to the MSE
+sweep: a sweep over the same configuration and trials right after it, as
+in checking a configuration's slope and then its MSE, takes that stack's
+plan and symbols and draws only the noise, from the same generators. The
+hand-off is one-way: the audit always draws and designs its own stacks.
 """
 
 from __future__ import annotations
@@ -48,6 +56,13 @@ from . import bounds, ssa_nc
 from .channel import ChannelSet, NetworkConfig, _draw
 from .linalg import random_gaussian_stacks
 from .ssa_nc import SchemeDesignError, SchemePlan
+
+# Failures ``sweep_reports`` returns as one configuration's result: design,
+# numeric and argument errors of that configuration (ValueError covers
+# RegimeError). A group that raises one is audited again row by row, so
+# each row gets the error, or the report, it gets alone. Any other
+# exception is a bug and propagates.
+SWEEP_ROW_ERRORS = (SchemeDesignError, np.linalg.LinAlgError, FloatingPointError, ValueError)
 
 # Trials per stack are capped so that each of a stack's stored physical
 # pseudoinverses (K * min(N, M) * M complex entries per trial) stays within
@@ -117,6 +132,19 @@ def report_csv_row(report: DofReport) -> str:
     return ",".join(map(format_number, _report_values(report)))
 
 
+def _kept_shape(config: NetworkConfig) -> tuple:
+    """What the configurations audited as one group share. The scheme
+    shuts a relay's surplus antennas down, so every N >= M runs the scheme
+    of N = M; and a ChannelSet reads reciprocity over its whole stack, so
+    a mixed stack would factor its reciprocal rows' downlinks apart."""
+    return config.K, config.M, min(config.N, config.M), config.reciprocal
+
+
+def _check_trials(trials: int) -> None:
+    if trials < 1:
+        raise ValueError("trials must be positive")
+
+
 def _stack_size(config: NetworkConfig) -> int:
     """Trials per stack under the STACK_ELEMENTS budget."""
     base = min(config.N, config.M)
@@ -145,20 +173,30 @@ def draw_trials(config: NetworkConfig, rng, channels=None, noise=False):
     is (K, d) per trial, and noise the pair of the relay's (effective_N,)
     and the users' (K, effective_M) per trial, or None when not asked for.
     """
-    return _draw_trials(config, rng, channels, noise, config.N)
+    return _draw_trials([(config, rng)], channels, noise, config.N)
 
 
-def _draw_trials(config: NetworkConfig, rng, channels, noise, keep: int):
-    """``draw_trials`` with a drawn set cut to its first ``keep`` relay
-    antennas before it is validated (``channel._draw``)."""
-    parts = [(config.K, (ssa_nc.extension_plan(config.K, config.M, config.N)[2],))]
-    if noise:
-        parts += _noise_parts(config)
+def _draw_trials(segments, channels, noise, keep: int):
+    """``draw_trials`` over (config, rng) segments of one kept relay shape,
+    joined along their trial axis: each segment draws from its own
+    generators, a drawn set is cut to its first ``keep`` relay antennas
+    (``channel._draw``), and the joined set is validated once. The arrays
+    of one segment are used as drawn, uncopied."""
+    drawn = []
+    for config, rng in segments:
+        parts = [(config.K, (ssa_nc.extension_plan(config.K, config.M, config.N)[2],))]
+        if noise:
+            parts += _noise_parts(config)
+        if channels is None:
+            uplink, downlink, after = _draw(config, rng, parts, keep)
+            drawn.append([uplink, downlink, *after])
+        else:
+            drawn.append(random_gaussian_stacks(parts, rng))
+    arrays = drawn[0] if len(drawn) == 1 else [np.concatenate(a) for a in zip(*drawn)]
     if channels is None:
-        channels, drawn = _draw(config, rng, parts, keep)
-    else:
-        drawn = random_gaussian_stacks(parts, rng)
-    return channels, drawn[0], (_noise_pair(*drawn[1:]) if noise else None)
+        uplink, downlink, *arrays = arrays
+        channels = ChannelSet(uplink=uplink, downlink=downlink)
+    return channels, arrays[0], (_noise_pair(*arrays[1:]) if noise else None)
 
 
 def _noise_parts(config: NetworkConfig) -> list:
@@ -180,10 +218,26 @@ def _noise_pair(relay: np.ndarray, users: np.ndarray) -> tuple:
 _handoff: dict = {}
 
 
-def _trial_stacks(config: NetworkConfig, trials: int, channels=None, noise=False):
-    """Draw and design the trials stack by stack; yields (plan, sent,
+def _stack_rows(group, trials: int, start: int, stop: int) -> list:
+    """The (config, generators) segments of a group's trials start to
+    stop, counting ``trials`` per row through the rows in order."""
+    return [
+        (row, [row.trial_rng(t) for t in range(max(start - first, 0), min(stop - first, trials))])
+        for row, first in zip(group, range(0, stop, trials))
+        if first + trials > start
+    ]
+
+
+def _trial_stacks(group, trials: int, channels=None, noise=False):
+    """Draw and design the trials of a group of configurations that share
+    a kept relay shape (``_kept_shape``) stack by stack: the rows' trials
+    run in row order, ``trials`` each, and a stack may hold trials of
+    several rows, each drawn from its own streams. Yields (plan, sent,
     noise) per stack, the plan, its effective channels included, with a
     leading trial axis, and sent and noise as ``draw_trials`` gives them.
+    The plan is designed under the first row's configuration with its
+    relay cut to the kept size. Only a group of one takes a given set or
+    draws noise.
 
     A given set (one trial) draws no channel: it is designed once, and
     every stack yields that one-trial plan as it was designed, which the
@@ -194,22 +248,24 @@ def _trial_stacks(config: NetworkConfig, trials: int, channels=None, noise=False
     size; a given set is designed under the configuration itself, which
     validates it in full and again after the relay shutdown.
 
-    A noiseless pass empties ``_handoff`` before each draw and leaves its
-    drawn, designed stack there, so only its last stack outlives the call;
-    a given set's stacks and a stack whose design fails are not left. A
-    noisy pass pops the stack of the same (config, start, stop), if there
-    is one, and draws only its noise, from where those generators stand.
+    A noiseless pass empties ``_handoff`` before each draw, and a group of
+    one leaves its drawn, designed stack there, so only its last stack
+    outlives the call; a given set's stacks, a stack whose design fails
+    and the stacks of a larger group are not left. A noisy pass pops the
+    stack of the same (config, start, stop), if there is one, and draws
+    only its noise, from where those generators stand.
     Consecutive draws from a generator give the values of one draw of
     their total length, so the noise, and every output, is bit for bit
     that of a fresh draw.
     """
-    if trials < 1:
-        raise ValueError("trials must be positive")
+    _check_trials(trials)
+    config = group[0]
     size = _stack_size(config)
     fixed = None if channels is None else _designed(config, channels, 0)
     cut = config if config.N <= config.M else replace(config, N=config.M)
-    for start in range(0, trials, size):
-        stop = min(start + size, trials)
+    total = len(group) * trials
+    for start in range(0, total, size):
+        stop = min(start + size, total)
         key = (config, start, stop)
         if not noise:
             _handoff.clear()
@@ -217,11 +273,11 @@ def _trial_stacks(config: NetworkConfig, trials: int, channels=None, noise=False
             plan, sent, rngs = taken
             yield plan, sent, _noise_pair(*random_gaussian_stacks(_noise_parts(config), rngs))
             continue
-        rngs = [config.trial_rng(t) for t in range(start, stop)]
-        drawn, sent, noise_pair = _draw_trials(config, rngs, channels, noise, cut.N)
+        segments = _stack_rows(group, trials, start, stop)
+        drawn, sent, noise_pair = _draw_trials(segments, channels, noise, cut.N)
         plan = _designed(cut, drawn, start) if fixed is None else fixed
-        if not noise and fixed is None:
-            _handoff[key] = plan, sent, rngs
+        if not noise and fixed is None and len(group) == 1:
+            _handoff[key] = plan, sent, segments[0][1]
         yield plan, sent, noise_pair
 
 
@@ -248,18 +304,31 @@ def _noiseless_round_errors(plan: SchemePlan, sent: np.ndarray) -> np.ndarray:
     return (err / np.maximum(sent_norm, 1e-300)).max(axis=(-2, -1))
 
 
-def _audit(config: NetworkConfig, trials: int, channels=None, grid=None) -> DofReport:
-    """The one loop over a configuration's trials: each stack's noiseless
-    round errors and, given a checked power grid, its unit-power SINRs,
-    whose slope fit the report then carries. Only drawn channels come with
-    a grid: a given set's one-trial plan has one row of SINRs, not one per
-    trial."""
+def _audit(group, trials: int, channels=None, grid=None) -> list[DofReport]:
+    """The one loop over the trials of a group of configurations that share
+    a kept relay shape: each stack's noiseless round errors and, given a
+    checked power grid, its unit-power SINRs. Each row reads its slice of
+    both into its own report, which carries the slope fit of its SINRs.
+    Only drawn channels come with a grid: a given set's one-trial plan has
+    one row of SINRs, not one per trial."""
     errors, gammas = [], []
-    for plan, sent, _ in _trial_stacks(config, trials, channels):
+    for plan, sent, _ in _trial_stacks(group, trials, channels):
         errors.append(_noiseless_round_errors(plan, sent))
         if grid is not None:
             gammas.append(stream_sinrs(plan, 1.0).flat())
-    slope, stderr = _fit_slope(config, grid, np.concatenate(gammas)) if gammas else (None, None)
+    errors = np.concatenate(errors)
+    gammas = np.concatenate(gammas) if gammas else None
+    reports = []
+    for first, config in zip(range(0, len(errors), trials), group):
+        rows = slice(first, first + trials)
+        fit = (None, None) if gammas is None else _fit_slope(config, grid, gammas[rows])
+        reports.append(_report(config, trials, plan, errors[rows], *fit))
+    return reports
+
+
+def _report(config: NetworkConfig, trials: int, plan: SchemePlan, errors, slope, stderr):
+    """One configuration's report from its trials' noiseless errors, the
+    plan of its last stack and its slope fit."""
     K, M, N = config.K, config.M, config.N
     try:
         private_only = bounds.private_only_dof(K, M, N)
@@ -278,7 +347,7 @@ def _audit(config: NetworkConfig, trials: int, channels=None, grid=None) -> DofR
         slope_stderr=stderr,
         # np.max propagates NaN: a round that decoded NaN reports NaN
         # rather than vanishing from the maximum
-        noiseless_max_error=float(np.concatenate(errors).max()),
+        noiseless_max_error=float(errors.max()),
         trials=trials,
         notes="two-way relay degenerate case" if K == 2 else "",
     )
@@ -294,7 +363,43 @@ def verify_noiseless(
     is designed once, every trial shares that plan, and only the symbol
     draws vary per trial.
     """
-    return _audit(config, trials, channels)
+    return _audit([config], trials, channels)[0]
+
+
+def sweep_reports(configs, trials: int, P_grid=None) -> list:
+    """For each configuration, in input order, its report or the error of
+    SWEEP_ROW_ERRORS that auditing it alone raises: ``verify_noiseless``
+    without a power grid, ``simulate_report`` with one.
+
+    The configurations that share a kept relay shape (``_kept_shape``) are
+    audited as one group, whose stacks each take one validation, one
+    design and one noiseless round; each row still draws its trials from
+    its own streams, so its report is bit for bit the one it gets alone. A
+    group that raises a row error is audited again row by row. An invalid
+    grid or trial count raises at once, before any row runs.
+    """
+    grid = None if P_grid is None else validate_power_grid(P_grid)
+    _check_trials(trials)
+    groups: dict = {}
+    for index, config in enumerate(configs):
+        groups.setdefault(_kept_shape(config), []).append(index)
+    results = [None] * len(configs)
+    for indices in groups.values():
+        group = [configs[i] for i in indices]
+        for i, result in zip(indices, _group_results(group, trials, grid)):
+            results[i] = result
+    return results
+
+
+def _group_results(group, trials: int, grid) -> list:
+    """The group's reports, or, when the group raises a row error, each
+    row's report or error alone."""
+    try:
+        return _audit(group, trials, grid=grid)
+    except SWEEP_ROW_ERRORS as exc:
+        if len(group) == 1:
+            return [exc]
+        return [_group_results([config], trials, grid)[0] for config in group]
 
 
 @dataclass(frozen=True)
@@ -409,7 +514,7 @@ def decode_mse_sweep(config: NetworkConfig, P_grid, trials: int) -> np.ndarray:
     """
     grid = _power_levels(P_grid)
     totals = []
-    for plan, sent, noise in _trial_stacks(config, trials, noise=True):
+    for plan, sent, noise in _trial_stacks([config], trials, noise=True):
         trace = ssa_nc.run_round(plan, 1.0, sent, noise)
         sq_err = _message_sq_errors(trace, _sent_messages(trace))
         totals.append(sq_err.reshape(len(sent), -1).sum(axis=-1))
@@ -424,7 +529,7 @@ def simulate_report(config: NetworkConfig, P_grid, trials: int) -> DofReport:
     stack's plans also serve a ``decode_mse_sweep`` over the same trials
     that follows.
     """
-    return _audit(config, trials, grid=validate_power_grid(P_grid))
+    return _audit([config], trials, grid=validate_power_grid(P_grid))[0]
 
 
 __all__ = [
@@ -436,6 +541,8 @@ __all__ = [
     "report_csv_row",
     "draw_trials",
     "verify_noiseless",
+    "SWEEP_ROW_ERRORS",
+    "sweep_reports",
     "StreamSinrs",
     "stream_sinrs",
     "validate_power_grid",

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from typing import NamedTuple
 
 Number = int | Fraction
@@ -101,9 +102,13 @@ def check_percut_bounds(
     return (not violations, violations)
 
 
+@cache
 def regime_thresholds(K: int) -> tuple[Fraction, Fraction, Fraction, Fraction]:
     """The four boundary ratios of N/M at this K, in nondecreasing order:
-    1, (2K^2-2K)/(K^2-K+2), K/2, (K^2-3K+3)/(K-1)."""
+    1, (2K^2-2K)/(K^2-K+2), K/2, (K^2-3K+3)/(K-1).
+
+    Cached per K, since every regime lookup reads them: the tuple and its
+    Fractions are immutable. K < 3 raises on every call."""
     if K < 3:
         raise RegimeError("regime table needs K >= 3")
     return (

@@ -7,8 +7,8 @@ own random stream, ``NetworkConfig.trial_rng``: counter-based Philox
 keyed by (seed, trial), one independent stream per pair. A trial's
 channel heads its one draw, which ``draw_channels`` makes. The analysis
 draws its trials keeping only the min(N, M) relay antennas the scheme
-uses (``_draw``), so a trial with N > M is validated once, at that size;
-a channel dump holds all N.
+uses (``_draw``, which leaves the validation to its caller), so a trial
+with N > M is validated once, at that size; a channel dump holds all N.
 
 A ``ChannelSet`` holds one trial's physical channels as (K, N, M) /
 (K, M, N) arrays, or a stack of trials with a leading trial axis. Symbol
@@ -48,9 +48,10 @@ class NetworkConfig:
     K users with M antennas each exchange messages through an N-antenna
     relay; there are no direct user-to-user links. duplex_factor 0.5
     rescales reported rates for half-duplex operation, 1.0 is full duplex.
-    K, M, N and seed must be integers (int or numpy integer, not bool) and
-    reciprocal a bool; any other type raises ValueError, since a float
-    seed would run truncated and a string switch would run as true.
+    K, M, N and seed must be integers (int or numpy integer, not bool),
+    reciprocal a bool and duplex_factor a number, not a bool; any other
+    type raises ValueError, since a float seed would run truncated, a
+    string switch would run as true and duplex_factor True as full duplex.
     """
 
     K: int
@@ -71,8 +72,10 @@ class NetworkConfig:
             raise ValueError("K must be at least 2")
         if self.M < 1 or self.N < 1:
             raise ValueError("antenna counts must be positive")
-        if self.duplex_factor not in (1.0, 0.5):
-            raise ValueError("duplex_factor must be 1.0 or 0.5")
+        duplex = self.duplex_factor
+        # True == 1.0, so a bool would pass the value check as full duplex
+        if isinstance(duplex, (bool, np.bool_)) or duplex not in (1.0, 0.5):
+            raise ValueError(f"duplex_factor must be 1.0 or 0.5, not {duplex!r}")
         if not 0 <= self.seed <= _SEED_MASK:
             raise ValueError("seed must fit in 64 bits")
 
@@ -283,13 +286,16 @@ def draw_channels(config: NetworkConfig, rng, after=()) -> tuple[ChannelSet, lis
     depend on the reciprocity mode; reciprocal downlinks are exact
     transposes and consume no draws and no decomposition.
     """
-    return _draw(config, rng, after, config.N)
+    uplink, downlink, drawn = _draw(config, rng, after, config.N)
+    return ChannelSet(uplink=uplink, downlink=downlink), drawn
 
 
-def _draw(config: NetworkConfig, rng, after, keep: int) -> tuple[ChannelSet, list[np.ndarray]]:
+def _draw(config: NetworkConfig, rng, after, keep: int) -> tuple:
     """``draw_channels`` with the set cut to its first ``keep`` relay
-    antennas before it is validated: for keep = min(N, M), bit for bit
-    ``shutdown_relay_antennas`` of the full set, from the same values.
+    antennas and not yet validated: returns the uplink and downlink
+    stacks, then the ``after`` arrays. For keep = min(N, M), the set they
+    make is bit for bit ``shutdown_relay_antennas`` of the full set, from
+    the same values.
 
     The full set's validation is skipped, and in exact arithmetic a
     full-rank kept block makes the full matrix full rank. The two rank
@@ -304,7 +310,7 @@ def _draw(config: NetworkConfig, rng, after, keep: int) -> tuple[ChannelSet, lis
     downlink = uplink.swapaxes(-1, -2).copy() if config.reciprocal else drawn.pop(0)
     if keep < N:
         uplink, downlink = _relay_rows(uplink, downlink, keep)
-    return ChannelSet(uplink=uplink, downlink=downlink), drawn
+    return uplink, downlink, drawn
 
 
 def generate_channels(config: NetworkConfig, rng) -> ChannelSet:

@@ -51,13 +51,6 @@ _FORMATS = ("csv", "json")
 # order, and the other commands out alone.
 _PATHS = ("out", "dump_channels", "dump_plan", "load_channels")
 
-# Failures a sweep records in a row's error cell: design, numeric and
-# argument errors of one configuration (ValueError covers RegimeError).
-# Every row's NetworkConfig is built before the loop, so an invalid K, M
-# or N fails the whole sweep instead. Any other exception is a bug and
-# propagates.
-SWEEP_ROW_ERRORS = (SchemeDesignError, np.linalg.LinAlgError, FloatingPointError, ValueError)
-
 CASE4_NOTES = (
     "# case4-note: private-only bracket evaluated as 2N+(4-K)M, the printed form is dimensionally inconsistent",
     "# case4-note: case-4 interval taken as K/2 <= N/M <= (K^2-3K+3)/(K-1), the printed direction is empty for K >= 4",
@@ -273,19 +266,17 @@ def cmd_sweep(args) -> int:
 
     lines = [REPORT_COLUMNS + ",error"]
     rows_json = []
-    for config in configs:
+    # a row's result is its report, or the error of
+    # analysis.SWEEP_ROW_ERRORS it raised, recorded in its error cell
+    for config, result in zip(configs, analysis.sweep_reports(configs, trials, p_grid)):
         k, m, n = config.K, config.M, config.N
-        try:
-            if p_grid is not None:
-                report = analysis.simulate_report(config, p_grid, trials)
-            else:
-                report = analysis.verify_noiseless(config, trials)
+        if isinstance(result, analysis.DofReport):
             if fmt == "json":
-                rows_json.append({**report.to_json_dict(), "error": None})
+                rows_json.append({**result.to_json_dict(), "error": None})
             else:
-                lines.append(report_csv_row(report) + ",")
-        except SWEEP_ROW_ERRORS as exc:  # record the failure, keep sweeping
-            message = f"{type(exc).__name__}: {exc}".replace(",", ";").replace("\n", " ")
+                lines.append(report_csv_row(result) + ",")
+        else:
+            message = f"{type(result).__name__}: {result}".replace(",", ";").replace("\n", " ")
             if fmt == "json":
                 rows_json.append({"K": k, "M": m, "N": n, "error": message})
             else:

@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mrc_dof_lab.analysis import (
     REPORT_COLUMNS,
@@ -15,6 +17,7 @@ from mrc_dof_lab.analysis import (
     report_csv_row,
     simulate_report,
     stream_sinrs,
+    sweep_reports,
     validate_power_grid,
     verify_noiseless,
 )
@@ -115,7 +118,7 @@ class TestVerifyNoiseless:
         path = str(tmp_path / "channels.json")
         save_channels(generate_channels(cfg, np.random.default_rng(cfg.seed)), path)
         loaded = load_channels(path)
-        [(plan, sent, _)] = analysis._trial_stacks(cfg, 4, loaded)
+        [(plan, sent, _)] = analysis._trial_stacks([cfg], 4, loaded)
         assert plan.stack_shape == () and sent.shape[0] == 4
         assert not any(np.array_equal(s, sent[0]) for s in sent[1:])
         copies = ChannelSet(uplink=np.stack([loaded.uplink] * 4),
@@ -154,7 +157,7 @@ class TestVerifyNoiseless:
         monkeypatch.setattr(analysis, "STACK_ELEMENTS", 48 * 30)
         assert verify_noiseless(cfg, 100, channels=loaded).noiseless_max_error <= 1e-8
         assert designs == [()] and validations == [()]
-        stacks = list(analysis._trial_stacks(cfg, 100, loaded))
+        stacks = list(analysis._trial_stacks([cfg], 100, loaded))
         assert designs == [(), ()] and validations == [(), ()]
         assert [len(sent) for _, sent, _ in stacks] == [30] * 3 + [10]
         plan = stacks[0][0]
@@ -299,9 +302,8 @@ class TestSlopeEstimation:
     def test_fit_equals_loop_reference(self, k, m, n, duplex, trials):
         # the broadcast fit against the per-trial, per-power loops it replaced
         cfg = NetworkConfig(K=k, M=m, N=n, seed=28, duplex_factor=duplex)
-        gammas = np.concatenate(
-            [stream_sinrs(plan, 1.0).flat() for plan, _, _ in analysis._trial_stacks(cfg, trials)]
-        )
+        stacks = analysis._trial_stacks([cfg], trials)
+        gammas = np.concatenate([stream_sinrs(plan, 1.0).flat() for plan, _, _ in stacks])
         grid = np.asarray(GRID)
         top = grid[-4:]
         x = np.log2(top)
@@ -449,7 +451,7 @@ class TestPhysicalTrialPath:
         cfg = NetworkConfig(K=8, M=8, N=8, seed=13)
 
         def run():
-            stacks = analysis._trial_stacks(cfg, 6)
+            stacks = analysis._trial_stacks([cfg], 6)
             errors = [analysis._noiseless_round_errors(plan, sent) for plan, sent, _ in stacks]
             return np.concatenate(errors), decode_mse_sweep(cfg, GRID, 6)
 
@@ -464,7 +466,7 @@ class TestPhysicalTrialPath:
         # the audit gathers the sent symbols once and takes each message's
         # norm: bit for bit the norms of the sent rows, gathered afterwards
         cfg = NetworkConfig(K=k, M=m, N=n, seed=14)
-        ((plan, sent, _),) = analysis._trial_stacks(cfg, 4)
+        ((plan, sent, _),) = analysis._trial_stacks([cfg], 4)
         traces = []
         real = ssa_nc.run_round
 
@@ -694,7 +696,7 @@ class TestClosedFormMse:
         cfg = NetworkConfig(K=k, M=m, N=n, seed=29)
         mean = 0.0
         var = 0.0
-        for plan, _, _ in analysis._trial_stacks(cfg, trials):
+        for plan, _, _ in analysis._trial_stacks([cfg], trials):
             A = decode_error_map(plan)
             C = A @ A.conj().swapaxes(-1, -2)
             mean += float(np.sum(np.real(np.trace(C, axis1=-2, axis2=-1))))
@@ -771,3 +773,127 @@ class TestTable1:
         row = bound_row(4, 1, 3)
         assert row.case_index == 5
         assert row.private_only == 4 and row.cutset == 4
+
+
+def report_bits(report):
+    """Every field of a report, floats by their exact repr."""
+    return [repr(v) for v in dataclasses.astuple(report)]
+
+
+def alone(config, trials, grid):
+    """The report of one row run by itself."""
+    if grid is None:
+        return verify_noiseless(config, trials)
+    return simulate_report(config, grid, trials)
+
+
+class TestSweepReports:
+    """A sweep audits the rows of one kept relay shape as one group: each
+    row still draws from its own streams, so its report is, field for
+    field and bit for bit, the one it gets alone."""
+
+    # K = 2; both reciprocity modes of 3/2/N in one call; N < M, N = M and
+    # N > M rows; another seed and a repeated row in a group; half duplex
+    CONFIGS = [
+        NetworkConfig(K=2, M=2, N=2, seed=3),
+        NetworkConfig(K=2, M=2, N=3, seed=3),
+        NetworkConfig(K=3, M=2, N=2, seed=3),
+        NetworkConfig(K=3, M=2, N=3, seed=3),
+        NetworkConfig(K=3, M=2, N=4, seed=9),
+        NetworkConfig(K=3, M=2, N=3, seed=3),
+        NetworkConfig(K=3, M=2, N=2, seed=3, reciprocal=False),
+        NetworkConfig(K=3, M=2, N=4, seed=3, reciprocal=False),
+        NetworkConfig(K=4, M=3, N=2, seed=3, duplex_factor=0.5),
+        NetworkConfig(K=4, M=3, N=3, seed=3, duplex_factor=0.5),
+        NetworkConfig(K=4, M=3, N=5, seed=3, duplex_factor=0.5),
+    ]
+
+    @pytest.mark.parametrize("grid", [None, GRID], ids=["noiseless", "grid"])
+    @pytest.mark.parametrize("elements", [None, 24], ids=["one-stack", "straddling"])
+    def test_rows_equal_their_reports_alone(self, monkeypatch, grid, elements):
+        if elements is not None:
+            # 3/2/N keeps 3 * 2 * 2 entries per trial: stacks of 2 trials,
+            # which straddle the rows of 3 trials each
+            monkeypatch.setattr(analysis, "STACK_ELEMENTS", elements)
+            assert analysis._stack_size(self.CONFIGS[2]) == 2
+        designs = []
+        real = ssa_nc.design_scheme
+
+        def counted(config, channels):
+            designs.append(channels.stack_shape)
+            return real(config, channels)
+
+        monkeypatch.setattr(ssa_nc, "design_scheme", counted)
+        reports = sweep_reports(self.CONFIGS, 3, grid)
+        # 5 kept shapes, in order of first row: 2/2/2 (2 rows), 3/2/2
+        # reciprocal (4 rows), 3/2/2 not (2 rows), 4/3/2 (1 row), 4/3/3 (2
+        # rows); capped, 2/2/2 stacks 3 trials, 3/2/2 2 and 4/3/N 1
+        if elements is None:
+            assert designs == [(6,), (12,), (6,), (3,), (6,)]
+        else:
+            assert designs == [(3,)] * 2 + [(2,)] * 9 + [(1,)] * 9
+        for config, report in zip(self.CONFIGS, reports):
+            assert report_bits(report) == report_bits(alone(config, 3, grid)), config
+
+    @settings(derandomize=True, deadline=None, max_examples=40, database=None)
+    @given(
+        k=st.integers(2, 5),
+        m=st.integers(1, 4),
+        extra=st.lists(st.integers(-2, 2), min_size=1, max_size=3),
+        reciprocal=st.lists(st.booleans(), min_size=3, max_size=3),
+        half=st.booleans(),
+        trials=st.integers(1, 9),
+        grid=st.sampled_from([None, GRID]),
+    )
+    def test_random_groups_equal_rows_alone(self, k, m, extra, reciprocal, half, trials, grid):
+        configs = [
+            NetworkConfig(K=k, M=m, N=max(1, m + e), reciprocal=r,
+                          duplex_factor=0.5 if half else 1.0, seed=11 + e)
+            for e, r in zip(extra, reciprocal)
+        ]
+        for config, report in zip(configs, sweep_reports(configs, trials, grid)):
+            assert report_bits(report) == report_bits(alone(config, trials, grid)), config
+
+    def test_failing_row_gets_its_own_error(self, monkeypatch):
+        # trial 1 of the seed-5 row draws a 2 x 2 uplink of condition number
+        # 1e9, full rank but over the design's guardrail: the group fails, and each row
+        # runs alone, the seed-5 row to the error that names its own trial
+        real = analysis._draw
+
+        def ill_conditioned(config, rng, after, keep):
+            uplink, downlink, drawn = real(config, rng, after, keep)
+            if config.seed == 5:
+                uplink = uplink.copy()
+                uplink[1, 0] = np.diag([1.0, 1e-9])
+                downlink = uplink.swapaxes(-1, -2).copy()
+            return uplink, downlink, drawn
+
+        monkeypatch.setattr(analysis, "_draw", ill_conditioned)
+        configs = [NetworkConfig(K=3, M=2, N=n, seed=s) for n, s in [(2, 4), (3, 5), (4, 4)]]
+        results = sweep_reports(configs, 3)
+        with pytest.raises(ssa_nc.SchemeDesignError) as raised:
+            verify_noiseless(configs[1], 3)
+        assert str(raised.value).startswith("trial 1 (seed 5): channel conditioning")
+        assert type(results[1]) is ssa_nc.SchemeDesignError
+        assert str(results[1]) == str(raised.value)
+        for i in (0, 2):
+            assert report_bits(results[i]) == report_bits(verify_noiseless(configs[i], 3))
+
+    def test_group_of_one_hands_off_and_larger_group_does_not(self):
+        one = NetworkConfig(K=3, M=3, N=2, seed=31)
+        sweep_reports([one], 6)
+        assert list(analysis._handoff) == [(one, 0, 6)]
+        sweep_reports([NetworkConfig(K=3, M=2, N=2), NetworkConfig(K=3, M=2, N=3)], 6)
+        assert not analysis._handoff
+
+    @pytest.mark.parametrize(
+        "trials,grid,message",
+        [(0, None, "trials must be positive"), (2, [1e2, 1e3], "at least 3 points")],
+    )
+    def test_run_wide_errors_raise_before_any_row(self, monkeypatch, trials, grid, message):
+        def no_row(*args, **kwargs):
+            raise AssertionError("a row ran")
+
+        monkeypatch.setattr(analysis, "_audit", no_row)
+        with pytest.raises(ValueError, match=message):
+            sweep_reports([NetworkConfig(K=3, M=2, N=2)], trials, grid)

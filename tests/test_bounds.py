@@ -127,6 +127,22 @@ class TestClassifyRegime:
         with pytest.raises(RegimeError):
             classify_regime(2, 1, 1)
 
+    def test_cached_thresholds_keep_their_values(self):
+        # cached per K: a repeat call returns the same values, and K < 3,
+        # which is never cached, raises on every call
+        for k in range(3, 9):
+            want = (
+                Fraction(1),
+                Fraction(2 * k * k - 2 * k, k * k - k + 2),
+                Fraction(k, 2),
+                Fraction(k * k - 3 * k + 3, k - 1),
+            )
+            assert regime_thresholds(k) == want and regime_thresholds(k) == want
+        for _ in range(3):
+            for k in (2, 1):
+                with pytest.raises(RegimeError, match="needs K >= 3"):
+                    regime_thresholds(k)
+
     def test_partition_is_total(self):
         for k in range(3, 9):
             for m in range(1, 13):

@@ -54,6 +54,9 @@ class TestNetworkConfig:
             dict(K=3, M=2, N="2"),
             dict(K=3, M=True, N=2),
             dict(K=3, M=2, N=2, seed=True),
+            # True == 1.0 would run as full duplex
+            dict(K=3, M=2, N=2, duplex_factor=True),
+            dict(K=3, M=2, N=2, duplex_factor=np.True_),
         ],
     )
     def test_rejects_invalid(self, kwargs):
@@ -184,7 +187,7 @@ class TestDrawnCut:
         def rng():
             return cfg.trial_rng(0) if trials is None else [cfg.trial_rng(t) for t in range(trials)]
 
-        drawn, sent, _ = analysis._draw_trials(cfg, rng(), None, False, min(n, m))
+        drawn, sent, _ = analysis._draw_trials([(cfg, rng())], None, False, min(n, m))
         full_rng = rng()
         full = generate_channels(cfg, full_rng)
         cut = shutdown_relay_antennas(full)
@@ -216,7 +219,7 @@ class TestDrawnCut:
 
         monkeypatch.setattr(channel, "random_gaussian_stacks", parallel_rows)
         with pytest.raises(ValueError, match="rank deficient"):
-            analysis._draw_trials(cfg, [cfg.trial_rng(t) for t in range(3)], None, False, 4)
+            analysis._draw_trials([(cfg, [cfg.trial_rng(t) for t in range(3)])], None, False, 4)
         assert pseudo_inverse_and_rank(full[0])[1] == 4
         with pytest.raises(ValueError, match="rank deficient"):
             analysis.verify_noiseless(cfg, 3)

@@ -312,6 +312,19 @@ class TestSweepCommand:
             assert row["streams"] == row["cutset"]
             assert row["error"] == ""
 
+    def test_repeated_values_keep_their_rows(self, tmp_path, capsys):
+        # --k 3,3 audits each (K, M, N) twice, in one group per kept
+        # relay shape, and writes both rows
+        path = tmp_path / "twice.csv"
+        code, _, _ = run(
+            capsys, "sweep", "--k", "3,3", "--m", "2", "--n", "2,3",
+            "--trials", "2", "--seed", "4", "--out", str(path),
+        )
+        assert code == EXIT_OK
+        rows = path.read_text().strip().splitlines()[2:]
+        assert [row.split(",")[:3] for row in rows] == [["3", "2", n] for n in "2323"]
+        assert rows[:2] == rows[2:] and rows[0] != rows[1]
+
     def test_row_order_sorted(self, tmp_path, capsys):
         path = tmp_path / "order.csv"
         run(
@@ -354,7 +367,7 @@ class TestSweepCommand:
         def no_row(*args, **kwargs):
             raise AssertionError("a row ran before every config was checked")
 
-        monkeypatch.setattr("mrc_dof_lab.analysis.verify_noiseless", no_row)
+        monkeypatch.setattr("mrc_dof_lab.analysis._audit", no_row)
         path = tmp_path / "bad.csv"
         code, _, err = run(
             capsys, "sweep", *lists, "--trials", "2", "--out", str(path),
@@ -369,7 +382,7 @@ class TestSweepCommand:
         def fail(*args, **kwargs):
             raise SchemeDesignError("trial 0 (seed 1): aligned subspaces, rank deficient")
 
-        monkeypatch.setattr("mrc_dof_lab.analysis.verify_noiseless", fail)
+        monkeypatch.setattr("mrc_dof_lab.analysis._audit", fail)
         path = tmp_path / "fail.csv"
         code, _, _ = run(
             capsys, "sweep", "--k", "3", "--m", "2", "--n", "2",
@@ -385,14 +398,14 @@ class TestSweepCommand:
 
     def test_every_row_has_a_cell_per_column(self, tmp_path, capsys, monkeypatch):
         # error rows (K = 4 here) pad to the header, as success rows fill it
-        real = analysis.verify_noiseless
+        real = analysis._audit
 
-        def fail_k4(config, trials):
-            if config.K == 4:
+        def fail_k4(group, trials, **kwargs):
+            if any(config.K == 4 for config in group):
                 raise ValueError("no design for K = 4")
-            return real(config, trials)
+            return real(group, trials, **kwargs)
 
-        monkeypatch.setattr("mrc_dof_lab.analysis.verify_noiseless", fail_k4)
+        monkeypatch.setattr("mrc_dof_lab.analysis._audit", fail_k4)
         path = tmp_path / "mixed.csv"
         code, _, _ = run(
             capsys, "sweep", "--k", "3,4", "--m", "2,3", "--n", "2",
@@ -410,7 +423,7 @@ class TestSweepCommand:
         def bug(*args, **kwargs):
             raise TypeError("bug in the chain")
 
-        monkeypatch.setattr("mrc_dof_lab.analysis.verify_noiseless", bug)
+        monkeypatch.setattr("mrc_dof_lab.analysis._audit", bug)
         with pytest.raises(TypeError, match="bug in the chain"):
             main([
                 "sweep", "--k", "3", "--m", "2", "--n", "2",
@@ -765,7 +778,8 @@ class TestEntryPointSvdBudget:
     validation factors its uplink stack alone: one inv when it is square,
     one qr when it is not (of the conjugate transposes, when wide). A draw
     with N > M is validated once, at the M relay antennas it keeps, which
-    leaves square matrices."""
+    leaves square matrices; a sweep validates the rows of one kept relay
+    shape as one stack."""
 
     def test_verify_with_extension(self, lapack_calls):
         # extension_large: one stack of 5 trials at 8/8/8
@@ -788,12 +802,12 @@ class TestEntryPointSvdBudget:
         assert designs == [1]
 
     def test_sweep_grid(self, tmp_path, capsys, lapack_calls):
-        # sweep_grid: 27 rows of 5 trials; per K, the 3 rows with N = M
-        # and the 3 with N > M, drawn cut to M relay antennas, take one
-        # inv, and the 3 with N < M one qr
+        # sweep_grid: 27 rows of 5 trials; per K and M, the rows with
+        # N >= M, drawn cut to M relay antennas, share one stack and one
+        # inv (3 per K), and each of the 3 rows with N < M takes one qr
         code, _, _ = run(
             capsys, "sweep", "--k", "3,4,5", "--m", "2,3,4", "--n", "2,3,4",
             "--trials", "5", "--seed", "7", "--out", str(tmp_path / "grid.csv"),
         )
         assert code == EXIT_OK
-        assert Counter(kernel for kernel, _ in lapack_calls) == {"inv": 18, "qr": 9}
+        assert Counter(kernel for kernel, _ in lapack_calls) == {"inv": 9, "qr": 9}
