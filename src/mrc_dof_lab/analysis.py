@@ -10,7 +10,10 @@ Philox keyed by (seed, trial index), so every trial is reproducible,
 independent of the execution order, and independent of every other
 (seed, trial) pair's. ``draw_trials`` is the one place a trial draws:
 before any design, one standard_normal call gives its channel, then its
-symbols, then, for the MSE sweep, its noise.
+symbols, then, for the MSE sweep, its noise. The entry points read a
+stack's trials through a ``channel.TrialStreams`` reader, one Philox per
+draw re-keyed to each trial, which gives every trial its fresh stream
+bit for bit and opens no generator per trial.
 
 The trials of one configuration are drawn, designed and run as stacks
 along a leading trial axis: one ``draw_trials``, one
@@ -39,8 +42,12 @@ point is a group of one.
 The audit of a group of one hands its last drawn stack to the MSE
 sweep: a sweep over the same configuration and trials right after it, as
 in checking a configuration's slope and then its MSE, takes that stack's
-plan and symbols and draws only the noise, from the same generators. The
-hand-off is one-way: the audit always draws and designs its own stacks.
+plan and symbols and validates and designs nothing. The hand-off holds
+the plan, the symbols and the trials' reader (a seed and trial indices,
+no live generator); the sweep re-reads each of those trials from its
+start, channel, symbols and noise in one call, and keeps only the noise.
+The hand-off is one-way: the audit always draws and designs its own
+stacks.
 """
 
 from __future__ import annotations
@@ -53,7 +60,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import bounds, ssa_nc
-from .channel import ChannelSet, NetworkConfig, _draw
+from .channel import ChannelSet, NetworkConfig, _draw, _link_parts
 from .linalg import random_gaussian_stacks
 from .ssa_nc import SchemeDesignError, SchemePlan
 
@@ -167,8 +174,9 @@ def draw_trials(config: NetworkConfig, rng, channels=None, noise=False):
     every user's unit-power symbols, then with ``noise`` the relay's and
     the users' unit-variance noise.
 
-    ``rng`` is one generator, or a sequence of one per trial, whose trial
-    axis then leads every array. Returns (channels, sent, noise), the
+    ``rng`` is one generator, or, for a stack whose trial axis then leads
+    every array, a ``channel.TrialStreams`` reader or a sequence of one
+    generator per trial. Returns (channels, sent, noise), the
     arguments of ``ssa_nc.design_scheme`` and ``ssa_nc.run_round``: sent
     is (K, d) per trial, and noise the pair of the relay's (effective_N,)
     and the users' (K, effective_M) per trial, or None when not asked for.
@@ -179,14 +187,12 @@ def draw_trials(config: NetworkConfig, rng, channels=None, noise=False):
 def _draw_trials(segments, channels, noise, keep: int):
     """``draw_trials`` over (config, rng) segments of one kept relay shape,
     joined along their trial axis: each segment draws from its own
-    generators, a drawn set is cut to its first ``keep`` relay antennas
+    streams, a drawn set is cut to its first ``keep`` relay antennas
     (``channel._draw``), and the joined set is validated once. The arrays
     of one segment are used as drawn, uncopied."""
     drawn = []
     for config, rng in segments:
-        parts = [(config.K, (ssa_nc.extension_plan(config.K, config.M, config.N)[2],))]
-        if noise:
-            parts += _noise_parts(config)
+        parts = _after_parts(config, noise)
         if channels is None:
             uplink, downlink, after = _draw(config, rng, parts, keep)
             drawn.append([uplink, downlink, *after])
@@ -199,11 +205,15 @@ def _draw_trials(segments, channels, noise, keep: int):
     return channels, arrays[0], (_noise_pair(*arrays[1:]) if noise else None)
 
 
-def _noise_parts(config: NetworkConfig) -> list:
-    """The (count, shape) draws of a trial's noise: the relay's, then
-    each user's."""
-    base, L, _ = ssa_nc.extension_plan(config.K, config.M, config.N)
-    return [(1, (L * base,)), (config.K, (L * config.M,))]
+def _after_parts(config: NetworkConfig, noise: bool) -> list:
+    """The (count, shape) draws that follow a trial's channel: every
+    user's symbols, then with ``noise`` the relay's noise and each
+    user's."""
+    base, L, d = ssa_nc.extension_plan(config.K, config.M, config.N)
+    parts = [(config.K, (d,))]
+    if noise:
+        parts += [(1, (L * base,)), (config.K, (L * config.M,))]
+    return parts
 
 
 def _noise_pair(relay: np.ndarray, users: np.ndarray) -> tuple:
@@ -212,20 +222,27 @@ def _noise_pair(relay: np.ndarray, users: np.ndarray) -> tuple:
 
 
 # The last stack a noiseless pass drew, keyed (config, start, stop): its
-# plan, its symbols and its generators, these positioned right after the
-# symbols. Only a noisy pass over the same trials reads it, and it pops
-# it: the pop is atomic, so the taker alone owns the generators.
+# plan, its symbols and its trials' reader, which holds no generator. Only
+# a noisy pass over the same trials reads it, and it pops it.
 _handoff: dict = {}
 
 
 def _stack_rows(group, trials: int, start: int, stop: int) -> list:
-    """The (config, generators) segments of a group's trials start to
-    stop, counting ``trials`` per row through the rows in order."""
+    """The (config, reader) segments of a group's trials start to stop,
+    counting ``trials`` per row through the rows in order."""
     return [
-        (row, [row.trial_rng(t) for t in range(max(start - first, 0), min(stop - first, trials))])
+        (row, row.trial_streams(range(max(start - first, 0), min(stop - first, trials))))
         for row, first in zip(group, range(0, stop, trials))
         if first + trials > start
     ]
+
+
+def _reread_noise(config: NetworkConfig, streams) -> tuple:
+    """The noise of a drawn stack's trials: each trial's stream re-read
+    from its start in one call, channel, symbols and noise, as the first
+    draw would have read it with the noise; only the noise is kept."""
+    parts = _link_parts(config) + _after_parts(config, noise=True)
+    return _noise_pair(*random_gaussian_stacks(parts, streams)[-2:])
 
 
 def _trial_stacks(group, trials: int, channels=None, noise=False):
@@ -252,11 +269,9 @@ def _trial_stacks(group, trials: int, channels=None, noise=False):
     one leaves its drawn, designed stack there, so only its last stack
     outlives the call; a given set's stacks, a stack whose design fails
     and the stacks of a larger group are not left. A noisy pass pops the
-    stack of the same (config, start, stop), if there is one, and draws
-    only its noise, from where those generators stand.
-    Consecutive draws from a generator give the values of one draw of
-    their total length, so the noise, and every output, is bit for bit
-    that of a fresh draw.
+    stack of the same (config, start, stop), if there is one, re-reads
+    its trials (``_reread_noise``) and keeps their noise, which is, like
+    every output, bit for bit that of a fresh draw.
     """
     _check_trials(trials)
     config = group[0]
@@ -270,8 +285,8 @@ def _trial_stacks(group, trials: int, channels=None, noise=False):
         if not noise:
             _handoff.clear()
         elif fixed is None and (taken := _handoff.pop(key, None)):
-            plan, sent, rngs = taken
-            yield plan, sent, _noise_pair(*random_gaussian_stacks(_noise_parts(config), rngs))
+            plan, sent, streams = taken
+            yield plan, sent, _reread_noise(config, streams)
             continue
         segments = _stack_rows(group, trials, start, stop)
         drawn, sent, noise_pair = _draw_trials(segments, channels, noise, cut.N)

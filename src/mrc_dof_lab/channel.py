@@ -4,11 +4,15 @@ The uplink channel of user j is an N x M matrix (relay antennas by user
 antennas), the downlink an M x N matrix. Reciprocal operation means the
 downlink is the plain transpose of the uplink. Each trial draws from its
 own random stream, ``NetworkConfig.trial_rng``: counter-based Philox
-keyed by (seed, trial), one independent stream per pair. A trial's
-channel heads its one draw, which ``draw_channels`` makes. The analysis
-draws its trials keeping only the min(N, M) relay antennas the scheme
-uses (``_draw``, which leaves the validation to its caller), so a trial
-with N > M is validated once, at that size; a channel dump holds all N.
+keyed by (seed, trial), one independent stream per pair. The analysis
+reads its trials through ``NetworkConfig.trial_streams``, a
+``TrialStreams`` reader that gives each trial that fresh stream, bit for
+bit, from one Philox per read, re-keyed per trial, and opens no
+generator per trial. A trial's channel heads its one draw, which
+``draw_channels`` makes. The analysis draws its trials keeping only the
+min(N, M) relay antennas the scheme uses (``_draw``, which leaves the
+validation to its caller), so a trial with N > M is validated once, at
+that size; a channel dump holds all N.
 
 A ``ChannelSet`` holds one trial's physical channels as (K, N, M) /
 (K, M, N) arrays, or a stack of trials with a leading trial axis. Symbol
@@ -87,8 +91,65 @@ class NetworkConfig:
         numbers: as easy as 1, 2, 3", SC'11); a trial's stream is
         reproducible and does not depend on the order trials run in. The
         key goes to Philox directly, so opening a stream builds no
-        SeedSequence and reads no OS entropy."""
+        SeedSequence and reads no OS entropy. The trial must be an integer
+        in [0, 2**64), else ValueError."""
+        _check_trial(trial)
         return np.random.Generator(np.random.Philox(_trial_key_type()(self.seed, trial)))
+
+    def trial_streams(self, trials) -> TrialStreams:
+        """A reader of the given trials' streams, each read as
+        ``trial_rng`` opens it; see ``TrialStreams``."""
+        return TrialStreams(self.seed, trials)
+
+
+def _check_trial(trial) -> None:
+    """A trial index is an integer (int or numpy integer, not bool) in
+    [0, 2**64): anything else raises ValueError, since a float or a bool
+    would read a truncated index's stream."""
+    if isinstance(trial, bool) or not isinstance(trial, (int, np.integer)):
+        raise ValueError(f"trial must be an integer, not {trial!r}")
+    if not 0 <= trial <= _SEED_MASK:
+        raise ValueError(f"trial must be in [0, 2**64), not {trial!r}")
+
+
+class TrialStreams:
+    """The streams of some trials of one seed, read from their start.
+
+    ``read(n)`` gives one row per trial, in the given order: row s is bit
+    for bit ``trial_rng(trials[s]).standard_normal(n)``, the trial's fresh
+    stream. A Philox stream is a pure function of its key and counter, so
+    one Philox, built per ``read`` call, serves every row: re-keyed to
+    (seed, trial) at counter 0 with an empty buffer through its public
+    ``state``, it is that trial's fresh stream, and no generator is opened
+    per trial. A reader holds only the seed and the trial indices, which
+    may repeat and come in any order; each must be an integer in
+    [0, 2**64). No generator outlives a call, so readers share no state.
+    """
+
+    __slots__ = ("seed", "trials")
+
+    def __init__(self, seed: int, trials) -> None:
+        self.seed = seed
+        self.trials = tuple(trials)
+        for trial in self.trials:
+            _check_trial(trial)
+
+    def read(self, n: int) -> np.ndarray:
+        """The first n standard normal values of each trial's stream, one
+        row per trial: one re-key and one standard_normal call per row."""
+        bits = np.random.Philox(_trial_key_type()(self.seed, 0))
+        draw = np.random.Generator(bits).standard_normal
+        # a fresh stream's state, counter 0 and an empty buffer; plain ints,
+        # which Philox converts to its uint64 words, top bit included
+        key, zeros = [self.seed, 0], (0, 0, 0, 0)
+        fresh = {"bit_generator": "Philox", "state": {"counter": zeros, "key": key},
+                 "buffer": zeros, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+        z = np.empty((len(self.trials), n))
+        for trial, row in zip(self.trials, z):
+            key[1] = trial
+            bits.state = fresh
+            draw(out=row)
+        return z
 
 
 class _TrialKey:
@@ -280,8 +341,9 @@ def draw_channels(config: NetworkConfig, rng, after=()) -> tuple[ChannelSet, lis
     shape) parts ``after``, in one ``random_gaussian_stacks`` call; returns
     the validated set and the ``after`` arrays.
 
-    ``rng`` is one generator for one trial, or a sequence of generators
-    for a stack with one trial per generator. All K uplink matrices are
+    ``rng`` is one generator for one trial, or, for a stack with one
+    trial per row, a sequence of generators or a ``TrialStreams`` reader
+    (see ``random_gaussian_stacks``). All K uplink matrices are
     drawn first so that the uplink realization at a given seed does not
     depend on the reciprocity mode; reciprocal downlinks are exact
     transposes and consume no draws and no decomposition.
@@ -304,13 +366,18 @@ def _draw(config: NetworkConfig, rng, after, keep: int) -> tuple:
     kept block is well conditioned, and such a draw, rejected in full,
     passes here. A Gaussian draw is essentially never near that case.
     """
-    K, M, N = config.K, config.M, config.N
-    links = [(K, (N, M))] if config.reciprocal else [(K, (N, M)), (K, (M, N))]
-    uplink, *drawn = random_gaussian_stacks(links + list(after), rng)
+    uplink, *drawn = random_gaussian_stacks(_link_parts(config) + list(after), rng)
     downlink = uplink.swapaxes(-1, -2).copy() if config.reciprocal else drawn.pop(0)
-    if keep < N:
+    if keep < config.N:
         uplink, downlink = _relay_rows(uplink, downlink, keep)
     return uplink, downlink, drawn
+
+
+def _link_parts(config: NetworkConfig) -> list:
+    """The (count, shape) parts that head a trial's draw: every uplink,
+    then, unless reciprocal, every downlink."""
+    K, M, N = config.K, config.M, config.N
+    return [(K, (N, M))] if config.reciprocal else [(K, (N, M)), (K, (M, N))]
 
 
 def generate_channels(config: NetworkConfig, rng) -> ChannelSet:
@@ -405,6 +472,7 @@ def load_channels(path: str) -> ChannelSet:
 
 __all__ = [
     "NetworkConfig",
+    "TrialStreams",
     "matrix_to_lists",
     "matrix_from_lists",
     "ChannelSet",

@@ -3,8 +3,9 @@
 Everything operates on 2-D ``complex128`` numpy arrays; the pseudoinverses
 also take a stack of them and decompose it in one LAPACK call, and
 ``random_gaussian_stacks`` fills every array a trial draws with one call
-per generator. Rank decisions are made on singular values relative to
-the largest one (scale invariant), at the one tolerance ``RANK_TOL``:
+per generator, or per row of a trial-stream reader. Rank decisions are
+made on singular values relative to the largest one (scale invariant),
+at the one tolerance ``RANK_TOL``:
 ``pseudo_inverse_and_rank`` computes them with an SVD, and
 ``pseudo_inverse_and_bound`` reaches the same decisions from one LU or QR
 factorization and a certified bound on the condition number, taking the
@@ -45,13 +46,16 @@ def random_gaussian_stacks(parts, rng) -> list[np.ndarray]:
     """One array of i.i.d. CN(0, 1) entries per (count, shape) pair of
     ``parts``, of shape (count, *shape), in one draw call per generator.
 
-    ``rng`` is one generator, or a sequence of generators, which prefixes
-    every array with a trial axis whose row s is drawn from generator s.
-    Each generator fills one standard_normal vector holding every part's
-    block (count, 2, *shape) in turn: the real then the imaginary part of
-    each array. One draw fills a generator's values in the order of
-    consecutive draws of the same total length, so each part gets, bit for
-    bit, what drawing the parts one after another gives it. Real and
+    ``rng`` is one generator, or a trial-stream reader or a sequence of
+    generators, either of which prefixes every array with a trial axis
+    whose row s is drawn from stream s. A reader (``channel.TrialStreams``,
+    or anything whose ``read(n)`` returns one row of n standard normal
+    values per trial) fills every row in one call. Each stream fills one
+    standard_normal vector holding every part's block (count, 2, *shape)
+    in turn: the real then the imaginary part of each array. One draw
+    fills a stream's values in the order of consecutive draws of the same
+    total length, so each part gets, bit for bit, what drawing the parts
+    one after another gives it. Real and
     imaginary parts are N(0, 1/2), so E|a|^2 = 1.
     """
     blocks = [(count, 2, *shape) for count, shape in parts]
@@ -60,6 +64,9 @@ def random_gaussian_stacks(parts, rng) -> list[np.ndarray]:
     sizes = [math.prod(block) for block in blocks]
     if isinstance(rng, np.random.Generator):
         z, lead = rng.standard_normal(sum(sizes)), ()
+    elif hasattr(rng, "read"):
+        z = rng.read(sum(sizes))
+        lead = z.shape[:1]
     else:
         rngs = list(rng)
         z, lead = np.empty((len(rngs), sum(sizes))), (len(rngs),)

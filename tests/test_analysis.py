@@ -25,6 +25,7 @@ from mrc_dof_lab.bounds import bound_row, cutset_dof
 from mrc_dof_lab.channel import (
     ChannelSet,
     NetworkConfig,
+    TrialStreams,
     generate_channels,
     load_channels,
     save_channels,
@@ -489,80 +490,130 @@ class TestPhysicalTrialPath:
         assert analysis._stack_size(NetworkConfig(K=3, M=4, N=6)) == 2**15 // 48
 
 
-class CountedGenerator(np.random.Generator):
-    """A trial stream that counts its standard_normal calls."""
+class LoggedGenerator(np.random.Generator):
+    """A generator that logs each standard_normal call as the (seed,
+    trial) key of the stream it reads, and whether it reads that stream
+    from its start: counter 0 and an empty buffer."""
+
+    log: list
 
     def standard_normal(self, *args, **kwargs):
-        self.calls += 1
+        state = self.bit_generator.state
+        seed, trial = state["state"]["key"].tolist()
+        fresh = not state["state"]["counter"].any() and state["buffer_pos"] == 4
+        self.log.append((seed, trial, fresh))
         return super().standard_normal(*args, **kwargs)
 
 
 class TestOneDrawPerTrial:
-    """Every entry point, called cold, opens each trial's stream once and
-    draws from it once: channel, symbols and noise come from one
-    standard_normal call. The MSE sweep after a noiseless pass opens no
-    stream of the stack it takes, and draws only the noise from it."""
+    """Every entry point, called cold, reads each trial's stream once,
+    from its start, in one standard_normal call: channel, symbols and noise
+    come from one call. The analysis opens no ``trial_rng`` stream and
+    builds one Philox per read. The MSE sweep after a noiseless pass reads
+    each trial of the stack it takes once more, and validates and designs
+    nothing for it."""
 
     @staticmethod
-    def opened_streams(monkeypatch):
-        """Count each trial stream's standard_normal calls; a stream opened
-        twice fails. 4/4/3 stores 4 * 3 * 4 entries per trial: stacks of 2,
-        2 and 1 trials."""
-        opened = {}
-        real = NetworkConfig.trial_rng
+    def reads(monkeypatch):
+        """Log every standard_normal call of the readers by its stream's
+        key, and count the reads and the Philox generators built; any
+        trial_rng call fails. 4/4/3 stores 4 * 3 * 4 entries per trial:
+        stacks of 2, 2 and 1 trials."""
+        log, counts = [], {"read": 0, "philox": 0}
+        real_read, real_philox = TrialStreams.read, np.random.Philox
 
-        def counted(config, trial):
-            assert trial not in opened, f"trial {trial} opened twice"
-            g = opened[trial] = CountedGenerator(real(config, trial).bit_generator)
-            g.calls = 0
-            return g
+        def read(self, n):
+            counts["read"] += 1
+            return real_read(self, n)
 
-        monkeypatch.setattr(NetworkConfig, "trial_rng", counted)
+        def philox(*args, **kwargs):
+            counts["philox"] += 1
+            return real_philox(*args, **kwargs)
+
+        def no_trial_rng(config, trial):
+            raise AssertionError(f"trial {trial} opened through trial_rng")
+
+        monkeypatch.setattr(LoggedGenerator, "log", log, raising=False)
+        monkeypatch.setattr(np.random, "Generator", LoggedGenerator)
+        monkeypatch.setattr(np.random, "Philox", philox)
+        monkeypatch.setattr(TrialStreams, "read", read)
+        monkeypatch.setattr(NetworkConfig, "trial_rng", no_trial_rng)
         monkeypatch.setattr(analysis, "STACK_ELEMENTS", 48 * 2)
-        return opened
+        return log, counts
+
+    @staticmethod
+    def per_trial(log, seed):
+        """Reads per trial; each from its stream's start, under the seed."""
+        assert all(s == seed and fresh for s, _, fresh in log)
+        trials = [t for _, t, _ in log]
+        return {t: trials.count(t) for t in trials}
+
+    @staticmethod
+    def built(monkeypatch):
+        """The stack shape of each ChannelSet validated and of each
+        design_scheme call from here on."""
+        sets, designs = [], []
+        real_set, real_design = ChannelSet.__post_init__, ssa_nc.design_scheme
+
+        def validated(self):
+            sets.append(np.shape(self.uplink)[:-3])
+            real_set(self)
+
+        def designed(config, channels):
+            designs.append(channels.stack_shape)
+            return real_design(config, channels)
+
+        monkeypatch.setattr(ChannelSet, "__post_init__", validated)
+        monkeypatch.setattr(ssa_nc, "design_scheme", designed)
+        return sets, designs
 
     @pytest.mark.parametrize("reciprocal", [True, False], ids=["rec", "nonrec"])
     @pytest.mark.parametrize(
         "run",
         [
-            lambda cfg, trials: verify_noiseless(cfg, trials),
-            lambda cfg, trials: verify_noiseless(
-                cfg, trials, generate_channels(cfg, np.random.default_rng(3))
-            ),
-            lambda cfg, trials: simulate_report(cfg, GRID, trials),
-            lambda cfg, trials: decode_mse_sweep(cfg, GRID, trials),
+            lambda cfg, trials, given: verify_noiseless(cfg, trials),
+            lambda cfg, trials, given: verify_noiseless(cfg, trials, given),
+            lambda cfg, trials, given: simulate_report(cfg, GRID, trials),
+            lambda cfg, trials, given: decode_mse_sweep(cfg, GRID, trials),
         ],
         ids=["verify", "verify-given-set", "simulate", "mse"],
     )
     def test_one_standard_normal_call_per_trial(self, monkeypatch, run, reciprocal):
         cfg = NetworkConfig(K=4, M=4, N=3, seed=21, reciprocal=reciprocal)
-        opened = self.opened_streams(monkeypatch)
-        run(cfg, 5)
-        assert {t: g.calls for t, g in opened.items()} == dict.fromkeys(range(5), 1)
+        given = generate_channels(cfg, np.random.default_rng(3))
+        log, counts = self.reads(monkeypatch)
+        run(cfg, 5, given)
+        assert self.per_trial(log, 21) == dict.fromkeys(range(5), 1)
+        assert counts == {"read": 3, "philox": 3}
 
     @pytest.mark.parametrize("reciprocal", [True, False], ids=["rec", "nonrec"])
-    def test_simulate_then_mse_reopens_only_earlier_stacks(self, monkeypatch, reciprocal):
-        # the last stack (trial 4) is drawn twice: channel and symbols,
-        # then noise; the sweep opens and draws the stacks before it again
+    def test_simulate_then_mse_reads_each_trial_once(self, monkeypatch, reciprocal):
+        # the sweep draws the stacks before the last one again, and re-reads
+        # the last (trial 4) for its noise without validating or designing
         cfg = NetworkConfig(K=4, M=4, N=3, seed=21, reciprocal=reciprocal)
-        opened = self.opened_streams(monkeypatch)
+        log, counts = self.reads(monkeypatch)
         simulate_report(cfg, GRID, 5)
-        first = dict(opened)
-        opened.clear()
+        assert self.per_trial(log, 21) == dict.fromkeys(range(5), 1)
+        log.clear()
+        sets, designs = self.built(monkeypatch)
         decode_mse_sweep(cfg, GRID, 5)
-        assert {t: g.calls for t, g in first.items()} == {0: 1, 1: 1, 2: 1, 3: 1, 4: 2}
-        assert {t: g.calls for t, g in opened.items()} == dict.fromkeys(range(4), 1)
+        assert self.per_trial(log, 21) == dict.fromkeys(range(5), 1)
+        assert sets == designs == [(2,), (2,)]
+        assert counts == {"read": 6, "philox": 6}
 
     @pytest.mark.parametrize("reciprocal", [True, False], ids=["rec", "nonrec"])
     def test_simulate_then_mse_in_one_stack(self, monkeypatch, reciprocal):
-        # one stack holds every trial: the sweep opens no stream, and each
-        # stream is drawn twice, channel and symbols, then noise
+        # one stack holds every trial: the sweep re-reads each trial once
+        # for its noise, and builds no set and no plan
         cfg = NetworkConfig(K=4, M=4, N=3, seed=21, reciprocal=reciprocal)
-        opened = self.opened_streams(monkeypatch)
+        log, counts = self.reads(monkeypatch)
         monkeypatch.setattr(analysis, "STACK_ELEMENTS", 48 * 5)
         simulate_report(cfg, GRID, 5)
+        sets, designs = self.built(monkeypatch)
         decode_mse_sweep(cfg, GRID, 5)
-        assert {t: g.calls for t, g in opened.items()} == dict.fromkeys(range(5), 2)
+        assert self.per_trial(log, 21) == dict.fromkeys(range(5), 2)
+        assert sets == designs == []
+        assert counts == {"read": 2, "philox": 2}
 
 
 class TestHandoff:
@@ -599,6 +650,33 @@ class TestHandoff:
         warm = decode_mse_sweep(cfg, GRID, 6)
         assert designs == [] and not analysis._handoff
         assert np.array_equal(warm, cold)
+
+    @pytest.mark.parametrize(
+        "k,m,n,reciprocal",
+        [(5, 3, 3, True), (3, 4, 6, True), (4, 4, 3, False)],
+        ids=["5-3-3-L4", "3-4-6-shutdown", "4-4-3-nonrec"],
+    )
+    def test_handed_off_noise_is_each_trials_cold_noise(self, monkeypatch, k, m, n, reciprocal):
+        # the noise the sweep runs the taken stack with, trial by trial, is
+        # what a cold draw of that trial alone gives, and so are its symbols
+        cfg = NetworkConfig(K=k, M=m, N=n, seed=2**64 - 1, reciprocal=reciprocal)
+        simulate_report(cfg, GRID, 4)
+        assert list(analysis._handoff) == [(cfg, 0, 4)]
+        rounds = []
+        real = ssa_nc.run_round
+
+        def logged(plan, P, sent, noise=None):
+            rounds.append((sent, noise))
+            return real(plan, P, sent, noise)
+
+        monkeypatch.setattr(ssa_nc, "run_round", logged)
+        decode_mse_sweep(cfg, GRID, 4)
+        [(sent, (relay, users))] = rounds
+        for t in range(4):
+            _, cold_sent, (cold_relay, cold_users) = draw_trials(cfg, cfg.trial_rng(t), noise=True)
+            assert sent[t].tobytes() == cold_sent.tobytes()
+            assert relay[t].tobytes() == cold_relay.tobytes()
+            assert users[t].tobytes() == cold_users.tobytes()
 
     def test_only_the_last_stack_is_reused(self, monkeypatch):
         # 3/3/2 stores 18 entries per trial: stacks of 3, 3 and 1 trials

@@ -5,6 +5,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from mrc_dof_lab import analysis, channel
 from mrc_dof_lab.channel import (
@@ -118,6 +120,78 @@ class TestNetworkConfig:
             a = make_trial(NetworkConfig(K=3, M=3, N=2, seed=seed), trial + 1)
             b = make_trial(NetworkConfig(K=3, M=3, N=2, seed=seed + 1), trial)
             assert not np.any(a.uplink == b.uplink)
+
+
+# Trial indices that are not an integer in [0, 2**64); each used to open
+# trial 1's stream (or raise OverflowError), as a float seed ran truncated.
+BAD_TRIALS = [1.5, np.float64(1.9), True, np.True_, "1", None, -1, np.int64(-1), 2**64]
+BAD_TRIAL_IDS = ["float", "numpy-float", "bool", "numpy-bool", "str", "none", "negative",
+                 "numpy-negative", "2**64"]
+
+
+class TestTrialStreams:
+    """A TrialStreams reader gives each trial its fresh trial_rng stream,
+    bit for bit, through one Philox per read."""
+
+    @pytest.mark.parametrize("trial", BAD_TRIALS, ids=BAD_TRIAL_IDS)
+    def test_trial_rng_rejects_bad_trial(self, trial):
+        with pytest.raises(ValueError, match="trial must be"):
+            NetworkConfig(K=3, M=2, N=2).trial_rng(trial)
+
+    @pytest.mark.parametrize("trial", BAD_TRIALS, ids=BAD_TRIAL_IDS)
+    def test_reader_rejects_bad_trial(self, trial):
+        with pytest.raises(ValueError, match="trial must be"):
+            NetworkConfig(K=3, M=2, N=2).trial_streams([0, trial])
+
+    @pytest.mark.parametrize("trial", [np.int64(3), np.uint64(2**64 - 1), 2**64 - 1],
+                             ids=["int64", "uint64-max", "int-max"])
+    def test_integer_trials_accepted(self, trial):
+        cfg = NetworkConfig(K=3, M=2, N=2, seed=5)
+        row = cfg.trial_streams([trial]).read(8)[0]
+        assert np.array_equal(row, cfg.trial_rng(trial).standard_normal(8))
+
+    @settings(derandomize=True, deadline=None, max_examples=60, database=None)
+    @given(
+        seed=st.integers(0, 2**64 - 1),
+        trials=st.lists(
+            st.one_of(st.integers(0, 2**64 - 1), st.integers(2**63 - 2, 2**63 + 7),
+                      st.integers(0, 9)),
+            min_size=1,
+            max_size=6,
+        ),
+        n=st.integers(1, 70),
+    )
+    @example(seed=2**64 - 1, trials=[2**63 + 7, 0, 2**63 + 7, 2**64 - 1, 3], n=5)
+    def test_rows_are_trial_rng_streams(self, seed, trials, n):
+        cfg = NetworkConfig(K=3, M=2, N=2, seed=seed)
+        got = cfg.trial_streams(trials).read(n)
+        want = [cfg.trial_rng(t).standard_normal(n) for t in trials]
+        assert got.shape == (len(trials), n)
+        assert got.tobytes() == np.array(want).tobytes()
+
+    def test_reader_known_answer(self):
+        # pinned, as test_trial_rng_known_answer: trial 1 of seed 42, read
+        # first, between and after another trial's row
+        want = [float.fromhex("0x1.bbd95443f9907p-1"), float.fromhex("0x1.df0231616e722p-1")]
+        rows = NetworkConfig(K=3, M=2, N=2, seed=42).trial_streams([1, 0, 1]).read(2)
+        assert rows[0].tolist() == rows[2].tolist() == want
+        assert rows[1].tolist() != want
+
+    def test_reads_repeat(self):
+        # a reader holds no generator: every read starts each stream afresh
+        reader = NetworkConfig(K=3, M=2, N=2, seed=8).trial_streams(range(2, 5))
+        assert reader.read(9).tobytes() == reader.read(9).tobytes()
+
+    @pytest.mark.parametrize("reciprocal", [True, False], ids=["rec", "nonrec"])
+    def test_draw_equals_generator_list(self, reciprocal):
+        cfg = NetworkConfig(K=3, M=4, N=6, seed=2**63 + 1, reciprocal=reciprocal)
+        parts = [(3, (2,)), (1, (5,))]
+        trials = [4, 2**63, 4]
+        got = channel.draw_channels(cfg, cfg.trial_streams(trials), parts)
+        want = channel.draw_channels(cfg, [cfg.trial_rng(t) for t in trials], parts)
+        for a, b in zip((got[0].uplink, got[0].downlink, *got[1]),
+                        (want[0].uplink, want[0].downlink, *want[1])):
+            assert a.tobytes() == b.tobytes()
 
 
 class TestGenerateChannels:
