@@ -8,36 +8,47 @@ log2(P); the chain is linear, so power only scales a unit-power round.
 Each trial draws from its own stream, ``NetworkConfig.trial_rng``:
 Philox keyed by (seed, trial index), so every trial is reproducible,
 independent of the execution order, and independent of every other
-(seed, trial) pair's. ``draw_trials`` is the one place a trial draws:
-before any design, one standard_normal call gives its channel, then its
-symbols, then, for the MSE sweep, its noise. The entry points read a
-stack's trials through a ``channel.TrialStreams`` reader, one Philox per
-draw re-keyed to each trial, which gives every trial its fresh stream
-bit for bit and opens no generator per trial.
+(seed, trial) pair's. A trial draws once, before any design: one
+standard_normal call gives its channel, then its symbols, then, for the
+MSE sweep, its noise. ``draw_trials`` gives that draw for one trial or a
+stack; the entry points draw their trials in batches (below), the same
+values bit for bit, through ``channel._read_streams``: one Philox per
+batch, re-keyed to each trial, which gives every trial its fresh stream
+and opens no generator per trial.
 
-The trials of one configuration are drawn, designed and run as stacks
-along a leading trial axis: one ``draw_trials``, one
-``ssa_nc.design_scheme`` and one ``ssa_nc.run_round`` call per stack
-serve all its trials, whatever the length of the power grid. Plans are
-stored at physical size, and a stack holds up to STACK_ELEMENTS entries
-of each of its plan's stored pseudoinverses, so K = 8, M = N = 8 (56 x 56
-after extension) runs 64 trials per stack. A trial draws the same values
-in any stack, so every result is independent of the stack size. A fixed
-channel set is designed once, and every stack runs its symbols through
-that one-trial plan, which the round functions broadcast over the stack.
-Two loops run the stacks: ``_audit``, behind ``verify_noiseless``,
-``simulate_report`` and ``sweep_reports``, takes each stack's noiseless
-errors and, given a power grid, its SINRs for the slope fit;
-``decode_mse_sweep`` takes its noisy errors. Every entry point checks its
-power grid, then its trial count.
+The trials of one configuration are designed and run as stacks along a
+leading trial axis: one ``ssa_nc.design_scheme`` and one
+``ssa_nc.run_round`` call per stack serve all its trials, whatever the
+length of the power grid. Plans are stored at physical size, and a stack
+holds up to STACK_ELEMENTS entries of each of its plan's stored
+pseudoinverses, so K = 8, M = N = 8 (56 x 56 after extension) runs 64
+trials per stack. A trial draws the same values in any stack, so every
+result is independent of the stack size. A fixed channel set is designed
+once, and every stack runs its symbols through that one-trial plan,
+which the round functions broadcast over the stack. Two loops run the
+stacks: ``_audit``, behind ``verify_noiseless``, ``simulate_report`` and
+``sweep_reports``, takes each stack's noiseless errors and, given a power
+grid, its SINRs for the slope fit; ``decode_mse_sweep`` takes its noisy
+errors. Every entry point checks its power grid, then its trial count.
 
-The audit runs a group of configurations that share a kept relay shape:
-K, M, min(N, M) and reciprocity. A sweep audits each such group's rows
-as one run of stacks, each stack validated, designed and run once; every
-row draws its own trials from its own streams and reads its own slice of
-the results, so its report is bit for bit the one it gets alone. A group
-that raises a row error is audited again row by row. Every other entry
-point is a group of one.
+A sweep groups its configurations by kept relay shape: K, M,
+min(N, M) and reciprocity. Each group's rows, their trials in row order,
+make a run of stacks, and the stacks, group by group, go in batches of
+at most STACK_ELEMENTS stored entries. A batch runs in three stages.
+Draw: every trial is read in one call and written in place, its symbols
+into its stack's array and only the kept relay antennas of its channel
+into its stack's slot of a pool, one pool per kept matrix shape
+(min(N, M), M) and reciprocity mode. Validate: each pool is validated
+once, as one ChannelSet, whatever the K of its stacks, and each stack
+takes its slot as a view of it. Design and run: each stack is designed
+and run once. Every row draws its own trials from its own streams and
+reads its own slice of the results, and a matrix's decomposition does
+not depend on the pool it is factored in, so each row's report is bit
+for bit the one it gets alone. Full stacks of one group fill the budget,
+so every entry point other than a sweep, a group of one, runs batches of
+one stack of one row, and such a batch is drawn directly, with no pool.
+A sweep whose audit raises a row error is audited again group by group,
+and a group that raises one row by row.
 
 The audit of a group of one hands its last drawn stack to the MSE
 sweep: a sweep over the same configuration and trials right after it, as
@@ -52,29 +63,32 @@ stacks.
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
-from . import bounds, ssa_nc
+from . import bounds, channel, ssa_nc
 from .channel import ChannelSet, NetworkConfig, _draw, _link_parts
-from .linalg import random_gaussian_stacks
+from .linalg import _freeze, _normal_count, _normal_parts, random_gaussian_stacks
 from .ssa_nc import SchemeDesignError, SchemePlan
 
 # Failures ``sweep_reports`` returns as one configuration's result: design,
 # numeric and argument errors of that configuration (ValueError covers
-# RegimeError). A group that raises one is audited again row by row, so
-# each row gets the error, or the report, it gets alone. Any other
-# exception is a bug and propagates.
+# RegimeError). A sweep that raises one is audited again group by group,
+# and a group that raises one row by row, so each row gets the error, or
+# the report, it gets alone. Any other exception is a bug and propagates.
 SWEEP_ROW_ERRORS = (SchemeDesignError, np.linalg.LinAlgError, FloatingPointError, ValueError)
 
 # Trials per stack are capped so that each of a stack's stored physical
 # pseudoinverses (K * min(N, M) * M complex entries per trial) stays within
 # this many entries, 512 KiB: every benchmarked configuration fits a whole
-# pass in one stack, K = 8, M = N = 8 included (64 trials per stack).
+# pass in one stack, K = 8, M = N = 8 included (64 trials per stack). A
+# batch of stacks, drawn and validated together, holds as many in all.
 STACK_ELEMENTS = 2**15
 
 REPORT_COLUMNS = "K,M,N,L,d,streams,cutset,private_only,slope,slope_stderr,max_err,trials"
@@ -152,10 +166,43 @@ def _check_trials(trials: int) -> None:
         raise ValueError("trials must be positive")
 
 
+def _stored_entries(config: NetworkConfig) -> int:
+    """Entries of each stored physical pseudoinverse of one trial."""
+    return config.K * min(config.N, config.M) * config.M
+
+
 def _stack_size(config: NetworkConfig) -> int:
     """Trials per stack under the STACK_ELEMENTS budget."""
-    base = min(config.N, config.M)
-    return max(1, STACK_ELEMENTS // (config.K * base * config.M))
+    return max(1, STACK_ELEMENTS // _stored_entries(config))
+
+
+class _Stack(NamedTuple):
+    """Trials start to stop of a group's rows, which take ``trials`` each
+    in row order."""
+
+    group: tuple
+    start: int
+    stop: int
+
+
+def _batches(groups, trials: int):
+    """The stacks of the groups, group by group and then stack by stack,
+    in batches: a batch takes stacks while their stored entries total at
+    most STACK_ELEMENTS, so each full stack of a group is a batch of its
+    own."""
+    batch, used = [], 0
+    for group in groups:
+        size, total = _stack_size(group[0]), len(group) * trials
+        for start in range(0, total, size):
+            stop = min(start + size, total)
+            entries = (stop - start) * _stored_entries(group[0])
+            if batch and used + entries > STACK_ELEMENTS:
+                yield batch
+                batch, used = [], 0
+            batch.append(_Stack(group, start, stop))
+            used += entries
+    if batch:
+        yield batch
 
 
 def _designed(config: NetworkConfig, channels: ChannelSet, start: int):
@@ -181,28 +228,19 @@ def draw_trials(config: NetworkConfig, rng, channels=None, noise=False):
     is (K, d) per trial, and noise the pair of the relay's (effective_N,)
     and the users' (K, effective_M) per trial, or None when not asked for.
     """
-    return _draw_trials([(config, rng)], channels, noise, config.N)
+    return _draw_one(config, rng, channels, noise, config.N)
 
 
-def _draw_trials(segments, channels, noise, keep: int):
-    """``draw_trials`` over (config, rng) segments of one kept relay shape,
-    joined along their trial axis: each segment draws from its own
-    streams, a drawn set is cut to its first ``keep`` relay antennas
-    (``channel._draw``), and the joined set is validated once. The arrays
-    of one segment are used as drawn, uncopied."""
-    drawn = []
-    for config, rng in segments:
-        parts = _after_parts(config, noise)
-        if channels is None:
-            uplink, downlink, after = _draw(config, rng, parts, keep)
-            drawn.append([uplink, downlink, *after])
-        else:
-            drawn.append(random_gaussian_stacks(parts, rng))
-    arrays = drawn[0] if len(drawn) == 1 else [np.concatenate(a) for a in zip(*drawn)]
+def _draw_one(config: NetworkConfig, rng, channels, noise: bool, keep: int):
+    """``draw_trials`` with a drawn set cut to its first ``keep`` relay
+    antennas (``channel._draw``) and validated once, at that size."""
+    parts = _after_parts(config, noise)
     if channels is None:
-        uplink, downlink, *arrays = arrays
+        uplink, downlink, after = _draw(config, rng, parts, keep)
         channels = ChannelSet(uplink=uplink, downlink=downlink)
-    return channels, arrays[0], (_noise_pair(*arrays[1:]) if noise else None)
+    else:
+        after = random_gaussian_stacks(parts, rng)
+    return channels, after[0], (_noise_pair(*after[1:]) if noise else None)
 
 
 def _after_parts(config: NetworkConfig, noise: bool) -> list:
@@ -219,6 +257,91 @@ def _after_parts(config: NetworkConfig, noise: bool) -> list:
 def _noise_pair(relay: np.ndarray, users: np.ndarray) -> tuple:
     """The (relay, users) noise ``run_round`` takes, from the drawn parts."""
     return relay[..., 0, :], users
+
+
+def _draw_batch(stacks, rows) -> list:
+    """Draw a batch of stacks, given each stack's rows: the (row config,
+    trial reader) segments of its trials in order. Returns (channels,
+    sent) per stack, as ``draw_trials`` gives them without noise, the
+    channel set cut to the stack's kept relay antennas and validated.
+
+    Every trial of the batch is read in one ``channel._read_streams``
+    call, one Philox for all seeds, and written in place into arrays
+    allocated once: its symbols into its stack's, and its channel, only
+    the first min(N, M) rows of each uplink and columns of each downlink,
+    into its stack's slot of a pool, one per kept (n, M) and reciprocity
+    mode. Each pool is validated once, as one ChannelSet: a pool of one
+    stack at the stack's shape, (trials, K, n, M), and a pool of several,
+    whose K differ, as (1, matrices, n, M), of which each stack takes its
+    slot as a view that validation leaves alone (``_slot``); a matrix's
+    decomposition does not depend on the stack it is factored in.
+    Reciprocity is part of the pool key, since a set reads it from its
+    matrices. A drawn cut set is the shutdown of the full set, bit for
+    bit, from the same values, and the full set is never validated (see
+    ``channel._draw``). A batch drawn here takes no given set and draws
+    no noise: only a group of one does, whose batches ``_stacks`` draws
+    alone.
+    """
+    keys, offsets, sizes = [], [], {}
+    for stack in stacks:
+        config = stack.group[0]
+        keys.append((min(config.N, config.M), config.M, config.reciprocal))
+        offsets.append(sizes.get(keys[-1], 0))
+        sizes[keys[-1]] = offsets[-1] + (stack.stop - stack.start) * config.K
+    # each pool's uplink matrices, then, unless reciprocal, its downlinks
+    pools = {
+        (n, M, reciprocal): [np.empty((size, n, M), dtype=complex)]
+        + ([] if reciprocal else [np.empty((size, M, n), dtype=complex)])
+        for (n, M, reciprocal), size in sizes.items()
+    }
+    sent, reads, writes = [], [], []
+    for stack, segments, key, lo in zip(stacks, rows, keys, offsets):
+        [(count, shape)] = parts = _after_parts(stack.group[0], noise=False)
+        symbols = np.empty((stack.stop - stack.start, count, *shape), dtype=complex)
+        sent.append(symbols)
+        K, n = stack.group[0].K, key[0]
+        # the kept relay rows of each uplink and columns of each downlink
+        cuts = [(..., slice(n), slice(None)), (..., slice(n))]
+        first = 0
+        for config, streams in segments:
+            span = slice(first, first + len(streams.trials))
+            first = span.stop
+            matrices = slice(lo + span.start * K, lo + span.stop * K)
+            targets = [(a[matrices].reshape(-1, K, *a.shape[1:]), cut)
+                       for a, cut in zip(pools[key], cuts)] + [(symbols[span], ...)]
+            row_parts = _link_parts(config) + parts
+            values = np.empty((len(streams.trials), _normal_count(row_parts)))
+            reads.append((streams, values))
+            writes.append((values, row_parts, targets))
+    channel._read_streams(reads)
+    for values, parts, targets in writes:
+        for (target, cut), (re, im) in zip(targets, _normal_parts(values, parts)):
+            target.real = re[cut]
+            target.imag = im[cut]
+    root2 = np.sqrt(2.0)
+    for a in (*itertools.chain(*pools.values()), *sent):
+        a /= root2
+    sets = {}
+    for key, (uplink, *downlink) in pools.items():
+        downlink = downlink[0] if downlink else uplink.swapaxes(-1, -2).copy()
+        stack = stacks[keys.index(key)]
+        lead = (1, -1) if keys.count(key) > 1 else (stack.stop - stack.start, stack.group[0].K)
+        sets[key] = ChannelSet(uplink=uplink.reshape(lead + uplink.shape[1:]),
+                               downlink=downlink.reshape(lead + downlink.shape[1:]))
+    out = []
+    for stack, key, lo, symbols in zip(stacks, keys, offsets, sent):
+        drawn_set = sets[key]
+        if keys.count(key) > 1:
+            drawn_set = _slot(drawn_set, lo, stack.stop - stack.start, stack.group[0].K)
+        out.append((drawn_set, _freeze(symbols)))
+    return out
+
+
+def _slot(pool: ChannelSet, lo: int, trials: int, K: int) -> ChannelSet:
+    """A stack's trials of K users from a validated pool of (1, matrices,
+    n, M), its matrices from lo on in the order they were drawn: a view,
+    not validated again."""
+    return pool._view(lambda a: a[0, lo : lo + trials * K].reshape((trials, K, *a.shape[2:])))
 
 
 # The last stack a noiseless pass drew, keyed (config, start, stop): its
@@ -245,16 +368,24 @@ def _reread_noise(config: NetworkConfig, streams) -> tuple:
     return _noise_pair(*random_gaussian_stacks(parts, streams)[-2:])
 
 
-def _trial_stacks(group, trials: int, channels=None, noise=False):
-    """Draw and design the trials of a group of configurations that share
-    a kept relay shape (``_kept_shape``) stack by stack: the rows' trials
-    run in row order, ``trials`` each, and a stack may hold trials of
-    several rows, each drawn from its own streams. Yields (plan, sent,
-    noise) per stack, the plan, its effective channels included, with a
-    leading trial axis, and sent and noise as ``draw_trials`` gives them.
-    The plan is designed under the first row's configuration with its
-    relay cut to the kept size. Only a group of one takes a given set or
-    draws noise.
+def _stacks(groups, trials: int, channels=None, noise=False):
+    """Draw and design the trials of groups of configurations, each group
+    sharing a kept relay shape (``_kept_shape``), batch by batch
+    (``_batches``): a group's rows' trials run in row order, ``trials``
+    each, and a stack may hold trials of several rows, each drawn from its
+    own streams. Yields (stack, plan, sent, noise) per stack, in order: the
+    plan, its effective channels included, with a leading trial axis,
+    and sent and noise as ``draw_trials`` gives them. A batch's stacks
+    are drawn and validated together (``_draw_batch``), then designed and
+    yielded one by one. A stack's plan is designed under its group's
+    first row with the relay cut to the kept size.
+
+    Only a group of one takes a given set or draws noise, and each of its
+    batches is one stack of one row. Such a batch has no pool to share
+    and is drawn alone (``_draw_one``): pooled, a
+    ``verify_noiseless`` at K = 8, M = N = 8 and a noisy
+    ``simulate_report`` and ``decode_mse_sweep`` at K = 4, M = 4, N = 3
+    took 2-3% longer (BENCH_30.json).
 
     A given set (one trial) draws no channel: it is designed once, and
     every stack yields that one-trial plan as it was designed, which the
@@ -265,34 +396,53 @@ def _trial_stacks(group, trials: int, channels=None, noise=False):
     size; a given set is designed under the configuration itself, which
     validates it in full and again after the relay shutdown.
 
-    A noiseless pass empties ``_handoff`` before each draw, and a group of
-    one leaves its drawn, designed stack there, so only its last stack
-    outlives the call; a given set's stacks, a stack whose design fails
-    and the stacks of a larger group are not left. A noisy pass pops the
-    stack of the same (config, start, stop), if there is one, re-reads
-    its trials (``_reread_noise``) and keeps their noise, which is, like
-    every output, bit for bit that of a fresh draw.
+    A noiseless pass empties ``_handoff`` before each batch's draw and
+    each design, and a group of one leaves its drawn, designed stack
+    there, so only the last stack outlives the call; a given set's stacks,
+    a stack whose design fails and the stacks of a larger group are not
+    left. A noisy pass pops the stack of the same (config, start, stop),
+    if there is one, re-reads its trials (``_reread_noise``) and keeps
+    their noise, which is, like every output, bit for bit that of a fresh
+    draw.
     """
     _check_trials(trials)
-    config = group[0]
-    size = _stack_size(config)
-    fixed = None if channels is None else _designed(config, channels, 0)
-    cut = config if config.N <= config.M else replace(config, N=config.M)
-    total = len(group) * trials
-    for start in range(0, total, size):
-        stop = min(start + size, total)
-        key = (config, start, stop)
+    fixed = None if channels is None else _designed(groups[0][0], channels, 0)
+    for batch in _batches(groups, trials):
         if not noise:
             _handoff.clear()
-        elif fixed is None and (taken := _handoff.pop(key, None)):
-            plan, sent, streams = taken
-            yield plan, sent, _reread_noise(config, streams)
-            continue
-        segments = _stack_rows(group, trials, start, stop)
-        drawn, sent, noise_pair = _draw_trials(segments, channels, noise, cut.N)
-        plan = _designed(cut, drawn, start) if fixed is None else fixed
-        if not noise and fixed is None and len(group) == 1:
-            _handoff[key] = plan, sent, segments[0][1]
+        elif fixed is None:
+            # a group of one: each batch is one stack
+            [stack] = batch
+            taken = _handoff.pop((stack.group[0], stack.start, stack.stop), None)
+            if taken is not None:
+                plan, sent, streams = taken
+                yield stack, plan, sent, _reread_noise(stack.group[0], streams)
+                continue
+        rows = [_stack_rows(stack.group, trials, stack.start, stack.stop) for stack in batch]
+        if len(batch) == 1 and len(rows[0]) == 1:
+            # one stack of one row, as every batch of a group of one
+            [[(config, streams)]] = rows
+            keep = min(config.N, config.M)
+            drawn = [_draw_one(config, streams, channels, noise, keep)]
+        else:
+            drawn = [(*pair, None) for pair in _draw_batch(batch, rows)]
+        for stack, segments, (drawn_set, sent, noise_pair) in zip(batch, rows, drawn):
+            config = stack.group[0]
+            if fixed is not None:
+                plan = fixed
+            else:
+                if not noise:
+                    _handoff.clear()
+                cut = config if config.N <= config.M else replace(config, N=config.M)
+                plan = _designed(cut, drawn_set, stack.start)
+                if not noise and len(stack.group) == 1:
+                    _handoff[config, stack.start, stack.stop] = plan, sent, segments[0][1]
+            yield stack, plan, sent, noise_pair
+
+
+def _trial_stacks(group, trials: int, channels=None, noise=False):
+    """``_stacks`` of one group: (plan, sent, noise) per stack."""
+    for _, plan, sent, noise_pair in _stacks([tuple(group)], trials, channels, noise):
         yield plan, sent, noise_pair
 
 
@@ -319,18 +469,28 @@ def _noiseless_round_errors(plan: SchemePlan, sent: np.ndarray) -> np.ndarray:
     return (err / np.maximum(sent_norm, 1e-300)).max(axis=(-2, -1))
 
 
-def _audit(group, trials: int, channels=None, grid=None) -> list[DofReport]:
-    """The one loop over the trials of a group of configurations that share
-    a kept relay shape: each stack's noiseless round errors and, given a
-    checked power grid, its unit-power SINRs. Each row reads its slice of
-    both into its own report, which carries the slope fit of its SINRs.
-    Only drawn channels come with a grid: a given set's one-trial plan has
-    one row of SINRs, not one per trial."""
-    errors, gammas = [], []
-    for plan, sent, _ in _trial_stacks(group, trials, channels):
+def _audit(groups, trials: int, channels=None, grid=None) -> list[DofReport]:
+    """The one loop over the trials of groups of configurations, each
+    group sharing a kept relay shape: each stack's noiseless round errors
+    and, given a checked power grid, its unit-power SINRs. Each row reads
+    its slice of both into its own report, which carries the slope fit of
+    its SINRs; the reports come group by group, each in row order. Only
+    drawn channels come with a grid: a given set's one-trial plan has one
+    row of SINRs, not one per trial."""
+    reports, errors, gammas = [], [], []
+    for stack, plan, sent, _ in _stacks(groups, trials, channels):
         errors.append(_noiseless_round_errors(plan, sent))
         if grid is not None:
             gammas.append(stream_sinrs(plan, 1.0).flat())
+        if stack.stop == len(stack.group) * trials:
+            reports += _group_reports(stack.group, trials, plan, errors, gammas, grid)
+            errors, gammas = [], []
+    return reports
+
+
+def _group_reports(group, trials: int, plan: SchemePlan, errors, gammas, grid) -> list:
+    """Each row's report from its slice of its group's per-stack errors
+    and SINRs, and the plan of the group's last stack."""
     errors = np.concatenate(errors)
     gammas = np.concatenate(gammas) if gammas else None
     reports = []
@@ -378,7 +538,7 @@ def verify_noiseless(
     is designed once, every trial shares that plan, and only the symbol
     draws vary per trial.
     """
-    return _audit([config], trials, channels)[0]
+    return _audit([(config,)], trials, channels)[0]
 
 
 def sweep_reports(configs, trials: int, P_grid=None) -> list:
@@ -386,35 +546,42 @@ def sweep_reports(configs, trials: int, P_grid=None) -> list:
     SWEEP_ROW_ERRORS that auditing it alone raises: ``verify_noiseless``
     without a power grid, ``simulate_report`` with one.
 
-    The configurations that share a kept relay shape (``_kept_shape``) are
-    audited as one group, whose stacks each take one validation, one
-    design and one noiseless round; each row still draws its trials from
-    its own streams, so its report is bit for bit the one it gets alone. A
-    group that raises a row error is audited again row by row. An invalid
-    grid or trial count raises at once, before any row runs.
+    The configurations that share a kept relay shape (``_kept_shape``)
+    are audited as one group, and the groups' stacks in batches
+    (``_batches``); a batch's stacks are drawn and validated together, and
+    each still takes one design and one noiseless round. Every row draws
+    its trials from its own streams, so its report is bit for bit the one
+    it gets alone. A sweep that raises a row error is audited again group
+    by group, and a group that raises one row by row. An invalid grid or
+    trial count raises at once, before any row runs.
     """
     grid = None if P_grid is None else validate_power_grid(P_grid)
     _check_trials(trials)
     groups: dict = {}
     for index, config in enumerate(configs):
         groups.setdefault(_kept_shape(config), []).append(index)
+    indices = list(groups.values())
+    rows = [tuple(configs[i] for i in group) for group in indices]
     results = [None] * len(configs)
-    for indices in groups.values():
-        group = [configs[i] for i in indices]
-        for i, result in zip(indices, _group_results(group, trials, grid)):
-            results[i] = result
+    for i, result in zip(itertools.chain(*indices), _results(rows, trials, grid)):
+        results[i] = result
     return results
 
 
-def _group_results(group, trials: int, grid) -> list:
-    """The group's reports, or, when the group raises a row error, each
-    row's report or error alone."""
+def _results(groups, trials: int, grid) -> list:
+    """The reports of the groups' rows, as ``_audit`` orders them, or, when
+    their audit raises a row error, each group's results alone, and for a
+    lone group each row's report or error alone."""
     try:
-        return _audit(group, trials, grid=grid)
+        return _audit(groups, trials, grid=grid)
     except SWEEP_ROW_ERRORS as exc:
-        if len(group) == 1:
+        if len(groups) > 1:
+            units = [[group] for group in groups]
+        elif len(groups[0]) > 1:
+            units = [[(config,)] for config in groups[0]]
+        else:
             return [exc]
-        return [_group_results([config], trials, grid)[0] for config in group]
+        return [result for unit in units for result in _results(unit, trials, grid)]
 
 
 @dataclass(frozen=True)
@@ -544,7 +711,7 @@ def simulate_report(config: NetworkConfig, P_grid, trials: int) -> DofReport:
     stack's plans also serve a ``decode_mse_sweep`` over the same trials
     that follows.
     """
-    return _audit([config], trials, grid=validate_power_grid(P_grid))[0]
+    return _audit([(config,)], trials, grid=validate_power_grid(P_grid))[0]
 
 
 __all__ = [

@@ -8,11 +8,12 @@ keyed by (seed, trial), one independent stream per pair. The analysis
 reads its trials through ``NetworkConfig.trial_streams``, a
 ``TrialStreams`` reader that gives each trial that fresh stream, bit for
 bit, from one Philox per read, re-keyed per trial, and opens no
-generator per trial. A trial's channel heads its one draw, which
-``draw_channels`` makes. The analysis draws its trials keeping only the
-min(N, M) relay antennas the scheme uses (``_draw``, which leaves the
-validation to its caller), so a trial with N > M is validated once, at
-that size; a channel dump holds all N.
+generator per trial; ``_read_streams`` reads the trials of several
+readers, of any seeds, through one Philox. A trial's channel heads its
+one draw, which ``draw_channels`` makes. The analysis draws its trials
+keeping only the min(N, M) relay antennas the scheme uses (``_draw``,
+which leaves the validation to its caller), so a trial with N > M is
+validated once, at that size; a channel dump holds all N.
 
 A ``ChannelSet`` holds one trial's physical channels as (K, N, M) /
 (K, M, N) arrays, or a stack of trials with a leading trial axis. Symbol
@@ -29,6 +30,7 @@ exact condition numbers are computed by an SVD on first read.
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import dataclass, field, fields
 from functools import cache, cached_property
 
@@ -53,9 +55,10 @@ class NetworkConfig:
     relay; there are no direct user-to-user links. duplex_factor 0.5
     rescales reported rates for half-duplex operation, 1.0 is full duplex.
     K, M, N and seed must be integers (int or numpy integer, not bool),
-    reciprocal a bool and duplex_factor a number, not a bool; any other
-    type raises ValueError, since a float seed would run truncated, a
-    string switch would run as true and duplex_factor True as full duplex.
+    reciprocal a bool and duplex_factor a real number (``numbers.Real``),
+    not a bool; any other type raises ValueError, since a float seed would
+    run truncated, a string switch would run as true, duplex_factor True as
+    full duplex and a Decimal 0.5 would fail only in the slope fit.
     """
 
     K: int
@@ -77,8 +80,11 @@ class NetworkConfig:
         if self.M < 1 or self.N < 1:
             raise ValueError("antenna counts must be positive")
         duplex = self.duplex_factor
-        # True == 1.0, so a bool would pass the value check as full duplex
-        if isinstance(duplex, (bool, np.bool_)) or duplex not in (1.0, 0.5):
+        # True == 1.0, Decimal("0.5") == 0.5 and 1 + 0j == 1.0, so only a
+        # real number that is not a bool (numpy's bool is not one) passes on
+        # to the value check
+        real = isinstance(duplex, numbers.Real) and not isinstance(duplex, bool)
+        if not real or duplex not in (1.0, 0.5):
             raise ValueError(f"duplex_factor must be 1.0 or 0.5, not {duplex!r}")
         if not 0 <= self.seed <= _SEED_MASK:
             raise ValueError("seed must fit in 64 bits")
@@ -137,19 +143,30 @@ class TrialStreams:
     def read(self, n: int) -> np.ndarray:
         """The first n standard normal values of each trial's stream, one
         row per trial: one re-key and one standard_normal call per row."""
-        bits = np.random.Philox(_trial_key_type()(self.seed, 0))
-        draw = np.random.Generator(bits).standard_normal
-        # a fresh stream's state, counter 0 and an empty buffer; plain ints,
-        # which Philox converts to its uint64 words, top bit included
-        key, zeros = [self.seed, 0], (0, 0, 0, 0)
-        fresh = {"bit_generator": "Philox", "state": {"counter": zeros, "key": key},
-                 "buffer": zeros, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
         z = np.empty((len(self.trials), n))
-        for trial, row in zip(self.trials, z):
+        _read_streams([(self, z)])
+        return z
+
+
+def _read_streams(reads) -> None:
+    """Fill, for each (streams, z) pair of ``reads``, row s of the float64
+    array z with the first z.shape[-1] values of the fresh stream of
+    (streams.seed, streams.trials[s]), as ``TrialStreams.read`` gives them:
+    one Philox serves every row of every pair, re-keyed per row, so readers
+    of several seeds read in one call. z must be C-contiguous."""
+    bits = np.random.Philox(_trial_key_type()(0, 0))
+    draw = np.random.Generator(bits).standard_normal
+    # a fresh stream's state, counter 0 and an empty buffer; plain ints,
+    # which Philox converts to its uint64 words, top bit included
+    key, zeros = [0, 0], (0, 0, 0, 0)
+    fresh = {"bit_generator": "Philox", "state": {"counter": zeros, "key": key},
+             "buffer": zeros, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+    for streams, z in reads:
+        key[0] = streams.seed
+        for trial, row in zip(streams.trials, z):
             key[1] = trial
             bits.state = fresh
             draw(out=row)
-        return z
 
 
 class _TrialKey:

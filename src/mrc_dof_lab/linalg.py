@@ -58,32 +58,50 @@ def random_gaussian_stacks(parts, rng) -> list[np.ndarray]:
     one after another gives it. Real and
     imaginary parts are N(0, 1/2), so E|a|^2 = 1.
     """
-    blocks = [(count, 2, *shape) for count, shape in parts]
-    if any(n < 1 for block in blocks for n in block):
+    if any(n < 1 for count, shape in parts for n in (count, *shape)):
         raise ValueError("draw dimensions must be positive")
-    sizes = [math.prod(block) for block in blocks]
+    size = _normal_count(parts)
     if isinstance(rng, np.random.Generator):
-        z, lead = rng.standard_normal(sum(sizes)), ()
+        z = rng.standard_normal(size)
     elif hasattr(rng, "read"):
-        z = rng.read(sum(sizes))
-        lead = z.shape[:1]
+        z = rng.read(size)
     else:
         rngs = list(rng)
-        z, lead = np.empty((len(rngs), sum(sizes))), (len(rngs),)
+        z = np.empty((len(rngs), size))
         for g, row in zip(rngs, z):
             g.standard_normal(row.shape, out=row)
-    head = (slice(None),) * (len(lead) + 1)
-    out, start = [], 0
-    for block, size in zip(blocks, sizes):
-        part = z[..., start : start + size].reshape(lead + block)
-        start += size
+    out = []
+    for re, im in _normal_parts(z, parts):
         # (re + 1j im) / sqrt(2) without its three temporaries: the same
         # values up to the sign of an exactly zero part
-        a = np.empty(lead + block[:1] + block[2:], dtype=complex)
-        a.real = part[head + (0,)]
-        a.imag = part[head + (1,)]
+        a = np.empty(re.shape, dtype=complex)
+        a.real = re
+        a.imag = im
         a /= np.sqrt(2.0)
         out.append(_freeze(a))
+    return out
+
+
+def _normal_count(parts) -> int:
+    """The standard normal values the (count, shape) parts take: a real
+    and an imaginary block of each."""
+    return sum(2 * count * math.prod(shape) for count, shape in parts)
+
+
+def _normal_parts(z: np.ndarray, parts) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The (real, imaginary) views of standard normal values z, one pair
+    per (count, shape) part, as ``random_gaussian_stacks`` reads them:
+    each stream's values along z's last axis hold each part's block
+    (count, 2, *shape) in turn. Each view has shape z.shape[:-1] + (count,
+    *shape); the complex part is (re + 1j im) / sqrt(2)."""
+    lead = z.shape[:-1]
+    head = (slice(None),) * (len(lead) + 1)
+    out, start = [], 0
+    for count, shape in parts:
+        size = 2 * count * math.prod(shape)
+        block = z[..., start : start + size].reshape(lead + (count, 2, *shape))
+        start += size
+        out.append((block[head + (0,)], block[head + (1,)]))
     return out
 
 

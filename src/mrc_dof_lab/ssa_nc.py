@@ -64,6 +64,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 
 import numpy as np
 
@@ -231,11 +232,12 @@ class TransmissionTrace:
     decoded: np.ndarray
 
 
+@cache
 def sender_table(K: int) -> np.ndarray:
     """(K, K-1) table whose row u lists every user but u, ascending: the
     order of the rows of every user's decoded symbols, which
-    ``_without_own`` defines."""
-    return _without_own((np.arange(K * K) % K).reshape(K, K, 1))[..., 0]
+    ``_without_own`` defines. Built once per K and read-only."""
+    return _freeze(_without_own((np.arange(K * K) % K).reshape(K, K, 1))[..., 0])
 
 
 def _without_own(per_sender: np.ndarray) -> np.ndarray:

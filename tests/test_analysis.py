@@ -25,12 +25,11 @@ from mrc_dof_lab.bounds import bound_row, cutset_dof
 from mrc_dof_lab.channel import (
     ChannelSet,
     NetworkConfig,
-    TrialStreams,
     generate_channels,
     load_channels,
     save_channels,
 )
-from mrc_dof_lab import analysis, ssa_nc
+from mrc_dof_lab import analysis, channel, ssa_nc
 from mrc_dof_lab.linalg import random_gaussian_stacks
 from mrc_dof_lab.ssa_nc import design_scheme, run_round
 
@@ -516,15 +515,16 @@ class TestOneDrawPerTrial:
     @staticmethod
     def reads(monkeypatch):
         """Log every standard_normal call of the readers by its stream's
-        key, and count the reads and the Philox generators built; any
+        key, and count the reads (``channel._read_streams`` calls, which
+        every draw and re-read makes) and the Philox generators built; any
         trial_rng call fails. 4/4/3 stores 4 * 3 * 4 entries per trial:
-        stacks of 2, 2 and 1 trials."""
+        stacks of 2, 2 and 1 trials, each a batch of its own."""
         log, counts = [], {"read": 0, "philox": 0}
-        real_read, real_philox = TrialStreams.read, np.random.Philox
+        real_read, real_philox = channel._read_streams, np.random.Philox
 
-        def read(self, n):
+        def read(reads):
             counts["read"] += 1
-            return real_read(self, n)
+            return real_read(reads)
 
         def philox(*args, **kwargs):
             counts["philox"] += 1
@@ -536,7 +536,7 @@ class TestOneDrawPerTrial:
         monkeypatch.setattr(LoggedGenerator, "log", log, raising=False)
         monkeypatch.setattr(np.random, "Generator", LoggedGenerator)
         monkeypatch.setattr(np.random, "Philox", philox)
-        monkeypatch.setattr(TrialStreams, "read", read)
+        monkeypatch.setattr(channel, "_read_streams", read)
         monkeypatch.setattr(NetworkConfig, "trial_rng", no_trial_rng)
         monkeypatch.setattr(analysis, "STACK_ELEMENTS", 48 * 2)
         return log, counts
@@ -865,10 +865,29 @@ def alone(config, trials, grid):
     return simulate_report(config, grid, trials)
 
 
+def bad_uplink(monkeypatch, seed, N, diagonal):
+    """Make the kept 2 x 2 block of user 0's uplink in trial 1 of the given
+    seed, for M = 2 and N relay antennas, diag(diagonal) / sqrt(2); every
+    other value as drawn."""
+    real = channel._read_streams
+
+    def read(reads):
+        real(reads)
+        for streams, z in reads:
+            if streams.seed == seed and 1 in streams.trials:
+                # user 0's real and imaginary N x 2 uplink blocks head a trial
+                uplink = z[streams.trials.index(1), : 2 * N * 2].reshape(2, N, 2)
+                uplink[:, :2] = [np.diag(diagonal), np.zeros((2, 2))]
+
+    monkeypatch.setattr(channel, "_read_streams", read)
+
+
 class TestSweepReports:
-    """A sweep audits the rows of one kept relay shape as one group: each
-    row still draws from its own streams, so its report is, field for
-    field and bit for bit, the one it gets alone."""
+    """A sweep audits the rows of one kept relay shape as one group, and
+    draws and validates the groups' stacks in batches, a pool of matrices
+    per kept shape across K: each row still draws from its own streams,
+    so its report is, field for field and bit for bit, the one it gets
+    alone."""
 
     # K = 2; both reciprocity modes of 3/2/N in one call; N < M, N = M and
     # N > M rows; another seed and a repeated row in a group; half duplex
@@ -936,17 +955,7 @@ class TestSweepReports:
         # trial 1 of the seed-5 row draws a 2 x 2 uplink of condition number
         # 1e9, full rank but over the design's guardrail: the group fails, and each row
         # runs alone, the seed-5 row to the error that names its own trial
-        real = analysis._draw
-
-        def ill_conditioned(config, rng, after, keep):
-            uplink, downlink, drawn = real(config, rng, after, keep)
-            if config.seed == 5:
-                uplink = uplink.copy()
-                uplink[1, 0] = np.diag([1.0, 1e-9])
-                downlink = uplink.swapaxes(-1, -2).copy()
-            return uplink, downlink, drawn
-
-        monkeypatch.setattr(analysis, "_draw", ill_conditioned)
+        bad_uplink(monkeypatch, 5, 3, [1.0, 1e-9])
         configs = [NetworkConfig(K=3, M=2, N=n, seed=s) for n, s in [(2, 4), (3, 5), (4, 4)]]
         results = sweep_reports(configs, 3)
         with pytest.raises(ssa_nc.SchemeDesignError) as raised:
@@ -955,6 +964,76 @@ class TestSweepReports:
         assert type(results[1]) is ssa_nc.SchemeDesignError
         assert str(results[1]) == str(raised.value)
         for i in (0, 2):
+            assert report_bits(results[i]) == report_bits(verify_noiseless(configs[i], 3))
+
+    # K = 2 to 5 at M = 2, N = 2 and 3, in both reciprocity modes: every
+    # row keeps 2 x 2 uplinks, so one pool per mode spans four K
+    ACROSS_K = [
+        NetworkConfig(K=k, M=2, N=n, seed=3 + k, reciprocal=reciprocal)
+        for reciprocal in (True, False) for k in (2, 3, 4, 5) for n in (2, 3)
+    ]
+
+    @staticmethod
+    def built(monkeypatch):
+        """The uplink shape of each ChannelSet validated and the stack
+        shape of each design_scheme call from here on."""
+        validated, designs = [], []
+        real_set, real_design = ChannelSet.__post_init__, ssa_nc.design_scheme
+
+        def counted_set(channels):
+            validated.append(np.shape(channels.uplink))
+            real_set(channels)
+
+        def counted_design(config, channels):
+            designs.append(channels.stack_shape)
+            return real_design(config, channels)
+
+        monkeypatch.setattr(ChannelSet, "__post_init__", counted_set)
+        monkeypatch.setattr(ssa_nc, "design_scheme", counted_design)
+        return validated, designs
+
+    @pytest.mark.parametrize("grid", [None, GRID], ids=["noiseless", "grid"])
+    @pytest.mark.parametrize("elements", [None, 60], ids=["one-batch", "straddling"])
+    def test_pool_spans_k_in_both_reciprocity_modes(self, monkeypatch, grid, elements):
+        # each group, of K 2 x 2 matrices per trial, holds 2 rows of 3
+        # trials; the design calls are those of a group-by-group audit
+        if elements is None:
+            # 672 stored entries in one batch: one pool per mode, of
+            # 3 * 2 * (2 + 3 + 4 + 5) = 84 matrices
+            want_designs = [(6,)] * 8
+            want_validated = [(1, 84, 2, 2)] * 2
+        else:
+            # stacks of 7, 5, 3 and 3 trials for K = 2 to 5: K = 3's last
+            # trial and K = 4's first stack share a batch and a pool, and
+            # the other batches hold one stack each
+            monkeypatch.setattr(analysis, "STACK_ELEMENTS", elements)
+            want_designs = [(6,), (5,), (1,), (3,), (3,), (3,), (3,)] * 2
+            want_validated = [(6, 2, 2, 2), (5, 3, 2, 2), (1, 15, 2, 2),
+                              (3, 4, 2, 2), (3, 5, 2, 2), (3, 5, 2, 2)] * 2
+        validated, designs = self.built(monkeypatch)
+        reports = sweep_reports(self.ACROSS_K, 3, grid)
+        assert designs == want_designs and validated == want_validated
+        for config, report in zip(self.ACROSS_K, reports):
+            assert report_bits(report) == report_bits(alone(config, 3, grid)), config
+
+    @pytest.mark.parametrize(
+        "diagonal,error",
+        [([1.0, 1e-9], ssa_nc.SchemeDesignError), ([1.0, 0.0], ValueError)],
+        ids=["guardrail", "rank-deficient"],
+    )
+    def test_failing_row_in_a_shared_pool_gets_its_own_error(self, monkeypatch, diagonal, error):
+        # the K = 4 row's trial 1 fails its design, or the validation of
+        # the pool it shares with K = 2, 3 and 5: that row alone gets the
+        # error it gets alone, and every other row its report
+        bad_uplink(monkeypatch, 5, 3, diagonal)
+        configs = [NetworkConfig(K=k, M=2, N=3, seed=5 if k == 4 else 4) for k in (2, 3, 4, 5)]
+        validated, _ = self.built(monkeypatch)
+        results = sweep_reports(configs, 3)
+        assert validated[0] == (1, 3 * (2 + 3 + 4 + 5), 2, 2)
+        with pytest.raises(error) as raised:
+            verify_noiseless(configs[2], 3)
+        assert type(results[2]) is error and str(results[2]) == str(raised.value)
+        for i in (0, 1, 3):
             assert report_bits(results[i]) == report_bits(verify_noiseless(configs[i], 3))
 
     def test_group_of_one_hands_off_and_larger_group_does_not(self):

@@ -2,6 +2,8 @@
 
 import dataclasses
 import re
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -64,6 +66,21 @@ class TestNetworkConfig:
     def test_rejects_invalid(self, kwargs):
         with pytest.raises(ValueError):
             NetworkConfig(**kwargs)
+
+    @pytest.mark.parametrize(
+        "duplex", [Decimal("0.5"), 1 + 0j], ids=["decimal", "complex"]
+    )
+    def test_rejects_duplex_factor_that_is_not_real(self, duplex):
+        # each equals an allowed value: a Decimal used to fail only in the
+        # slope fit, with a TypeError that aborted a whole sweep, and a
+        # complex one ran with a ComplexWarning
+        assert duplex in (1.0, 0.5)
+        with pytest.raises(ValueError, match="duplex_factor must be 1.0 or 0.5"):
+            NetworkConfig(K=3, M=2, N=2, duplex_factor=duplex)
+
+    @pytest.mark.parametrize("duplex", [Fraction(1, 2), np.float32(0.5), 1, np.float64(1.0)])
+    def test_accepts_real_duplex_factor(self, duplex):
+        assert NetworkConfig(K=3, M=2, N=2, duplex_factor=duplex).duplex_factor == duplex
 
     def test_accepts_numpy_integers(self):
         cfg = NetworkConfig(K=np.int64(3), M=np.int32(2), N=np.uint8(2), seed=np.uint64(9))
@@ -182,6 +199,22 @@ class TestTrialStreams:
         reader = NetworkConfig(K=3, M=2, N=2, seed=8).trial_streams(range(2, 5))
         assert reader.read(9).tobytes() == reader.read(9).tobytes()
 
+    def test_one_read_serves_several_seeds(self, monkeypatch):
+        # readers of other seeds, trials and row lengths share one Philox,
+        # and each row is its trial's fresh stream
+        seeds_trials_n = [(2**64 - 1, [3, 0], 7), (5, [3], 12), (0, [2**63, 3, 3], 1)]
+        reads = [(NetworkConfig(K=3, M=2, N=2, seed=seed).trial_streams(trials),
+                  np.empty((len(trials), n))) for seed, trials, n in seeds_trials_n]
+        built = []
+        real = np.random.Philox
+        monkeypatch.setattr(np.random, "Philox", lambda *a: built.append(1) or real(*a))
+        channel._read_streams(reads)
+        assert built == [1]
+        for (seed, trials, n), (_, z) in zip(seeds_trials_n, reads):
+            cfg = NetworkConfig(K=3, M=2, N=2, seed=seed)
+            want = [cfg.trial_rng(t).standard_normal(n) for t in trials]
+            assert z.tobytes() == np.array(want).tobytes()
+
     @pytest.mark.parametrize("reciprocal", [True, False], ids=["rec", "nonrec"])
     def test_draw_equals_generator_list(self, reciprocal):
         cfg = NetworkConfig(K=3, M=4, N=6, seed=2**63 + 1, reciprocal=reciprocal)
@@ -252,6 +285,12 @@ class TestDrawnCut:
     bit the shutdown of the full set, from the same values of the same
     stream."""
 
+    @staticmethod
+    def drawn(cfg, rng):
+        """The analysis's draw of one stack of one row."""
+        drawn, sent, _ = analysis._draw_one(cfg, rng, None, False, min(cfg.N, cfg.M))
+        return drawn, sent
+
     @pytest.mark.parametrize("trials", [None, 3], ids=["single", "stacked"])
     @pytest.mark.parametrize("reciprocal", [True, False])
     @pytest.mark.parametrize("k,m,n", [(3, 4, 6), (4, 2, 5)])  # 4/2/5 runs L = 3
@@ -261,7 +300,7 @@ class TestDrawnCut:
         def rng():
             return cfg.trial_rng(0) if trials is None else [cfg.trial_rng(t) for t in range(trials)]
 
-        drawn, sent, _ = analysis._draw_trials([(cfg, rng())], None, False, min(n, m))
+        drawn, sent = self.drawn(cfg, rng())
         full_rng = rng()
         full = generate_channels(cfg, full_rng)
         cut = shutdown_relay_antennas(full)
@@ -276,24 +315,42 @@ class TestDrawnCut:
         more = random_gaussian_stacks([(k, sent.shape[-1:])], full_rng)[0]
         assert more.tobytes() == sent.tobytes()
 
+    @pytest.mark.parametrize("reciprocal", [True, False])
+    @pytest.mark.parametrize("k,m,n", [(3, 4, 6), (4, 2, 5)])
+    def test_pooled_draw_equals_lone_draw(self, k, m, n, reciprocal):
+        # the stack drawn after one of K + 1 users, whose kept matrices
+        # share its pool and its validation, and the stack drawn alone
+        cfg = NetworkConfig(K=k, M=m, N=n, seed=7, reciprocal=reciprocal)
+        other = dataclasses.replace(cfg, K=k + 1, seed=8)
+        stacks = [analysis._Stack((c,), 0, 3) for c in (other, cfg)]
+        rows = [analysis._stack_rows((c,), 3, 0, 3) for c in (other, cfg)]
+        [_, (pooled, sent)] = analysis._draw_batch(stacks, rows)
+        lone, lone_sent = self.drawn(cfg, cfg.trial_streams(range(3)))
+        names = [f.name for f in dataclasses.fields(ChannelSet)] + ["uplink_cond", "downlink_cond"]
+        for name in names:
+            got, want = getattr(pooled, name), getattr(lone, name)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes(), name
+        assert sent.tobytes() == lone_sent.tobytes()
+
     def test_rank_deficient_kept_block_raises(self, monkeypatch):
         # trial 1's user 2 draws a full-rank 6 x 4 uplink whose first two
         # rows are parallel: the kept 4 x 4 block, the one the scheme
         # uses, is rank deficient, and the drawn stack is rejected
         cfg = NetworkConfig(K=3, M=4, N=6, seed=7)
-        real = channel.random_gaussian_stacks
+        real = channel._read_streams
         full = []
 
-        def parallel_rows(parts, rng):
-            uplink, *rest = real(parts, rng)
-            uplink = uplink.copy()
-            uplink[1, 2, 1] = 2.0 * uplink[1, 2, 0]
-            full.append(uplink[1, 2])
-            return [uplink, *rest]
+        def parallel_rows(reads):
+            real(reads)
+            for streams, z in reads:
+                # trial 1's uplinks: (user, real or imaginary part, row, column)
+                uplinks = z[streams.trials.index(1), : 3 * 2 * 6 * 4].reshape(3, 2, 6, 4)
+                uplinks[2, :, 1] = 2.0 * uplinks[2, :, 0]
+                full.append(uplinks[2, 0] + 1j * uplinks[2, 1])
 
-        monkeypatch.setattr(channel, "random_gaussian_stacks", parallel_rows)
+        monkeypatch.setattr(channel, "_read_streams", parallel_rows)
         with pytest.raises(ValueError, match="rank deficient"):
-            analysis._draw_trials([(cfg, [cfg.trial_rng(t) for t in range(3)])], None, False, 4)
+            self.drawn(cfg, cfg.trial_streams(range(3)))
         assert pseudo_inverse_and_rank(full[0])[1] == 4
         with pytest.raises(ValueError, match="rank deficient"):
             analysis.verify_noiseless(cfg, 3)

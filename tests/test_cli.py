@@ -12,7 +12,7 @@ import pytest
 
 from mrc_dof_lab import __version__, analysis, cli, ssa_nc
 from mrc_dof_lab.analysis import REPORT_COLUMNS
-from mrc_dof_lab.channel import NetworkConfig, generate_channels, load_channels
+from mrc_dof_lab.channel import ChannelSet, NetworkConfig, generate_channels, load_channels
 from mrc_dof_lab.cli import EXIT_BAD_ARGS, EXIT_OK, EXIT_VERIFY_FAILED, main
 
 
@@ -400,10 +400,10 @@ class TestSweepCommand:
         # error rows (K = 4 here) pad to the header, as success rows fill it
         real = analysis._audit
 
-        def fail_k4(group, trials, **kwargs):
-            if any(config.K == 4 for config in group):
+        def fail_k4(groups, trials, **kwargs):
+            if any(config.K == 4 for group in groups for config in group):
                 raise ValueError("no design for K = 4")
-            return real(group, trials, **kwargs)
+            return real(groups, trials, **kwargs)
 
         monkeypatch.setattr("mrc_dof_lab.analysis._audit", fail_k4)
         path = tmp_path / "mixed.csv"
@@ -801,13 +801,27 @@ class TestEntryPointSvdBudget:
         assert lapack_calls == [("qr", (25, 4, 4, 3))]
         assert designs == [1]
 
-    def test_sweep_grid(self, tmp_path, capsys, lapack_calls):
-        # sweep_grid: 27 rows of 5 trials; per K and M, the rows with
-        # N >= M, drawn cut to M relay antennas, share one stack and one
-        # inv (3 per K), and each of the 3 rows with N < M takes one qr
+    def test_sweep_grid(self, tmp_path, capsys, lapack_calls, monkeypatch):
+        # sweep_grid: 27 rows of 5 trials, 4,320 stored entries, in one
+        # batch. Its matrices, drawn cut to min(N, M) relay antennas, come
+        # in 6 kept (n, M) shapes, each pooled over K = 3, 4, 5 and
+        # validated once: one inv for each square shape and one qr for
+        # each wide one
+        validated = []
+        real = ChannelSet.__post_init__
+
+        def counted(channels):
+            validated.append(np.shape(channels.uplink))
+            real(channels)
+
+        monkeypatch.setattr(ChannelSet, "__post_init__", counted)
         code, _, _ = run(
             capsys, "sweep", "--k", "3,4,5", "--m", "2,3,4", "--n", "2,3,4",
             "--trials", "5", "--seed", "7", "--out", str(tmp_path / "grid.csv"),
         )
         assert code == EXIT_OK
-        assert Counter(kernel for kernel, _ in lapack_calls) == {"inv": 9, "qr": 9}
+        assert Counter(kernel for kernel, _ in lapack_calls) == {"inv": 3, "qr": 3}
+        # per K, 15 trials keep (2, 2), 5 (2, 3), 10 (3, 3), and 5 each
+        # (2, 4), (3, 4) and (4, 4): K matrices per trial, 12 over K
+        assert validated == [(1, 12 * t, n, m) for t, n, m in
+                             [(15, 2, 2), (5, 2, 3), (10, 3, 3), (5, 2, 4), (5, 3, 4), (5, 4, 4)]]

@@ -994,6 +994,11 @@ class TestDownlinkAndDecode:
         assert table.shape == (k, k - 1) and table.dtype == oracle.dtype
         assert np.array_equal(table, oracle)
 
+    def test_sender_table_is_built_once_and_read_only(self):
+        table = ssa_nc.sender_table(4)
+        assert ssa_nc.sender_table(4) is table
+        assert not table.flags.writeable
+
     @pytest.mark.parametrize("shape", [(3,), (2, 3), (3, 4), (1, 3, 3)])
     def test_bc_noise_shape_mismatch(self, shape):
         # user noise is one length-effective_M vector per user and trial

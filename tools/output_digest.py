@@ -24,7 +24,9 @@ Covered, at one seed, over K in {2..5} x M, N in {1..4} plus 8/8/8,
   (5 trials, CSV and JSON).
 
 And once each: ``sweep`` over the small grid with and without
-``--p-grid`` (CSV and JSON, both reciprocity modes), ``bounds`` for K 3-5,
+``--p-grid`` (CSV and JSON, both reciprocity modes), ``sweep`` over K 3, 4
+and 8, M and N 2 and 8 with 70 trials, whose rows fill several batches of
+stacks, ``bounds`` for K 3-5,
 M 1-4 and N 1-6 (CSV and JSON), ``table1`` for K 3-5 and M 1-4 with the
 default ``--nmax``, 1 and 9 (CSV and JSON), and the ``--dump-channels``
 and ``--dump-plan`` files of ``verify`` and ``simulate`` at 4/4/3, 8/8/8
@@ -169,6 +171,12 @@ def sweep_lines(seed: int, tmp: str):
         result = run_cli(argv)
         tag = f"sweep {fmt} p_grid={int(p_grid)} {'rec' if reciprocal else 'nonrec'}"
         yield tag, sha(result + file_bytes(out))
+    # batches that cross the stack budget: the first pools the 2 x 2 and
+    # 2 x 8 matrices of K = 3 and 4, and 8/8/8 spans the last two
+    out = os.path.join(tmp, "sweep-batches.csv")
+    argv = ["sweep", "--k", "3,4,8", "--m", "2,8", "--n", "2,8", "--trials", "70",
+            "--seed", str(seed), "--out", out]
+    yield "sweep csv batches", sha(run_cli(argv) + file_bytes(out))
 
 
 def bounds_lines():
