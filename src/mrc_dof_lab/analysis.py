@@ -10,11 +10,12 @@ Philox keyed by (seed, trial index), so every trial is reproducible,
 independent of the execution order, and independent of every other
 (seed, trial) pair's. A trial draws once, before any design: one
 standard_normal call gives its channel, then its symbols, then, for the
-MSE sweep, its noise. ``draw_trials`` gives that draw for one trial or a
-stack; the entry points draw their trials in batches (below), the same
-values bit for bit, through ``channel._read_streams``: one Philox per
-batch, re-keyed to each trial, which gives every trial its fresh stream
-and opens no generator per trial.
+MSE sweep, its noise. One routine, ``_draw``, makes every draw: that of
+``draw_trials``, for one trial or a stack, and the entry points' batches
+(below). It reads a batch through one ``channel._fill`` call: one Philox,
+re-keyed to each trial, which gives every trial its fresh stream and
+opens no generator per trial, and writes each trial's values in place,
+its channel cut to the relay antennas kept.
 
 The trials of one configuration are designed and run as stacks along a
 leading trial axis: one ``ssa_nc.design_scheme`` and one
@@ -37,16 +38,16 @@ make a run of stacks, and the stacks, group by group, go in batches of
 at most STACK_ELEMENTS stored entries. A batch runs in three stages.
 Draw: every trial is read in one call and written in place, its symbols
 into its stack's array and only the kept relay antennas of its channel
-into its stack's slot of a pool, one pool per kept matrix shape
-(min(N, M), M) and reciprocity mode. Validate: each pool is validated
-once, as one ChannelSet, whatever the K of its stacks, and each stack
-takes its slot as a view of it. Design and run: each stack is designed
-and run once. Every row draws its own trials from its own streams and
-reads its own slice of the results, and a matrix's decomposition does
-not depend on the pool it is factored in, so each row's report is bit
-for bit the one it gets alone. Full stacks of one group fill the budget,
-so every entry point other than a sweep, a group of one, runs batches of
-one stack of one row, and such a batch is drawn directly, with no pool.
+into a pool, one pool per kept matrix shape (min(N, M), M) and
+reciprocity mode. Validate: each pool is validated once, as one
+ChannelSet, whatever the K of its stacks, and each stack takes its
+trials as a view of it. Design and run: each stack is designed and run
+once. Every row draws its own trials from its own streams and reads its
+own slice of the results, and a matrix's decomposition does not depend
+on the pool it is factored in, so each row's report is bit for bit the
+one it gets alone. Full stacks of one group fill the budget, so every
+entry point other than a sweep, a group of one, runs batches of one
+stack of one row: the same draw, whose pool is the stack's own array.
 A sweep whose audit raises a row error is audited again group by group,
 and a group that raises one row by row.
 
@@ -56,7 +57,9 @@ in checking a configuration's slope and then its MSE, takes that stack's
 plan and symbols and validates and designs nothing. The hand-off holds
 the plan, the symbols and the trials' reader (a seed and trial indices,
 no live generator); the sweep re-reads each of those trials from its
-start, channel, symbols and noise in one call, and keeps only the noise.
+start, channel, symbols and noise in one call, and writes only the
+noise into complex arrays; the one scaling pass over the raw values
+covers the skipped parts too.
 The hand-off is one-way: the audit always draws and designs its own
 stacks.
 """
@@ -68,13 +71,14 @@ import math
 import operator
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import cache
 from typing import NamedTuple
 
 import numpy as np
 
 from . import bounds, channel, ssa_nc
-from .channel import ChannelSet, NetworkConfig, _draw, _link_parts
-from .linalg import _freeze, _normal_count, _normal_parts, random_gaussian_stacks
+from .channel import ChannelSet, NetworkConfig, TrialStreams
+from .linalg import _freeze
 from .ssa_nc import SchemeDesignError, SchemePlan
 
 # Failures ``sweep_reports`` returns as one configuration's result: design,
@@ -217,131 +221,132 @@ def _designed(config: NetworkConfig, channels: ChannelSet, start: int):
 
 def draw_trials(config: NetworkConfig, rng, channels=None, noise=False):
     """Draw one trial, or each trial of a stack, in one standard_normal
-    call per generator: the channel set unless ``channels`` is given, then
+    call per trial: the channel set unless ``channels`` is given, then
     every user's unit-power symbols, then with ``noise`` the relay's and
     the users' unit-variance noise.
 
-    ``rng`` is one generator, or, for a stack whose trial axis then leads
-    every array, a ``channel.TrialStreams`` reader or a sequence of one
-    generator per trial. Returns (channels, sent, noise), the
-    arguments of ``ssa_nc.design_scheme`` and ``ssa_nc.run_round``: sent
-    is (K, d) per trial, and noise the pair of the relay's (effective_N,)
-    and the users' (K, effective_M) per trial, or None when not asked for.
+    ``rng`` is one generator, drawn on from its state, or, for a stack
+    whose trial axis then leads every array, a ``channel.TrialStreams``
+    reader. Returns (channels, sent, noise), the arguments of
+    ``ssa_nc.design_scheme`` and ``ssa_nc.run_round``: sent is (K, d) per
+    trial, and noise the pair of the relay's (effective_N,) and the
+    users' (K, effective_M) per trial, or None when not asked for.
     """
-    return _draw_one(config, rng, channels, noise, config.N)
+    [drawn] = _draw([[(config, rng)]], False, channels, noise)
+    return drawn
 
 
-def _draw_one(config: NetworkConfig, rng, channels, noise: bool, keep: int):
-    """``draw_trials`` with a drawn set cut to its first ``keep`` relay
-    antennas (``channel._draw``) and validated once, at that size."""
-    parts = _after_parts(config, noise)
-    if channels is None:
-        uplink, downlink, after = _draw(config, rng, parts, keep)
-        channels = ChannelSet(uplink=uplink, downlink=downlink)
-    else:
-        after = random_gaussian_stacks(parts, rng)
-    return channels, after[0], (_noise_pair(*after[1:]) if noise else None)
-
-
-def _after_parts(config: NetworkConfig, noise: bool) -> list:
-    """The (count, shape) draws that follow a trial's channel: every
-    user's symbols, then with ``noise`` the relay's noise and each
-    user's."""
-    base, L, d = ssa_nc.extension_plan(config.K, config.M, config.N)
-    parts = [(config.K, (d,))]
+@cache
+def _trial_layout(K: int, M: int, N: int, reciprocal: bool, cut: bool, links: bool, noise: bool,
+                  only_noise: bool) -> tuple:
+    """One trial's draw, for ``_draw``: its (count, shape) parts in stream
+    order, as ``channel._fill`` reads them (with ``links`` its channel,
+    ``channel._link_parts``, then every user's symbols, then with
+    ``noise`` the relay's noise and each user's); the per-trial shape of
+    each part's target, None for a part read and skipped; the number of
+    channel targets, which go into pools; and the pool key: the relay
+    antennas kept, M and reciprocity."""
+    base, L, d = ssa_nc.extension_plan(K, M, N)
+    n = min(N, M) if cut else N
+    parts, shapes = (), ()
+    if links:
+        parts = channel._link_parts(K, M, N, reciprocal)
+        shapes = ((K, n, M),) if reciprocal else ((K, n, M), (K, M, n))
+    parts += ((K, (d,)),)
+    shapes += ((K, d),)
+    if only_noise:
+        shapes = (None,) * len(shapes)
     if noise:
-        parts += [(1, (L * base,)), (config.K, (L * config.M,))]
-    return parts
+        parts += ((1, (L * base,)), (K, (L * M,)))
+        shapes += ((1, L * base), (K, L * M))
+    pooled = 0 if only_noise else len(shapes) - 1 - 2 * noise
+    return parts, shapes, pooled, (n, M, reciprocal)
 
 
-def _noise_pair(relay: np.ndarray, users: np.ndarray) -> tuple:
-    """The (relay, users) noise ``run_round`` takes, from the drawn parts."""
-    return relay[..., 0, :], users
+def _draw(stacks, cut: bool, channels=None, noise=False, only_noise=False) -> list:
+    """Draw stacks of trials in one ``channel._fill`` call: the one draw
+    behind ``draw_trials``, a sweep's batches, a lone stack, a given set's
+    symbols and the hand-off's noise re-read.
 
+    Each stack is a list of (config, source) segments, its trials in
+    order, whose configs share K, M, the relay antennas kept and
+    reciprocity. A source is a ``channel.TrialStreams`` reader, or one
+    generator for one trial, with no trial axis. Returns (channels, sent,
+    noise) per stack, as ``draw_trials`` gives them. With ``cut`` a drawn
+    set keeps its first min(N, M) relay antennas, and is bit for bit
+    ``shutdown_relay_antennas`` of the full set from the same values. The
+    full set is never validated: in exact arithmetic a full-rank kept
+    block makes the full matrix full rank, and the two rank decisions can
+    differ only at the 1e-10 tolerance, where a discarded row with a huge
+    entry makes the full matrix read rank deficient, which a Gaussian draw
+    is essentially never near.
 
-def _draw_batch(stacks, rows) -> list:
-    """Draw a batch of stacks, given each stack's rows: the (row config,
-    trial reader) segments of its trials in order. Returns (channels,
-    sent) per stack, as ``draw_trials`` gives them without noise, the
-    channel set cut to the stack's kept relay antennas and validated.
-
-    Every trial of the batch is read in one ``channel._read_streams``
-    call, one Philox for all seeds, and written in place into arrays
-    allocated once: its symbols into its stack's, and its channel, only
-    the first min(N, M) rows of each uplink and columns of each downlink,
-    into its stack's slot of a pool, one per kept (n, M) and reciprocity
-    mode. Each pool is validated once, as one ChannelSet: a pool of one
-    stack at the stack's shape, (trials, K, n, M), and a pool of several,
-    whose K differ, as (1, matrices, n, M), of which each stack takes its
-    slot as a view that validation leaves alone (``_slot``); a matrix's
-    decomposition does not depend on the stack it is factored in.
-    Reciprocity is part of the pool key, since a set reads it from its
-    matrices. A drawn cut set is the shutdown of the full set, bit for
-    bit, from the same values, and the full set is never validated (see
-    ``channel._draw``). A batch drawn here takes no given set and draws
-    no noise: only a group of one does, whose batches ``_stacks`` draws
-    alone.
+    Channels go into pools, one per kept matrix shape and reciprocity
+    mode (a set reads reciprocity from its matrices), each validated once,
+    whatever the K of its stacks: the pool of one stack is the stack's own
+    arrays, validated at its shape, and a pool of several is validated as
+    (1, matrices, n, M), of which each stack takes its trials as a view.
+    A given set (``channels``) draws no channel and is each stack's set.
+    With ``only_noise`` each trial is read whole, as a noisy draw reads
+    it, and only its noise is written: (None, None, noise) per stack.
     """
-    keys, offsets, sizes = [], [], {}
-    for stack in stacks:
-        config = stack.group[0]
-        keys.append((min(config.N, config.M), config.M, config.reciprocal))
-        offsets.append(sizes.get(keys[-1], 0))
-        sizes[keys[-1]] = offsets[-1] + (stack.stop - stack.start) * config.K
-    # each pool's uplink matrices, then, unless reciprocal, its downlinks
-    pools = {
-        (n, M, reciprocal): [np.empty((size, n, M), dtype=complex)]
-        + ([] if reciprocal else [np.empty((size, M, n), dtype=complex)])
-        for (n, M, reciprocal), size in sizes.items()
-    }
-    sent, reads, writes = [], [], []
-    for stack, segments, key, lo in zip(stacks, rows, keys, offsets):
-        [(count, shape)] = parts = _after_parts(stack.group[0], noise=False)
-        symbols = np.empty((stack.stop - stack.start, count, *shape), dtype=complex)
-        sent.append(symbols)
-        K, n = stack.group[0].K, key[0]
-        # the kept relay rows of each uplink and columns of each downlink
-        cuts = [(..., slice(n), slice(None)), (..., slice(n))]
-        first = 0
-        for config, streams in segments:
-            span = slice(first, first + len(streams.trials))
-            first = span.stop
-            matrices = slice(lo + span.start * K, lo + span.stop * K)
-            targets = [(a[matrices].reshape(-1, K, *a.shape[1:]), cut)
-                       for a, cut in zip(pools[key], cuts)] + [(symbols[span], ...)]
-            row_parts = _link_parts(config) + parts
-            values = np.empty((len(streams.trials), _normal_count(row_parts)))
-            reads.append((streams, values))
-            writes.append((values, row_parts, targets))
-    channel._read_streams(reads)
-    for values, parts, targets in writes:
-        for (target, cut), (re, im) in zip(targets, _normal_parts(values, parts)):
-            target.real = re[cut]
-            target.imag = im[cut]
-    root2 = np.sqrt(2.0)
-    for a in (*itertools.chain(*pools.values()), *sent):
-        a /= root2
-    sets = {}
-    for key, (uplink, *downlink) in pools.items():
-        downlink = downlink[0] if downlink else uplink.swapaxes(-1, -2).copy()
-        stack = stacks[keys.index(key)]
-        lead = (1, -1) if keys.count(key) > 1 else (stack.stop - stack.start, stack.group[0].K)
-        sets[key] = ChannelSet(uplink=uplink.reshape(lead + uplink.shape[1:]),
-                               downlink=downlink.reshape(lead + downlink.shape[1:]))
-    out = []
-    for stack, key, lo, symbols in zip(stacks, keys, offsets, sent):
-        drawn_set = sets[key]
-        if keys.count(key) > 1:
-            drawn_set = _slot(drawn_set, lo, stack.stop - stack.start, stack.group[0].K)
-        out.append((drawn_set, _freeze(symbols)))
+    links = channels is None
+    # each stack's layout, trial count (None for one generator's trial) and
+    # first matrix in its pool
+    batch, sizes = [], {}
+    for rows in stacks:
+        config, source = rows[0]
+        layout = _trial_layout(config.K, config.M, config.N, config.reciprocal, cut, links, noise,
+                               only_noise)
+        trials = sum(len(s.trials) for _, s in rows) if isinstance(source, TrialStreams) else None
+        key = layout[3]
+        first = sizes.get(key, 0)
+        sizes[key] = first + (trials or 1) * config.K
+        batch.append((rows, layout, trials, first))
+    pools, segments, drawn = {}, [], []
+    for rows, (parts, shapes, pooled, key), trials, first in batch:
+        lead = () if trials is None else (trials,)
+        count = (trials or 1) * rows[0][0].K
+        arrays = []
+        if count < sizes[key]:
+            # a pool several stacks share: each writes its matrices in place
+            if key not in pools:
+                pools[key] = [np.empty((sizes[key],) + shape[1:], dtype=complex)
+                              for shape in shapes[:pooled]]
+            arrays = [a[first : first + count].reshape(lead + shape)
+                      for a, shape in zip(pools[key], shapes)]
+        arrays += [None if shape is None else np.empty(lead + shape, dtype=complex)
+                   for shape in shapes[len(arrays) :]]
+        if len(rows) == 1:
+            segments.append((rows[0][1], parts, arrays))
+        else:
+            start = 0
+            for config, source in rows:
+                parts = _trial_layout(config.K, config.M, config.N, config.reciprocal, cut, links,
+                                      noise, only_noise)[0]
+                span = slice(start, start + len(source.trials))
+                start = span.stop
+                segments.append((source, parts, [a if a is None else a[span] for a in arrays]))
+        drawn.append((arrays, pooled, key, first, count))
+    channel._fill(segments)
+    out, sets = [], {}
+    for arrays, pooled, key, first, count in drawn:
+        drawn_set = channels
+        if pooled:
+            if key not in sets:
+                # a stack alone validates its own arrays, at its stack shape
+                pool = [a[np.newaxis] for a in pools[key]] if key in pools else arrays[:pooled]
+                downlink = pool[1] if pooled > 1 else pool[0].swapaxes(-1, -2).copy()
+                sets[key] = ChannelSet(uplink=pool[0], downlink=downlink)
+            drawn_set = sets[key]
+            if key in pools:
+                lead = arrays[0].shape[:-3]
+                drawn_set = drawn_set._view(
+                    lambda a: a[0, first : first + count].reshape(lead + (-1,) + a.shape[2:]))
+        sent = None if only_noise else _freeze(arrays[-3 if noise else -1])
+        noise_pair = (_freeze(arrays[-2])[..., 0, :], _freeze(arrays[-1])) if noise else None
+        out.append((drawn_set, sent, noise_pair))
     return out
-
-
-def _slot(pool: ChannelSet, lo: int, trials: int, K: int) -> ChannelSet:
-    """A stack's trials of K users from a validated pool of (1, matrices,
-    n, M), its matrices from lo on in the order they were drawn: a view,
-    not validated again."""
-    return pool._view(lambda a: a[0, lo : lo + trials * K].reshape((trials, K, *a.shape[2:])))
 
 
 # The last stack a noiseless pass drew, keyed (config, start, stop): its
@@ -360,14 +365,6 @@ def _stack_rows(group, trials: int, start: int, stop: int) -> list:
     ]
 
 
-def _reread_noise(config: NetworkConfig, streams) -> tuple:
-    """The noise of a drawn stack's trials: each trial's stream re-read
-    from its start in one call, channel, symbols and noise, as the first
-    draw would have read it with the noise; only the noise is kept."""
-    parts = _link_parts(config) + _after_parts(config, noise=True)
-    return _noise_pair(*random_gaussian_stacks(parts, streams)[-2:])
-
-
 def _stacks(groups, trials: int, channels=None, noise=False):
     """Draw and design the trials of groups of configurations, each group
     sharing a kept relay shape (``_kept_shape``), batch by batch
@@ -376,16 +373,11 @@ def _stacks(groups, trials: int, channels=None, noise=False):
     own streams. Yields (stack, plan, sent, noise) per stack, in order: the
     plan, its effective channels included, with a leading trial axis,
     and sent and noise as ``draw_trials`` gives them. A batch's stacks
-    are drawn and validated together (``_draw_batch``), then designed and
+    are drawn and validated together (``_draw``), then designed and
     yielded one by one. A stack's plan is designed under its group's
-    first row with the relay cut to the kept size.
-
-    Only a group of one takes a given set or draws noise, and each of its
-    batches is one stack of one row. Such a batch has no pool to share
-    and is drawn alone (``_draw_one``): pooled, a
-    ``verify_noiseless`` at K = 8, M = N = 8 and a noisy
-    ``simulate_report`` and ``decode_mse_sweep`` at K = 4, M = 4, N = 3
-    took 2-3% longer (BENCH_30.json).
+    first row with the relay cut to the kept size. Only a group of one
+    takes a given set or draws noise, and each of its batches is one
+    stack of one row, whose pool is its own array.
 
     A given set (one trial) draws no channel: it is designed once, and
     every stack yields that one-trial plan as it was designed, which the
@@ -401,7 +393,7 @@ def _stacks(groups, trials: int, channels=None, noise=False):
     there, so only the last stack outlives the call; a given set's stacks,
     a stack whose design fails and the stacks of a larger group are not
     left. A noisy pass pops the stack of the same (config, start, stop),
-    if there is one, re-reads its trials (``_reread_noise``) and keeps
+    if there is one, re-reads its trials from their start and writes only
     their noise, which is, like every output, bit for bit that of a fresh
     draw.
     """
@@ -416,16 +408,12 @@ def _stacks(groups, trials: int, channels=None, noise=False):
             taken = _handoff.pop((stack.group[0], stack.start, stack.stop), None)
             if taken is not None:
                 plan, sent, streams = taken
-                yield stack, plan, sent, _reread_noise(stack.group[0], streams)
+                [(_, _, noise_pair)] = _draw([[(stack.group[0], streams)]], True, noise=True,
+                                             only_noise=True)
+                yield stack, plan, sent, noise_pair
                 continue
         rows = [_stack_rows(stack.group, trials, stack.start, stack.stop) for stack in batch]
-        if len(batch) == 1 and len(rows[0]) == 1:
-            # one stack of one row, as every batch of a group of one
-            [[(config, streams)]] = rows
-            keep = min(config.N, config.M)
-            drawn = [_draw_one(config, streams, channels, noise, keep)]
-        else:
-            drawn = [(*pair, None) for pair in _draw_batch(batch, rows)]
+        drawn = _draw(rows, True, channels, noise)
         for stack, segments, (drawn_set, sent, noise_pair) in zip(batch, rows, drawn):
             config = stack.group[0]
             if fixed is not None:

@@ -7,13 +7,14 @@ own random stream, ``NetworkConfig.trial_rng``: counter-based Philox
 keyed by (seed, trial), one independent stream per pair. The analysis
 reads its trials through ``NetworkConfig.trial_streams``, a
 ``TrialStreams`` reader that gives each trial that fresh stream, bit for
-bit, from one Philox per read, re-keyed per trial, and opens no
-generator per trial; ``_read_streams`` reads the trials of several
-readers, of any seeds, through one Philox. A trial's channel heads its
-one draw, which ``draw_channels`` makes. The analysis draws its trials
-keeping only the min(N, M) relay antennas the scheme uses (``_draw``,
-which leaves the validation to its caller), so a trial with N > M is
-validated once, at that size; a channel dump holds all N.
+bit, from one Philox re-keyed per trial, and opens no generator per
+trial. Every draw goes through one routine, ``_fill``: it reads the
+trials of any readers, of any seeds, or one generator, and writes each
+trial's channel, and whatever the caller draws after it, in place into
+the caller's arrays, the channel cut to the relay antennas the caller
+keeps. ``generate_channels`` draws the full N x M set, which a channel
+dump holds; the analysis keeps only the min(N, M) relay antennas the
+scheme uses, so a trial with N > M is validated once, at that size.
 
 A ``ChannelSet`` holds one trial's physical channels as (K, N, M) /
 (K, M, N) arrays, or a stack of trials with a leading trial axis. Symbol
@@ -30,19 +31,14 @@ exact condition numbers are computed by an SVD on first read.
 from __future__ import annotations
 
 import json
+import math
 import numbers
 from dataclasses import dataclass, field, fields
 from functools import cache, cached_property
 
 import numpy as np
 
-from .linalg import (
-    CMatrix,
-    _freeze,
-    pseudo_inverse_and_bound,
-    pseudo_inverse_and_rank,
-    random_gaussian_stacks,
-)
+from .linalg import CMatrix, _freeze, pseudo_inverse_and_bound, pseudo_inverse_and_rank
 
 _SEED_MASK = (1 << 64) - 1
 
@@ -121,15 +117,16 @@ def _check_trial(trial) -> None:
 class TrialStreams:
     """The streams of some trials of one seed, read from their start.
 
-    ``read(n)`` gives one row per trial, in the given order: row s is bit
-    for bit ``trial_rng(trials[s]).standard_normal(n)``, the trial's fresh
-    stream. A Philox stream is a pure function of its key and counter, so
-    one Philox, built per ``read`` call, serves every row: re-keyed to
-    (seed, trial) at counter 0 with an empty buffer through its public
-    ``state``, it is that trial's fresh stream, and no generator is opened
-    per trial. A reader holds only the seed and the trial indices, which
-    may repeat and come in any order; each must be an integer in
-    [0, 2**64). No generator outlives a call, so readers share no state.
+    ``_fill`` reads a reader's trials in the given order, one row per
+    trial: row s is bit for bit what ``trial_rng(trials[s])``, the trial's
+    fresh stream, draws. A Philox stream is a pure function of its key and
+    counter, so one Philox, built per ``_fill`` call, serves every row:
+    re-keyed to (seed, trial) at counter 0 with an empty buffer through
+    its public ``state``, it is that trial's fresh stream, and no
+    generator is opened per trial. A reader holds only the seed and the
+    trial indices, which may repeat and come in any order; each must be an
+    integer in [0, 2**64). No generator outlives a call, so readers share
+    no state.
     """
 
     __slots__ = ("seed", "trials")
@@ -140,33 +137,85 @@ class TrialStreams:
         for trial in self.trials:
             _check_trial(trial)
 
-    def read(self, n: int) -> np.ndarray:
-        """The first n standard normal values of each trial's stream, one
-        row per trial: one re-key and one standard_normal call per row."""
-        z = np.empty((len(self.trials), n))
-        _read_streams([(self, z)])
-        return z
-
-
-def _read_streams(reads) -> None:
-    """Fill, for each (streams, z) pair of ``reads``, row s of the float64
-    array z with the first z.shape[-1] values of the fresh stream of
-    (streams.seed, streams.trials[s]), as ``TrialStreams.read`` gives them:
-    one Philox serves every row of every pair, re-keyed per row, so readers
-    of several seeds read in one call. z must be C-contiguous."""
-    bits = np.random.Philox(_trial_key_type()(0, 0))
-    draw = np.random.Generator(bits).standard_normal
-    # a fresh stream's state, counter 0 and an empty buffer; plain ints,
-    # which Philox converts to its uint64 words, top bit included
-    key, zeros = [0, 0], (0, 0, 0, 0)
-    fresh = {"bit_generator": "Philox", "state": {"counter": zeros, "key": key},
-             "buffer": zeros, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
-    for streams, z in reads:
-        key[0] = streams.seed
-        for trial, row in zip(streams.trials, z):
+    def _read(self, z: np.ndarray, bits, draw) -> None:
+        """Fill row s of the C-contiguous float64 array z with the first
+        z.shape[-1] values of trial s's fresh stream: ``bits`` is a Philox,
+        re-keyed per row, and ``draw`` the standard_normal of a generator
+        over it."""
+        # a fresh stream's state, counter 0 and an empty buffer; plain ints,
+        # which Philox converts to its uint64 words, top bit included
+        key, zeros = [self.seed, 0], (0, 0, 0, 0)
+        fresh = {"bit_generator": "Philox", "state": {"counter": zeros, "key": key},
+                 "buffer": zeros, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+        for trial, row in zip(self.trials, z):
             key[1] = trial
             bits.state = fresh
             draw(out=row)
+
+
+# Real and imaginary parts are N(0, 1/2), so E|a|^2 = 1. Scaling each by
+# 1 / sqrt(2) gives the bits of (re + 1j im) / sqrt(2), up to the sign of an
+# exactly zero part.
+_SCALE = 1.0 / np.sqrt(2.0)
+
+
+def _fill(segments) -> None:
+    """Draw i.i.d. CN(0, 1) arrays in place: the one routine that turns
+    standard normal values into a trial's complex arrays.
+
+    Each segment is (source, parts, targets): ``parts`` is a tuple of the
+    (count, shape) arrays one trial draws in turn, and ``targets`` one
+    complex128 array, or None to skip the part, per part. A source is a
+    ``TrialStreams`` reader, whose trial s writes row s of every target,
+    or one ``np.random.Generator`` for one trial, drawn on from its state,
+    whose targets have no trial axis; any other source raises TypeError.
+    A trial takes one standard_normal call: each part's block (count, 2,
+    *shape) in turn, each array's real then imaginary values, bit for bit
+    what drawing the parts one after another gives. A target holds the
+    leading block of its part's shape (the kept relay antennas: an
+    uplink's first rows, a downlink's first columns), so a trial's cut is
+    written here only. A segment's raw values are scaled in one pass,
+    skipped parts and cut rows included, which costs less than scaling
+    each target apart. One Philox, re-keyed per trial, reads every reader
+    of the call, whatever its seed, and one segment's raw values are held
+    at a time.
+    """
+    bits = np.random.Philox(_trial_key_type()(0, 0))
+    draw = np.random.Generator(bits).standard_normal
+    for source, parts, targets in segments:
+        size, blocks = _blocks(parts)
+        if isinstance(source, TrialStreams):
+            z = np.empty((len(source.trials), size))
+            source._read(z, bits, draw)
+        elif isinstance(source, np.random.Generator):
+            z = source.standard_normal(size)
+        else:
+            raise TypeError("a draw source is a TrialStreams reader, as "
+                            "config.trial_streams(trials) gives, or one "
+                            f"numpy Generator, not {type(source).__name__}")
+        z *= _SCALE
+        lead = z.shape[:-1]
+        for (start, stop, block, dims), target in zip(blocks, targets):
+            if target is not None:
+                values = z[..., start:stop].reshape(lead + block)
+                cut = tuple(map(slice, target.shape[target.ndim - dims :]))
+                target.real = values[(..., 0, *cut)]
+                target.imag = values[(..., 1, *cut)]
+
+
+@cache
+def _blocks(parts: tuple) -> tuple:
+    """The standard normal values one trial of the parts takes, and each
+    part's (start, stop, block shape (count, 2, *shape), len(shape)) among
+    them."""
+    if any(n < 1 for count, shape in parts for n in (count, *shape)):
+        raise ValueError("draw dimensions must be positive")
+    blocks, start = [], 0
+    for count, shape in parts:
+        stop = start + 2 * count * math.prod(shape)
+        blocks.append((start, stop, (count, 2, *shape), len(shape)))
+        start = stop
+    return start, tuple(blocks)
 
 
 class _TrialKey:
@@ -353,59 +402,27 @@ def _check_rank(rank: np.ndarray, full: int) -> None:
         raise ValueError("channel matrix is rank deficient")
 
 
-def draw_channels(config: NetworkConfig, rng, after=()) -> tuple[ChannelSet, list[np.ndarray]]:
-    """Draw i.i.d. CN(0, 1) channels for all users, then the (count,
-    shape) parts ``after``, in one ``random_gaussian_stacks`` call; returns
-    the validated set and the ``after`` arrays.
-
-    ``rng`` is one generator for one trial, or, for a stack with one
-    trial per row, a sequence of generators or a ``TrialStreams`` reader
-    (see ``random_gaussian_stacks``). All K uplink matrices are
-    drawn first so that the uplink realization at a given seed does not
-    depend on the reciprocity mode; reciprocal downlinks are exact
-    transposes and consume no draws and no decomposition.
-    """
-    uplink, downlink, drawn = _draw(config, rng, after, config.N)
-    return ChannelSet(uplink=uplink, downlink=downlink), drawn
-
-
-def _draw(config: NetworkConfig, rng, after, keep: int) -> tuple:
-    """``draw_channels`` with the set cut to its first ``keep`` relay
-    antennas and not yet validated: returns the uplink and downlink
-    stacks, then the ``after`` arrays. For keep = min(N, M), the set they
-    make is bit for bit ``shutdown_relay_antennas`` of the full set, from
-    the same values.
-
-    The full set's validation is skipped, and in exact arithmetic a
-    full-rank kept block makes the full matrix full rank. The two rank
-    decisions can differ only at the 1e-10 tolerance: a discarded row with
-    a huge entry can make the full matrix read rank deficient while the
-    kept block is well conditioned, and such a draw, rejected in full,
-    passes here. A Gaussian draw is essentially never near that case.
-    """
-    uplink, *drawn = random_gaussian_stacks(_link_parts(config) + list(after), rng)
-    downlink = uplink.swapaxes(-1, -2).copy() if config.reciprocal else drawn.pop(0)
-    if keep < config.N:
-        uplink, downlink = _relay_rows(uplink, downlink, keep)
-    return uplink, downlink, drawn
-
-
-def _link_parts(config: NetworkConfig) -> list:
+def _link_parts(K: int, M: int, N: int, reciprocal: bool) -> tuple:
     """The (count, shape) parts that head a trial's draw: every uplink,
-    then, unless reciprocal, every downlink."""
-    K, M, N = config.K, config.M, config.N
-    return [(K, (N, M))] if config.reciprocal else [(K, (N, M)), (K, (M, N))]
+    then, unless reciprocal, every downlink. All K uplink matrices come
+    first, so that the uplink realization at a given seed does not depend
+    on the reciprocity mode; reciprocal downlinks are exact transposes and
+    consume no draws."""
+    return ((K, (N, M)),) if reciprocal else ((K, (N, M)), (K, (M, N)))
 
 
 def generate_channels(config: NetworkConfig, rng) -> ChannelSet:
-    """The channel set alone, as ``draw_channels`` draws it."""
-    return draw_channels(config, rng)[0]
-
-
-def _relay_rows(uplink: np.ndarray, downlink: np.ndarray, keep: int) -> tuple:
-    """The first ``keep`` relay antennas: the leading rows of every uplink
-    matrix and the leading columns of every downlink matrix, as copies."""
-    return uplink[..., :keep, :].copy(), downlink[..., :keep].copy()
+    """Draw i.i.d. CN(0, 1) channels for all users, the full N x M set,
+    validated. ``rng`` is one generator for one trial, drawn on from its
+    state, or a ``TrialStreams`` reader for a stack with one trial per
+    row, each read from its start (see ``_fill``)."""
+    lead = (len(rng.trials),) if isinstance(rng, TrialStreams) else ()
+    parts = _link_parts(config.K, config.M, config.N, config.reciprocal)
+    links = [np.empty(lead + (count, *shape), dtype=complex) for count, shape in parts]
+    _fill([(rng, parts, links)])
+    uplink, *downlink = links
+    downlink = downlink[0] if downlink else uplink.swapaxes(-1, -2).copy()
+    return ChannelSet(uplink=uplink, downlink=downlink)
 
 
 def shutdown_relay_antennas(channels: ChannelSet) -> ChannelSet:
@@ -417,8 +434,8 @@ def shutdown_relay_antennas(channels: ChannelSet) -> ChannelSet:
     keep = min(channels.relay_dim, channels.user_dim)
     if keep == channels.relay_dim:
         return channels
-    uplink, downlink = _relay_rows(channels.uplink, channels.downlink, keep)
-    return ChannelSet(uplink=uplink, downlink=downlink)
+    return ChannelSet(uplink=channels.uplink[..., :keep, :].copy(),
+                      downlink=channels.downlink[..., :keep].copy())
 
 
 def matrix_to_lists(h: CMatrix) -> list:
@@ -448,19 +465,20 @@ def channels_to_json_dict(channels: ChannelSet) -> dict:
 def channels_from_json_dict(doc: dict) -> ChannelSet:
     """Decode and validate one trial's set; documents with L other than 1
     hold extended matrices, which a set never stores, and are rejected.
-    A document that lacks a key, holds an entry other than an [re, im]
-    pair of numbers, or whose K, M and N disagree with its matrices raises
+    A document that lacks a key, whose K, M, N or L is not a JSON integer
+    (a bool is not one), that holds an entry other than an [re, im] pair
+    of numbers, or whose K, M and N disagree with its matrices raises
     ValueError."""
     if not isinstance(doc, dict):
         raise ValueError("a channel document must be a JSON object")
     missing = [key for key in ("K", "M", "N", "L", "uplink", "downlink") if key not in doc]
     if missing:
         raise ValueError(f"channel document has no {', '.join(map(repr, missing))} entry")
-    try:
-        extended = int(doc["L"]) != 1
-    except (TypeError, ValueError) as exc:
-        raise ValueError(f"channel document L must be an integer, not {doc['L']!r}") from exc
-    if extended:
+    for key in ("K", "M", "N", "L"):
+        # a JSON integer: 1.0, true and "1" would pass int() or == 1
+        if isinstance(doc[key], bool) or not isinstance(doc[key], int):
+            raise ValueError(f"channel document {key} must be an integer, not {key}={doc[key]!r}")
+    if doc["L"] != 1:
         raise ValueError(f"channel documents must be unextended (L = 1), not L = {doc['L']}")
     try:
         uplink = [matrix_from_lists(m) for m in doc["uplink"]]
@@ -493,7 +511,6 @@ __all__ = [
     "matrix_to_lists",
     "matrix_from_lists",
     "ChannelSet",
-    "draw_channels",
     "generate_channels",
     "shutdown_relay_antennas",
     "channels_to_json_dict",

@@ -1,11 +1,9 @@
 """Complex-matrix kernels shared by the whole simulator.
 
 Everything operates on 2-D ``complex128`` numpy arrays; the pseudoinverses
-also take a stack of them and decompose it in one LAPACK call, and
-``random_gaussian_stacks`` fills every array a trial draws with one call
-per generator, or per row of a trial-stream reader. Rank decisions are
-made on singular values relative to the largest one (scale invariant),
-at the one tolerance ``RANK_TOL``:
+also take a stack of them and decompose it in one LAPACK call. Rank
+decisions are made on singular values relative to the largest one (scale
+invariant), at the one tolerance ``RANK_TOL``:
 ``pseudo_inverse_and_rank`` computes them with an SVD, and
 ``pseudo_inverse_and_bound`` reaches the same decisions from one LU or QR
 factorization and a certified bound on the condition number, taking the
@@ -15,8 +13,6 @@ concurrent trials without copies.
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
@@ -40,69 +36,6 @@ CMatrix = np.ndarray
 def _freeze(a: np.ndarray) -> np.ndarray:
     a.setflags(write=False)
     return a
-
-
-def random_gaussian_stacks(parts, rng) -> list[np.ndarray]:
-    """One array of i.i.d. CN(0, 1) entries per (count, shape) pair of
-    ``parts``, of shape (count, *shape), in one draw call per generator.
-
-    ``rng`` is one generator, or a trial-stream reader or a sequence of
-    generators, either of which prefixes every array with a trial axis
-    whose row s is drawn from stream s. A reader (``channel.TrialStreams``,
-    or anything whose ``read(n)`` returns one row of n standard normal
-    values per trial) fills every row in one call. Each stream fills one
-    standard_normal vector holding every part's block (count, 2, *shape)
-    in turn: the real then the imaginary part of each array. One draw
-    fills a stream's values in the order of consecutive draws of the same
-    total length, so each part gets, bit for bit, what drawing the parts
-    one after another gives it. Real and
-    imaginary parts are N(0, 1/2), so E|a|^2 = 1.
-    """
-    if any(n < 1 for count, shape in parts for n in (count, *shape)):
-        raise ValueError("draw dimensions must be positive")
-    size = _normal_count(parts)
-    if isinstance(rng, np.random.Generator):
-        z = rng.standard_normal(size)
-    elif hasattr(rng, "read"):
-        z = rng.read(size)
-    else:
-        rngs = list(rng)
-        z = np.empty((len(rngs), size))
-        for g, row in zip(rngs, z):
-            g.standard_normal(row.shape, out=row)
-    out = []
-    for re, im in _normal_parts(z, parts):
-        # (re + 1j im) / sqrt(2) without its three temporaries: the same
-        # values up to the sign of an exactly zero part
-        a = np.empty(re.shape, dtype=complex)
-        a.real = re
-        a.imag = im
-        a /= np.sqrt(2.0)
-        out.append(_freeze(a))
-    return out
-
-
-def _normal_count(parts) -> int:
-    """The standard normal values the (count, shape) parts take: a real
-    and an imaginary block of each."""
-    return sum(2 * count * math.prod(shape) for count, shape in parts)
-
-
-def _normal_parts(z: np.ndarray, parts) -> list[tuple[np.ndarray, np.ndarray]]:
-    """The (real, imaginary) views of standard normal values z, one pair
-    per (count, shape) part, as ``random_gaussian_stacks`` reads them:
-    each stream's values along z's last axis hold each part's block
-    (count, 2, *shape) in turn. Each view has shape z.shape[:-1] + (count,
-    *shape); the complex part is (re + 1j im) / sqrt(2)."""
-    lead = z.shape[:-1]
-    head = (slice(None),) * (len(lead) + 1)
-    out, start = [], 0
-    for count, shape in parts:
-        size = 2 * count * math.prod(shape)
-        block = z[..., start : start + size].reshape(lead + (count, 2, *shape))
-        start += size
-        out.append((block[head + (0,)], block[head + (1,)]))
-    return out
 
 
 def pseudo_inverse_and_rank(A: CMatrix) -> tuple[np.ndarray, ...]:

@@ -30,7 +30,6 @@ from mrc_dof_lab.channel import (
     save_channels,
 )
 from mrc_dof_lab import analysis, channel, ssa_nc
-from mrc_dof_lab.linalg import random_gaussian_stacks
 from mrc_dof_lab.ssa_nc import design_scheme, run_round
 
 GRID = [1e2, 1e3, 1e4, 1e5, 1e6]
@@ -94,7 +93,7 @@ class TestVerifyNoiseless:
         # plan decode exactly, to the rounding floor, at any other power
         plan = plan_for(3, 3, 2, seed=4)
         senders = ssa_nc.sender_table(3)
-        sent = random_gaussian_stacks([(3, (plan.d,))], np.random.default_rng(4))[0]
+        sent = draw_trials(NetworkConfig(K=3, M=3, N=2), np.random.default_rng(4), plan.channels)[1]
 
         def worst_error(P):
             trace = run_round(plan, P, sent)
@@ -186,7 +185,7 @@ class TestStreamSinrs:
         # at seed 1 the MAC SINR is the smaller one for some streams and
         # the BC SINR for the others, so the minimum must read both
         cfg = NetworkConfig(K=3, M=3, N=2, seed=1)
-        rng = cfg.trial_rng(0) if trials is None else [cfg.trial_rng(t) for t in range(trials)]
+        rng = cfg.trial_rng(0) if trials is None else cfg.trial_streams(range(trials))
         s = stream_sinrs(design_scheme(cfg, generate_channels(cfg, rng)), 5.0)
         mac = s.mac[..., np.newaxis, :, :]
         assert (mac < s.bc).any() and (s.bc < mac).any()
@@ -206,7 +205,7 @@ class TestStreamSinrs:
         # bit for bit: every relay filter row is an identity row, every user
         # filter row a row of pinv(d_u) placed in one slot
         cfg = NetworkConfig(K=k, M=m, N=n, seed=11)
-        rng = cfg.trial_rng(0) if trials is None else [cfg.trial_rng(t) for t in range(trials)]
+        rng = cfg.trial_rng(0) if trials is None else cfg.trial_streams(range(trials))
         plan = design_scheme(cfg, generate_channels(cfg, rng))
         P = 7.0
         a2 = np.asarray(plan.power_scale) ** 2 * P
@@ -508,23 +507,23 @@ class TestOneDrawPerTrial:
     """Every entry point, called cold, reads each trial's stream once,
     from its start, in one standard_normal call: channel, symbols and noise
     come from one call. The analysis opens no ``trial_rng`` stream and
-    builds one Philox per read. The MSE sweep after a noiseless pass reads
+    builds one Philox per ``channel._fill`` call. The MSE sweep after a noiseless pass reads
     each trial of the stack it takes once more, and validates and designs
     nothing for it."""
 
     @staticmethod
     def reads(monkeypatch):
         """Log every standard_normal call of the readers by its stream's
-        key, and count the reads (``channel._read_streams`` calls, which
-        every draw and re-read makes) and the Philox generators built; any
+        key, and count the reads (``channel._fill`` calls, which every
+        draw and re-read makes) and the Philox generators built; any
         trial_rng call fails. 4/4/3 stores 4 * 3 * 4 entries per trial:
         stacks of 2, 2 and 1 trials, each a batch of its own."""
         log, counts = [], {"read": 0, "philox": 0}
-        real_read, real_philox = channel._read_streams, np.random.Philox
+        real_read, real_philox = channel._fill, np.random.Philox
 
-        def read(reads):
+        def read(segments):
             counts["read"] += 1
-            return real_read(reads)
+            return real_read(segments)
 
         def philox(*args, **kwargs):
             counts["philox"] += 1
@@ -536,7 +535,7 @@ class TestOneDrawPerTrial:
         monkeypatch.setattr(LoggedGenerator, "log", log, raising=False)
         monkeypatch.setattr(np.random, "Generator", LoggedGenerator)
         monkeypatch.setattr(np.random, "Philox", philox)
-        monkeypatch.setattr(channel, "_read_streams", read)
+        monkeypatch.setattr(channel, "_fill", read)
         monkeypatch.setattr(NetworkConfig, "trial_rng", no_trial_rng)
         monkeypatch.setattr(analysis, "STACK_ELEMENTS", 48 * 2)
         return log, counts
@@ -865,21 +864,20 @@ def alone(config, trials, grid):
     return simulate_report(config, grid, trials)
 
 
-def bad_uplink(monkeypatch, seed, N, diagonal):
+def bad_uplink(monkeypatch, seed, diagonal):
     """Make the kept 2 x 2 block of user 0's uplink in trial 1 of the given
-    seed, for M = 2 and N relay antennas, diag(diagonal) / sqrt(2); every
-    other value as drawn."""
-    real = channel._read_streams
+    seed, for M = 2, diag(diagonal) / sqrt(2); every other value as
+    drawn."""
+    real = channel._fill
 
-    def read(reads):
-        real(reads)
-        for streams, z in reads:
+    def fill(segments):
+        real(segments)
+        for streams, _, targets in segments:
             if streams.seed == seed and 1 in streams.trials:
-                # user 0's real and imaginary N x 2 uplink blocks head a trial
-                uplink = z[streams.trials.index(1), : 2 * N * 2].reshape(2, N, 2)
-                uplink[:, :2] = [np.diag(diagonal), np.zeros((2, 2))]
+                # the kept uplinks head a trial's targets: (trial, user, row, column)
+                targets[0][streams.trials.index(1), 0] = np.diag(diagonal) / np.sqrt(2.0)
 
-    monkeypatch.setattr(channel, "_read_streams", read)
+    monkeypatch.setattr(channel, "_fill", fill)
 
 
 class TestSweepReports:
@@ -955,7 +953,7 @@ class TestSweepReports:
         # trial 1 of the seed-5 row draws a 2 x 2 uplink of condition number
         # 1e9, full rank but over the design's guardrail: the group fails, and each row
         # runs alone, the seed-5 row to the error that names its own trial
-        bad_uplink(monkeypatch, 5, 3, [1.0, 1e-9])
+        bad_uplink(monkeypatch, 5, [1.0, 1e-9])
         configs = [NetworkConfig(K=3, M=2, N=n, seed=s) for n, s in [(2, 4), (3, 5), (4, 4)]]
         results = sweep_reports(configs, 3)
         with pytest.raises(ssa_nc.SchemeDesignError) as raised:
@@ -1025,7 +1023,7 @@ class TestSweepReports:
         # the K = 4 row's trial 1 fails its design, or the validation of
         # the pool it shares with K = 2, 3 and 5: that row alone gets the
         # error it gets alone, and every other row its report
-        bad_uplink(monkeypatch, 5, 3, diagonal)
+        bad_uplink(monkeypatch, 5, diagonal)
         configs = [NetworkConfig(K=k, M=2, N=3, seed=5 if k == 4 else 4) for k in (2, 3, 4, 5)]
         validated, _ = self.built(monkeypatch)
         results = sweep_reports(configs, 3)

@@ -21,12 +21,8 @@ from mrc_dof_lab.channel import (
     save_channels,
     shutdown_relay_antennas,
 )
-from mrc_dof_lab.linalg import (
-    pseudo_inverse_and_bound,
-    pseudo_inverse_and_rank,
-    random_gaussian_stacks,
-)
-from mrc_dof_lab.ssa_nc import SchemeDesignError, design_scheme
+from mrc_dof_lab.linalg import pseudo_inverse_and_bound, pseudo_inverse_and_rank
+from mrc_dof_lab.ssa_nc import SchemeDesignError, design_scheme, extension_plan
 
 
 def make(config):
@@ -35,6 +31,17 @@ def make(config):
 
 def make_trial(config, trial):
     return generate_channels(config, config.trial_rng(trial))
+
+
+def cn(g, count, shape):
+    """``count`` CN(0, 1) arrays of the given shape, drawn on from
+    generator g one after another, each its real then its imaginary
+    values: the per-trial oracle of every draw, written without the fill."""
+    out = []
+    for _ in range(count):
+        re = g.standard_normal(shape)
+        out.append((re + 1j * g.standard_normal(shape)) / np.sqrt(2.0))
+    return np.array(out)
 
 
 class TestNetworkConfig:
@@ -146,9 +153,17 @@ BAD_TRIAL_IDS = ["float", "numpy-float", "bool", "numpy-bool", "str", "none", "n
                  "numpy-negative", "2**64"]
 
 
+def read(reader, n):
+    """The CN(0, 1) values ``channel._fill`` draws from a reader's first
+    2n standard normal values, one row of n per trial."""
+    out = np.empty((len(reader.trials), 1, n), dtype=complex)
+    channel._fill([(reader, ((1, (n,)),), [out])])
+    return out[:, 0]
+
+
 class TestTrialStreams:
     """A TrialStreams reader gives each trial its fresh trial_rng stream,
-    bit for bit, through one Philox per read."""
+    bit for bit, through one Philox per fill."""
 
     @pytest.mark.parametrize("trial", BAD_TRIALS, ids=BAD_TRIAL_IDS)
     def test_trial_rng_rejects_bad_trial(self, trial):
@@ -164,8 +179,8 @@ class TestTrialStreams:
                              ids=["int64", "uint64-max", "int-max"])
     def test_integer_trials_accepted(self, trial):
         cfg = NetworkConfig(K=3, M=2, N=2, seed=5)
-        row = cfg.trial_streams([trial]).read(8)[0]
-        assert np.array_equal(row, cfg.trial_rng(trial).standard_normal(8))
+        row = read(cfg.trial_streams([trial]), 8)[0]
+        assert row.tobytes() == cn(cfg.trial_rng(trial), 1, (8,))[0].tobytes()
 
     @settings(derandomize=True, deadline=None, max_examples=60, database=None)
     @given(
@@ -181,50 +196,71 @@ class TestTrialStreams:
     @example(seed=2**64 - 1, trials=[2**63 + 7, 0, 2**63 + 7, 2**64 - 1, 3], n=5)
     def test_rows_are_trial_rng_streams(self, seed, trials, n):
         cfg = NetworkConfig(K=3, M=2, N=2, seed=seed)
-        got = cfg.trial_streams(trials).read(n)
-        want = [cfg.trial_rng(t).standard_normal(n) for t in trials]
+        got = read(cfg.trial_streams(trials), n)
+        want = [cn(cfg.trial_rng(t), 1, (n,))[0] for t in trials]
         assert got.shape == (len(trials), n)
         assert got.tobytes() == np.array(want).tobytes()
 
     def test_reader_known_answer(self):
-        # pinned, as test_trial_rng_known_answer: trial 1 of seed 42, read
-        # first, between and after another trial's row
-        want = [float.fromhex("0x1.bbd95443f9907p-1"), float.fromhex("0x1.df0231616e722p-1")]
-        rows = NetworkConfig(K=3, M=2, N=2, seed=42).trial_streams([1, 0, 1]).read(2)
+        # pinned, as test_trial_rng_known_answer: the CN(0, 1) value of the
+        # first two normal values of trial 1 of seed 42 (0x1.bbd95443f9907p-1
+        # and 0x1.df0231616e722p-1, each times 1 / sqrt(2)), read first,
+        # between and after another trial's row
+        want = [complex(float.fromhex("0x1.39d93da2c9034p-1"),
+                        float.fromhex("0x1.52b5d002fe74fp-1"))]
+        rows = read(NetworkConfig(K=3, M=2, N=2, seed=42).trial_streams([1, 0, 1]), 1)
         assert rows[0].tolist() == rows[2].tolist() == want
         assert rows[1].tolist() != want
 
     def test_reads_repeat(self):
-        # a reader holds no generator: every read starts each stream afresh
+        # a reader holds no generator: every fill starts each stream afresh
         reader = NetworkConfig(K=3, M=2, N=2, seed=8).trial_streams(range(2, 5))
-        assert reader.read(9).tobytes() == reader.read(9).tobytes()
+        assert read(reader, 9).tobytes() == read(reader, 9).tobytes()
+
+    @pytest.mark.parametrize("draw", [generate_channels, analysis.draw_trials],
+                             ids=["generate_channels", "draw_trials"])
+    def test_generator_list_is_rejected(self, draw):
+        # a list of per-trial generators is no source: a stack reads its
+        # trials through config.trial_streams, and the error says so
+        cfg = NetworkConfig(K=3, M=2, N=2, seed=4)
+        with pytest.raises(TypeError, match=r"config\.trial_streams\(trials\)"):
+            draw(cfg, [cfg.trial_rng(0), cfg.trial_rng(1)])
 
     def test_one_read_serves_several_seeds(self, monkeypatch):
         # readers of other seeds, trials and row lengths share one Philox,
         # and each row is its trial's fresh stream
         seeds_trials_n = [(2**64 - 1, [3, 0], 7), (5, [3], 12), (0, [2**63, 3, 3], 1)]
-        reads = [(NetworkConfig(K=3, M=2, N=2, seed=seed).trial_streams(trials),
-                  np.empty((len(trials), n))) for seed, trials, n in seeds_trials_n]
+        segments = [(NetworkConfig(K=3, M=2, N=2, seed=seed).trial_streams(trials), ((1, (n,)),),
+                     [np.empty((len(trials), 1, n), dtype=complex)])
+                    for seed, trials, n in seeds_trials_n]
         built = []
         real = np.random.Philox
         monkeypatch.setattr(np.random, "Philox", lambda *a: built.append(1) or real(*a))
-        channel._read_streams(reads)
+        channel._fill(segments)
         assert built == [1]
-        for (seed, trials, n), (_, z) in zip(seeds_trials_n, reads):
+        for (seed, trials, n), (_, _, [got]) in zip(seeds_trials_n, segments):
             cfg = NetworkConfig(K=3, M=2, N=2, seed=seed)
-            want = [cfg.trial_rng(t).standard_normal(n) for t in trials]
-            assert z.tobytes() == np.array(want).tobytes()
+            want = [cn(cfg.trial_rng(t), 1, (n,)) for t in trials]
+            assert got.tobytes() == np.array(want).tobytes()
 
     @pytest.mark.parametrize("reciprocal", [True, False], ids=["rec", "nonrec"])
     def test_draw_equals_generator_list(self, reciprocal):
+        # a reader's stack, links and further parts alike, equals each
+        # trial drawn alone from its own generator
         cfg = NetworkConfig(K=3, M=4, N=6, seed=2**63 + 1, reciprocal=reciprocal)
-        parts = [(3, (2,)), (1, (5,))]
         trials = [4, 2**63, 4]
-        got = channel.draw_channels(cfg, cfg.trial_streams(trials), parts)
-        want = channel.draw_channels(cfg, [cfg.trial_rng(t) for t in trials], parts)
-        for a, b in zip((got[0].uplink, got[0].downlink, *got[1]),
-                        (want[0].uplink, want[0].downlink, *want[1])):
-            assert a.tobytes() == b.tobytes()
+        got = generate_channels(cfg, cfg.trial_streams(trials))
+        want = [generate_channels(cfg, cfg.trial_rng(t)) for t in trials]
+        for s in range(len(trials)):
+            assert got.uplink[s].tobytes() == want[s].uplink.tobytes()
+            assert got.downlink[s].tobytes() == want[s].downlink.tobytes()
+        parts = channel._link_parts(cfg.K, cfg.M, cfg.N, reciprocal) + ((3, (2,)), (1, (5,)))
+        stacked = [np.empty((len(trials), count, *shape), dtype=complex) for count, shape in parts]
+        channel._fill([(cfg.trial_streams(trials), parts, stacked)])
+        for s, t in enumerate(trials):
+            alone = [np.empty((count, *shape), dtype=complex) for count, shape in parts]
+            channel._fill([(cfg.trial_rng(t), parts, alone)])
+            assert [a[s].tobytes() for a in stacked] == [a.tobytes() for a in alone]
 
 
 class TestGenerateChannels:
@@ -288,7 +324,7 @@ class TestDrawnCut:
     @staticmethod
     def drawn(cfg, rng):
         """The analysis's draw of one stack of one row."""
-        drawn, sent, _ = analysis._draw_one(cfg, rng, None, False, min(cfg.N, cfg.M))
+        [(drawn, sent, _)] = analysis._draw([[(cfg, rng)]], True)
         return drawn, sent
 
     @pytest.mark.parametrize("trials", [None, 3], ids=["single", "stacked"])
@@ -298,11 +334,10 @@ class TestDrawnCut:
         cfg = NetworkConfig(K=k, M=m, N=n, seed=7, reciprocal=reciprocal)
 
         def rng():
-            return cfg.trial_rng(0) if trials is None else [cfg.trial_rng(t) for t in range(trials)]
+            return cfg.trial_rng(0) if trials is None else cfg.trial_streams(range(trials))
 
         drawn, sent = self.drawn(cfg, rng())
-        full_rng = rng()
-        full = generate_channels(cfg, full_rng)
+        full = generate_channels(cfg, rng())
         cut = shutdown_relay_antennas(full)
         assert full.relay_dim == n and drawn.relay_dim == cut.relay_dim == min(n, m)
         names = [f.name for f in dataclasses.fields(ChannelSet)] + ["uplink_cond", "downlink_cond"]
@@ -311,9 +346,13 @@ class TestDrawnCut:
             assert got.shape == want.shape and got.dtype == want.dtype, name
             assert got.flags.c_contiguous == want.flags.c_contiguous, name
             assert got.tobytes() == want.tobytes(), name
-        # the symbols follow the whole N x M draw in the stream, as before
-        more = random_gaussian_stacks([(k, sent.shape[-1:])], full_rng)[0]
-        assert more.tobytes() == sent.tobytes()
+        # the symbols follow the whole N x M draw in each trial's stream
+        more = []
+        for t in range(trials or 1):
+            g = cfg.trial_rng(t)
+            generate_channels(cfg, g)
+            more.append(cn(g, k, sent.shape[-1:]))
+        assert np.reshape(more, sent.shape).tobytes() == sent.tobytes()
 
     @pytest.mark.parametrize("reciprocal", [True, False])
     @pytest.mark.parametrize("k,m,n", [(3, 4, 6), (4, 2, 5)])
@@ -322,9 +361,8 @@ class TestDrawnCut:
         # share its pool and its validation, and the stack drawn alone
         cfg = NetworkConfig(K=k, M=m, N=n, seed=7, reciprocal=reciprocal)
         other = dataclasses.replace(cfg, K=k + 1, seed=8)
-        stacks = [analysis._Stack((c,), 0, 3) for c in (other, cfg)]
         rows = [analysis._stack_rows((c,), 3, 0, 3) for c in (other, cfg)]
-        [_, (pooled, sent)] = analysis._draw_batch(stacks, rows)
+        [_, (pooled, sent, _)] = analysis._draw(rows, True)
         lone, lone_sent = self.drawn(cfg, cfg.trial_streams(range(3)))
         names = [f.name for f in dataclasses.fields(ChannelSet)] + ["uplink_cond", "downlink_cond"]
         for name in names:
@@ -337,23 +375,131 @@ class TestDrawnCut:
         # rows are parallel: the kept 4 x 4 block, the one the scheme
         # uses, is rank deficient, and the drawn stack is rejected
         cfg = NetworkConfig(K=3, M=4, N=6, seed=7)
-        real = channel._read_streams
-        full = []
+        full = np.array(generate_channels(cfg, cfg.trial_rng(1)).uplink[2])
+        full[1] = 2.0 * full[0]
+        assert pseudo_inverse_and_rank(full)[1] == 4
+        real = channel._fill
 
-        def parallel_rows(reads):
-            real(reads)
-            for streams, z in reads:
-                # trial 1's uplinks: (user, real or imaginary part, row, column)
-                uplinks = z[streams.trials.index(1), : 3 * 2 * 6 * 4].reshape(3, 2, 6, 4)
-                uplinks[2, :, 1] = 2.0 * uplinks[2, :, 0]
-                full.append(uplinks[2, 0] + 1j * uplinks[2, 1])
+        def parallel_rows(segments):
+            real(segments)
+            for source, _, targets in segments:
+                # the kept rows of trial 1's uplinks: (user, row, column)
+                uplinks = targets[0][source.trials.index(1)]
+                uplinks[2, 1] = 2.0 * uplinks[2, 0]
 
-        monkeypatch.setattr(channel, "_read_streams", parallel_rows)
+        monkeypatch.setattr(channel, "_fill", parallel_rows)
         with pytest.raises(ValueError, match="rank deficient"):
             self.drawn(cfg, cfg.trial_streams(range(3)))
-        assert pseudo_inverse_and_rank(full[0])[1] == 4
         with pytest.raises(ValueError, match="rank deficient"):
             analysis.verify_noiseless(cfg, 3)
+
+
+def oracle(cfg, trial, cut, noise):
+    """One trial drawn alone from its ``trial_rng`` generator, part after
+    part, without the fill: the full N x M set (cut by
+    ``shutdown_relay_antennas`` when ``cut``), then the symbols, then the
+    relay's and the users' noise."""
+    g = cfg.trial_rng(trial)
+    K, M, N = cfg.K, cfg.M, cfg.N
+    uplink = cn(g, K, (N, M))
+    downlink = uplink.swapaxes(-1, -2).copy() if cfg.reciprocal else cn(g, K, (M, N))
+    full = ChannelSet(uplink=uplink, downlink=downlink)
+    base, L, d = extension_plan(K, M, N)
+    drawn = [shutdown_relay_antennas(full) if cut else full, cn(g, K, (d,))]
+    if noise:
+        drawn += [cn(g, 1, (L * base,))[0], cn(g, K, (L * M,))]
+    return drawn
+
+
+@st.composite
+def draw_batches(draw):
+    """Stacks that may share one pool: one M, kept relay count and
+    reciprocity mode, and a K per stack. A stack is one trial of one
+    generator, or rows of N with that kept count (any N when cut), each
+    row's trials split into one or more reader segments."""
+    M = draw(st.integers(1, 4))
+    kept = draw(st.integers(1, M))
+    cut = draw(st.booleans())
+    choices = [kept] if kept < M else [M, M + 1, M + 3]
+    Ns = choices if cut else [draw(st.sampled_from(choices))]
+    reciprocal, noise = draw(st.booleans()), draw(st.booleans())
+    trial = st.one_of(st.integers(0, 9), st.integers(0, 2**64 - 1))
+    stacks = []
+    for K in draw(st.lists(st.integers(2, 4), min_size=1, max_size=3)):
+        def config(N):
+            return NetworkConfig(K=K, M=M, N=N, reciprocal=reciprocal,
+                                 seed=draw(st.sampled_from([0, 7, 2**64 - 1])))
+
+        if draw(st.booleans()):
+            stacks.append([(config(draw(st.sampled_from(Ns))), draw(trial))])
+            continue
+        rows = []
+        for _ in range(draw(st.integers(1, 3))):
+            cfg = config(draw(st.sampled_from(Ns)))
+            trials = draw(st.lists(trial, min_size=1, max_size=4))
+            # whether the row's trials split into reader segments after each trial
+            gaps = draw(st.lists(st.booleans(), min_size=len(trials) - 1, max_size=len(trials) - 1))
+            cuts = [i + 1 for i, split in enumerate(gaps) if split]
+            for lo, hi in zip([0] + cuts, cuts + [len(trials)]):
+                rows.append((cfg, trials[lo:hi]))
+        stacks.append(rows)
+    return cut, noise, stacks
+
+
+class TestFill:
+    """Every draw of the analysis, a lone stack, a batch whose stacks of
+    several K share a pool, a given set's symbols, the noise re-read and a
+    one-trial generator, goes through ``channel._fill``, and each of its
+    arrays is bit for bit what the trial's own generator gives drawn alone:
+    the full N x M set cut to the kept relay antennas, then the symbols,
+    then the noise."""
+
+    NAMES = [f.name for f in dataclasses.fields(ChannelSet)]
+
+    @staticmethod
+    def sources(stacks):
+        """Each (config, trial or trials) segment with its source: the
+        trial's generator, or a reader of the trials."""
+        return [[(cfg, cfg.trial_rng(t) if isinstance(t, int) else cfg.trial_streams(t))
+                 for cfg, t in rows] for rows in stacks]
+
+    @settings(derandomize=True, deadline=None, max_examples=60, database=None)
+    @given(batch=draw_batches())
+    def test_every_array_equals_the_per_trial_oracle(self, batch):
+        cut, noise, stacks = batch
+        given = make(stacks[0][0][0])
+        drawn = analysis._draw(self.sources(stacks), cut, noise=noise)
+        symbols = analysis._draw(self.sources(stacks), cut, given, noise)
+        reread = analysis._draw(self.sources(stacks), cut, noise=True, only_noise=True)
+        for rows, *outs in zip(stacks, drawn, symbols, reread):
+            (channels, sent, noise_pair), (same, given_sent, given_noise), reread = outs
+            no_set, no_sent, noisy = reread
+            assert same is given and no_set is None and no_sent is None
+            lone = isinstance(rows[0][1], int)
+            trials = [(cfg, t) for cfg, ts in rows for t in ([ts] if lone else ts)]
+            for s, (cfg, t) in enumerate(trials):
+                at = () if lone else (s,)
+                want_set, want_sent, *want_noise = oracle(cfg, t, cut, noise)
+                for name in self.NAMES:
+                    got, want = getattr(channels, name)[at], getattr(want_set, name)
+                    assert got.shape == want.shape and got.tobytes() == want.tobytes(), name
+                assert sent[at].tobytes() == want_sent.tobytes()
+                assert noise_pair is None if not noise else (
+                    [a[at].tobytes() for a in noise_pair] == [a.tobytes() for a in want_noise])
+                # the re-read reads the whole noisy draw and keeps its noise
+                want_noisy = oracle(cfg, t, cut, True)[2:]
+                assert [a[at].tobytes() for a in noisy] == [a.tobytes() for a in want_noisy]
+                # a given set's draw reads the symbols, then any noise, from
+                # the start of the trial's stream
+                g = cfg.trial_rng(t)
+                assert given_sent[at].tobytes() == cn(g, cfg.K, want_sent.shape[-1:]).tobytes()
+                if noise:
+                    relay = cn(g, 1, want_noise[0].shape)[0]
+                    users = cn(g, cfg.K, want_noise[1].shape[-1:])
+                    assert [a[at].tobytes() for a in given_noise] == [relay.tobytes(),
+                                                                       users.tobytes()]
+                else:
+                    assert given_noise is None
 
 
 class TestSerialization:
@@ -378,6 +524,13 @@ class TestSerialization:
             (lambda doc: [doc], "JSON object"),
             (lambda doc: {k: v for k, v in doc.items() if k != "downlink"}, "'downlink'"),
             (lambda doc: {**doc, "L": [1]}, "L must be an integer"),
+            # JSON numbers and strings that int() or == 1 would take as L = 1,
+            # and a header that == would take as K = 3
+            (lambda doc: {**doc, "L": 1.5}, "L must be an integer, not L=1.5"),
+            (lambda doc: {**doc, "L": True}, "L must be an integer, not L=True"),
+            (lambda doc: {**doc, "L": "1"}, "L must be an integer, not L='1'"),
+            (lambda doc: {**doc, "L": 1.0}, "L must be an integer, not L=1.0"),
+            (lambda doc: {**doc, "K": 3.0}, "K must be an integer, not K=3.0"),
             (lambda doc: {**doc, "uplink": 3.0}, "[re, im] pairs"),
             (lambda doc: {**doc, "uplink": [[[[1.0, 0.0, 2.0]]]] * 3}, "[re, im] pairs"),
             (lambda doc: {k: v for k, v in doc.items() if k != "N"}, "'N'"),
@@ -385,8 +538,9 @@ class TestSerialization:
             (lambda doc: {**doc, "N": "1"}, "N='1'"),
         ],
         ids=[
-            "not-an-object", "no-downlink", "list-L", "bare-number-link", "triple-entry",
-            "no-N", "wrong-K-and-M", "string-N",
+            "not-an-object", "no-downlink", "list-L", "float-L", "bool-L", "string-L",
+            "whole-float-L", "float-K", "bare-number-link", "triple-entry", "no-N",
+            "wrong-K-and-M", "string-N",
         ],
     )
     def test_malformed_document_rejected(self, damage, message):
@@ -397,7 +551,7 @@ class TestSerialization:
 
     def test_stack_cannot_be_encoded(self):
         cfg = NetworkConfig(K=3, M=2, N=2, seed=14)
-        stack = generate_channels(cfg, [cfg.trial_rng(t) for t in range(2)])
+        stack = generate_channels(cfg, cfg.trial_streams(range(2)))
         with pytest.raises(ValueError, match="only one trial's channel set can be encoded"):
             channels_to_json_dict(stack)
         channels_to_json_dict(stack.select(0))
@@ -431,7 +585,7 @@ class TestChannelSetValidation:
 
     def test_rejects_rank_deficient_trial_of_a_stack(self):
         cfg = NetworkConfig(K=3, M=2, N=2, seed=15)
-        stack = generate_channels(cfg, [cfg.trial_rng(t) for t in range(3)])
+        stack = generate_channels(cfg, cfg.trial_streams(range(3)))
         assert stack.stack_shape == (3,) and stack.num_users == 3
         uplink = stack.uplink.copy()
         uplink[1, 2] = np.ones((2, 2))
@@ -527,7 +681,7 @@ class TestStoredDecomposition:
         return NetworkConfig(K=4, M=4, N=3, seed=17, reciprocal=self.RECIPROCAL)
 
     def stack(self):
-        return generate_channels(self.cfg, [self.cfg.trial_rng(t) for t in range(3)])
+        return generate_channels(self.cfg, self.cfg.trial_streams(range(3)))
 
     def test_one_trial(self):
         cs = make(self.cfg)
@@ -585,7 +739,7 @@ class TestReciprocalShortcut:
     CFG = NetworkConfig(K=3, M=4, N=3, seed=19)
 
     def stack(self):
-        return generate_channels(self.CFG, [self.CFG.trial_rng(t) for t in range(2)])
+        return generate_channels(self.CFG, self.CFG.trial_streams(range(2)))
 
     def test_reciprocal_stack_factors_uplink_only(self, lapack_calls):
         cs = self.stack()
@@ -647,7 +801,7 @@ class TestBoundFallback:
     ILL = np.array([1.0, 1.0, 2.5e-10])
 
     def drawn(self):
-        return generate_channels(self.CFG, [self.CFG.trial_rng(t) for t in range(3)])
+        return generate_channels(self.CFG, self.CFG.trial_streams(range(3)))
 
     def with_ill_matrix(self):
         """The drawn stack with trial 1's user 2 ill conditioned, reciprocal."""

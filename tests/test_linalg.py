@@ -7,12 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mrc_dof_lab import channel
 from mrc_dof_lab.linalg import (
     BOUND_MARGIN,
     RANK_TOL,
     pseudo_inverse_and_bound,
     pseudo_inverse_and_rank,
-    random_gaussian_stacks,
     subspace_distance,
 )
 
@@ -22,9 +22,11 @@ def rng(seed=0):
 
 
 def gaussian_stack(count, shape, g):
-    """``count`` CN(0, 1) arrays of the given shape: one part of
-    ``random_gaussian_stacks``."""
-    return random_gaussian_stacks([(count, shape)], g)[0]
+    """``count`` CN(0, 1) arrays of the given shape, drawn on from
+    generator g by the channel draw's one fill."""
+    out = np.empty((count, *shape), dtype=complex)
+    channel._fill([(g, ((count, shape),), [out])])
+    return out
 
 
 def gaussian(shape, g):
@@ -38,6 +40,8 @@ def pinv(a):
 
 
 class TestRandomGaussian:
+    """The CN(0, 1) draw of ``channel._fill`` from one generator."""
+
     def test_same_seed_same_matrix(self):
         a = gaussian_stack(1, (2, 3), rng(123))
         b = gaussian_stack(1, (2, 3), rng(123))
@@ -64,13 +68,14 @@ class TestRandomGaussian:
             gaussian_stack(0, (2, 3), rng())
 
     def test_stack_equals_draws_one_after_another(self):
-        # one standard_normal call per generator gives the bits of drawing
-        # each array's real and imaginary part in turn, and row s of a
-        # stack comes from generator s alone
-        got = gaussian_stack(3, (2, 4), [rng(5), rng(6)])
-        assert got.shape == (2, 3, 2, 4)
-        for s, seed in enumerate((5, 6)):
-            g = rng(seed)
+        # one standard_normal call per trial gives the bits of drawing each
+        # array's real and imaginary part in turn, and row s of a reader's
+        # stack comes from trial s's generator alone
+        cfg = channel.NetworkConfig(K=2, M=2, N=2, seed=11)
+        got = np.empty((2, 3, 2, 4), dtype=complex)
+        channel._fill([(cfg.trial_streams([5, 6]), ((3, (2, 4)),), [got])])
+        for s, trial in enumerate((5, 6)):
+            g = cfg.trial_rng(trial)
             for i in range(3):
                 re = g.standard_normal((2, 4))
                 im = g.standard_normal((2, 4))
@@ -80,15 +85,20 @@ class TestRandomGaussian:
         assert np.array_equal(vectors, [gaussian((3,), g) for _ in range(2)])
 
     def test_parts_equal_draws_one_after_another(self):
-        # one call for several parts gives each part the bits of drawing
-        # the parts one after another, with or without a trial axis
-        parts = [(2, (3,)), (1, (2, 2)), (3, (1,))]
-        for g in (rng(8), [rng(8), rng(9)]):
-            drawn = random_gaussian_stacks(parts, g)
-            again = rng(8) if isinstance(g, np.random.Generator) else [rng(8), rng(9)]
+        # one fill of several parts gives each part the bits of drawing the
+        # parts one after another, from a generator or a reader's trials
+        parts = ((2, (3,)), (1, (2, 2)), (3, (1,)))
+        cfg = channel.NetworkConfig(K=2, M=2, N=2, seed=8)
+        for source, again, lead in ((lambda: rng(8), lambda: [rng(8)], ()),
+                                    (lambda: cfg.trial_streams([8, 9]),
+                                     lambda: [cfg.trial_rng(8), cfg.trial_rng(9)], (2,))):
+            drawn = [np.empty(lead + (count, *shape), dtype=complex) for count, shape in parts]
+            channel._fill([(source(), parts, drawn)])
+            gens = again()
             for got, (count, shape) in zip(drawn, parts):
-                want = gaussian_stack(count, shape, again)
-                assert got.shape == want.shape and got.tobytes() == want.tobytes()
+                want = np.array([gaussian_stack(count, shape, g) for g in gens])
+                want = want.reshape(got.shape)
+                assert got.tobytes() == want.tobytes()
 
 
 class TestPseudoInverse:

@@ -11,15 +11,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mrc_dof_lab import analysis, ssa_nc
+from mrc_dof_lab import analysis, channel, ssa_nc
 from mrc_dof_lab.analysis import draw_trials, stream_sinrs, verify_noiseless
 from mrc_dof_lab.bounds import check_percut_bounds, cutset_dof, total_dof
 from mrc_dof_lab.channel import ChannelSet, NetworkConfig, generate_channels
-from mrc_dof_lab.linalg import (
-    BOUND_MARGIN,
-    random_gaussian_stacks,
-    subspace_distance,
-)
+from mrc_dof_lab.linalg import BOUND_MARGIN, subspace_distance
 from mrc_dof_lab.ssa_nc import (
     COND_LIMIT,
     SchemeDesignError,
@@ -35,9 +31,17 @@ from mrc_dof_lab.ssa_nc import (
 )
 
 
+def gaussian_stack(count, n, g):
+    """``count`` CN(0, 1) vectors of length n, drawn on from generator g
+    as one (count, (n,)) part of a trial's draw."""
+    out = np.empty((count, n), dtype=complex)
+    channel._fill([(g, ((count, (n,)),), [out])])
+    return out
+
+
 def gaussian_vector(n, g):
     """One length-n CN(0, 1) vector from generator g."""
-    return random_gaussian_stacks([(1, (n,))], g)[0][0]
+    return gaussian_stack(1, n, g)[0]
 
 
 def designed(k, m, n, seed=0, trial=0, **config):
@@ -50,7 +54,7 @@ def designed(k, m, n, seed=0, trial=0, **config):
 
 def drawn_round(cfg, rng, P, noise=False):
     """(plan, trace) of one round of the trials of ``rng``, one generator
-    or a sequence, drawn the way the analysis draws them."""
+    or a trial-stream reader, drawn the way the analysis draws them."""
     channels, sent, noise_pair = draw_trials(cfg, rng, noise=noise)
     plan = design_scheme(cfg, channels)
     return plan, run_round(plan, P, sent, noise_pair)
@@ -273,7 +277,7 @@ class TestIdentitySubspaces:
     @pytest.mark.parametrize("trials", [None, 2], ids=["single", "stacked"])
     def test_plan_is_pinv_blocks_and_identity_blocks(self, k, m, n, trials):
         cfg = NetworkConfig(K=k, M=m, N=n, seed=7, reciprocal=False)
-        rng = cfg.trial_rng(0) if trials is None else [cfg.trial_rng(t) for t in range(trials)]
+        rng = cfg.trial_rng(0) if trials is None else cfg.trial_streams(range(trials))
         plan = design_scheme(cfg, generate_channels(cfg, rng))
         eff = plan.channels
         d, n_eff = plan.d, plan.effective_N
@@ -293,12 +297,12 @@ class TestIdentitySubspaces:
     @pytest.mark.parametrize("k,m,n", CASES)
     def test_relay_and_broadcast_equal_identity_products(self, k, m, n):
         cfg = NetworkConfig(K=k, M=m, N=n, seed=8)
-        rngs = [cfg.trial_rng(t) for t in range(2)]
-        plan = design_scheme(cfg, generate_channels(cfg, rngs))
+        plan = design_scheme(cfg, generate_channels(cfg, cfg.trial_streams(range(2))))
         eff = plan.channels
         P = 3.0
-        s = gaussian_vector(2 * k * plan.d, rngs[0]).reshape(2, k, plan.d)
-        noise = random_gaussian_stacks([(1, (plan.effective_N,))], rngs)[0][:, 0]
+        g = np.random.default_rng(8)
+        s = gaussian_vector(2 * k * plan.d, g).reshape(2, k, plan.d)
+        noise = gaussian_stack(2, plan.effective_N, g)
         y_r = mac_phase(plan, s, P, noise)
         a = plan.power_scale[:, None, None] * np.sqrt(P)
         want = (plan.relay_filter @ y_r[:, None, :, None])[..., 0] / a
@@ -317,7 +321,7 @@ class TestIdentitySubspaces:
         # with one it sums user 0's L equal slots as L times one, and every
         # budget without the zeros, so only the summation order differs
         cfg = NetworkConfig(K=k, M=m, N=n, seed=10)
-        plan = design_scheme(cfg, generate_channels(cfg, [cfg.trial_rng(t) for t in range(40)]))
+        plan = design_scheme(cfg, generate_channels(cfg, cfg.trial_streams(range(40))))
         own = np.ascontiguousarray(plan.V1).sum(axis=-3, keepdims=True)
         tx = np.concatenate([own, plan.Vj], axis=-3)
         budgets = np.sum(tx.real**2 + tx.imag**2, axis=(-2, -1))
@@ -349,17 +353,8 @@ class TestIdentitySubspaces:
                 assert not plan.rx_filter[u, p][:, rest].any()
 
 
-def _same_state(a, b):
-    """Whether two bit-generator states are equal, entry by entry: Philox's
-    counter, key and buffer are arrays, which == cannot compare."""
-    if isinstance(a, dict):
-        return a.keys() == b.keys() and all(_same_state(a[key], b[key]) for key in a)
-    return np.array_equal(a, b)
-
-
 def _stacked_plan(cfg, trials):
-    rngs = [cfg.trial_rng(t) for t in trials]
-    return design_scheme(cfg, generate_channels(cfg, rngs))
+    return design_scheme(cfg, generate_channels(cfg, cfg.trial_streams(trials)))
 
 
 # K=3, M=3, N=2 at seed 7: the guards of trials 0-7 are 1.68, 2.46, 2.51,
@@ -459,8 +454,7 @@ class TestConditionGuard:
     )
 
     def channels(self):
-        rngs = [self.CFG.trial_rng(t) for t in range(len(self.KAPPAS))]
-        drawn = generate_channels(self.CFG, rngs)
+        drawn = generate_channels(self.CFG, self.CFG.trial_streams(range(len(self.KAPPAS))))
         uplink = np.array(drawn.uplink)
         for t, kappa in enumerate(self.KAPPAS):
             u, _, vh = np.linalg.svd(uplink[t, 1])
@@ -503,7 +497,7 @@ class TestConditionGuard:
         # link of a non-reciprocal stack: the bounds' early return must not
         # pass it, and that trial alone is read exactly, one SVD per link
         cfg = NetworkConfig(K=2, M=2, N=2, seed=23, reciprocal=False)
-        drawn = generate_channels(cfg, [cfg.trial_rng(t) for t in range(6)])
+        drawn = generate_channels(cfg, cfg.trial_streams(range(6)))
         links = {"uplink": np.array(drawn.uplink), "downlink": np.array(drawn.downlink)}
         u, _, vh = np.linalg.svd(links[link][4, 1])
         links[link][4, 1] = (u * [1.0, 1e-9]) @ vh
@@ -537,7 +531,7 @@ def _single_runs(cfg, trials):
 
 def _stacked_run(cfg, trials):
     """(plan, noisy trace, SINRs) of the trials designed and run as one stack."""
-    plan, trace = drawn_round(cfg, [cfg.trial_rng(trial) for trial in trials], 10.0, noise=True)
+    plan, trace = drawn_round(cfg, cfg.trial_streams(trials), 10.0, noise=True)
     return plan, trace, stream_sinrs(plan, 3.0)
 
 
@@ -597,8 +591,7 @@ class TestTrialStacks:
         cfg = NetworkConfig(K=k, M=m, N=n, seed=7, reciprocal=reciprocal)
         channels = generate_channels(cfg, cfg.trial_rng(0))
         plan = design_scheme(cfg, channels)
-        rngs = [cfg.trial_rng(trial) for trial in range(3)]
-        _, sent, (relay, user) = draw_trials(cfg, rngs, channels, noise=True)
+        _, sent, (relay, user) = draw_trials(cfg, cfg.trial_streams(range(3)), channels, noise=True)
         whole = run_round(plan, 10.0, sent, (relay, user))
         assert plan.stack_shape == () and whole.decoded.shape[0] == 3
         assert whole.decoded.flags.c_contiguous
@@ -615,8 +608,8 @@ class TestTrialStacks:
         # a 3-trial plan takes symbols and noise for each of its 3 trials
         cfg = NetworkConfig(K=3, M=3, N=2, seed=7)
         plan = _stacked_plan(cfg, range(3))
-        rngs = [cfg.trial_rng(trial) for trial in range(3)]
-        _, sent, (relay, user) = draw_trials(cfg, rngs, plan.channels, noise=True)
+        streams = cfg.trial_streams(range(3))
+        _, sent, (relay, user) = draw_trials(cfg, streams, plan.channels, noise=True)
         for wrong in (
             (sent[:2],),
             (sent[0],),
@@ -682,8 +675,7 @@ class TestLapackBudget:
     @pytest.mark.parametrize("k,m,n,validations", CASES)
     def test_calls_per_design(self, monkeypatch, k, m, n, validations):
         cfg = self.config(k, m, n)
-        rngs = [cfg.trial_rng(t) for t in range(2)]
-        channels = generate_channels(cfg, rngs)
+        channels = generate_channels(cfg, cfg.trial_streams(range(2)))
         calls = self.count_calls(monkeypatch)
         plan = design_scheme(cfg, channels)
         assert plan.stack_shape == (2,)
@@ -695,9 +687,8 @@ class TestLapackBudget:
         # validation is its only factorization, unless a shutdown
         # validates the cut set again
         cfg = self.config(k, m, n)
-        rngs = [cfg.trial_rng(t) for t in range(2)]
         calls = self.count_calls(monkeypatch)
-        drawn_round(cfg, rngs, 10.0, noise=True)
+        drawn_round(cfg, cfg.trial_streams(range(2)), 10.0, noise=True)
         assert calls == self.budget([(n, m)] + [(m, m)] * validations)
 
     @pytest.mark.parametrize("k,m,n", [case[:3] for case in CASES])
@@ -712,15 +703,18 @@ class TestLapackBudget:
         assert calls == self.budget([(min(n, m), m)])
 
     @pytest.mark.parametrize("k,m,n,validations", CASES)
-    def test_design_draws_nothing(self, k, m, n, validations):
+    def test_design_draws_nothing(self, monkeypatch, k, m, n, validations):
+        # the design opens no random stream, of a stack or of one trial
         cfg = self.config(k, m, n)
-        rngs = [cfg.trial_rng(t) for t in range(2)]
-        channels = generate_channels(cfg, rngs)
-        before = [g.bit_generator.state for g in rngs]
+        channels = generate_channels(cfg, cfg.trial_streams(range(2)))
+
+        def no_stream(*args, **kwargs):
+            raise AssertionError("the design opened a random stream")
+
+        for name in ("Generator", "Philox", "default_rng"):
+            monkeypatch.setattr(np.random, name, no_stream)
         design_scheme(cfg, channels)
         design_scheme(cfg, channels.select([1]))
-        for g, state in zip(rngs, before):
-            assert _same_state(g.bit_generator.state, state)
 
 
 class TestLapackBudgetIndependent(TestLapackBudget):
@@ -823,10 +817,9 @@ class TestMacPhase:
         # user order: bit for bit the spread of every image over the slots,
         # zeros included, summed over the users
         cfg = NetworkConfig(K=k, M=m, N=n, seed=31)
-        rngs = [cfg.trial_rng(t) for t in range(3)]
-        plan = design_scheme(cfg, generate_channels(cfg, rngs))
+        channels, s, _ = draw_trials(cfg, cfg.trial_streams(range(3)))
+        plan = design_scheme(cfg, channels)
         assert plan.extension_factor == L
-        s = random_gaussian_stacks([(k, (plan.d,))], rngs)[0]
         P = 7.0
         a = (plan.power_scale * np.sqrt(P))[:, np.newaxis, np.newaxis, np.newaxis]
         images = (plan.channels.uplink @ (a * (plan.beamformers @ s[..., np.newaxis])))[..., 0]
@@ -950,22 +943,19 @@ class TestDownlinkAndDecode:
         # round adds the noise it is given
         cfg = NetworkConfig(K=k, M=m, N=n, seed=19)
 
-        def rngs():
-            gens = [cfg.trial_rng(t) for t in range(trials or 1)]
-            return gens if trials else gens[0]
-
-        plan, trace = drawn_round(cfg, rngs(), 5.0, noise=True)
-        g = rngs()
-        channels = generate_channels(cfg, g)
+        rng = cfg.trial_rng(0) if trials is None else cfg.trial_streams(range(trials))
+        plan, trace = drawn_round(cfg, rng, 5.0, noise=True)
+        # each trial's generator, drawn on part by part
+        drawn = []
+        for t in range(trials or 1):
+            g = cfg.trial_rng(t)
+            drawn.append((generate_channels(cfg, g).uplink, gaussian_stack(k, plan.d, g),
+                          gaussian_vector(plan.effective_N, g),
+                          gaussian_stack(k, plan.effective_M, g)))
+        uplink, sent, relay_noise, user_noise = (
+            np.stack(a) if trials else a[0] for a in zip(*drawn))
         kept = plan.channels.relay_dim  # after any shutdown
-        assert np.array_equal(channels.uplink[..., :kept, :], plan.channels.uplink)
-
-        def draw(count, n):
-            return random_gaussian_stacks([(count, (n,))], g)[0]
-
-        sent = draw(k, plan.d)
-        relay_noise = draw(1, plan.effective_N)[..., 0, :]
-        user_noise = draw(k, plan.effective_M)
+        assert np.array_equal(uplink[..., :kept, :], plan.channels.uplink)
         relay_rx = mac_phase(plan, sent, 5.0, relay_noise)
         user_rx = bc_phase(plan, relay_process(plan, relay_rx, 5.0), 5.0, user_noise)
         for got, want in ((trace.sent, sent), (trace.relay_rx, relay_rx), (trace.user_rx, user_rx)):
@@ -973,8 +963,7 @@ class TestDownlinkAndDecode:
 
     def test_round_decodes_every_user_in_one_call(self, monkeypatch):
         cfg = NetworkConfig(K=4, M=4, N=3, seed=17)
-        rngs = [cfg.trial_rng(t) for t in range(3)]
-        channels, sent, _ = draw_trials(cfg, rngs)
+        channels, sent, _ = draw_trials(cfg, cfg.trial_streams(range(3)))
         plan = design_scheme(cfg, channels)
         calls = []
         real = ssa_nc.user_decode
@@ -1062,7 +1051,7 @@ class TestImplicitExtension:
     @pytest.mark.parametrize("trials", [None, 3], ids=["single", "stacked"])
     def test_round_equals_explicit_kron_products(self, k, m, n, L, trials):
         cfg = NetworkConfig(K=k, M=m, N=n, seed=31)
-        rng = cfg.trial_rng(0) if trials is None else [cfg.trial_rng(t) for t in range(trials)]
+        rng = cfg.trial_rng(0) if trials is None else cfg.trial_streams(range(trials))
         P = 4.0
         plan, trace = drawn_round(cfg, rng, P)
         eff = plan.channels
@@ -1144,7 +1133,7 @@ class TestAllocationAndPlan:
         assert trace.user_rx.shape == (k, u)
         assert trace.decoded.shape == (k, k - 1, d)
         assert trace.decoded.flags.c_contiguous
-        _, stacked = drawn_round(cfg, [cfg.trial_rng(t) for t in range(2)], 10.0, noise=True)
+        _, stacked = drawn_round(cfg, cfg.trial_streams(range(2)), 10.0, noise=True)
         assert stacked.decoded.shape == (2, k, k - 1, d)
         assert stacked.decoded.flags.c_contiguous
 

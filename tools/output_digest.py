@@ -105,7 +105,7 @@ def trace_lines(label: str, config: NetworkConfig):
     for stacked, noise_on in itertools.product((False, True), (False, True)):
         tag = f"trace {label} {'stack' if stacked else 'single'} noise={int(noise_on)}"
         if stacked:
-            rng = [config.trial_rng(t) for t in range(STACK_TRIALS)]
+            rng = config.trial_streams(range(STACK_TRIALS))
         else:
             rng = config.trial_rng(0)
         P = NOISY_P if noise_on else 1.0
