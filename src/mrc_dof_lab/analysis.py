@@ -2,25 +2,30 @@
 
 Noiseless runs certify interference-freeness (every decoded symbol must
 reproduce its transmitted value to near machine precision). For noisy
-operation, per-stream SINRs follow in closed form from the designed
-filters, and the DoF shows up as the slope of the sum rate against
-log2(P); the chain is linear, so power only scales a unit-power round.
+operation, everything follows in closed form from the designed filters:
+the chain is linear, so power only scales a unit-power round, and each
+decoded entry's error is a fixed linear map of unit-variance noise. The
+per-stream SINRs (``stream_sinrs``) give the DoF as the slope of the sum
+rate against log2(P), and each decoded entry's error variance
+(``decode_error_variance``) gives the decode MSE exactly, with no noise
+drawn.
 Each trial draws from its own stream, ``NetworkConfig.trial_rng``:
 Philox keyed by (seed, trial index), so every trial is reproducible,
 independent of the execution order, and independent of every other
 (seed, trial) pair's. A trial draws once, before any design: one
-standard_normal call gives its channel, then its symbols, then, for the
-MSE sweep, its noise. One routine, ``_draw``, makes every draw: that of
-``draw_trials``, for one trial or a stack, and the entry points' batches
-(below). It reads a batch through one ``channel._fill`` call: one Philox,
-re-keyed to each trial, which gives every trial its fresh stream and
-opens no generator per trial, and writes each trial's values in place,
-its channel cut to the relay antennas kept.
+standard_normal call gives its channel, then its symbols, then, when
+``draw_trials`` is asked for it, its noise. One routine, ``_draw``, makes
+every draw: that of ``draw_trials``, for one trial or a stack, and the
+entry points' batches (below). It reads a batch through one
+``channel._fill`` call: one Philox, re-keyed to each trial, which gives
+every trial its fresh stream and opens no generator per trial, and
+writes each trial's values in place, its channel cut to the relay
+antennas kept.
 
 The trials of one configuration are designed and run as stacks along a
-leading trial axis: one ``ssa_nc.design_scheme`` and one
-``ssa_nc.run_round`` call per stack serve all its trials, whatever the
-length of the power grid. Plans are stored at physical size, and a stack
+leading trial axis: one ``ssa_nc.design_scheme`` call per stack, and in
+the audit one ``ssa_nc.run_round`` call, serve all its trials, whatever
+the length of the power grid. Plans are stored at physical size, and a stack
 holds up to STACK_ELEMENTS entries of each of its plan's stored
 pseudoinverses, so K = 8, M = N = 8 (56 x 56 after extension) runs 64
 trials per stack. A trial draws the same values in any stack, so every
@@ -29,8 +34,9 @@ once, and every stack runs its symbols through that one-trial plan,
 which the round functions broadcast over the stack. Two loops run the
 stacks: ``_audit``, behind ``verify_noiseless``, ``simulate_report`` and
 ``sweep_reports``, takes each stack's noiseless errors and, given a power
-grid, its SINRs for the slope fit; ``decode_mse_sweep`` takes its noisy
-errors. Every entry point checks its power grid, then its trial count.
+grid, its SINRs for the slope fit; ``decode_mse_sweep`` takes each
+stack's error variances and runs no round. Every entry point checks its
+power grid, then its trial count.
 
 A sweep groups its configurations by kept relay shape: K, M,
 min(N, M) and reciprocity. Each group's rows, their trials in row order,
@@ -51,17 +57,11 @@ stack of one row: the same draw, whose pool is the stack's own array.
 A sweep whose audit raises a row error is audited again group by group,
 and a group that raises one row by row.
 
-The audit of a group of one hands its last drawn stack to the MSE
-sweep: a sweep over the same configuration and trials right after it, as
-in checking a configuration's slope and then its MSE, takes that stack's
-plan and symbols and validates and designs nothing. The hand-off holds
-the plan, the symbols and the trials' reader (a seed and trial indices,
-no live generator); the sweep re-reads each of those trials from its
-start, channel, symbols and noise in one call, and writes only the
-noise into complex arrays; the one scaling pass over the raw values
-covers the skipped parts too.
-The hand-off is one-way: the audit always draws and designs its own
-stacks.
+The audit of a group of one hands its last designed stack's plan to the
+MSE sweep: a sweep over the same configuration and trials right after
+it, as in checking a configuration's slope and then its MSE, takes that
+plan and draws, validates and designs nothing for that stack. The
+hand-off is one-way: the audit always draws and designs its own stacks.
 """
 
 from __future__ import annotations
@@ -166,6 +166,11 @@ def _kept_shape(config: NetworkConfig) -> tuple:
 
 
 def _check_trials(trials: int) -> None:
+    """A trial count is a positive int or numpy integer, not a bool, as
+    ``NetworkConfig`` takes its integers: a bool would count as one trial,
+    and a float or a string would fail deep inside the batching."""
+    if isinstance(trials, bool) or not isinstance(trials, (int, np.integer)):
+        raise ValueError(f"trials must be an integer, not {trials!r}")
     if trials < 1:
         raise ValueError("trials must be positive")
 
@@ -237,15 +242,14 @@ def draw_trials(config: NetworkConfig, rng, channels=None, noise=False):
 
 
 @cache
-def _trial_layout(K: int, M: int, N: int, reciprocal: bool, cut: bool, links: bool, noise: bool,
-                  only_noise: bool) -> tuple:
+def _trial_layout(K: int, M: int, N: int, reciprocal: bool, cut: bool, links: bool,
+                  noise: bool) -> tuple:
     """One trial's draw, for ``_draw``: its (count, shape) parts in stream
     order, as ``channel._fill`` reads them (with ``links`` its channel,
     ``channel._link_parts``, then every user's symbols, then with
     ``noise`` the relay's noise and each user's); the per-trial shape of
-    each part's target, None for a part read and skipped; the number of
-    channel targets, which go into pools; and the pool key: the relay
-    antennas kept, M and reciprocity."""
+    each part's target; the number of channel targets, which go into
+    pools; and the pool key: the relay antennas kept, M and reciprocity."""
     base, L, d = ssa_nc.extension_plan(K, M, N)
     n = min(N, M) if cut else N
     parts, shapes = (), ()
@@ -254,19 +258,16 @@ def _trial_layout(K: int, M: int, N: int, reciprocal: bool, cut: bool, links: bo
         shapes = ((K, n, M),) if reciprocal else ((K, n, M), (K, M, n))
     parts += ((K, (d,)),)
     shapes += ((K, d),)
-    if only_noise:
-        shapes = (None,) * len(shapes)
     if noise:
         parts += ((1, (L * base,)), (K, (L * M,)))
         shapes += ((1, L * base), (K, L * M))
-    pooled = 0 if only_noise else len(shapes) - 1 - 2 * noise
-    return parts, shapes, pooled, (n, M, reciprocal)
+    return parts, shapes, len(shapes) - 1 - 2 * noise, (n, M, reciprocal)
 
 
-def _draw(stacks, cut: bool, channels=None, noise=False, only_noise=False) -> list:
+def _draw(stacks, cut: bool, channels=None, noise=False) -> list:
     """Draw stacks of trials in one ``channel._fill`` call: the one draw
-    behind ``draw_trials``, a sweep's batches, a lone stack, a given set's
-    symbols and the hand-off's noise re-read.
+    behind ``draw_trials``, a sweep's batches, a lone stack and a given
+    set's symbols.
 
     Each stack is a list of (config, source) segments, its trials in
     order, whose configs share K, M, the relay antennas kept and
@@ -287,8 +288,6 @@ def _draw(stacks, cut: bool, channels=None, noise=False, only_noise=False) -> li
     arrays, validated at its shape, and a pool of several is validated as
     (1, matrices, n, M), of which each stack takes its trials as a view.
     A given set (``channels``) draws no channel and is each stack's set.
-    With ``only_noise`` each trial is read whole, as a noisy draw reads
-    it, and only its noise is written: (None, None, noise) per stack.
     """
     links = channels is None
     # each stack's layout, trial count (None for one generator's trial) and
@@ -296,8 +295,7 @@ def _draw(stacks, cut: bool, channels=None, noise=False, only_noise=False) -> li
     batch, sizes = [], {}
     for rows in stacks:
         config, source = rows[0]
-        layout = _trial_layout(config.K, config.M, config.N, config.reciprocal, cut, links, noise,
-                               only_noise)
+        layout = _trial_layout(config.K, config.M, config.N, config.reciprocal, cut, links, noise)
         trials = sum(len(s.trials) for _, s in rows) if isinstance(source, TrialStreams) else None
         key = layout[3]
         first = sizes.get(key, 0)
@@ -315,18 +313,17 @@ def _draw(stacks, cut: bool, channels=None, noise=False, only_noise=False) -> li
                               for shape in shapes[:pooled]]
             arrays = [a[first : first + count].reshape(lead + shape)
                       for a, shape in zip(pools[key], shapes)]
-        arrays += [None if shape is None else np.empty(lead + shape, dtype=complex)
-                   for shape in shapes[len(arrays) :]]
+        arrays += [np.empty(lead + shape, dtype=complex) for shape in shapes[len(arrays) :]]
         if len(rows) == 1:
             segments.append((rows[0][1], parts, arrays))
         else:
             start = 0
             for config, source in rows:
                 parts = _trial_layout(config.K, config.M, config.N, config.reciprocal, cut, links,
-                                      noise, only_noise)[0]
+                                      noise)[0]
                 span = slice(start, start + len(source.trials))
                 start = span.stop
-                segments.append((source, parts, [a if a is None else a[span] for a in arrays]))
+                segments.append((source, parts, [a[span] for a in arrays]))
         drawn.append((arrays, pooled, key, first, count))
     channel._fill(segments)
     out, sets = [], {}
@@ -343,15 +340,15 @@ def _draw(stacks, cut: bool, channels=None, noise=False, only_noise=False) -> li
                 lead = arrays[0].shape[:-3]
                 drawn_set = drawn_set._view(
                     lambda a: a[0, first : first + count].reshape(lead + (-1,) + a.shape[2:]))
-        sent = None if only_noise else _freeze(arrays[-3 if noise else -1])
+        sent = _freeze(arrays[-3 if noise else -1])
         noise_pair = (_freeze(arrays[-2])[..., 0, :], _freeze(arrays[-1])) if noise else None
         out.append((drawn_set, sent, noise_pair))
     return out
 
 
-# The last stack a noiseless pass drew, keyed (config, start, stop): its
-# plan, its symbols and its trials' reader, which holds no generator. Only
-# a noisy pass over the same trials reads it, and it pops it.
+# The plan of the last stack a noiseless pass designed, keyed (config,
+# start, stop). Only an MSE sweep over the same trials reads it, and it
+# pops it.
 _handoff: dict = {}
 
 
@@ -365,95 +362,76 @@ def _stack_rows(group, trials: int, start: int, stop: int) -> list:
     ]
 
 
-def _stacks(groups, trials: int, channels=None, noise=False):
+def _stacks(groups, trials: int, channels=None, take=False):
     """Draw and design the trials of groups of configurations, each group
     sharing a kept relay shape (``_kept_shape``), batch by batch
     (``_batches``): a group's rows' trials run in row order, ``trials``
     each, and a stack may hold trials of several rows, each drawn from its
-    own streams. Yields (stack, plan, sent, noise) per stack, in order: the
-    plan, its effective channels included, with a leading trial axis,
-    and sent and noise as ``draw_trials`` gives them. A batch's stacks
-    are drawn and validated together (``_draw``), then designed and
-    yielded one by one. A stack's plan is designed under its group's
-    first row with the relay cut to the kept size. Only a group of one
-    takes a given set or draws noise, and each of its batches is one
-    stack of one row, whose pool is its own array.
+    own streams. Yields (stack, plan, sent) per stack, in order: the plan,
+    its effective channels included, with a leading trial axis, and sent
+    as ``draw_trials`` gives it. A batch's stacks are drawn and validated
+    together (``_draw``), then designed and yielded one by one. A stack's
+    plan is designed under its group's first row with the relay cut to
+    the kept size. Only a group of one takes a given set or a handed-off
+    plan, and each of its batches is one stack of one row, whose pool is
+    its own array.
 
     A given set (one trial) draws no channel: it is designed once, and
     every stack yields that one-trial plan as it was designed, which the
-    round functions broadcast over the stack's symbols. Fewer than 1 trial
-    raises ValueError, before any design. A drawn stack keeps only the
-    min(N, M) relay antennas the scheme uses, and is designed as the
-    network of that relay, so each trial is validated once, at the kept
-    size; a given set is designed under the configuration itself, which
-    validates it in full and again after the relay shutdown.
+    round functions broadcast over the stack's symbols. A trial count that
+    is not a positive integer raises ValueError, before any design. A
+    drawn stack keeps only the min(N, M) relay antennas the scheme uses,
+    and is designed as the network of that relay, so each trial is
+    validated once, at the kept size; a given set is designed under the
+    configuration itself, which validates it in full and again after the
+    relay shutdown.
 
     A noiseless pass empties ``_handoff`` before each batch's draw and
-    each design, and a group of one leaves its drawn, designed stack
-    there, so only the last stack outlives the call; a given set's stacks,
-    a stack whose design fails and the stacks of a larger group are not
-    left. A noisy pass pops the stack of the same (config, start, stop),
-    if there is one, re-reads its trials from their start and writes only
-    their noise, which is, like every output, bit for bit that of a fresh
-    draw.
+    each design, and a group of one leaves its designed stack's plan
+    there, so only the last stack's outlives the call; a given set's
+    stacks, a stack whose design fails and the stacks of a larger group
+    are not left. With ``take`` (the MSE sweep, which reads only plans)
+    a stack whose plan is there, under the same (config, start, stop), is
+    yielded with that plan, popped, and no symbols: it is neither drawn
+    nor designed again, and every other stack is drawn and designed as in
+    a noiseless pass, but leaves nothing.
     """
     _check_trials(trials)
     fixed = None if channels is None else _designed(groups[0][0], channels, 0)
     for batch in _batches(groups, trials):
-        if not noise:
+        if not take:
             _handoff.clear()
-        elif fixed is None:
+        else:
             # a group of one: each batch is one stack
             [stack] = batch
-            taken = _handoff.pop((stack.group[0], stack.start, stack.stop), None)
-            if taken is not None:
-                plan, sent, streams = taken
-                [(_, _, noise_pair)] = _draw([[(stack.group[0], streams)]], True, noise=True,
-                                             only_noise=True)
-                yield stack, plan, sent, noise_pair
+            plan = _handoff.pop((stack.group[0], stack.start, stack.stop), None)
+            if plan is not None:
+                yield stack, plan, None
                 continue
         rows = [_stack_rows(stack.group, trials, stack.start, stack.stop) for stack in batch]
-        drawn = _draw(rows, True, channels, noise)
-        for stack, segments, (drawn_set, sent, noise_pair) in zip(batch, rows, drawn):
+        for stack, (drawn_set, sent, _) in zip(batch, _draw(rows, True, channels)):
             config = stack.group[0]
             if fixed is not None:
                 plan = fixed
             else:
-                if not noise:
+                if not take:
                     _handoff.clear()
                 cut = config if config.N <= config.M else replace(config, N=config.M)
                 plan = _designed(cut, drawn_set, stack.start)
-                if not noise and len(stack.group) == 1:
-                    _handoff[config, stack.start, stack.stop] = plan, sent, segments[0][1]
-            yield stack, plan, sent, noise_pair
-
-
-def _trial_stacks(group, trials: int, channels=None, noise=False):
-    """``_stacks`` of one group: (plan, sent, noise) per stack."""
-    for _, plan, sent, noise_pair in _stacks([tuple(group)], trials, channels, noise):
-        yield plan, sent, noise_pair
-
-
-def _message_sq_errors(trace: ssa_nc.TransmissionTrace, messages: np.ndarray) -> np.ndarray:
-    """Squared decode error of every (user, sender) message of a round,
-    shape (..., K, K-1), given the sent messages gathered in the order of
-    ``trace.decoded``."""
-    return np.add.reduce(np.abs(trace.decoded - messages) ** 2, axis=-1)
-
-
-def _sent_messages(trace: ssa_nc.TransmissionTrace) -> np.ndarray:
-    """The sent symbols in the order of ``trace.decoded``, (..., K, K-1, d)."""
-    return trace.sent[..., ssa_nc.sender_table(trace.sent.shape[-2]), :]
+                if not take and len(stack.group) == 1:
+                    _handoff[config, stack.start, stack.stop] = plan
+            yield stack, plan, sent
 
 
 def _noiseless_round_errors(plan: SchemePlan, sent: np.ndarray) -> np.ndarray:
     """Each trial's worst relative decode error over every user and message
     of one noiseless round of the stack."""
     trace = ssa_nc.run_round(plan, 1.0, sent)
-    messages = _sent_messages(trace)
+    # the sent symbols in the order of trace.decoded, (..., K, K-1, d)
+    messages = trace.sent[..., ssa_nc.sender_table(trace.sent.shape[-2]), :]
     # np.linalg.norm(messages, axis=-1), bit for bit
     sent_norm = np.sqrt(np.add.reduce((messages.conj() * messages).real, axis=-1))
-    err = np.sqrt(_message_sq_errors(trace, messages))
+    err = np.sqrt(np.add.reduce(np.abs(trace.decoded - messages) ** 2, axis=-1))
     return (err / np.maximum(sent_norm, 1e-300)).max(axis=(-2, -1))
 
 
@@ -466,7 +444,7 @@ def _audit(groups, trials: int, channels=None, grid=None) -> list[DofReport]:
     drawn channels come with a grid: a given set's one-trial plan has one
     row of SINRs, not one per trial."""
     reports, errors, gammas = [], [], []
-    for stack, plan, sent, _ in _stacks(groups, trials, channels):
+    for stack, plan, sent in _stacks(groups, trials, channels):
         errors.append(_noiseless_round_errors(plan, sent))
         if grid is not None:
             gammas.append(stream_sinrs(plan, 1.0).flat())
@@ -489,14 +467,23 @@ def _group_reports(group, trials: int, plan: SchemePlan, errors, gammas, grid) -
     return reports
 
 
-def _report(config: NetworkConfig, trials: int, plan: SchemePlan, errors, slope, stderr):
-    """One configuration's report from its trials' noiseless errors, the
-    plan of its last stack and its slope fit."""
-    K, M, N = config.K, config.M, config.N
+@cache
+def _bounds(K: int, M: int, N: int) -> tuple:
+    """The cut-set DoF and the private-only DoF of (K, M, N), None where
+    the regime table does not reach; every report of a sweep reads them,
+    so each (K, M, N) asks ``bounds`` once."""
     try:
         private_only = bounds.private_only_dof(K, M, N)
     except bounds.RegimeError:  # the regime table starts at K = 3
         private_only = None
+    return bounds.cutset_dof(K, M, N), private_only
+
+
+def _report(config: NetworkConfig, trials: int, plan: SchemePlan, errors, slope, stderr):
+    """One configuration's report from its trials' noiseless errors, the
+    plan of its last stack and its slope fit."""
+    K, M, N = config.K, config.M, config.N
+    cutset, private_only = _bounds(K, M, N)
     return DofReport(
         K=K,
         M=M,
@@ -504,14 +491,14 @@ def _report(config: NetworkConfig, trials: int, plan: SchemePlan, errors, slope,
         L=plan.extension_factor,
         d=plan.d,
         achieved_streams=plan.streams_per_slot,
-        cutset=bounds.cutset_dof(K, M, N),
+        cutset=cutset,
         private_only=private_only,
         slope_estimate=slope,
         slope_stderr=stderr,
         # np.max propagates NaN: a round that decoded NaN reports NaN
         # rather than vanishing from the maximum
         noiseless_max_error=float(errors.max()),
-        trials=trials,
+        trials=int(trials),
         notes="two-way relay degenerate case" if K == 2 else "",
     )
 
@@ -622,6 +609,46 @@ def stream_sinrs(plan: SchemePlan, P: float) -> StreamSinrs:
     return StreamSinrs(mac=mac, bc=bc, end_to_end=end_to_end)
 
 
+def decode_error_variance(plan: SchemePlan) -> np.ndarray:
+    """Each decoded entry's error variance in a unit-power round, (..., K,
+    K-1, d) in the order of ``TransmissionTrace.decoded``: the exact
+    expectation over the relay's and the users' unit-variance noise.
+
+    Each variance is a relay term plus a user term. The relay's estimate
+    of each pair's sum carries its noise over a = power_scale, and user
+    u's filter rows for pair p add u's noise over b = bc_scale
+    (``stream_sinrs``). User 0 takes every message off its pair's sum,
+    and user u >= 1 takes sender 0 off its own pair u-1: such a message
+    carries one pair's errors, 1/a^2 plus its rows' squared norm over
+    b^2. Every other message user u decodes is its pair's sum less u's
+    copy of sender 0, so two pairs' errors meet: 2/a^2 plus, over b^2,
+    the squared norm of the two rows' difference when both pairs share a
+    slot (L = 1), or the sum of their squared norms when they sit in
+    different slots.
+    """
+    K, L, d = plan.num_users, plan.extension_factor, plan.d
+    rows = plan.channels.downlink_pinv
+    # pairs[u, p % c]: user u's filter rows for pair p, c = n / d pairs per slot
+    pairs = rows.reshape(rows.shape[:-2] + (-1, d, rows.shape[-1]))
+    # own[u]: the rows of user u's copy of user 0's symbols, zero for u = 0
+    own = pairs[..., np.arange(1, K), np.arange(K - 1) % pairs.shape[-3], :, :]
+    own = np.concatenate([np.zeros_like(own[..., :1, :, :]), own], axis=-3)
+    own_power = _row_power(own)
+    if L == 1:
+        # every pair in the one slot: both rows filter the same noise
+        others = _row_power(pairs - own[..., np.newaxis, :, :])
+    else:
+        # pair p alone in slot p: the rows filter independent noise
+        others = np.broadcast_to(_row_power(pairs) + own_power[..., np.newaxis, :],
+                                 own_power.shape[:-1] + (K - 1, d))
+    # user[u, v]: user u's term for sender v, [u, u] unused
+    user = np.concatenate([own_power[..., np.newaxis, :], others], axis=-2)
+    relay = np.full((K, K, 1), 2.0)
+    relay[0] = relay[:, 0] = 1.0
+    a2 = np.asarray(plan.power_scale)[..., np.newaxis, np.newaxis, np.newaxis] ** 2
+    return ssa_nc._without_own(relay / a2 + user / plan.bc_scale**2)
+
+
 def _power_levels(P_grid) -> np.ndarray:
     """The powers as a float array: non-empty, finite and positive."""
     grid = np.asarray(list(P_grid), dtype=float)
@@ -672,24 +699,22 @@ def _fit_slope(config: NetworkConfig, grid: np.ndarray, gammas: np.ndarray) -> t
 
 
 def decode_mse_sweep(config: NetworkConfig, P_grid, trials: int) -> np.ndarray:
-    """Average per-symbol decode MSE at each power level, noise on.
+    """Average per-symbol decode MSE at each power level: the exact
+    expectation over the noise, averaged over the trials' channel draws.
 
-    The chain is linear and plans store amplitudes per sqrt(P), so a
-    round's error at P is its unit-power error over sqrt(P): each stack
-    runs one unit-power noisy round and the MSE at P is its MSE over P.
-    Trial errors are summed in trial order, as one trial at a time would
-    sum them. A stack the previous noiseless pass over the same
-    configuration drew and designed is taken as it is, and only its noise
-    is drawn; the result is bit for bit that of a cold sweep.
+    The chain is linear and plans store amplitudes per sqrt(P), so an
+    entry's error variance at P is its unit-power variance over P
+    (``decode_error_variance``); the sweep draws no noise and runs no
+    round. Each trial's mean variance is summed in trial order, as one
+    trial at a time would sum them. A stack the previous noiseless pass
+    over the same configuration designed is taken as its plan, and is
+    neither drawn nor designed again; the result is bit for bit that of a
+    cold sweep.
     """
     grid = _power_levels(P_grid)
-    totals = []
-    for plan, sent, noise in _trial_stacks([config], trials, noise=True):
-        trace = ssa_nc.run_round(plan, 1.0, sent, noise)
-        sq_err = _message_sq_errors(trace, _sent_messages(trace))
-        totals.append(sq_err.reshape(len(sent), -1).sum(axis=-1))
-    sq_err = np.add.accumulate(np.concatenate(totals))[-1]
-    return sq_err / (trials * config.K * (config.K - 1) * plan.d) / grid
+    means = [decode_error_variance(plan).reshape(plan.stack_shape + (-1,)).mean(axis=-1)
+             for _, plan, _ in _stacks([(config,)], trials, take=True)]
+    return np.add.accumulate(np.concatenate(means))[-1] / trials / grid
 
 
 def simulate_report(config: NetworkConfig, P_grid, trials: int) -> DofReport:
@@ -715,6 +740,7 @@ __all__ = [
     "sweep_reports",
     "StreamSinrs",
     "stream_sinrs",
+    "decode_error_variance",
     "validate_power_grid",
     "decode_mse_sweep",
     "simulate_report",

@@ -165,20 +165,19 @@ def _fill(segments) -> None:
 
     Each segment is (source, parts, targets): ``parts`` is a tuple of the
     (count, shape) arrays one trial draws in turn, and ``targets`` one
-    complex128 array, or None to skip the part, per part. A source is a
-    ``TrialStreams`` reader, whose trial s writes row s of every target,
-    or one ``np.random.Generator`` for one trial, drawn on from its state,
-    whose targets have no trial axis; any other source raises TypeError.
+    complex128 array per part. A source is a ``TrialStreams`` reader,
+    whose trial s writes row s of every target, or one
+    ``np.random.Generator`` for one trial, drawn on from its state, whose
+    targets have no trial axis; any other source raises TypeError.
     A trial takes one standard_normal call: each part's block (count, 2,
     *shape) in turn, each array's real then imaginary values, bit for bit
     what drawing the parts one after another gives. A target holds the
     leading block of its part's shape (the kept relay antennas: an
     uplink's first rows, a downlink's first columns), so a trial's cut is
-    written here only. A segment's raw values are scaled in one pass,
-    skipped parts and cut rows included, which costs less than scaling
-    each target apart. One Philox, re-keyed per trial, reads every reader
-    of the call, whatever its seed, and one segment's raw values are held
-    at a time.
+    written here only. A segment's raw values are scaled in one pass, cut
+    rows included, which costs less than scaling each target apart. One
+    Philox, re-keyed per trial, reads every reader of the call, whatever
+    its seed, and one segment's raw values are held at a time.
     """
     bits = np.random.Philox(_trial_key_type()(0, 0))
     draw = np.random.Generator(bits).standard_normal
@@ -196,11 +195,10 @@ def _fill(segments) -> None:
         z *= _SCALE
         lead = z.shape[:-1]
         for (start, stop, block, dims), target in zip(blocks, targets):
-            if target is not None:
-                values = z[..., start:stop].reshape(lead + block)
-                cut = tuple(map(slice, target.shape[target.ndim - dims :]))
-                target.real = values[(..., 0, *cut)]
-                target.imag = values[(..., 1, *cut)]
+            values = z[..., start:stop].reshape(lead + block)
+            cut = tuple(map(slice, target.shape[target.ndim - dims :]))
+            target.real = values[(..., 0, *cut)]
+            target.imag = values[(..., 1, *cut)]
 
 
 @cache

@@ -1,6 +1,7 @@
 """Tests for noiseless verification, SINR computation, and slope estimation."""
 
 import dataclasses
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -29,7 +30,7 @@ from mrc_dof_lab.channel import (
     load_channels,
     save_channels,
 )
-from mrc_dof_lab import analysis, channel, ssa_nc
+from mrc_dof_lab import analysis, bounds, channel, ssa_nc
 from mrc_dof_lab.ssa_nc import design_scheme, run_round
 
 GRID = [1e2, 1e3, 1e4, 1e5, 1e6]
@@ -46,21 +47,39 @@ def nan_rounds(monkeypatch):
     monkeypatch.setattr(ssa_nc, "run_round", nan_round)
 
 
-def redesigned_mse(cfg, trials, P):
-    """Per-symbol decode MSE of one noisy round at power P per trial, each
-    trial designed alone from a fresh trial generator, summed in trial
-    order."""
-    k = cfg.K
-    senders = np.array([[v for v in range(k) if v != u] for u in range(k)])
+def redesigned_mse(cfg, trials):
+    """Per-symbol decode MSE at unit power, each trial designed alone from
+    a fresh trial generator: its mean error variance, summed in trial
+    order, over the trials."""
     acc = 0.0
-    count = 0
     for trial in range(trials):
-        channels, sent, noise = draw_trials(cfg, cfg.trial_rng(trial), noise=True)
-        trace = run_round(design_scheme(cfg, channels), P, sent, noise)
-        diff = trace.decoded - trace.sent[senders]
-        acc += np.sum(np.sum(np.abs(diff) ** 2, axis=-1))
-        count += diff.size
-    return acc / count
+        channels, _, _ = draw_trials(cfg, cfg.trial_rng(trial))
+        acc += analysis.decode_error_variance(design_scheme(cfg, channels)).mean()
+    return acc / trials
+
+
+def round_mse(cfg, trials, P):
+    """Per-symbol decode MSE of noisy rounds at power P, each trial
+    designed alone: the exact expectation over CN(0, I) noise, from the
+    rounds themselves. A round is linear in its noise, so with zero
+    symbols each unit noise vector's round decodes one column of the
+    trial's error map, and an entry's variance is its row's squared norm."""
+    acc = 0.0
+    for trial in range(trials):
+        channels, sent, _ = draw_trials(cfg, cfg.trial_rng(trial))
+        plan = design_scheme(cfg, channels)
+        n, m = plan.effective_N, plan.effective_M
+        basis = np.eye(n + cfg.K * m, dtype=complex)
+        zero = np.zeros((len(basis),) + sent.shape, dtype=complex)
+        noise = (basis[:, :n], basis[:, n:].reshape(-1, cfg.K, m))
+        decoded = run_round(plan, P, zero, noise).decoded
+        acc += np.mean(np.sum(np.abs(decoded) ** 2, axis=0))
+    return acc / trials
+
+
+def trial_stacks(group, trials, channels=None):
+    """(plan, sent) of each stack of a group of configurations."""
+    return [(plan, sent) for _, plan, sent in analysis._stacks([tuple(group)], trials, channels)]
 
 
 def plan_for(k, m, n, seed=0):
@@ -117,7 +136,7 @@ class TestVerifyNoiseless:
         path = str(tmp_path / "channels.json")
         save_channels(generate_channels(cfg, np.random.default_rng(cfg.seed)), path)
         loaded = load_channels(path)
-        [(plan, sent, _)] = analysis._trial_stacks([cfg], 4, loaded)
+        [(plan, sent)] = trial_stacks([cfg], 4, loaded)
         assert plan.stack_shape == () and sent.shape[0] == 4
         assert not any(np.array_equal(s, sent[0]) for s in sent[1:])
         copies = ChannelSet(uplink=np.stack([loaded.uplink] * 4),
@@ -156,12 +175,12 @@ class TestVerifyNoiseless:
         monkeypatch.setattr(analysis, "STACK_ELEMENTS", 48 * 30)
         assert verify_noiseless(cfg, 100, channels=loaded).noiseless_max_error <= 1e-8
         assert designs == [()] and validations == [()]
-        stacks = list(analysis._trial_stacks([cfg], 100, loaded))
+        stacks = trial_stacks([cfg], 100, loaded)
         assert designs == [(), ()] and validations == [(), ()]
-        assert [len(sent) for _, sent, _ in stacks] == [30] * 3 + [10]
+        assert [len(sent) for _, sent in stacks] == [30] * 3 + [10]
         plan = stacks[0][0]
         assert plan.stack_shape == () and plan.channels.relay_dim == 4
-        assert all(p is plan for p, _, _ in stacks)
+        assert all(p is plan for p, _ in stacks)
 
 
 class TestStreamSinrs:
@@ -301,8 +320,8 @@ class TestSlopeEstimation:
     def test_fit_equals_loop_reference(self, k, m, n, duplex, trials):
         # the broadcast fit against the per-trial, per-power loops it replaced
         cfg = NetworkConfig(K=k, M=m, N=n, seed=28, duplex_factor=duplex)
-        stacks = analysis._trial_stacks([cfg], trials)
-        gammas = np.concatenate([stream_sinrs(plan, 1.0).flat() for plan, _, _ in stacks])
+        stacks = trial_stacks([cfg], trials)
+        gammas = np.concatenate([stream_sinrs(plan, 1.0).flat() for plan, _ in stacks])
         grid = np.asarray(GRID)
         top = grid[-4:]
         x = np.log2(top)
@@ -346,34 +365,47 @@ class TestMseSweep:
     @pytest.mark.parametrize("k,m,n", [(3, 3, 2), (3, 4, 3)])
     def test_equals_redesign_per_power(self, k, m, n):
         # reference: redesign every trial from a fresh trial generator and
-        # scale its unit-power round by 1/P; one design per trial must give
-        # the same bits
+        # scale its unit-power variances by 1/P; one design per stack must
+        # give the same bits
         grid = [1e2, 1e4, 1e6]
         cfg = NetworkConfig(K=k, M=m, N=n, seed=26)
-        expected = np.array([redesigned_mse(cfg, 4, 1.0) / P for P in grid])
+        expected = np.array([redesigned_mse(cfg, 4) / P for P in grid])
         assert np.array_equal(decode_mse_sweep(cfg, grid, 4), expected)
 
     @pytest.mark.parametrize("k,m,n", [(3, 3, 2), (3, 4, 3), (4, 2, 5)])
     def test_equals_rounds_at_each_power(self, k, m, n):
-        # the scaled unit-power round against a noisy round run at each P
+        # the scaled unit-power variances against the noise expectation of
+        # the rounds run at each P
         grid = [1e2, 1e3, 1e4, 1e5, 1e6]
         cfg = NetworkConfig(K=k, M=m, N=n, seed=26)
-        expected = np.array([redesigned_mse(cfg, 4, P) for P in grid])
+        expected = np.array([round_mse(cfg, 4, P) for P in grid])
         assert np.allclose(decode_mse_sweep(cfg, grid, 4), expected, rtol=1e-12, atol=0.0)
 
-    def test_one_round_per_stack(self, monkeypatch):
-        # 3/3/2 holds 18 user filter entries per trial: three trials per stack
+    def test_no_round_one_variance_per_stack(self, monkeypatch):
+        # 3/3/2 holds 18 user filter entries per trial: three trials per
+        # stack. The sweep draws each stack without noise and reads its
+        # variances off the plan: no round, no noise
         monkeypatch.setattr(analysis, "STACK_ELEMENTS", 54)
-        real = ssa_nc.run_round
-        calls = []
 
-        def counted(plan, P, sent, noise=None):
-            calls.append(noise is not None)
-            return real(plan, P, sent, noise)
+        def no_round(*args, **kwargs):
+            raise AssertionError("the MSE sweep ran a round")
 
-        monkeypatch.setattr(ssa_nc, "run_round", counted)
+        draws, stacks = [], []
+        real_draw, real_variance = analysis._draw, analysis.decode_error_variance
+
+        def drawn(stacks, cut, channels=None, noise=False):
+            draws.append(noise)
+            return real_draw(stacks, cut, channels, noise)
+
+        def variance(plan):
+            stacks.append(plan.stack_shape)
+            return real_variance(plan)
+
+        monkeypatch.setattr(ssa_nc, "run_round", no_round)
+        monkeypatch.setattr(analysis, "_draw", drawn)
+        monkeypatch.setattr(analysis, "decode_error_variance", variance)
         decode_mse_sweep(NetworkConfig(K=3, M=3, N=2, seed=14), GRID, 5)
-        assert calls == [True, True]
+        assert draws == [False, False] and stacks == [(3,), (2,)]
 
     def test_rejects_zero_trials(self):
         with pytest.raises(ValueError, match="trials must be positive"):
@@ -405,6 +437,36 @@ class TestMseSweep:
             run(cfg, GRID, 0)
         with pytest.raises(ValueError, match=nan_grid_error):
             run(cfg, [float("nan"), 1e3, 1e4], 0)
+
+    @pytest.mark.parametrize("trials", [True, 2.5, 3.0, "3", np.float64(2.0), None],
+                             ids=["true", "2.5", "3.0", "str", "float64", "none"])
+    @pytest.mark.parametrize(
+        "run",
+        [
+            lambda cfg, trials: verify_noiseless(cfg, trials),
+            lambda cfg, trials: simulate_report(cfg, GRID, trials),
+            lambda cfg, trials: sweep_reports([cfg], trials),
+            lambda cfg, trials: decode_mse_sweep(cfg, GRID, trials),
+        ],
+        ids=["verify", "simulate", "sweep", "mse"],
+    )
+    def test_every_entry_point_rejects_non_integer_trials(self, monkeypatch, run, trials):
+        # a trial count is an int or numpy integer, not a bool, checked
+        # before any draw: True would run one trial and report trials=True
+        def no_draw(*args, **kwargs):
+            raise AssertionError("drew before the trial count was checked")
+
+        monkeypatch.setattr(channel, "_fill", no_draw)
+        message = re.escape(f"trials must be an integer, not {trials!r}")
+        with pytest.raises(ValueError, match=message):
+            run(NetworkConfig(K=3, M=3, N=2, seed=14), trials)
+
+    def test_numpy_integer_trials_are_a_count(self):
+        cfg = NetworkConfig(K=3, M=3, N=2, seed=14)
+        report = verify_noiseless(cfg, np.int64(3))
+        assert type(report.trials) is int and report == verify_noiseless(cfg, 3)
+        assert np.array_equal(decode_mse_sweep(cfg, GRID, np.uint8(3)),
+                              decode_mse_sweep(cfg, GRID, 3))
 
     @pytest.mark.parametrize(
         "grid,message",
@@ -450,8 +512,8 @@ class TestPhysicalTrialPath:
         cfg = NetworkConfig(K=8, M=8, N=8, seed=13)
 
         def run():
-            stacks = analysis._trial_stacks([cfg], 6)
-            errors = [analysis._noiseless_round_errors(plan, sent) for plan, sent, _ in stacks]
+            stacks = trial_stacks([cfg], 6)
+            errors = [analysis._noiseless_round_errors(plan, sent) for plan, sent in stacks]
             return np.concatenate(errors), decode_mse_sweep(cfg, GRID, 6)
 
         errors, mse = run()
@@ -465,7 +527,7 @@ class TestPhysicalTrialPath:
         # the audit gathers the sent symbols once and takes each message's
         # norm: bit for bit the norms of the sent rows, gathered afterwards
         cfg = NetworkConfig(K=k, M=m, N=n, seed=14)
-        ((plan, sent, _),) = analysis._trial_stacks([cfg], 4)
+        ((plan, sent),) = trial_stacks([cfg], 4)
         traces = []
         real = ssa_nc.run_round
 
@@ -505,17 +567,17 @@ class LoggedGenerator(np.random.Generator):
 
 class TestOneDrawPerTrial:
     """Every entry point, called cold, reads each trial's stream once,
-    from its start, in one standard_normal call: channel, symbols and noise
-    come from one call. The analysis opens no ``trial_rng`` stream and
-    builds one Philox per ``channel._fill`` call. The MSE sweep after a noiseless pass reads
-    each trial of the stack it takes once more, and validates and designs
-    nothing for it."""
+    from its start, in one standard_normal call: channel and symbols come
+    from one call. The analysis opens no ``trial_rng`` stream and builds
+    one Philox per ``channel._fill`` call. The MSE sweep after a noiseless
+    pass reads, validates and designs nothing for the stack whose plan it
+    takes."""
 
     @staticmethod
     def reads(monkeypatch):
         """Log every standard_normal call of the readers by its stream's
         key, and count the reads (``channel._fill`` calls, which every
-        draw and re-read makes) and the Philox generators built; any
+        draw makes) and the Philox generators built; any
         trial_rng call fails. 4/4/3 stores 4 * 3 * 4 entries per trial:
         stacks of 2, 2 and 1 trials, each a batch of its own."""
         log, counts = [], {"read": 0, "philox": 0}
@@ -587,8 +649,9 @@ class TestOneDrawPerTrial:
 
     @pytest.mark.parametrize("reciprocal", [True, False], ids=["rec", "nonrec"])
     def test_simulate_then_mse_reads_each_trial_once(self, monkeypatch, reciprocal):
-        # the sweep draws the stacks before the last one again, and re-reads
-        # the last (trial 4) for its noise without validating or designing
+        # each pass reads a trial at most once: the sweep draws the stacks
+        # before the last one again, and takes the last one's plan (trial
+        # 4) without reading, validating or designing it
         cfg = NetworkConfig(K=4, M=4, N=3, seed=21, reciprocal=reciprocal)
         log, counts = self.reads(monkeypatch)
         simulate_report(cfg, GRID, 5)
@@ -596,27 +659,27 @@ class TestOneDrawPerTrial:
         log.clear()
         sets, designs = self.built(monkeypatch)
         decode_mse_sweep(cfg, GRID, 5)
-        assert self.per_trial(log, 21) == dict.fromkeys(range(5), 1)
+        assert self.per_trial(log, 21) == dict.fromkeys(range(4), 1)
         assert sets == designs == [(2,), (2,)]
-        assert counts == {"read": 6, "philox": 6}
+        assert counts == {"read": 5, "philox": 5}
 
     @pytest.mark.parametrize("reciprocal", [True, False], ids=["rec", "nonrec"])
     def test_simulate_then_mse_in_one_stack(self, monkeypatch, reciprocal):
-        # one stack holds every trial: the sweep re-reads each trial once
-        # for its noise, and builds no set and no plan
+        # one stack holds every trial: the sweep takes its plan, and reads
+        # no trial and builds no set and no plan
         cfg = NetworkConfig(K=4, M=4, N=3, seed=21, reciprocal=reciprocal)
         log, counts = self.reads(monkeypatch)
         monkeypatch.setattr(analysis, "STACK_ELEMENTS", 48 * 5)
         simulate_report(cfg, GRID, 5)
         sets, designs = self.built(monkeypatch)
         decode_mse_sweep(cfg, GRID, 5)
-        assert self.per_trial(log, 21) == dict.fromkeys(range(5), 2)
+        assert self.per_trial(log, 21) == dict.fromkeys(range(5), 1)
         assert sets == designs == []
-        assert counts == {"read": 2, "philox": 2}
+        assert counts == {"read": 1, "philox": 1}
 
 
 class TestHandoff:
-    """The MSE sweep takes the last stack a noiseless pass drew and
+    """The MSE sweep takes the plan of the last stack a noiseless pass
     designed, and gives the bits a cold sweep gives."""
 
     @staticmethod
@@ -655,27 +718,49 @@ class TestHandoff:
         [(5, 3, 3, True), (3, 4, 6, True), (4, 4, 3, False)],
         ids=["5-3-3-L4", "3-4-6-shutdown", "4-4-3-nonrec"],
     )
-    def test_handed_off_noise_is_each_trials_cold_noise(self, monkeypatch, k, m, n, reciprocal):
-        # the noise the sweep runs the taken stack with, trial by trial, is
-        # what a cold draw of that trial alone gives, and so are its symbols
+    def test_handed_off_plan_is_each_trials_cold_plan(self, monkeypatch, k, m, n, reciprocal):
+        # the sweep reads the variances of the plan it takes, and trial by
+        # trial they are those of that trial drawn and designed alone
         cfg = NetworkConfig(K=k, M=m, N=n, seed=2**64 - 1, reciprocal=reciprocal)
         simulate_report(cfg, GRID, 4)
-        assert list(analysis._handoff) == [(cfg, 0, 4)]
-        rounds = []
-        real = ssa_nc.run_round
+        [handed] = analysis._handoff.values()
+        real = analysis.decode_error_variance
+        read = []
 
-        def logged(plan, P, sent, noise=None):
-            rounds.append((sent, noise))
-            return real(plan, P, sent, noise)
+        def logged(plan):
+            read.append((plan, real(plan)))
+            return read[-1][1]
 
-        monkeypatch.setattr(ssa_nc, "run_round", logged)
+        monkeypatch.setattr(analysis, "decode_error_variance", logged)
         decode_mse_sweep(cfg, GRID, 4)
-        [(sent, (relay, users))] = rounds
+        [(plan, variances)] = read
+        assert plan is handed and not analysis._handoff
         for t in range(4):
-            _, cold_sent, (cold_relay, cold_users) = draw_trials(cfg, cfg.trial_rng(t), noise=True)
-            assert sent[t].tobytes() == cold_sent.tobytes()
-            assert relay[t].tobytes() == cold_relay.tobytes()
-            assert users[t].tobytes() == cold_users.tobytes()
+            channels = draw_trials(cfg, cfg.trial_rng(t))[0]
+            assert variances[t].tobytes() == real(design_scheme(cfg, channels)).tobytes()
+
+    @settings(derandomize=True, deadline=None, max_examples=25, database=None)
+    @given(
+        shape=st.sampled_from([(3, 3, 2, True), (5, 3, 3, True), (3, 4, 6, True),
+                               (4, 4, 3, False)]),
+        elements=st.integers(1, 400),
+        trials=st.integers(1, 9),
+    )
+    def test_warm_equals_cold_at_any_stack_size(self, shape, elements, trials):
+        # whatever the stack budget, the sweep gives the same bits cold,
+        # after a noiseless pass over the same trials, and at the default
+        k, m, n, reciprocal = shape
+        cfg = NetworkConfig(K=k, M=m, N=n, seed=33, reciprocal=reciprocal)
+        analysis._handoff.clear()
+        default = decode_mse_sweep(cfg, GRID, trials)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(analysis, "STACK_ELEMENTS", elements)
+            cold = decode_mse_sweep(cfg, GRID, trials)
+            verify_noiseless(cfg, trials)
+            assert len(analysis._handoff) == 1
+            warm = decode_mse_sweep(cfg, GRID, trials)
+            assert not analysis._handoff
+        assert cold.tobytes() == warm.tobytes() == default.tobytes()
 
     def test_only_the_last_stack_is_reused(self, monkeypatch):
         # 3/3/2 stores 18 entries per trial: stacks of 3, 3 and 1 trials
@@ -763,24 +848,71 @@ def decode_error_map(plan):
     return np.concatenate(rows, axis=1)
 
 
+# (K, M, N, reciprocal): both slot layouts, L = 1 and L = K-1, a relay
+# shutdown, K = 2 and a non-reciprocal set
+CLOSED_FORM_CASES = [
+    (3, 3, 2, True), (4, 4, 3, True), (4, 2, 5, True), (3, 4, 3, True), (5, 3, 3, True),
+    (4, 4, 4, False), (8, 8, 8, True), (3, 4, 6, True), (5, 4, 2, True), (2, 2, 1, True),
+    (2, 3, 3, True),
+]
+
+
+def closed_form_case(k, m, n, reciprocal, trials=3):
+    """The config and the plan of its first stack of ``trials`` trials."""
+    cfg = NetworkConfig(K=k, M=m, N=n, seed=29, reciprocal=reciprocal)
+    [(plan, _)] = trial_stacks([cfg], trials)
+    return cfg, plan
+
+
 class TestClosedFormMse:
     @pytest.mark.parametrize("k,m,n", [(3, 3, 2), (4, 4, 3), (4, 2, 5), (3, 4, 3)])
     def test_monte_carlo_matches_closed_form(self, k, m, n):
         # with C = A A^H for a trial's error map A and CN(0, I) noise, the
         # trial's squared decode error has mean tr C and variance ||C||_F^2;
-        # the relay noise is shared by every user, so A is built jointly
+        # the relay noise is shared by every user, so A is built jointly.
+        # The noisy rounds take their noise from the trials' own draws
         trials = 400
         cfg = NetworkConfig(K=k, M=m, N=n, seed=29)
-        mean = 0.0
-        var = 0.0
-        for plan, _, _ in analysis._trial_stacks([cfg], trials):
-            A = decode_error_map(plan)
-            C = A @ A.conj().swapaxes(-1, -2)
-            mean += float(np.sum(np.real(np.trace(C, axis1=-2, axis2=-1))))
-            var += float(np.sum(np.abs(C) ** 2))
+        channels, sent, noise = draw_trials(cfg, cfg.trial_streams(range(trials)), noise=True)
+        plan = design_scheme(cfg, channels)
+        A = decode_error_map(plan)
+        C = A @ A.conj().swapaxes(-1, -2)
+        mean = float(np.sum(np.real(np.trace(C, axis1=-2, axis2=-1))))
+        var = float(np.sum(np.abs(C) ** 2))
+        trace = run_round(plan, 1.0, sent, noise)
+        sq_err = float(np.sum(np.abs(trace.decoded - sent[:, ssa_nc.sender_table(k)]) ** 2))
         symbols = trials * k * (k - 1) * plan.d
-        mse = decode_mse_sweep(cfg, [1.0], trials)[0]
-        assert abs(mse - mean / symbols) <= 5.0 * np.sqrt(var) / symbols
+        assert abs(sq_err - mean) / symbols <= 5.0 * np.sqrt(var) / symbols
+
+    @pytest.mark.parametrize("k,m,n,reciprocal", CLOSED_FORM_CASES)
+    def test_variance_is_the_error_maps_row_power(self, k, m, n, reciprocal):
+        # each entry's variance is the squared norm of its row of the error
+        # map, diag(A A^H), and the sweep at P is their mean over P
+        cfg, plan = closed_form_case(k, m, n, reciprocal)
+        A = decode_error_map(plan)
+        want = np.real(np.einsum("...ij,...ij->...i", A, A.conj())).reshape(3, k, k - 1, plan.d)
+        got = analysis.decode_error_variance(plan)
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want) / want) <= 1e-12
+        grid = np.array([1.0, 1e3])
+        assert np.allclose(decode_mse_sweep(cfg, grid, 3), want.mean() / grid, rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("k,m,n,reciprocal", CLOSED_FORM_CASES)
+    def test_single_pair_messages_match_stream_sinrs(self, k, m, n, reciprocal):
+        # a message that crosses one relay pair (decoder 0, or sender 0)
+        # carries that pair's sum of two unit-power symbols with the relay's
+        # and its decoder's noise added: 2 / variance is the SINR of the
+        # two hops' noise powers added, 1 / (1/mac + 1/bc), at P = 1
+        _, plan = closed_form_case(k, m, n, reciprocal)
+        s = stream_sinrs(plan, 1.0)
+        chain = 1.0 / (1.0 / s.mac[:, np.newaxis] + 1.0 / s.bc)
+        variance = analysis.decode_error_variance(plan)
+        users = np.arange(1, k)
+        # decoder 0 takes sender p+1 off pair p; decoder u takes sender 0,
+        # its first message, off its own pair u-1
+        got = np.concatenate([2.0 / variance[:, 0], 2.0 / variance[:, users, 0]], axis=-2)
+        want = np.concatenate([chain[:, 0], chain[:, users, users - 1]], axis=-2)
+        assert np.max(np.abs(got - want) / want) <= 1e-12
 
 
 class TestReports:
@@ -902,6 +1034,25 @@ class TestSweepReports:
         NetworkConfig(K=4, M=3, N=3, seed=3, duplex_factor=0.5),
         NetworkConfig(K=4, M=3, N=5, seed=3, duplex_factor=0.5),
     ]
+
+    def test_bounds_are_asked_once_per_shape(self, monkeypatch):
+        # the reports read each (K, M, N)'s bounds from a cache that asks
+        # the public bounds functions on a miss only; K = 2's RegimeError
+        # is cached as no private-only value
+        calls = []
+        for name in ("private_only_dof", "cutset_dof"):
+            def counted(*args, real=getattr(bounds, name), name=name):
+                calls.append((name, args))
+                return real(*args)
+
+            monkeypatch.setattr(bounds, name, counted)
+        analysis._bounds.cache_clear()
+        first = sweep_reports(self.CONFIGS, 2)
+        assert sweep_reports(self.CONFIGS, 2) == first
+        shapes = sorted({(c.K, c.M, c.N) for c in self.CONFIGS})
+        assert sorted(calls) == sorted((name, shape) for name in ("cutset_dof", "private_only_dof")
+                                       for shape in shapes)
+        assert [r.private_only is None for r in first] == [c.K == 2 for c in self.CONFIGS]
 
     @pytest.mark.parametrize("grid", [None, GRID], ids=["noiseless", "grid"])
     @pytest.mark.parametrize("elements", [None, 24], ids=["one-stack", "straddling"])

@@ -448,8 +448,8 @@ def draw_batches(draw):
 
 class TestFill:
     """Every draw of the analysis, a lone stack, a batch whose stacks of
-    several K share a pool, a given set's symbols, the noise re-read and a
-    one-trial generator, goes through ``channel._fill``, and each of its
+    several K share a pool, a given set's symbols and a one-trial
+    generator, goes through ``channel._fill``, and each of its
     arrays is bit for bit what the trial's own generator gives drawn alone:
     the full N x M set cut to the kept relay antennas, then the symbols,
     then the noise."""
@@ -470,11 +470,9 @@ class TestFill:
         given = make(stacks[0][0][0])
         drawn = analysis._draw(self.sources(stacks), cut, noise=noise)
         symbols = analysis._draw(self.sources(stacks), cut, given, noise)
-        reread = analysis._draw(self.sources(stacks), cut, noise=True, only_noise=True)
-        for rows, *outs in zip(stacks, drawn, symbols, reread):
-            (channels, sent, noise_pair), (same, given_sent, given_noise), reread = outs
-            no_set, no_sent, noisy = reread
-            assert same is given and no_set is None and no_sent is None
+        for rows, *outs in zip(stacks, drawn, symbols):
+            (channels, sent, noise_pair), (same, given_sent, given_noise) = outs
+            assert same is given
             lone = isinstance(rows[0][1], int)
             trials = [(cfg, t) for cfg, ts in rows for t in ([ts] if lone else ts)]
             for s, (cfg, t) in enumerate(trials):
@@ -486,9 +484,6 @@ class TestFill:
                 assert sent[at].tobytes() == want_sent.tobytes()
                 assert noise_pair is None if not noise else (
                     [a[at].tobytes() for a in noise_pair] == [a.tobytes() for a in want_noise])
-                # the re-read reads the whole noisy draw and keeps its noise
-                want_noisy = oracle(cfg, t, cut, True)[2:]
-                assert [a[at].tobytes() for a in noisy] == [a.tobytes() for a in want_noisy]
                 # a given set's draw reads the symbols, then any noise, from
                 # the start of the trial's stream
                 g = cfg.trial_rng(t)

@@ -790,7 +790,7 @@ class TestEntryPointSvdBudget:
     def test_noisy_power_sweep(self, lapack_calls, monkeypatch):
         # noisy_power_sweep: one stack of 25 trials at 4/4/3, whose 3 x 4
         # uplinks take one QR of their 4 x 3 transposes; the MSE sweep
-        # takes the stack simulate_report drew and designed
+        # takes the plan simulate_report designed
         config = NetworkConfig(K=4, M=4, N=3, seed=7)
         grid = (1e2, 1e3, 1e4, 1e5, 1e6)
         designs = []

@@ -698,7 +698,7 @@ class TestLapackBudget:
         # takes one inv of its 4 x 4 blocks and no qr
         cfg = self.config(k, m, n)
         calls = self.count_calls(monkeypatch)
-        for plan, sent, _ in analysis._trial_stacks([cfg], 2):
+        for _, plan, sent in analysis._stacks([(cfg,)], 2):
             run_round(plan, 1.0, sent)
         assert calls == self.budget([(min(n, m), m)])
 

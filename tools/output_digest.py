@@ -19,7 +19,7 @@ Covered, at one seed, over K in {2..5} x M, N in {1..4} plus 8/8/8,
 - the ``verify_noiseless`` max error (10 trials);
 - ``decode_mse_sweep`` at P = 1e2, 1e4 (10 trials), drawn cold before
   ``verify_noiseless`` and again after it, when the sweep takes the
-  stack the audit drew (the two digests must be equal);
+  plan of the stack the audit designed (the two digests must be equal);
 - ``verify`` and ``simulate`` CLI output, standard error and exit code
   (5 trials, CSV and JSON).
 
@@ -141,8 +141,8 @@ def config_lines(seed: int):
     for label, (k, m, n), reciprocal in configs():
         config = NetworkConfig(K=k, M=m, N=n, reciprocal=reciprocal, seed=seed)
         yield from trace_lines(label, config)
-        # drawn cold here, and after verify_noiseless from the stack it
-        # hands over: both lines must read the same
+        # drawn cold here, and after verify_noiseless from the plan it
+        # hands over: both lines must read the same (CI checks it)
         yield f"decode_mse_sweep cold {label}", guarded(
             lambda: array_digest(analysis.decode_mse_sweep(config, MSE_GRID, AUDIT_TRIALS))
         )
