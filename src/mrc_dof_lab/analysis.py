@@ -42,16 +42,20 @@ A sweep groups its configurations by kept relay shape: K, M,
 min(N, M) and reciprocity. Each group's rows, their trials in row order,
 make a run of stacks, and the stacks, group by group, go in batches of
 at most STACK_ELEMENTS stored entries. A batch runs in three stages.
-Draw: every trial is read in one call and written in place, its symbols
-into its stack's array and only the kept relay antennas of its channel
-into a pool, one pool per kept matrix shape (min(N, M), M) and
-reciprocity mode. Validate: each pool is validated once, as one
-ChannelSet, whatever the K of its stacks, and each stack takes its
-trials as a view of it. Design and run: each stack is designed and run
-once. Every row draws its own trials from its own streams and reads its
-own slice of the results, and a matrix's decomposition does not depend
-on the pool it is factored in, so each row's report is bit for bit the
-one it gets alone. Full stacks of one group fill the budget, so every
+Draw: one call reads each (seed, trial range) of the batch once, however
+many rows read it, and writes every trial in place, its symbols into its
+stack's array and only the kept relay antennas of its channel into a
+pool, one pool per kept matrix shape (min(N, M), M) and reciprocity
+mode. Reciprocal stacks whose rows read the same streams at the same M
+and N, differing only in K, hold the same uplinks for their first users:
+the stack of most users writes them, and the others take users [:K] of
+its set. Validate: each pool is validated once, as one ChannelSet,
+whatever the K of its stacks, and each stack takes its trials as a view
+of it. Design and run: each stack is designed and run once. Every row
+draws its own trials from its own streams and reads its own slice of
+the results, and a matrix's decomposition does not depend on the pool
+it is factored in, so each row's report is bit for bit the one it gets
+alone. Full stacks of one group fill the budget, so every
 entry point other than a sweep, a group of one, runs batches of one
 stack of one row: the same draw, whose pool is the stack's own array.
 A sweep whose audit raises a row error is audited again group by group,
@@ -264,6 +268,52 @@ def _trial_layout(K: int, M: int, N: int, reciprocal: bool, cut: bool, links: bo
     return parts, shapes, len(shapes) - 1 - 2 * noise, (n, M, reciprocal)
 
 
+def _layout(config: NetworkConfig, cut: bool, links: bool, noise: bool) -> tuple:
+    """``_trial_layout`` of one configuration's trial."""
+    return _trial_layout(config.K, config.M, config.N, config.reciprocal, cut, links, noise)
+
+
+@cache
+def _same_users(small: tuple, large: tuple, links: int) -> bool:
+    """Whether a trial drawn as the parts ``small`` finds each of its
+    users' channels at the stream positions where a trial drawn as
+    ``large`` finds them: each of the first ``links`` parts, the links,
+    starts at the same value in both and has the same matrix shape, and
+    ``small`` has no more users. The K uplinks of a reciprocal trial head
+    it at every K; the downlinks of any other trial follow its K uplinks,
+    so they move with K."""
+    small, large = (channel._blocks(parts)[1][:links] for parts in (small, large))
+    return all(a[0] == b[0] and a[2][0] <= b[2][0] and a[2][1:] == b[2][1:]
+               for a, b in zip(small, large))
+
+
+def _owners(batch, cut: bool, noise: bool) -> list:
+    """For each (rows, layout, trials) stack of a batch, the index of the
+    stack whose drawn channels it takes users [:K] of: the stack of most
+    users among those whose rows read the same streams (seed and trials)
+    at the same N, in one pool, when each row finds its users' channels
+    where that stack's row does (``_same_users``); else itself. One
+    generator's trial is its own."""
+    keys, largest = [], {}
+    for i, (rows, layout, trials) in enumerate(batch):
+        key = None
+        if trials is not None:
+            key = layout[3], tuple((config.N, s.seed, s.trials) for config, s in rows)
+            j = largest.setdefault(key, i)
+            if rows[0][0].K > batch[j][0][0][0].K:
+                largest[key] = i
+        keys.append(key)
+    owners = []
+    for i, ((rows, layout, _), key) in enumerate(zip(batch, keys)):
+        j = largest.get(key, i)
+        same = j != i and all(
+            _same_users(_layout(config, cut, True, noise)[0], _layout(big, cut, True, noise)[0],
+                        layout[2])
+            for (config, _), (big, _) in zip(rows, batch[j][0]))
+        owners.append(j if same else i)
+    return owners
+
+
 def _draw(stacks, cut: bool, channels=None, noise=False) -> list:
     """Draw stacks of trials in one ``channel._fill`` call: the one draw
     behind ``draw_trials``, a sweep's batches, a lone stack and a given
@@ -282,35 +332,49 @@ def _draw(stacks, cut: bool, channels=None, noise=False) -> list:
     entry makes the full matrix read rank deficient, which a Gaussian draw
     is essentially never near.
 
-    Channels go into pools, one per kept matrix shape and reciprocity
-    mode (a set reads reciprocity from its matrices), each validated once,
-    whatever the K of its stacks: the pool of one stack is the stack's own
-    arrays, validated at its shape, and a pool of several is validated as
-    (1, matrices, n, M), of which each stack takes its trials as a view.
-    A given set (``channels``) draws no channel and is each stack's set.
+    Each distinct channel is written and validated once. Stacks whose
+    rows read the same streams at the same M and N, differing only in K,
+    hold the same channel for their first users when the stream layout
+    puts each user's channel at the same positions for every K (reciprocal
+    draws; ``_owners``): the stack of most users writes and validates
+    them, and every other takes users [:K] of its set as a view, writing
+    only its own symbols. Channels go into pools, one per kept matrix
+    shape and reciprocity mode, each validated once, whatever the K of its
+    stacks: the pool of one stack is the stack's own arrays, validated at
+    its shape, and a pool of several is validated as (1, matrices, n, M),
+    of which each stack takes its trials as a view. A matrix's
+    decomposition does not depend on the stack it is factored in, so each
+    stack's set is bit for bit the one it gets drawn alone. A given set
+    (``channels``) draws no channel and is each stack's set.
     """
     links = channels is None
-    # each stack's layout, trial count (None for one generator's trial) and
-    # first matrix in its pool
-    batch, sizes = [], {}
+    # each stack's rows, layout and trial count (None for one generator's trial)
+    batch = []
     for rows in stacks:
         config, source = rows[0]
-        layout = _trial_layout(config.K, config.M, config.N, config.reciprocal, cut, links, noise)
         trials = sum(len(s.trials) for _, s in rows) if isinstance(source, TrialStreams) else None
-        key = layout[3]
-        first = sizes.get(key, 0)
-        sizes[key] = first + (trials or 1) * config.K
-        batch.append((rows, layout, trials, first))
+        batch.append((rows, _layout(config, cut, links, noise), trials))
+    owners = _owners(batch, cut, noise) if links and len(batch) > 1 else range(len(batch))
+    # each stack's first matrix in its pool, which only owners fill
+    sizes, firsts = {}, []
+    for i, (rows, layout, trials) in enumerate(batch):
+        firsts.append(sizes.get(layout[3], 0))
+        if owners[i] == i:
+            sizes[layout[3]] = firsts[i] + (trials or 1) * rows[0][0].K
     pools, segments, drawn = {}, [], []
-    for rows, (parts, shapes, pooled, key), trials, first in batch:
+    for i, (rows, (parts, shapes, pooled, key), trials) in enumerate(batch):
         lead = () if trials is None else (trials,)
         count = (trials or 1) * rows[0][0].K
         arrays = []
-        if count < sizes[key]:
+        if owners[i] != i:
+            # the owner writes and validates this stack's channels
+            arrays = [None] * pooled
+        elif count < sizes[key]:
             # a pool several stacks share: each writes its matrices in place
             if key not in pools:
                 pools[key] = [np.empty((sizes[key],) + shape[1:], dtype=complex)
                               for shape in shapes[:pooled]]
+            first = firsts[i]
             arrays = [a[first : first + count].reshape(lead + shape)
                       for a, shape in zip(pools[key], shapes)]
         arrays += [np.empty(lead + shape, dtype=complex) for shape in shapes[len(arrays) :]]
@@ -319,22 +383,20 @@ def _draw(stacks, cut: bool, channels=None, noise=False) -> list:
         else:
             start = 0
             for config, source in rows:
-                parts = _trial_layout(config.K, config.M, config.N, config.reciprocal, cut, links,
-                                      noise)[0]
                 span = slice(start, start + len(source.trials))
                 start = span.stop
-                segments.append((source, parts, [a[span] for a in arrays]))
-        drawn.append((arrays, pooled, key, first, count))
+                segments.append((source, _layout(config, cut, links, noise)[0],
+                                 [None if a is None else a[span] for a in arrays]))
+        drawn.append((arrays, pooled, key, firsts[i], count))
     channel._fill(segments)
     out, sets = [], {}
-    for arrays, pooled, key, first, count in drawn:
+    for i, (arrays, pooled, key, first, count) in enumerate(drawn):
         drawn_set = channels
-        if pooled:
+        if pooled and owners[i] == i:
             if key not in sets:
                 # a stack alone validates its own arrays, at its stack shape
                 pool = [a[np.newaxis] for a in pools[key]] if key in pools else arrays[:pooled]
-                downlink = pool[1] if pooled > 1 else pool[0].swapaxes(-1, -2).copy()
-                sets[key] = ChannelSet(uplink=pool[0], downlink=downlink)
+                sets[key] = ChannelSet(*pool)
             drawn_set = sets[key]
             if key in pools:
                 lead = arrays[0].shape[:-3]
@@ -343,6 +405,10 @@ def _draw(stacks, cut: bool, channels=None, noise=False) -> list:
         sent = _freeze(arrays[-3 if noise else -1])
         noise_pair = (_freeze(arrays[-2])[..., 0, :], _freeze(arrays[-1])) if noise else None
         out.append((drawn_set, sent, noise_pair))
+    for i, j in enumerate(owners):
+        if j != i:
+            K = batch[i][0][0][0].K
+            out[i] = (out[j][0]._view(lambda a: a[:, :K]),) + out[i][1:]
     return out
 
 
@@ -352,14 +418,19 @@ def _draw(stacks, cut: bool, channels=None, noise=False) -> list:
 _handoff: dict = {}
 
 
-def _stack_rows(group, trials: int, start: int, stop: int) -> list:
+def _stack_rows(group, trials: int, start: int, stop: int, readers: dict) -> list:
     """The (config, reader) segments of a group's trials start to stop,
-    counting ``trials`` per row through the rows in order."""
-    return [
-        (row, row.trial_streams(range(max(start - first, 0), min(stop - first, trials))))
-        for row, first in zip(group, range(0, stop, trials))
-        if first + trials > start
-    ]
+    counting ``trials`` per row through the rows in order. ``readers``
+    holds one reader per (seed, first trial, stop) and gives rows of one
+    seed and trial range the same one."""
+    rows = []
+    for row, first in zip(group, range(0, stop, trials)):
+        if first + trials > start:
+            span = row.seed, max(start - first, 0), min(stop - first, trials)
+            if span not in readers:
+                readers[span] = row.trial_streams(range(*span[1:]))
+            rows.append((row, readers[span]))
+    return rows
 
 
 def _stacks(groups, trials: int, channels=None, take=False):
@@ -408,7 +479,9 @@ def _stacks(groups, trials: int, channels=None, take=False):
             if plan is not None:
                 yield stack, plan, None
                 continue
-        rows = [_stack_rows(stack.group, trials, stack.start, stack.stop) for stack in batch]
+        readers: dict = {}
+        rows = [_stack_rows(stack.group, trials, stack.start, stack.stop, readers)
+                for stack in batch]
         for stack, (drawn_set, sent, _) in zip(batch, _draw(rows, True, channels)):
             config = stack.group[0]
             if fixed is not None:

@@ -12,7 +12,10 @@ trial. Every draw goes through one routine, ``_fill``: it reads the
 trials of any readers, of any seeds, or one generator, and writes each
 trial's channel, and whatever the caller draws after it, in place into
 the caller's arrays, the channel cut to the relay antennas the caller
-keeps. ``generate_channels`` draws the full N x M set, which a channel
+keeps. It reads each reader key, (seed, trials), once per call, to the
+longest length any caller's arrays take, since a shorter read of a
+stream is a prefix of a longer one, and holds one key's raw values at a
+time. ``generate_channels`` draws the full N x M set, which a channel
 dump holds; the analysis keeps only the min(N, M) relay antennas the
 scheme uses, so a trial with N > M is validated once, at that size.
 
@@ -22,10 +25,12 @@ extension is part of the scheme, not of the channel: ``ssa_nc`` applies
 kron(I_L, H) implicitly, so a set never stores extended matrices.
 Validation is the only place a channel matrix is factored: a reciprocal
 set takes one batched LU or QR factorization, of its uplink stack, and
-any other set takes two, one per link. They decide every rank, with an
-SVD only for a matrix their condition bound cannot decide, and leave the
-pseudoinverses and condition bounds that the scheme's design reads. The
-exact condition numbers are computed by an SVD on first read.
+any other set takes two, one per link. A drawn reciprocal set is built
+from its uplink alone and so is reciprocal without comparing its links.
+The factorizations decide every rank, with an SVD only for a matrix
+their condition bound cannot decide, and leave the pseudoinverses and
+condition bounds that the scheme's design reads. The exact condition
+numbers are computed by an SVD on first read.
 """
 
 from __future__ import annotations
@@ -165,40 +170,63 @@ def _fill(segments) -> None:
 
     Each segment is (source, parts, targets): ``parts`` is a tuple of the
     (count, shape) arrays one trial draws in turn, and ``targets`` one
-    complex128 array per part. A source is a ``TrialStreams`` reader,
-    whose trial s writes row s of every target, or one
-    ``np.random.Generator`` for one trial, drawn on from its state, whose
-    targets have no trial axis; any other source raises TypeError.
-    A trial takes one standard_normal call: each part's block (count, 2,
-    *shape) in turn, each array's real then imaginary values, bit for bit
-    what drawing the parts one after another gives. A target holds the
-    leading block of its part's shape (the kept relay antennas: an
-    uplink's first rows, a downlink's first columns), so a trial's cut is
-    written here only. A segment's raw values are scaled in one pass, cut
-    rows included, which costs less than scaling each target apart. One
-    Philox, re-keyed per trial, reads every reader of the call, whatever
-    its seed, and one segment's raw values are held at a time.
+    complex128 array per part, or None for a part the segment skips. A
+    source is a ``TrialStreams`` reader, whose trial s writes row s of
+    every target, or one ``np.random.Generator`` for one trial, drawn on
+    from its state, whose targets have no trial axis; any other source
+    raises TypeError. A trial takes one standard_normal call: each part's
+    block (count, 2, *shape) in turn, each array's real then imaginary
+    values, bit for bit what drawing the parts one after another gives. A
+    target holds the leading block of its part's shape (the kept relay
+    antennas: an uplink's first rows, a downlink's first columns), so a
+    trial's cut is written here only.
+
+    Each reader key, (seed, trials), is read once per call, to the longest
+    length any of its segments takes, and every such segment writes its
+    parts from that one read: a Philox stream is a pure function of its
+    key and counter, so a shorter read is a prefix of a longer one. One
+    Philox, re-keyed per trial, reads every key of the call, whatever its
+    seed, and one key's raw values are held at a time. They are scaled in
+    one pass, values no target keeps included, which costs less than
+    scaling each target apart.
     """
     bits = np.random.Philox(_trial_key_type()(0, 0))
     draw = np.random.Generator(bits).standard_normal
-    for source, parts, targets in segments:
-        size, blocks = _blocks(parts)
+    reads: dict = {}
+    for segment in segments:
+        source, parts, targets = segment
         if isinstance(source, TrialStreams):
-            z = np.empty((len(source.trials), size))
-            source._read(z, bits, draw)
+            reads.setdefault((source.seed, source.trials), []).append(segment)
         elif isinstance(source, np.random.Generator):
+            size, blocks = _blocks(parts)
             z = source.standard_normal(size)
+            z *= _SCALE
+            _write(z, blocks, targets)
         else:
             raise TypeError("a draw source is a TrialStreams reader, as "
                             "config.trial_streams(trials) gives, or one "
                             f"numpy Generator, not {type(source).__name__}")
+    for same in reads.values():
+        layouts = [_blocks(parts) for _, parts, _ in same]
+        reader = same[0][0]
+        z = np.empty((len(reader.trials), max(size for size, _ in layouts)))
+        reader._read(z, bits, draw)
         z *= _SCALE
-        lead = z.shape[:-1]
-        for (start, stop, block, dims), target in zip(blocks, targets):
-            values = z[..., start:stop].reshape(lead + block)
-            cut = tuple(map(slice, target.shape[target.ndim - dims :]))
-            target.real = values[(..., 0, *cut)]
-            target.imag = values[(..., 1, *cut)]
+        for (_, _, targets), (_, blocks) in zip(same, layouts):
+            _write(z, blocks, targets)
+
+
+def _write(z: np.ndarray, blocks: tuple, targets) -> None:
+    """Copy each part's kept block of the scaled values z, (..., values),
+    into its target, skipping a None target."""
+    lead = z.shape[:-1]
+    for (start, stop, block, dims), target in zip(blocks, targets):
+        if target is None:
+            continue
+        values = z[..., start:stop].reshape(lead + block)
+        cut = tuple(map(slice, target.shape[target.ndim - dims :]))
+        target.real = values[(..., 0, *cut)]
+        target.imag = values[(..., 1, *cut)]
 
 
 @cache
@@ -254,18 +282,22 @@ class ChannelSet:
     (S, K, N, M) and (S, K, M, N); the constructor also takes a sequence
     of K matrices for one trial. Every matrix must be full rank.
 
+    A set made from its uplink alone, ``ChannelSet(uplink)``, is
+    reciprocal: it makes its downlink, the plain transpose of its uplink,
+    itself. A set given both links is reciprocal when every downlink
+    matrix is exactly its uplink's plain transpose, read from the matrices.
+    ``reciprocal`` records which; a view keeps it.
+
     Validation factors the uplink stack once with
     ``pseudo_inverse_and_bound``: an LU inverse when N = M, a QR
-    pseudoinverse otherwise. A reciprocal set, whose downlink is exactly
-    the plain transpose of its uplink, takes no second factorization and
-    no second finite or rank check: d_j = h_j^T has h_j's entries,
-    pseudoinverse pinv(h_j)^T and the same Frobenius norms. Any other set
-    checks and factors its downlink stack as well. Reciprocity is read
-    from the matrices alone. Each matrix's condition bound ||h||_F
-    ||pinv(h)||_F certifies its full rank; a matrix it cannot certify is
-    decided, and inverted, by an SVD, exactly as
-    ``pseudo_inverse_and_rank`` decides it, and its condition number is
-    then its bound. Validation keeps uplink_pinv[..., j] = pinv(h_j),
+    pseudoinverse otherwise. A reciprocal set takes no second
+    factorization and no second finite or rank check: d_j = h_j^T has
+    h_j's entries, pseudoinverse pinv(h_j)^T and the same Frobenius norms.
+    Any other set checks and factors its downlink stack as well. Each
+    matrix's condition bound ||h||_F ||pinv(h)||_F certifies its full
+    rank; a matrix it cannot certify is decided, and inverted, by an SVD,
+    exactly as ``pseudo_inverse_and_rank`` decides it, and its condition
+    number is then its bound. Validation keeps uplink_pinv[..., j] = pinv(h_j),
     (..., K, M, N), downlink_pinv[..., j] = pinv(d_j), (..., K, N, M), and
     the bounds uplink_cond_bound and downlink_cond_bound, (..., K), each at
     least the matrix's condition number and at most min(N, M) times it.
@@ -279,16 +311,18 @@ class ChannelSet:
     """
 
     uplink: np.ndarray
-    downlink: np.ndarray
+    downlink: np.ndarray | None = None
     uplink_pinv: np.ndarray = field(init=False, repr=False)
     downlink_pinv: np.ndarray = field(init=False, repr=False)
     uplink_cond_bound: np.ndarray = field(init=False, repr=False)
     downlink_cond_bound: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
+        reciprocal = self.downlink is None
         try:
             uplink = np.asarray(self.uplink, dtype=np.complex128)
-            downlink = np.asarray(self.downlink, dtype=np.complex128)
+            if not reciprocal:
+                downlink = np.asarray(self.downlink, dtype=np.complex128)
         except ValueError as exc:
             raise ValueError("the matrices of each link must share one shape") from exc
         if uplink.ndim not in (3, 4) or uplink.shape[-3] < 2:
@@ -296,10 +330,13 @@ class ChannelSet:
         up_shape = uplink.shape[-2:]
         if min(up_shape) < 1:
             raise ValueError("channel matrices must have at least one row and one column")
-        if downlink.shape != uplink.shape[:-2] + up_shape[::-1]:
+        if reciprocal:
+            downlink = uplink.swapaxes(-1, -2).copy()
+        elif downlink.shape != uplink.shape[:-2] + up_shape[::-1]:
             raise ValueError("downlink matrices must be transpose-shaped to the uplink")
         _check_finite(uplink)
-        reciprocal = _is_reciprocal(uplink, downlink)
+        reciprocal = reciprocal or _is_reciprocal(uplink, downlink)
+        object.__setattr__(self, "_reciprocal", reciprocal)
         # a reciprocal downlink holds the uplink's entries and shares its
         # rank, so only another downlink is checked and factored
         if not reciprocal:
@@ -322,6 +359,11 @@ class ChannelSet:
         )
 
     @property
+    def reciprocal(self) -> bool:
+        """Whether every downlink matrix is its uplink's plain transpose."""
+        return self._reciprocal
+
+    @property
     def uplink_cond(self) -> np.ndarray:
         """Condition numbers of the uplink matrices, (..., K)."""
         return self._exact_cond[0]
@@ -337,7 +379,7 @@ class ChannelSet:
         per link stack; a reciprocal set's downlink shares its uplink's, as
         validation took them."""
         up = _freeze(pseudo_inverse_and_rank(self.uplink)[2])
-        if _is_reciprocal(self.uplink, self.downlink):
+        if self.reciprocal:
             return up, up
         return up, _freeze(pseudo_inverse_and_rank(self.downlink)[2])
 
@@ -381,6 +423,7 @@ class ChannelSet:
         values for a matrix do not depend on the stack it is in."""
         view = object.__new__(ChannelSet)
         view._store(**{f.name: transform(getattr(self, f.name)) for f in fields(self)})
+        object.__setattr__(view, "_reciprocal", self.reciprocal)
         return view
 
 
@@ -418,9 +461,7 @@ def generate_channels(config: NetworkConfig, rng) -> ChannelSet:
     parts = _link_parts(config.K, config.M, config.N, config.reciprocal)
     links = [np.empty(lead + (count, *shape), dtype=complex) for count, shape in parts]
     _fill([(rng, parts, links)])
-    uplink, *downlink = links
-    downlink = downlink[0] if downlink else uplink.swapaxes(-1, -2).copy()
-    return ChannelSet(uplink=uplink, downlink=downlink)
+    return ChannelSet(*links)
 
 
 def shutdown_relay_antennas(channels: ChannelSet) -> ChannelSet:
@@ -432,8 +473,10 @@ def shutdown_relay_antennas(channels: ChannelSet) -> ChannelSet:
     keep = min(channels.relay_dim, channels.user_dim)
     if keep == channels.relay_dim:
         return channels
-    return ChannelSet(uplink=channels.uplink[..., :keep, :].copy(),
-                      downlink=channels.downlink[..., :keep].copy())
+    uplink = channels.uplink[..., :keep, :].copy()
+    if channels.reciprocal:
+        return ChannelSet(uplink)
+    return ChannelSet(uplink, channels.downlink[..., :keep].copy())
 
 
 def matrix_to_lists(h: CMatrix) -> list:

@@ -1,6 +1,7 @@
 """Tests for noiseless verification, SINR computation, and slope estimation."""
 
 import dataclasses
+import itertools
 import re
 from fractions import Fraction
 
@@ -663,6 +664,24 @@ class TestOneDrawPerTrial:
         assert sets == designs == [(2,), (2,)]
         assert counts == {"read": 5, "philox": 5}
 
+    @pytest.mark.parametrize("elements,batches", [(2**15, 1), (552, 3)],
+                             ids=["one-batch", "three-batches"])
+    @pytest.mark.parametrize("reciprocal", [True, False], ids=["rec", "nonrec"])
+    def test_sweep_reads_each_trial_once_per_batch(self, monkeypatch, reciprocal, elements,
+                                                   batches):
+        # every row of a K x M x N grid at one seed reads the streams of
+        # trials 0 to 3: a batch reads each once, through one Philox.
+        # Groups of 276, 368 and 460 stored entries for K = 3, 4 and 5 make
+        # one batch, or three of at most 552
+        configs = [NetworkConfig(K=k, M=m, N=n, seed=21, reciprocal=reciprocal)
+                   for k, m, n in itertools.product((3, 4, 5), (2, 3), (2, 3))]
+        log, counts = self.reads(monkeypatch)
+        monkeypatch.setattr(analysis, "STACK_ELEMENTS", elements)
+        reports = sweep_reports(configs, 4)
+        assert all(isinstance(report, DofReport) for report in reports)
+        assert self.per_trial(log, 21) == dict.fromkeys(range(4), batches)
+        assert counts == {"read": batches, "philox": batches}
+
     @pytest.mark.parametrize("reciprocal", [True, False], ids=["rec", "nonrec"])
     def test_simulate_then_mse_in_one_stack(self, monkeypatch, reciprocal):
         # one stack holds every trial: the sweep takes its plan, and reads
@@ -1005,7 +1024,9 @@ def bad_uplink(monkeypatch, seed, diagonal):
     def fill(segments):
         real(segments)
         for streams, _, targets in segments:
-            if streams.seed == seed and 1 in streams.trials:
+            # a stack that takes its users' uplinks from a stack of more
+            # users writes none (a None target)
+            if streams.seed == seed and 1 in streams.trials and targets[0] is not None:
                 # the kept uplinks head a trial's targets: (trial, user, row, column)
                 targets[0][streams.trials.index(1), 0] = np.diag(diagonal) / np.sqrt(2.0)
 
@@ -1141,49 +1162,81 @@ class TestSweepReports:
         monkeypatch.setattr(ssa_nc, "design_scheme", counted_design)
         return validated, designs
 
+    # the same rows at one seed: rows of one N and reciprocity mode differ
+    # only in K, and the largest K listed last or first
+    ONE_SEED = [dataclasses.replace(config, seed=3) for config in ACROSS_K]
+    LARGEST_K_FIRST = sorted(ONE_SEED, key=lambda config: (not config.reciprocal, -config.K))
+
     @pytest.mark.parametrize("grid", [None, GRID], ids=["noiseless", "grid"])
-    @pytest.mark.parametrize("elements", [None, 60], ids=["one-batch", "straddling"])
-    def test_pool_spans_k_in_both_reciprocity_modes(self, monkeypatch, grid, elements):
-        # each group, of K 2 x 2 matrices per trial, holds 2 rows of 3
-        # trials; the design calls are those of a group-by-group audit
-        if elements is None:
+    @pytest.mark.parametrize(
+        "configs,elements,want_validated,want_designs",
+        [
             # 672 stored entries in one batch: one pool per mode, of
             # 3 * 2 * (2 + 3 + 4 + 5) = 84 matrices
-            want_designs = [(6,)] * 8
-            want_validated = [(1, 84, 2, 2)] * 2
-        else:
+            (ACROSS_K, None, [(1, 84, 2, 2)] * 2, [(6,)] * 8),
             # stacks of 7, 5, 3 and 3 trials for K = 2 to 5: K = 3's last
             # trial and K = 4's first stack share a batch and a pool, and
             # the other batches hold one stack each
+            (ACROSS_K, 60, [(6, 2, 2, 2), (5, 3, 2, 2), (1, 15, 2, 2), (3, 4, 2, 2),
+                            (3, 5, 2, 2), (3, 5, 2, 2)] * 2,
+             [(6,), (5,), (1,), (3,), (3,), (3,), (3,)] * 2),
+            # at one seed the K = 5 stack writes and validates the
+            # reciprocal uplinks, alone in its pool, and K = 2 to 4 take
+            # their users of them; the non-reciprocal rows share nothing
+            (ONE_SEED, None, [(6, 5, 2, 2), (1, 84, 2, 2)], [(6,)] * 8),
+            (LARGEST_K_FIRST, None, [(6, 5, 2, 2), (1, 84, 2, 2)], [(6,)] * 8),
+            # whole stacks of 48, 72, 96 and 120 entries: K = 2 and 3 share
+            # the first batch of each mode, where K = 3 writes the
+            # reciprocal uplinks, and K = 4 and 5 are batches of their own
+            (ONE_SEED, 120, [(6, 3, 2, 2), (6, 4, 2, 2), (6, 5, 2, 2), (1, 30, 2, 2),
+                             (6, 4, 2, 2), (6, 5, 2, 2)], [(6,)] * 8),
+        ],
+        ids=["one-batch", "straddling", "one-seed", "one-seed-largest-k-first",
+             "one-seed-largest-k-in-another-batch"],
+    )
+    def test_pool_spans_k_in_both_reciprocity_modes(self, monkeypatch, grid, configs, elements,
+                                                    want_validated, want_designs):
+        # each group, of K 2 x 2 matrices per trial, holds 2 rows of 3
+        # trials; the design calls are those of a group-by-group audit
+        if elements is not None:
             monkeypatch.setattr(analysis, "STACK_ELEMENTS", elements)
-            want_designs = [(6,), (5,), (1,), (3,), (3,), (3,), (3,)] * 2
-            want_validated = [(6, 2, 2, 2), (5, 3, 2, 2), (1, 15, 2, 2),
-                              (3, 4, 2, 2), (3, 5, 2, 2), (3, 5, 2, 2)] * 2
         validated, designs = self.built(monkeypatch)
-        reports = sweep_reports(self.ACROSS_K, 3, grid)
+        reports = sweep_reports(configs, 3, grid)
         assert designs == want_designs and validated == want_validated
-        for config, report in zip(self.ACROSS_K, reports):
+        for config, report in zip(configs, reports):
             assert report_bits(report) == report_bits(alone(config, 3, grid)), config
 
     @pytest.mark.parametrize(
-        "diagonal,error",
-        [([1.0, 1e-9], ssa_nc.SchemeDesignError), ([1.0, 0.0], ValueError)],
-        ids=["guardrail", "rank-deficient"],
+        "diagonal,error,seed,failing",
+        [
+            ([1.0, 1e-9], ssa_nc.SchemeDesignError, 5, [2]),
+            ([1.0, 0.0], ValueError, 5, [2]),
+            ([1.0, 1e-9], ssa_nc.SchemeDesignError, 4, [0, 1, 3]),
+            ([1.0, 0.0], ValueError, 4, [0, 1, 3]),
+        ],
+        ids=["guardrail", "rank-deficient", "guardrail-shared-matrix",
+             "rank-deficient-shared-matrix"],
     )
-    def test_failing_row_in_a_shared_pool_gets_its_own_error(self, monkeypatch, diagonal, error):
-        # the K = 4 row's trial 1 fails its design, or the validation of
-        # the pool it shares with K = 2, 3 and 5: that row alone gets the
-        # error it gets alone, and every other row its report
-        bad_uplink(monkeypatch, 5, diagonal)
+    def test_failing_row_in_a_shared_pool_gets_its_own_error(self, monkeypatch, diagonal, error,
+                                                             seed, failing):
+        # trial 1 of the given seed fails its design, or the validation of
+        # the pool the K = 4 row at seed 5 shares with K = 2, 3 and 5 at
+        # seed 4, where K = 5 writes the uplinks that K = 2 and 3 take
+        # their users of: each failing row gets the error it gets alone,
+        # and every other row its report
+        bad_uplink(monkeypatch, seed, diagonal)
         configs = [NetworkConfig(K=k, M=2, N=3, seed=5 if k == 4 else 4) for k in (2, 3, 4, 5)]
         validated, _ = self.built(monkeypatch)
         results = sweep_reports(configs, 3)
-        assert validated[0] == (1, 3 * (2 + 3 + 4 + 5), 2, 2)
-        with pytest.raises(error) as raised:
-            verify_noiseless(configs[2], 3)
-        assert type(results[2]) is error and str(results[2]) == str(raised.value)
-        for i in (0, 1, 3):
-            assert report_bits(results[i]) == report_bits(verify_noiseless(configs[i], 3))
+        # 3 trials of K = 4 at seed 5 and of K = 5 at seed 4
+        assert validated[0] == (1, 27, 2, 2)
+        for i, config in enumerate(configs):
+            if i in failing:
+                with pytest.raises(error) as raised:
+                    verify_noiseless(config, 3)
+                assert type(results[i]) is error and str(results[i]) == str(raised.value)
+            else:
+                assert report_bits(results[i]) == report_bits(verify_noiseless(config, 3))
 
     def test_group_of_one_hands_off_and_larger_group_does_not(self):
         one = NetworkConfig(K=3, M=3, N=2, seed=31)

@@ -361,7 +361,7 @@ class TestDrawnCut:
         # share its pool and its validation, and the stack drawn alone
         cfg = NetworkConfig(K=k, M=m, N=n, seed=7, reciprocal=reciprocal)
         other = dataclasses.replace(cfg, K=k + 1, seed=8)
-        rows = [analysis._stack_rows((c,), 3, 0, 3) for c in (other, cfg)]
+        rows = [analysis._stack_rows((c,), 3, 0, 3, {}) for c in (other, cfg)]
         [_, (pooled, sent, _)] = analysis._draw(rows, True)
         lone, lone_sent = self.drawn(cfg, cfg.trial_streams(range(3)))
         names = [f.name for f in dataclasses.fields(ChannelSet)] + ["uplink_cond", "downlink_cond"]
@@ -416,7 +416,8 @@ def draw_batches(draw):
     """Stacks that may share one pool: one M, kept relay count and
     reciprocity mode, and a K per stack. A stack is one trial of one
     generator, or rows of N with that kept count (any N when cut), each
-    row's trials split into one or more reader segments."""
+    row's trials split into one or more reader segments, or the rows of
+    the stack before it at its own K, which read the same streams."""
     M = draw(st.integers(1, 4))
     kept = draw(st.integers(1, M))
     cut = draw(st.booleans())
@@ -430,6 +431,9 @@ def draw_batches(draw):
             return NetworkConfig(K=K, M=M, N=N, reciprocal=reciprocal,
                                  seed=draw(st.sampled_from([0, 7, 2**64 - 1])))
 
+        if stacks and draw(st.booleans()):
+            stacks.append([(dataclasses.replace(cfg, K=K), t) for cfg, t in stacks[-1]])
+            continue
         if draw(st.booleans()):
             stacks.append([(config(draw(st.sampled_from(Ns))), draw(trial))])
             continue
@@ -448,8 +452,9 @@ def draw_batches(draw):
 
 class TestFill:
     """Every draw of the analysis, a lone stack, a batch whose stacks of
-    several K share a pool, a given set's symbols and a one-trial
-    generator, goes through ``channel._fill``, and each of its
+    several K share a pool or take their users' channels of a larger K's,
+    a given set's symbols and a one-trial generator, goes through
+    ``channel._fill``, and each of its
     arrays is bit for bit what the trial's own generator gives drawn alone:
     the full N x M set cut to the kept relay antennas, then the symbols,
     then the noise."""
@@ -495,6 +500,47 @@ class TestFill:
                                                                        users.tobytes()]
                 else:
                     assert given_noise is None
+
+
+    def test_segments_of_one_reader_key_share_one_read(self, monkeypatch):
+        # segments of several lengths that share a reader, or hold an equal
+        # one, get the bits of separate reads; a None target is skipped.
+        # Each (seed, trials) key is read once, to its longest segment, so
+        # each trial's stream is read once per call
+        trials = [2, 0, 2**63]
+        reader = NetworkConfig(K=3, M=2, N=2, seed=2**64 - 1).trial_streams(trials)
+        equal = NetworkConfig(K=3, M=2, N=2, seed=2**64 - 1).trial_streams(trials)
+        other = NetworkConfig(K=3, M=2, N=2, seed=5).trial_streams(trials)
+        layouts = [
+            (reader, ((1, (4,)),), [True]),
+            (other, ((1, (1,)),), [True]),
+            (reader, ((3, (2, 2)), (2, (5,))), [True, True]),
+            (equal, ((2, (3,)),), [True]),
+            (reader, ((3, (2, 2)), (1, (2,))), [False, True]),
+        ]
+
+        def arrays(parts, kept):
+            return [np.empty((len(trials), count, *shape), dtype=complex) if keep else None
+                    for (count, shape), keep in zip(parts, kept)]
+
+        segments = [(source, parts, arrays(parts, kept)) for source, parts, kept in layouts]
+        reads = []
+        real = channel.TrialStreams._read
+
+        def logged(streams, z, bits, draw):
+            reads.append((streams.seed, streams.trials, z.shape))
+            real(streams, z, bits, draw)
+
+        monkeypatch.setattr(channel.TrialStreams, "_read", logged)
+        channel._fill(segments)
+        # the longest: 3 uplinks of 2 x 2 and 2 vectors of 5, each complex
+        assert reads == [(2**64 - 1, tuple(trials), (3, 44)), (5, tuple(trials), (3, 2))]
+        monkeypatch.setattr(channel.TrialStreams, "_read", real)
+        for source, parts, targets in segments:
+            alone = arrays(parts, [True] * len(parts))
+            channel._fill([(source, parts, alone)])
+            for got, want in zip(targets, alone):
+                assert got is None or got.tobytes() == want.tobytes()
 
 
 class TestSerialization:
@@ -726,9 +772,10 @@ class TestStoredDecompositionReciprocal(TestStoredDecomposition):
 
 
 class TestReciprocalShortcut:
-    """Reciprocity is read from the matrices alone: only a downlink that is
-    exactly the plain transpose of the uplink skips its own factorization.
-    The uplinks are 3 x 4, so each link stack takes one QR (of the 4 x 3
+    """A set given its uplink alone is reciprocal; a set given both links
+    reads reciprocity from the matrices: only a downlink that is exactly
+    the plain transpose of the uplink skips its own factorization. The
+    uplinks are 3 x 4, so each link stack takes one QR (of the 4 x 3
     conjugate transposes)."""
 
     CFG = NetworkConfig(K=3, M=4, N=3, seed=19)
@@ -740,6 +787,51 @@ class TestReciprocalShortcut:
         cs = self.stack()
         assert lapack_calls == [("qr", (2, 3, 4, 3))]
         _assert_fresh_decomposition(cs, reciprocal=True)
+
+    @staticmethod
+    def no_comparison(monkeypatch):
+        def compared(uplink, downlink):
+            raise AssertionError("a set compared its links")
+
+        monkeypatch.setattr(channel, "_is_reciprocal", compared)
+
+    def test_uplink_alone_makes_a_reciprocal_set_without_comparing(self, monkeypatch,
+                                                                    lapack_calls):
+        # the set makes the transposed downlink and records that it is
+        # reciprocal, on validation and on the first read of its condition
+        # numbers; it is bit for bit the set given both links
+        uplink = self.stack().uplink
+        both = ChannelSet(uplink=uplink, downlink=uplink.swapaxes(-1, -2).copy())
+        del lapack_calls[:]
+        self.no_comparison(monkeypatch)
+        alone = ChannelSet(uplink)
+        assert alone.reciprocal and both.reciprocal
+        names = [f.name for f in dataclasses.fields(ChannelSet)] + ["uplink_cond", "downlink_cond"]
+        for name in names:
+            assert getattr(alone, name).tobytes() == getattr(both, name).tobytes(), name
+        assert alone.select([1]).reciprocal and alone.stacked().reciprocal
+        # one QR of its uplinks; one SVD per set gives both links' condition numbers
+        assert lapack_calls == [("qr", (2, 3, 4, 3))] + [("svd", (2, 3, 3, 4))] * 2
+        _assert_fresh_decomposition(alone, reciprocal=True)
+
+    @pytest.mark.parametrize("reciprocal", [True, False], ids=["rec", "nonrec"])
+    def test_two_links_decide_by_comparing(self, reciprocal):
+        uplink = self.stack().uplink
+        downlink = uplink.swapaxes(-1, -2).copy()
+        if not reciprocal:
+            downlink[0, 0, 0, 0] += 1e-3
+        assert ChannelSet(uplink=uplink, downlink=downlink).reciprocal is reciprocal
+
+    def test_drawn_reciprocal_sets_compare_nothing(self, monkeypatch):
+        # a drawn set, a relay shutdown of it, a lone stack and a sweep's
+        # batch, where smaller K take their users of the largest K's set,
+        # are built from their uplinks alone
+        self.no_comparison(monkeypatch)
+        cfg = NetworkConfig(K=3, M=2, N=4, seed=6)
+        assert shutdown_relay_antennas(make(cfg)).downlink_cond.shape == (3,)
+        analysis.verify_noiseless(cfg, 3)
+        configs = [dataclasses.replace(cfg, K=k) for k in (2, 3, 4)]
+        assert all(isinstance(r, analysis.DofReport) for r in analysis.sweep_reports(configs, 3))
 
     def test_conjugate_transpose_is_not_reciprocal(self, lapack_calls):
         uplink = self.stack().uplink

@@ -804,9 +804,10 @@ class TestEntryPointSvdBudget:
     def test_sweep_grid(self, tmp_path, capsys, lapack_calls, monkeypatch):
         # sweep_grid: 27 rows of 5 trials, 4,320 stored entries, in one
         # batch. Its matrices, drawn cut to min(N, M) relay antennas, come
-        # in 6 kept (n, M) shapes, each pooled over K = 3, 4, 5 and
-        # validated once: one inv for each square shape and one qr for
-        # each wide one
+        # in 6 kept (n, M) shapes, each validated once for K = 3, 4, 5:
+        # one inv for each square shape and one qr for each wide one. Rows
+        # of one M and N differ only in K, so the K = 5 row writes and
+        # validates the uplinks, and K = 3 and 4 take their users of them
         validated = []
         real = ChannelSet.__post_init__
 
@@ -822,6 +823,7 @@ class TestEntryPointSvdBudget:
         assert code == EXIT_OK
         assert Counter(kernel for kernel, _ in lapack_calls) == {"inv": 3, "qr": 3}
         # per K, 15 trials keep (2, 2), 5 (2, 3), 10 (3, 3), and 5 each
-        # (2, 4), (3, 4) and (4, 4): K matrices per trial, 12 over K
-        assert validated == [(1, 12 * t, n, m) for t, n, m in
+        # (2, 4), (3, 4) and (4, 4): each pool is the K = 5 stack alone,
+        # validated at its stack shape, 5 matrices per trial
+        assert validated == [(t, 5, n, m) for t, n, m in
                              [(15, 2, 2), (5, 2, 3), (10, 3, 3), (5, 2, 4), (5, 3, 4), (5, 4, 4)]]
