@@ -24,8 +24,9 @@ antennas kept.
 
 The trials of one configuration are designed and run as stacks along a
 leading trial axis: one ``ssa_nc.design_scheme`` call per stack, and in
-the audit one ``ssa_nc.run_round`` call, serve all its trials, whatever
-the length of the power grid. Plans are stored at physical size, and a stack
+the audit one noiseless ``ssa_nc._round``, the round ``ssa_nc.run_round``
+runs, serve all its trials, whatever the length of the power grid. Plans
+are stored at physical size, and a stack
 holds up to STACK_ELEMENTS entries of each of its plan's stored
 pseudoinverses, so K = 8, M = N = 8 (56 x 56 after extension) runs 64
 trials per stack. A trial draws the same values in any stack, so every
@@ -498,14 +499,23 @@ def _stacks(groups, trials: int, channels=None, take=False):
 
 def _noiseless_round_errors(plan: SchemePlan, sent: np.ndarray) -> np.ndarray:
     """Each trial's worst relative decode error over every user and message
-    of one noiseless round of the stack."""
-    trace = ssa_nc.run_round(plan, 1.0, sent)
-    # the sent symbols in the order of trace.decoded, (..., K, K-1, d)
-    messages = trace.sent[..., ssa_nc.sender_table(trace.sent.shape[-2]), :]
-    # np.linalg.norm(messages, axis=-1), bit for bit
-    sent_norm = np.sqrt(np.add.reduce((messages.conj() * messages).real, axis=-1))
-    err = np.sqrt(np.add.reduce(np.abs(trace.decoded - messages) ** 2, axis=-1))
-    return (err / np.maximum(sent_norm, 1e-300)).max(axis=(-2, -1))
+    of one noiseless unit-power round of the stack.
+
+    The round is ``ssa_nc._round``, the one ``ssa_nc.run_round`` runs, at
+    amplitudes power_scale and bc_scale: scale * sqrt(1.0) is scale, so
+    the decoded symbols are bit for bit ``run_round(plan, 1.0, sent)``'s.
+    The errors are read in the decode kernel's (K, K) layout, where entry
+    [u, v] is user u's estimate of sender v; the diagonal, each user's
+    copy of its own symbols, is no message and counts 0."""
+    heard = ssa_nc._round(plan, sent, plan.power_scale, plan.bc_scale)[-1]
+    # np.linalg.norm(sent, axis=-1), bit for bit, once per sender
+    sent_norm = np.sqrt(np.add.reduce((sent.conj() * sent).real, axis=-1))
+    err = np.sqrt(np.add.reduce(np.abs(heard - sent[..., np.newaxis, :, :]) ** 2, axis=-1))
+    ratio = err / np.maximum(sent_norm, 1e-300)[..., np.newaxis, :]
+    K = sent.shape[-2]
+    ratio = ratio.reshape(ratio.shape[:-2] + (K * K,))
+    ratio[..., :: K + 1] = 0.0
+    return np.maximum.reduce(ratio, axis=-1)
 
 
 def _audit(groups, trials: int, channels=None, grid=None) -> list[DofReport]:

@@ -15,9 +15,17 @@ of symbol vectors straight off those streams. In the BC slot the relay
 broadcasts the sums on the same streams, and user u separates them with
 the d-row blocks of pinv(D_u) (D_u has full column rank after the
 relay shutdown), then peels the messages apart using its own transmitted
-symbols as side information. All K users decode in one batched call, and
-``_without_own`` alone orders each user's decoded messages; ``sender_table``
-is that order as a table.
+symbols as side information. All K users decode in one batched call.
+
+Each phase function (``mac_phase``, ``relay_process``, ``bc_phase``,
+``user_decode``) checks its arguments and calls its kernel (``_mac``,
+``_relay``, ``_bc``, ``_decode``), which takes arrays already of the
+right shape and the amplitudes. ``_round`` chains the kernels:
+``run_round`` checks its arguments once and calls it, and ``analysis``'s
+noiseless audit calls it at unit power. The decode kernel gives each
+user's estimate of every sender, its own symbols on the diagonal;
+``_without_own`` alone orders each user's decoded messages without that
+entry, and ``sender_table`` is that order as a table.
 
 When the relay has more antennas than a user (N > M) the surplus relay
 antennas are shut down; when the relay dimension is not divisible by K-1,
@@ -291,9 +299,17 @@ def _beamformers(uplink_pinv: np.ndarray, L: int, d: int) -> np.ndarray:
     beamformer is the sum of the blocks of pinv(h_0)."""
     K, m, n = uplink_pinv.shape[-3:]
     blocks = uplink_pinv.reshape(uplink_pinv.shape[:-1] + (n // d, d)).swapaxes(-3, -2)
-    block = np.arange(K - 1) % ((K - 1) // L)
-    own = np.ascontiguousarray(blocks[..., 0, :, :, :]).sum(axis=-3, keepdims=True)
-    return np.concatenate([own, blocks[..., np.arange(1, K), block, :, :]], axis=-3)
+    partners, block = _partner_blocks(K, L)
+    own = np.add.reduce(np.ascontiguousarray(blocks[..., 0, :, :, :]), axis=-3, keepdims=True)
+    return np.concatenate([own, blocks[..., partners, block, :, :]], axis=-3)
+
+
+@cache
+def _partner_blocks(K: int, L: int) -> tuple[np.ndarray, np.ndarray]:
+    """The partners 1..K-1 and the block p % c that partner p+1 sends in
+    its slot, c = (K-1) / L blocks per slot: ``_beamformers``' index
+    arrays, built once per (K, L) and read-only."""
+    return _freeze(np.arange(1, K)), _freeze(np.arange(K - 1) % ((K - 1) // L))
 
 
 def _slot_sum(images: np.ndarray, L: int) -> np.ndarray:
@@ -402,6 +418,83 @@ def _amplitude(scale, P: float) -> np.ndarray:
     return np.asarray(scale) * np.sqrt(P)
 
 
+def _symbol_rows(plan: SchemePlan, symbols, lead: tuple) -> np.ndarray:
+    """The users' symbols, checked: one length-d vector per user."""
+    return _vector_rows(symbols, lead, plan.num_users, plan.d, "symbol")
+
+
+def _relay_noise(plan: SchemePlan, noise, lead: tuple):
+    """The relay noise, checked: one length-effective_N vector per trial,
+    or None."""
+    return None if noise is None else _vector_rows(noise, lead, None, plan.effective_N, "relay noise")
+
+
+def _user_noise(plan: SchemePlan, noise, lead: tuple):
+    """The users' noise, checked: (K, effective_M) per trial, or None."""
+    if noise is None:
+        return None
+    return _vector_rows(noise, lead, plan.num_users, plan.effective_M, "noise")
+
+
+def _mac(plan: SchemePlan, s: np.ndarray, a, noise=None) -> np.ndarray:
+    """``mac_phase``'s kernel: checked symbols (..., K, d), the users'
+    amplitude a = power_scale * sqrt(P) (a float or one per trial) and
+    checked relay noise or None."""
+    a = np.asarray(a)[..., np.newaxis, np.newaxis, np.newaxis]
+    x = a * (plan.beamformers @ s[..., np.newaxis])
+    # each user's image at the relay, the same in every slot it sends in
+    images = (plan.channels.uplink @ x)[..., 0]
+    y = _slot_sum(images, plan.extension_factor)
+    y_r = y.reshape(y.shape[:-2] + (-1,))
+    return y_r if noise is None else y_r + noise
+
+
+def _relay(plan: SchemePlan, y_r: np.ndarray, a) -> np.ndarray:
+    """``relay_process``'s kernel, for the users' amplitude a."""
+    a = np.asarray(a)[..., np.newaxis, np.newaxis]
+    return y_r.reshape(y_r.shape[:-1] + (plan.num_pairs, plan.d)) / a
+
+
+def _bc(plan: SchemePlan, w: np.ndarray, b, noise=None) -> np.ndarray:
+    """``bc_phase``'s kernel: checked pair sums (..., K-1, d), the relay's
+    amplitude b = bc_scale * sqrt(P) and checked user noise or None."""
+    # pair p's sum on relay streams [p d, (p+1) d): sum_p T[p] w[p], bit for bit
+    x_r = b * w.reshape(w.shape[:-2] + (plan.effective_N,))
+    y = _kron_apply(plan.channels.downlink, x_r[..., np.newaxis, :], plan.extension_factor)
+    return y if noise is None else y + noise
+
+
+def _decode(plan: SchemePlan, y: np.ndarray, own: np.ndarray, b) -> np.ndarray:
+    """``user_decode``'s kernel: checked observations (..., K,
+    effective_M), each user's own symbols (..., K, d) and the relay's
+    amplitude b. Returns heard (..., K, K, d): heard[u, v] is user u's
+    estimate of sender v's symbols, and the diagonal holds each user's
+    copy of its own."""
+    K, d = plan.num_users, plan.d
+    # each slot's pair blocks of d rows of pinv(d_u), applied to that slot;
+    # what[u, p]: user u's copy of the sum of user 0's and user p+1's symbols
+    rows = plan.channels.downlink_pinv
+    blocks = rows.reshape(rows.shape[:-2] + (1, -1, d, rows.shape[-1]))
+    streams = blocks @ y.reshape(y.shape[:-1] + (plan.extension_factor, 1, -1, 1))
+    what = streams.reshape(streams.shape[:-4] + (K - 1, d)) / b
+    # s0[u]: user u's copy of user 0's symbols, from its own pair for u >= 1;
+    # what[p+1, p] is every K-th row of what's K(K-1) rows, from row K-1 on
+    own_pair = what.reshape(what.shape[:-3] + (-1, d))[..., K - 1 :: K, :]
+    s0 = np.concatenate([own[..., :1, :], own_pair - own[..., 1:, :]], axis=-2)
+    return np.concatenate([s0[..., np.newaxis, :], what - s0[..., np.newaxis, :]], axis=-2)
+
+
+def _round(plan: SchemePlan, sent: np.ndarray, a, b, relay_noise=None, user_noise=None):
+    """One round through the kernels, for checked symbols (..., K, d), the
+    users' amplitude a, the relay's amplitude b and checked noise or None.
+    Returns (y_r, w, user_rx, heard), heard in ``_decode``'s (K, K)
+    layout. ``run_round`` and ``analysis``'s noiseless audit both run it."""
+    y_r = _mac(plan, sent, a, relay_noise)
+    w = _relay(plan, y_r, a)
+    user_rx = _bc(plan, w, b, user_noise)
+    return y_r, w, user_rx, _decode(plan, user_rx, sent, b)
+
+
 def mac_phase(plan: SchemePlan, symbols, P: float, noise=None) -> np.ndarray:
     """Uplink slot: every user sends its symbol block with amplitude
     power_scale * sqrt(P) through its physical beamformer and uplink h_u
@@ -415,18 +508,9 @@ def mac_phase(plan: SchemePlan, symbols, P: float, noise=None) -> np.ndarray:
     own S only, and a one-trial plan serves any S. Draws nothing.
     """
     lead = plan.stack_shape or np.shape(symbols)[:-2]
-    s = _vector_rows(symbols, lead, plan.num_users, plan.d, "symbol")
-    if noise is not None:
-        noise = _vector_rows(noise, lead, None, plan.effective_N, "relay noise")
-    L = plan.extension_factor
-    a = _amplitude(plan.power_scale, P)[..., np.newaxis, np.newaxis, np.newaxis]
-    x = a * (plan.beamformers @ s[..., np.newaxis])
-    # each user's image at the relay, the same in every slot it sends in
-    images = (plan.channels.uplink @ x)[..., 0]
-    y_r = _slot_sum(images, L).reshape(lead + (plan.effective_N,))
-    if noise is not None:
-        y_r = y_r + noise
-    return y_r
+    s = _symbol_rows(plan, symbols, lead)
+    noise = _relay_noise(plan, noise, lead)
+    return _mac(plan, s, _amplitude(plan.power_scale, P), noise)
 
 
 def relay_process(plan: SchemePlan, y_r: np.ndarray, P: float) -> np.ndarray:
@@ -434,8 +518,7 @@ def relay_process(plan: SchemePlan, y_r: np.ndarray, P: float) -> np.ndarray:
     result is streams [p d, (p+1) d), the network-coded sum of pair p's
     two symbol vectors (up to rounding, when noiseless). This is
     relay_filter @ y_r, bit for bit."""
-    a = _amplitude(plan.power_scale, P)[..., np.newaxis, np.newaxis]
-    return y_r.reshape(y_r.shape[:-1] + (plan.num_pairs, plan.d)) / a
+    return _relay(plan, y_r, _amplitude(plan.power_scale, P))
 
 
 def bc_phase(plan: SchemePlan, w, P: float, noise=None) -> np.ndarray:
@@ -452,15 +535,8 @@ def bc_phase(plan: SchemePlan, w, P: float, noise=None) -> np.ndarray:
     """
     lead = plan.stack_shape or np.shape(w)[:-2]
     w = _vector_rows(w, lead, plan.num_pairs, plan.d, "forwarded")
-    if noise is not None:
-        noise = _vector_rows(noise, lead, plan.num_users, plan.effective_M, "noise")
-    b = _amplitude(plan.bc_scale, P)[..., np.newaxis]
-    # pair p's sum on relay streams [p d, (p+1) d): sum_p T[p] w[p], bit for bit
-    x_r = b * w.reshape(w.shape[:-2] + (plan.effective_N,))
-    y = _kron_apply(plan.channels.downlink, x_r[..., np.newaxis, :], plan.extension_factor)
-    if noise is not None:
-        y = y + noise
-    return y
+    noise = _user_noise(plan, noise, lead)
+    return _bc(plan, w, _amplitude(plan.bc_scale, P), noise)
 
 
 def user_decode(plan: SchemePlan, user_rx, sent, P: float) -> np.ndarray:
@@ -477,24 +553,10 @@ def user_decode(plan: SchemePlan, user_rx, sent, P: float) -> np.ndarray:
     of trials, as in ``mac_phase``. Returns (K, K-1, d), C-contiguous,
     whose row u follows sender_table(K)[u].
     """
-    K, d = plan.num_users, plan.d
     lead = plan.stack_shape or np.shape(user_rx)[:-2]
-    y = _vector_rows(user_rx, lead, K, plan.effective_M, "received")
-    own = _vector_rows(sent, lead, K, d, "symbol")
-    b = _amplitude(plan.bc_scale, P)[..., np.newaxis, np.newaxis, np.newaxis]
-    # each slot's pair blocks of d rows of pinv(d_u), applied to that slot;
-    # what[u, p]: user u's copy of the sum of user 0's and user p+1's symbols
-    rows = plan.channels.downlink_pinv
-    blocks = rows.reshape(rows.shape[:-2] + (1, -1, d, rows.shape[-1]))
-    streams = blocks @ y.reshape(y.shape[:-1] + (plan.extension_factor, 1, -1, 1))
-    what = streams.reshape(streams.shape[:-4] + (K - 1, d)) / b
-    # s0[u]: user u's copy of user 0's symbols, from its own pair for u >= 1;
-    # what[p+1, p] is every K-th row of what's K(K-1) rows, from row K-1 on
-    own_pair = what.reshape(what.shape[:-3] + (-1, d))[..., K - 1 :: K, :]
-    s0 = np.concatenate([own[..., :1, :], own_pair - own[..., 1:, :]], axis=-2)
-    # heard[u, v]: user u's estimate of user v's symbols
-    heard = np.concatenate([s0[..., np.newaxis, :], what - s0[..., np.newaxis, :]], axis=-2)
-    return _without_own(heard)
+    y = _vector_rows(user_rx, lead, plan.num_users, plan.effective_M, "received")
+    own = _symbol_rows(plan, sent, lead)
+    return _without_own(_decode(plan, y, own, _amplitude(plan.bc_scale, P)))
 
 
 def run_round(plan: SchemePlan, P: float, sent, noise=None) -> TransmissionTrace:
@@ -504,19 +566,20 @@ def run_round(plan: SchemePlan, P: float, sent, noise=None) -> TransmissionTrace
 
     sent holds each user's length-d symbol vector, (K, d) per trial, and
     noise, when given, the pair (relay noise, user noise) that
-    ``mac_phase`` and ``bc_phase`` add.
+    ``mac_phase`` and ``bc_phase`` add. The arguments are checked once,
+    by the phases' own checks, and ``_round`` runs the phases' kernels.
     """
     sent = np.asarray(sent)
+    lead = plan.stack_shape or sent.shape[:-2]
+    _symbol_rows(plan, sent, lead)
     relay_noise, user_noise = (None, None) if noise is None else noise
-    y_r = mac_phase(plan, sent, P, relay_noise)
-    w = relay_process(plan, y_r, P)
-    user_rx = bc_phase(plan, w, P, user_noise)
+    relay_noise = _relay_noise(plan, relay_noise, lead)
+    a = _amplitude(plan.power_scale, P)
+    user_noise = _user_noise(plan, user_noise, lead)
+    b = _amplitude(plan.bc_scale, P)
+    y_r, w, user_rx, heard = _round(plan, sent, a, b, relay_noise, user_noise)
     return TransmissionTrace(
-        sent=sent,
-        relay_rx=y_r,
-        relay_fwd=w,
-        user_rx=user_rx,
-        decoded=user_decode(plan, user_rx, sent, P),
+        sent=sent, relay_rx=y_r, relay_fwd=w, user_rx=user_rx, decoded=_without_own(heard)
     )
 
 

@@ -37,15 +37,18 @@ from mrc_dof_lab.ssa_nc import design_scheme, run_round
 GRID = [1e2, 1e3, 1e4, 1e5, 1e6]
 
 
-def nan_rounds(monkeypatch):
-    """Make every round decode NaN symbols."""
-    real = ssa_nc.run_round
+def nan_rounds(monkeypatch, where=...):
+    """Make every round's decode kernel give NaN at ``where`` of its
+    (..., K, K, d) estimates, whose [u, v] is user u's estimate of sender
+    v: by default every symbol."""
+    real = ssa_nc._decode
 
-    def nan_round(*args, **kwargs):
-        trace = real(*args, **kwargs)
-        return dataclasses.replace(trace, decoded=np.full_like(trace.decoded, np.nan))
+    def nan_decode(*args):
+        heard = real(*args)
+        heard[where] = np.nan
+        return heard
 
-    monkeypatch.setattr(ssa_nc, "run_round", nan_round)
+    monkeypatch.setattr(ssa_nc, "_decode", nan_decode)
 
 
 def redesigned_mse(cfg, trials):
@@ -150,6 +153,26 @@ class TestVerifyNoiseless:
         nan_rounds(monkeypatch)
         rep = verify_noiseless(NetworkConfig(K=3, M=3, N=2, seed=5), 3)
         assert np.isnan(rep.noiseless_max_error)
+
+    def test_nan_in_one_decoded_message_reports_nan(self, monkeypatch):
+        # user 2's estimate of sender 0 in trial 1: that trial reads NaN,
+        # the others keep their errors, and the report reads NaN
+        cfg = NetworkConfig(K=3, M=3, N=2, seed=5)
+        ((plan, sent),) = trial_stacks([cfg], 3)
+        clean = analysis._noiseless_round_errors(plan, sent)
+        nan_rounds(monkeypatch, (1, 2, 0, 0))
+        got = analysis._noiseless_round_errors(plan, sent)
+        assert np.isnan(got[1]) and got[[0, 2]].tobytes() == clean[[0, 2]].tobytes()
+        assert np.isnan(verify_noiseless(cfg, 3).noiseless_max_error)
+
+    def test_nan_in_own_entries_does_not_count(self, monkeypatch):
+        # each user's entry for itself is no message: NaN there changes nothing
+        cfg = NetworkConfig(K=3, M=3, N=2, seed=5)
+        ((plan, sent),) = trial_stacks([cfg], 3)
+        clean = analysis._noiseless_round_errors(plan, sent)
+        nan_rounds(monkeypatch, (..., [0, 1, 2], [0, 1, 2], slice(None)))
+        assert analysis._noiseless_round_errors(plan, sent).tobytes() == clean.tobytes()
+        assert verify_noiseless(cfg, 3).noiseless_max_error == clean.max()
 
     def test_loaded_channels_are_designed_once(self, monkeypatch, tmp_path):
         # a loaded 3/4/6 set loses two relay antennas: one design and one
@@ -268,6 +291,33 @@ class TestStreamSinrs:
             for p in range(plan.num_pairs):
                 noise = np.mean(np.abs(plan.rx_filter[u][p] @ zu / b) ** 2, axis=1)
                 assert sig / noise == pytest.approx(cf.bc[u, p], rel=0.05)
+
+
+class TestChannelScaling:
+    """Metamorphic relation: doubling every channel matrix is exact in
+    binary floating point, so the pseudoinverses halve and the users'
+    amplitude doubles exactly. The decoded symbols and the audit's error
+    are bit for bit unchanged, and every SINR is exactly 4 times."""
+
+    @pytest.mark.parametrize("reciprocal", [True, False], ids=["reciprocal", "two-link"])
+    @pytest.mark.parametrize(
+        "k,m,n", [(3, 3, 2), (4, 4, 3), (4, 2, 5), (3, 4, 6), (8, 8, 8), (5, 3, 4), (2, 2, 2)])
+    def test_doubled_channels(self, k, m, n, reciprocal):
+        cfg = NetworkConfig(K=k, M=m, N=n, reciprocal=reciprocal, seed=21)
+        base = generate_channels(cfg, cfg.trial_rng(0))
+        doubled = ChannelSet(uplink=2 * base.uplink, downlink=2 * base.downlink)
+        assert doubled.reciprocal == base.reciprocal == reciprocal
+        audits = [verify_noiseless(cfg, 5, channels=cs).noiseless_max_error
+                  for cs in (base, doubled)]
+        assert audits[0] == audits[1] <= 1e-8
+        plans = [design_scheme(cfg, cs) for cs in (base, doubled)]
+        _, sent, _ = draw_trials(cfg, cfg.trial_streams(range(5)), plans[0].channels)
+        decoded = [run_round(plan, 3.0, sent).decoded for plan in plans]
+        assert decoded[0].tobytes() == decoded[1].tobytes()
+        sinrs = [stream_sinrs(plan, 3.0) for plan in plans]
+        for field in ("mac", "bc", "end_to_end"):
+            one, two = (getattr(s, field) for s in sinrs)
+            assert np.array_equal(two, 4 * one), field
 
 
 class TestSlopeEstimation:
@@ -523,27 +573,27 @@ class TestPhysicalTrialPath:
         one_errors, one_mse = run()
         assert np.array_equal(errors, one_errors) and np.array_equal(mse, one_mse)
 
-    @pytest.mark.parametrize("k,m,n", [(4, 4, 3), (5, 3, 4), (3, 4, 6)])
-    def test_audit_equals_the_row_norm_formula(self, monkeypatch, k, m, n):
-        # the audit gathers the sent symbols once and takes each message's
-        # norm: bit for bit the norms of the sent rows, gathered afterwards
-        cfg = NetworkConfig(K=k, M=m, N=n, seed=14)
-        ((plan, sent),) = trial_stacks([cfg], 4)
-        traces = []
-        real = ssa_nc.run_round
-
-        def recorded(*args, **kwargs):
-            traces.append(real(*args, **kwargs))
-            return traces[-1]
-
-        monkeypatch.setattr(ssa_nc, "run_round", recorded)
-        got = analysis._noiseless_round_errors(plan, sent)
-        (trace,) = traces
+    @pytest.mark.parametrize("k,m,n,reciprocal,given", [
+        pytest.param(k, m, n, reciprocal, given, id=f"{k}-{m}-{n}"
+                     + ("" if reciprocal else "-two-link") + ("-given" if given else ""))
+        for k, m, n in [(4, 4, 3), (5, 3, 4), (3, 4, 6), (4, 2, 5), (8, 8, 8), (2, 2, 2)]
+        for reciprocal in (True, False) for given in (False, True)])
+    def test_audit_equals_the_row_norm_formula(self, k, m, n, reciprocal, given):
+        # the audit reads the round's kernels in their (K, K) layout: bit
+        # for bit the norms of run_round's decoded messages against the
+        # sent rows they estimate, for a 5-trial stack, drawn or a given
+        # one-trial set broadcast over it
+        cfg = NetworkConfig(K=k, M=m, N=n, reciprocal=reciprocal, seed=14)
+        channels = generate_channels(cfg, cfg.trial_rng(0)) if given else None
+        ((plan, sent),) = trial_stacks([cfg], 5, channels)
+        assert plan.stack_shape == (() if given else (5,))
+        trace = run_round(plan, 1.0, sent)
         senders = np.array([[v for v in range(k) if v != u] for u in range(k)])
         sent_norm = np.linalg.norm(trace.sent, axis=-1)[..., senders]
         err = np.sqrt(np.sum(np.abs(trace.decoded - trace.sent[..., senders, :]) ** 2, axis=-1))
         oracle = np.max(err / np.maximum(sent_norm, 1e-300), axis=(-2, -1))
-        assert got.shape == (4,) and got.tobytes() == oracle.tobytes()
+        got = analysis._noiseless_round_errors(plan, sent)
+        assert got.shape == (5,) and got.tobytes() == oracle.tobytes()
 
     def test_stack_size_counts_stored_entries(self):
         # K * min(N, M) * M stored entries per trial, whatever the extension

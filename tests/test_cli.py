@@ -2,9 +2,9 @@
 
 import argparse
 import csv
-import dataclasses
 import json
 import logging
+import os
 from collections import Counter
 
 import numpy as np
@@ -81,13 +81,12 @@ class TestVerifyCommand:
         # verify and simulate print the report, then fail on its audit
         from mrc_dof_lab import ssa_nc
 
-        real = ssa_nc.run_round
+        real = ssa_nc._decode
 
-        def nan_round(*args, **kwargs):
-            trace = real(*args, **kwargs)
-            return dataclasses.replace(trace, decoded=np.full_like(trace.decoded, np.nan))
+        def nan_decode(*args):
+            return np.full_like(real(*args), np.nan)
 
-        monkeypatch.setattr(ssa_nc, "run_round", nan_round)
+        monkeypatch.setattr(ssa_nc, "_decode", nan_decode)
         for command in ("verify", "simulate"):
             code, out, err = run(
                 capsys, command, "--k", "3", "--m", "3", "--n", "2", "--trials", "2",
@@ -653,6 +652,36 @@ class TestConfigFile:
         code, _, err = run(capsys, "bounds", "--config", str(cfg), "--k", "3",
                            "--m", "2", "--n", "2")
         assert code == EXIT_BAD_ARGS
+
+
+class TestOutputFile:
+    """--out replaces an existing file's contents: a shorter output leaves
+    no tail of the old bytes, a symlink is written through to its target,
+    and a device is simply written."""
+
+    ARGV = ("bounds", "--k", "3", "--m", "2", "--n", "3")
+
+    def test_shorter_output_over_a_longer_file(self, tmp_path, capsys):
+        _, want, _ = run(capsys, *self.ARGV)
+        path = tmp_path / "out.csv"
+        path.write_bytes(b"x" * 4096)
+        path.chmod(0o640)
+        before = path.stat()
+        assert run(capsys, *self.ARGV, "--out", str(path)) == (EXIT_OK, "", "")
+        after = path.stat()
+        assert path.read_bytes() == want.encode("utf-8")
+        assert (after.st_mode, after.st_ino) == (before.st_mode, before.st_ino)
+
+    def test_symlink_writes_its_target(self, tmp_path, capsys):
+        _, want, _ = run(capsys, *self.ARGV)
+        target, link = tmp_path / "target.csv", tmp_path / "link.csv"
+        target.write_text("older and longer contents\n" * 20)
+        link.symlink_to(target)
+        assert run(capsys, *self.ARGV, "--out", str(link)) == (EXIT_OK, "", "")
+        assert link.is_symlink() and target.read_bytes() == want.encode("utf-8")
+
+    def test_dev_null(self, capsys):
+        assert run(capsys, *self.ARGV, "--out", os.devnull) == (EXIT_OK, "", "")
 
 
 class TestArgumentErrors:

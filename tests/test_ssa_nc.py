@@ -966,13 +966,13 @@ class TestDownlinkAndDecode:
         channels, sent, _ = draw_trials(cfg, cfg.trial_streams(range(3)))
         plan = design_scheme(cfg, channels)
         calls = []
-        real = ssa_nc.user_decode
+        real = ssa_nc._decode
 
-        def counted(*args, **kwargs):
+        def counted(*args):
             calls.append(args)
-            return real(*args, **kwargs)
+            return real(*args)
 
-        monkeypatch.setattr(ssa_nc, "user_decode", counted)
+        monkeypatch.setattr(ssa_nc, "_decode", counted)
         run_round(plan, 1.0, sent)
         assert len(calls) == 1
 
